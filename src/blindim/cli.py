@@ -3,7 +3,8 @@
 
 Commands: dof, rate, simulate, sweep, verify, fig3, fig5.  Every command
 writes a CSV table (single header row) to --out or stdout.  Exit status is 0
-on success, 1 on a failed verification check, 2 on configuration errors.
+on success, 1 on a failed verification check, 2 on configuration or usage
+errors.
 """
 
 from __future__ import annotations
@@ -11,12 +12,23 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
 
 from . import analysis, configfile, experiments, model, transceiver, verify
-from .spectral import build_structured
+
+
+class UsageError(ValueError):
+    """A command-line value outside the range the commands accept."""
+
+
+def _check_args(args):
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1, got %d" % args.trials)
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be >= 0, got %d" % args.seed)
 
 
 def _load_cfg(args) -> model.SystemConfig:
@@ -48,7 +60,13 @@ def _write_csv(args, header, rows):
 def _snr_list(args, default):
     if args.snr is None:
         return list(default)
-    return [float(s) for s in args.snr.split(",")]
+    try:
+        snrs = [float(s) for s in args.snr.split(",")]
+        if all(map(math.isfinite, snrs)):
+            return snrs
+    except ValueError:
+        pass
+    raise UsageError("--snr must be a comma-separated list of numbers, got %r" % args.snr)
 
 
 def _dof_row(cfg):
@@ -145,7 +163,7 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     cfg = _load_cfg(args) if args.config else None
-    results = verify.run_all(cfg=cfg, seed=args.seed or 0, trials=args.trials or 100)
+    results = verify.run_all(cfg=cfg, seed=args.seed or 0, trials=args.trials)
     rows = [(name, detail, "pass" if ok else "FAIL", float(res)) for name, detail, ok, res in results]
     _write_csv(args, ["check", "detail", "status", "residual"], rows)
     return 0 if all(ok for _, _, ok, _ in results) else 1
@@ -193,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.handler(args)
-    except (configfile.ConfigParseError, model.ConfigError, FileNotFoundError) as exc:
+    except (configfile.ConfigParseError, model.ConfigError, FileNotFoundError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -7,6 +7,11 @@ Both scenarios share a two-stage receiver: a 0/1 folding matrix W1 restores a
 cyclic structure on every (considered) interfering link by adding the leading
 interference-free samples onto their positions one period later, and the IDFT
 row projector W2 then nulls the interference exactly as in the base scheme.
+
+Every active user sends one symbol on the constant precoder f_1, so each
+per-link column is W2 W1 applied to the running sum of the link's taps over
+the cp + N frame samples; no per-link channel matrix is built.  Transmission
+and reception reuse the base scheme's framing and convolution.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransmissionPlan, require_valid
+from .model import TransmissionPlan, link_lengths, require_valid
 from .spectral import idft_basis
-from .transceiver import DecodeResult, detect_zf
+from .transceiver import DecodeResult, detect_zf, precode_and_frame, simulate_reception
 
 
 @dataclass(frozen=True)
@@ -56,16 +61,11 @@ def build_two_stage_combiner(N, L_D, L_I_prime, L_I_d, M_D=1) -> TwoStageCombine
     interference-free leading samples onto the sample one core period later.
     """
     cp = L_I_prime - 1
-    if L_I_d < 1:
-        # no ICI-free samples to harvest: plain cyclic-prefix removal
-        W1 = np.zeros((N, cp + N))
-        W1[np.arange(N), cp + np.arange(N)] = 1.0
-        return TwoStageCombiner(W1=W1, W2=idft_basis(N)[:, M_D:].conj().T)
-    if L_I_d > cp:
+    if L_I_d > max(cp, 0):
         raise ValueError("no valid fold: L_I_d exceeds the cyclic prefix length")
     W1 = np.zeros((N, cp + N))
     W1[np.arange(N), cp + np.arange(N)] = 1.0
-    for j in range(L_I_d):
+    for j in range(L_I_d):   # none to harvest when L_I_d < 1: plain CP removal
         row = j + N - cp
         if not 0 <= row < N:
             raise ValueError("no valid fold: harvested sample lands outside the core")
@@ -84,7 +84,7 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
     be active.
     """
     require_valid(cfg)
-    L_D = max(cfg.cir_len[k][k] for k in range(cfg.K))
+    L_D, _ = link_lengths(cfg)
     N = max(L_D - dp.L_I_prime + 1, dp.L_I_prime)
     U_active = []
     M = []
@@ -102,68 +102,49 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Composite per-link channels seen through the two-stage receiver
+# Per-link columns seen through the two-stage receiver
 # ---------------------------------------------------------------------------
 
-def cp_expand(N, cp) -> np.ndarray:
-    """(cp + N) x N framing matrix: prepend the last cp samples of the core."""
-    S = np.zeros((cp + N, N))
-    if cp > 0:
-        S[:cp] = np.eye(N)[N - cp :]
-    S[cp:] = np.eye(N)
-    return S
+def _f1_columns(comb, dplan, blocks) -> np.ndarray:
+    """W2 W1 times the received frame of a unit symbol on f_1, one column per tap row.
 
-
-def conv_window(h, width) -> np.ndarray:
-    """width x width lower-triangular Toeplitz convolution matrix of the taps h."""
-    out = np.zeros((width, width), dtype=complex)
-    for ell in range(min(len(h), width)):
-        if h[ell] == 0:
-            continue
-        idx = np.arange(width - ell)
-        out[idx + ell, idx] = h[ell]
-    return out
-
-
-def composite_channel(h, N, cp, W1) -> np.ndarray:
-    """N x N map from one user's subblock core to the folded receiver output."""
-    return W1 @ conv_window(h, cp + N) @ cp_expand(N, cp)
+    blocks is a list of (users, taps) arrays.  The frame of f_1 is the
+    constant 1/sqrt(N) over all cp + N samples, so each received frame is the
+    running sum of the taps scaled by 1/sqrt(N).
+    """
+    w = dplan.cp_len + dplan.N
+    frames = np.zeros((sum(len(taps) for taps in blocks), w), dtype=complex)
+    row = 0
+    for taps in blocks:
+        n = min(taps.shape[1], w)
+        frames[row : row + len(taps), :n] = taps[:, :n]
+        row += len(taps)
+    frames = np.cumsum(frames, axis=1) / np.sqrt(dplan.N)
+    return comb.W2 @ (comb.W1 @ frames.T)
 
 
 def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None):
     """Per-cell enlarged effective channel and residual-interference columns.
 
     Returns (comb, H, H_int) where H[k] has one column per active desired user
-    (W2 @ composite @ f_1) and H_int[k] stacks the same construction for every
-    active interfering user using only the residual taps ell >= L_I_prime.
+    (W2 W1 times its received frame for f_1) and H_int[k] stacks the same
+    construction for every active interfering user using only the residual
+    taps ell >= L_I_prime.
     """
     if comb is None:
         comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
-    f1 = idft_basis(dplan.N)[:, 0]
-    W21 = comb.W2 @ comb.W1
     H = {}
     H_int = {}
     for k in range(cfg.K):
-        cols = []
-        for u in range(dplan.U_active[k]):
-            C = composite_channel(ch.h(k, k, u), dplan.N, dplan.cp_len, comb.W1)
-            cols.append(comb.W2 @ C @ f1)
-        H[k] = np.array(cols).T if cols else np.zeros((dplan.N - dplan.M_D, 0), dtype=complex)
-        icols = []
+        H[k] = _f1_columns(comb, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
+        residual = []
         for i in range(cfg.K):
             if i == k:
                 continue
-            L_ki = cfg.cir_len[k][i]
-            for v in range(dplan.U_active[i]):
-                h = np.array(ch.h(k, i, v))
-                h[: min(dp.L_I_prime, L_ki)] = 0.0   # considered taps are nulled exactly
-                if not np.any(h):
-                    continue
-                C = composite_channel(h, dplan.N, dplan.cp_len, comb.W1)
-                icols.append(comb.W2 @ C @ f1)
-        H_int[k] = (
-            np.array(icols).T if icols else np.zeros((dplan.N - dplan.M_D, 0), dtype=complex)
-        )
+            h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
+            h[:, : dp.L_I_prime] = 0.0   # considered taps are nulled exactly
+            residual.append(h[np.any(h, axis=1)])
+        H_int[k] = _f1_columns(comb, dplan, residual)
     return comb, H, H_int
 
 
@@ -177,31 +158,15 @@ def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
     if dplan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     comb, H, _ = delayed_effective_channels(cfg, dplan, dp, ch)
-    f1 = idft_basis(dplan.N)[:, 0]
-    S = cp_expand(dplan.N, dplan.cp_len)
-    # transmit
-    tx = {}
-    for i in range(cfg.K):
-        blocks = np.zeros((dplan.U_active[i], dplan.T), dtype=complex)
-        for u in range(dplan.U_active[i]):
-            frame = S @ (f1 * symbols[i][u])
-            blocks[u, : frame.size] = frame
-        tx[i] = blocks
-    # receive
+    tx = {
+        i: precode_and_frame(dplan, i, np.reshape(symbols[i], (1, dplan.U_active[i], dplan.M[i])))
+        for i in range(cfg.K)
+    }
+    y = simulate_reception(cfg, dplan, ch, tx, rng=noise_rng, noise_var=noise_var)
     s_hat = {}
     for k in range(cfg.K):
-        y = np.zeros(dplan.T, dtype=complex)
-        for i in range(cfg.K):
-            for u in range(dplan.U_active[i]):
-                y += np.convolve(ch.h(k, i, u), tx[i][u])[: dplan.T]
-        if noise_var > 0:
-            y += (noise_rng.standard_normal(dplan.T)
-                  + 1j * noise_rng.standard_normal(dplan.T)) * np.sqrt(noise_var / 2.0)
-        y_tilde = comb.W2 @ (comb.W1 @ y[: dplan.cp_len + dplan.N])
-        if dplan.U_active[k] > 0:
-            s_hat[k] = detect_zf(H[k], y_tilde)[None, :]
-        else:
-            s_hat[k] = np.zeros((1, 0), dtype=complex)
+        y_tilde = comb.W2 @ (comb.W1 @ y[k, : dplan.cp_len + dplan.N])
+        s_hat[k] = detect_zf(H[k], y_tilde)[None, :]
     return DecodeResult(s_hat=s_hat)
 
 

@@ -106,15 +106,18 @@ class TransmissionPlan:
     T: int            # total block length B*N_bar + max(L_D, L_I) - 1
 
 
+def link_lengths(cfg: SystemConfig) -> tuple:
+    """(L_D, L_I): longest desired and interfering link; one cell has L_I = 1 (no CP)."""
+    L_D = max(cfg.cir_len[k][k] for k in range(cfg.K))
+    L_I = max((cfg.cir_len[k][i] for k in range(cfg.K) for i in range(cfg.K) if i != k),
+              default=1)
+    return L_D, L_I
+
+
 def make_plan(cfg: SystemConfig) -> TransmissionPlan:
     """Compute active-user counts, per-user symbol loads, and frame geometry."""
     require_valid(cfg)
-    L_D = max(cfg.cir_len[k][k] for k in range(cfg.K))
-    if cfg.K > 1:
-        L_I = max(cfg.cir_len[k][i] for k in range(cfg.K) for i in range(cfg.K) if i != k)
-    else:
-        # single cell: no interfering links, so a one-tap cyclic prefix budget
-        L_I = 1
+    L_D, L_I = link_lengths(cfg)
 
     U_active = []
     M = []
@@ -276,11 +279,7 @@ def sample_channel_geometric(cfg: SystemConfig, dep: Deployment, positions: Posi
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     p0 = 10.0 ** (dep.ref_loss_db / 10.0)
-    L_D = max(cfg.cir_len[k][k] for k in range(cfg.K))
-    if cfg.K > 1:
-        L_I = max(cfg.cir_len[k][i] for k in range(cfg.K) for i in range(cfg.K) if i != k)
-    else:
-        L_I = 1
+    L_D, L_I = link_lengths(cfg)
     taps = {}
     for k in range(cfg.K):
         for i in range(cfg.K):

@@ -1,5 +1,11 @@
 # blindim/spectral.py
-"""IDFT basis, circulant machinery, and structured channel-matrix builders.
+"""IDFT basis, circulant machinery, and the structured channel matrices.
+
+Every subblock channel comes from one builder, frame_response: the taps
+convolved with two consecutive cyclic-prefixed frames, prefix folded onto the
+core.  Its post-CP rows give a desired link's Hbar and the leakage Hsub from
+the previous subblock; with at most cp + 1 taps (every interfering link) the
+current-core map is circulant and the leakage is zero.
 
 DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
@@ -49,118 +55,63 @@ def diagonalize_circulant(C: np.ndarray) -> np.ndarray:
 # Structured channel matrices after cyclic-prefix removal
 # ---------------------------------------------------------------------------
 
+def frame_response(h, N, cp) -> np.ndarray:
+    """(N + cp, 2, N) map from the previous and the current subblock core to the
+    received samples of the current frame.
+
+    Each core is framed by a cp-sample cyclic prefix; the two frames pass
+    through one linear convolution (a Toeplitz matrix over both frames) and
+    the prefix columns are folded onto the core samples they copy.
+    resp[:, 0] is the previous core's leakage and resp[:, 1] the current
+    core's response; rows cp: are the samples kept after CP removal.
+    """
+    w = N + cp
+    col = np.zeros(2 * w, dtype=complex)
+    n = min(len(h), 2 * w)
+    col[:n] = h[:n]
+    T = scipy.linalg.toeplitz(col, np.zeros(2 * w))[w:].reshape(w, 2, w)
+    resp = T[:, :, cp:].copy()
+    resp[:, :, N - cp :] += T[:, :, :cp]
+    return resp
+
+
 @dataclass
 class DesiredLink:
     """Channel matrices of one desired link (k, u) for an N-sample subblock core."""
 
     Hbar: np.ndarray   # full N x N channel after CP removal
-    Hc: np.ndarray     # circulant part
-    Hnc: np.ndarray    # non-circulant part: Hbar = Hc + Hnc
-    Hupp: np.ndarray   # upper-Toeplitz corner block (P x P, P = N - L_I + 1)
-    Hlow: np.ndarray   # lower-Toeplitz corner block ((L_I-1) x (L_I-1))
+    Hnc: np.ndarray    # non-circulant part: Hbar - circulant(first min(L_kk, N) taps)
     Hsub: np.ndarray   # N x N inter-subblock leakage matrix
 
 
 @dataclass
 class StructuredChannel:
-    """All structured matrices for one channel realization under a plan."""
+    """Desired-link matrices for one channel realization under a plan."""
 
     desired: dict   # (k, u) -> DesiredLink
-    ici: dict       # (k, i, u), i != k -> circulant N x N matrix
-
-
-def upper_toeplitz(h, n_prime, N, L_I) -> np.ndarray:
-    """P x P upper-triangular Toeplitz corner holding the taps that wrap past N.
-
-    Diagonal d (counted from the main diagonal upward) carries tap
-    h[L_I + (P-1-d)]; diagonals below max(P - (n_prime - L_I), 0) are zero.
-    """
-    P = N - L_I + 1
-    out = np.zeros((P, P), dtype=complex)
-    d_min = max(P - (n_prime - L_I), 0)
-    for d in range(d_min, P):
-        tap = L_I + (P - 1 - d)
-        if tap < n_prime:
-            idx = np.arange(P - d)
-            out[idx, idx + d] = h[tap]
-    return out
-
-
-def lower_toeplitz(h, L_kk, N, L_I) -> np.ndarray:
-    """(L_I-1) x (L_I-1) lower-triangular Toeplitz corner; zero when L_kk <= N."""
-    q = L_I - 1
-    out = np.zeros((q, q), dtype=complex)
-    for d in range(0, L_kk - N):
-        idx = np.arange(q - d)
-        out[idx + d, idx] = h[N + d]
-    return out
-
-
-def _build_circulant_part(h, L_kk, N) -> np.ndarray:
-    n_prime = min(L_kk, N)
-    col = np.zeros(N, dtype=complex)
-    col[:n_prime] = h[:n_prime]
-    return circulant(col)
-
-
-def _build_noncirculant_part(h, L_kk, N, L_I) -> np.ndarray:
-    P = N - L_I + 1
-    q = L_I - 1
-    out = np.zeros((N, N), dtype=complex)
-    out[:P, :P] = -upper_toeplitz(h, min(L_kk, N), N, L_I)
-    if q > 0:
-        out[P:, P:] = lower_toeplitz(h, L_kk, N, L_I)
-    return out
-
-
-def _build_isbi_part(h, L_kk, N, L_I) -> np.ndarray:
-    """Leakage of the previous subblock's core into the current one.
-
-    Entry (r, c) carries tap h[L_I + (N-1-c) + r] whenever that index exists;
-    the band collapses to the top-right corner when L_kk <= N + L_I - 1.
-    """
-    out = np.zeros((N, N), dtype=complex)
-    for r in range(N):
-        for c in range(N):
-            tap = L_I + (N - 1 - c) + r
-            if L_I <= tap < L_kk:
-                out[r, c] = h[tap]
-    return out
 
 
 def build_structured(cfg, plan, ch) -> StructuredChannel:
-    """Build every per-link channel matrix seen by an N-sample subblock core.
+    """Build the post-CP channel matrices of every desired link.
 
-    Interfering links become exactly circulant thanks to the cyclic prefix of
-    length L_I - 1; desired links split into a circulant part plus the
-    non-circulant corners holding the taps beyond L_I - 1.
+    Interfering links are exactly circulant thanks to the cyclic prefix of
+    length L_I - 1, so only desired links are built: each splits into a
+    circulant part plus the non-circulant corners holding the taps beyond
+    L_I - 1, and leaks Hsub into the next subblock.
     """
-    N, L_I = plan.N, plan.L_I
-    if N < L_I:
+    N, cp = plan.N, plan.cp_len
+    if N < plan.L_I:
         raise ValueError("plan requires N >= L_I")
     desired = {}
-    ici = {}
     for k in range(cfg.K):
-        L_kk = cfg.cir_len[k][k]
+        n_prime = min(cfg.cir_len[k][k], N)
         for u in range(cfg.users_per_cell[k]):
             h = ch.h(k, k, u)
-            Hc = _build_circulant_part(h, L_kk, N)
-            Hnc = _build_noncirculant_part(h, L_kk, N, L_I)
+            resp = frame_response(h, N, cp)
+            Hbar = resp[cp:, 1].copy()
+            col = np.zeros(N, dtype=complex)
+            col[:n_prime] = h[:n_prime]
             desired[(k, u)] = DesiredLink(
-                Hbar=Hc + Hnc,
-                Hc=Hc,
-                Hnc=Hnc,
-                Hupp=upper_toeplitz(h, min(L_kk, N), N, L_I),
-                Hlow=lower_toeplitz(h, L_kk, N, L_I),
-                Hsub=_build_isbi_part(h, L_kk, N, L_I),
+                Hbar=Hbar, Hnc=Hbar - circulant(col), Hsub=resp[cp:, 0].copy()
             )
-        for i in range(cfg.K):
-            if i == k:
-                continue
-            L_ki = cfg.cir_len[k][i]
-            for u in range(cfg.users_per_cell[i]):
-                h = ch.h(k, i, u)
-                col = np.zeros(N, dtype=complex)
-                col[:min(L_ki, N)] = h[:min(L_ki, N)]
-                ici[(k, i, u)] = circulant(col)
-    return StructuredChannel(desired=desired, ici=ici)
+    return StructuredChannel(desired=desired)

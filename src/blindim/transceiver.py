@@ -11,7 +11,7 @@ N*P/M_k.  The effective per-stream SNR after combining is then N*rho/M_k.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ def combine(plan, y_bar) -> np.ndarray:
 class EffectiveChannel:
     """Per-cell effective channels seen after the ICI-nulling projection."""
 
-    W: np.ndarray    # (N - M_D) x N combiner
     H: dict          # k -> (N - M_D) x (U'_k M_k) effective channel
     Hsub: dict       # k -> same shape, inter-subblock leakage channel
 
@@ -116,16 +115,15 @@ class EffectiveChannel:
 def effective_channels(cfg, plan, structured: StructuredChannel) -> EffectiveChannel:
     W = combiner(plan)
     F = idft_basis(plan.N)
+    empty = np.zeros((plan.N - plan.M_D, 0), dtype=complex)   # a cell with no active user
     H = {}
     Hsub = {}
     for k in range(cfg.K):
         Fk = F[:, : plan.M[k]]
-        cols = [W @ structured.desired[(k, u)].Hnc @ Fk for u in range(plan.U_active[k])]
-        sub = [W @ structured.desired[(k, u)].Hsub @ Fk for u in range(plan.U_active[k])]
-        width = plan.U_active[k] * plan.M[k]
-        H[k] = np.hstack(cols) if cols else np.zeros((plan.N - plan.M_D, width), dtype=complex)
-        Hsub[k] = np.hstack(sub) if sub else np.zeros((plan.N - plan.M_D, width), dtype=complex)
-    return EffectiveChannel(W=W, H=H, Hsub=Hsub)
+        links = [structured.desired[(k, u)] for u in range(plan.U_active[k])]
+        H[k] = np.hstack([empty] + [W @ link.Hnc @ Fk for link in links])
+        Hsub[k] = np.hstack([empty] + [W @ link.Hsub @ Fk for link in links])
+    return EffectiveChannel(H=H, Hsub=Hsub)
 
 
 def detect_zf(H, y) -> np.ndarray:
@@ -158,14 +156,12 @@ def detect_ml(H, y, alphabet) -> np.ndarray:
 
 @dataclass
 class DecodeResult:
-    """Decoded symbols and simple per-cell diagnostics."""
+    """Decoded symbols of every cell."""
 
-    s_hat: dict                      # k -> (B, U'_k * M_k) detected symbols
-    residual_ici: dict = field(default_factory=dict)   # k -> post/pre combining energy
+    s_hat: dict   # k -> (B, U'_k * M_k) detected symbols
 
 
-def decode_block(cfg, plan, eff: EffectiveChannel, y_tilde, detector="zf",
-                 alphabet=None, genie_symbols=None) -> DecodeResult:
+def decode_block(cfg, plan, eff: EffectiveChannel, y_tilde, genie_symbols=None) -> DecodeResult:
     """Detect all B subblocks with successive inter-subblock cancellation.
 
     y_tilde is a dict k -> (B, N - M_D) of combined observations.  Subblock 1
@@ -182,32 +178,22 @@ def decode_block(cfg, plan, eff: EffectiveChannel, y_tilde, detector="zf",
             if b > 0:
                 prev = genie_symbols[k][b - 1] if genie_symbols is not None else out[b - 1]
                 obs = obs - eff.Hsub[k] @ prev
-            if width == 0:
-                continue
-            if detector == "zf":
-                out[b] = detect_zf(eff.H[k], obs)
-            elif detector == "ml":
-                out[b] = detect_ml(eff.H[k], obs, alphabet)
-            else:
-                raise ValueError("unknown detector %r" % detector)
+            out[b] = detect_zf(eff.H[k], obs)
         s_hat[k] = out
     return DecodeResult(s_hat=s_hat)
 
 
-def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0,
-                  detector="zf", alphabet=None, structured=None) -> DecodeResult:
+def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0) -> DecodeResult:
     """Full transmit/receive/decode round trip for one channel realization.
 
     symbols is a dict k -> (B, U'_k, M_k) of (already power-scaled) payload
     symbols; the returned estimates are on the same scale.
     """
-    if structured is None:
-        structured = build_structured(cfg, plan, ch)
-    eff = effective_channels(cfg, plan, structured)
+    eff = effective_channels(cfg, plan, build_structured(cfg, plan, ch))
     tx = {k: precode_and_frame(plan, k, symbols[k]) for k in range(cfg.K)}
     y = simulate_reception(cfg, plan, ch, tx, rng=noise_rng, noise_var=noise_var)
     y_tilde = {}
     for k in range(cfg.K):
         rows = [combine(plan, remove_cp_and_stack(plan, y[k], b)) for b in range(1, plan.B + 1)]
         y_tilde[k] = np.array(rows)
-    return decode_block(cfg, plan, eff, y_tilde, detector=detector, alphabet=alphabet)
+    return decode_block(cfg, plan, eff, y_tilde)

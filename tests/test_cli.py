@@ -120,6 +120,23 @@ class TestErrors:
         code, _ = run(tmp_path, "dof", "--config", str(cfgfile))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["rate", "fig5", "verify"])
+    def test_trials_below_one(self, tmp_path, capsys, command):
+        code, text = run(tmp_path, command, "--trials", "0")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
+
+    def test_negative_seed(self, tmp_path, capsys):
+        code, text = run(tmp_path, "rate", "--seed", "-1", "--trials", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("snr", ["abc", "10,x", "nan"])
+    def test_non_numeric_snr(self, tmp_path, capsys, snr):
+        code, text = run(tmp_path, "rate", "--snr", snr, "--trials", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --snr must be")
+
 
 class TestExperimentCommands:
     def test_fig3_small(self, tmp_path):

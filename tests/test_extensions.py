@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindim import analysis, experiments, extensions, model, spectral
+from blindim import analysis, experiments, extensions, model, spectral, transceiver
 
 
 def delayed_case():
@@ -92,33 +92,65 @@ class TestDelayedPlan:
 
 class TestCompositeChannel:
     def test_composite_ici_is_circulant_on_common_precoder(self):
-        # a delayed interfering link becomes circulant after the fold: f_1 is
-        # an eigenvector and the projector removes it entirely
+        # a delayed interfering link becomes circulant after the fold: the
+        # folded running tap sum (its response to f_1) is a multiple of f_1
+        # and the projector removes it entirely
         cfg, dp = delayed_case()
         dplan = extensions.make_delayed_plan(cfg, dp)
         comb = extensions.build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
         f1 = spectral.idft_basis(dplan.N)[:, 0]
+        w = dplan.cp_len + dplan.N
         rng = np.random.default_rng(0)
         for _ in range(20):
             h = np.zeros(4, dtype=complex)
             h[dp.L_I_d :] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            C = extensions.composite_channel(h, dplan.N, dplan.cp_len, comb.W1)
-            lam = f1.conj() @ (C @ f1)
-            np.testing.assert_allclose(C @ f1, lam * f1, atol=1e-12)
-            np.testing.assert_allclose(comb.W2 @ C @ f1, 0.0, atol=1e-12)
+            frame = np.cumsum(np.pad(h, (0, w - h.size))) / np.sqrt(dplan.N)
+            np.testing.assert_allclose(
+                frame, np.convolve(h, np.full(w, 1 / np.sqrt(dplan.N)))[:w], atol=1e-12
+            )
+            folded = comb.W1 @ frame
+            np.testing.assert_allclose(folded, (f1.conj() @ folded) * f1, atol=1e-12)
+            np.testing.assert_allclose(comb.W2 @ folded, 0.0, atol=1e-12)
+            np.testing.assert_allclose(extensions._f1_columns(comb, dplan, [h[None, :]]), 0.0,
+                                       atol=1e-12)
 
     def test_conv_window_matches_numpy(self):
+        # with no prefix, the current core's response is the first N samples
+        # of its linear convolution with the taps
         rng = np.random.default_rng(1)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         np.testing.assert_allclose(
-            extensions.conv_window(h, 6) @ x, np.convolve(h, x)[:6], atol=1e-12
+            spectral.frame_response(h, 6, 0)[:, 1] @ x, np.convolve(h, x)[:6], atol=1e-12
         )
 
     def test_cp_expand(self):
-        S = extensions.cp_expand(4, 3)
+        # a unit tap passes the framed core through unchanged: prefix, then core
+        resp = spectral.frame_response(np.ones(1), 4, 3)
         x = np.arange(4.0)
-        np.testing.assert_array_equal(S @ x, [1, 2, 3, 0, 1, 2, 3])
+        np.testing.assert_array_equal(resp[:, 1] @ x, [1, 2, 3, 0, 1, 2, 3])
+        np.testing.assert_array_equal(resp[:, 0], 0.0)
+
+    def test_delayed_columns_match_simulated_reception(self):
+        # each column of H is W2 W1 applied to the received frame of one unit
+        # symbol sent through the base scheme's framing and convolution
+        cfg, dp = delayed_case()
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        for t in range(10):
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(3, t)), cfg, dp)
+            comb, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+            for k in range(cfg.K):
+                for u in range(dplan.U_active[k]):
+                    tx = {}
+                    for i in range(cfg.K):
+                        s = np.zeros((1, dplan.U_active[i], dplan.M[i]), dtype=complex)
+                        if i == k:
+                            s[0, u, 0] = 1.0
+                        tx[i] = transceiver.precode_and_frame(dplan, i, s)
+                    y = transceiver.simulate_reception(cfg, dplan, ch, tx)
+                    want = comb.W2 @ comb.W1 @ y[k, : dplan.cp_len + dplan.N]
+                    err = np.linalg.norm(H[k][:, u] - want)
+                    assert err <= 1e-12 * np.linalg.norm(want)
 
 
 class TestDelayedDecoding:

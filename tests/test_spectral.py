@@ -99,23 +99,40 @@ class TestBuildStructured:
         np.testing.assert_allclose(st.desired[(0, 0)].Hnc, expect, atol=1e-15)
 
     def test_decomposition_is_exact(self):
-        cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
-        _, _, st = _structured(cfg)
-        link = st.desired[(0, 0)]
-        np.testing.assert_array_equal(link.Hbar, link.Hc + link.Hnc)
+        # Hbar - Hnc is the circulant of the first min(L_kk, N) taps: exactly
+        # when N covers the channel, to rounding when the taps wrap (L_kk > N)
+        for L_D, exact in ((8, True), (4, False)):
+            cfg = model.SystemConfig.symmetric(K=2, L_D=L_D, L_I=2, U=2)
+            plan, ch, st = _structured(cfg)
+            link = st.desired[(0, 0)]
+            col = np.zeros(plan.N, dtype=complex)
+            n_prime = min(L_D, plan.N)
+            col[:n_prime] = ch.h(0, 0, 0)[:n_prime]
+            if exact:
+                np.testing.assert_array_equal(link.Hbar - link.Hnc, spectral.circulant(col))
+            else:
+                np.testing.assert_allclose(link.Hbar - link.Hnc, spectral.circulant(col),
+                                           rtol=0, atol=1e-15 * np.abs(col).max())
 
     def test_lower_block_zero_when_n_covers_channel(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=3, U=1)
         plan, _, st = _structured(cfg)
         assert plan.N >= 8
-        np.testing.assert_array_equal(st.desired[(0, 0)].Hlow, 0.0)
+        link = st.desired[(0, 0)]
+        # no tap wraps past the core, so the non-circulant part is strictly upper triangular
+        np.testing.assert_array_equal(np.tril(link.Hnc), 0.0)
+        spectral.diagonalize_circulant(link.Hbar - link.Hnc)
 
     def test_block_dimensions_sum_to_n(self):
+        # Hnc lives in a P x P upper corner and an (L_I - 1) x (L_I - 1) lower corner
         cfg = model.SystemConfig.symmetric(K=2, L_D=9, L_I=4, U=2)
         plan, _, st = _structured(cfg)
-        link = st.desired[(0, 0)]
-        assert link.Hupp.shape[0] + link.Hlow.shape[0] == plan.N
-        assert link.Hnc.shape == (plan.N, plan.N)
+        Hnc = st.desired[(0, 0)].Hnc
+        P = plan.N - plan.L_I + 1
+        assert Hnc.shape == (plan.N, plan.N)
+        np.testing.assert_array_equal(Hnc[:P, P:], 0.0)
+        np.testing.assert_array_equal(Hnc[P:, :P], 0.0)
+        assert np.any(Hnc[:P, :P]) and np.any(Hnc[P:, P:])
 
     @pytest.mark.parametrize("params", [(3, 2, 4), (8, 2, 8), (8, 2, 5), (8, 3, 6),
                                         (6, 4, 8), (9, 1, 8)])
@@ -124,8 +141,7 @@ class TestBuildStructured:
         rng = np.random.default_rng(42)
         for _ in range(5):
             h = rng.standard_normal(L_kk) + 1j * rng.standard_normal(L_kk)
-            built = (spectral._build_circulant_part(h, L_kk, N)
-                     + spectral._build_noncirculant_part(h, L_kk, N, L_I))
+            built = spectral.frame_response(h, N, L_I - 1)[L_I - 1 :, 1]
             np.testing.assert_allclose(built, direct_channel_matrix(h, N, L_I), atol=1e-12)
 
     @pytest.mark.parametrize("params", [(3, 2, 4), (8, 2, 8), (8, 2, 5), (8, 2, 6),
@@ -136,21 +152,48 @@ class TestBuildStructured:
         for _ in range(5):
             h = rng.standard_normal(L_kk) + 1j * rng.standard_normal(L_kk)
             np.testing.assert_allclose(
-                spectral._build_isbi_part(h, L_kk, N, L_I),
+                spectral.frame_response(h, N, L_I - 1)[L_I - 1 :, 0],
                 direct_isbi_matrix(h, N, L_I),
                 atol=1e-12,
             )
 
-    def test_ici_matrices_have_idft_eigenvectors(self):
-        cfg = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3)
-        plan, _, st = _structured(cfg)
-        F = spectral.idft_basis(plan.N)
-        for M in st.ici.values():
-            for m in range(plan.N):
-                f = F[:, m]
-                lam = f.conj() @ (M @ f)
-                res = np.linalg.norm(M @ f - lam * f)
-                assert res <= 1e-10 * max(np.linalg.norm(M), 1e-30)
+    def test_frame_response_matches_oracles_on_random_shapes(self):
+        # every valid framing: 0 <= cp < N and 1 <= L <= N + cp, with the edge
+        # cases cp = 0, L > N and L = N + cp forced in turn
+        rng = np.random.default_rng(44)
+        for trial in range(240):
+            N = int(rng.integers(1, 13))
+            cp = 0 if trial % 4 == 0 else int(rng.integers(0, N))
+            if trial % 4 == 1:
+                L = N + cp
+            elif trial % 4 == 2 and cp > 0:
+                L = int(rng.integers(N + 1, N + cp + 1))
+            else:
+                L = int(rng.integers(1, N + cp + 1))
+            h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            resp = spectral.frame_response(h, N, cp)
+            assert resp.shape == (N + cp, 2, N)
+            tol = 1e-12 * np.abs(h).max()
+            np.testing.assert_allclose(resp[cp:, 1], direct_channel_matrix(h, N, cp + 1),
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(resp[cp:, 0], direct_isbi_matrix(h, N, cp + 1),
+                                       rtol=0, atol=tol)
+
+    def test_short_links_are_circulant_without_leakage(self):
+        # the paper's claim for interfering links: with len(h) <= cp + 1 the
+        # post-CP map is circulant (IDFT eigenvectors) and nothing leaks
+        # from the previous subblock
+        rng = np.random.default_rng(45)
+        for _ in range(100):
+            N = int(rng.integers(1, 13))
+            cp = int(rng.integers(0, N))
+            L = int(rng.integers(1, cp + 2))
+            h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            resp = spectral.frame_response(h, N, cp)
+            lam = spectral.diagonalize_circulant(resp[cp:, 1])
+            F = spectral.idft_basis(N)
+            np.testing.assert_allclose(resp[cp:, 1] @ F, F * lam, atol=1e-12)
+            np.testing.assert_array_equal(resp[cp:, 0], 0.0)
 
     def test_asymmetric_lengths(self):
         cir = [[5, 2, 2], [2, 6, 2], [2, 2, 8]]

@@ -284,9 +284,3 @@ class TestDecodeBlock:
         res = transceiver.decode_block(cfg, plan, eff, y_tilde, genie_symbols=genie)
         for k in range(2):
             np.testing.assert_allclose(res.s_hat[k], genie[k], atol=1e-9)
-
-    def test_unknown_detector(self):
-        cfg, plan, ch = setup_case()
-        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(14, 0))
-        with pytest.raises(ValueError):
-            transceiver.simulate_link(cfg, plan, ch, syms, detector="nope")
