@@ -18,13 +18,10 @@ from .model import (
 )
 from .spectral import build_structured, circulant, diagonalize_circulant, idft_basis
 from .transceiver import (
-    EffectiveChannel,
     combine,
     combiner,
     decode_block,
-    detect_ml,
     detect_zf,
-    effective_channels,
     precode_and_frame,
     remove_cp_and_stack,
     simulate_link,

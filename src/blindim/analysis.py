@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import model, spectral, transceiver
+from . import model, spectral
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +72,14 @@ def qr_positive(H):
     return Q * phase, phase.conj()[:, None] * R
 
 
-def r_diagonals(eff) -> dict:
-    """|r_mm| of each cell's effective channel; the rate depends only on these."""
+def r_diagonals(H) -> dict:
+    """|r_mm| of each cell's effective channel H[k]; the rate depends only on these."""
     out = {}
-    for k, H in eff.H.items():
-        if H.shape[1] == 0:
+    for k, Hk in H.items():
+        if Hk.shape[1] == 0:
             out[k] = np.zeros(0)
             continue
-        _, R = qr_positive(H)
+        _, R = qr_positive(Hk)
         out[k] = np.abs(np.diagonal(R))
     return out
 
@@ -106,9 +106,9 @@ def sum_rate_from_diagonals(plan, diags, snr_linear) -> RateReport:
     return RateReport(per_stream=per_stream, per_cell=per_cell, sum_rate=total)
 
 
-def sum_rate_qr(plan, eff, snr_linear) -> RateReport:
+def sum_rate_qr(plan, H, snr_linear) -> RateReport:
     """ZF-SIC sum rate of the proposed scheme for one channel realization."""
-    return sum_rate_from_diagonals(plan, r_diagonals(eff), snr_linear)
+    return sum_rate_from_diagonals(plan, r_diagonals(H), snr_linear)
 
 
 def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
@@ -209,9 +209,7 @@ def ergodic_rate(cfg, snr_db_list, trials, scheme="proposed", seed=None) -> np.n
         rng = model.trial_rng(seed, t)
         ch = model.sample_channel_iid(cfg, rng)
         if scheme == "proposed":
-            structured = spectral.build_structured(cfg, plan, ch)
-            eff = transceiver.effective_channels(cfg, plan, structured)
-            diags = r_diagonals(eff)
+            diags = r_diagonals(spectral.build_structured(cfg, plan, ch))
             for j, rho in enumerate(snr_lin):
                 acc[j] += sum_rate_from_diagonals(plan, diags, rho).sum_rate
         elif scheme == "baseline":

@@ -104,26 +104,30 @@ def cmd_sweep(args):
     values = [v for v in values.split(",") if v]
     if not values:
         raise configfile.ConfigParseError(0, "empty sweep list for %r" % key)
+    if key not in ("L_D", "K", "snr_db", "subblocks", "seed"):
+        raise configfile.ConfigParseError(0, "unknown sweep key %r" % key)
+    cast = float if key == "snr_db" else int
+    try:
+        numbers = [cast(v) for v in values]
+    except ValueError:
+        raise UsageError("--sweep %s values must be %s, got %r"
+                         % (key, "numbers" if cast is float else "integers", args.sweep))
     cfg = _load_cfg(args)
     rows = []
-    for v in values:
+    for v, x in zip(values, numbers):
         if key == "L_D":
             swept = model.SystemConfig.symmetric(
-                K=cfg.K, L_D=int(v), L_I=2, U=int(v) - 2,
-                subblocks=cfg.subblocks, seed=cfg.seed,
+                K=cfg.K, L_D=x, L_I=2, U=x - 2, subblocks=cfg.subblocks, seed=cfg.seed,
             )
         elif key == "K":
             L_D = cfg.cir_len[0][0]
             L_I = cfg.cir_len[0][1] if cfg.K > 1 else 2
             swept = model.SystemConfig.symmetric(
-                K=int(v), L_D=L_D, L_I=L_I, U=cfg.users_per_cell[0],
+                K=x, L_D=L_D, L_I=L_I, U=cfg.users_per_cell[0],
                 subblocks=cfg.subblocks, seed=cfg.seed,
             )
-        elif key in ("snr_db", "subblocks", "seed"):
-            cast = float if key == "snr_db" else int
-            swept = dataclasses.replace(cfg, **{key: cast(v)})
         else:
-            raise configfile.ConfigParseError(0, "unknown sweep key %r" % key)
+            swept = dataclasses.replace(cfg, **{key: x})
         rows.append([v] + _dof_row(swept))
     _write_csv(args, ["sweep_" + key] + DOF_HEADER, rows)
     return 0

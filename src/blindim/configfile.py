@@ -3,12 +3,12 @@
 
 Format: one `key = value` pair per line, `#` starts a comment.  Lists are
 comma-separated; matrices separate rows with `;` (e.g. `cir_len = 4,2; 2,4`).
-Units: distances in meters, powers in dBm, SNR in dB, angles in degrees.
+SNR is in dB.
 """
 
 from __future__ import annotations
 
-from .model import Deployment, SystemConfig
+from .model import SystemConfig
 
 
 class ConfigParseError(ValueError):
@@ -18,10 +18,6 @@ class ConfigParseError(ValueError):
 
 
 SYSTEM_KEYS = {"K", "users_per_cell", "cir_len", "snr_db", "subblocks", "seed", "symbol_model"}
-DEPLOY_KEYS = {
-    "site_spacing_m", "user_distance_m", "pathloss_exponent", "ref_loss_db", "pdp_decay",
-    "ici_delay_taps", "tx_power_dbm", "noise_density_dbm_hz", "bandwidth_hz",
-}
 
 
 def parse_config_text(text) -> dict:
@@ -36,7 +32,7 @@ def parse_config_text(text) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigParseError(line_no, "empty key")
-        if key not in SYSTEM_KEYS | DEPLOY_KEYS:
+        if key not in SYSTEM_KEYS:
             raise ConfigParseError(line_no, "unknown key %r" % key)
         if key in out:
             raise ConfigParseError(line_no, "duplicate key %r" % key)
@@ -104,18 +100,3 @@ def load_system_config(text) -> SystemConfig:
         symbol_model=symbol_model,
     )
 
-
-def load_deployment(text) -> Deployment:
-    pairs = parse_config_text(text)
-    defaults = Deployment()
-    return Deployment(
-        site_spacing_m=_float(pairs, "site_spacing_m", defaults.site_spacing_m),
-        user_distance_m=_float(pairs, "user_distance_m", defaults.user_distance_m),
-        pathloss_exponent=_float(pairs, "pathloss_exponent", defaults.pathloss_exponent),
-        ref_loss_db=_float(pairs, "ref_loss_db", defaults.ref_loss_db),
-        pdp_decay=_float(pairs, "pdp_decay", defaults.pdp_decay),
-        ici_delay_taps=_int(pairs, "ici_delay_taps", defaults.ici_delay_taps),
-        tx_power_dbm=_float(pairs, "tx_power_dbm", defaults.tx_power_dbm),
-        noise_density_dbm_hz=_float(pairs, "noise_density_dbm_hz", defaults.noise_density_dbm_hz),
-        bandwidth_hz=_float(pairs, "bandwidth_hz", defaults.bandwidth_hz),
-    )

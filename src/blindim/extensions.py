@@ -9,9 +9,10 @@ interference-free samples onto their positions one period later, and the IDFT
 row projector W2 then nulls the interference exactly as in the base scheme.
 
 Every active user sends one symbol on the constant precoder f_1, so each
-per-link column is W2 W1 applied to the running sum of the link's taps over
-the cp + N frame samples; no per-link channel matrix is built.  Transmission
-and reception reuse the base scheme's framing and convolution.
+per-link column is W2 W1 applied to the link's spectral.frame_columns for f_1:
+the running sum of its taps over the cp + N frame samples; no per-link channel
+matrix is built.  Transmission and reception reuse the base scheme's framing
+and convolution.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TransmissionPlan, link_lengths, require_valid
-from .spectral import idft_basis
+from .spectral import frame_columns, idft_basis
 from .transceiver import DecodeResult, detect_zf, precode_and_frame, simulate_reception
 
 
@@ -108,34 +109,28 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
 def _f1_columns(comb, dplan, blocks) -> np.ndarray:
     """W2 W1 times the received frame of a unit symbol on f_1, one column per tap row.
 
-    blocks is a list of (users, taps) arrays.  The frame of f_1 is the
-    constant 1/sqrt(N) over all cp + N samples, so each received frame is the
-    running sum of the taps scaled by 1/sqrt(N).
+    blocks is a list of (users, taps) arrays.
     """
-    w = dplan.cp_len + dplan.N
-    frames = np.zeros((sum(len(taps) for taps in blocks), w), dtype=complex)
-    row = 0
-    for taps in blocks:
-        n = min(taps.shape[1], w)
-        frames[row : row + len(taps), :n] = taps[:, :n]
-        row += len(taps)
-    frames = np.cumsum(frames, axis=1) / np.sqrt(dplan.N)
-    return comb.W2 @ (comb.W1 @ frames.T)
+    frames = [np.zeros((dplan.cp_len + dplan.N, 0))]
+    frames += [frame_columns(taps, dplan.N, dplan.cp_len, 1) for taps in blocks]
+    return comb.W2 @ (comb.W1 @ np.hstack(frames))
 
 
-def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None):
+def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cells=None):
     """Per-cell enlarged effective channel and residual-interference columns.
 
-    Returns (comb, H, H_int) where H[k] has one column per active desired user
-    (W2 W1 times its received frame for f_1) and H_int[k] stacks the same
-    construction for every active interfering user using only the residual
-    taps ell >= L_I_prime.
+    Returns (comb, H, H_int) for each requested cell k (all cells when cells
+    is None): H[k] has one column per active desired user (W2 W1 times its
+    received frame for f_1) and H_int[k] stacks the same construction for
+    every active interfering user using only the residual taps ell >= L_I_prime.
     """
     if comb is None:
         comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
+    if cells is None:
+        cells = range(cfg.K)
     H = {}
     H_int = {}
-    for k in range(cfg.K):
+    for k in cells:
         H[k] = _f1_columns(comb, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
         residual = []
         for i in range(cfg.K):
@@ -177,15 +172,16 @@ def rate_with_residual_ici(cfg, dplan, dp: DelayProfile, ch, tx_power, noise_var
     Symbols carry variance N * P; the noise term keeps the coloring introduced
     by the folding stage (rows that sum two samples have doubled variance).
     """
-    comb, H, H_int = delayed_effective_channels(cfg, dplan, dp, ch)
-    W21 = comb.W2 @ comb.W1
-    p_sym = dplan.N * tx_power
-    prefactor = dplan.B / dplan.T
     if cells is None:
         cells = range(cfg.K)
+    comb, H, H_int = delayed_effective_channels(cfg, dplan, dp, ch, cells=cells)
+    W21 = comb.W2 @ comb.W1
+    noise_cov = noise_var * (W21 @ W21.conj().T)
+    p_sym = dplan.N * tx_power
+    prefactor = dplan.B / dplan.T
     out = np.zeros(cfg.K)
     for k in cells:
-        cov = noise_var * (W21 @ W21.conj().T)
+        cov = noise_cov
         if H_int[k].shape[1] > 0:
             cov = cov + p_sym * (H_int[k] @ H_int[k].conj().T)
         sig = p_sym * (H[k] @ H[k].conj().T)

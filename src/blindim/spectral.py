@@ -1,11 +1,11 @@
 # blindim/spectral.py
-"""IDFT basis, circulant machinery, and the structured channel matrices.
+"""IDFT basis, circulant machinery, and the projected subblock channels.
 
-Every subblock channel comes from one builder, frame_response: the taps
-convolved with two consecutive cyclic-prefixed frames, prefix folded onto the
-core.  Its post-CP rows give a desired link's Hbar and the leakage Hsub from
-the previous subblock; with at most cp + 1 taps (every interfering link) the
-current-core map is circulant and the leakage is zero.
+Every subblock channel comes from one closed form, frame_columns: DFT
+precoding with a cyclic prefix turns a link's response to f_m into a tone
+times the running sum of its phase-rotated taps.  The effective channel is the
+projection of its post-CP rows, and the leakage from the previous subblock is
+the same column times -leakage_phase, so no channel matrix is built.
 
 DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
@@ -14,8 +14,6 @@ circulant matrix C with first column c satisfies C = F diag(fft(c)) F^H.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -52,66 +50,54 @@ def diagonalize_circulant(C: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Structured channel matrices after cyclic-prefix removal
+# Projected subblock channels in closed form
 # ---------------------------------------------------------------------------
 
-def frame_response(h, N, cp) -> np.ndarray:
-    """(N + cp, 2, N) map from the previous and the current subblock core to the
-    received samples of the current frame.
+def frame_columns(taps, N, cp, M) -> np.ndarray:
+    """(N + cp, U * M) received frame samples of unit symbols on f_1 .. f_M.
 
-    Each core is framed by a cp-sample cyclic prefix; the two frames pass
-    through one linear convolution (a Toeplitz matrix over both frames) and
-    the prefix columns are folded onto the core samples they copy.
-    resp[:, 0] is the previous core's leakage and resp[:, 1] the current
-    core's response; rows cp: are the samples kept after CP removal.
+    taps is a (U, L) array, one user per row; column u * M + m is user u's
+    response to a unit symbol on f_{m+1}.  The cyclic-prefixed frame of f_{m+1}
+    is the pure tone f_{m+1}[(j - cp) mod N], so frame sample j is that tone
+    times the running sum of h_l w^(-l m) over l <= j, with w = exp(2 pi i / N).
+    Taps beyond the frame (l >= N + cp) never reach it and are ignored.
     """
-    w = N + cp
-    col = np.zeros(2 * w, dtype=complex)
-    n = min(len(h), 2 * w)
-    col[:n] = h[:n]
-    T = scipy.linalg.toeplitz(col, np.zeros(2 * w))[w:].reshape(w, 2, w)
-    resp = T[:, :, cp:].copy()
-    resp[:, :, N - cp :] += T[:, :, :cp]
-    return resp
+    width = N + cp
+    taps = np.asarray(taps)[:, :width]
+    h = np.zeros((len(taps), width), dtype=complex)
+    h[:, : taps.shape[1]] = taps
+    twiddle = np.exp(-2j * np.pi * np.outer(np.arange(width), np.arange(M)) / N)
+    sums = np.cumsum(h[:, :, None] * twiddle, axis=1)
+    tones = idft_basis(N)[(np.arange(width) - cp) % N, :M]
+    return (tones * sums).transpose(1, 0, 2).reshape(width, -1)
 
 
-@dataclass
-class DesiredLink:
-    """Channel matrices of one desired link (k, u) for an N-sample subblock core."""
+def leakage_phase(N, cp, M) -> np.ndarray:
+    """w^(m cp) for m < M: the previous subblock's symbol on f_{m+1} reaches the
+    projected current core as -w^(m cp) times the current symbol's column.
 
-    Hbar: np.ndarray   # full N x N channel after CP removal
-    Hnc: np.ndarray    # non-circulant part: Hbar - circulant(first min(L_kk, N) taps)
-    Hsub: np.ndarray   # N x N inter-subblock leakage matrix
-
-
-@dataclass
-class StructuredChannel:
-    """Desired-link matrices for one channel realization under a plan."""
-
-    desired: dict   # (k, u) -> DesiredLink
+    Holds for links of at most N + cp taps: the leaked samples are the tap
+    sums the current frame has not yet reached, and the full tap sum times the
+    tone is nulled by the projection.
+    """
+    return np.exp(2j * np.pi * np.arange(M) * cp / N)
 
 
-def build_structured(cfg, plan, ch) -> StructuredChannel:
-    """Build the post-CP channel matrices of every desired link.
+def build_structured(cfg, plan, ch) -> dict:
+    """Effective channel H_k of every cell after the ICI-nulling projection.
 
-    Interfering links are exactly circulant thanks to the cyclic prefix of
-    length L_I - 1, so only desired links are built: each splits into a
-    circulant part plus the non-circulant corners holding the taps beyond
-    L_I - 1, and leaks Hsub into the next subblock.
+    Returns k -> (N - M_D) x (U'_k M_k), one column per (active user, precoder)
+    in user-major order: the projection W = F[:, M_D:]^H (applied as a DFT)
+    of the post-CP frame_columns of cell k's own links.  Interfering links are
+    circulant thanks to the cyclic prefix of length L_I - 1 and are nulled
+    exactly, so they are never built.
     """
     N, cp = plan.N, plan.cp_len
     if N < plan.L_I:
         raise ValueError("plan requires N >= L_I")
-    desired = {}
+    H = {}
     for k in range(cfg.K):
-        n_prime = min(cfg.cir_len[k][k], N)
-        for u in range(cfg.users_per_cell[k]):
-            h = ch.h(k, k, u)
-            resp = frame_response(h, N, cp)
-            Hbar = resp[cp:, 1].copy()
-            col = np.zeros(N, dtype=complex)
-            col[:n_prime] = h[:n_prime]
-            desired[(k, u)] = DesiredLink(
-                Hbar=Hbar, Hnc=Hbar - circulant(col), Hsub=resp[cp:, 0].copy()
-            )
-    return StructuredChannel(desired=desired)
+        taps = ch.taps[(k, k)][: plan.U_active[k]]
+        post_cp = frame_columns(taps, N, cp, plan.M[k])[cp:]
+        H[k] = np.fft.fft(post_cp, axis=0)[plan.M_D :] / np.sqrt(N)
+    return H

@@ -10,12 +10,11 @@ N*P/M_k.  The effective per-stream SNR after combining is then N*rho/M_k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import StructuredChannel, build_structured, idft_basis
+from .spectral import build_structured, idft_basis, leakage_phase
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -104,28 +103,6 @@ def combine(plan, y_bar) -> np.ndarray:
     return combiner(plan) @ y_bar
 
 
-@dataclass
-class EffectiveChannel:
-    """Per-cell effective channels seen after the ICI-nulling projection."""
-
-    H: dict          # k -> (N - M_D) x (U'_k M_k) effective channel
-    Hsub: dict       # k -> same shape, inter-subblock leakage channel
-
-
-def effective_channels(cfg, plan, structured: StructuredChannel) -> EffectiveChannel:
-    W = combiner(plan)
-    F = idft_basis(plan.N)
-    empty = np.zeros((plan.N - plan.M_D, 0), dtype=complex)   # a cell with no active user
-    H = {}
-    Hsub = {}
-    for k in range(cfg.K):
-        Fk = F[:, : plan.M[k]]
-        links = [structured.desired[(k, u)] for u in range(plan.U_active[k])]
-        H[k] = np.hstack([empty] + [W @ link.Hnc @ Fk for link in links])
-        Hsub[k] = np.hstack([empty] + [W @ link.Hsub @ Fk for link in links])
-    return EffectiveChannel(H=H, Hsub=Hsub)
-
-
 def detect_zf(H, y) -> np.ndarray:
     """Least-squares (zero-forcing) estimate; rejects rank-deficient channels."""
     H = np.asarray(H)
@@ -138,22 +115,6 @@ def detect_zf(H, y) -> np.ndarray:
     return est
 
 
-def detect_ml(H, y, alphabet) -> np.ndarray:
-    """Exhaustive maximum-likelihood search over a finite alphabet."""
-    H = np.asarray(H)
-    alphabet = np.asarray(alphabet)
-    n = H.shape[1]
-    if n > 16 or alphabet.size ** n > 65536:
-        raise ValueError("ML search space too large (guard: <= 16 symbols, <= 65536 hypotheses)")
-    best, best_cost = None, np.inf
-    for cand in itertools.product(alphabet, repeat=n):
-        s = np.array(cand)
-        cost = np.sum(np.abs(y - H @ s) ** 2)
-        if cost < best_cost:
-            best, best_cost = s, cost
-    return best
-
-
 @dataclass
 class DecodeResult:
     """Decoded symbols of every cell."""
@@ -161,24 +122,26 @@ class DecodeResult:
     s_hat: dict   # k -> (B, U'_k * M_k) detected symbols
 
 
-def decode_block(cfg, plan, eff: EffectiveChannel, y_tilde, genie_symbols=None) -> DecodeResult:
+def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     """Detect all B subblocks with successive inter-subblock cancellation.
 
-    y_tilde is a dict k -> (B, N - M_D) of combined observations.  Subblock 1
-    is detected directly; every later subblock first subtracts the leakage
-    H_sub @ s_hat of the previous subblock (or the true symbols when
-    genie_symbols is supplied, to isolate error propagation).
+    H is build_structured's dict k -> effective channel and y_tilde a dict
+    k -> (B, N - M_D) of combined observations.  Subblock 1 is detected
+    directly; every later subblock first cancels the previous subblock's
+    leakage, which is -H_k times its symbols rotated by leakage_phase (the
+    true symbols when genie_symbols is supplied, to isolate error propagation).
     """
     s_hat = {}
     for k in range(cfg.K):
         width = plan.U_active[k] * plan.M[k]
+        phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
         out = np.zeros((plan.B, width), dtype=complex)
         for b in range(plan.B):
             obs = np.array(y_tilde[k][b])
             if b > 0:
                 prev = genie_symbols[k][b - 1] if genie_symbols is not None else out[b - 1]
-                obs = obs - eff.Hsub[k] @ prev
-            out[b] = detect_zf(eff.H[k], obs)
+                obs = obs + H[k] @ (phase * prev)
+            out[b] = detect_zf(H[k], obs)
         s_hat[k] = out
     return DecodeResult(s_hat=s_hat)
 
@@ -189,11 +152,11 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0) -> Deco
     symbols is a dict k -> (B, U'_k, M_k) of (already power-scaled) payload
     symbols; the returned estimates are on the same scale.
     """
-    eff = effective_channels(cfg, plan, build_structured(cfg, plan, ch))
+    H = build_structured(cfg, plan, ch)
     tx = {k: precode_and_frame(plan, k, symbols[k]) for k in range(cfg.K)}
     y = simulate_reception(cfg, plan, ch, tx, rng=noise_rng, noise_var=noise_var)
     y_tilde = {}
     for k in range(cfg.K):
         rows = [combine(plan, remove_cp_and_stack(plan, y[k], b)) for b in range(1, plan.B + 1)]
         y_tilde[k] = np.array(rows)
-    return decode_block(cfg, plan, eff, y_tilde)
+    return decode_block(cfg, plan, H, y_tilde)

@@ -62,3 +62,10 @@ def direct_isbi_matrix(h, N, L_I):
                 if 0 <= r < N:
                     M[r, j] += h[ell]
     return M
+
+
+def tap_sums(h, N):
+    """sum_l h_l w^(-l m) for m in [0, N-1], w = exp(2 pi i / N): the
+    eigenvalues of the circulant of the taps wrapped onto N samples."""
+    lm = np.outer(np.arange(len(h)), np.arange(N))
+    return h @ np.exp(-2j * np.pi * lm / N)

@@ -218,11 +218,10 @@ def test_criterion_10_qr_rate_identities():
     rho_eff = plan.N * cfg.snr_linear / plan.M[0]
     for t in range(100):
         ch = model.sample_channel_iid(cfg, model.trial_rng(10, t))
-        st = spectral.build_structured(cfg, plan, ch)
-        eff = transceiver.effective_channels(cfg, plan, st)
+        eff = spectral.build_structured(cfg, plan, ch)
         diags = analysis.r_diagonals(eff)
         for k in range(cfg.K):
-            H = eff.H[k]
+            H = eff[k]
             det = np.real(np.linalg.det(H.conj().T @ H))
             assert np.prod(diags[k] ** 2) == pytest.approx(det, rel=1e-8)
             zf_sic = float(np.sum(np.log2(1 + rho_eff * diags[k] ** 2)))

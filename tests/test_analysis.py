@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from blindim import analysis, model, spectral, transceiver
+from blindim import analysis, model, spectral
 
 
 def eff_for(cfg, seed=0, trial=0):
     plan = model.make_plan(cfg)
     ch = model.sample_channel_iid(cfg, model.trial_rng(seed, trial))
-    st = spectral.build_structured(cfg, plan, ch)
-    return plan, ch, transceiver.effective_channels(cfg, plan, st)
+    return plan, ch, spectral.build_structured(cfg, plan, ch)
 
 
 class TestDofFormulas:
@@ -80,7 +79,7 @@ class TestSumRateQr:
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan, _, eff = eff_for(cfg)
         for k in range(2):
-            H = eff.H[k]
+            H = eff[k]
             r = analysis.r_diagonals(eff)[k]
             det = np.real(np.linalg.det(H.conj().T @ H))
             assert np.prod(r ** 2) == pytest.approx(det, rel=1e-8)
@@ -91,7 +90,7 @@ class TestSumRateQr:
             plan, _, eff = eff_for(cfg, seed=1, trial=t)
             rho_eff = plan.N * 1.0 / plan.M[0]
             for k in range(2):
-                H = eff.H[k]
+                H = eff[k]
                 r = analysis.r_diagonals(eff)[k]
                 zf_sic = np.sum(np.log2(1 + rho_eff * r ** 2))
                 cap = np.real(
@@ -111,7 +110,7 @@ class TestSumRateQr:
     def test_unitary_left_invariance(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan, _, eff = eff_for(cfg)
-        H = eff.H[0]
+        H = eff[0]
         rng = np.random.default_rng(1)
         A = rng.standard_normal((H.shape[0], H.shape[0])) + 1j * rng.standard_normal(
             (H.shape[0], H.shape[0])

@@ -138,6 +138,21 @@ class TestErrors:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "subblocks=1.5", "snr_db=x"])
+    def test_non_numeric_sweep_values(self, tmp_path, capsys, axis):
+        code, text = run(tmp_path, "sweep", "--sweep", axis)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep %s values must be" % axis.partition("=")[0])
+        assert err.count("\n") == 1
+
+    def test_deployment_key_in_config(self, tmp_path, capsys):
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nbandwidth_hz = 5\npdp_decay = 0.1; 0.2\n")
+        code, text = run(tmp_path, "rate", "--config", str(cfgfile), "--trials", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: line 2: unknown key 'bandwidth_hz'\n"
+
     @pytest.mark.parametrize("snr", ["abc", "10,x", "nan"])
     def test_non_numeric_snr(self, tmp_path, capsys, snr):
         code, text = run(tmp_path, "rate", "--snr", snr, "--trials", "2")

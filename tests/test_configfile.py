@@ -41,14 +41,11 @@ class TestParse:
         assert cfg.users_per_cell == (1, 4)
 
     def test_deployment_keys(self):
-        dep = configfile.load_deployment(
-            "user_distance_m = 80\nici_delay_taps = 3\nbandwidth_hz = 100\n"
-        )
-        assert dep.user_distance_m == 80.0
-        assert dep.ici_delay_taps == 3
-        assert dep.bandwidth_hz == 100.0
-        # untouched keys keep their defaults
-        assert dep.site_spacing_m == model.Deployment().site_spacing_m
+        # deployment settings are not read from files: their keys are unknown
+        for line in ("bandwidth_hz = 5", "pdp_decay = 0.1; 0.2", "user_distance_m = 80"):
+            with pytest.raises(configfile.ConfigParseError, match="unknown key") as exc:
+                configfile.load_system_config("K = 2\n" + line + "\n")
+            assert exc.value.line_no == 2
 
 
 class TestErrors:

@@ -120,16 +120,19 @@ class TestCompositeChannel:
         rng = np.random.default_rng(1)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        s = spectral.idft_basis(6).conj().T @ x   # x = F s
         np.testing.assert_allclose(
-            spectral.frame_response(h, 6, 0)[:, 1] @ x, np.convolve(h, x)[:6], atol=1e-12
+            spectral.frame_columns(h[None], 6, 0, 6) @ s, np.convolve(h, x)[:6], atol=1e-12
         )
 
     def test_cp_expand(self):
-        # a unit tap passes the framed core through unchanged: prefix, then core
-        resp = spectral.frame_response(np.ones(1), 4, 3)
+        # a unit tap passes the framed core through unchanged: prefix, then
+        # core; with the core complete in the kept samples nothing leaks
+        F = spectral.idft_basis(4)
+        cols = spectral.frame_columns(np.ones((1, 1)), 4, 3, 4)
         x = np.arange(4.0)
-        np.testing.assert_array_equal(resp[:, 1] @ x, [1, 2, 3, 0, 1, 2, 3])
-        np.testing.assert_array_equal(resp[:, 0], 0.0)
+        np.testing.assert_allclose(cols @ (F.conj().T @ x), [1, 2, 3, 0, 1, 2, 3], atol=1e-12)
+        np.testing.assert_allclose(cols[3:], F, atol=1e-15)
 
     def test_delayed_columns_match_simulated_reception(self):
         # each column of H is W2 W1 applied to the received frame of one unit
@@ -248,6 +251,15 @@ class TestResidualIciRate:
         rates = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12, cells=[0])
         assert rates[0] > 0
         np.testing.assert_array_equal(rates[1:], 0.0)
+        _, H, H_int = extensions.delayed_effective_channels(cfg, dplan, dp, ch, cells=[0])
+        assert list(H) == list(H_int) == [0]
+
+    def test_requested_cell_rate_matches_all_cells(self):
+        cfg, dp, dplan, ch = self._setup(seed=3)
+        alone = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12, cells=[0])
+        every = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12)
+        assert alone[0] == every[0]
+        assert np.all(every[1:] > 0)
 
 
 class TestOfdmaComparator:

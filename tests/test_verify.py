@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blindim import model, spectral, transceiver, verify
+from oracles import tap_sums
 
 
 def fig_cfg():
@@ -76,11 +77,9 @@ class TestDecomposition:
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         ch.taps[(0, 0)][0, 3] += 0.1   # perturb after structured matrices agree
-        st = spectral.build_structured(cfg, plan, ch)
+        H = spectral.build_structured(cfg, plan, ch)
         ch.taps[(0, 0)][0, 3] -= 0.1
-        W = transceiver.combiner(plan)
-        F = spectral.idft_basis(plan.N)
-        lhs = W @ st.desired[(0, 0)].Hnc @ F[:, 0]
+        lhs = H[0][:, 0]
         rhs = verify.build_rank_factors(plan, 8, 1).G @ verify.h_eff(cfg, plan, ch, 0, 0)
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) > 1e-6
 
@@ -95,20 +94,23 @@ class TestEffectiveRank:
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         ch.taps[(0, 0)][1] = ch.taps[(0, 0)][0]
-        st = spectral.build_structured(cfg, plan, ch)
-        eff = transceiver.effective_channels(cfg, plan, st)
-        assert verify.numerical_rank(eff.H[0]) < plan.U_active[0] * plan.M[0]
+        H = spectral.build_structured(cfg, plan, ch)
+        assert verify.numerical_rank(H[0]) < plan.U_active[0] * plan.M[0]
 
     def test_projected_channel_rank_chain(self):
-        # rank(W Hnc) = rank(Hnc) = L_kk - L_I while rank(Hnc F_k) = M_k
+        # rank(W Hnc) = rank(Hnc) = L_kk - L_I while rank(Hnc F_k) = M_k, with
+        # Hnc F the frame response to every precoder minus its circulant part
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
+        N, cp = plan.N, plan.cp_len
         W = transceiver.combiner(plan)
-        F_k = spectral.idft_basis(plan.N)[:, : plan.M[0]]
+        F = spectral.idft_basis(N)
+        F_k = F[:, : plan.M[0]]
         for t in range(20):
             ch = model.sample_channel_iid(cfg, model.trial_rng(2, t))
-            st = spectral.build_structured(cfg, plan, ch)
-            Hnc = st.desired[(0, 0)].Hnc
+            h = ch.h(0, 0, 0)
+            cols = spectral.frame_columns(h[None], N, cp, N)[cp:]
+            Hnc = (cols - F * tap_sums(h, N)) @ F.conj().T
             assert verify.numerical_rank(Hnc) == 8 - plan.L_I
             assert verify.numerical_rank(W @ Hnc) == 8 - plan.L_I
             assert verify.numerical_rank(Hnc @ F_k) == plan.M[0]
