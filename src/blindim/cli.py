@@ -113,15 +113,15 @@ def cmd_sweep(args):
         raise UsageError("--sweep %s values must be %s, got %r"
                          % (key, "numbers" if cast is float else "integers", args.sweep))
     cfg = _load_cfg(args)
+    L_I = cfg.cir_len[0][1] if cfg.K > 1 else 2
     rows = []
     for v, x in zip(values, numbers):
         if key == "L_D":
             swept = model.SystemConfig.symmetric(
-                K=cfg.K, L_D=x, L_I=2, U=x - 2, subblocks=cfg.subblocks, seed=cfg.seed,
+                K=cfg.K, L_D=x, L_I=L_I, U=x - L_I, subblocks=cfg.subblocks, seed=cfg.seed,
             )
         elif key == "K":
             L_D = cfg.cir_len[0][0]
-            L_I = cfg.cir_len[0][1] if cfg.K > 1 else 2
             swept = model.SystemConfig.symmetric(
                 K=x, L_D=L_D, L_I=L_I, U=cfg.users_per_cell[0],
                 subblocks=cfg.subblocks, seed=cfg.seed,
@@ -157,6 +157,8 @@ def cmd_simulate(args):
             cfg, plan, ch, symbols, noise_rng=rng, noise_var=1.0
         )
         for k in range(cfg.K):
+            if plan.U_active[k] * plan.M[k] == 0:
+                continue   # an idle cell sends nothing, so it has no error to report
             truth = symbols[k].reshape(plan.B, -1)
             err = result.s_hat[k] - truth
             denom = max(float(np.mean(np.abs(truth) ** 2)), 1e-300)

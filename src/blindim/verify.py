@@ -75,16 +75,21 @@ def check_decomposition(cfg, plan, ch, tol=1e-10):
     Returns (ok, report) where report lists (k, u, m, relative residual).
     """
     H = spectral.build_structured(cfg, plan, ch)
+    G = {}   # (L_kk, m) -> G_m: the factor depends only on the geometry
     report = []
     ok = True
     for k in range(cfg.K):
-        if cfg.cir_len[k][k] <= plan.L_I:
+        L_kk = cfg.cir_len[k][k]
+        if L_kk <= plan.L_I:
             continue
+        for m in range(1, plan.M[k] + 1):
+            if (L_kk, m) not in G:
+                G[L_kk, m] = build_rank_factors(plan, L_kk, m).G
         for u in range(plan.U_active[k]):
             he = h_eff(cfg, plan, ch, k, u)
             for m in range(1, plan.M[k] + 1):
                 lhs = H[k][:, u * plan.M[k] + m - 1]
-                rhs = build_rank_factors(plan, cfg.cir_len[k][k], m).G @ he
+                rhs = G[L_kk, m] @ he
                 scale = max(np.linalg.norm(lhs), 1e-300)
                 res = np.linalg.norm(lhs - rhs) / scale
                 report.append((k, u, m, res))

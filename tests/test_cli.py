@@ -1,12 +1,13 @@
 import importlib.metadata as md
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blindim import cli
+from blindim import analysis, cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,6 +59,18 @@ class TestSweep:
         dofs = [float(line.split(",")[5]) for line in lines[1:]]
         assert dofs == sorted(dofs)
 
+    def test_ld_sweep_keeps_config_interfering_length(self, tmp_path):
+        # L_I comes from the config (here 3) and U = L_D - L_I, as for the K axis
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 5\ncir_len = 8,3; 3,8\n")
+        code, text = run(tmp_path, "sweep", "--sweep", "L_D=6,9", "--config", str(cfgfile))
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(r[0], r[2], r[3]) for r in rows] == [("6", "6", "3"), ("9", "9", "3")]
+        for r in rows:
+            x = int(r[0])
+            assert float(r[6]) == pytest.approx(analysis.dof_symmetric(2, x, 3, x - 3))
+
     def test_missing_axis_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "sweep")
         assert code == 2
@@ -99,6 +112,21 @@ class TestSimulate:
         assert len(lines) == 1 + 5 * 2
         mse = [float(line.split(",")[2]) for line in lines[1:]]
         assert max(mse) < 1e-3
+
+
+    def test_idle_cell_rows_omitted(self, tmp_path):
+        # cell 1's desired links are no longer than its interfering ones, so it
+        # has no active user: only cell 0 gets rows, and none is nan
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 2,3\ncir_len = 5,2; 2,2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, text = run(tmp_path, "simulate", "--config", str(cfgfile), "--trials", "3")
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("1", "0"), ("2", "0")]
+        assert "nan" not in text
+        assert all(np.isfinite(float(r[2])) for r in rows)
 
 
 class TestVerify:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blindim import model, spectral, transceiver
-from oracles import direct_channel_matrix, direct_isbi_matrix, tap_sums
+from oracles import direct_channel_matrix, direct_isbi_matrix, random_config, tap_sums
 
 
 class TestIdftBasis:
@@ -94,29 +94,6 @@ def _dense_projection(plan, A, M):
 
 def _relative(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
-
-
-def _random_config(rng, case):
-    """A valid config; case cycles through K = 1, cp = 0, asymmetric users,
-    a cell with no active user and desired links longer than N."""
-    K = 1 if case == 0 else int(rng.integers(2, 4))
-    L_I = 1 if case in (0, 1) else int(rng.integers(2, 4))
-    cir = [[int(rng.integers(1, L_I + 1)) for _ in range(K)] for _ in range(K)]
-    if K > 1:
-        cir[0][1] = L_I
-    for k in range(K):
-        cir[k][k] = int(rng.integers(L_I + 1, L_I + 7))
-    users = [int(rng.integers(1, 5)) for _ in range(K)]
-    if case == 2:
-        users[0] = users[1] + 1
-    elif case == 3:
-        cir[K - 1][K - 1] = int(rng.integers(1, L_I + 1))
-    elif case == 4:
-        # one symbol per user and L_D >= 2 L_I: N = L_D - L_I + 1 < L_D
-        for k in range(K):
-            cir[k][k] = int(rng.integers(2 * L_I, 2 * L_I + 4))
-            users[k] = cir[k][k] - L_I
-    return model.SystemConfig(K=K, users_per_cell=users, cir_len=cir)
 
 
 class TestBuildStructured:
@@ -243,7 +220,7 @@ class TestBuildStructured:
         rng = np.random.default_rng(46)
         seen = dict.fromkeys(("K=1", "cp=0", "asymmetric users", "idle cell", "L_kk>N"), 0)
         for trial in range(250):
-            cfg = _random_config(rng, trial % 5)
+            cfg = random_config(rng, trial % 5)
             plan, ch, H = _structured(cfg, seed=trial)
             seen["K=1"] += cfg.K == 1
             seen["cp=0"] += plan.cp_len == 0

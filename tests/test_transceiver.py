@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from blindim import model, spectral, transceiver
-from oracles import direct_convolve
+from oracles import (
+    combine_by_subblock,
+    decode_by_subblock,
+    direct_convolve,
+    frame_by_subblock,
+    random_config,
+    receive_by_link,
+)
 
 
 def setup_case(K=2, L_D=4, L_I=2, U=2, B=1, seed=0, **kw):
@@ -105,22 +114,23 @@ class TestSimulateReception:
 
 class TestRemoveCpAndStack:
     def test_reference_slicing(self):
-        cfg, plan, _ = setup_case()   # N=3, N_bar=4, cp=1
+        cfg, plan, _ = setup_case(B=2)   # N=3, N_bar=4, cp=1
         stream = np.arange(plan.T, dtype=complex)
         np.testing.assert_array_equal(
-            transceiver.remove_cp_and_stack(plan, stream, 1), [1, 2, 3]
+            transceiver.remove_cp_and_stack(plan, stream), [[1, 2, 3], [5, 6, 7]]
         )
 
     def test_length_contract(self):
         cfg, plan, _ = setup_case(K=3, L_D=8, L_I=2, U=3, B=4)
-        stream = np.zeros(plan.T)
-        for b in range(1, 5):
-            assert transceiver.remove_cp_and_stack(plan, stream, b).shape == (plan.N,)
+        assert transceiver.remove_cp_and_stack(plan, np.zeros(plan.T)).shape == (4, plan.N)
+        # leading axes, e.g. every base station's stream, are kept
+        stacked = transceiver.remove_cp_and_stack(plan, np.zeros((cfg.K, plan.T)))
+        assert stacked.shape == (cfg.K, 4, plan.N)
 
-    def test_out_of_range_subblock(self):
+    def test_short_stream_rejected(self):
         cfg, plan, _ = setup_case(B=2)
         with pytest.raises(ValueError):
-            transceiver.remove_cp_and_stack(plan, np.zeros(plan.T), 3)
+            transceiver.remove_cp_and_stack(plan, np.zeros(2 * plan.N_bar - 1))
 
     def test_matrix_form_identity(self):
         # noiseless single cell: post-CP samples equal the frame columns of
@@ -134,7 +144,7 @@ class TestRemoveCpAndStack:
         cols = spectral.frame_columns(taps, plan.N, plan.cp_len, plan.M[0])[plan.cp_len :]
         expect = cols @ syms[0][0].ravel()
         np.testing.assert_allclose(
-            transceiver.remove_cp_and_stack(plan, y[0], 1), expect, atol=1e-10
+            transceiver.remove_cp_and_stack(plan, y[0])[0], expect, atol=1e-10
         )
 
 
@@ -163,7 +173,7 @@ class TestCombine:
         syms[0][:] = 0.0   # cell 0 silent; BS 0 hears only ICI
         tx = {i: transceiver.precode_and_frame(plan, i, syms[i]) for i in range(2)}
         y = transceiver.simulate_reception(cfg, plan, ch, tx)
-        y_bar = transceiver.remove_cp_and_stack(plan, y[0], 1)
+        y_bar = transceiver.remove_cp_and_stack(plan, y[0])[0]
         ratio = np.linalg.norm(transceiver.combine(plan, y_bar)) / np.linalg.norm(y_bar)
         assert ratio <= 1e-9
 
@@ -250,14 +260,90 @@ class TestDecodeBlock:
         H = spectral.build_structured(cfg, plan, ch)
         tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(2)}
         y = transceiver.simulate_reception(cfg, plan, ch, tx)
-        y_tilde = {
-            k: np.array(
-                [transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y[k], b))
-                 for b in range(1, plan.B + 1)]
-            )
-            for k in range(2)
-        }
+        y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
         genie = {k: syms[k].reshape(plan.B, -1) for k in range(2)}
         res = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie)
         for k in range(2):
             np.testing.assert_allclose(res.s_hat[k], genie[k], atol=1e-9)
+
+    def test_rank_deficient_channel_rejected(self):
+        cfg, plan, ch = setup_case(K=2, L_D=8, L_I=2, U=3, B=3, seed=7)
+        H = spectral.build_structured(cfg, plan, ch)
+        H[1][:, 1] = H[1][:, 0]
+        y_tilde = np.zeros((cfg.K, plan.B, plan.N - plan.M_D), dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            transceiver.decode_block(cfg, plan, H, y_tilde)
+
+
+def _relative(a, b, scale=None):
+    """max |a - b| over max |b|, or over scale where b is (nearly) nulled."""
+    if b.size == 0:
+        return 0.0
+    scale = np.abs(b).max() if scale is None else scale
+    return np.abs(a - b).max() / max(scale, 1e-300)
+
+
+def _deficient(H):
+    sv = np.linalg.svd(H, compute_uv=False)
+    return H.shape[1] > 0 and sv[-1] <= 1e-8 * sv[0]
+
+
+class TestMatchesSubblockOracles:
+    def test_random_configs(self):
+        # the batched transceiver against the one-subblock-at-a-time oracles:
+        # framing, reception and combining to 1e-12, noiseless and genie
+        # decodes to 1e-9 (relative, max-abs error over the reference max-abs)
+        rng = np.random.default_rng(47)
+        seen = dict.fromkeys(("K=1", "idle cell", "asymmetric users", "B=1", "L_kk>N"), 0)
+        for trial in range(250):
+            case = trial % 6
+            cfg = random_config(rng, case if case < 5 else int(rng.integers(5)))
+            B = 1 if case == 5 else int(rng.integers(2, 6))
+            cfg = dataclasses.replace(cfg, subblocks=B, snr_db=float(rng.uniform(0, 30)))
+            plan = model.make_plan(cfg)
+            seen["K=1"] += cfg.K == 1
+            seen["idle cell"] += 0 in plan.U_active
+            seen["asymmetric users"] += len(set(cfg.users_per_cell)) > 1
+            seen["B=1"] += B == 1
+            seen["L_kk>N"] += any(cfg.cir_len[k][k] > plan.N for k in range(cfg.K))
+
+            ch = model.sample_channel_iid(cfg, model.trial_rng(48, trial))
+            syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(49, trial))
+            tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
+            for k in range(cfg.K):
+                assert _relative(tx[k], frame_by_subblock(plan, k, syms[k])) <= 1e-12
+            y = transceiver.simulate_reception(cfg, plan, ch, tx)
+            assert _relative(y, receive_by_link(cfg, plan, ch, tx)) <= 1e-12
+            y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+            for k in range(cfg.K):
+                # relative to the stream: a cell hearing only ICI combines to ~0
+                want = combine_by_subblock(plan, y[k])
+                assert _relative(y_tilde[k], want, scale=np.abs(y[k]).max()) <= 1e-12
+
+            H = spectral.build_structured(cfg, plan, ch)
+            truth = {k: syms[k].reshape(plan.B, -1) for k in range(cfg.K)}
+            if any(_deficient(H[k]) for k in range(cfg.K)):
+                # a single user carrying many symbols can be rank deficient
+                with pytest.raises(np.linalg.LinAlgError):
+                    transceiver.decode_block(cfg, plan, H, y_tilde)
+                continue
+            for genie in (None, truth):
+                got = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie).s_hat
+                want = decode_by_subblock(plan, H, y_tilde, genie_symbols=genie)
+                for k in range(cfg.K):
+                    assert got[k].shape == truth[k].shape
+                    assert _relative(got[k], want[k]) <= 1e-9
+        assert min(seen.values()) >= 30, seen
+
+    def test_noise_matches_per_cell_draws(self):
+        # zero transmissions leave only the noise: bit-identical to drawing
+        # each cell's real then imaginary parts from the same generator
+        for cfg in (model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3, subblocks=4),
+                    model.SystemConfig(K=2, users_per_cell=[2, 3], cir_len=[[5, 2], [2, 2]])):
+            plan = model.make_plan(cfg)
+            ch = model.sample_channel_iid(cfg, model.trial_rng(50, 0))
+            tx = {i: np.zeros((plan.U_active[i], plan.T), dtype=complex) for i in range(cfg.K)}
+            got = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(51, 0),
+                                                 noise_var=1.7)
+            want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(51, 0), noise_var=1.7)
+            np.testing.assert_array_equal(got, want)

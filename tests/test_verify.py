@@ -72,6 +72,38 @@ class TestDecomposition:
         ok, _ = verify.check_decomposition(cfg, plan, ch)
         assert ok
 
+    def test_rank_factors_built_once_per_length_and_index(self, monkeypatch):
+        # cells 0 and 1 share L_kk = 6; the report equals building G_m for
+        # every (k, u, m), while each (L_kk, m) factor is built only once
+        cfg = model.SystemConfig(
+            K=3, users_per_cell=[2, 2, 3], cir_len=[[6, 2, 2], [2, 6, 2], [2, 2, 8]]
+        )
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(2, 0))
+        H = spectral.build_structured(cfg, plan, ch)
+        expect = []
+        for k in range(cfg.K):
+            for u in range(plan.U_active[k]):
+                he = verify.h_eff(cfg, plan, ch, k, u)
+                for m in range(1, plan.M[k] + 1):
+                    lhs = H[k][:, u * plan.M[k] + m - 1]
+                    rhs = verify.build_rank_factors(plan, cfg.cir_len[k][k], m).G @ he
+                    expect.append((k, u, m, np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs)))
+
+        calls = []
+        original = verify.build_rank_factors
+
+        def counting(plan, L_kk, m):
+            calls.append((L_kk, m))
+            return original(plan, L_kk, m)
+
+        monkeypatch.setattr(verify, "build_rank_factors", counting)
+        ok, report = verify.check_decomposition(cfg, plan, ch)
+        assert ok
+        assert report == expect
+        distinct = {(cfg.cir_len[k][k], m) for k in range(cfg.K) for m in range(1, plan.M[k] + 1)}
+        assert sorted(calls) == sorted(distinct)
+
     def test_detects_mutation(self):
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
