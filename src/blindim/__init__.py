@@ -16,7 +16,7 @@ from .model import (
     trial_rng,
     validate_config,
 )
-from .spectral import build_structured, circulant, diagonalize_circulant, idft_basis
+from .spectral import build_structured, idft_basis
 from .transceiver import (
     combine,
     combiner,

@@ -57,9 +57,6 @@ class RateReport:
     per_stream: dict      # k -> array of per-stream rates
     per_cell: dict        # k -> R_k
     sum_rate: float
-    dof: float = 0.0
-    baseline: float = 0.0
-    slope: float = 0.0
 
 
 def qr_positive(H):
@@ -162,30 +159,27 @@ def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) 
     interferes on exactly its own subcarrier set, with its spectral response
     taken as the n_sc-point FFT of the cross-link taps.  Cyclic prefix L_D - 1;
     every used subcarrier carries power P (no pooling, as in the TDMA baseline).
+    Returns (..., K) over the leading axes of the taps; cells not requested
+    read 0.
     """
     if cells is None:
         cells = range(cfg.K)
-    out = np.zeros(cfg.K)
-    sets = {i: _partition_subcarriers(n_sc, cfg.users_per_cell[i]) for i in range(cfg.K)}
+    sc = np.arange(n_sc)
+    U = np.array(cfg.users_per_cell)
+    offset = np.cumsum(U) - U
+    # the row of the user that owns each subcarrier, with links stacked cell by cell
+    owner = offset[:, None] + sc % U[:, None]
+    out = np.zeros(ch.taps[(0, 0)].shape[:-2] + (cfg.K,))
     for k in cells:
-        # interference spectrum at BS k, per subcarrier
-        ici = np.zeros(n_sc)
+        stacked = np.zeros(out.shape[:-1] + (U.sum(), n_sc), dtype=complex)
         for i in range(cfg.K):
-            if i == k:
-                continue
-            for v, subset in enumerate(sets[i]):
-                if not subset:
-                    continue
-                lam = np.fft.fft(ch.h(k, i, v), n_sc)
-                ici[subset] += tx_power * np.abs(lam[subset]) ** 2
-        cell = 0.0
-        for u, subset in enumerate(sets[k]):
-            if not subset:
-                continue
-            lam = np.fft.fft(ch.h(k, k, u), n_sc)
-            sig = tx_power * np.abs(lam[subset]) ** 2
-            cell += float(np.sum(np.log2(1.0 + sig / (noise_var + ici[subset]))))
-        out[k] = cell / (n_sc + L_D - 1)
+            h = ch.taps[(k, i)][..., :n_sc]
+            stacked[..., offset[i] : offset[i] + U[i], : h.shape[-1]] = h
+        # (..., K, n_sc): power received from each cell on every subcarrier
+        power = tx_power * np.abs(np.fft.fft(stacked)[..., owner, sc]) ** 2
+        ici = power[..., np.arange(cfg.K) != k, :].sum(axis=-2)
+        rate = np.log2(1.0 + power[..., k, :] / (noise_var + ici))
+        out[..., k] = rate.sum(axis=-1) / (n_sc + L_D - 1)
     return out
 
 

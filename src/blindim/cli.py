@@ -3,8 +3,8 @@
 
 Commands: dof, rate, simulate, sweep, verify, fig3, fig5.  Every command
 writes a CSV table (single header row) to --out or stdout.  Exit status is 0
-on success, 1 on a failed verification check, 2 on configuration or usage
-errors.
+on success, 1 on a failed check (a verification check, or a channel draw that
+fails the rank criterion), 2 on configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -153,9 +153,12 @@ def cmd_simulate(args):
         rng = model.trial_rng(cfg.seed, t)
         ch = model.sample_channel_iid(cfg, rng)
         symbols = transceiver.draw_symbols(cfg, plan, rng)
-        result = transceiver.simulate_link(
-            cfg, plan, ch, symbols, noise_rng=rng, noise_var=1.0
-        )
+        try:
+            result = transceiver.simulate_link(
+                cfg, plan, ch, symbols, noise_rng=rng, noise_var=1.0
+            )
+        except transceiver.RankDeficientError as exc:
+            raise transceiver.RankDeficientError("trial %d, %s" % (t, exc)) from None
         for k in range(cfg.K):
             if plan.U_active[k] * plan.M[k] == 0:
                 continue   # an idle cell sends nothing, so it has no error to report
@@ -222,6 +225,9 @@ def main(argv=None) -> int:
     except (configfile.ConfigParseError, model.ConfigError, FileNotFoundError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except transceiver.RankDeficientError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -44,6 +44,11 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     """Center-cell ergodic spectral efficiency of the proposed two-stage
     scheme and all-cells-active OFDMA versus user-to-BS distance.
 
+    Trial t draws its small-scale fading from trial_rng(seed, t) once and
+    keeps it at every distance (common random numbers): only the path loss
+    changes along the grid, and it is computed for the whole grid at once.
+    Each distance rates all trials in one batch.
+
     Returns rows (d_user_m, proposed, ofdma).
     """
     if d_user_grid is None:
@@ -56,17 +61,19 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     dplan = make_delayed_plan(cfg, dp)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
+    n = model.fading_normals(cfg)
+    small = model.small_scale_fading(
+        cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in range(trials)])
+    )
+    gains = model.large_scale_gain(
+        cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
+    )
     rows = []
-    for d_user in d_user_grid:
-        positions = model.hex_deployment(dep.site_spacing_m, float(d_user), [3] * 7)
-        acc_prop = 0.0
-        acc_ofdma = 0.0
-        for t in range(trials):
-            rng = model.trial_rng(seed, t)
-            ch = model.sample_channel_geometric(cfg, dep, positions, rng)
-            acc_prop += rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])[0]
-            acc_ofdma += analysis.ofdma_rate_with_ici(
-                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
-            )[0]
-        rows.append((float(d_user), acc_prop / trials, acc_ofdma / trials))
+    for j, d_user in enumerate(d_user_grid):
+        ch = small.scaled({key: gain[j] for key, gain in gains.items()})
+        prop = rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])[:, 0]
+        ofdma = analysis.ofdma_rate_with_ici(
+            cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
+        )[:, 0]
+        rows.append((float(d_user), float(prop.mean()), float(ofdma.mean())))
     return rows

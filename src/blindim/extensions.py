@@ -106,14 +106,10 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
 # Per-link columns seen through the two-stage receiver
 # ---------------------------------------------------------------------------
 
-def _f1_columns(comb, dplan, blocks) -> np.ndarray:
-    """W2 W1 times the received frame of a unit symbol on f_1, one column per tap row.
-
-    blocks is a list of (users, taps) arrays.
-    """
-    frames = [np.zeros((dplan.cp_len + dplan.N, 0))]
-    frames += [frame_columns(taps, dplan.N, dplan.cp_len, 1) for taps in blocks]
-    return comb.W2 @ (comb.W1 @ np.hstack(frames))
+def _f1_columns(comb, dplan, taps) -> np.ndarray:
+    """W2 W1 times the received frame of a unit symbol on f_1, one column per
+    tap row of the (..., rows, L) taps."""
+    return comb.W2 @ (comb.W1 @ frame_columns(taps, dplan.N, dplan.cp_len, 1))
 
 
 def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cells=None):
@@ -122,7 +118,9 @@ def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cell
     Returns (comb, H, H_int) for each requested cell k (all cells when cells
     is None): H[k] has one column per active desired user (W2 W1 times its
     received frame for f_1) and H_int[k] stacks the same construction for
-    every active interfering user using only the residual taps ell >= L_I_prime.
+    every active user of each cross link longer than L_I_prime, using only its
+    residual taps ell >= L_I_prime.  Leading axes of the taps carry through:
+    (..., N - M_D, columns).
     """
     if comb is None:
         comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
@@ -131,15 +129,19 @@ def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cell
     H = {}
     H_int = {}
     for k in cells:
-        H[k] = _f1_columns(comb, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
-        residual = []
-        for i in range(cfg.K):
-            if i == k:
-                continue
-            h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
-            h[:, : dp.L_I_prime] = 0.0   # considered taps are nulled exactly
-            residual.append(h[np.any(h, axis=1)])
-        H_int[k] = _f1_columns(comb, dplan, residual)
+        H[k] = _f1_columns(comb, dplan, ch.taps[(k, k)][..., : dplan.U_active[k], :])
+        links = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dp.L_I_prime]
+        width = max((ch.taps[(k, i)].shape[-1] for i in links), default=0)
+        h = np.zeros(H[k].shape[:-2] + (sum(dplan.U_active[i] for i in links), width),
+                     dtype=complex)
+        row = 0
+        for i in links:
+            U = dplan.U_active[i]
+            taps = ch.taps[(k, i)][..., :U, dp.L_I_prime :]
+            # considered taps (ell < L_I_prime) stay exactly zero
+            h[..., row : row + U, dp.L_I_prime : dp.L_I_prime + taps.shape[-1]] = taps
+            row += U
+        H_int[k] = _f1_columns(comb, dplan, h)
     return comb, H, H_int
 
 
@@ -165,12 +167,18 @@ def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
     return DecodeResult(s_hat=s_hat)
 
 
+def _hermitian(A) -> np.ndarray:
+    return np.swapaxes(A, -1, -2).conj()
+
+
 def rate_with_residual_ici(cfg, dplan, dp: DelayProfile, ch, tx_power, noise_var,
                            cells=None) -> np.ndarray:
     """Per-cell achievable rate treating uncancelled late ICI taps as noise.
 
     Symbols carry variance N * P; the noise term keeps the coloring introduced
     by the folding stage (rows that sum two samples have doubled variance).
+    Returns (..., K) over the leading axes of the taps; cells not requested
+    read 0.
     """
     if cells is None:
         cells = range(cfg.K)
@@ -179,15 +187,12 @@ def rate_with_residual_ici(cfg, dplan, dp: DelayProfile, ch, tx_power, noise_var
     noise_cov = noise_var * (W21 @ W21.conj().T)
     p_sym = dplan.N * tx_power
     prefactor = dplan.B / dplan.T
-    out = np.zeros(cfg.K)
+    out = np.zeros(ch.taps[(0, 0)].shape[:-2] + (cfg.K,))
     for k in cells:
-        cov = noise_cov
-        if H_int[k].shape[1] > 0:
-            cov = cov + p_sym * (H_int[k] @ H_int[k].conj().T)
-        sig = p_sym * (H[k] @ H[k].conj().T)
-        sign, ld_all = np.linalg.slogdet(cov + sig)
-        if sign.real <= 0:
+        cov = noise_cov + p_sym * (H_int[k] @ _hermitian(H_int[k]))
+        sign, ld_all = np.linalg.slogdet(cov + p_sym * (H[k] @ _hermitian(H[k])))
+        if np.any(sign.real <= 0):
             raise np.linalg.LinAlgError("covariance is not positive definite")
         _, ld_cov = np.linalg.slogdet(cov)
-        out[k] = prefactor * (ld_all - ld_cov) / np.log(2.0)
+        out[..., k] = prefactor * (ld_all - ld_cov) / np.log(2.0)
     return out

@@ -146,16 +146,23 @@ def make_plan(cfg: SystemConfig) -> TransmissionPlan:
 
 @dataclass
 class ChannelRealization:
-    """All CIR taps for one fading block.
+    """All CIR taps for one fading block, or for a stack of them.
 
-    taps[(k, i)] is a complex array of shape (U_i, L_{k,i}); row u holds the
-    impulse response from user (i, u) to base station k.
+    taps[(k, i)] is a complex array of shape (..., U_i, L_{k,i}); row u holds
+    the impulse response from user (i, u) to base station k.  Any leading axes
+    index independent realizations (fig5 stacks its trials as (T, U_i, L)),
+    and every consumer of a realization carries them through; a single draw
+    has none.
     """
 
     taps: dict
 
     def h(self, k, i, u) -> np.ndarray:
-        return self.taps[(k, i)][u]
+        return self.taps[(k, i)][..., u, :]
+
+    def scaled(self, gain) -> "ChannelRealization":
+        """Every link's taps times gain[(k, i)], broadcast against them."""
+        return ChannelRealization({key: gain[key] * taps for key, taps in self.taps.items()})
 
 
 def trial_rng(seed, trial) -> np.random.Generator:
@@ -205,48 +212,45 @@ class Deployment:
         return float(10.0 ** ((self.noise_density_dbm_hz - 30.0) / 10.0) * self.bandwidth_hz)
 
 
-def pdp_variance(dep: Deployment, k, i, ell, L_D, L_I) -> float:
-    """Normalized per-tap variance gamma_{k,i,ell} of the exponential delay profile.
+def pdp_profile(dep: Deployment, k, i, L, L_D, L_I) -> np.ndarray:
+    """Normalized per-tap variances gamma_{k,i,ell}, ell < L, of the exponential
+    delay profile of link (k, i).
 
     Desired links (k == i) spread unit power over taps [0, L_D-1]; interfering
-    links over taps [L_{I,d}, L_I-1]; everything else is zero.
+    links over taps [L_{I,d}, L_I-1]; every other tap is zero.
     """
     beta = dep.pdp_decay
     if not np.isscalar(beta):
         beta = beta[k][i]
-    if k == i:
-        if 0 <= ell <= L_D - 1:
-            num = np.exp(-beta * ell)
-            den = np.sum(np.exp(-beta * np.arange(L_D)))
-            return float(num / den)
-        return 0.0
-    lo = dep.ici_delay_taps
-    if lo <= ell <= L_I - 1:
-        num = np.exp(-beta * ell)
-        den = np.sum(np.exp(-beta * np.arange(lo, L_I)))
-        return float(num / den)
-    return 0.0
+    lo, hi = (0, L_D) if k == i else (dep.ici_delay_taps, L_I)
+    gamma = np.zeros(L)
+    ell = np.arange(lo, min(hi, L))
+    gamma[ell] = np.exp(-beta * ell) / np.sum(np.exp(-beta * np.arange(lo, hi)))
+    return gamma
 
 
 @dataclass(frozen=True)
 class Positions:
     """Node geometry: BS coordinates plus user-to-BS distances.
 
-    dist[k, i, u] is the distance (m) from user (i, u) to base station k.
+    dist[..., k, i, u] is the distance (m) from user (i, u) to base station k;
+    leading axes of user_xy and dist stack layouts (such as a grid of D_user).
     """
 
     bs_xy: np.ndarray     # (K, 2)
-    user_xy: np.ndarray   # (K, U_max, 2)
-    dist: np.ndarray      # (K, K, U_max)
+    user_xy: np.ndarray   # (..., K, U_max, 2)
+    dist: np.ndarray      # (..., K, K, U_max)
 
 
 def hex_deployment(D_site, D_user, users_per_cell) -> Positions:
     """7-cell hexagonal layout: center cell plus 6 neighbors at spacing D_site.
 
     Users sit at distance D_user from their own BS, at evenly-spread angles
-    starting from 0 degrees.
+    starting from 0 degrees.  An array of D_user gives one layout per entry,
+    stacked along the leading axes.
     """
-    if not (0 <= D_user < D_site):
+    D_user = np.asarray(D_user, dtype=float)
+    if not np.all((0 <= D_user) & (D_user < D_site)):
         raise ValueError("require 0 <= D_user < D_site")
     users_per_cell = list(users_per_cell)
     K = 7
@@ -254,44 +258,71 @@ def hex_deployment(D_site, D_user, users_per_cell) -> Positions:
         users_per_cell = users_per_cell * K
     if len(users_per_cell) != K:
         raise ValueError("users_per_cell must have 1 or 7 entries")
+    ring = np.pi / 3.0 * np.arange(6)
     bs = np.zeros((K, 2))
-    for c in range(6):
-        ang = np.pi / 3.0 * c
-        bs[c + 1] = [D_site * np.cos(ang), D_site * np.sin(ang)]
-    U_max = max(users_per_cell)
-    user = np.full((K, U_max, 2), np.nan)
-    for i in range(K):
-        U = users_per_cell[i]
-        for u in range(U):
-            ang = 2.0 * np.pi * u / U
-            user[i, u] = bs[i] + D_user * np.array([np.cos(ang), np.sin(ang)])
-    dist = np.full((K, K, U_max), np.nan)
-    for k in range(K):
-        for i in range(K):
-            for u in range(users_per_cell[i]):
-                dist[k, i, u] = np.hypot(*(user[i, u] - bs[k]))
+    bs[1:] = D_site * np.stack([np.cos(ring), np.sin(ring)], axis=-1)
+    U = np.array(users_per_cell)[:, None]
+    u = np.arange(U.max())
+    ang = 2.0 * np.pi * u / U
+    user = bs[:, None] + D_user[..., None, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    user[..., u >= U, :] = np.nan
+    offset = user[..., None, :, :, :] - bs[:, None, None]
+    dist = np.hypot(offset[..., 0], offset[..., 1])
     return Positions(bs_xy=bs, user_xy=user, dist=dist)
+
+
+def fading_normals(cfg: SystemConfig) -> int:
+    """Standard normals one small-scale draw consumes: two per tap of every link."""
+    return 2 * sum(cfg.users_per_cell[i] * cfg.cir_len[k][i]
+                   for k in range(cfg.K) for i in range(cfg.K))
+
+
+def small_scale_fading(cfg: SystemConfig, normals) -> ChannelRealization:
+    """CN(0, 1) taps from (..., fading_normals(cfg)) standard normals.
+
+    The normals are consumed link by link in (k, i) order, then user by user:
+    L_{k,i} real parts, then L_{k,i} imaginary parts.  Leading axes stack
+    independent draws.
+    """
+    normals = np.asarray(normals)
+    batch = normals.shape[:-1]
+    taps = {}
+    start = 0
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            U, L = cfg.users_per_cell[i], cfg.cir_len[k][i]
+            block = normals[..., start : start + 2 * U * L].reshape(batch + (U, 2, L))
+            taps[(k, i)] = (block[..., 0, :] + 1j * block[..., 1, :]) / np.sqrt(2.0)
+            start += 2 * U * L
+    return ChannelRealization(taps=taps)
+
+
+def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -> dict:
+    """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
+    over the leading axes of positions.dist."""
+    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
+    L_D, L_I = link_lengths(cfg)
+    gain = {}
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            d = positions.dist[..., k, i, : cfg.users_per_cell[i]]
+            bad = ~(d > 0)
+            if bad.any():
+                raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
+                                 % (k, i, np.argwhere(bad)[0][-1]))
+            # float_power matches scalar d ** x bit for bit, so existing seeds keep
+            # their draws; numpy's SIMD power loop may differ in the last bit
+            amp = np.sqrt(p0) * np.float_power(d, -dep.pathloss_exponent / 2.0)
+            gamma = pdp_profile(dep, k, i, cfg.cir_len[k][i], L_D, L_I)
+            gain[(k, i)] = amp[..., None] * np.sqrt(gamma)
+    return gain
 
 
 def sample_channel_geometric(cfg: SystemConfig, dep: Deployment, positions: Positions,
                              rng) -> ChannelRealization:
-    """Draw taps h = sqrt(P_0) * d^(-alpha/2) * h_small with h_small ~ CN(0, gamma)."""
+    """Draw taps h = sqrt(P_0) * d^(-alpha/2) * h_small with h_small ~ CN(0, gamma):
+    large_scale_gain times small_scale_fading."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
-    L_D, L_I = link_lengths(cfg)
-    taps = {}
-    for k in range(cfg.K):
-        for i in range(cfg.K):
-            L = cfg.cir_len[k][i]
-            U = cfg.users_per_cell[i]
-            gamma = np.array([pdp_variance(dep, k, i, ell, L_D, L_I) for ell in range(L)])
-            out = np.zeros((U, L), dtype=complex)
-            for u in range(U):
-                d = positions.dist[k, i, u]
-                if not d > 0:
-                    raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)" % (k, i, u))
-                small = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
-                out[u] = np.sqrt(p0) * d ** (-dep.pathloss_exponent / 2.0) * np.sqrt(gamma) * small
-            taps[(k, i)] = out
-    return ChannelRealization(taps=taps)
+    gain = large_scale_gain(cfg, dep, positions)
+    return small_scale_fading(cfg, rng.standard_normal(fading_normals(cfg))).scaled(gain)

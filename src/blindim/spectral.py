@@ -1,5 +1,5 @@
 # blindim/spectral.py
-"""IDFT basis, circulant machinery, and the projected subblock channels.
+"""IDFT basis and the projected subblock channels.
 
 Every subblock channel comes from one closed form, frame_columns: DFT
 precoding with a cyclic prefix turns a link's response to f_m into a tone
@@ -16,7 +16,6 @@ circulant matrix C with first column c satisfies C = F diag(fft(c)) F^H.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 def idft_basis(n: int) -> np.ndarray:
@@ -27,49 +26,29 @@ def idft_basis(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
 
 
-def circulant(first_column) -> np.ndarray:
-    """Square circulant matrix; column m is the cyclic down-shift of the first by m."""
-    c = np.asarray(first_column)
-    if c.size < 1:
-        raise ValueError("first_column must be nonempty")
-    return scipy.linalg.circulant(c)
-
-
-def diagonalize_circulant(C: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a circulant matrix, ordered to match the IDFT basis columns.
-
-    The input is checked structurally: each column must be the cyclic shift of
-    the first within 1e-12 relative tolerance.
-    """
-    C = np.asarray(C)
-    ref = circulant(C[:, 0])
-    scale = max(np.abs(C).max(), 1e-300)
-    if np.abs(C - ref).max() > 1e-12 * scale:
-        raise ValueError("matrix is not circulant")
-    return np.fft.fft(C[:, 0])
-
-
 # ---------------------------------------------------------------------------
 # Projected subblock channels in closed form
 # ---------------------------------------------------------------------------
 
 def frame_columns(taps, N, cp, M) -> np.ndarray:
-    """(N + cp, U * M) received frame samples of unit symbols on f_1 .. f_M.
+    """(..., N + cp, U * M) received frame samples of unit symbols on f_1 .. f_M.
 
-    taps is a (U, L) array, one user per row; column u * M + m is user u's
-    response to a unit symbol on f_{m+1}.  The cyclic-prefixed frame of f_{m+1}
-    is the pure tone f_{m+1}[(j - cp) mod N], so frame sample j is that tone
-    times the running sum of h_l w^(-l m) over l <= j, with w = exp(2 pi i / N).
-    Taps beyond the frame (l >= N + cp) never reach it and are ignored.
+    taps is a (..., U, L) array, one user per row, with any leading axes
+    stacking realizations; column u * M + m is user u's response to a unit
+    symbol on f_{m+1}.  The cyclic-prefixed frame of f_{m+1} is the pure tone
+    f_{m+1}[(j - cp) mod N], so frame sample j is that tone times the running
+    sum of h_l w^(-l m) over l <= j, with w = exp(2 pi i / N).  Taps beyond
+    the frame (l >= N + cp) never reach it and are ignored.
     """
     width = N + cp
-    taps = np.asarray(taps)[:, :width]
-    h = np.zeros((len(taps), width), dtype=complex)
-    h[:, : taps.shape[1]] = taps
+    taps = np.asarray(taps)[..., :width]
+    h = np.zeros(taps.shape[:-1] + (width,), dtype=complex)
+    h[..., : taps.shape[-1]] = taps
     twiddle = np.exp(-2j * np.pi * np.outer(np.arange(width), np.arange(M)) / N)
-    sums = np.cumsum(h[:, :, None] * twiddle, axis=1)
+    sums = np.cumsum(h[..., None] * twiddle, axis=-2)
     tones = idft_basis(N)[(np.arange(width) - cp) % N, :M]
-    return (tones * sums).transpose(1, 0, 2).reshape(width, -1)
+    cols = np.swapaxes(tones * sums, -3, -2)
+    return cols.reshape(cols.shape[:-2] + (-1,))
 
 
 def leakage_phase(N, cp, M) -> np.ndarray:

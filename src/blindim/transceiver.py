@@ -117,13 +117,17 @@ def combine(plan, y_bar) -> np.ndarray:
     return np.fft.fft(y_bar, axis=-1, norm="ortho")[..., plan.M_D :]
 
 
-def _require_full_rank(H) -> None:
+class RankDeficientError(np.linalg.LinAlgError):
+    """A channel failed the rank criterion, so its symbols cannot be separated."""
+
+
+def _require_full_rank(H, what="effective channel") -> None:
     """Reject a channel whose smallest singular value is <= 1e-8 times its largest."""
     if H.shape[1] == 0:
         return
     sv = np.linalg.svd(H, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-8 * sv[0]:
-        raise np.linalg.LinAlgError("effective channel is numerically rank deficient")
+        raise RankDeficientError("%s is numerically rank deficient" % what)
 
 
 def detect_zf(H, y) -> np.ndarray:
@@ -157,7 +161,7 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     """
     s_hat = {}
     for k in range(cfg.K):
-        _require_full_rank(H[k])
+        _require_full_rank(H[k], "cell %d: effective channel" % k)
         Q, R = qr_positive(H[k])
         z = scipy.linalg.solve_triangular(R, Q.conj().T @ np.transpose(y_tilde[k])).T
         phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])

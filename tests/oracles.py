@@ -6,6 +6,7 @@ agreement with the library is a two-route check, not a tautology.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def direct_convolve(h, x):
@@ -62,6 +63,28 @@ def direct_isbi_matrix(h, N, L_I):
                 if 0 <= r < N:
                     M[r, j] += h[ell]
     return M
+
+
+def circulant(first_column):
+    """Square circulant matrix; column m is the cyclic down-shift of the first by m."""
+    c = np.asarray(first_column)
+    if c.size < 1:
+        raise ValueError("first_column must be nonempty")
+    return scipy.linalg.circulant(c)
+
+
+def diagonalize_circulant(C):
+    """Eigenvalues of a circulant matrix, ordered to match the IDFT basis columns.
+
+    The input is checked structurally: each column must be the cyclic shift of
+    the first within 1e-12 relative tolerance.
+    """
+    C = np.asarray(C)
+    ref = circulant(C[:, 0])
+    scale = max(np.abs(C).max(), 1e-300)
+    if np.abs(C - ref).max() > 1e-12 * scale:
+        raise ValueError("matrix is not circulant")
+    return np.fft.fft(C[:, 0])
 
 
 def tap_sums(h, N):
@@ -166,3 +189,154 @@ def decode_by_subblock(plan, H, y_tilde, genie_symbols=None):
                 out[b], *_ = np.linalg.lstsq(Hk, obs, rcond=None)
         s_hat[k] = out
     return s_hat
+
+
+# ---------------------------------------------------------------------------
+# fig5 one trial, one user and one tap at a time: the scalar power-delay
+# profile, the per-user geometric sampler, the per-trial delayed-ICI and
+# OFDMA rates, and the trial-by-trial distance sweep
+# ---------------------------------------------------------------------------
+
+def pdp_variance(dep, k, i, ell, L_D, L_I):
+    """Normalized per-tap variance gamma_{k,i,ell} of the exponential delay profile.
+
+    Desired links (k == i) spread unit power over taps [0, L_D-1]; interfering
+    links over taps [L_{I,d}, L_I-1]; everything else is zero.
+    """
+    beta = dep.pdp_decay
+    if not np.isscalar(beta):
+        beta = beta[k][i]
+    if k == i:
+        if 0 <= ell <= L_D - 1:
+            num = np.exp(-beta * ell)
+            den = np.sum(np.exp(-beta * np.arange(L_D)))
+            return float(num / den)
+        return 0.0
+    lo = dep.ici_delay_taps
+    if lo <= ell <= L_I - 1:
+        num = np.exp(-beta * ell)
+        den = np.sum(np.exp(-beta * np.arange(lo, L_I)))
+        return float(num / den)
+    return 0.0
+
+
+def sample_channel_by_user(cfg, dep, positions, rng):
+    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma): per
+    link, per user, a real then an imaginary draw of L normals."""
+    from blindim import model
+
+    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
+    L_D, L_I = model.link_lengths(cfg)
+    taps = {}
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            L = cfg.cir_len[k][i]
+            U = cfg.users_per_cell[i]
+            gamma = np.array([pdp_variance(dep, k, i, ell, L_D, L_I) for ell in range(L)])
+            out = np.zeros((U, L), dtype=complex)
+            for u in range(U):
+                d = positions.dist[k, i, u]
+                if not d > 0:
+                    raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)" % (k, i, u))
+                small = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
+                out[u] = np.sqrt(p0) * d ** (-dep.pathloss_exponent / 2.0) * np.sqrt(gamma) * small
+            taps[(k, i)] = out
+    return model.ChannelRealization(taps=taps)
+
+
+def _f1_columns_by_link(comb, dplan, blocks):
+    """W2 W1 times the f_1 frame columns of each (users, taps) block, side by side."""
+    from blindim.spectral import frame_columns
+
+    frames = [np.zeros((dplan.cp_len + dplan.N, 0))]
+    frames += [frame_columns(taps, dplan.N, dplan.cp_len, 1) for taps in blocks]
+    return comb.W2 @ (comb.W1 @ np.hstack(frames))
+
+
+def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=None):
+    """(K,) rates of one realization: per cell, the desired columns and the
+    residual columns of every user whose taps ell >= L_I_prime are not all
+    zero, then two log-determinants."""
+    from blindim.extensions import build_two_stage_combiner
+
+    if cells is None:
+        cells = range(cfg.K)
+    comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
+    W21 = comb.W2 @ comb.W1
+    noise_cov = noise_var * (W21 @ W21.conj().T)
+    p_sym = dplan.N * tx_power
+    out = np.zeros(cfg.K)
+    for k in cells:
+        H = _f1_columns_by_link(comb, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
+        residual = []
+        for i in range(cfg.K):
+            if i == k:
+                continue
+            h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
+            h[:, : dp.L_I_prime] = 0.0
+            residual.append(h[np.any(h, axis=1)])
+        H_int = _f1_columns_by_link(comb, dplan, residual)
+        cov = noise_cov
+        if H_int.shape[1] > 0:
+            cov = cov + p_sym * (H_int @ H_int.conj().T)
+        sig = p_sym * (H @ H.conj().T)
+        _, ld_all = np.linalg.slogdet(cov + sig)
+        _, ld_cov = np.linalg.slogdet(cov)
+        out[k] = dplan.B / dplan.T * (ld_all - ld_cov) / np.log(2.0)
+    return out
+
+
+def ofdma_rate_by_subset(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None):
+    """(K,) OFDMA rates of one realization: one n_sc-point FFT per link and
+    user, accumulated over each user's interleaved subcarrier set."""
+    if cells is None:
+        cells = range(cfg.K)
+    out = np.zeros(cfg.K)
+    sets = {i: [list(range(u, n_sc, cfg.users_per_cell[i]))
+                for u in range(cfg.users_per_cell[i])] for i in range(cfg.K)}
+    for k in cells:
+        ici = np.zeros(n_sc)
+        for i in range(cfg.K):
+            if i == k:
+                continue
+            for v, subset in enumerate(sets[i]):
+                if not subset:
+                    continue
+                lam = np.fft.fft(ch.taps[(k, i)][v], n_sc)
+                ici[subset] += tx_power * np.abs(lam[subset]) ** 2
+        cell = 0.0
+        for u, subset in enumerate(sets[k]):
+            if not subset:
+                continue
+            lam = np.fft.fft(ch.taps[(k, k)][u], n_sc)
+            sig = tx_power * np.abs(lam[subset]) ** 2
+            cell += float(np.sum(np.log2(1.0 + sig / (noise_var + ici[subset]))))
+        out[k] = cell / (n_sc + L_D - 1)
+    return out
+
+
+def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
+    """Rows (d_user_m, proposed, ofdma) of the fig5 sweep: per distance, per
+    trial, one sample_channel_by_user draw from trial_rng(seed, t) and both
+    per-trial rates for cell 0, accumulated in order."""
+    from blindim import experiments, extensions, model
+
+    cfg, dp = experiments.fig5_config(B=B, seed=seed)
+    dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
+    dplan = extensions.make_delayed_plan(cfg, dp)
+    P = dep.tx_power_w
+    sigma2 = dep.noise_power_w
+    rows = []
+    for d_user in d_user_grid:
+        positions = model.hex_deployment(dep.site_spacing_m, float(d_user), [3] * 7)
+        acc_prop = 0.0
+        acc_ofdma = 0.0
+        for t in range(trials):
+            rng = model.trial_rng(seed, t)
+            ch = sample_channel_by_user(cfg, dep, positions, rng)
+            acc_prop += residual_ici_rate_by_trial(cfg, dplan, dp, ch, P, sigma2, cells=[0])[0]
+            acc_ofdma += ofdma_rate_by_subset(
+                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
+            )[0]
+        rows.append((float(d_user), acc_prop / trials, acc_ofdma / trials))
+    return rows

@@ -128,6 +128,22 @@ class TestSimulate:
         assert "nan" not in text
         assert all(np.isfinite(float(r[2])) for r in rows)
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_rank_deficient_draw_is_one_error_line(self, tmp_path, capsys, to_file):
+        # cell 1's lone user carries 6 symbols on a 6 x 6 H_1; trial 83 of seed
+        # 48 is the first draw whose H_1 fails the rank criterion (ratio 3.7e-10)
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 4,1\ncir_len = 2,1; 1,7\n")
+        argv = ["simulate", "--config", str(cfgfile), "--seed", "48", "--trials", "242"]
+        if to_file:
+            code, text = run(tmp_path, *argv)
+            assert not (tmp_path / "out.csv").exists()
+        else:
+            code, text = cli.main(argv), ""
+        out, err = capsys.readouterr()
+        assert (code, text, out) == (1, "", "")
+        assert err == "error: trial 83, cell 1: effective channel is numerically rank deficient\n"
+
 
 class TestVerify:
     def test_all_checks_pass(self, tmp_path):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindim import analysis, experiments, extensions, model, spectral, transceiver
+from oracles import (
+    distance_comparison_by_trial,
+    ofdma_rate_by_subset,
+    pdp_variance,
+    residual_ici_rate_by_trial,
+    sample_channel_by_user,
+)
 
 
 def delayed_case():
@@ -279,3 +288,76 @@ class TestOfdmaComparator:
         ch.taps[(0, 1)][:] = 0.0
         without = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, L_D=4, n_sc=16)[0]
         assert with_ici < without
+
+
+@st.composite
+def geometric_cases(draw):
+    """A random valid config, deployment and delay profile for the fig5 path:
+    K in 1..4, asymmetric users and link lengths, a scalar or K x K decay."""
+    K = draw(st.integers(1, 4))
+    users = draw(st.lists(st.integers(1, 4), min_size=K, max_size=K))
+    cir = draw(st.lists(st.lists(st.integers(1, 9), min_size=K, max_size=K),
+                        min_size=K, max_size=K))
+    decay = st.floats(0.0, 3.0)
+    beta = draw(decay | st.lists(st.lists(decay, min_size=K, max_size=K),
+                                 min_size=K, max_size=K))
+    cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir)
+    _, L_I = model.link_lengths(cfg)
+    L_I_prime = draw(st.integers(1, L_I))
+    L_I_d = draw(st.integers(0, max(L_I_prime - 1, 0)))
+    dp = extensions.DelayProfile(L_I_d=L_I_d, L_I_prime=L_I_prime, L_I=L_I)
+    dep = model.Deployment(pdp_decay=beta, ici_delay_taps=draw(st.integers(0, 4)),
+                           ref_loss_db=0.0, pathloss_exponent=draw(st.floats(2.0, 4.0)))
+    return cfg, dp, dep, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 4))
+
+
+def _max_rel(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+class TestBatchedFig5Path:
+    """The fig5 path over stacked trials against one-trial, one-user oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometric_cases())
+    def test_matches_per_trial_oracles(self, case):
+        cfg, dp, dep, seed, trials = case
+        L_D, L_I = model.link_lengths(cfg)
+        for k in range(cfg.K):
+            for i in range(cfg.K):
+                L = cfg.cir_len[k][i]
+                want = [pdp_variance(dep, k, i, ell, L_D, L_I) for ell in range(L)]
+                np.testing.assert_allclose(model.pdp_profile(dep, k, i, L, L_D, L_I), want,
+                                           rtol=1e-15, atol=0)
+
+        rng = np.random.default_rng(seed)
+        dist = rng.uniform(0.5, 3.0, (cfg.K, cfg.K, max(cfg.users_per_cell)))
+        pos = model.Positions(np.zeros((cfg.K, 2)), np.zeros((cfg.K, dist.shape[2], 2)), dist)
+        draws = [model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(seed, t))
+                 for t in range(trials)]
+        for t, ch in enumerate(draws):
+            want = sample_channel_by_user(cfg, dep, pos, model.trial_rng(seed, t))
+            for key in want.taps:
+                np.testing.assert_array_equal(ch.taps[key], want.taps[key])
+
+        stacked = model.ChannelRealization(
+            {key: np.stack([ch.taps[key] for ch in draws]) for key in draws[0].taps})
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        n_sc = int(rng.integers(1, 10))
+        for cells in (None, [0]):
+            got = extensions.rate_with_residual_ici(cfg, dplan, dp, stacked, 1.0, 0.1, cells)
+            want = [residual_ici_rate_by_trial(cfg, dplan, dp, ch, 1.0, 0.1, cells)
+                    for ch in draws]
+            assert got.shape == (trials, cfg.K)
+            assert _max_rel(got, np.array(want)) <= 1e-12
+            got = analysis.ofdma_rate_with_ici(cfg, stacked, 1.0, 0.1, L_D, n_sc, cells)
+            want = [ofdma_rate_by_subset(cfg, ch, 1.0, 0.1, L_D, n_sc, cells) for ch in draws]
+            assert got.shape == (trials, cfg.K)
+            assert _max_rel(got, np.array(want)) <= 1e-12
+
+    def test_distance_sweep_matches_trial_loop(self):
+        grid = [20.0, 80.0, 140.0]
+        got = np.array(experiments.run_distance_comparison(d_user_grid=grid, trials=12, seed=5))
+        want = np.array(distance_comparison_by_trial(grid, trials=12, seed=5))
+        np.testing.assert_array_equal(got[:, 0], grid)
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blindim import model
+from oracles import pdp_variance
 
 
 def symmetric(K=2, L_D=4, L_I=2, U=2, **kw):
@@ -104,30 +105,36 @@ class TestIidSampler:
 class TestPdpVariance:
     def test_uniform_limit(self):
         dep = model.Deployment(pdp_decay=0.0)
-        for ell in range(5):
-            assert model.pdp_variance(dep, 0, 0, ell, L_D=5, L_I=7) == pytest.approx(1 / 5)
+        np.testing.assert_allclose(model.pdp_profile(dep, 0, 0, 5, L_D=5, L_I=7), 1 / 5,
+                                   rtol=1e-15)
 
     def test_delayed_ici_support(self):
         dep = model.Deployment(pdp_decay=0.5, ici_delay_taps=3)
-        for ell in range(3):
-            assert model.pdp_variance(dep, 0, 1, ell, L_D=5, L_I=7) == 0.0
-        assert model.pdp_variance(dep, 0, 1, 3, L_D=5, L_I=7) > 0.0
-        assert model.pdp_variance(dep, 0, 1, 7, L_D=5, L_I=7) == 0.0
+        gamma = model.pdp_profile(dep, 0, 1, 8, L_D=5, L_I=7)
+        np.testing.assert_array_equal(gamma[:3], 0.0)
+        assert gamma[3] > 0.0
+        assert gamma[7] == 0.0
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
     def test_normalization(self, beta):
         dep = model.Deployment(pdp_decay=beta, ici_delay_taps=2)
-        own = sum(model.pdp_variance(dep, 0, 0, ell, 6, 7) for ell in range(10))
-        cross = sum(model.pdp_variance(dep, 0, 1, ell, 6, 7) for ell in range(10))
+        own = model.pdp_profile(dep, 0, 0, 10, 6, 7).sum()
+        cross = model.pdp_profile(dep, 0, 1, 10, 6, 7).sum()
         assert own == pytest.approx(1.0, abs=1e-12)
         assert cross == pytest.approx(1.0, abs=1e-12)
 
     def test_matrix_valued_decay(self):
         beta = [[0.1, 0.9], [0.9, 0.1]]
         dep = model.Deployment(pdp_decay=beta)
-        v = model.pdp_variance(dep, 0, 1, 1, L_D=4, L_I=3)
+        v = model.pdp_profile(dep, 0, 1, 3, L_D=4, L_I=3)
         dep_scalar = model.Deployment(pdp_decay=0.9)
-        assert v == model.pdp_variance(dep_scalar, 0, 1, 1, L_D=4, L_I=3)
+        np.testing.assert_array_equal(v, model.pdp_profile(dep_scalar, 0, 1, 3, L_D=4, L_I=3))
+
+    def test_empty_support_is_zero(self):
+        # every cross tap precedes the delay offset: no power, and no 0 / 0
+        dep = model.Deployment(ici_delay_taps=5)
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(model.pdp_profile(dep, 0, 1, 4, L_D=6, L_I=4), 0.0)
 
 
 class TestHexDeployment:
@@ -188,7 +195,7 @@ class TestGeometricSampler:
         acc /= 20000
         p0 = 10 ** (dep.ref_loss_db / 10)
         for ell in range(4):
-            expect = p0 * 60.0 ** -3.5 * model.pdp_variance(dep, 0, 0, ell, 4, 1)
+            expect = p0 * 60.0 ** -3.5 * pdp_variance(dep, 0, 0, ell, 4, 1)
             assert acc[ell] == pytest.approx(expect, rel=0.05)
 
     def test_delayed_ici_taps_exactly_zero(self):

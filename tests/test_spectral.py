@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from blindim import model, spectral, transceiver
-from oracles import direct_channel_matrix, direct_isbi_matrix, random_config, tap_sums
+from oracles import (
+    circulant,
+    diagonalize_circulant,
+    direct_channel_matrix,
+    direct_isbi_matrix,
+    random_config,
+    tap_sums,
+)
 
 
 class TestIdftBasis:
@@ -31,28 +38,28 @@ class TestIdftBasis:
 
 class TestCirculant:
     def test_scalar(self):
-        np.testing.assert_array_equal(spectral.circulant([3.0]), [[3.0]])
+        np.testing.assert_array_equal(circulant([3.0]), [[3.0]])
 
     def test_identity(self):
-        np.testing.assert_array_equal(spectral.circulant([1, 0, 0]), np.eye(3))
+        np.testing.assert_array_equal(circulant([1, 0, 0]), np.eye(3))
 
     def test_columns_are_cyclic_shifts(self):
         c = np.array([1 + 2j, 0.5, 0, -1j])
-        C = spectral.circulant(c)
+        C = circulant(c)
         for m in range(4):
             np.testing.assert_array_equal(C[:, m], np.roll(c, m))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            spectral.circulant([])
+            circulant([])
 
 
 class TestDiagonalizeCirculant:
     def test_identity(self):
-        np.testing.assert_allclose(spectral.diagonalize_circulant(np.eye(4)), np.ones(4))
+        np.testing.assert_allclose(diagonalize_circulant(np.eye(4)), np.ones(4))
 
     def test_shift_matrix_spectrum(self):
-        lam = spectral.diagonalize_circulant(spectral.circulant([0, 1, 0, 0, 0]))
+        lam = diagonalize_circulant(circulant([0, 1, 0, 0, 0]))
         np.testing.assert_allclose(sorted(np.abs(lam)), np.ones(5), atol=1e-12)
         np.testing.assert_allclose(np.sort(np.angle(lam)),
                                    np.sort(np.angle(np.exp(-2j * np.pi * np.arange(5) / 5))),
@@ -61,21 +68,21 @@ class TestDiagonalizeCirculant:
     def test_reconstruction(self):
         rng = np.random.default_rng(0)
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        C = spectral.circulant(c)
-        lam = spectral.diagonalize_circulant(C)
+        C = circulant(c)
+        lam = diagonalize_circulant(C)
         F = spectral.idft_basis(7)
         back = F @ np.diag(lam) @ F.conj().T
         assert np.linalg.norm(back - C) <= 1e-10 * np.linalg.norm(C)
 
     def test_rejects_noncirculant(self):
         with pytest.raises(ValueError):
-            spectral.diagonalize_circulant(np.arange(9.0).reshape(3, 3))
+            diagonalize_circulant(np.arange(9.0).reshape(3, 3))
 
     def test_eigenvalue_ordering_matches_basis(self):
         rng = np.random.default_rng(1)
         c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        C = spectral.circulant(c)
-        lam = spectral.diagonalize_circulant(C)
+        C = circulant(c)
+        lam = diagonalize_circulant(C)
         F = spectral.idft_basis(6)
         for m in range(6):
             np.testing.assert_allclose(C @ F[:, m], lam[m] * F[:, m], atol=1e-10)
@@ -107,7 +114,7 @@ class TestBuildStructured:
         expect[0, 1] = -h[2]
         expect[2, 2] = h[3]
         np.testing.assert_allclose(
-            direct_channel_matrix(h, 3, 2) - spectral.circulant(h[:3]), expect, atol=1e-15
+            direct_channel_matrix(h, 3, 2) - circulant(h[:3]), expect, atol=1e-15
         )
         np.testing.assert_allclose(H[0][:, 0], _dense_projection(plan, expect, 1)[:, 0],
                                    atol=1e-15)
@@ -125,7 +132,7 @@ class TestBuildStructured:
                 col = np.zeros(plan.N, dtype=complex)
                 n_prime = min(L_D, plan.N)
                 col[:n_prime] = h[:n_prime]
-                C = spectral.circulant(col)
+                C = circulant(col)
                 assert np.abs(_dense_projection(plan, C, M)).max() <= 1e-14 * np.abs(col).max()
                 Hnc = direct_channel_matrix(h, plan.N, plan.L_I) - C
                 got = H[0][:, u * M : (u + 1) * M]
@@ -155,7 +162,7 @@ class TestBuildStructured:
         M = plan.M[0]
         for u in range(plan.U_active[0]):
             h = ch.h(0, 0, u)
-            Hnc = direct_channel_matrix(h, plan.N, plan.L_I) - spectral.circulant(h[: plan.N])
+            Hnc = direct_channel_matrix(h, plan.N, plan.L_I) - circulant(h[: plan.N])
             P = plan.N - plan.L_I + 1
             np.testing.assert_allclose(Hnc[:P, P:], 0.0, atol=1e-15)
             np.testing.assert_allclose(Hnc[P:, :P], 0.0, atol=1e-15)
@@ -252,7 +259,7 @@ class TestBuildStructured:
             h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             F = spectral.idft_basis(N)
             cols = spectral.frame_columns(h[None], N, cp, N)[cp:]
-            lam = spectral.diagonalize_circulant(cols @ F.conj().T)
+            lam = diagonalize_circulant(cols @ F.conj().T)
             np.testing.assert_allclose(cols, F * lam, atol=1e-12)
             np.testing.assert_allclose(F * tap_sums(h, N) - cols, 0.0, atol=1e-12)
 
