@@ -21,14 +21,12 @@ from .transceiver import (
     combine,
     combiner,
     decode_block,
-    detect_zf,
     precode_and_frame,
     remove_cp_and_stack,
     simulate_link,
     simulate_reception,
 )
 from .analysis import (
-    RateReport,
     baseline_tdma_ofdma,
     dof_interference_channel,
     dof_symmetric,

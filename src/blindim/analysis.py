@@ -4,7 +4,6 @@ Monte Carlo ergodic averaging."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,15 +49,6 @@ def dof_interference_channel(K, L_D, L_I) -> float:
 # Achievable rate via ZF-SIC on the QR factorization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RateReport:
-    """Per-stream and aggregated spectral efficiencies (bits/s/Hz)."""
-
-    per_stream: dict      # k -> array of per-stream rates
-    per_cell: dict        # k -> R_k
-    sum_rate: float
-
-
 def qr_positive(H):
     """Thin QR factorization with the diagonal of R forced real-positive."""
     Q, R = np.linalg.qr(H)
@@ -70,42 +60,29 @@ def qr_positive(H):
 
 
 def r_diagonals(H) -> dict:
-    """|r_mm| of each cell's effective channel H[k]; the rate depends only on these."""
-    out = {}
-    for k, Hk in H.items():
-        if Hk.shape[1] == 0:
-            out[k] = np.zeros(0)
-            continue
-        _, R = qr_positive(Hk)
-        out[k] = np.abs(np.diagonal(R))
-    return out
+    """k -> (..., U'_k M_k) |r_mm| of each cell's effective channel H[k], from
+    one QR over its leading axes; the rate depends only on these."""
+    return {k: np.abs(np.diagonal(np.linalg.qr(Hk, mode="r"), axis1=-2, axis2=-1))
+            for k, Hk in H.items()}
 
 
-def sum_rate_from_diagonals(plan, diags, snr_linear) -> RateReport:
-    """ZF-SIC spectral efficiency from precomputed QR diagonals.
+def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
+    """ZF-SIC sum rate of the proposed scheme, (..., S) over the leading axes
+    of the effective channels H and the S linear SNRs snr_linear.
 
-    Per-stream rate log2(1 + (N/M_k) |r_m|^2 rho), normalized by the subblock
-    length N + L_I - 1 (the cyclic-prefix overhead in the long-block limit).
+    Stream m of cell k has rate log2(1 + (N/M_k) |r_m|^2 rho), normalized by
+    the subblock length N + L_I - 1 (the cyclic-prefix overhead in the
+    long-block limit).
     """
-    per_stream = {}
-    per_cell = {}
-    total = 0.0
-    for k, r in diags.items():
-        if r.size == 0 or plan.M[k] == 0:
-            per_stream[k] = np.zeros(0)
-            per_cell[k] = 0.0
+    snr = np.asarray(snr_linear, dtype=float)
+    total = np.zeros(H[0].shape[:-2] + snr.shape)
+    for k, r in r_diagonals(H).items():
+        if plan.M[k] == 0:
             continue
-        rho_eff = plan.N * snr_linear / plan.M[k]
-        rates = np.log2(1.0 + rho_eff * r ** 2) / (plan.N + plan.L_I - 1)
-        per_stream[k] = rates
-        per_cell[k] = float(np.sum(rates))
-        total += per_cell[k]
-    return RateReport(per_stream=per_stream, per_cell=per_cell, sum_rate=total)
-
-
-def sum_rate_qr(plan, H, snr_linear) -> RateReport:
-    """ZF-SIC sum rate of the proposed scheme for one channel realization."""
-    return sum_rate_from_diagonals(plan, r_diagonals(H), snr_linear)
+        rho_eff = (plan.N * snr / plan.M[k])[:, None]
+        rates = np.log2(1.0 + rho_eff * r[..., None, :] ** 2) / (plan.N + plan.L_I - 1)
+        total += rates.sum(axis=-1)
+    return total
 
 
 def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
@@ -117,32 +94,34 @@ def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
 # TDMA-OFDMA baseline
 # ---------------------------------------------------------------------------
 
-def _partition_subcarriers(n_sc, n_users):
-    """Near-equal interleaved split of subcarriers {0..n_sc-1} among users."""
-    return [list(range(u, n_sc, n_users)) for u in range(n_users)]
-
-
-def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None, cell=0) -> float:
+def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     """Interference-free reference: cells take turns (time share 1/K); the
     active cell runs multicarrier transmission with cyclic prefix L_D - 1 and
-    disjoint near-equal subcarrier sets per user.
+    disjoint near-equal subcarrier sets per user, user u owning the
+    subcarriers sc with sc % U == u.
 
     Each user spreads power over its own subcarriers so the per-sample
     transmit power constraint E|x[n]|^2 = P holds, giving per-subcarrier SNR
-    rho * n_sc / |S_u|.  The reported rate uses the given cell's channels
-    only, so it is independent of the other cells by construction.
+    rho * n_sc / |S_u|.  The rate uses cell 0's links only, so it is
+    independent of the other cells by construction.  The cyclic prefix covers
+    the whole link, so subcarrier sc sees sum_l h_l w^(-l sc) over every tap,
+    w = exp(2 pi i / n_sc): the taps are folded modulo n_sc before one FFT.
+    Returns (..., S) over the leading axes of the taps and the S linear SNRs
+    snr_linear.
     """
     if n_sc is None:
         n_sc = plan.N
-    sets = _partition_subcarriers(n_sc, cfg.users_per_cell[cell])
-    acc = 0.0
-    for u, subset in enumerate(sets):
-        if not subset:
-            continue
-        lam = np.fft.fft(ch.h(cell, cell, u), n_sc)
-        snr_eff = snr_linear * n_sc / len(subset)
-        acc += float(np.sum(np.log2(1.0 + snr_eff * np.abs(lam[subset]) ** 2)))
-    return acc / (n_sc + plan.L_D - 1) / cfg.K
+    h = ch.taps[(0, 0)]
+    U, L = h.shape[-2:]
+    folded = np.pad(h, [(0, 0)] * (h.ndim - 1) + [(0, -L % n_sc)])
+    lam = np.fft.fft(folded.reshape(h.shape[:-1] + (-1, n_sc)).sum(axis=-2))
+    sc = np.arange(n_sc)
+    owner = sc % U
+    snr = np.asarray(snr_linear, dtype=float)
+    snr_eff = snr[:, None] * n_sc / np.bincount(owner, minlength=U)[owner]
+    gain = np.abs(lam[..., owner, sc])[..., None, :] ** 2
+    rate = np.log2(1.0 + snr_eff * gain).sum(axis=-1)
+    return rate / (n_sc + plan.L_D - 1) / cfg.K
 
 
 def baseline_slope(cfg, plan, n_sc=None) -> float:
@@ -161,6 +140,11 @@ def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) 
     every used subcarrier carries power P (no pooling, as in the TDMA baseline).
     Returns (..., K) over the leading axes of the taps; cells not requested
     read 0.
+
+    Taps beyond n_sc are dropped, where baseline_tdma_ofdma folds them: fig5's
+    7-tap cross links lose taps 5 and 6.  perfbench's geometric_fig5 reference
+    CSV pins this output, so folding here waits for a change that regenerates
+    that reference.
     """
     if cells is None:
         cells = range(cfg.K)
@@ -187,28 +171,21 @@ def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) 
 # Monte Carlo ergodic averaging
 # ---------------------------------------------------------------------------
 
-def ergodic_rate(cfg, snr_db_list, trials, scheme="proposed", seed=None) -> np.ndarray:
-    """Mean spectral efficiency at each SNR over independent channel draws.
+def ergodic_rate(cfg, snr_db_list, trials, seed=None):
+    """Mean spectral efficiency of the proposed scheme and of the TDMA-OFDMA
+    baseline at each SNR, both over the same independent channel draws.
 
-    The channel realizations (and hence the QR diagonals) are computed once
-    per trial and reused across the SNR grid; trial t uses the reproducible
-    stream (seed, t).
+    Trial t uses the reproducible stream (seed, t); the trials are stacked in
+    blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
+    spectra serve the whole SNR grid.  Returns (proposed, baseline).
     """
     if seed is None:
         seed = cfg.seed
     plan = model.make_plan(cfg)
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
-    acc = np.zeros(len(snr_lin))
-    for t in range(trials):
-        rng = model.trial_rng(seed, t)
-        ch = model.sample_channel_iid(cfg, rng)
-        if scheme == "proposed":
-            diags = r_diagonals(spectral.build_structured(cfg, plan, ch))
-            for j, rho in enumerate(snr_lin):
-                acc[j] += sum_rate_from_diagonals(plan, diags, rho).sum_rate
-        elif scheme == "baseline":
-            for j, rho in enumerate(snr_lin):
-                acc[j] += baseline_tdma_ofdma(cfg, plan, ch, rho)
-        else:
-            raise ValueError("unknown scheme %r" % scheme)
-    return acc / trials
+    proposed = baseline = 0.0
+    for ch in model.iid_trial_blocks(cfg, seed, trials):
+        H = spectral.build_structured(cfg, plan, ch)
+        proposed = proposed + sum_rate_qr(plan, H, snr_lin).sum(axis=0)
+        baseline = baseline + baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)
+    return proposed / trials, baseline / trials

@@ -136,8 +136,7 @@ def cmd_sweep(args):
 def cmd_rate(args):
     cfg = _load_cfg(args)
     snrs = _snr_list(args, default=[cfg.snr_db])
-    proposed = analysis.ergodic_rate(cfg, snrs, args.trials, scheme="proposed", seed=cfg.seed)
-    baseline = analysis.ergodic_rate(cfg, snrs, args.trials, scheme="baseline", seed=cfg.seed)
+    proposed, baseline = analysis.ergodic_rate(cfg, snrs, args.trials, seed=cfg.seed)
     rows = [
         (float(s), float(p), float(b)) for s, p, b in zip(snrs, proposed, baseline)
     ]

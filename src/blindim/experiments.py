@@ -24,8 +24,7 @@ def run_snr_comparison(k_list=FIG3_K_LIST, snr_db=FIG3_SNR_GRID, trials=200, see
     rows = []
     for K in k_list:
         cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U, subblocks=B, seed=seed)
-        proposed = analysis.ergodic_rate(cfg, snr_db, trials, scheme="proposed", seed=seed)
-        baseline = analysis.ergodic_rate(cfg, snr_db, trials, scheme="baseline", seed=seed)
+        proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials, seed=seed)
         for j, s in enumerate(snr_db):
             rows.append((float(s), K, float(proposed[j]), float(baseline[j])))
     return rows
@@ -47,7 +46,8 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     Trial t draws its small-scale fading from trial_rng(seed, t) once and
     keeps it at every distance (common random numbers): only the path loss
     changes along the grid, and it is computed for the whole grid at once.
-    Each distance rates all trials in one batch.
+    The trials are drawn in blocks of model.TRIAL_BLOCK, and each distance
+    rates a whole block at once.
 
     Returns rows (d_user_m, proposed, ofdma).
     """
@@ -62,18 +62,22 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
     n = model.fading_normals(cfg)
-    small = model.small_scale_fading(
-        cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in range(trials)])
-    )
     gains = model.large_scale_gain(
         cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
     )
-    rows = []
-    for j, d_user in enumerate(d_user_grid):
-        ch = small.scaled({key: gain[j] for key, gain in gains.items()})
-        prop = rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])[:, 0]
-        ofdma = analysis.ofdma_rate_with_ici(
-            cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
-        )[:, 0]
-        rows.append((float(d_user), float(prop.mean()), float(ofdma.mean())))
-    return rows
+    # (distance, scheme) sums over the trials
+    acc = np.zeros((len(d_user_grid), 2))
+    for start in range(0, trials, model.TRIAL_BLOCK):
+        block = range(start, min(start + model.TRIAL_BLOCK, trials))
+        small = model.small_scale_fading(
+            cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in block])
+        )
+        for j in range(len(d_user_grid)):
+            ch = small.scaled({key: gain[j] for key, gain in gains.items()})
+            prop = rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])
+            ofdma = analysis.ofdma_rate_with_ici(
+                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
+            )
+            acc[j] += prop[:, 0].sum(), ofdma[:, 0].sum()
+    return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
+            for d_user, sums in zip(d_user_grid, acc)]

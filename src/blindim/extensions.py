@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import TransmissionPlan, link_lengths, require_valid
 from .spectral import frame_columns, idft_basis
-from .transceiver import DecodeResult, detect_zf, precode_and_frame, simulate_reception
+from .transceiver import DecodeResult, _require_full_rank, precode_and_frame, simulate_reception
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cell
 
 def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
                        noise_rng=None, noise_var=0.0) -> DecodeResult:
-    """Two-stage receive and zero-forcing detection (single-subblock frames).
+    """Two-stage receive and zero-forcing (least-squares) detection
+    (single-subblock frames); rejects a rank-deficient effective channel.
 
     symbols is a dict k -> length-U'_k vector of (power-scaled) payload
     symbols, one per active user.
@@ -162,8 +163,9 @@ def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
     y = simulate_reception(cfg, dplan, ch, tx, rng=noise_rng, noise_var=noise_var)
     s_hat = {}
     for k in range(cfg.K):
+        _require_full_rank(H[k], "cell %d: effective channel" % k)
         y_tilde = comb.W2 @ (comb.W1 @ y[k, : dplan.cp_len + dplan.N])
-        s_hat[k] = detect_zf(H[k], y_tilde)[None, :]
+        s_hat[k] = np.linalg.lstsq(H[k], y_tilde, rcond=None)[0][None, :]
     return DecodeResult(s_hat=s_hat)
 
 

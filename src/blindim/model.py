@@ -150,9 +150,9 @@ class ChannelRealization:
 
     taps[(k, i)] is a complex array of shape (..., U_i, L_{k,i}); row u holds
     the impulse response from user (i, u) to base station k.  Any leading axes
-    index independent realizations (fig5 stacks its trials as (T, U_i, L)),
-    and every consumer of a realization carries them through; a single draw
-    has none.
+    index independent realizations (the Monte Carlo loops stack their trials
+    as (T, U_i, L)), and every consumer of a realization carries them through;
+    a single draw has none.
     """
 
     taps: dict
@@ -182,6 +182,22 @@ def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             ) / np.sqrt(2.0)
     return ChannelRealization(taps=taps)
+
+
+# Trials stacked at once by iid_trial_blocks and the fig5 sweep: bounds their
+# memory whatever the trial count
+TRIAL_BLOCK = 256
+
+
+def iid_trial_blocks(cfg: SystemConfig, seed, trials):
+    """Trials 0 .. trials - 1 of sample_channel_iid(cfg, trial_rng(seed, t)),
+    yielded in order as realizations stacked (T_b, U_i, L_{k,i}) per link, with
+    T_b <= TRIAL_BLOCK."""
+    for start in range(0, trials, TRIAL_BLOCK):
+        draws = [sample_channel_iid(cfg, trial_rng(seed, t))
+                 for t in range(start, min(start + TRIAL_BLOCK, trials))]
+        yield ChannelRealization({key: np.stack([ch.taps[key] for ch in draws])
+                                  for key in draws[0].taps})
 
 
 # ---------------------------------------------------------------------------

@@ -65,18 +65,19 @@ def leakage_phase(N, cp, M) -> np.ndarray:
 def build_structured(cfg, plan, ch) -> dict:
     """Effective channel H_k of every cell after the ICI-nulling projection.
 
-    Returns k -> (N - M_D) x (U'_k M_k), one column per (active user, precoder)
-    in user-major order: the projection W = F[:, M_D:]^H (applied as a DFT)
-    of the post-CP frame_columns of cell k's own links.  Interfering links are
-    circulant thanks to the cyclic prefix of length L_I - 1 and are nulled
-    exactly, so they are never built.
+    Returns k -> (..., N - M_D, U'_k M_k) over the leading axes of the taps,
+    one column per (active user, precoder) in user-major order: the
+    projection W = F[:, M_D:]^H (applied as a DFT) of the post-CP
+    frame_columns of cell k's own links.  Interfering links are circulant
+    thanks to the cyclic prefix of length L_I - 1 and are nulled exactly, so
+    they are never built.
     """
     N, cp = plan.N, plan.cp_len
     if N < plan.L_I:
         raise ValueError("plan requires N >= L_I")
     H = {}
     for k in range(cfg.K):
-        taps = ch.taps[(k, k)][: plan.U_active[k]]
-        post_cp = frame_columns(taps, N, cp, plan.M[k])[cp:]
-        H[k] = np.fft.fft(post_cp, axis=0)[plan.M_D :] / np.sqrt(N)
+        taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
+        post_cp = frame_columns(taps, N, cp, plan.M[k])[..., cp:, :]
+        H[k] = np.fft.fft(post_cp, axis=-2)[..., plan.M_D :, :] / np.sqrt(N)
     return H

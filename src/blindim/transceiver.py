@@ -121,23 +121,13 @@ class RankDeficientError(np.linalg.LinAlgError):
     """A channel failed the rank criterion, so its symbols cannot be separated."""
 
 
-def _require_full_rank(H, what="effective channel") -> None:
+def _require_full_rank(H, what) -> None:
     """Reject a channel whose smallest singular value is <= 1e-8 times its largest."""
     if H.shape[1] == 0:
         return
     sv = np.linalg.svd(H, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-8 * sv[0]:
         raise RankDeficientError("%s is numerically rank deficient" % what)
-
-
-def detect_zf(H, y) -> np.ndarray:
-    """Least-squares (zero-forcing) estimate; rejects rank-deficient channels."""
-    H = np.asarray(H)
-    _require_full_rank(H)
-    if H.shape[1] == 0:
-        return np.zeros(0, dtype=complex)
-    est, *_ = np.linalg.lstsq(H, y, rcond=None)
-    return est
 
 
 @dataclass

@@ -129,7 +129,7 @@ def test_criterion_06_high_snr_slope_matches_dof():
     configs = [(3, 8, 2, 3), (2, 4, 2, 2), (4, 12, 3, 9)]
     for K, L_D, L_I, U in configs:
         cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U)
-        r = analysis.ergodic_rate(cfg, [50.0, 60.0], 50, scheme="proposed", seed=6)
+        r, _ = analysis.ergodic_rate(cfg, [50.0, 60.0], 50, seed=6)
         slope = analysis.highsnr_slope(r[0], r[1], 10 ** 5.0, 10 ** 6.0)
         dof = analysis.dof_theorem1(cfg)
         assert abs(slope - dof) / dof <= 0.03

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindim import analysis, model, spectral
+from oracles import ergodic_rate_by_trial
 
 
 def eff_for(cfg, seed=0, trial=0):
@@ -72,8 +77,7 @@ class TestSumRateQr:
     def test_rate_vanishes_at_zero_snr(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan, _, eff = eff_for(cfg)
-        report = analysis.sum_rate_qr(plan, eff, 1e-12)
-        assert report.sum_rate <= 1e-9
+        assert analysis.sum_rate_qr(plan, eff, [1e-12])[0] <= 1e-9
 
     def test_qr_determinant_identity(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
@@ -125,7 +129,7 @@ class TestSumRateQr:
     def test_strictly_increasing_in_snr(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan, _, eff = eff_for(cfg)
-        rates = [analysis.sum_rate_qr(plan, eff, rho).sum_rate for rho in (0.5, 1.0, 4.0, 100.0)]
+        rates = analysis.sum_rate_qr(plan, eff, np.array([0.5, 1.0, 4.0, 100.0]))
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
@@ -137,17 +141,29 @@ class TestBaseline:
         ch.taps[(0, 0)][0, 0] = 1.0
         n_sc = 8
         rho = 10.0
-        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, rho, n_sc=n_sc)
+        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho], n_sc=n_sc)[0]
         assert rate == pytest.approx(n_sc / (n_sc + plan.L_D - 1) * np.log2(1 + rho))
+
+    def test_taps_beyond_subcarriers_fold(self):
+        # the cyclic prefix L_D - 1 covers all 3 taps, so subcarrier sc sees
+        # the periodic extension: h0 + h1 + h2 and h0 - h1 + h2 on 2 subcarriers
+        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[3]])
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
+        h0, h1, h2 = ch.h(0, 0, 0)
+        rho = 10.0
+        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho], n_sc=2)[0]
+        want = sum(np.log2(1 + rho * abs(lam) ** 2) for lam in (h0 + h1 + h2, h0 - h1 + h2))
+        assert rate == pytest.approx(want / (2 + plan.L_D - 1), rel=1e-12)
 
     def test_independent_of_other_cells(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(2, 0))
-        before = analysis.baseline_tdma_ofdma(cfg, plan, ch, 10.0)
+        before = analysis.baseline_tdma_ofdma(cfg, plan, ch, [10.0])
         ch.taps[(1, 1)] *= 3.0
         ch.taps[(0, 1)] *= 5.0
-        assert analysis.baseline_tdma_ofdma(cfg, plan, ch, 10.0) == before
+        assert analysis.baseline_tdma_ofdma(cfg, plan, ch, [10.0]) == before
 
     def test_slope_asymptote(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
@@ -156,10 +172,7 @@ class TestBaseline:
         trials = 100
         for t in range(trials):
             ch = model.sample_channel_iid(cfg, model.trial_rng(3, t))
-            rates += [
-                analysis.baseline_tdma_ofdma(cfg, plan, ch, 1e5),
-                analysis.baseline_tdma_ofdma(cfg, plan, ch, 1e6),
-            ]
+            rates += analysis.baseline_tdma_ofdma(cfg, plan, ch, [1e5, 1e6])
         slope = analysis.highsnr_slope(rates[0] / trials, rates[1] / trials, 1e5, 1e6)
         expect = analysis.baseline_slope(cfg, plan)
         assert slope == pytest.approx(expect, rel=0.03)
@@ -174,7 +187,7 @@ class TestSlope:
     def test_matches_dof_three_configs(self):
         for (K, L_D, L_I, U) in [(3, 8, 2, 3), (2, 4, 2, 2), (4, 12, 3, 9)]:
             cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U)
-            r = analysis.ergodic_rate(cfg, [50.0, 60.0], 30, scheme="proposed", seed=4)
+            r, _ = analysis.ergodic_rate(cfg, [50.0, 60.0], 30, seed=4)
             slope = analysis.highsnr_slope(r[0], r[1], 1e5, 1e6)
             dof = analysis.dof_theorem1(cfg)
             assert abs(slope - dof) / dof <= 0.03
@@ -184,15 +197,15 @@ class TestErgodicRate:
     def test_single_trial_equals_single_shot(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3, seed=9)
         plan, _, eff = eff_for(cfg, seed=9, trial=0)
-        single = analysis.sum_rate_qr(plan, eff, 10.0).sum_rate
-        erg = analysis.ergodic_rate(cfg, [10.0], 1, scheme="proposed")
+        single = analysis.sum_rate_qr(plan, eff, [10.0])[0]
+        erg, _ = analysis.ergodic_rate(cfg, [10.0], 1)
         assert erg[0] == pytest.approx(single, rel=1e-12)
 
     def test_snr_points_independent(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
-        fwd = analysis.ergodic_rate(cfg, [0.0, 10.0, 20.0], 10, seed=5)
-        rev = analysis.ergodic_rate(cfg, [20.0, 10.0, 0.0], 10, seed=5)
-        np.testing.assert_allclose(fwd, rev[::-1], rtol=1e-12)
+        fwd = np.array(analysis.ergodic_rate(cfg, [0.0, 10.0, 20.0], 10, seed=5))
+        rev = np.array(analysis.ergodic_rate(cfg, [20.0, 10.0, 0.0], 10, seed=5))
+        np.testing.assert_allclose(fwd, rev[:, ::-1], rtol=1e-12)
 
     def test_standard_error_shrinks(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
@@ -200,7 +213,7 @@ class TestErgodicRate:
             means = []
             for b in range(blocks):
                 vals = [
-                    analysis.ergodic_rate(cfg, [10.0], 1, seed=100 + b * trials + t)[0]
+                    analysis.ergodic_rate(cfg, [10.0], 1, seed=100 + b * trials + t)[0][0]
                     for t in range(trials)
                 ]
                 means.append(np.mean(vals))
@@ -208,7 +221,31 @@ class TestErgodicRate:
         s100, s400 = spread(25, 8), spread(100, 8)
         assert s400 < s100
 
-    def test_unknown_scheme(self):
-        cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
-        with pytest.raises(ValueError):
-            analysis.ergodic_rate(cfg, [10.0], 1, scheme="nope")
+
+@st.composite
+def iid_cases(draw):
+    """A valid SystemConfig (users may outnumber N, cells may be idle with
+    L_kk <= L_I), SNRs in dB, a seed, a trial count and a trial block size."""
+    K = draw(st.integers(1, 4))
+    users = draw(st.lists(st.integers(1, 6), min_size=K, max_size=K))
+    cir = [[draw(st.integers(1, 8) if k == i else st.integers(1, 4)) for i in range(K)]
+           for k in range(K)]
+    cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir)
+    snr_db = draw(st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=4))
+    return (cfg, snr_db, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 5)),
+            draw(st.sampled_from([1, 2, 3, model.TRIAL_BLOCK])))
+
+
+class TestStackedErgodicRate:
+    """ergodic_rate over trial blocks against the per-trial, per-SNR loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(iid_cases())
+    def test_matches_per_trial_oracle(self, case):
+        cfg, snr_db, seed, trials, block = case
+        with mock.patch.object(model, "TRIAL_BLOCK", block):
+            got = analysis.ergodic_rate(cfg, snr_db, trials, seed=seed)
+        want = ergodic_rate_by_trial(cfg, snr_db, trials, seed)
+        for g, w in zip(got, want):
+            assert g.shape == (len(snr_db),)
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)

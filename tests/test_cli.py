@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindim import analysis, cli
+from blindim import analysis, cli, model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,6 +99,23 @@ class TestRate:
         _, a = run(tmp_path, "rate", "--snr", "10", "--trials", "5", "--seed", "1", name="a.csv")
         _, b = run(tmp_path, "rate", "--snr", "10", "--trials", "5", "--seed", "2", name="b.csv")
         assert a != b
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize("command", ["rate", "verify"])
+    def test_each_trial_drawn_once(self, tmp_path, monkeypatch, command):
+        # both rate columns, and both verify checks, read the same draws
+        calls = []
+        original = model.sample_channel_iid
+
+        def counting(cfg, rng):
+            calls.append(rng)
+            return original(cfg, rng)
+
+        monkeypatch.setattr(model, "sample_channel_iid", counting)
+        code, _ = run(tmp_path, command, "--trials", "7")
+        assert code == 0
+        assert len(calls) == 7
 
 
 class TestSimulate:

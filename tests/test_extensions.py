@@ -179,6 +179,15 @@ class TestDelayedDecoding:
             for k in range(2):
                 np.testing.assert_allclose(result.s_hat[k][0], symbols[k], atol=1e-9)
 
+    def test_rejects_rank_deficient_channel(self):
+        # two users of cell 1 with identical taps cannot be separated
+        cfg, dp = delayed_case()
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dp)
+        ch.taps[(1, 1)][1] = ch.taps[(1, 1)][0]
+        with pytest.raises(transceiver.RankDeficientError, match="cell 1"):
+            extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(3), 1: np.ones(3)})
+
     def test_three_symbols_per_seven_samples(self):
         cfg, dp = delayed_case()
         dplan = extensions.make_delayed_plan(cfg, dp)
@@ -355,9 +364,11 @@ class TestBatchedFig5Path:
             assert got.shape == (trials, cfg.K)
             assert _max_rel(got, np.array(want)) <= 1e-12
 
-    def test_distance_sweep_matches_trial_loop(self):
+    def test_distance_sweep_matches_trial_loop(self, monkeypatch):
         grid = [20.0, 80.0, 140.0]
-        got = np.array(experiments.run_distance_comparison(d_user_grid=grid, trials=12, seed=5))
         want = np.array(distance_comparison_by_trial(grid, trials=12, seed=5))
-        np.testing.assert_array_equal(got[:, 0], grid)
-        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0)
+        for block in (model.TRIAL_BLOCK, 5):   # one block, then three
+            monkeypatch.setattr(model, "TRIAL_BLOCK", block)
+            got = np.array(experiments.run_distance_comparison(d_user_grid=grid, trials=12, seed=5))
+            np.testing.assert_array_equal(got[:, 0], grid)
+            np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0)

@@ -220,23 +220,6 @@ class TestEffectiveChannels:
                 assert numerical_rank(H[k]) == plan.U_active[k] * plan.M[k]
 
 
-class TestDetectors:
-    def test_zf_identity_channel(self):
-        y = np.array([1 + 2j, -0.5])
-        np.testing.assert_allclose(transceiver.detect_zf(np.eye(2), y), y)
-
-    def test_zf_noiseless_recovery(self):
-        rng = np.random.default_rng(0)
-        H = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        s = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        np.testing.assert_allclose(transceiver.detect_zf(H, H @ s), s, atol=1e-9)
-
-    def test_zf_rejects_rank_deficient(self):
-        H = np.ones((3, 2), dtype=complex)
-        with pytest.raises(np.linalg.LinAlgError):
-            transceiver.detect_zf(H, np.ones(3))
-
-
 class TestDecodeBlock:
     def test_single_subblock_ignores_isbi(self):
         cfg, plan, ch = setup_case(B=1)

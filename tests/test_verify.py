@@ -104,6 +104,30 @@ class TestDecomposition:
         distinct = {(cfg.cir_len[k][k], m) for k in range(cfg.K) for m in range(1, plan.M[k] + 1)}
         assert sorted(calls) == sorted(distinct)
 
+    def test_stack_reports_worst_draw(self):
+        cfg = fig_cfg()
+        plan = model.make_plan(cfg)
+        ok, report = verify.check_decomposition(cfg, plan, next(model.iid_trial_blocks(cfg, 0, 5)))
+        draws = [model.sample_channel_iid(cfg, model.trial_rng(0, t)) for t in range(5)]
+        singles = [verify.check_decomposition(cfg, plan, ch)[1] for ch in draws]
+        assert ok
+        assert report == [r[:3] + (max(s[i][-1] for s in singles),) for i, r in enumerate(report)]
+
+    def test_one_bad_draw_fails_the_stack(self, monkeypatch):
+        cfg = fig_cfg()
+        plan = model.make_plan(cfg)
+        original = spectral.build_structured
+
+        def perturbed(cfg, plan, ch):
+            H = original(cfg, plan, ch)
+            H[1][2, :, 0] += 0.1   # trial 2, cell 1, user 0, precoder 1
+            return H
+
+        monkeypatch.setattr(spectral, "build_structured", perturbed)
+        ok, report = verify.check_decomposition(cfg, plan, next(model.iid_trial_blocks(cfg, 0, 3)))
+        assert not ok
+        assert [r[:3] for r in report if r[-1] > 1e-6] == [(1, 0, 1)]
+
     def test_detects_mutation(self):
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
