@@ -171,16 +171,24 @@ def trial_rng(seed, trial) -> np.random.Generator:
 
 
 def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
-    """Draw every tap IID circularly-symmetric complex Gaussian CN(0, 1)."""
+    """Draw every tap IID circularly-symmetric complex Gaussian CN(0, 1).
+
+    One standard_normal call feeds every link in (k, i) order: U_i * L_{k,i}
+    real parts, then as many imaginary parts.  The Generator fills values in
+    sequence, so taps and generator state equal those of a real and an
+    imaginary draw per link.
+    """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    sizes = {(k, i): (cfg.users_per_cell[i], cfg.cir_len[k][i])
+             for k in range(cfg.K) for i in range(cfg.K)}
+    normals = rng.standard_normal(sum(2 * U * L for U, L in sizes.values()))
     taps = {}
-    for k in range(cfg.K):
-        for i in range(cfg.K):
-            shape = (cfg.users_per_cell[i], cfg.cir_len[k][i])
-            taps[(k, i)] = (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            ) / np.sqrt(2.0)
+    start = 0
+    for key, (U, L) in sizes.items():
+        x = normals[start : start + 2 * U * L].reshape(2, U, L)
+        taps[key] = (x[0] + 1j * x[1]) / np.sqrt(2.0)
+        start += 2 * U * L
     return ChannelRealization(taps=taps)
 
 

@@ -2,10 +2,17 @@
 """Executable rank machinery: the structured decomposition of the projected
 desired channel, full-rank checks of the effective channel, and the supporting
 rank inequalities.  All checks are numerical (SVD-based) at random points, in
-line with the almost-sure nature of the underlying claims."""
+line with the almost-sure nature of the underlying claims.
+
+Every check is batched: stacked matrices share one SVD call.  run_all builds
+each trial block's effective channels once for the decomposition and rank
+checks, and its two rank lemmas (the Frobenius inequality on zero-padded
+triples, DFT-submatrix independence over every removed run and column pick)
+take one batched SVD per product whatever the trial count."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,15 +80,16 @@ def h_eff(cfg, plan, ch, k, u) -> np.ndarray:
     return ch.h(k, k, u)[..., plan.L_I : cfg.cir_len[k][k]]
 
 
-def check_decomposition(cfg, plan, ch, tol=1e-10):
+def check_decomposition(cfg, plan, ch, H, tol=1e-10):
     """Assert the production effective-channel column of (k, u, m) equals
     G_{m,k} h_eff_{k,u} for every (k, u, m): the running-sum closed form of
-    spectral.build_structured against the geometry-times-taps factorization.
+    H = spectral.build_structured(cfg, plan, ch) against the
+    geometry-times-taps factorization.
 
-    Leading axes of the taps stack realizations.  Returns (ok, report) where
-    report lists (k, u, m, relative residual), the worst over the stack.
+    Leading axes of the taps (and of H) stack realizations.  Returns
+    (ok, report) where report lists (k, u, m, relative residual), the worst
+    over the stack.
     """
-    H = spectral.build_structured(cfg, plan, ch)
     G = {}   # (L_kk, m) -> G_m: the factor depends only on the geometry
     report = []
     ok = True
@@ -103,83 +111,96 @@ def check_decomposition(cfg, plan, ch, tol=1e-10):
     return ok, report
 
 
-def _full_rank_draws(cfg, plan, ch) -> int:
-    """How many stacked realizations give every cell a full-rank effective
-    channel: one batched SVD per cell."""
-    H = spectral.build_structured(cfg, plan, ch)
-    ranks = [numerical_rank(H[k]) == plan.U_active[k] * plan.M[k] for k in range(cfg.K)]
+def _full_rank_draws(plan, H) -> int:
+    """How many realizations stacked in the effective channels H give every
+    cell a full-rank H_k: one batched SVD per cell."""
+    ranks = [numerical_rank(H[k]) == plan.U_active[k] * plan.M[k] for k in range(plan.K)]
     return int(np.count_nonzero(np.all(ranks, axis=0)))
 
 
 def check_lemma2(cfg, trials, seed=0):
     """Fraction of IID channel draws where every effective channel is full rank."""
     plan = model.make_plan(cfg)
-    passed = sum(_full_rank_draws(cfg, plan, ch)
+    passed = sum(_full_rank_draws(plan, spectral.build_structured(cfg, plan, ch))
                  for ch in model.iid_trial_blocks(cfg, seed, trials))
     return passed / trials
 
 
-def check_lemma3(A, B, C) -> bool:
-    """rank(AB) + rank(BC) <= rank(B) + rank(ABC) (Frobenius rank inequality)."""
+def check_lemma3(A, B, C):
+    """rank(AB) + rank(BC) <= rank(B) + rank(ABC) (Frobenius rank inequality).
+
+    A (..., a, b), B (..., b, c) and C (..., c, d) may carry leading axes that
+    stack triples: the result has one verdict per triple, from one batched SVD
+    per product.
+    """
     return numerical_rank(A @ B) + numerical_rank(B @ C) <= numerical_rank(B) + numerical_rank(
         A @ B @ C
     )
 
 
-def check_dft_submatrix_independence(N, removed_rows, picked_cols) -> bool:
+def check_dft_submatrix_independence(N, removed_rows, picked_cols):
     """Columns of a DFT matrix stay independent after deleting consecutive rows.
 
-    removed_rows must be a consecutive run and len(picked_cols) <= N - len(removed_rows).
+    removed_rows is a consecutive run of r rows, or an (R, r) array of R runs;
+    picked_cols is a pick of at most N - r columns, or a (P, c) array of P
+    picks.  The result has one verdict per run and pick, shape (R, P) when
+    both are stacked, from one fancy index into the DFT matrix and one
+    batched SVD.
     """
-    removed = sorted(removed_rows)
-    if removed and removed != list(range(removed[0], removed[0] + len(removed))):
+    removed = np.sort(np.asarray(removed_rows, dtype=int), axis=-1)
+    if np.any(np.diff(removed, axis=-1) != 1):
         raise ValueError("removed rows must be consecutive")
-    if len(picked_cols) > N - len(removed):
+    picked = np.asarray(picked_cols, dtype=int)
+    if picked.shape[-1] > N - removed.shape[-1]:
         raise ValueError("cannot pick more columns than remaining rows")
     F = spectral.idft_basis(N).conj().T   # DFT matrix; row deletion symmetric either way
-    keep = [r for r in range(N) if r not in set(removed)]
-    sub = F[np.ix_(keep, list(picked_cols))]
-    return numerical_rank(sub) == len(picked_cols)
+    # the rows each run leaves, in order, on their own axis ahead of the picks'
+    kept = ~np.any(np.arange(N) == removed[..., None], axis=-2)
+    rows = np.broadcast_to(np.arange(N), kept.shape)[kept]
+    rows = rows.reshape(kept.shape[:-1] + (1,) * (picked.ndim - 1) + (-1, 1))
+    return numerical_rank(F[rows, picked[..., None, :]]) == picked.shape[-1]
 
 
 def run_all(cfg=None, seed=0, trials=100):
-    """Full verification sweep; returns a list of (name, detail, ok, residual)."""
+    """Full verification sweep; returns a list of (name, detail, ok, residual).
+
+    The decomposition and effective-rank checks read the same draws, with one
+    effective-channel build per trial block.  The rank lemmas are batched and
+    cost the same whatever the trial count.
+    """
     if cfg is None:
         cfg = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3, seed=seed)
     plan = model.make_plan(cfg)
     results = []
 
-    # both checks read the same draws
     worst = 0.0
     ok_all = True
     passed = 0
     for ch in model.iid_trial_blocks(cfg, seed, trials):
-        ok, report = check_decomposition(cfg, plan, ch)
+        H = spectral.build_structured(cfg, plan, ch)
+        ok, report = check_decomposition(cfg, plan, ch, H)
         worst = max(worst, max((r[-1] for r in report), default=0.0))
         ok_all = ok_all and ok
-        passed += _full_rank_draws(cfg, plan, ch)
+        passed += _full_rank_draws(plan, H)
     results.append(("decomposition", "%d random channels" % trials, ok_all, worst))
 
     frac = passed / trials
     results.append(("effective_rank", "%d trials" % trials, frac == 1.0, 1.0 - frac))
 
+    # zero padding to 8 x 8 only adds exact zero singular values, so every
+    # rank is that of the unpadded matrix
     rng = np.random.default_rng(seed)
-    ok_l3 = True
-    for _ in range(200):
+    triples = np.zeros((3, 200, 8, 8))
+    for t in range(200):
         dims = rng.integers(1, 9, size=4)
-        A = rng.standard_normal((dims[0], dims[1]))
-        B = rng.standard_normal((dims[1], dims[2]))
-        C = rng.standard_normal((dims[2], dims[3]))
-        ok_l3 = ok_l3 and check_lemma3(A, B, C)
+        for j in range(3):
+            triples[j, t, : dims[j], : dims[j + 1]] = rng.standard_normal(dims[j : j + 2])
+    ok_l3 = bool(np.all(check_lemma3(*triples)))
     results.append(("rank_inequality", "200 random triples", ok_l3, 0.0))
 
-    import itertools
-
-    ok_dft = True
     N = 8
-    for start in range(N - 2):
-        removed = list(range(start, start + 3))
-        for cols in itertools.combinations(range(N), 3):
-            ok_dft = ok_dft and check_dft_submatrix_independence(N, removed, cols)
+    runs = np.arange(N - 2)[:, None] + np.arange(3)
+    picks = list(itertools.combinations(range(N), 3))
+    ok_dft = bool(np.all(check_dft_submatrix_independence(N, runs, picks)))
     results.append(("dft_submatrix", "N=8, 3 consecutive rows removed", ok_dft, 0.0))
     return results

@@ -394,3 +394,56 @@ def ergodic_rate_by_trial(cfg, snr_db_list, trials, seed):
             proposed[j] += zf_sic_rate_by_cell(plan, H, rho)
             baseline[j] += baseline_by_user(cfg, plan, ch, rho)
     return proposed / trials, baseline / trials
+
+
+# ---------------------------------------------------------------------------
+# The IID sampler one link at a time and the rank lemmas one matrix at a time
+# ---------------------------------------------------------------------------
+
+def sample_channel_by_link(cfg, rng):
+    """IID CN(0, 1) taps, link by link in (k, i) order: a (U_i, L_{k,i}) draw
+    of real parts, then one of imaginary parts."""
+    from blindim import model
+
+    taps = {}
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            shape = (cfg.users_per_cell[i], cfg.cir_len[k][i])
+            taps[(k, i)] = (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ) / np.sqrt(2.0)
+    return model.ChannelRealization(taps=taps)
+
+
+def rank_by_matrix(A, tol=1e-8):
+    """Rank of one matrix: singular values above tol times the largest."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(sv > tol * sv[0])) if sv.size else 0
+
+
+def lemma3_by_triple(seed, count=200):
+    """verify's rank-inequality sweep one unpadded triple at a time.
+
+    Per triple, four sizes in 1..8 and then A, B and C are drawn from
+    default_rng(seed).  Returns the list of (A, B, C) and, per triple, whether
+    rank(AB) + rank(BC) <= rank(B) + rank(ABC).
+    """
+    rng = np.random.default_rng(seed)
+    triples, verdicts = [], []
+    for _ in range(count):
+        dims = rng.integers(1, 9, size=4)
+        A = rng.standard_normal((dims[0], dims[1]))
+        B = rng.standard_normal((dims[1], dims[2]))
+        C = rng.standard_normal((dims[2], dims[3]))
+        triples.append((A, B, C))
+        verdicts.append(rank_by_matrix(A @ B) + rank_by_matrix(B @ C)
+                        <= rank_by_matrix(B) + rank_by_matrix(A @ B @ C))
+    return triples, verdicts
+
+
+def dft_submatrix_by_pick(N, removed_rows, picks):
+    """Per pick of columns, whether those columns of the N-point DFT matrix
+    with removed_rows deleted are independent: one np.ix_ submatrix each."""
+    F = _dft_columns(N).conj().T
+    keep = [r for r in range(N) if r not in set(removed_rows)]
+    return [rank_by_matrix(F[np.ix_(keep, list(cols))]) == len(cols) for cols in picks]

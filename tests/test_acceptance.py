@@ -107,7 +107,8 @@ def test_criterion_05_decomposition_and_rank_lemmas():
     worst = 0.0
     for t in range(100):
         ch = model.sample_channel_iid(cfg, model.trial_rng(5, t))
-        ok, report = verify.check_decomposition(cfg, plan, ch, tol=1e-10)
+        H = spectral.build_structured(cfg, plan, ch)
+        ok, report = verify.check_decomposition(cfg, plan, ch, H, tol=1e-10)
         assert ok
         worst = max(worst, max(r[-1] for r in report))
     rng = np.random.default_rng(5)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindim import model
-from oracles import pdp_variance
+from oracles import pdp_variance, sample_channel_by_link
 
 
 def symmetric(K=2, L_D=4, L_I=2, U=2, **kw):
@@ -100,6 +102,36 @@ class TestIidSampler:
         )
         assert 0.98 <= np.mean(np.abs(draws) ** 2) <= 1.02
         assert np.abs(np.mean(draws)) <= 0.02
+
+
+@st.composite
+def iid_configs(draw):
+    """A valid SystemConfig (cells may be idle with L_kk <= L_I), a seed and a trial."""
+    K = draw(st.integers(1, 4))
+    users = draw(st.lists(st.integers(1, 6), min_size=K, max_size=K))
+    cir = [[draw(st.integers(1, 8) if k == i else st.integers(1, 4)) for i in range(K)]
+           for k in range(K)]
+    cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir)
+    return cfg, draw(st.integers(0, 2**31 - 1)), draw(st.integers(0, 1000))
+
+
+class TestOneDrawSampler:
+    """sample_channel_iid's single normal draw against a real and an imaginary
+    draw per link."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(iid_configs())
+    def test_matches_per_link_draws(self, case):
+        cfg, seed, trial = case
+        rng, ref_rng = model.trial_rng(seed, trial), model.trial_rng(seed, trial)
+        got = model.sample_channel_iid(cfg, rng)
+        want = sample_channel_by_link(cfg, ref_rng)
+        assert list(got.taps) == list(want.taps)
+        for key, taps in want.taps.items():
+            assert got.taps[key].shape == taps.shape and got.taps[key].dtype == taps.dtype
+            assert got.taps[key].tobytes() == taps.tobytes()
+        # what is drawn next (simulate's symbols and noise) is unchanged too
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPdpVariance:

@@ -2,13 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindim import model, spectral, transceiver, verify
-from oracles import tap_sums
+from oracles import dft_submatrix_by_pick, lemma3_by_triple, rank_by_matrix, tap_sums
 
 
 def fig_cfg():
     return model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3)
+
+
+def decomposition(cfg, plan, ch):
+    """check_decomposition on the production effective channels of ch."""
+    return verify.check_decomposition(cfg, plan, ch, spectral.build_structured(cfg, plan, ch))
 
 
 class TestNumericalRank:
@@ -59,7 +66,7 @@ class TestDecomposition:
         plan = model.make_plan(cfg)
         for t in range(100):
             ch = model.sample_channel_iid(cfg, model.trial_rng(0, t))
-            ok, report = verify.check_decomposition(cfg, plan, ch)
+            ok, report = decomposition(cfg, plan, ch)
             assert ok
             assert max(r[-1] for r in report) <= 1e-10
 
@@ -69,7 +76,7 @@ class TestDecomposition:
         )
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(1, 0))
-        ok, _ = verify.check_decomposition(cfg, plan, ch)
+        ok, _ = decomposition(cfg, plan, ch)
         assert ok
 
     def test_rank_factors_built_once_per_length_and_index(self, monkeypatch):
@@ -98,7 +105,7 @@ class TestDecomposition:
             return original(plan, L_kk, m)
 
         monkeypatch.setattr(verify, "build_rank_factors", counting)
-        ok, report = verify.check_decomposition(cfg, plan, ch)
+        ok, report = verify.check_decomposition(cfg, plan, ch, H)
         assert ok
         assert report == expect
         distinct = {(cfg.cir_len[k][k], m) for k in range(cfg.K) for m in range(1, plan.M[k] + 1)}
@@ -107,24 +114,19 @@ class TestDecomposition:
     def test_stack_reports_worst_draw(self):
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
-        ok, report = verify.check_decomposition(cfg, plan, next(model.iid_trial_blocks(cfg, 0, 5)))
+        ok, report = decomposition(cfg, plan, next(model.iid_trial_blocks(cfg, 0, 5)))
         draws = [model.sample_channel_iid(cfg, model.trial_rng(0, t)) for t in range(5)]
-        singles = [verify.check_decomposition(cfg, plan, ch)[1] for ch in draws]
+        singles = [decomposition(cfg, plan, ch)[1] for ch in draws]
         assert ok
         assert report == [r[:3] + (max(s[i][-1] for s in singles),) for i, r in enumerate(report)]
 
-    def test_one_bad_draw_fails_the_stack(self, monkeypatch):
+    def test_one_bad_draw_fails_the_stack(self):
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
-        original = spectral.build_structured
-
-        def perturbed(cfg, plan, ch):
-            H = original(cfg, plan, ch)
-            H[1][2, :, 0] += 0.1   # trial 2, cell 1, user 0, precoder 1
-            return H
-
-        monkeypatch.setattr(spectral, "build_structured", perturbed)
-        ok, report = verify.check_decomposition(cfg, plan, next(model.iid_trial_blocks(cfg, 0, 3)))
+        ch = next(model.iid_trial_blocks(cfg, 0, 3))
+        H = spectral.build_structured(cfg, plan, ch)
+        H[1][2, :, 0] += 0.1   # trial 2, cell 1, user 0, precoder 1
+        ok, report = verify.check_decomposition(cfg, plan, ch, H)
         assert not ok
         assert [r[:3] for r in report if r[-1] > 1e-6] == [(1, 0, 1)]
 
@@ -188,7 +190,92 @@ class TestRankInequality:
         assert verify.check_lemma3(Id, Id, Id)
 
 
+def pad(matrices, size=8):
+    """Zero-pad each matrix into the top-left corner of a (len, size, size) stack."""
+    out = np.zeros((len(matrices), size, size))
+    for t, M in enumerate(matrices):
+        out[t, : M.shape[0], : M.shape[1]] = M
+    return out
+
+
+@st.composite
+def triples(draw):
+    """A triple with sizes in 1..8, made rank deficient on purpose in most
+    kinds: Gaussian triples never come near the rank threshold."""
+    d = draw(st.lists(st.integers(1, 8), min_size=4, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, B, C = (rng.standard_normal((d[j], d[j + 1])) for j in range(3))
+    kind = draw(st.sampled_from(["gaussian", "repeated_columns", "zero_rows", "rank_one"]))
+    if kind == "repeated_columns":
+        B[:] = B[:, :1]
+    elif kind == "zero_rows":
+        A[: (d[0] + 1) // 2] = 0.0
+    elif kind == "rank_one":
+        # every product through A or C has rank 1
+        A = np.outer(rng.standard_normal(d[0]), rng.standard_normal(d[1]))
+        C = np.outer(rng.standard_normal(d[2]), rng.standard_normal(d[3]))
+    return A, B, C
+
+
+class TestBatchedRankLemma:
+    """Zero-padded, stacked rank checks against one unpadded matrix at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(triples(), min_size=1, max_size=6))
+    def test_padding_keeps_every_rank(self, stack):
+        A, B, C = (pad(m) for m in zip(*stack))
+        for padded, each in [(B, [b for _, b, _ in stack]),
+                             (A @ B, [a @ b for a, b, _ in stack]),
+                             (B @ C, [b @ c for _, b, c in stack]),
+                             (A @ B @ C, [a @ b @ c for a, b, c in stack])]:
+            assert verify.numerical_rank(padded).tolist() == [rank_by_matrix(m) for m in each]
+        want = [rank_by_matrix(a @ b) + rank_by_matrix(b @ c)
+                <= rank_by_matrix(b) + rank_by_matrix(a @ b @ c) for a, b, c in stack]
+        assert verify.check_lemma3(A, B, C).tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_run_all_draws_the_same_triples(self, monkeypatch, seed):
+        # run_all pads the triples the per-triple loop draws, seed for seed
+        seen = []
+        original = verify.check_lemma3
+
+        def capture(A, B, C):
+            seen.append((A, B, C))
+            return original(A, B, C)
+
+        monkeypatch.setattr(verify, "check_lemma3", capture)
+        results = verify.run_all(seed=seed, trials=2)
+        triples, verdicts = lemma3_by_triple(seed)
+        assert len(seen) == 1
+        for got, want in zip(seen[0], zip(*triples)):
+            np.testing.assert_array_equal(got, pad(want))
+        assert dict((name, ok) for name, _, ok, _ in results)["rank_inequality"] == all(verdicts)
+
+
+@st.composite
+def dft_cases(draw):
+    """N in 4..10, a removed-run length r and picks of c <= N - r columns,
+    repeated columns allowed so that some picks are dependent."""
+    N = draw(st.integers(4, 10))
+    r = draw(st.integers(0, N - 1))
+    c = draw(st.integers(1, N - r))
+    col = st.integers(0, N - 1)
+    return N, r, draw(st.lists(st.lists(col, min_size=c, max_size=c), min_size=1, max_size=20))
+
+
 class TestDftSubmatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(dft_cases())
+    def test_batched_matches_per_pick(self, case):
+        # every consecutive removal of r rows, all stacked into one call
+        N, r, picks = case
+        runs = np.arange(N - r + 1)[:, None] + np.arange(r)
+        got = verify.check_dft_submatrix_independence(N, runs, picks)
+        assert got.shape == (len(runs), len(picks))
+        for run, row in zip(runs, got):
+            assert row.tolist() == dft_submatrix_by_pick(N, run.tolist(), picks)
+            assert verify.check_dft_submatrix_independence(N, run, picks[0]) == row[0]
+
     def test_exhaustive_n8(self):
         N = 8
         for start in range(N - 2):
@@ -203,6 +290,43 @@ class TestDftSubmatrix:
     def test_rejects_too_many_columns(self):
         with pytest.raises(ValueError):
             verify.check_dft_submatrix_independence(4, [0, 1], [0, 1, 2])
+
+
+class TestFixedCost:
+    """run_all's cost beyond the trial blocks does not grow with the trials."""
+
+    def test_one_build_per_trial_block(self, monkeypatch):
+        calls = []
+        original = spectral.build_structured
+
+        def counting(cfg, plan, ch):
+            calls.append(ch)
+            return original(cfg, plan, ch)
+
+        monkeypatch.setattr(spectral, "build_structured", counting)
+        monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
+        assert all(ok for _, _, ok, _ in verify.run_all(trials=7))
+        assert [next(iter(ch.taps.values())).shape[0] for ch in calls] == [3, 3, 1]
+
+    def test_rank_calls_do_not_grow_with_trials(self, monkeypatch):
+        original = verify.numerical_rank
+
+        def rank_calls(trials):
+            calls = []
+
+            def counting(A, tol=1e-8):
+                calls.append(np.shape(A))
+                return original(A, tol)
+
+            monkeypatch.setattr(verify, "numerical_rank", counting)
+            assert all(ok for _, _, ok, _ in verify.run_all(trials=trials))
+            return len(calls)
+
+        K = 3   # run_all's default configuration
+        few, many = rank_calls(7), rank_calls(70)
+        # one block: one batched SVD per cell, then 4 for the rank inequality
+        # and 1 for the DFT check
+        assert few == many <= (3 + K) + 5
 
 
 class TestRunAll:
