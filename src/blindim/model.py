@@ -176,7 +176,9 @@ def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
     One standard_normal call feeds every link in (k, i) order: U_i * L_{k,i}
     real parts, then as many imaginary parts.  The Generator fills values in
     sequence, so taps and generator state equal those of a real and an
-    imaginary draw per link.
+    imaginary draw per link.  Each link's parts are written into a complex
+    array and scaled in place, which gives the same bits as
+    (re + 1j * im) / sqrt(2) without its temporaries.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -187,7 +189,11 @@ def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
     start = 0
     for key, (U, L) in sizes.items():
         x = normals[start : start + 2 * U * L].reshape(2, U, L)
-        taps[key] = (x[0] + 1j * x[1]) / np.sqrt(2.0)
+        h = np.empty((U, L), dtype=complex)
+        h.real = x[0]
+        h.imag = x[1]
+        h /= np.sqrt(2.0)
+        taps[key] = h
         start += 2 * U * L
     return ChannelRealization(taps=taps)
 

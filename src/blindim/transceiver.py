@@ -72,22 +72,33 @@ def simulate_reception(cfg, plan, ch, tx, rng=None, noise_var=0.0) -> np.ndarray
     """Per-BS received streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n].
 
     tx is a dict i -> (U'_i, T) array of transmitted blocks.  Returns (K, T).
-    Each transmitting cell i is one convolution for all base stations and
-    users: tap l of every link (k, i, u) is a K x U'_i matrix applied to the
-    blocks delayed by l samples.
+    Each transmitting cell i is one time-domain convolution for all base
+    stations and users: tap l of every link (k, i, u) is a matrix applied to
+    the blocks delayed by l samples.  Its rows, and the rows of the streams
+    it adds into, are the base stations sorted by L_{k,i}, longest first, so
+    the links that still have a tap at lag l are a prefix of them and cell i
+    costs sum_k L_{k,i} U'_i T multiply-adds, not K max_k L_{k,i} U'_i T.
     """
     T = plan.T
     y = np.zeros((cfg.K, T), dtype=complex)
+    rows = np.arange(cfg.K)   # the base station whose stream each row of y holds
     for i in range(cfg.K):
         U = plan.U_active[i]
-        L = max(cfg.cir_len[k][i] for k in range(cfg.K))
-        taps = np.zeros((L, cfg.K, U), dtype=complex)
-        for k in range(cfg.K):
-            h = ch.taps[(k, i)][:U]
-            taps[: h.shape[1], k] = h.T
+        if U == 0:
+            continue
+        h = [ch.taps[(k, i)][:U] for k in range(cfg.K)]
+        lengths = np.array([hk.shape[-1] for hk in h])
+        order = np.argsort(-lengths, kind="stable")
+        taps = np.zeros((lengths.max(), cfg.K, U), dtype=complex)
+        for row, k in enumerate(order):
+            taps[: lengths[k], row] = h[k].T
+        live = np.count_nonzero(lengths > np.arange(lengths.max())[:, None], axis=1)
+        y = y[np.argsort(rows)[order]]
+        rows = order
         x = tx[i][:U]
-        for l in range(L):
-            y[:, l:] += (taps[l] @ x)[:, : T - l]
+        for l, n in enumerate(live):
+            y[:n, l:] += (taps[l, :n] @ x)[:, : T - l]
+    y = y[np.argsort(rows)]
     if noise_var > 0:
         z = rng.standard_normal((cfg.K, 2, T)) * np.sqrt(noise_var / 2.0)
         y.real += z[:, 0]
@@ -143,23 +154,26 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     H is build_structured's dict k -> effective channel and y_tilde[k] the
     (B, N - M_D) combined observations of cell k.  Every later subblock first
     cancels the previous subblock's leakage, which is -H_k times its symbols
-    rotated by leakage_phase (the true symbols when genie_symbols is supplied,
-    to isolate error propagation).  Since H_k^+ H_k = I, the cancelled ZF
-    estimate is z_b + phase * prev with z_b = H_k^+ y_b, so each H_k is
-    factored once (analysis.qr_positive) and all z_b come from one triangular
-    solve.
+    rotated by leakage_phase phi (the true symbols when genie_symbols is
+    supplied, to isolate error propagation).  Since H_k^+ H_k = I, the
+    cancelled ZF estimate is s_b = z_b + phi * s_{b-1} with z_b = H_k^+ y_b,
+    so each H_k is factored once (analysis.qr_positive) and all z_b come from
+    one triangular solve.  The recursion closes as
+    s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = w^((m cp b) mod N)
+    taken from its integer exponent so that |phi^b| = 1 to round-off for any B.
     """
     s_hat = {}
     for k in range(cfg.K):
         _require_full_rank(H[k], "cell %d: effective channel" % k)
         Q, R = qr_positive(H[k])
         z = scipy.linalg.solve_triangular(R, Q.conj().T @ np.transpose(y_tilde[k])).T
-        phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
         if genie_symbols is not None:
+            phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
             z[1:] += phase * genie_symbols[k][:-1]
         else:
-            for b in range(1, plan.B):
-                z[b] += phase * z[b - 1]
+            exponent = np.outer(np.arange(plan.B), np.arange(plan.M[k]) * plan.cp_len) % plan.N
+            powers = np.tile(np.exp(2j * np.pi * exponent / plan.N), plan.U_active[k])
+            z = powers * np.cumsum(powers.conj() * z, axis=0)
         s_hat[k] = z
     return DecodeResult(s_hat=s_hat)
 

@@ -8,7 +8,7 @@ Every check is batched: stacked matrices share one SVD call.  run_all builds
 each trial block's effective channels once for the decomposition and rank
 checks, and its two rank lemmas (the Frobenius inequality on zero-padded
 triples, DFT-submatrix independence over every removed run and column pick)
-take one batched SVD per product whatever the trial count."""
+take a fixed number of batched SVDs whatever the trial count."""
 
 from __future__ import annotations
 
@@ -20,14 +20,19 @@ import numpy as np
 from . import model, spectral, transceiver
 
 
-def numerical_rank(A, tol=1e-8):
-    """Rank via SVD; singular values above tol * largest count.
+RANK_TOL = 1e-8
+
+
+def numerical_rank(A, tol=RANK_TOL, scale=None):
+    """Rank via SVD; singular values above tol * scale count, where scale
+    defaults to each matrix's largest singular value.
 
     Leading axes stack matrices: the result has one rank per matrix, from one
-    batched SVD.
+    batched SVD.  A given scale broadcasts against those axes.
     """
     sv = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
-    return (sv > tol * sv[..., :1]).sum(axis=-1)
+    scale = sv[..., :1] if scale is None else np.expand_dims(scale, -1)
+    return (sv > tol * scale).sum(axis=-1)
 
 
 def _norm(x):
@@ -126,16 +131,32 @@ def check_lemma2(cfg, trials, seed=0):
     return passed / trials
 
 
+def lemma3_ranks(A, B, C):
+    """(..., 4) ranks of AB, BC, B and ABC, as check_lemma3 counts them.
+
+    B's singular values count against its largest one, and each product's
+    against the product of its factors' largest ones, which bounds the
+    product's own largest.  So a product that is zero up to round-off has
+    rank 0, whatever the zero padding or the BLAS summation order.
+    """
+    a, c = (np.linalg.svd(M, compute_uv=False)[..., 0] for M in (A, C))
+    sv_b = np.linalg.svd(B, compute_uv=False)
+    b = sv_b[..., 0]
+    AB = A @ B
+    return np.stack([numerical_rank(AB, scale=a * b), numerical_rank(B @ C, scale=b * c),
+                     np.count_nonzero(sv_b > RANK_TOL * sv_b[..., :1], axis=-1),
+                     numerical_rank(AB @ C, scale=a * b * c)], axis=-1)
+
+
 def check_lemma3(A, B, C):
     """rank(AB) + rank(BC) <= rank(B) + rank(ABC) (Frobenius rank inequality).
 
     A (..., a, b), B (..., b, c) and C (..., c, d) may carry leading axes that
-    stack triples: the result has one verdict per triple, from one batched SVD
-    per product.
+    stack triples: the result has one verdict per triple, from batched SVDs
+    of the factors and products (ranks as lemma3_ranks counts them).
     """
-    return numerical_rank(A @ B) + numerical_rank(B @ C) <= numerical_rank(B) + numerical_rank(
-        A @ B @ C
-    )
+    ab, bc, b, abc = np.moveaxis(lemma3_ranks(A, B, C), -1, 0)
+    return ab + bc <= b + abc
 
 
 def check_dft_submatrix_independence(N, removed_rows, picked_cols):
@@ -188,13 +209,19 @@ def run_all(cfg=None, seed=0, trials=100):
     results.append(("effective_rank", "%d trials" % trials, frac == 1.0, 1.0 - frac))
 
     # zero padding to 8 x 8 only adds exact zero singular values, so every
-    # rank is that of the unpadded matrix
+    # rank is that of the unpadded matrix.  One normal draw per triple fills
+    # A, B and C in turn, as one draw each would: the Generator fills values
+    # in sequence
     rng = np.random.default_rng(seed)
     triples = np.zeros((3, 200, 8, 8))
     for t in range(200):
-        dims = rng.integers(1, 9, size=4)
+        d = rng.integers(1, 9, size=4).tolist()
+        x = rng.standard_normal(d[0] * d[1] + d[1] * d[2] + d[2] * d[3])
+        start = 0
         for j in range(3):
-            triples[j, t, : dims[j], : dims[j + 1]] = rng.standard_normal(dims[j : j + 2])
+            size = d[j] * d[j + 1]
+            triples[j, t, : d[j], : d[j + 1]] = x[start : start + size].reshape(d[j], d[j + 1])
+            start += size
     ok_l3 = bool(np.all(check_lemma3(*triples)))
     results.append(("rank_inequality", "200 random triples", ok_l3, 0.0))
 

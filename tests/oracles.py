@@ -415,10 +415,22 @@ def sample_channel_by_link(cfg, rng):
     return model.ChannelRealization(taps=taps)
 
 
-def rank_by_matrix(A, tol=1e-8):
-    """Rank of one matrix: singular values above tol times the largest."""
+def rank_by_matrix(A, tol=1e-8, scale=None):
+    """Rank of one matrix: singular values above tol times scale, by default
+    the largest."""
     sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv > tol * sv[0])) if sv.size else 0
+    if scale is None:
+        scale = sv[0] if sv.size else 0.0
+    return int(np.sum(sv > tol * scale))
+
+
+def lemma3_ranks_by_triple(A, B, C):
+    """[rank AB, rank BC, rank B, rank ABC] of one unpadded triple, each
+    product counted against the product of its factors' largest singular
+    values."""
+    a, b, c = (np.linalg.svd(M, compute_uv=False)[0] for M in (A, B, C))
+    return [rank_by_matrix(A @ B, scale=a * b), rank_by_matrix(B @ C, scale=b * c),
+            rank_by_matrix(B), rank_by_matrix(A @ B @ C, scale=a * b * c)]
 
 
 def lemma3_by_triple(seed, count=200):
@@ -436,8 +448,8 @@ def lemma3_by_triple(seed, count=200):
         B = rng.standard_normal((dims[1], dims[2]))
         C = rng.standard_normal((dims[2], dims[3]))
         triples.append((A, B, C))
-        verdicts.append(rank_by_matrix(A @ B) + rank_by_matrix(B @ C)
-                        <= rank_by_matrix(B) + rank_by_matrix(A @ B @ C))
+        ab, bc, b, abc = lemma3_ranks_by_triple(A, B, C)
+        verdicts.append(ab + bc <= b + abc)
     return triples, verdicts
 
 

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from blindim import model, spectral, transceiver
+from blindim import extensions, model, spectral, transceiver
 from oracles import (
     combine_by_subblock,
     decode_by_subblock,
@@ -330,3 +332,86 @@ class TestMatchesSubblockOracles:
                                                  noise_var=1.7)
             want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(51, 0), noise_var=1.7)
             np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def reception_cases(draw):
+    """K in 1..4 with an independent length per link (all equal or drawn
+    from two values in some kinds) and, in half the cases, the delayed-ICI
+    plan, whose active cells may hear cross links longer than their own and
+    longer than N + cp."""
+    K = draw(st.integers(1, 4))
+    users = draw(st.lists(st.integers(1, 4), min_size=K, max_size=K))
+    kind = draw(st.sampled_from(["independent", "ties", "all_equal"]))
+    if kind == "all_equal":
+        values = [draw(st.integers(1, 12))]
+    elif kind == "ties":
+        values = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2))
+    else:
+        values = list(range(1, 13))
+    cir = [[draw(st.sampled_from(values)) for _ in range(K)] for _ in range(K)]
+    delay = None
+    if draw(st.booleans()):
+        L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
+        L_I_prime = draw(st.integers(1, L_I))
+        delay = (draw(st.integers(0, L_I_prime)), L_I_prime)
+    return K, users, cir, delay, draw(st.integers(1, 3)), draw(st.booleans()), draw(
+        st.integers(0, 2**32 - 1))
+
+
+class TestReceptionProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(reception_cases())
+    # cell 0's cross link (7) outlasts its own (4) and N + cp = 4; U' < U
+    @example((2, [3, 2], [[4, 9], [7, 3]], (0, 2), 2, False, 1))
+    # every link of length 5
+    @example((3, [2, 2, 2], [[5] * 3] * 3, (1, 3), 1, True, 2))
+    # three base stations tie at the longest link of every cell
+    @example((4, [1, 2, 3, 2], [[6, 6, 2, 6], [6, 6, 6, 2], [2, 6, 6, 6], [6, 2, 6, 6]],
+              (0, 2), 3, False, 3))
+    # cell 1 idle (L_11 = L_I) and cell 0 with U' < U in the base plan
+    @example((3, [5, 3, 1], [[6, 2, 2], [2, 2, 2], [2, 2, 7]], None, 2, True, 4))
+    def test_matches_per_link_convolution(self, case):
+        K, users, cir, delay, B, noisy, seed = case
+        cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir, subblocks=B)
+        if delay is None:
+            plan = model.make_plan(cfg)
+        else:
+            L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
+            dp = extensions.DelayProfile(L_I_d=delay[0], L_I_prime=delay[1], L_I=L_I)
+            plan = extensions.make_delayed_plan(cfg, dp)
+        rng = np.random.default_rng(seed)
+        ch = model.sample_channel_iid(cfg, rng)
+        tx = {i: rng.standard_normal((plan.U_active[i], plan.T))
+              + 1j * rng.standard_normal((plan.U_active[i], plan.T)) for i in range(K)}
+        noise_var = 1.3 if noisy else 0.0
+        got = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(seed, 1),
+                                             noise_var=noise_var)
+        want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(seed, 1),
+                               noise_var=noise_var)
+        assert _relative(got, want) <= 1e-12
+
+
+class TestLargeBlockSic:
+    @pytest.mark.parametrize("B", [100, 400])
+    def test_matches_subblock_recursion(self, B):
+        # the closed-form SIC against one subblock at a time, over many
+        # subblocks; noise makes the soft SIC estimates a random walk
+        cfg = model.SystemConfig.symmetric(K=2, L_D=9, L_I=3, U=2, subblocks=B)
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(52, 0))
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(53, 0))
+        H = spectral.build_structured(cfg, plan, ch)
+        tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
+        truth = {k: syms[k].reshape(plan.B, -1) for k in range(cfg.K)}
+        for noise_var in (0.0, 1.0):
+            y = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(54, 0),
+                                               noise_var=noise_var)
+            y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+            for genie in (None, truth):
+                got = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie).s_hat
+                want = decode_by_subblock(plan, H, y_tilde, genie_symbols=genie)
+                for k in range(cfg.K):
+                    assert _relative(got[k], want[k]) <= 1e-9
+                    if noise_var == 0.0:
+                        assert _relative(got[k], truth[k]) <= 1e-9
