@@ -138,8 +138,8 @@ def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) 
     interferes on exactly its own subcarrier set, with its spectral response
     taken as the n_sc-point FFT of the cross-link taps.  Cyclic prefix L_D - 1;
     every used subcarrier carries power P (no pooling, as in the TDMA baseline).
-    Returns (..., K) over the leading axes of the taps; cells not requested
-    read 0.
+    A realization needs only the links into the requested cells.  Returns
+    (..., K) over the leading axes of the taps; cells not requested read 0.
 
     Taps beyond n_sc are dropped, where baseline_tdma_ofdma folds them: fig5's
     7-tap cross links lose taps 5 and 6.  perfbench's geometric_fig5 reference

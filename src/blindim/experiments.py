@@ -46,8 +46,12 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     Trial t draws its small-scale fading from trial_rng(seed, t) once and
     keeps it at every distance (common random numbers): only the path loss
     changes along the grid, and it is computed for the whole grid at once.
-    The trials are drawn in blocks of model.TRIAL_BLOCK, and each distance
-    rates a whole block at once.
+    The trials are drawn in blocks of model.TRIAL_BLOCK.  For a block of T_b
+    trials, each rate call takes max(1, TRIAL_BLOCK // T_b) distances at once
+    as a (distances, T_b, U, L) realization of the links into cell 0, the
+    only links its rates read; so no call rates more than TRIAL_BLOCK
+    realizations, and a short run rates its whole grid in one call.  Each
+    distance sums its block over the trial axis, as it would alone.
 
     Returns rows (d_user_m, proposed, ofdma).
     """
@@ -61,23 +65,32 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     dplan = make_delayed_plan(cfg, dp)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
-    n = model.fading_normals(cfg)
     gains = model.large_scale_gain(
         cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
     )
+    into_0 = [(0, i) for i in range(cfg.K)]
+    # the links into cell 0 come first in a draw, so each trial draws only
+    # their normals: the Generator fills values in sequence, so their taps are
+    # those of the full draw
+    n = 2 * sum(cfg.users_per_cell[i] * cfg.cir_len[0][i] for i in range(cfg.K))
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(d_user_grid), 2))
     for start in range(0, trials, model.TRIAL_BLOCK):
         block = range(start, min(start + model.TRIAL_BLOCK, trials))
         small = model.small_scale_fading(
-            cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in block])
+            cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in block]), into_0
         )
-        for j in range(len(d_user_grid)):
-            ch = small.scaled({key: gain[j] for key, gain in gains.items()})
+        step = max(1, model.TRIAL_BLOCK // len(block))
+        for j in range(0, len(d_user_grid), step):
+            near = slice(j, j + step)
+            ch = model.ChannelRealization(
+                {key: gains[key][near, None] * small.taps[key] for key in into_0}
+            )
             prop = rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])
             ofdma = analysis.ofdma_rate_with_ici(
                 cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
             )
-            acc[j] += prop[:, 0].sum(), ofdma[:, 0].sum()
+            acc[near, 0] += prop[..., 0].sum(axis=-1)
+            acc[near, 1] += ofdma[..., 0].sum(axis=-1)
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
             for d_user, sums in zip(d_user_grid, acc)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransmissionPlan, link_lengths, require_valid
+from .model import ConfigError, TransmissionPlan, link_lengths, require_valid
 from .spectral import frame_columns, idft_basis
 from .transceiver import DecodeResult, _require_full_rank, precode_and_frame, simulate_reception
 
@@ -82,9 +82,16 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
     The cyclic prefix shrinks to L_I_prime - 1 and every active user sends a
     single symbol on the common precoder f_1; harvesting the L_I_d
     interference-free samples lets (L_kk - L_I_prime)^+ + L_I_d users per cell
-    be active.
+    be active.  Raises ConfigError when a cross link is longer than dp.L_I,
+    which sets the block length.
     """
     require_valid(cfg)
+    too_long = ["cross link (k=%d, i=%d) has L=%d taps, more than the delay profile's L_I=%d"
+                % (k, i, cfg.cir_len[k][i], dp.L_I)
+                for k in range(cfg.K) for i in range(cfg.K)
+                if i != k and cfg.cir_len[k][i] > dp.L_I]
+    if too_long:
+        raise ConfigError(too_long)
     L_D, _ = link_lengths(cfg)
     N = max(L_D - dp.L_I_prime + 1, dp.L_I_prime)
     U_active = []
@@ -179,8 +186,12 @@ def rate_with_residual_ici(cfg, dplan, dp: DelayProfile, ch, tx_power, noise_var
 
     Symbols carry variance N * P; the noise term keeps the coloring introduced
     by the folding stage (rows that sum two samples have doubled variance).
-    Returns (..., K) over the leading axes of the taps; cells not requested
-    read 0.
+    With cov the noise-plus-residual-ICI covariance and A = chol(cov)^-1 H,
+    the rate is sum log1p(lambda) / ln 2 over the eigenvalues lambda of
+    N P A^H A: log det(I + cov^-1 N P H H^H) without taking the difference of
+    two log-determinants, which cancels when the rate is small.  A
+    realization needs only the links into the requested cells.  Returns
+    (..., K) over the leading axes of the taps; cells not requested read 0.
     """
     if cells is None:
         cells = range(cfg.K)
@@ -192,9 +203,8 @@ def rate_with_residual_ici(cfg, dplan, dp: DelayProfile, ch, tx_power, noise_var
     out = np.zeros(ch.taps[(0, 0)].shape[:-2] + (cfg.K,))
     for k in cells:
         cov = noise_cov + p_sym * (H_int[k] @ _hermitian(H_int[k]))
-        sign, ld_all = np.linalg.slogdet(cov + p_sym * (H[k] @ _hermitian(H[k])))
-        if np.any(sign.real <= 0):
-            raise np.linalg.LinAlgError("covariance is not positive definite")
-        _, ld_cov = np.linalg.slogdet(cov)
-        out[..., k] = prefactor * (ld_all - ld_cov) / np.log(2.0)
+        # raises LinAlgError unless cov is positive definite
+        A = np.linalg.solve(np.linalg.cholesky(cov), H[k])
+        lam = np.linalg.eigvalsh(p_sym * (_hermitian(A) @ A))
+        out[..., k] = prefactor * np.log1p(lam).sum(axis=-1) / np.log(2.0)
     return out

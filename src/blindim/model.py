@@ -307,12 +307,14 @@ def fading_normals(cfg: SystemConfig) -> int:
                    for k in range(cfg.K) for i in range(cfg.K))
 
 
-def small_scale_fading(cfg: SystemConfig, normals) -> ChannelRealization:
+def small_scale_fading(cfg: SystemConfig, normals, links=None) -> ChannelRealization:
     """CN(0, 1) taps from (..., fading_normals(cfg)) standard normals.
 
     The normals are consumed link by link in (k, i) order, then user by user:
     L_{k,i} real parts, then L_{k,i} imaginary parts.  Leading axes stack
-    independent draws.
+    independent draws.  links (default: every link) picks the links to
+    build; each keeps its place in that order, so the normals need only reach
+    the last link picked.
     """
     normals = np.asarray(normals)
     batch = normals.shape[:-1]
@@ -321,30 +323,43 @@ def small_scale_fading(cfg: SystemConfig, normals) -> ChannelRealization:
     for k in range(cfg.K):
         for i in range(cfg.K):
             U, L = cfg.users_per_cell[i], cfg.cir_len[k][i]
-            block = normals[..., start : start + 2 * U * L].reshape(batch + (U, 2, L))
-            taps[(k, i)] = (block[..., 0, :] + 1j * block[..., 1, :]) / np.sqrt(2.0)
+            if links is None or (k, i) in links:
+                block = normals[..., start : start + 2 * U * L].reshape(batch + (U, 2, L))
+                taps[(k, i)] = (block[..., 0, :] + 1j * block[..., 1, :]) / np.sqrt(2.0)
             start += 2 * U * L
     return ChannelRealization(taps=taps)
 
 
 def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -> dict:
     """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
-    over the leading axes of positions.dist."""
+    over the leading axes of positions.dist.
+
+    The path-loss amplitude is one float_power over the whole (..., K, K, U)
+    distance array, and each distinct delay profile (desired or not, L_{k,i},
+    beta_{k,i}) is computed once and shared by every link that has it.
+    """
     p0 = 10.0 ** (dep.ref_loss_db / 10.0)
     L_D, L_I = link_lengths(cfg)
+    dist = positions.dist
+    # slots past a cell's last user hold NaN distances and are never read
+    users = np.arange(dist.shape[-1]) < np.array(cfg.users_per_cell)[:, None]
+    bad = (users & ~(dist > 0)).reshape((-1,) + dist.shape[-3:]).any(axis=0)
+    if bad.any():
+        raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
+                         % tuple(np.argwhere(bad)[0]))
+    # float_power matches scalar d ** x bit for bit, so existing seeds keep
+    # their draws; numpy's SIMD power loop may differ in the last bit
+    amp = np.sqrt(p0) * np.float_power(dist, -dep.pathloss_exponent / 2.0)
+    beta = np.broadcast_to(dep.pdp_decay, (cfg.K, cfg.K))
+    profiles = {}
     gain = {}
     for k in range(cfg.K):
         for i in range(cfg.K):
-            d = positions.dist[..., k, i, : cfg.users_per_cell[i]]
-            bad = ~(d > 0)
-            if bad.any():
-                raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
-                                 % (k, i, np.argwhere(bad)[0][-1]))
-            # float_power matches scalar d ** x bit for bit, so existing seeds keep
-            # their draws; numpy's SIMD power loop may differ in the last bit
-            amp = np.sqrt(p0) * np.float_power(d, -dep.pathloss_exponent / 2.0)
-            gamma = pdp_profile(dep, k, i, cfg.cir_len[k][i], L_D, L_I)
-            gain[(k, i)] = amp[..., None] * np.sqrt(gamma)
+            L = cfg.cir_len[k][i]
+            key = (k == i, L, float(beta[k, i]))
+            if key not in profiles:
+                profiles[key] = np.sqrt(pdp_profile(dep, k, i, L, L_D, L_I))
+            gain[(k, i)] = amp[..., k, i, : cfg.users_per_cell[i], None] * profiles[key]
     return gain
 
 

@@ -194,7 +194,8 @@ def decode_by_subblock(plan, H, y_tilde, genie_symbols=None):
 # ---------------------------------------------------------------------------
 # fig5 one trial, one user and one tap at a time: the scalar power-delay
 # profile, the per-user geometric sampler, the per-trial delayed-ICI and
-# OFDMA rates, and the trial-by-trial distance sweep
+# OFDMA rates, the trial-by-trial distance sweep, and the sweep with one pair
+# of rate calls per distance
 # ---------------------------------------------------------------------------
 
 def pdp_variance(dep, k, i, ell, L_D, L_I):
@@ -256,7 +257,8 @@ def _f1_columns_by_link(comb, dplan, blocks):
 def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=None):
     """(K,) rates of one realization: per cell, the desired columns and the
     residual columns of every user whose taps ell >= L_I_prime are not all
-    zero, then two log-determinants."""
+    zero, then the generalized eigenvalues lambda of (signal, covariance) and
+    sum log1p(lambda), which does not cancel when the rate is small."""
     from blindim.extensions import build_two_stage_combiner
 
     if cells is None:
@@ -280,9 +282,8 @@ def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=No
         if H_int.shape[1] > 0:
             cov = cov + p_sym * (H_int @ H_int.conj().T)
         sig = p_sym * (H @ H.conj().T)
-        _, ld_all = np.linalg.slogdet(cov + sig)
-        _, ld_cov = np.linalg.slogdet(cov)
-        out[k] = dplan.B / dplan.T * (ld_all - ld_cov) / np.log(2.0)
+        lam = scipy.linalg.eigh(sig, cov, eigvals_only=True)
+        out[k] = dplan.B / dplan.T * np.sum(np.log1p(lam)) / np.log(2.0)
     return out
 
 
@@ -340,6 +341,42 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
             )[0]
         rows.append((float(d_user), acc_prop / trials, acc_ofdma / trials))
     return rows
+
+
+def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, dep=None, B=10):
+    """experiments.run_distance_comparison one distance at a time: per block
+    of model.TRIAL_BLOCK trials, each trial draws the normals of all K * K
+    links, and every distance scales every link and makes its own pair of
+    rate calls, summed over the block's trials."""
+    from blindim import analysis, experiments, extensions, model
+
+    if d_user_grid is None:
+        d_user_grid = np.arange(20.0, 150.0, 10.0)
+    cfg, dp = experiments.fig5_config(B=B, seed=seed)
+    if dep is None:
+        dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
+    dplan = extensions.make_delayed_plan(cfg, dp)
+    P = dep.tx_power_w
+    sigma2 = dep.noise_power_w
+    n = model.fading_normals(cfg)
+    gains = model.large_scale_gain(
+        cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
+    )
+    acc = np.zeros((len(d_user_grid), 2))
+    for start in range(0, trials, model.TRIAL_BLOCK):
+        block = range(start, min(start + model.TRIAL_BLOCK, trials))
+        small = model.small_scale_fading(
+            cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in block])
+        )
+        for j in range(len(d_user_grid)):
+            ch = small.scaled({key: gain[j] for key, gain in gains.items()})
+            prop = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])
+            ofdma = analysis.ofdma_rate_with_ici(
+                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
+            )
+            acc[j] += prop[:, 0].sum(), ofdma[:, 0].sum()
+    return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
+            for d_user, sums in zip(d_user_grid, acc)]
 
 
 # ---------------------------------------------------------------------------

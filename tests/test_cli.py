@@ -221,6 +221,34 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: --snr must be")
 
 
+class TestParserReuse:
+    """main parses with one parser per process; build_parser stays fresh."""
+
+    def test_build_parser_is_fresh_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_usage_errors_exit_2_before_and_after_a_run(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        for bad in (["fig5", "--trials", "two"], ["fig6"], []):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+            assert run(tmp_path, "fig5", "--trials", "2")[0] == 0
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+        assert "usage: blindim" in capsys.readouterr().err
+
+    def test_successive_calls_write_the_same_csv(self, tmp_path):
+        first = run(tmp_path, "rate", "--trials", "3", name="a.csv")
+        other = run(tmp_path, "rate", "--trials", "4", "--seed", "5", "--snr", "0,20",
+                    name="b.csv")
+        again = run(tmp_path, "rate", "--trials", "3", name="c.csv")
+        assert first == again != other
+        # defaults come back after a call that set every option
+        assert cli._parser().parse_args(["rate"]) == cli.build_parser().parse_args(["rate"])
+
+
 class TestExperimentCommands:
     def test_fig3_small(self, tmp_path):
         code, text = run(tmp_path, "fig3", "--snr", "10,30", "--trials", "5")

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindim import analysis, experiments, extensions, model, spectral, transceiver
 from oracles import (
+    distance_comparison_by_distance,
     distance_comparison_by_trial,
     ofdma_rate_by_subset,
     pdp_variance,
@@ -97,6 +100,14 @@ class TestDelayedPlan:
         assert dplan.N == 5
         assert dplan.cp_len == 4
         assert dplan.U_active == (3,) * 7
+
+    def test_rejects_cross_link_longer_than_profile(self):
+        # L_I = 1 would make the block too short for the 20-tap cross links
+        cfg = model.SystemConfig(K=2, users_per_cell=[1, 1], cir_len=[[3, 20], [20, 3]])
+        dp = extensions.DelayProfile(L_I_d=0, L_I_prime=1, L_I=1)
+        with pytest.raises(model.ConfigError, match=r"\(k=0, i=1\) has L=20 taps") as exc:
+            extensions.make_delayed_plan(cfg, dp)
+        assert len(exc.value.violations) == 2
 
 
 class TestCompositeChannel:
@@ -329,6 +340,14 @@ class TestBatchedFig5Path:
 
     @settings(max_examples=60, deadline=None)
     @given(geometric_cases())
+    # rates near 1e-5 bit/s/Hz: a difference of two log-determinants was off
+    # by 2e-12 relative here
+    @example((model.SystemConfig(K=4, users_per_cell=(1, 1, 3, 1),
+                                 cir_len=((4, 1, 1, 1), (1, 4, 1, 1), (1, 1, 1, 2), (4, 6, 1, 4))),
+              extensions.DelayProfile(L_I_d=0, L_I_prime=3, L_I=6),
+              model.Deployment(pdp_decay=3.0, ici_delay_taps=4, ref_loss_db=0.0,
+                               pathloss_exponent=2.0),
+              0, 1))
     def test_matches_per_trial_oracles(self, case):
         cfg, dp, dep, seed, trials = case
         L_D, L_I = model.link_lengths(cfg)
@@ -372,3 +391,43 @@ class TestBatchedFig5Path:
             got = np.array(experiments.run_distance_comparison(d_user_grid=grid, trials=12, seed=5))
             np.testing.assert_array_equal(got[:, 0], grid)
             np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0)
+
+
+FIG5_GRID = tuple(np.arange(20.0, 150.0, 10.0))
+
+
+class TestDistanceGrouping:
+    """run_distance_comparison's grouped rate calls against one pair of rate
+    calls per distance: the same sums bit for bit, and no call over
+    model.TRIAL_BLOCK realizations."""
+
+    @pytest.mark.parametrize("block, trials, grid, calls", [
+        (6, 12, FIG5_GRID, 2 * 13),   # step 1: one distance per call
+        (20, 4, FIG5_GRID, 3),        # step 5 leaves 3 distances for the last call
+        (256, 2, FIG5_GRID, 1),       # the whole grid in one call
+        (256, 3, (60.0,), 1),         # a single distance
+    ])
+    def test_matches_one_call_per_distance(self, monkeypatch, block, trials, grid, calls):
+        monkeypatch.setattr(model, "TRIAL_BLOCK", block)
+        want = distance_comparison_by_distance(list(grid), trials=trials, seed=3)
+        sizes = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                ch = next(a for a in args if isinstance(a, model.ChannelRealization))
+                sizes.setdefault(name, []).extend(
+                    math.prod(taps.shape[:-2]) for taps in ch.taps.values())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(experiments, "rate_with_residual_ici")
+        counting(analysis, "ofdma_rate_with_ici")
+        got = experiments.run_distance_comparison(list(grid), trials=trials, seed=3)
+        np.testing.assert_array_equal(np.array(got), np.array(want))
+        for name in ("rate_with_residual_ici", "ofdma_rate_with_ici"):
+            # seven links into cell 0 per call
+            assert len(sizes[name]) == 7 * calls
+            assert max(sizes[name]) <= block

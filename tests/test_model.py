@@ -246,3 +246,32 @@ class TestGeometricSampler:
         pos = model.Positions(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
             model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(0, 0))
+
+    def test_bad_distance_on_a_grid_names_its_link(self):
+        # a cell's unused user slots hold NaN and pass; a real user's zero
+        # distance anywhere on the grid is named before any power is taken
+        cfg = model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[3, 2], [2, 3]])
+        dist = np.full((3, 2, 2, 2), 50.0)
+        dist[..., 0, 1] = np.nan
+        pos = model.Positions(np.zeros((2, 2)), np.zeros((3, 2, 2, 2)), dist)
+        with np.errstate(all="raise"):
+            gains = model.large_scale_gain(cfg, model.Deployment(), pos)
+            assert all(np.isfinite(g).all() for g in gains.values())
+            dist[2, 1, 1, 1] = 0.0
+            with pytest.raises(ValueError, match=r"link \(k=1, i=1, u=1\)"):
+                model.large_scale_gain(cfg, model.Deployment(), pos)
+
+    def test_picked_links_keep_their_place_in_the_draw(self):
+        # the links into base station 0 come first: normals cut after them
+        # build the same taps for them as the whole draw
+        cfg = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
+                                 cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]])
+        normals = np.random.default_rng(0).standard_normal((2, model.fading_normals(cfg)))
+        full = model.small_scale_fading(cfg, normals)
+        into_0 = [(0, 0), (0, 1), (0, 2)]
+        cut = model.small_scale_fading(cfg, normals[:, : 2 * (2 * 4 + 1 * 2 + 3 * 3)], into_0)
+        assert list(cut.taps) == into_0
+        for key in into_0:
+            np.testing.assert_array_equal(cut.taps[key], full.taps[key])
+        later = model.small_scale_fading(cfg, normals, [(2, 1)])
+        np.testing.assert_array_equal(later.taps[(2, 1)], full.taps[(2, 1)])
