@@ -32,7 +32,6 @@ from .analysis import (
     dof_symmetric,
     dof_theorem1,
     ergodic_rate,
-    highsnr_slope,
     sum_rate_qr,
 )
 from .extensions import (

@@ -85,11 +85,6 @@ def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
     return total
 
 
-def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
-    """Empirical pre-log factor between two (high) SNR points."""
-    return float((rate_2 - rate_1) / (np.log2(rho_2) - np.log2(rho_1)))
-
-
 # ---------------------------------------------------------------------------
 # TDMA-OFDMA baseline
 # ---------------------------------------------------------------------------
@@ -122,13 +117,6 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     gain = np.abs(lam[..., owner, sc])[..., None, :] ** 2
     rate = np.log2(1.0 + snr_eff * gain).sum(axis=-1)
     return rate / (n_sc + plan.L_D - 1) / cfg.K
-
-
-def baseline_slope(cfg, plan, n_sc=None) -> float:
-    """High-SNR pre-log of the baseline: n_sc / (K (n_sc + L_D - 1))."""
-    if n_sc is None:
-        n_sc = plan.N
-    return n_sc / (cfg.K * (n_sc + plan.L_D - 1))
 
 
 def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) -> np.ndarray:

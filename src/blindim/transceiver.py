@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import qr_positive
 from .spectral import build_structured, idft_basis, leakage_phase
@@ -157,8 +156,9 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     rotated by leakage_phase phi (the true symbols when genie_symbols is
     supplied, to isolate error propagation).  Since H_k^+ H_k = I, the
     cancelled ZF estimate is s_b = z_b + phi * s_{b-1} with z_b = H_k^+ y_b,
-    so each H_k is factored once (analysis.qr_positive) and all z_b come from
-    one triangular solve.  The recursion closes as
+    so each H_k is factored once (analysis.qr_positive, H_k = QR) into the
+    projection P_k = R^-1 Q^H, and all z_b come from one matmul with it.
+    The recursion closes as
     s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = w^((m cp b) mod N)
     taken from its integer exponent so that |phi^b| = 1 to round-off for any B.
     """
@@ -166,7 +166,7 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     for k in range(cfg.K):
         _require_full_rank(H[k], "cell %d: effective channel" % k)
         Q, R = qr_positive(H[k])
-        z = scipy.linalg.solve_triangular(R, Q.conj().T @ np.transpose(y_tilde[k])).T
+        z = y_tilde[k] @ np.linalg.solve(R, Q.conj().T).T
         if genie_symbols is not None:
             phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
             z[1:] += phase * genie_symbols[k][:-1]

@@ -123,14 +123,6 @@ def _full_rank_draws(plan, H) -> int:
     return int(np.count_nonzero(np.all(ranks, axis=0)))
 
 
-def check_lemma2(cfg, trials, seed=0):
-    """Fraction of IID channel draws where every effective channel is full rank."""
-    plan = model.make_plan(cfg)
-    passed = sum(_full_rank_draws(plan, spectral.build_structured(cfg, plan, ch))
-                 for ch in model.iid_trial_blocks(cfg, seed, trials))
-    return passed / trials
-
-
 def lemma3_ranks(A, B, C):
     """(..., 4) ranks of AB, BC, B and ABC, as check_lemma3 counts them.
 

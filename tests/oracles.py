@@ -191,6 +191,28 @@ def decode_by_subblock(plan, H, y_tilde, genie_symbols=None):
     return s_hat
 
 
+def decode_by_triangular_solve(plan, H, y_tilde, genie_symbols=None):
+    """k -> (B, U'_k M_k): z = R^-1 (Q^H y_b) for every subblock by one
+    back substitution on a thin QR of H_k, then the closed-form cancellation
+    s_b = phi^b cumsum_{j<=b}(phi^-j z_j), or z_b + phi s_{b-1} with the
+    genie symbols.  The phases of R's diagonal cancel in R^-1 Q^H, so a plain
+    QR serves."""
+    s_hat = {}
+    for k, Hk in H.items():
+        Q, R = np.linalg.qr(Hk)
+        z = scipy.linalg.solve_triangular(R, Q.conj().T @ np.transpose(y_tilde[k])).T
+        m_cp = np.arange(plan.M[k]) * plan.cp_len
+        if genie_symbols is not None:
+            phase = np.tile(np.exp(2j * np.pi * m_cp / plan.N), plan.U_active[k])
+            z[1:] += phase * genie_symbols[k][:-1]
+        else:
+            exponent = np.outer(np.arange(plan.B), m_cp) % plan.N
+            powers = np.tile(np.exp(2j * np.pi * exponent / plan.N), plan.U_active[k])
+            z = powers * np.cumsum(powers.conj() * z, axis=0)
+        s_hat[k] = z
+    return s_hat
+
+
 # ---------------------------------------------------------------------------
 # fig5 one trial, one user and one tap at a time: the scalar power-delay
 # profile, the per-user geometric sampler, the per-trial delayed-ICI and
@@ -433,8 +455,21 @@ def ergodic_rate_by_trial(cfg, snr_db_list, trials, seed):
     return proposed / trials, baseline / trials
 
 
+def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
+    """Empirical pre-log factor between two (high) SNR points."""
+    return float((rate_2 - rate_1) / (np.log2(rho_2) - np.log2(rho_1)))
+
+
+def baseline_slope(cfg, plan, n_sc=None) -> float:
+    """High-SNR pre-log of the TDMA-OFDMA baseline: n_sc / (K (n_sc + L_D - 1))."""
+    if n_sc is None:
+        n_sc = plan.N
+    return n_sc / (cfg.K * (n_sc + plan.L_D - 1))
+
+
 # ---------------------------------------------------------------------------
-# The IID sampler one link at a time and the rank lemmas one matrix at a time
+# The IID sampler one link at a time, and the rank lemmas and Lemma 2's
+# full-rank fraction one matrix at a time
 # ---------------------------------------------------------------------------
 
 def sample_channel_by_link(cfg, rng):
@@ -468,6 +503,20 @@ def lemma3_ranks_by_triple(A, B, C):
     a, b, c = (np.linalg.svd(M, compute_uv=False)[0] for M in (A, B, C))
     return [rank_by_matrix(A @ B, scale=a * b), rank_by_matrix(B @ C, scale=b * c),
             rank_by_matrix(B), rank_by_matrix(A @ B @ C, scale=a * b * c)]
+
+
+def check_lemma2(cfg, trials, seed=0):
+    """Fraction of the IID draws trial_rng(seed, t), t < trials, in which
+    every cell's effective channel has full column rank."""
+    from blindim import model, spectral
+
+    plan = model.make_plan(cfg)
+    passed = 0
+    for t in range(trials):
+        ch = model.sample_channel_iid(cfg, model.trial_rng(seed, t))
+        H = spectral.build_structured(cfg, plan, ch)
+        passed += all(rank_by_matrix(Hk) == Hk.shape[1] for Hk in H.values())
+    return passed / trials
 
 
 def lemma3_by_triple(seed, count=200):

@@ -21,6 +21,7 @@ from blindim import (
     transceiver,
     verify,
 )
+from oracles import check_lemma2, highsnr_slope
 
 EXAMPLE1 = dict(K=2, L_D=4, L_I=2, U=2)
 FIG3 = dict(K=3, L_D=8, L_I=2, U=3)
@@ -81,7 +82,7 @@ def test_criterion_03_effective_channel_full_rank():
         asym_cfg(),
     ]
     for cfg in cfgs:
-        assert verify.check_lemma2(cfg, trials=1000, seed=3) == 1.0
+        assert check_lemma2(cfg, trials=1000, seed=3) == 1.0
     print("PASS criterion 3: effective channel full rank in 1000/1000 trials x 3 configs")
 
 
@@ -131,7 +132,7 @@ def test_criterion_06_high_snr_slope_matches_dof():
     for K, L_D, L_I, U in configs:
         cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U)
         r, _ = analysis.ergodic_rate(cfg, [50.0, 60.0], 50, seed=6)
-        slope = analysis.highsnr_slope(r[0], r[1], 10 ** 5.0, 10 ** 6.0)
+        slope = highsnr_slope(r[0], r[1], 10 ** 5.0, 10 ** 6.0)
         dof = analysis.dof_theorem1(cfg)
         assert abs(slope - dof) / dof <= 0.03
     print("PASS criterion 6: 50-60 dB slope matches DoF within 3%% for %d configs" % len(configs))

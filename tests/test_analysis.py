@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindim import analysis, model, spectral
-from oracles import ergodic_rate_by_trial
+from oracles import baseline_slope, ergodic_rate_by_trial, highsnr_slope
 
 
 def eff_for(cfg, seed=0, trial=0):
@@ -173,8 +173,8 @@ class TestBaseline:
         for t in range(trials):
             ch = model.sample_channel_iid(cfg, model.trial_rng(3, t))
             rates += analysis.baseline_tdma_ofdma(cfg, plan, ch, [1e5, 1e6])
-        slope = analysis.highsnr_slope(rates[0] / trials, rates[1] / trials, 1e5, 1e6)
-        expect = analysis.baseline_slope(cfg, plan)
+        slope = highsnr_slope(rates[0] / trials, rates[1] / trials, 1e5, 1e6)
+        expect = baseline_slope(cfg, plan)
         assert slope == pytest.approx(expect, rel=0.03)
 
 
@@ -182,13 +182,13 @@ class TestSlope:
     def test_single_stream_asymptote(self):
         r1 = np.log2(1 + 1e5 * 0.7)
         r2 = np.log2(1 + 1e6 * 0.7)
-        assert analysis.highsnr_slope(r1, r2, 1e5, 1e6) == pytest.approx(1.0, rel=0.01)
+        assert highsnr_slope(r1, r2, 1e5, 1e6) == pytest.approx(1.0, rel=0.01)
 
     def test_matches_dof_three_configs(self):
         for (K, L_D, L_I, U) in [(3, 8, 2, 3), (2, 4, 2, 2), (4, 12, 3, 9)]:
             cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U)
             r, _ = analysis.ergodic_rate(cfg, [50.0, 60.0], 30, seed=4)
-            slope = analysis.highsnr_slope(r[0], r[1], 1e5, 1e6)
+            slope = highsnr_slope(r[0], r[1], 1e5, 1e6)
             dof = analysis.dof_theorem1(cfg)
             assert abs(slope - dof) / dof <= 0.03
 

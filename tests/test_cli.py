@@ -1,4 +1,5 @@
 import importlib.metadata as md
+import os
 import subprocess
 import sys
 import warnings
@@ -267,6 +268,29 @@ class TestExperimentCommands:
         assert lines[0] == "d_user_m,proposed_se,ofdma_se"
         assert len(lines) == 1 + 13
         assert all(float(x) > 0 for line in lines[1:] for x in line.split(",")[1:])
+
+
+class TestImports:
+    def test_no_scipy_at_run_time(self, tmp_path):
+        # numpy is the only runtime dependency: neither importing the CLI nor
+        # running simulate, the command that decodes, may load scipy, also
+        # lazily; a fresh interpreter starts without the test suite's imports
+        script = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import blindim.cli\n"
+            "print(scipy_modules())\n"
+            "code = blindim.cli.main(['simulate', '--trials', '2', '--out', sys.argv[1]])\n"
+            "print(code, scipy_modules())\n"
+        )
+        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim.csv")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "0 []"]
+        assert len((tmp_path / "sim.csv").read_text().splitlines()) > 1
 
 
 def _blindim_installed():

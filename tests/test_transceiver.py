@@ -9,6 +9,7 @@ from blindim import extensions, model, spectral, transceiver
 from oracles import (
     combine_by_subblock,
     decode_by_subblock,
+    decode_by_triangular_solve,
     direct_convolve,
     frame_by_subblock,
     random_config,
@@ -332,6 +333,40 @@ class TestMatchesSubblockOracles:
                                                  noise_var=1.7)
             want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(51, 0), noise_var=1.7)
             np.testing.assert_array_equal(got, want)
+
+
+class TestProjectionDecode:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 50), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_triangular_solve(self, case, B, noisy, seed):
+        # decode_block applies P_k = R^-1 Q^H to every subblock; the oracle
+        # back-substitutes R z = Q^H y.  Both apply H_k^+ by backward-stable
+        # routes, so each z_b may differ by a few cond(H_k) * eps relative,
+        # and the closed-form cancellation sums up to B such differences: the
+        # tolerance is 16 * B * cond(H_k) * eps, for both SIC branches.
+        rng = np.random.default_rng(seed)
+        cfg = dataclasses.replace(random_config(rng, case), subblocks=B,
+                                  snr_db=float(rng.uniform(0, 30)))
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, rng)
+        syms = transceiver.draw_symbols(cfg, plan, rng)
+        tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
+        y = transceiver.simulate_reception(cfg, plan, ch, tx, rng=rng,
+                                           noise_var=1.0 if noisy else 0.0)
+        y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+        H = spectral.build_structured(cfg, plan, ch)
+        if any(_deficient(H[k]) for k in range(cfg.K)):
+            with pytest.raises(np.linalg.LinAlgError):
+                transceiver.decode_block(cfg, plan, H, y_tilde)
+            return
+        truth = {k: syms[k].reshape(plan.B, -1) for k in range(cfg.K)}
+        for genie in (None, truth):
+            got = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie).s_hat
+            want = decode_by_triangular_solve(plan, H, y_tilde, genie_symbols=genie)
+            for k in range(cfg.K):
+                assert got[k].shape == want[k].shape == truth[k].shape
+                cond = np.linalg.cond(H[k]) if H[k].size else 1.0
+                assert _relative(got[k], want[k]) <= 16 * B * cond * np.finfo(float).eps
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blindim import model, spectral, transceiver, verify
 from oracles import (
+    check_lemma2,
     dft_submatrix_by_pick,
     lemma3_by_triple,
     lemma3_ranks_by_triple,
@@ -150,7 +151,7 @@ class TestDecomposition:
 
 class TestEffectiveRank:
     def test_always_full_rank_iid(self):
-        assert verify.check_lemma2(fig_cfg(), trials=200) == 1.0
+        assert check_lemma2(fig_cfg(), trials=200) == 1.0
 
     def test_duplicated_user_breaks_rank(self):
         # two users with identical taps cannot carry independent streams
