@@ -49,16 +49,6 @@ def dof_interference_channel(K, L_D, L_I) -> float:
 # Achievable rate via ZF-SIC on the QR factorization
 # ---------------------------------------------------------------------------
 
-def qr_positive(H):
-    """Thin QR factorization with the diagonal of R forced real-positive."""
-    Q, R = np.linalg.qr(H)
-    d = np.diagonal(R).copy()
-    phase = np.ones_like(d)
-    nz = np.abs(d) > 0
-    phase[nz] = d[nz] / np.abs(d[nz])
-    return Q * phase, phase.conj()[:, None] * R
-
-
 def r_diagonals(H) -> dict:
     """k -> (..., U'_k M_k) |r_mm| of each cell's effective channel H[k], from
     one QR over its leading axes; the rate depends only on these."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import ConfigError, TransmissionPlan, link_lengths, require_valid
 from .spectral import frame_columns, idft_basis
-from .transceiver import DecodeResult, _require_full_rank, precode_and_frame, simulate_reception
+from .transceiver import decode_block, precode_and_frame, simulate_reception
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
 def _f1_columns(comb, dplan, taps) -> np.ndarray:
     """W2 W1 times the received frame of a unit symbol on f_1, one column per
     tap row of the (..., rows, L) taps."""
-    return comb.W2 @ (comb.W1 @ frame_columns(taps, dplan.N, dplan.cp_len, 1))
+    return (comb.W2 @ comb.W1) @ frame_columns(taps, dplan.N, dplan.cp_len, 1)
 
 
-def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cells=None):
+def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, cells=None):
     """Per-cell enlarged effective channel and residual-interference columns.
 
     Returns (comb, H, H_int) for each requested cell k (all cells when cells
@@ -129,8 +129,7 @@ def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cell
     residual taps ell >= L_I_prime.  Leading axes of the taps carry through:
     (..., N - M_D, columns).
     """
-    if comb is None:
-        comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
+    comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
     if cells is None:
         cells = range(cfg.K)
     H = {}
@@ -153,12 +152,13 @@ def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, comb=None, cell
 
 
 def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
-                       noise_rng=None, noise_var=0.0) -> DecodeResult:
-    """Two-stage receive and zero-forcing (least-squares) detection
-    (single-subblock frames); rejects a rank-deficient effective channel.
+                       noise_rng=None, noise_var=0.0):
+    """Two-stage receive and zero-forcing detection of single-subblock frames.
 
     symbols is a dict k -> length-U'_k vector of (power-scaled) payload
-    symbols, one per active user.
+    symbols, one per active user.  Each cell's stream is folded and combined
+    by W2 W1 into one (1, N - M_D) row for transceiver.decode_block, which
+    raises RankDeficientError on a rank-deficient effective channel.
     """
     if dplan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
@@ -168,12 +168,8 @@ def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
         for i in range(cfg.K)
     }
     y = simulate_reception(cfg, dplan, ch, tx, rng=noise_rng, noise_var=noise_var)
-    s_hat = {}
-    for k in range(cfg.K):
-        _require_full_rank(H[k], "cell %d: effective channel" % k)
-        y_tilde = comb.W2 @ (comb.W1 @ y[k, : dplan.cp_len + dplan.N])
-        s_hat[k] = np.linalg.lstsq(H[k], y_tilde, rcond=None)[0][None, :]
-    return DecodeResult(s_hat=s_hat)
+    y_tilde = (y[:, : dplan.cp_len + dplan.N] @ (comb.W2 @ comb.W1).T)[:, None, :]
+    return decode_block(cfg, dplan, H, y_tilde)
 
 
 def _hermitian(A) -> np.ndarray:

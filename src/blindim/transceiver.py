@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import qr_positive
 from .spectral import build_structured, idft_basis, leakage_phase
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -131,13 +130,23 @@ class RankDeficientError(np.linalg.LinAlgError):
     """A channel failed the rank criterion, so its symbols cannot be separated."""
 
 
-def _require_full_rank(H, what) -> None:
-    """Reject a channel whose smallest singular value is <= 1e-8 times its largest."""
+# H counts as full column rank when it has at least as many rows as columns and
+# its smallest singular value exceeds RANK_TOL times its largest.
+RANK_TOL = 1e-8
+
+
+def zf_projection(H, what) -> np.ndarray:
+    """Zero-forcing projection H^+ = V diag(1/s) U^H from one thin SVD of H.
+
+    Raises RankDeficientError, naming what, unless H passes the RANK_TOL
+    criterion.  A channel with no columns gets an empty (0, n) projection.
+    """
     if H.shape[1] == 0:
-        return
-    sv = np.linalg.svd(H, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-8 * sv[0]:
+        return np.zeros((0, H.shape[0]), dtype=H.dtype)
+    U, s, Vh = np.linalg.svd(H, full_matrices=False)
+    if s.size < H.shape[1] or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficientError("%s is numerically rank deficient" % what)
+    return (Vh.conj().T / s) @ U.conj().T
 
 
 @dataclass
@@ -156,17 +165,15 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     rotated by leakage_phase phi (the true symbols when genie_symbols is
     supplied, to isolate error propagation).  Since H_k^+ H_k = I, the
     cancelled ZF estimate is s_b = z_b + phi * s_{b-1} with z_b = H_k^+ y_b,
-    so each H_k is factored once (analysis.qr_positive, H_k = QR) into the
-    projection P_k = R^-1 Q^H, and all z_b come from one matmul with it.
+    so each H_k is checked and inverted once by one thin SVD (zf_projection),
+    and all z_b come from one matmul with its projection H_k^+.
     The recursion closes as
     s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = w^((m cp b) mod N)
     taken from its integer exponent so that |phi^b| = 1 to round-off for any B.
     """
     s_hat = {}
     for k in range(cfg.K):
-        _require_full_rank(H[k], "cell %d: effective channel" % k)
-        Q, R = qr_positive(H[k])
-        z = y_tilde[k] @ np.linalg.solve(R, Q.conj().T).T
+        z = y_tilde[k] @ zf_projection(H[k], "cell %d: effective channel" % k).T
         if genie_symbols is not None:
             phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
             z[1:] += phase * genie_symbols[k][:-1]

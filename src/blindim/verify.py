@@ -20,7 +20,7 @@ import numpy as np
 from . import model, spectral, transceiver
 
 
-RANK_TOL = 1e-8
+RANK_TOL = transceiver.RANK_TOL
 
 
 def numerical_rank(A, tol=RANK_TOL, scale=None):

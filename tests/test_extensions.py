@@ -190,6 +190,34 @@ class TestDelayedDecoding:
             for k in range(2):
                 np.testing.assert_allclose(result.s_hat[k][0], symbols[k], atol=1e-9)
 
+    def test_noisy_matches_per_cell_lstsq(self):
+        # the SVD projection against least squares on the same folded and
+        # combined observations: both are backward stable, so they may differ
+        # by a few cond(H_k) * eps relative
+        cfg, dp = delayed_case()
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        comb = extensions.build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
+        W21 = comb.W2 @ comb.W1
+        for t in range(100):
+            rng = model.trial_rng(2, t)
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
+            symbols = {
+                k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)
+            }
+            got = extensions.decode_delayed_ici(cfg, dplan, ch, dp, symbols,
+                                                noise_rng=model.trial_rng(3, t), noise_var=0.5)
+            tx = {i: transceiver.precode_and_frame(dplan, i, symbols[i].reshape(1, 3, 1))
+                  for i in range(2)}
+            y = transceiver.simulate_reception(cfg, dplan, ch, tx, rng=model.trial_rng(3, t),
+                                               noise_var=0.5)
+            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+            for k in range(2):
+                obs = W21 @ y[k, : dplan.cp_len + dplan.N]
+                want = np.linalg.lstsq(H[k], obs, rcond=None)[0]
+                assert got.s_hat[k].shape == (1, 3)
+                err = np.abs(got.s_hat[k][0] - want).max() / np.abs(want).max()
+                assert err <= 16 * np.linalg.cond(H[k]) * np.finfo(float).eps
+
     def test_rejects_rank_deficient_channel(self):
         # two users of cell 1 with identical taps cannot be separated
         cfg, dp = delayed_case()
@@ -198,6 +226,16 @@ class TestDelayedDecoding:
         ch.taps[(1, 1)][1] = ch.taps[(1, 1)][0]
         with pytest.raises(transceiver.RankDeficientError, match="cell 1"):
             extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(3), 1: np.ones(3)})
+
+    def test_rejects_more_users_than_observations(self):
+        # L_I_d = 3 harvested samples admit 4 users per cell, but N - M_D = 3
+        cfg = model.SystemConfig(K=2, users_per_cell=[4, 4], cir_len=[[5, 4], [4, 5]])
+        dp = extensions.DelayProfile(L_I_d=3, L_I_prime=4, L_I=4)
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        assert dplan.U_active[0] > dplan.N - dplan.M_D
+        ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
+        with pytest.raises(transceiver.RankDeficientError, match="cell 0"):
+            extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(4), 1: np.ones(4)})
 
     def test_three_symbols_per_seven_samples(self):
         cfg, dp = delayed_case()

@@ -261,6 +261,23 @@ class TestDecodeBlock:
             transceiver.decode_block(cfg, plan, H, y_tilde)
 
 
+class TestZfProjection:
+    @pytest.mark.parametrize("ratio, deficient", [(0.5e-8, True), (2e-8, False)])
+    def test_rank_boundary(self, ratio, deficient):
+        # H = U diag(s) V^H with s_min / s_max = ratio either side of RANK_TOL
+        rng = np.random.default_rng(17)
+        m, n = 12, 5
+        U, _ = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        H = (U * np.geomspace(1.0, ratio, n)) @ V.conj().T
+        if deficient:
+            with pytest.raises(transceiver.RankDeficientError, match="cell 3"):
+                transceiver.zf_projection(H, "cell 3")
+        else:
+            P = transceiver.zf_projection(H, "cell 3")
+            np.testing.assert_allclose(P @ H, np.eye(n), atol=1e-6)
+
+
 def _relative(a, b, scale=None):
     """max |a - b| over max |b|, or over scale where b is (nearly) nulled."""
     if b.size == 0:
@@ -339,7 +356,7 @@ class TestProjectionDecode:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 50), st.booleans(), st.integers(0, 2**32 - 1))
     def test_matches_triangular_solve(self, case, B, noisy, seed):
-        # decode_block applies P_k = R^-1 Q^H to every subblock; the oracle
+        # decode_block applies H_k^+ from a thin SVD to every subblock; the oracle
         # back-substitutes R z = Q^H y.  Both apply H_k^+ by backward-stable
         # routes, so each z_b may differ by a few cond(H_k) * eps relative,
         # and the closed-form cancellation sums up to B such differences: the
