@@ -16,13 +16,11 @@ from .model import (
     trial_rng,
     validate_config,
 )
-from .spectral import build_structured, idft_basis
+from .spectral import build_structured, combiner, idft_basis
 from .transceiver import (
     combine,
-    combiner,
     decode_block,
     precode_and_frame,
-    remove_cp_and_stack,
     simulate_link,
     simulate_reception,
 )
@@ -36,8 +34,6 @@ from .analysis import (
 )
 from .extensions import (
     DelayProfile,
-    TwoStageCombiner,
-    build_two_stage_combiner,
     decode_delayed_ici,
     make_delayed_plan,
     rate_with_residual_ici,

@@ -40,10 +40,7 @@ def _load_cfg(args) -> model.SystemConfig:
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    violations = model.validate_config(cfg)
-    if violations:
-        raise configfile.ConfigParseError(0, "; ".join(violations))
-    return cfg
+    return model.require_valid(cfg)
 
 
 def _write_csv(args, header, rows):
@@ -100,13 +97,13 @@ def cmd_dof(args):
 
 def cmd_sweep(args):
     if not args.sweep:
-        raise configfile.ConfigParseError(0, "sweep requires --sweep key=v1,v2,...")
+        raise UsageError("sweep requires --sweep key=v1,v2,...")
     key, _, values = args.sweep.partition("=")
     values = [v for v in values.split(",") if v]
     if not values:
-        raise configfile.ConfigParseError(0, "empty sweep list for %r" % key)
+        raise UsageError("empty sweep list for %r" % key)
     if key not in ("L_D", "K", "snr_db", "subblocks", "seed"):
-        raise configfile.ConfigParseError(0, "unknown sweep key %r" % key)
+        raise UsageError("unknown sweep key %r" % key)
     cast = float if key == "snr_db" else int
     try:
         numbers = [cast(v) for v in values]

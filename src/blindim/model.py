@@ -104,6 +104,7 @@ class TransmissionPlan:
     N_bar: int        # N + L_I - 1 (core + cyclic prefix)
     cp_len: int       # L_I - 1
     T: int            # total block length B*N_bar + max(L_D, L_I) - 1
+    L_I_d: int = 0    # leading frame samples the combiner folds onto the core
 
 
 def link_lengths(cfg: SystemConfig) -> tuple:

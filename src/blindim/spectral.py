@@ -1,11 +1,14 @@
 # blindim/spectral.py
-"""IDFT basis and the projected subblock channels.
+"""IDFT basis, the receive combiner and the projected subblock channels.
 
-Every subblock channel comes from one closed form, frame_columns: DFT
-precoding with a cyclic prefix turns a link's response to f_m into a tone
-times the running sum of its phase-rotated taps.  The effective channel is the
-projection of its post-CP rows, and the leakage from the previous subblock is
-the same column times -leakage_phase, so no channel matrix is built.
+The combiner W (combiner) is the one receive projection of both schemes: it
+maps a cyclic-prefixed frame to the DFT rows M_D: of its core, after folding
+the plan's L_I_d leading interference-free samples onto the core.  Every
+subblock channel comes from one closed form, frame_columns: DFT precoding
+with a cyclic prefix turns a link's response to f_m into a tone times the
+running sum of its phase-rotated taps.  The effective channel is W times
+those frame columns, and the leakage from the previous subblock is the same
+column times -leakage_phase, so no channel matrix is built.
 
 DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
@@ -24,6 +27,22 @@ def idft_basis(n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     m = np.arange(n)
     return np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+
+
+def combiner(plan) -> np.ndarray:
+    """(N - M_D, N_bar) receive combiner W of one cyclic-prefixed frame.
+
+    W[:, cp:] = F[:, M_D:]^H nulls f_1 .. f_{M_D} on the core: a circulant
+    interfering link keeps the interference on those tones.  Each of the plan's
+    L_I_d leading frame samples is added to the core sample one period N
+    later (W[:, j] = W[:, N + j]), which makes a link whose first L_I_d taps
+    are zero circulant again; with L_I_d = 0 the cyclic prefix is discarded.
+    """
+    N, cp, L_I_d = plan.N, plan.cp_len, plan.L_I_d
+    W = np.zeros((N - plan.M_D, plan.N_bar), dtype=complex)
+    W[:, cp:] = idft_basis(N)[:, plan.M_D :].conj().T
+    W[:, :L_I_d] = W[:, N : N + L_I_d]
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -62,22 +81,24 @@ def leakage_phase(N, cp, M) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(M) * cp / N)
 
 
-def build_structured(cfg, plan, ch) -> dict:
-    """Effective channel H_k of every cell after the ICI-nulling projection.
+def build_structured(cfg, plan, ch, cells=None) -> dict:
+    """Effective channel H_k of every requested cell (all when cells is None).
 
     Returns k -> (..., N - M_D, U'_k M_k) over the leading axes of the taps,
-    one column per (active user, precoder) in user-major order: the
-    projection W = F[:, M_D:]^H (applied as a DFT) of the post-CP
-    frame_columns of cell k's own links.  Interfering links are circulant
-    thanks to the cyclic prefix of length L_I - 1 and are nulled exactly, so
-    they are never built.
+    one column per (active user, precoder) in user-major order: the combiner
+    W times the frame_columns of cell k's own links.  Interfering links are
+    circulant thanks to the cyclic prefix (and the fold) and are nulled
+    exactly, so they are never built, and a realization needs only the
+    desired links of the requested cells.
     """
     N, cp = plan.N, plan.cp_len
     if N < plan.L_I:
         raise ValueError("plan requires N >= L_I")
+    W = combiner(plan)
+    if cells is None:
+        cells = range(cfg.K)
     H = {}
-    for k in range(cfg.K):
+    for k in cells:
         taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
-        post_cp = frame_columns(taps, N, cp, plan.M[k])[..., cp:, :]
-        H[k] = np.fft.fft(post_cp, axis=-2)[..., plan.M_D :, :] / np.sqrt(N)
+        H[k] = W @ frame_columns(taps, N, cp, plan.M[k])
     return H

@@ -1,7 +1,8 @@
 # blindim/transceiver.py
 """End-to-end chain: precode, frame with cyclic prefix, receive by convolution,
-project out inter-cell interference, and decode with successive inter-subblock
-interference cancellation.
+combine every frame with spectral.combiner's W (which drops or folds the
+cyclic prefix and projects out inter-cell interference), and decode with
+successive inter-subblock interference cancellation.
 
 Power convention: sigma^2 = 1 and P = rho (the linear SNR), so every
 transmitted sample satisfies E|x[n]|^2 = P when symbols carry variance
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import build_structured, idft_basis, leakage_phase
+from .spectral import build_structured, combiner, leakage_phase
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -104,26 +105,13 @@ def simulate_reception(cfg, plan, ch, tx, rng=None, noise_var=0.0) -> np.ndarray
     return y
 
 
-def remove_cp_and_stack(plan, y_stream) -> np.ndarray:
-    """Core samples of all B subblocks after discarding each cyclic prefix.
-
-    y_stream has shape (..., T); returns (..., B, N), row b - 1 holding
-    subblock b.
-    """
+def combine(plan, y_stream) -> np.ndarray:
+    """(..., B, N - M_D) combined observations of a (..., T) stream: each
+    subblock's frame of N_bar samples times spectral.combiner's W."""
     y_stream = np.asarray(y_stream)
     frames = y_stream[..., : plan.B * plan.N_bar]
-    return frames.reshape(y_stream.shape[:-1] + (plan.B, plan.N_bar))[..., plan.cp_len :]
-
-
-def combiner(plan) -> np.ndarray:
-    """Projection W = [f_{M_D+1}, ..., f_N]^H nulling the ICI-bearing directions."""
-    F = idft_basis(plan.N)
-    return F[:, plan.M_D :].conj().T
-
-
-def combine(plan, y_bar) -> np.ndarray:
-    """W applied along the last axis: rows M_D: of the unitary DFT of each core."""
-    return np.fft.fft(y_bar, axis=-1, norm="ortho")[..., plan.M_D :]
+    frames = frames.reshape(y_stream.shape[:-1] + (plan.B, plan.N_bar))
+    return frames @ combiner(plan).T
 
 
 class RankDeficientError(np.linalg.LinAlgError):
@@ -194,5 +182,4 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0) -> Deco
     H = build_structured(cfg, plan, ch)
     tx = {k: precode_and_frame(plan, k, symbols[k]) for k in range(cfg.K)}
     y = simulate_reception(cfg, plan, ch, tx, rng=noise_rng, noise_var=noise_var)
-    y_tilde = combine(plan, remove_cp_and_stack(plan, y))
-    return decode_block(cfg, plan, H, y_tilde)
+    return decode_block(cfg, plan, H, combine(plan, y))

@@ -75,7 +75,7 @@ def build_rank_factors(plan, L_kk, m) -> RankFactors:
         else:
             jp = j - (N - L_I)
             E[N - L_I + 1 + jp :, j] = 1.0
-    W = transceiver.combiner(plan)
+    W = spectral.idft_basis(N)[:, plan.M_D :].conj().T
     G = (W * d1) @ E @ np.diag(d2) / np.sqrt(N)
     return RankFactors(d1=d1, d2=d2, E=E, G=G)
 

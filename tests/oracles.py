@@ -161,13 +161,30 @@ def receive_by_link(cfg, plan, ch, tx, rng=None, noise_var=0.0):
     return y
 
 
+def fold_matrix(plan):
+    """(N, N_bar) 0/1 first stage of the two-stage receiver: row r picks core
+    sample cp + r, and the plan's L_I_d leading samples j are added to row
+    j + N - cp, the core sample one period N after them."""
+    W1 = np.zeros((plan.N, plan.N_bar))
+    for r in range(plan.N):
+        W1[r, plan.cp_len + r] = 1.0
+    for j in range(plan.L_I_d):
+        W1[j + plan.N - plan.cp_len, j] += 1.0
+    return W1
+
+
 def combine_by_subblock(plan, y_stream):
-    """(B, N - M_D): W = F[:, M_D:]^H times each subblock's post-CP core."""
-    W = _dft_columns(plan.N)[:, plan.M_D :].conj().T
+    """(B, N - M_D): per subblock, drop the cyclic prefix, fold each of the
+    L_I_d leading samples onto the core sample one period later, then take
+    the DFT rows W2 = F[:, M_D:]^H of the folded core."""
+    W2 = _dft_columns(plan.N)[:, plan.M_D :].conj().T
     rows = []
     for b in range(plan.B):
-        start = b * plan.N_bar + plan.cp_len
-        rows.append(W @ y_stream[start : start + plan.N])
+        start = b * plan.N_bar
+        core = np.array(y_stream[start + plan.cp_len : start + plan.N_bar], dtype=complex)
+        for j in range(plan.L_I_d):
+            core[j + plan.N - plan.cp_len] += y_stream[start + j]
+        rows.append(W2 @ core)
     return np.array(rows)
 
 
@@ -267,13 +284,13 @@ def sample_channel_by_user(cfg, dep, positions, rng):
     return model.ChannelRealization(taps=taps)
 
 
-def _f1_columns_by_link(comb, dplan, blocks):
+def _f1_columns_by_link(W21, dplan, blocks):
     """W2 W1 times the f_1 frame columns of each (users, taps) block, side by side."""
     from blindim.spectral import frame_columns
 
     frames = [np.zeros((dplan.cp_len + dplan.N, 0))]
     frames += [frame_columns(taps, dplan.N, dplan.cp_len, 1) for taps in blocks]
-    return comb.W2 @ (comb.W1 @ np.hstack(frames))
+    return W21 @ np.hstack(frames)
 
 
 def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=None):
@@ -281,17 +298,14 @@ def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=No
     residual columns of every user whose taps ell >= L_I_prime are not all
     zero, then the generalized eigenvalues lambda of (signal, covariance) and
     sum log1p(lambda), which does not cancel when the rate is small."""
-    from blindim.extensions import build_two_stage_combiner
-
     if cells is None:
         cells = range(cfg.K)
-    comb = build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
-    W21 = comb.W2 @ comb.W1
+    W21 = _dft_columns(dplan.N)[:, dplan.M_D :].conj().T @ fold_matrix(dplan)
     noise_cov = noise_var * (W21 @ W21.conj().T)
     p_sym = dplan.N * tx_power
     out = np.zeros(cfg.K)
     for k in cells:
-        H = _f1_columns_by_link(comb, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
+        H = _f1_columns_by_link(W21, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
         residual = []
         for i in range(cfg.K):
             if i == k:
@@ -299,7 +313,7 @@ def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=No
             h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
             h[:, : dp.L_I_prime] = 0.0
             residual.append(h[np.any(h, axis=1)])
-        H_int = _f1_columns_by_link(comb, dplan, residual)
+        H_int = _f1_columns_by_link(W21, dplan, residual)
         cov = noise_cov
         if H_int.shape[1] > 0:
             cov = cov + p_sym * (H_int @ H_int.conj().T)

@@ -57,7 +57,8 @@ def test_criterion_01_dof_golden_values_and_exhaustive_sweep():
 def test_criterion_02_perfect_ici_cancellation(params):
     cfg = model.SystemConfig.symmetric(subblocks=3, **params)
     plan = model.make_plan(cfg)
-    W = transceiver.combiner(plan)
+    W = spectral.combiner(plan)
+    cp = plan.cp_len
     worst = 0.0
     for t in range(100):
         rng = model.trial_rng(11, t)
@@ -67,9 +68,9 @@ def test_criterion_02_perfect_ici_cancellation(params):
         tx = {i: transceiver.precode_and_frame(plan, i, symbols[i]) for i in range(cfg.K)}
         y = transceiver.simulate_reception(cfg, plan, ch, tx)
         pre = post = 0.0
-        for yb in transceiver.remove_cp_and_stack(plan, y[0]):
-            pre += float(np.sum(np.abs(yb) ** 2))
-            post += float(np.sum(np.abs(W @ yb) ** 2))
+        for frame in y[0, : plan.B * plan.N_bar].reshape(plan.B, plan.N_bar):
+            pre += float(np.sum(np.abs(frame[cp:]) ** 2))
+            post += float(np.sum(np.abs(W @ frame) ** 2))
         worst = max(worst, post / pre)
     assert worst <= 1e-9
     print("PASS criterion 2: post-combining ICI energy ratio <= 1e-9 (worst %.2e)" % worst)
@@ -160,20 +161,24 @@ def test_criterion_08_delayed_ici_example():
     # 3 symbols per cell per 7-sample subblock
     assert dplan.U_active[0] * dplan.M[0] == 3 and dplan.N_bar == 7
 
-    # printed first-stage fold matrices, bit-exact
-    comb_4x7 = extensions.build_two_stage_combiner(N=4, L_D=5, L_I_prime=4, L_I_d=2)
+    # printed first-stage fold matrices W1, bit-exact: the combiner is the
+    # projection W2 = F[:, M_D:]^H times each
+    def projector(plan):
+        return spectral.idft_basis(plan.N)[:, plan.M_D :].conj().T
+
     expect = np.zeros((4, 7))
     expect[np.arange(4), 3 + np.arange(4)] = 1.0
     expect[1, 0] = 1.0
     expect[2, 1] = 1.0
-    assert (comb_4x7.W1 == expect).all()
-    comb_5x9 = extensions.build_two_stage_combiner(N=5, L_D=5, L_I_prime=5, L_I_d=3)
+    assert (spectral.combiner(dplan) == projector(dplan) @ expect).all()
+    fig5_plan = extensions.make_delayed_plan(*experiments.fig5_config())
+    assert (fig5_plan.N, fig5_plan.N_bar) == (5, 9)
     expect = np.zeros((5, 9))
     expect[np.arange(5), 4 + np.arange(5)] = 1.0
     expect[1, 0] = 1.0
     expect[2, 1] = 1.0
     expect[3, 2] = 1.0
-    assert (comb_5x9.W1 == expect).all()
+    assert (spectral.combiner(fig5_plan) == projector(fig5_plan) @ expect).all()
 
     def delayed_channel(t):
         ch = model.sample_channel_iid(cfg, model.trial_rng(8, t))

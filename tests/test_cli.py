@@ -189,6 +189,17 @@ class TestErrors:
         code, _ = run(tmp_path, "dof", "--config", str(cfgfile))
         assert code == 2
 
+    def test_errors_from_no_config_line_name_none(self, tmp_path, capsys):
+        # a violated invariant and a missing --sweep come from no line of
+        # the config file, so the message carries no line number
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 0\n")
+        assert run(tmp_path, "dof", "--config", str(cfgfile)) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: U_k >= 1 violated at cell 0 (U=0); U_k >= 1 violated at cell 1 (U=0)\n")
+        assert run(tmp_path, "sweep") == (2, "")
+        assert capsys.readouterr().err == "error: sweep requires --sweep key=v1,v2,...\n"
+
     @pytest.mark.parametrize("command", ["rate", "fig5", "verify"])
     def test_trials_below_one(self, tmp_path, capsys, command):
         code, text = run(tmp_path, command, "--trials", "0")

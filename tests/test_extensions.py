@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from blindim import analysis, experiments, extensions, model, spectral, transceiver
 from oracles import (
+    combine_by_subblock,
     distance_comparison_by_distance,
     distance_comparison_by_trial,
+    fold_matrix,
     ofdma_rate_by_subset,
     pdp_variance,
     residual_ici_rate_by_trial,
@@ -38,49 +40,76 @@ class TestDelayProfile:
         dp = extensions.DelayProfile(L_I_d=3, L_I_prime=5, L_I=7)
         assert dp.L_I_eff == 4
 
-    @pytest.mark.parametrize("args", [(-1, 2, 3), (3, 2, 3), (1, 5, 4)])
+    # (2, 2, 3) and (0, 0, 2): the harvested samples must lie in the prefix
+    @pytest.mark.parametrize("args", [(-1, 2, 3), (3, 2, 3), (1, 5, 4), (2, 2, 3), (0, 0, 2)])
     def test_invalid_orderings(self, args):
         with pytest.raises(ValueError):
             extensions.DelayProfile(*args)
 
 
+def _projector(plan):
+    """W2 = F[:, M_D:]^H, the second stage of the two-stage receiver."""
+    return spectral.idft_basis(plan.N)[:, plan.M_D :].conj().T
+
+
 class TestTwoStageCombiner:
+    """spectral.combiner on delayed plans equals W2 W1: the printed 0/1 fold
+    matrices W1 followed by the projection W2."""
+
     def test_fold_matrix_4x7(self):
-        comb = extensions.build_two_stage_combiner(N=4, L_D=5, L_I_prime=4, L_I_d=2)
+        cfg, dp = delayed_case()
+        dplan = extensions.make_delayed_plan(cfg, dp)
         expect = np.zeros((4, 7))
         expect[np.arange(4), 3 + np.arange(4)] = 1.0
         expect[1, 0] = 1.0
         expect[2, 1] = 1.0
-        np.testing.assert_array_equal(comb.W1, expect)
+        np.testing.assert_array_equal(fold_matrix(dplan), expect)
+        np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
 
     def test_fold_matrix_5x9(self):
-        comb = extensions.build_two_stage_combiner(N=5, L_D=5, L_I_prime=5, L_I_d=3)
+        cfg, dp = experiments.fig5_config()
+        dplan = extensions.make_delayed_plan(cfg, dp)
         expect = np.zeros((5, 9))
         expect[np.arange(5), 4 + np.arange(5)] = 1.0
         expect[1, 0] = 1.0
         expect[2, 1] = 1.0
         expect[3, 2] = 1.0
-        np.testing.assert_array_equal(comb.W1, expect)
+        np.testing.assert_array_equal(fold_matrix(dplan), expect)
+        np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
 
     def test_zero_delay_reduces_to_row_selection(self):
-        comb = extensions.build_two_stage_combiner(N=6, L_D=8, L_I_prime=3, L_I_d=0)
+        # N = 6, cp = 2: no fold, and the base plan of the same config has
+        # the same combiner
+        cfg = model.SystemConfig(K=2, users_per_cell=[5, 5], cir_len=[[8, 3], [3, 8]])
+        dplan = extensions.make_delayed_plan(cfg, extensions.DelayProfile(0, 3, 3))
         expect = np.zeros((6, 8))
         expect[np.arange(6), 2 + np.arange(6)] = 1.0
-        np.testing.assert_array_equal(comb.W1, expect)
+        np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
+        np.testing.assert_array_equal(spectral.combiner(dplan),
+                                      spectral.combiner(model.make_plan(cfg)))
 
     def test_projector_dimensions(self):
-        comb = extensions.build_two_stage_combiner(N=5, L_D=5, L_I_prime=5, L_I_d=3)
-        assert comb.W2.shape == (4, 5)
+        cfg, dp = experiments.fig5_config()
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        W = spectral.combiner(dplan)
+        assert W.shape == (4, 9)
         F = spectral.idft_basis(5)
-        np.testing.assert_allclose(comb.W2 @ F[:, 0], 0.0, atol=1e-14)
+        np.testing.assert_allclose(W[:, dplan.cp_len :] @ F[:, 0], 0.0, atol=1e-14)
 
     def test_no_valid_fold_when_delay_exceeds_prefix(self):
-        with pytest.raises(ValueError, match="no valid fold"):
-            extensions.build_two_stage_combiner(N=5, L_D=8, L_I_prime=2, L_I_d=2)
+        # L_I_d = 2 harvested samples do not fit a prefix of L_I_prime - 1 = 1
+        with pytest.raises(ValueError, match="L_I_d < L_I_prime"):
+            extensions.DelayProfile(L_I_d=2, L_I_prime=2, L_I=3)
 
-    def test_no_valid_fold_when_core_too_short(self):
-        with pytest.raises(ValueError, match="no valid fold"):
-            extensions.build_two_stage_combiner(N=3, L_D=4, L_I_prime=5, L_I_d=1)
+    def test_core_holds_every_harvested_sample(self):
+        # a prefix longer than L_D - L_I_prime + 1 lengthens the core to
+        # L_I_prime, so each harvested sample j lands on core sample N + j
+        cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[4, 5], [5, 4]])
+        for L_I_d in range(5):
+            dplan = extensions.make_delayed_plan(cfg, extensions.DelayProfile(L_I_d, 5, 5))
+            assert (dplan.N, dplan.cp_len, dplan.L_I_d) == (5, 4, L_I_d)
+            W = spectral.combiner(dplan)
+            np.testing.assert_array_equal(W, _projector(dplan) @ fold_matrix(dplan))
 
 
 class TestDelayedPlan:
@@ -109,15 +138,33 @@ class TestDelayedPlan:
             extensions.make_delayed_plan(cfg, dp)
         assert len(exc.value.violations) == 2
 
+    def test_caps_users_at_observed_rows(self):
+        # L_I_d = 3 harvested samples would admit 4 users per cell, but the
+        # combiner observes only N - M_D = 3 rows
+        cfg = model.SystemConfig(K=2, users_per_cell=[4, 4], cir_len=[[5, 4], [4, 5]])
+        dp = extensions.DelayProfile(L_I_d=3, L_I_prime=4, L_I=4)
+        dplan = extensions.make_delayed_plan(cfg, dp)
+        assert dplan.N - dplan.M_D == 3
+        assert dplan.U_active == (3, 3)
+        worst = 0.0
+        for t in range(200):
+            rng = model.trial_rng(4, t)
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
+            symbols = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)}
+            result = extensions.decode_delayed_ici(cfg, dplan, ch, dp, symbols)
+            for k in range(2):
+                worst = max(worst, np.abs(result.s_hat[k][0] - symbols[k]).max())
+        assert worst <= 1e-9
+
 
 class TestCompositeChannel:
     def test_composite_ici_is_circulant_on_common_precoder(self):
         # a delayed interfering link becomes circulant after the fold: the
         # folded running tap sum (its response to f_1) is a multiple of f_1
-        # and the projector removes it entirely
+        # and the combiner removes it entirely
         cfg, dp = delayed_case()
         dplan = extensions.make_delayed_plan(cfg, dp)
-        comb = extensions.build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
+        W = spectral.combiner(dplan)
         f1 = spectral.idft_basis(dplan.N)[:, 0]
         w = dplan.cp_len + dplan.N
         rng = np.random.default_rng(0)
@@ -128,11 +175,12 @@ class TestCompositeChannel:
             np.testing.assert_allclose(
                 frame, np.convolve(h, np.full(w, 1 / np.sqrt(dplan.N)))[:w], atol=1e-12
             )
-            folded = comb.W1 @ frame
+            folded = fold_matrix(dplan) @ frame
             np.testing.assert_allclose(folded, (f1.conj() @ folded) * f1, atol=1e-12)
-            np.testing.assert_allclose(comb.W2 @ folded, 0.0, atol=1e-12)
-            np.testing.assert_allclose(extensions._f1_columns(comb, dplan, [h[None, :]]), 0.0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(W @ frame, 0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                W @ spectral.frame_columns(h[None, :], dplan.N, dplan.cp_len, 1), 0.0,
+                atol=1e-12)
 
     def test_conv_window_matches_numpy(self):
         # with no prefix, the current core's response is the first N samples
@@ -155,13 +203,14 @@ class TestCompositeChannel:
         np.testing.assert_allclose(cols[3:], F, atol=1e-15)
 
     def test_delayed_columns_match_simulated_reception(self):
-        # each column of H is W2 W1 applied to the received frame of one unit
-        # symbol sent through the base scheme's framing and convolution
+        # each column of H is the fold and the DFT rows applied to the received
+        # frame of one unit symbol sent through the base scheme's framing and
+        # convolution
         cfg, dp = delayed_case()
         dplan = extensions.make_delayed_plan(cfg, dp)
         for t in range(10):
             ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(3, t)), cfg, dp)
-            comb, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
             for k in range(cfg.K):
                 for u in range(dplan.U_active[k]):
                     tx = {}
@@ -171,7 +220,7 @@ class TestCompositeChannel:
                             s[0, u, 0] = 1.0
                         tx[i] = transceiver.precode_and_frame(dplan, i, s)
                     y = transceiver.simulate_reception(cfg, dplan, ch, tx)
-                    want = comb.W2 @ comb.W1 @ y[k, : dplan.cp_len + dplan.N]
+                    want = combine_by_subblock(dplan, y[k])[0]
                     err = np.linalg.norm(H[k][:, u] - want)
                     assert err <= 1e-12 * np.linalg.norm(want)
 
@@ -196,8 +245,6 @@ class TestDelayedDecoding:
         # by a few cond(H_k) * eps relative
         cfg, dp = delayed_case()
         dplan = extensions.make_delayed_plan(cfg, dp)
-        comb = extensions.build_two_stage_combiner(dplan.N, dplan.L_D, dp.L_I_prime, dp.L_I_d)
-        W21 = comb.W2 @ comb.W1
         for t in range(100):
             rng = model.trial_rng(2, t)
             ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
@@ -212,7 +259,7 @@ class TestDelayedDecoding:
                                                noise_var=0.5)
             _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
             for k in range(2):
-                obs = W21 @ y[k, : dplan.cp_len + dplan.N]
+                obs = combine_by_subblock(dplan, y[k])[0]
                 want = np.linalg.lstsq(H[k], obs, rcond=None)[0]
                 assert got.s_hat[k].shape == (1, 3)
                 err = np.abs(got.s_hat[k][0] - want).max() / np.abs(want).max()
@@ -228,14 +275,11 @@ class TestDelayedDecoding:
             extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(3), 1: np.ones(3)})
 
     def test_rejects_more_users_than_observations(self):
-        # L_I_d = 3 harvested samples admit 4 users per cell, but N - M_D = 3
-        cfg = model.SystemConfig(K=2, users_per_cell=[4, 4], cir_len=[[5, 4], [4, 5]])
-        dp = extensions.DelayProfile(L_I_d=3, L_I_prime=4, L_I=4)
-        dplan = extensions.make_delayed_plan(cfg, dp)
-        assert dplan.U_active[0] > dplan.N - dplan.M_D
-        ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
+        # more users than observed rows: make_delayed_plan caps U'_k at
+        # N - M_D, so a hand-built 3 x 4 channel reaches the detector's check
+        H = np.random.default_rng(0).standard_normal((3, 4)) + 0j
         with pytest.raises(transceiver.RankDeficientError, match="cell 0"):
-            extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(4), 1: np.ones(4)})
+            transceiver.zf_projection(H, "cell 0: effective channel")
 
     def test_three_symbols_per_seven_samples(self):
         cfg, dp = delayed_case()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blindim import model, spectral, transceiver
+from blindim import model, spectral
 from oracles import (
     circulant,
     diagonalize_circulant,
@@ -95,8 +95,9 @@ def _structured(cfg, seed=0):
 
 
 def _dense_projection(plan, A, M):
-    """W A F_k through the transceiver's combiner: the dense route."""
-    return transceiver.combiner(plan) @ A @ spectral.idft_basis(plan.N)[:, :M]
+    """W A F_k through the combiner's core columns: the dense route."""
+    W = spectral.combiner(plan)[:, plan.cp_len :]
+    return W @ A @ spectral.idft_basis(plan.N)[:, :M]
 
 
 def _relative(a, b):
@@ -150,7 +151,7 @@ class TestBuildStructured:
         P = 8 - plan.L_I
         np.testing.assert_allclose(dev[P:], 0.0, atol=1e-14)
         assert np.all(np.abs(dev[P - 1]) > 0)
-        W = transceiver.combiner(plan)
+        W = spectral.combiner(plan)[:, cp:]
         np.testing.assert_allclose(H[0], W[:, :P] @ dev[:P], atol=1e-13)
 
     def test_block_dimensions_sum_to_n(self):

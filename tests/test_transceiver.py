@@ -11,6 +11,7 @@ from oracles import (
     decode_by_subblock,
     decode_by_triangular_solve,
     direct_convolve,
+    fold_matrix,
     frame_by_subblock,
     random_config,
     receive_by_link,
@@ -116,57 +117,73 @@ class TestSimulateReception:
 
 
 class TestRemoveCpAndStack:
+    """combine's cyclic-prefix removal and subblock stacking."""
+
     def test_reference_slicing(self):
         cfg, plan, _ = setup_case(B=2)   # N=3, N_bar=4, cp=1
         stream = np.arange(plan.T, dtype=complex)
-        np.testing.assert_array_equal(
-            transceiver.remove_cp_and_stack(plan, stream), [[1, 2, 3], [5, 6, 7]]
+        cores = np.array([[1, 2, 3], [5, 6, 7]], dtype=complex)
+        np.testing.assert_allclose(
+            transceiver.combine(plan, stream),
+            np.fft.fft(cores, axis=-1, norm="ortho")[:, plan.M_D :], rtol=0, atol=1e-14,
         )
 
     def test_length_contract(self):
         cfg, plan, _ = setup_case(K=3, L_D=8, L_I=2, U=3, B=4)
-        assert transceiver.remove_cp_and_stack(plan, np.zeros(plan.T)).shape == (4, plan.N)
+        rows = plan.N - plan.M_D
+        assert transceiver.combine(plan, np.zeros(plan.T)).shape == (4, rows)
         # leading axes, e.g. every base station's stream, are kept
-        stacked = transceiver.remove_cp_and_stack(plan, np.zeros((cfg.K, plan.T)))
-        assert stacked.shape == (cfg.K, 4, plan.N)
+        stacked = transceiver.combine(plan, np.zeros((cfg.K, plan.T)))
+        assert stacked.shape == (cfg.K, 4, rows)
 
     def test_short_stream_rejected(self):
         cfg, plan, _ = setup_case(B=2)
         with pytest.raises(ValueError):
-            transceiver.remove_cp_and_stack(plan, np.zeros(2 * plan.N_bar - 1))
+            transceiver.combine(plan, np.zeros(2 * plan.N_bar - 1))
 
     def test_matrix_form_identity(self):
-        # noiseless single cell: post-CP samples equal the frame columns of
-        # every (user, precoder) weighted by its symbol
+        # noiseless single cell: the frame samples equal the frame columns of
+        # every (user, precoder) weighted by its symbol, and the combined
+        # observation is the DFT rows M_D: of their post-CP core
         cfg, plan, ch = setup_case(K=1, L_D=6, L_I=1, U=2, B=1)
         rng = model.trial_rng(6, 0)
         syms = transceiver.draw_symbols(cfg, plan, rng)
         tx = {0: transceiver.precode_and_frame(plan, 0, syms[0])}
         y = transceiver.simulate_reception(cfg, plan, ch, tx)
         taps = ch.taps[(0, 0)][: plan.U_active[0]]
-        cols = spectral.frame_columns(taps, plan.N, plan.cp_len, plan.M[0])[plan.cp_len :]
+        cols = spectral.frame_columns(taps, plan.N, plan.cp_len, plan.M[0])
         expect = cols @ syms[0][0].ravel()
+        np.testing.assert_allclose(y[0, : plan.N_bar], expect, atol=1e-10)
         np.testing.assert_allclose(
-            transceiver.remove_cp_and_stack(plan, y[0])[0], expect, atol=1e-10
+            transceiver.combine(plan, y[0])[0],
+            np.fft.fft(expect[plan.cp_len :], norm="ortho")[plan.M_D :], atol=1e-10,
         )
+
+
+def _cyclic_frame(plan, core):
+    """A (T,) stream holding one cyclic-prefixed frame of the core."""
+    stream = np.zeros(plan.T, dtype=complex)
+    stream[: plan.N_bar] = core[(np.arange(plan.N_bar) - plan.cp_len) % plan.N]
+    return stream
 
 
 class TestCombine:
     def test_reference_dimensions(self):
         cfg, plan, _ = setup_case()
-        W = transceiver.combiner(plan)
-        assert W.shape == (2, 3)
+        W = spectral.combiner(plan)
+        assert W.shape == (2, 4)
         F = spectral.idft_basis(3)
-        np.testing.assert_allclose(W, F[:, 1:].conj().T)
+        np.testing.assert_array_equal(W[:, :1], 0.0)
+        np.testing.assert_allclose(W[:, 1:], F[:, 1:].conj().T)
 
     def test_common_precoder_is_nulled(self):
         cfg, plan, _ = setup_case(K=3, L_D=8, L_I=2, U=3)
         f1 = spectral.idft_basis(plan.N)[:, 0]
-        assert np.linalg.norm(transceiver.combine(plan, 7.3 * f1)) <= 1e-12
+        assert np.linalg.norm(transceiver.combine(plan, _cyclic_frame(plan, 7.3 * f1))) <= 1e-12
 
     def test_row_orthonormality(self):
         cfg, plan, _ = setup_case(K=3, L_D=8, L_I=2, U=3)
-        W = transceiver.combiner(plan)
+        W = spectral.combiner(plan)
         np.testing.assert_allclose(W @ W.conj().T, np.eye(W.shape[0]), atol=1e-12)
 
     def test_interferers_only_transmission_is_nulled(self):
@@ -176,18 +193,19 @@ class TestCombine:
         syms[0][:] = 0.0   # cell 0 silent; BS 0 hears only ICI
         tx = {i: transceiver.precode_and_frame(plan, i, syms[i]) for i in range(2)}
         y = transceiver.simulate_reception(cfg, plan, ch, tx)
-        y_bar = transceiver.remove_cp_and_stack(plan, y[0])[0]
-        ratio = np.linalg.norm(transceiver.combine(plan, y_bar)) / np.linalg.norm(y_bar)
+        y_bar = y[0, plan.cp_len : plan.N_bar]
+        ratio = np.linalg.norm(transceiver.combine(plan, y[0])) / np.linalg.norm(y_bar)
         assert ratio <= 1e-9
 
     def test_combined_noise_variance_preserved(self):
         cfg, plan, _ = setup_case(K=3, L_D=8, L_I=2, U=3)
         rng = model.trial_rng(9, 0)
-        W = transceiver.combiner(plan)
+        W = spectral.combiner(plan)
+        np.testing.assert_array_equal(W[:, : plan.cp_len], 0.0)
         samples = []
         for _ in range(20000 // W.shape[0]):
             z = (rng.standard_normal(plan.N) + 1j * rng.standard_normal(plan.N)) * np.sqrt(1.5 / 2)
-            samples.append(W @ z)
+            samples.append(W[:, plan.cp_len :] @ z)
         var = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert var == pytest.approx(1.5, rel=0.03)
 
@@ -246,7 +264,7 @@ class TestDecodeBlock:
         H = spectral.build_structured(cfg, plan, ch)
         tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(2)}
         y = transceiver.simulate_reception(cfg, plan, ch, tx)
-        y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+        y_tilde = transceiver.combine(plan, y)
         genie = {k: syms[k].reshape(plan.B, -1) for k in range(2)}
         res = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie)
         for k in range(2):
@@ -317,7 +335,7 @@ class TestMatchesSubblockOracles:
                 assert _relative(tx[k], frame_by_subblock(plan, k, syms[k])) <= 1e-12
             y = transceiver.simulate_reception(cfg, plan, ch, tx)
             assert _relative(y, receive_by_link(cfg, plan, ch, tx)) <= 1e-12
-            y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+            y_tilde = transceiver.combine(plan, y)
             for k in range(cfg.K):
                 # relative to the stream: a cell hearing only ICI combines to ~0
                 want = combine_by_subblock(plan, y[k])
@@ -370,7 +388,7 @@ class TestProjectionDecode:
         tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
         y = transceiver.simulate_reception(cfg, plan, ch, tx, rng=rng,
                                            noise_var=1.0 if noisy else 0.0)
-        y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+        y_tilde = transceiver.combine(plan, y)
         H = spectral.build_structured(cfg, plan, ch)
         if any(_deficient(H[k]) for k in range(cfg.K)):
             with pytest.raises(np.linalg.LinAlgError):
@@ -406,9 +424,21 @@ def reception_cases(draw):
     if draw(st.booleans()):
         L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
         L_I_prime = draw(st.integers(1, L_I))
-        delay = (draw(st.integers(0, L_I_prime)), L_I_prime)
+        delay = (draw(st.integers(0, L_I_prime - 1)), L_I_prime)
     return K, users, cir, delay, draw(st.integers(1, 3)), draw(st.booleans()), draw(
         st.integers(0, 2**32 - 1))
+
+
+def _reception_plan(case):
+    """(cfg, plan) of a reception_cases draw: the base plan, or the delayed
+    plan when the case carries a delay profile."""
+    K, users, cir, delay, B, _, _ = case
+    cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir, subblocks=B)
+    if delay is None:
+        return cfg, model.make_plan(cfg)
+    L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
+    dp = extensions.DelayProfile(L_I_d=delay[0], L_I_prime=delay[1], L_I=L_I)
+    return cfg, extensions.make_delayed_plan(cfg, dp)
 
 
 class TestReceptionProperty:
@@ -425,13 +455,7 @@ class TestReceptionProperty:
     @example((3, [5, 3, 1], [[6, 2, 2], [2, 2, 2], [2, 2, 7]], None, 2, True, 4))
     def test_matches_per_link_convolution(self, case):
         K, users, cir, delay, B, noisy, seed = case
-        cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir, subblocks=B)
-        if delay is None:
-            plan = model.make_plan(cfg)
-        else:
-            L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
-            dp = extensions.DelayProfile(L_I_d=delay[0], L_I_prime=delay[1], L_I=L_I)
-            plan = extensions.make_delayed_plan(cfg, dp)
+        cfg, plan = _reception_plan(case)
         rng = np.random.default_rng(seed)
         ch = model.sample_channel_iid(cfg, rng)
         tx = {i: rng.standard_normal((plan.U_active[i], plan.T))
@@ -442,6 +466,25 @@ class TestReceptionProperty:
         want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(seed, 1),
                                noise_var=noise_var)
         assert _relative(got, want) <= 1e-12
+
+
+class TestCombinerProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(reception_cases())
+    # the fig5 geometry: N = 5, cp = 4 and three harvested samples
+    @example((2, [3, 3], [[5, 7], [7, 5]], (3, 5), 2, False, 5))
+    def test_matches_fold_then_dft_rows(self, case):
+        # the combiner against the explicit 0/1 fold followed by the DFT rows,
+        # and combine against per-subblock prefix removal, fold and DFT rows
+        cfg, plan = _reception_plan(case)
+        want = spectral.idft_basis(plan.N)[:, plan.M_D :].conj().T @ fold_matrix(plan)
+        assert _relative(spectral.combiner(plan), want) <= 1e-12
+        rng = np.random.default_rng(case[-1])
+        y = rng.standard_normal((cfg.K, plan.T)) + 1j * rng.standard_normal((cfg.K, plan.T))
+        got = transceiver.combine(plan, y)
+        assert got.shape == (cfg.K, plan.B, plan.N - plan.M_D)
+        for k in range(cfg.K):
+            assert _relative(got[k], combine_by_subblock(plan, y[k])) <= 1e-12
 
 
 class TestLargeBlockSic:
@@ -459,7 +502,7 @@ class TestLargeBlockSic:
         for noise_var in (0.0, 1.0):
             y = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(54, 0),
                                                noise_var=noise_var)
-            y_tilde = transceiver.combine(plan, transceiver.remove_cp_and_stack(plan, y))
+            y_tilde = transceiver.combine(plan, y)
             for genie in (None, truth):
                 got = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie).s_hat
                 want = decode_by_subblock(plan, H, y_tilde, genie_symbols=genie)
