@@ -155,8 +155,11 @@ def ergodic_rate(cfg, snr_db_list, trials, seed=None):
 
     Trial t uses the reproducible stream (seed, t); the trials are stacked in
     blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
-    spectra serve the whole SNR grid.  Returns (proposed, baseline).
+    spectra serve the whole SNR grid.  Returns (proposed, baseline); raises
+    ValueError unless trials >= 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     if seed is None:
         seed = cfg.seed
     plan = model.make_plan(cfg)

@@ -53,8 +53,11 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     realizations, and a short run rates its whole grid in one call.  Each
     distance sums its block over the trial axis, as it would alone.
 
-    Returns rows (d_user_m, proposed, ofdma).
+    Returns rows (d_user_m, proposed, ofdma); raises ValueError unless
+    trials >= 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dp = fig5_config(B=B, seed=seed)

@@ -116,15 +116,14 @@ def delayed_effective_channels(cfg, dplan, dp: DelayProfile, ch, cells=None):
     return W, H, H_int
 
 
-def decode_delayed_ici(cfg, dplan, ch, dp: DelayProfile, symbols,
-                       noise_rng=None, noise_var=0.0):
+def decode_delayed_ici(cfg, dplan, ch, symbols, noise_rng=None, noise_var=0.0):
     """Two-stage receive and zero-forcing detection of single-subblock frames.
 
     symbols is a dict k -> length-U'_k vector of (power-scaled) payload
     symbols, one per active user.  The link runs through
     transceiver.simulate_link on the delayed plan, whose combiner folds and
-    projects each cell's stream; it raises RankDeficientError on a
-    rank-deficient effective channel.  dp is not read: the plan carries L_I_d.
+    projects each cell's stream (the plan carries L_I_d); it raises
+    RankDeficientError on a rank-deficient effective channel.
     """
     if dplan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")

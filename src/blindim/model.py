@@ -6,10 +6,16 @@ Conventions used throughout the package:
   - cir_len[k][i] is the tap count L_{k,i} of the link from any user in cell i
     to base station k (desired link when i == k, interfering link otherwise).
   - All CIR taps h[0..L-1] are complex baseband coefficients.
+
+IID draws have one builder, _iid_taps: a single draw (sample_channel_iid)
+and a block of trials (iid_trial_blocks, one row of normals per trial
+stream) share its layout, so a block equals its stacked single draws bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,32 +177,53 @@ def trial_rng(seed, trial) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
+def _normal_count(cfg: SystemConfig) -> int:
+    """Standard normals one draw of every link consumes: two per tap."""
+    return 2 * sum(cfg.users_per_cell[i] * cfg.cir_len[k][i]
+                   for k in range(cfg.K) for i in range(cfg.K))
+
+
+def _iid_taps(cfg: SystemConfig, normals) -> ChannelRealization:
+    """CN(0, 1) taps of every link from (..., _normal_count(cfg)) standard normals.
+
+    Link (k, i) takes the next 2 U_i L_{k,i} normals, in (k, i) order: its
+    U_i x L_{k,i} real parts, then as many imaginary parts.  Leading axes
+    stack draws.  Every link is a contiguous (..., U_i, L_{k,i}) view into one
+    complex buffer: one real and one imaginary write per link serve the whole
+    stack, and one in-place division scales the buffer, which gives the same
+    bits as (re + 1j * im) / sqrt(2) without its temporaries.
+    """
+    batch = normals.shape[:-1]
+    draws = math.prod(batch)
+    re = (slice(None),) * len(batch) + (0,)
+    im = re[:-1] + (1,)
+    out = np.empty(draws * (normals.shape[-1] // 2), dtype=complex)
+    taps = {}
+    start = 0
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            U, L = cfg.users_per_cell[i], cfg.cir_len[k][i]
+            stop = start + U * L
+            x = normals[..., 2 * start : 2 * stop].reshape(batch + (2, U, L))
+            h = out[draws * start : draws * stop].reshape(batch + (U, L))
+            h.real = x[re]
+            h.imag = x[im]
+            taps[(k, i)] = h
+            start = stop
+    out /= np.sqrt(2.0)
+    return ChannelRealization(taps=taps)
+
+
 def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
     """Draw every tap IID circularly-symmetric complex Gaussian CN(0, 1).
 
-    One standard_normal call feeds every link in (k, i) order: U_i * L_{k,i}
-    real parts, then as many imaginary parts.  The Generator fills values in
-    sequence, so taps and generator state equal those of a real and an
-    imaginary draw per link.  Each link's parts are written into a complex
-    array and scaled in place, which gives the same bits as
-    (re + 1j * im) / sqrt(2) without its temporaries.
+    One standard_normal call feeds every link, in the layout of _iid_taps.
+    The Generator fills values in sequence, so taps and generator state equal
+    those of a real and an imaginary draw per link.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    sizes = {(k, i): (cfg.users_per_cell[i], cfg.cir_len[k][i])
-             for k in range(cfg.K) for i in range(cfg.K)}
-    normals = rng.standard_normal(sum(2 * U * L for U, L in sizes.values()))
-    taps = {}
-    start = 0
-    for key, (U, L) in sizes.items():
-        x = normals[start : start + 2 * U * L].reshape(2, U, L)
-        h = np.empty((U, L), dtype=complex)
-        h.real = x[0]
-        h.imag = x[1]
-        h /= np.sqrt(2.0)
-        taps[key] = h
-        start += 2 * U * L
-    return ChannelRealization(taps=taps)
+    return _iid_taps(cfg, rng.standard_normal(_normal_count(cfg)))
 
 
 # Trials stacked at once by iid_trial_blocks and the fig5 sweep: bounds their
@@ -207,12 +234,18 @@ TRIAL_BLOCK = 256
 def iid_trial_blocks(cfg: SystemConfig, seed, trials):
     """Trials 0 .. trials - 1 of sample_channel_iid(cfg, trial_rng(seed, t)),
     yielded in order as realizations stacked (T_b, U_i, L_{k,i}) per link, with
-    T_b <= TRIAL_BLOCK."""
+    T_b <= TRIAL_BLOCK.
+
+    Row t of one (T_b, n) buffer takes trial t's normals, filled in place by
+    its own stream, and _iid_taps builds every link once for the whole block,
+    as (T_b, U_i, L_{k,i}) slices of one buffer.
+    """
+    n = _normal_count(cfg)
     for start in range(0, trials, TRIAL_BLOCK):
-        draws = [sample_channel_iid(cfg, trial_rng(seed, t))
-                 for t in range(start, min(start + TRIAL_BLOCK, trials))]
-        yield ChannelRealization({key: np.stack([ch.taps[key] for ch in draws])
-                                  for key in draws[0].taps})
+        normals = np.empty((min(TRIAL_BLOCK, trials - start), n))
+        for t, row in enumerate(normals, start):
+            trial_rng(seed, t).standard_normal(out=row)
+        yield _iid_taps(cfg, normals)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +337,7 @@ def hex_deployment(D_site, D_user, users_per_cell) -> Positions:
 
 def fading_normals(cfg: SystemConfig) -> int:
     """Standard normals one small-scale draw consumes: two per tap of every link."""
-    return 2 * sum(cfg.users_per_cell[i] * cfg.cir_len[k][i]
-                   for k in range(cfg.K) for i in range(cfg.K))
+    return _normal_count(cfg)
 
 
 def small_scale_fading(cfg: SystemConfig, normals, links=None) -> ChannelRealization:

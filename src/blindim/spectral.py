@@ -18,15 +18,28 @@ circulant matrix C with first column c satisfies C = F diag(fft(c)) F^H.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
 def idft_basis(n: int) -> np.ndarray:
-    """Unitary n-point IDFT matrix; column k-1 is the precoding vector f_k."""
+    """Unitary n-point IDFT matrix; column k-1 is the precoding vector f_k.
+
+    The matrix is computed once per n and shared, so it is read-only.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _idft_basis(int(n))
+
+
+# bounded: a run uses a few sizes, and each matrix holds n^2 complex values
+@functools.lru_cache(maxsize=32)
+def _idft_basis(n):
     m = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+    F = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
+    F.flags.writeable = False
+    return F
 
 
 def combiner(plan) -> np.ndarray:

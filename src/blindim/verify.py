@@ -6,9 +6,10 @@ line with the almost-sure nature of the underlying claims.
 
 Every check is batched: stacked matrices share one SVD call.  run_all builds
 each trial block's effective channels once for the decomposition and rank
-checks, and its two rank lemmas (the Frobenius inequality on zero-padded
-triples, DFT-submatrix independence over every removed run and column pick)
-take a fixed number of batched SVDs whatever the trial count."""
+checks; the decomposition takes one stacked product per cell.  Its two rank
+lemmas (the Frobenius inequality on zero-padded triples, placed by one
+boolean fill; DFT-submatrix independence over every removed run and column
+pick) take a fixed number of batched SVDs whatever the trial count."""
 
 from __future__ import annotations
 
@@ -81,7 +82,8 @@ def build_rank_factors(plan, L_kk, m) -> RankFactors:
 
 
 def h_eff(cfg, plan, ch, k, u) -> np.ndarray:
-    """The taps beyond the cyclic-prefix reach: h[L_I .. L_kk - 1]."""
+    """The taps beyond the cyclic-prefix reach: h[L_I .. L_kk - 1] of user u
+    of cell k, or (..., users, L_kk - L_I) when u is a slice of users."""
     return ch.h(k, k, u)[..., plan.L_I : cfg.cir_len[k][k]]
 
 
@@ -91,9 +93,11 @@ def check_decomposition(cfg, plan, ch, H, tol=1e-10):
     H = spectral.build_structured(cfg, plan, ch) against the
     geometry-times-taps factorization.
 
-    Leading axes of the taps (and of H) stack realizations.  Returns
-    (ok, report) where report lists (k, u, m, relative residual), the worst
-    over the stack.
+    Leading axes of the taps (and of H) stack realizations.  Each cell takes
+    one stacked product of its G_m against its users' h_eff, which numpy
+    evaluates as the same matrix-vector product per (draw, user, m) that one
+    column alone takes.  Returns (ok, report) where report lists
+    (k, u, m, relative residual), the worst over the stack.
     """
     G = {}   # (L_kk, m) -> G_m: the factor depends only on the geometry
     report = []
@@ -102,17 +106,18 @@ def check_decomposition(cfg, plan, ch, H, tol=1e-10):
         L_kk = cfg.cir_len[k][k]
         if L_kk <= plan.L_I:
             continue
-        for m in range(1, plan.M[k] + 1):
+        U, M = plan.U_active[k], plan.M[k]
+        for m in range(1, M + 1):
             if (L_kk, m) not in G:
                 G[L_kk, m] = build_rank_factors(plan, L_kk, m).G
-        for u in range(plan.U_active[k]):
-            he = h_eff(cfg, plan, ch, k, u)[..., None]
-            for m in range(1, plan.M[k] + 1):
-                lhs = H[k][..., u * plan.M[k] + m - 1]
-                rhs = (G[L_kk, m] @ he)[..., 0]
-                res = _norm(lhs - rhs) / np.maximum(_norm(lhs), 1e-300)
-                report.append((k, u, m, float(res.max())))
-                ok = ok and not np.any(res > tol)
+        Gk = np.stack([G[L_kk, m] for m in range(1, M + 1)])
+        he = h_eff(cfg, plan, ch, k, slice(U))
+        rhs = (Gk @ he[..., None, :, None])[..., 0]                   # (..., U, M, rows)
+        lhs = np.moveaxis(H[k].reshape(H[k].shape[:-1] + (U, M)), -3, -1)
+        res = _norm(lhs - rhs) / np.maximum(_norm(lhs), 1e-300)      # (..., U, M)
+        worst = res.reshape(-1, U, M).max(axis=0)
+        report += [(k, u, m + 1, float(worst[u, m])) for u in range(U) for m in range(M)]
+        ok = ok and not np.any(res > tol)
     return ok, report
 
 
@@ -179,8 +184,11 @@ def run_all(cfg=None, seed=0, trials=100):
 
     The decomposition and effective-rank checks read the same draws, with one
     effective-channel build per trial block.  The rank lemmas are batched and
-    cost the same whatever the trial count.
+    cost the same whatever the trial count.  Raises ValueError unless
+    trials >= 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     if cfg is None:
         cfg = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3, seed=seed)
     plan = model.make_plan(cfg)
@@ -202,18 +210,20 @@ def run_all(cfg=None, seed=0, trials=100):
 
     # zero padding to 8 x 8 only adds exact zero singular values, so every
     # rank is that of the unpadded matrix.  One normal draw per triple fills
-    # A, B and C in turn, as one draw each would: the Generator fills values
-    # in sequence
+    # A, B and C in turn, as one draw each would (the Generator fills values
+    # in sequence), and one boolean fill places every draw in row-major order
     rng = np.random.default_rng(seed)
-    triples = np.zeros((3, 200, 8, 8))
-    for t in range(200):
-        d = rng.integers(1, 9, size=4).tolist()
-        x = rng.standard_normal(d[0] * d[1] + d[1] * d[2] + d[2] * d[3])
-        start = 0
-        for j in range(3):
-            size = d[j] * d[j + 1]
-            triples[j, t, : d[j], : d[j + 1]] = x[start : start + size].reshape(d[j], d[j + 1])
-            start += size
+    dims, values = [], []
+    for _ in range(200):
+        d = rng.integers(1, 9, size=4)
+        dims.append(d)
+        values.append(rng.standard_normal(d[0] * d[1] + d[1] * d[2] + d[2] * d[3]))
+    d = np.array(dims)[:, :, None, None]
+    i8 = np.arange(8)
+    fill = (i8[:, None] < d[:, :3]) & (i8 < d[:, 1:])      # (200, 3, 8, 8)
+    triples = np.zeros(fill.shape)
+    triples[fill] = np.concatenate(values)
+    triples = triples.transpose(1, 0, 2, 3)
     ok_l3 = bool(np.all(check_lemma3(*triples)))
     results.append(("rank_inequality", "200 random triples", ok_l3, 0.0))
 

@@ -200,7 +200,7 @@ def test_criterion_08_delayed_ici_example():
         rng = model.trial_rng(88, t)
         ch = delayed_channel(t)
         symbols = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)}
-        result = extensions.decode_delayed_ici(cfg, dplan, ch, dp, symbols)
+        result = extensions.decode_delayed_ici(cfg, dplan, ch, symbols)
         for k in range(2):
             worst = max(worst, float(np.max(np.abs(result.s_hat[k][0] - symbols[k]))))
     assert worst <= 1e-9

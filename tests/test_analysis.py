@@ -196,6 +196,12 @@ class TestErgodicRate:
         rev = np.array(analysis.ergodic_rate(cfg, [20.0, 10.0, 0.0], 10, seed=5))
         np.testing.assert_allclose(fwd, rev[:, ::-1], rtol=1e-12)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
+        with pytest.raises(ValueError, match="trials"):
+            analysis.ergodic_rate(cfg, [10.0], trials)
+
     def test_standard_error_shrinks(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
         def spread(trials, blocks):

@@ -105,18 +105,19 @@ class TestRate:
 class TestDrawCount:
     @pytest.mark.parametrize("command", ["rate", "verify"])
     def test_each_trial_drawn_once(self, tmp_path, monkeypatch, command):
-        # both rate columns, and both verify checks, read the same draws
+        # both rate columns, and both verify checks, read the same draws:
+        # each trial's stream is opened once
         calls = []
-        original = model.sample_channel_iid
+        original = model.trial_rng
 
-        def counting(cfg, rng):
-            calls.append(rng)
-            return original(cfg, rng)
+        def counting(seed, trial):
+            calls.append(trial)
+            return original(seed, trial)
 
-        monkeypatch.setattr(model, "sample_channel_iid", counting)
+        monkeypatch.setattr(model, "trial_rng", counting)
         code, _ = run(tmp_path, command, "--trials", "7")
         assert code == 0
-        assert len(calls) == 7
+        assert calls == list(range(7))
 
 
 class TestSimulate:

@@ -151,7 +151,7 @@ class TestDelayedPlan:
             rng = model.trial_rng(4, t)
             ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
             symbols = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)}
-            result = extensions.decode_delayed_ici(cfg, dplan, ch, dp, symbols)
+            result = extensions.decode_delayed_ici(cfg, dplan, ch, symbols)
             for k in range(2):
                 worst = max(worst, np.abs(result.s_hat[k][0] - symbols[k]).max())
         assert worst <= 1e-9
@@ -235,7 +235,7 @@ class TestDelayedDecoding:
             symbols = {
                 k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)
             }
-            result = extensions.decode_delayed_ici(cfg, dplan, ch, dp, symbols)
+            result = extensions.decode_delayed_ici(cfg, dplan, ch, symbols)
             for k in range(2):
                 np.testing.assert_allclose(result.s_hat[k][0], symbols[k], atol=1e-9)
 
@@ -251,7 +251,7 @@ class TestDelayedDecoding:
             symbols = {
                 k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)
             }
-            got = extensions.decode_delayed_ici(cfg, dplan, ch, dp, symbols,
+            got = extensions.decode_delayed_ici(cfg, dplan, ch, symbols,
                                                 noise_rng=model.trial_rng(3, t), noise_var=0.5)
             tx = {i: transceiver.precode_and_frame(dplan, i, symbols[i].reshape(1, 3, 1))
                   for i in range(2)}
@@ -272,7 +272,7 @@ class TestDelayedDecoding:
         ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dp)
         ch.taps[(1, 1)][1] = ch.taps[(1, 1)][0]
         with pytest.raises(transceiver.RankDeficientError, match="cell 1"):
-            extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(3), 1: np.ones(3)})
+            extensions.decode_delayed_ici(cfg, dplan, ch, {0: np.ones(3), 1: np.ones(3)})
 
     def test_rejects_more_users_than_observations(self):
         # more users than observed rows: make_delayed_plan caps U'_k at
@@ -306,7 +306,7 @@ class TestDelayedDecoding:
         dplan = extensions.make_delayed_plan(cfg, dp)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         with pytest.raises(ValueError):
-            extensions.decode_delayed_ici(cfg, dplan, ch, dp, {0: np.ones(3), 1: np.ones(3)})
+            extensions.decode_delayed_ici(cfg, dplan, ch, {0: np.ones(3), 1: np.ones(3)})
 
 
 class TestResidualIciRate:
@@ -464,6 +464,11 @@ class TestBatchedFig5Path:
             want = [ofdma_rate_by_subset(cfg, ch, 1.0, 0.1, L_D, n_sc, cells) for ch in draws]
             assert got.shape == (trials, cfg.K)
             assert _max_rel(got, np.array(want)) <= 1e-12
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_distance_sweep_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            experiments.run_distance_comparison(d_user_grid=[20.0], trials=trials)
 
     def test_distance_sweep_matches_trial_loop(self, monkeypatch):
         grid = [20.0, 80.0, 140.0]

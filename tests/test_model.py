@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindim import model
@@ -132,6 +132,36 @@ class TestOneDrawSampler:
             assert got.taps[key].tobytes() == taps.tobytes()
         # what is drawn next (simulate's symbols and noise) is unchanged too
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestTrialBlocks:
+    """iid_trial_blocks against one sample_channel_iid draw per trial, stacked
+    per block, with blocks small enough that most runs cross a boundary."""
+
+    @pytest.mark.parametrize("block", [3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(case=iid_configs(), trials=st.integers(1, 20))
+    @example(   # cell 1 idle (L_11 <= L_I), unequal cells and links
+        case=(model.SystemConfig(K=2, users_per_cell=[2, 5], cir_len=[[5, 2], [3, 2]]), 11, 0),
+        trials=8,
+    )
+    def test_matches_stacked_single_draws(self, block, case, trials):
+        cfg, seed, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "TRIAL_BLOCK", block)
+            blocks = list(model.iid_trial_blocks(cfg, seed, trials))
+        starts = range(0, trials, block)
+        assert len(blocks) == len(starts)
+        for start, ch in zip(starts, blocks):
+            draws = [model.sample_channel_iid(cfg, model.trial_rng(seed, t))
+                     for t in range(start, min(start + block, trials))]
+            assert list(ch.taps) == list(draws[0].taps)
+            for key, taps in ch.taps.items():
+                assert all(d.taps[key].flags.c_contiguous for d in draws)
+                want = np.stack([d.taps[key] for d in draws])
+                assert taps.shape == want.shape and taps.dtype == want.dtype
+                assert taps.strides == want.strides
+                assert taps.tobytes() == want.tobytes()
 
 
 class TestPdpVariance:

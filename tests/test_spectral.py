@@ -35,6 +35,13 @@ class TestIdftBasis:
         with pytest.raises(ValueError):
             spectral.idft_basis(0)
 
+    def test_shared_and_read_only(self):
+        # computed once per n, so no caller may write into it
+        F = spectral.idft_basis(6)
+        assert spectral.idft_basis(6) is F
+        with pytest.raises(ValueError):
+            F[0, 0] = 0.0
+
 
 class TestCirculant:
     def test_scalar(self):

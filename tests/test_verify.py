@@ -355,6 +355,11 @@ class TestFixedCost:
 
 
 class TestRunAll:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verify.run_all(trials=trials)
+
     def test_default_sweep_passes(self):
         results = verify.run_all(trials=50)
         assert {name for name, *_ in results} == {
