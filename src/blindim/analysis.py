@@ -16,17 +16,16 @@ from . import model, spectral
 # ---------------------------------------------------------------------------
 
 def dof_theorem1(cfg) -> float:
-    """Achievable sum-DoF of the K-cell MAC with the blind scheme.
+    """Achievable sum-DoF of the K-cell MAC with the blind scheme:
+    max{ sum_k U'_k M_k / N_bar, 1 } over the plan's streams per frame.
 
-    max{ sum_k min(U_k M_k, (L_kk - L_I)^+) / (max(L_D - L_I + M_D, L_I) + L_I - 1), 1 }
+    This is Theorem 1's max{ sum_k min(U_k M_k, (L_kk - L_I)^+) /
+    (max(L_D - L_I + M_D, L_I) + L_I - 1), 1 }: make_plan activates
+    U'_k <= U_k users with U'_k M_k = min(U_k M_k, (L_kk - L_I)^+).
     """
     plan = model.make_plan(cfg)
-    num = Fraction(0)
-    for k in range(cfg.K):
-        spare = max(cfg.cir_len[k][k] - plan.L_I, 0)
-        num += min(cfg.users_per_cell[k] * plan.M[k], spare)
-    den = Fraction(max(plan.L_D - plan.L_I + plan.M_D, plan.L_I) + plan.L_I - 1)
-    return float(max(num / den, Fraction(1)))
+    streams = sum(u * m for u, m in zip(plan.U_active, plan.M))
+    return float(max(Fraction(streams, plan.N_bar), Fraction(1)))
 
 
 def dof_symmetric(K, L_D, L_I, U) -> float:
@@ -61,7 +60,7 @@ def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
     of the effective channels H and the S linear SNRs snr_linear.
 
     Stream m of cell k has rate log2(1 + (N/M_k) |r_m|^2 rho), normalized by
-    the subblock length N + L_I - 1 (the cyclic-prefix overhead in the
+    the frame length N_bar = N + L_I - 1 (the cyclic-prefix overhead in the
     long-block limit).
     """
     snr = np.asarray(snr_linear, dtype=float)
@@ -70,7 +69,7 @@ def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
         if plan.M[k] == 0:
             continue
         rho_eff = (plan.N * snr / plan.M[k])[:, None]
-        rates = np.log2(1.0 + rho_eff * r[..., None, :] ** 2) / (plan.N + plan.L_I - 1)
+        rates = np.log2(1.0 + rho_eff * r[..., None, :] ** 2) / plan.N_bar
         total += rates.sum(axis=-1)
     return total
 

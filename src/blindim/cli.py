@@ -102,14 +102,12 @@ def cmd_sweep(args):
     values = [v for v in values.split(",") if v]
     if not values:
         raise UsageError("empty sweep list for %r" % key)
-    if key not in ("L_D", "K", "snr_db", "subblocks", "seed"):
-        raise UsageError("unknown sweep key %r" % key)
-    cast = float if key == "snr_db" else int
+    if key not in ("L_D", "K"):
+        raise UsageError("unknown sweep key %r: a DoF row changes only with L_D or K" % key)
     try:
-        numbers = [cast(v) for v in values]
+        numbers = [int(v) for v in values]
     except ValueError:
-        raise UsageError("--sweep %s values must be %s, got %r"
-                         % (key, "numbers" if cast is float else "integers", args.sweep))
+        raise UsageError("--sweep %s values must be integers, got %r" % (key, args.sweep))
     cfg = _load_cfg(args)
     L_I = cfg.cir_len[0][1] if cfg.K > 1 else 2
     rows = []
@@ -118,14 +116,11 @@ def cmd_sweep(args):
             swept = model.SystemConfig.symmetric(
                 K=cfg.K, L_D=x, L_I=L_I, U=x - L_I, subblocks=cfg.subblocks, seed=cfg.seed,
             )
-        elif key == "K":
-            L_D = cfg.cir_len[0][0]
+        else:
             swept = model.SystemConfig.symmetric(
-                K=x, L_D=L_D, L_I=L_I, U=cfg.users_per_cell[0],
+                K=x, L_D=cfg.cir_len[0][0], L_I=L_I, U=cfg.users_per_cell[0],
                 subblocks=cfg.subblocks, seed=cfg.seed,
             )
-        else:
-            swept = dataclasses.replace(cfg, **{key: x})
         rows.append([v] + _dof_row(swept))
     _write_csv(args, ["sweep_" + key] + DOF_HEADER, rows)
     return 0

@@ -39,19 +39,20 @@ def fig5_config(B=10, seed=0):
     return cfg, dp
 
 
-def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10):
+def run_distance_comparison(d_user_grid=None, trials=200, seed=0, B=10):
     """Center-cell ergodic spectral efficiency of the proposed two-stage
     scheme and all-cells-active OFDMA versus user-to-BS distance.
 
     Trial t draws its small-scale fading from trial_rng(seed, t) once and
     keeps it at every distance (common random numbers): only the path loss
     changes along the grid, and it is computed for the whole grid at once.
-    The trials are drawn in blocks of model.TRIAL_BLOCK.  For a block of T_b
+    The trials are drawn in blocks of model.TRIAL_BLOCK, each only as far as
+    the links into cell 0, the only links its rates read.  For a block of T_b
     trials, each rate call takes max(1, TRIAL_BLOCK // T_b) distances at once
-    as a (distances, T_b, U, L) realization of the links into cell 0, the
-    only links its rates read; so no call rates more than TRIAL_BLOCK
-    realizations, and a short run rates its whole grid in one call.  Each
-    distance sums its block over the trial axis, as it would alone.
+    as a (distances, T_b, U, L) realization of those links; so no call rates
+    more than TRIAL_BLOCK realizations, and a short run rates its whole grid
+    in one call.  Each distance sums its block over the trial axis, as it
+    would alone.
 
     Returns rows (d_user_m, proposed, ofdma); raises ValueError unless
     trials >= 1.
@@ -61,10 +62,9 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dp = fig5_config(B=B, seed=seed)
-    if dep is None:
-        # narrowband default: puts the cell-edge regime interference-limited,
-        # which is the regime this comparison is about
-        dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
+    # narrowband: puts the cell-edge regime interference-limited, which is the
+    # regime this comparison is about
+    dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
     dplan = make_delayed_plan(cfg, dp)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
@@ -72,18 +72,10 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, dep=None, B=10
         cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
     )
     into_0 = [(0, i) for i in range(cfg.K)]
-    # the links into cell 0 come first in a draw, so each trial draws only
-    # their normals: the Generator fills values in sequence, so their taps are
-    # those of the full draw
-    n = 2 * sum(cfg.users_per_cell[i] * cfg.cir_len[0][i] for i in range(cfg.K))
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(d_user_grid), 2))
-    for start in range(0, trials, model.TRIAL_BLOCK):
-        block = range(start, min(start + model.TRIAL_BLOCK, trials))
-        small = model.small_scale_fading(
-            cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in block]), into_0
-        )
-        step = max(1, model.TRIAL_BLOCK // len(block))
+    for small in model.fading_trial_blocks(cfg, seed, trials, into_0):
+        step = max(1, model.TRIAL_BLOCK // len(small.taps[(0, 0)]))
         for j in range(0, len(d_user_grid), step):
             near = slice(j, j + step)
             ch = model.ChannelRealization(

@@ -45,10 +45,6 @@ class DelayProfile:
         if not 0 <= self.L_I_d < self.L_I_prime <= self.L_I:
             raise ValueError("require 0 <= L_I_d < L_I_prime <= L_I")
 
-    @property
-    def L_I_eff(self) -> int:
-        return self.L_I - self.L_I_d
-
 
 def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
     """Transmission plan for the two-stage receiver.
@@ -75,12 +71,10 @@ def make_delayed_plan(cfg, dp: DelayProfile) -> TransmissionPlan:
         budget = max(cfg.cir_len[k][k] - dp.L_I_prime, 0) + dp.L_I_d
         U_active.append(min(cfg.users_per_cell[k], budget, N - 1))
         M.append(1 if U_active[-1] > 0 else 0)
-    N_bar = N + dp.L_I_prime - 1
-    T = cfg.subblocks * N_bar + max(L_D, dp.L_I) - 1
+    T = cfg.subblocks * (N + dp.L_I_prime - 1) + max(L_D, dp.L_I) - 1
     return TransmissionPlan(
         K=cfg.K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M),
-        M_D=max(M), L_D=L_D, L_I=dp.L_I_prime, N=N, N_bar=N_bar,
-        cp_len=dp.L_I_prime - 1, T=T, L_I_d=dp.L_I_d,
+        M_D=max(M), L_D=L_D, L_I=dp.L_I_prime, N=N, T=T, L_I_d=dp.L_I_d,
     )
 
 

@@ -8,15 +8,16 @@ Conventions used throughout the package:
   - All CIR taps h[0..L-1] are complex baseband coefficients.
 
 IID draws have one builder, _iid_taps: a single draw (sample_channel_iid)
-and a block of trials (iid_trial_blocks, one row of normals per trial
-stream) share its layout, so a block equals its stacked single draws bit for
-bit.
+and a block of trials (iid_trial_blocks) share its layout, so a block equals
+its stacked single draws bit for bit.  Both trial-block samplers
+(iid_trial_blocks and fading_trial_blocks) take their normals from one
+filler, _trial_normals, one row per trial stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,11 +107,17 @@ class TransmissionPlan:
     M_D: int          # max_k M_k
     L_D: int          # max_k L_{k,k}
     L_I: int          # max_k max_{i != k} L_{k,i}
-    N: int            # subblock core length
-    N_bar: int        # N + L_I - 1 (core + cyclic prefix)
-    cp_len: int       # L_I - 1
+    N: int            # subblock core length, at least L_I
     T: int            # total block length B*N_bar + max(L_D, L_I) - 1
     L_I_d: int = 0    # leading frame samples the combiner folds onto the core
+
+    @property
+    def cp_len(self) -> int:   # L_I - 1 cyclic-prefix samples
+        return self.L_I - 1
+
+    @property
+    def N_bar(self) -> int:    # N + L_I - 1 samples per subblock frame
+        return self.N + self.cp_len
 
 
 def link_lengths(cfg: SystemConfig) -> tuple:
@@ -143,11 +150,10 @@ def make_plan(cfg: SystemConfig) -> TransmissionPlan:
 
     M_D = max(M)
     N = max(L_D - L_I + M_D, L_I)
-    N_bar = N + L_I - 1
-    T = cfg.subblocks * N_bar + max(L_D, L_I) - 1
+    T = cfg.subblocks * (N + L_I - 1) + max(L_D, L_I) - 1
     return TransmissionPlan(
         K=cfg.K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M), M_D=M_D,
-        L_D=L_D, L_I=L_I, N=N, N_bar=N_bar, cp_len=L_I - 1, T=T,
+        L_D=L_D, L_I=L_I, N=N, T=T,
     )
 
 
@@ -177,10 +183,12 @@ def trial_rng(seed, trial) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def _normal_count(cfg: SystemConfig) -> int:
-    """Standard normals one draw of every link consumes: two per tap."""
+def _normal_count(cfg: SystemConfig, links=None) -> int:
+    """Standard normals one draw consumes, two per tap of each link in (k, i)
+    order, through the last of links (default: every link)."""
+    last = max(links) if links is not None else (cfg.K - 1, cfg.K - 1)
     return 2 * sum(cfg.users_per_cell[i] * cfg.cir_len[k][i]
-                   for k in range(cfg.K) for i in range(cfg.K))
+                   for k in range(cfg.K) for i in range(cfg.K) if (k, i) <= last)
 
 
 def _iid_taps(cfg: SystemConfig, normals) -> ChannelRealization:
@@ -226,9 +234,19 @@ def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
     return _iid_taps(cfg, rng.standard_normal(_normal_count(cfg)))
 
 
-# Trials stacked at once by iid_trial_blocks and the fig5 sweep: bounds their
-# memory whatever the trial count
+# Trials stacked at once by the trial-block samplers: bounds their memory
+# whatever the trial count
 TRIAL_BLOCK = 256
+
+
+def _trial_normals(seed, trials, n):
+    """(T_b, n) blocks of the first n standard normals of trials 0 .. trials - 1,
+    T_b <= TRIAL_BLOCK: row t is filled in place by trial_rng(seed, t)."""
+    for start in range(0, trials, TRIAL_BLOCK):
+        normals = np.empty((min(TRIAL_BLOCK, trials - start), n))
+        for t, row in enumerate(normals, start):
+            trial_rng(seed, t).standard_normal(out=row)
+        yield normals
 
 
 def iid_trial_blocks(cfg: SystemConfig, seed, trials):
@@ -236,15 +254,10 @@ def iid_trial_blocks(cfg: SystemConfig, seed, trials):
     yielded in order as realizations stacked (T_b, U_i, L_{k,i}) per link, with
     T_b <= TRIAL_BLOCK.
 
-    Row t of one (T_b, n) buffer takes trial t's normals, filled in place by
-    its own stream, and _iid_taps builds every link once for the whole block,
-    as (T_b, U_i, L_{k,i}) slices of one buffer.
+    _iid_taps builds every link once for the whole block of normals, as
+    (T_b, U_i, L_{k,i}) slices of one buffer.
     """
-    n = _normal_count(cfg)
-    for start in range(0, trials, TRIAL_BLOCK):
-        normals = np.empty((min(TRIAL_BLOCK, trials - start), n))
-        for t, row in enumerate(normals, start):
-            trial_rng(seed, t).standard_normal(out=row)
+    for normals in _trial_normals(seed, trials, _normal_count(cfg)):
         yield _iid_taps(cfg, normals)
 
 
@@ -257,7 +270,6 @@ class Deployment:
     """Large-scale propagation parameters for the geometric channel model."""
 
     site_spacing_m: float = 300.0       # D_site, BS-to-BS spacing
-    user_distance_m: float = 100.0      # D_user, user-to-own-BS distance
     pathloss_exponent: float = 3.5      # alpha
     ref_loss_db: float = -80.0          # P_0, reference path loss at 1 m (dB)
     pdp_decay: object = 0.5             # beta: scalar, or K x K per-link matrix
@@ -361,6 +373,15 @@ def small_scale_fading(cfg: SystemConfig, normals, links=None) -> ChannelRealiza
                 taps[(k, i)] = (block[..., 0, :] + 1j * block[..., 1, :]) / np.sqrt(2.0)
             start += 2 * U * L
     return ChannelRealization(taps=taps)
+
+
+def fading_trial_blocks(cfg: SystemConfig, seed, trials, links):
+    """Trials 0 .. trials - 1 of small_scale_fading(cfg, normals, links) with
+    trial_rng(seed, t)'s normals, stacked as in iid_trial_blocks.  Each trial
+    draws its normals only through the last link picked, which are those of
+    the full draw (the Generator fills values in sequence)."""
+    for normals in _trial_normals(seed, trials, _normal_count(cfg, links)):
+        yield small_scale_fading(cfg, normals, links)
 
 
 def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -> dict:

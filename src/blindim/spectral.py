@@ -14,6 +14,8 @@ DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
 first column f_1 is the constant vector and F is unitary.  With this choice a
 circulant matrix C with first column c satisfies C = F diag(fft(c)) F^H.
+framed_precoders adds the cyclic prefix to these columns, for the
+transmitter and frame_columns alike.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ def _idft_basis(n):
     F = np.exp(2j * np.pi * np.outer(m, m) / n) / np.sqrt(n)
     F.flags.writeable = False
     return F
+
+
+def framed_precoders(N, cp, M) -> np.ndarray:
+    """(N + cp, M) cyclic-prefixed precoders: column m is f_{m+1} preceded by
+    its last cp samples, so frame sample j is f_{m+1}[(j - cp) mod N]."""
+    return idft_basis(N)[(np.arange(N + cp) - cp) % N, :M]
 
 
 def combiner(plan) -> np.ndarray:
@@ -78,8 +86,7 @@ def frame_columns(taps, N, cp, M) -> np.ndarray:
     h[..., : taps.shape[-1]] = taps
     twiddle = np.exp(-2j * np.pi * np.outer(np.arange(width), np.arange(M)) / N)
     sums = np.cumsum(h[..., None] * twiddle, axis=-2)
-    tones = idft_basis(N)[(np.arange(width) - cp) % N, :M]
-    cols = np.swapaxes(tones * sums, -3, -2)
+    cols = np.swapaxes(framed_precoders(N, cp, M) * sums, -3, -2)
     return cols.reshape(cols.shape[:-2] + (-1,))
 
 
@@ -89,9 +96,12 @@ def leakage_phase(N, cp, M) -> np.ndarray:
 
     Holds for links of at most N + cp taps: the leaked samples are the tap
     sums the current frame has not yet reached, and the full tap sum times the
-    tone is nulled by the projection.
+    tone is nulled by the projection.  An integer array cp gives
+    (..., M) phases; each is taken from its exponent (m cp) mod N, so its
+    modulus is 1 to round-off however large m cp grows.
     """
-    return np.exp(2j * np.pi * np.arange(M) * cp / N)
+    exponent = (np.asarray(cp)[..., None] * np.arange(M)) % N
+    return np.exp(2j * np.pi * exponent / N)
 
 
 def build_structured(cfg, plan, ch, cells=None) -> dict:
@@ -104,14 +114,11 @@ def build_structured(cfg, plan, ch, cells=None) -> dict:
     exactly, so they are never built, and a realization needs only the
     desired links of the requested cells.
     """
-    N, cp = plan.N, plan.cp_len
-    if N < plan.L_I:
-        raise ValueError("plan requires N >= L_I")
     W = combiner(plan)
     if cells is None:
         cells = range(cfg.K)
     H = {}
     for k in cells:
         taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
-        H[k] = W @ frame_columns(taps, N, cp, plan.M[k])
+        H[k] = W @ frame_columns(taps, plan.N, plan.cp_len, plan.M[k])
     return H

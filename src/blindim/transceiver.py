@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import build_structured, combiner, leakage_phase
+from .spectral import build_structured, combiner, framed_precoders, leakage_phase
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -46,10 +46,11 @@ def draw_symbols(cfg, plan, rng, snr_linear=None) -> dict:
 def precode_and_frame(plan, k, symbols) -> np.ndarray:
     """Frame one cell's symbols into per-user length-T blocks.
 
-    symbols has shape (B, U'_k, M_k).  Each subblock core is x_bar = F_k s
-    (the first M_k IDFT columns, applied as a unitary IFFT of the zero-padded
-    symbols), the cyclic prefix copies its last L_I - 1 samples, and
-    max(L_D, L_I) - 1 trailing zeros flush the channel memory.
+    symbols has shape (B, U'_k, M_k).  Each subblock frame is the
+    cyclic-prefixed precoders spectral.framed_precoders times the symbols:
+    the core x_bar = F_k s (the first M_k IDFT columns) after a prefix of its
+    last L_I - 1 samples.  max(L_D, L_I) - 1 trailing zeros flush the channel
+    memory.
     """
     symbols = np.asarray(symbols)
     if symbols.shape != (plan.B, plan.U_active[k], plan.M[k]):
@@ -57,47 +58,33 @@ def precode_and_frame(plan, k, symbols) -> np.ndarray:
             "expected symbols of shape %r, got %r"
             % ((plan.B, plan.U_active[k], plan.M[k]), symbols.shape)
         )
-    N, cp, U = plan.N, plan.cp_len, plan.U_active[k]
-    padded = np.zeros((U, plan.B, N), dtype=complex)
-    padded[:, :, : plan.M[k]] = symbols.transpose(1, 0, 2)
-    core = np.fft.ifft(padded, axis=-1, norm="ortho")
-    frames = np.concatenate([core[:, :, N - cp :], core], axis=-1)
+    U = plan.U_active[k]
     out = np.zeros((U, plan.T), dtype=complex)
-    out[:, : plan.B * plan.N_bar] = frames.reshape(U, plan.B * plan.N_bar)
+    # (U, B, N_bar) view of the frames: each subblock written in place
+    frames = out[:, : plan.B * plan.N_bar].reshape(U, plan.B, plan.N_bar)
+    precoders = framed_precoders(plan.N, plan.cp_len, plan.M[k])
+    np.matmul(symbols.transpose(1, 0, 2), precoders.T, out=frames)
     return out
 
 
 def simulate_reception(cfg, plan, ch, tx, rng=None, noise_var=0.0) -> np.ndarray:
     """Per-BS received streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n].
 
-    tx is a dict i -> (U'_i, T) array of transmitted blocks.  Returns (K, T).
-    Each transmitting cell i is one time-domain convolution for all base
-    stations and users: tap l of every link (k, i, u) is a matrix applied to
-    the blocks delayed by l samples.  Its rows, and the rows of the streams
-    it adds into, are the base stations sorted by L_{k,i}, longest first, so
-    the links that still have a tap at lag l are a prefix of them and cell i
-    costs sum_k L_{k,i} U'_i T multiply-adds, not K max_k L_{k,i} U'_i T.
+    tx is a dict i -> (U'_i, T) array of transmitted blocks; cells with no
+    active user send nothing and may be left out.  Returns (K, T).  Each link
+    (k, i) is one product h^T x of its (U'_i, L_{k,i}) taps and cell i's
+    blocks, whose row l is added to y_k l samples late: cell i costs
+    sum_k L_{k,i} U'_i T multiply-adds.
     """
     T = plan.T
     y = np.zeros((cfg.K, T), dtype=complex)
-    rows = np.arange(cfg.K)   # the base station whose stream each row of y holds
-    for i in range(cfg.K):
+    for (k, i), taps in ch.taps.items():
         U = plan.U_active[i]
         if U == 0:
             continue
-        h = [ch.taps[(k, i)][:U] for k in range(cfg.K)]
-        lengths = np.array([hk.shape[-1] for hk in h])
-        order = np.argsort(-lengths, kind="stable")
-        taps = np.zeros((lengths.max(), cfg.K, U), dtype=complex)
-        for row, k in enumerate(order):
-            taps[: lengths[k], row] = h[k].T
-        live = np.count_nonzero(lengths > np.arange(lengths.max())[:, None], axis=1)
-        y = y[np.argsort(rows)[order]]
-        rows = order
-        x = tx[i][:U]
-        for l, n in enumerate(live):
-            y[:n, l:] += (taps[l, :n] @ x)[:, : T - l]
-    y = y[np.argsort(rows)]
+        lagged = taps[:U].T @ tx[i][:U]
+        for l, row in enumerate(lagged):
+            y[k, l:] += row[: T - l]
     if noise_var > 0:
         z = rng.standard_normal((cfg.K, 2, T)) * np.sqrt(noise_var / 2.0)
         y.real += z[:, 0]
@@ -156,8 +143,8 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     so each H_k is checked and inverted once by one thin SVD (zf_projection),
     and all z_b come from one matmul with its projection H_k^+.
     The recursion closes as
-    s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = w^((m cp b) mod N)
-    taken from its integer exponent so that |phi^b| = 1 to round-off for any B.
+    s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = leakage_phase of a
+    prefix b cp long, so that |phi^b| = 1 to round-off for any B.
     """
     s_hat = {}
     for k in range(cfg.K):
@@ -166,8 +153,8 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
             phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
             z[1:] += phase * genie_symbols[k][:-1]
         else:
-            exponent = np.outer(np.arange(plan.B), np.arange(plan.M[k]) * plan.cp_len) % plan.N
-            powers = np.tile(np.exp(2j * np.pi * exponent / plan.N), plan.U_active[k])
+            powers = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M[k])
+            powers = np.tile(powers, plan.U_active[k])
             z = powers * np.cumsum(powers.conj() * z, axis=0)
         s_hat[k] = z
     return DecodeResult(s_hat=s_hat)

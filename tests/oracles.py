@@ -5,6 +5,8 @@ derived from first principles (sample-by-sample convolution bookkeeping), so
 agreement with the library is a two-route check, not a tautology.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.linalg
 
@@ -92,6 +94,21 @@ def tap_sums(h, N):
     eigenvalues of the circulant of the taps wrapped onto N samples."""
     lm = np.outer(np.arange(len(h)), np.arange(N))
     return h @ np.exp(-2j * np.pi * lm / N)
+
+
+def dof_theorem1_literal(cfg) -> float:
+    """Theorem 1 as printed, from the tap counts alone:
+    max{ sum_k min(U_k M_k, (L_kk - L_I)^+) / (max(L_D - L_I + M_D, L_I) + L_I - 1), 1 }
+    with M_k = max(floor((L_kk - L_I) / U_k), 1) symbols per user when
+    L_kk > L_I, else 0."""
+    K = cfg.K
+    L_D = max(cfg.cir_len[k][k] for k in range(K))
+    L_I = max([cfg.cir_len[k][i] for k in range(K) for i in range(K) if i != k], default=1)
+    spare = [max(cfg.cir_len[k][k] - L_I, 0) for k in range(K)]
+    M = [max(s // u, 1) if s > 0 else 0 for s, u in zip(spare, cfg.users_per_cell)]
+    num = sum(min(u * m, s) for u, m, s in zip(cfg.users_per_cell, M, spare))
+    den = max(L_D - L_I + max(M), L_I) + L_I - 1
+    return float(max(Fraction(num, den), Fraction(1)))
 
 
 def random_config(rng, case):
@@ -379,7 +396,7 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
     return rows
 
 
-def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, dep=None, B=10):
+def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, B=10):
     """experiments.run_distance_comparison one distance at a time: per block
     of model.TRIAL_BLOCK trials, each trial draws the normals of all K * K
     links, and every distance scales every link and makes its own pair of
@@ -389,8 +406,7 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, dep=No
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dp = experiments.fig5_config(B=B, seed=seed)
-    if dep is None:
-        dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
+    dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
     dplan = extensions.make_delayed_plan(cfg, dp)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w

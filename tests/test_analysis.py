@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindim import analysis, model, spectral
-from oracles import baseline_slope, ergodic_rate_by_trial, highsnr_slope
+from oracles import baseline_slope, dof_theorem1_literal, ergodic_rate_by_trial, highsnr_slope
 
 
 def eff_for(cfg, seed=0, trial=0):
@@ -52,6 +52,24 @@ class TestDofFormulas:
                         assert analysis.dof_theorem1(cfg) == analysis.dof_symmetric(
                             K, L_D, L_I, U
                         )
+
+    def test_matches_literal_theorem_on_random_configs(self):
+        # asymmetric users and tap counts, exact float equality: cross links
+        # of 1-4 taps and desired links of 1-14 give idle cells, and cells
+        # with more users than spare taps (0 < U'_k < U_k)
+        rng = np.random.default_rng(15)
+        crowded = 0
+        for _ in range(3000):
+            K = int(rng.integers(1, 6))
+            cir = rng.integers(1, 5, size=(K, K))
+            np.fill_diagonal(cir, rng.integers(1, 15, size=K))
+            users = rng.integers(1, 7, size=K).tolist()
+            cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir.tolist())
+            dof = analysis.dof_theorem1(cfg)
+            assert dof == dof_theorem1_literal(cfg), cfg
+            active = model.make_plan(cfg).U_active
+            crowded += dof > 1 and any(0 < a < u for a, u in zip(active, users))
+        assert crowded >= 100
 
     def test_interference_channel_values(self):
         assert analysis.dof_interference_channel(5, 4, 2) == 2.0

@@ -212,13 +212,22 @@ class TestErrors:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "subblocks=1.5", "snr_db=x"])
+    @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "L_D=4,1.5", "K=x"])
     def test_non_numeric_sweep_values(self, tmp_path, capsys, axis):
         code, text = run(tmp_path, "sweep", "--sweep", axis)
         assert (code, text) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: --sweep %s values must be" % axis.partition("=")[0])
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("axis", ["snr_db=0,10", "subblocks=1,2", "seed=0,1"])
+    def test_axes_a_dof_row_ignores(self, tmp_path, capsys, axis):
+        # a DoF row depends on neither the SNR, B nor the seed: no rows of copies
+        code, text = run(tmp_path, "sweep", "--sweep", axis)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: unknown sweep key %r: a DoF row changes only with L_D or K\n"
+            % axis.partition("=")[0])
 
     def test_deployment_key_in_config(self, tmp_path, capsys):
         cfgfile = tmp_path / "sys.cfg"

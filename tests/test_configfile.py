@@ -42,7 +42,7 @@ class TestParse:
 
     def test_deployment_keys(self):
         # deployment settings are not read from files: their keys are unknown
-        for line in ("bandwidth_hz = 5", "pdp_decay = 0.1; 0.2", "user_distance_m = 80"):
+        for line in ("bandwidth_hz = 5", "pdp_decay = 0.1; 0.2", "site_spacing_m = 80"):
             with pytest.raises(configfile.ConfigParseError, match="unknown key") as exc:
                 configfile.load_system_config("K = 2\n" + line + "\n")
             assert exc.value.line_no == 2

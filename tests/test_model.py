@@ -164,6 +164,39 @@ class TestTrialBlocks:
                 assert taps.tobytes() == want.tobytes()
 
 
+class TestFadingTrialBlocks:
+    """fading_trial_blocks against one full small-scale draw per trial, with
+    blocks of 3 trials."""
+
+    CFG = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
+                             cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]])
+
+    @pytest.mark.parametrize("links", [[(0, 0), (0, 1), (0, 2)], [(1, 0), (2, 2)]])
+    @pytest.mark.parametrize("trials", [1, 6, 8])
+    def test_matches_full_draws(self, monkeypatch, links, trials):
+        cfg = self.CFG
+        monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
+        blocks = list(model.fading_trial_blocks(cfg, 4, trials, links))
+        n = model.fading_normals(cfg)
+        full = model.small_scale_fading(
+            cfg, np.stack([model.trial_rng(4, t).standard_normal(n) for t in range(trials)]))
+        for ch in blocks:
+            assert list(ch.taps) == links
+        assert [len(ch.taps[links[0]]) for ch in blocks] == [
+            min(3, trials - start) for start in range(0, trials, 3)]
+        for key in links:
+            got = np.concatenate([ch.taps[key] for ch in blocks])
+            assert got.tobytes() == full.taps[key].tobytes()
+
+    def test_draws_only_up_to_the_last_link_picked(self):
+        # the links into base station 0 come first in a draw
+        into_0 = [(0, 0), (0, 1), (0, 2)]
+        assert model._normal_count(self.CFG, into_0) == 2 * (2 * 4 + 1 * 2 + 3 * 3)
+        assert model._normal_count(self.CFG, [(2, 0)]) == 2 * (2 * 4 + 1 * 2 + 3 * 3
+                                                                + 2 * 2 + 1 * 5 + 3 * 2 + 2 * 3)
+        assert model._normal_count(self.CFG) == model.fading_normals(self.CFG)
+
+
 class TestPdpVariance:
     def test_uniform_limit(self):
         dep = model.Deployment(pdp_decay=0.0)

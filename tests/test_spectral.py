@@ -43,6 +43,37 @@ class TestIdftBasis:
             F[0, 0] = 0.0
 
 
+class TestFramedPrecoders:
+    @pytest.mark.parametrize("N, cp, M", [(1, 0, 1), (4, 0, 2), (3, 1, 3), (5, 4, 1), (8, 3, 5)])
+    def test_prefix_then_core(self, N, cp, M):
+        # the last cp samples of each of f_1 .. f_M, then the whole column
+        m = np.arange(N)
+        F = np.exp(2j * np.pi * np.outer(m, m) / N) / np.sqrt(N)
+        want = np.vstack([F[N - cp :, :M], F[:, :M]])
+        np.testing.assert_allclose(spectral.framed_precoders(N, cp, M), want, rtol=0, atol=1e-15)
+
+
+class TestLeakagePhase:
+    def test_powers_of_the_tone(self):
+        for N, cp, M in [(3, 1, 3), (5, 4, 5), (8, 3, 4), (1, 0, 1)]:
+            want = np.exp(2j * np.pi * np.arange(M) * cp / N)
+            np.testing.assert_allclose(spectral.leakage_phase(N, cp, M), want, rtol=0, atol=1e-15)
+
+    def test_array_prefix_stacks_rows(self):
+        cps = np.arange(6) * 3
+        got = spectral.leakage_phase(7, cps, 4)
+        assert got.shape == (6, 4)
+        for row, cp in zip(got, cps):
+            np.testing.assert_array_equal(row, spectral.leakage_phase(7, cp, 4))
+
+    def test_exponent_reduced_modulo_n(self):
+        # a prefix N * 10^6 longer is the same phase to the bit: the exponent
+        # is reduced before it is scaled, so no round-off grows with B cp
+        for N, cp in [(3, 1), (7, 3), (32, 5)]:
+            np.testing.assert_array_equal(spectral.leakage_phase(N, cp + 10**6 * N, N),
+                                          spectral.leakage_phase(N, cp, N))
+
+
 class TestCirculant:
     def test_scalar(self):
         np.testing.assert_array_equal(circulant([3.0]), [[3.0]])

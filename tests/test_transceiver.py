@@ -106,6 +106,17 @@ class TestSimulateReception:
                     expect += direct_convolve(ch.h(k, i, u), tx[i][u])
             np.testing.assert_allclose(y[k], expect, atol=1e-12)
 
+    def test_idle_cells_may_be_left_out(self):
+        cfg = model.SystemConfig(K=2, users_per_cell=[2, 3], cir_len=[[5, 2], [2, 2]])
+        plan = model.make_plan(cfg)
+        assert plan.U_active == (2, 0)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(6, 0))
+        rng = model.trial_rng(7, 0)
+        tx = {0: rng.standard_normal((2, plan.T)) + 1j * rng.standard_normal((2, plan.T))}
+        got = transceiver.simulate_reception(cfg, plan, ch, tx)
+        want = transceiver.simulate_reception(cfg, plan, ch, {**tx, 1: np.ones((3, plan.T))})
+        np.testing.assert_array_equal(got, want)
+
     def test_noise_variance(self):
         cfg, plan, ch = setup_case(K=1, L_D=4, L_I=2, U=2, B=100)
         tx = {0: np.zeros((plan.U_active[0], plan.T), dtype=complex)}
