@@ -11,7 +11,6 @@ from .model import (
     TransmissionPlan,
     hex_deployment,
     make_plan,
-    sample_channel_geometric,
     sample_channel_iid,
     trial_rng,
     validate_config,

@@ -152,9 +152,10 @@ def ergodic_rate(cfg, snr_db_list, trials, seed=None):
     """Mean spectral efficiency of the proposed scheme and of the TDMA-OFDMA
     baseline at each SNR, both over the same independent channel draws.
 
-    Trial t uses the reproducible stream (seed, t); the trials are stacked in
-    blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
-    spectra serve the whole SNR grid.  Returns (proposed, baseline); raises
+    Trial t uses the reproducible stream (seed, t), built only for the desired
+    links, the only links either rate reads; the trials are stacked in blocks
+    of model.TRIAL_BLOCK, and each block's QR diagonals and baseline spectra
+    serve the whole SNR grid.  Returns (proposed, baseline); raises
     ValueError unless trials >= 1.
     """
     if trials < 1:
@@ -164,7 +165,8 @@ def ergodic_rate(cfg, snr_db_list, trials, seed=None):
     plan = model.make_plan(cfg)
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
     proposed = baseline = 0.0
-    for ch in model.iid_trial_blocks(cfg, seed, trials):
+    desired = [(k, k) for k in range(cfg.K)]
+    for ch in model.trial_blocks(cfg, seed, trials, desired):
         H = spectral.build_structured(cfg, plan, ch)
         proposed = proposed + sum_rate_qr(plan, H, snr_lin).sum(axis=0)
         baseline = baseline + baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)

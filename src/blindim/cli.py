@@ -2,9 +2,10 @@
 """Experiment command-line interface.
 
 Commands: dof, rate, simulate, sweep, verify, fig3, fig5.  Every command
-writes a CSV table (single header row) to --out or stdout.  Exit status is 0
-on success, 1 on a failed check (a verification check, or a channel draw that
-fails the rank criterion), 2 on configuration or usage errors.
+writes a CSV table (single header row) to --out or stdout, and accepts only
+the options it reads (COMMANDS).  Exit status is 0 on success, 1 on a failed
+check (a verification check, or a channel draw that fails the rank
+criterion), 2 on configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ class UsageError(ValueError):
 
 
 def _check_args(args):
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1, got %d" % args.trials)
-    if args.seed is not None and args.seed < 0:
-        raise UsageError("--seed must be >= 0, got %d" % args.seed)
+    """Range checks of --trials and --seed, for the commands that take them."""
+    trials = getattr(args, "trials", 1)
+    seed = getattr(args, "seed", None)
+    if trials < 1:
+        raise UsageError("--trials must be >= 1, got %d" % trials)
+    if seed is not None and seed < 0:
+        raise UsageError("--seed must be >= 0, got %d" % seed)
 
 
 def _load_cfg(args) -> model.SystemConfig:
@@ -38,7 +42,7 @@ def _load_cfg(args) -> model.SystemConfig:
             cfg = configfile.load_system_config(fh.read())
     else:
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return model.require_valid(cfg)
 
@@ -103,7 +107,7 @@ def cmd_sweep(args):
     if not values:
         raise UsageError("empty sweep list for %r" % key)
     if key not in ("L_D", "K"):
-        raise UsageError("unknown sweep key %r: a DoF row changes only with L_D or K" % key)
+        raise UsageError("unknown sweep key %r: supported sweep keys are L_D and K" % key)
     try:
         numbers = [int(v) for v in values]
     except ValueError:
@@ -164,7 +168,8 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     cfg = _load_cfg(args) if args.config else None
-    results = verify.run_all(cfg=cfg, seed=args.seed or 0, trials=args.trials)
+    seed = cfg.seed if cfg else args.seed or 0
+    results = verify.run_all(cfg=cfg, seed=seed, trials=args.trials)
     rows = [(name, detail, "pass" if ok else "FAIL", float(res)) for name, detail, ok, res in results]
     _write_csv(args, ["check", "detail", "status", "residual"], rows)
     return 0 if all(ok for _, _, ok, _ in results) else 1
@@ -185,26 +190,33 @@ def cmd_fig5(args):
     return 0
 
 
+# Every option, and the options each command reads: argparse rejects the rest
+OPTIONS = {
+    "--config": dict(help="path to a key=value configuration file"),
+    "--out": dict(help="output CSV path (default: stdout)"),
+    "--seed": dict(type=int, default=None),
+    "--trials": dict(type=int, default=200),
+    "--snr": dict(help="comma-separated SNR list in dB"),
+    "--sweep": dict(help="sweep axis, e.g. L_D=4,8,16"),
+}
+COMMANDS = {
+    "dof": (cmd_dof, ["--config", "--out"]),
+    "rate": (cmd_rate, ["--config", "--out", "--seed", "--trials", "--snr"]),
+    "simulate": (cmd_simulate, ["--config", "--out", "--seed", "--trials"]),
+    "sweep": (cmd_sweep, ["--config", "--out", "--sweep"]),
+    "verify": (cmd_verify, ["--config", "--out", "--seed", "--trials"]),
+    "fig3": (cmd_fig3, ["--out", "--seed", "--trials", "--snr"]),
+    "fig5": (cmd_fig5, ["--out", "--seed", "--trials"]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="blindim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    handlers = {
-        "dof": cmd_dof,
-        "rate": cmd_rate,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-        "fig3": cmd_fig3,
-        "fig5": cmd_fig5,
-    }
-    for name, fn in handlers.items():
+    for name, (fn, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="path to a key=value configuration file")
-        sp.add_argument("--out", help="output CSV path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=200)
-        sp.add_argument("--snr", help="comma-separated SNR list in dB")
-        sp.add_argument("--sweep", help="sweep axis, e.g. L_D=4,8,16")
+        for flag in flags:
+            sp.add_argument(flag, **OPTIONS[flag])
         sp.set_defaults(handler=fn)
     return p
 

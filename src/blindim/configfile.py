@@ -40,53 +40,31 @@ def parse_config_text(text) -> dict:
     return out
 
 
-def _int(pairs, key, default=None):
+def _parsed(pairs, key, default, parse, message):
+    """parse(value) of key, or default when key is absent.  A value parse
+    rejects raises ConfigParseError on its line, saying
+    message.format(key=key, value=value)."""
     if key not in pairs:
         return default
     line_no, value = pairs[key]
     try:
-        return int(value)
+        return parse(value)
     except ValueError:
-        raise ConfigParseError(line_no, "%s must be an integer, got %r" % (key, value))
-
-
-def _float(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    line_no, value = pairs[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigParseError(line_no, "%s must be a number, got %r" % (key, value))
-
-
-def _int_list(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    line_no, value = pairs[key]
-    try:
-        return [int(x) for x in value.split(",")]
-    except ValueError:
-        raise ConfigParseError(line_no, "%s must be a comma-separated integer list" % key)
-
-
-def _int_matrix(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    line_no, value = pairs[key]
-    try:
-        return [[int(x) for x in row.split(",")] for row in value.split(";")]
-    except ValueError:
-        raise ConfigParseError(line_no, "%s must be ';'-separated rows of integers" % key)
+        raise ConfigParseError(line_no, message.format(key=key, value=value))
 
 
 def load_system_config(text) -> SystemConfig:
     pairs = parse_config_text(text)
-    K = _int(pairs, "K", 2)
-    users = _int_list(pairs, "users_per_cell", [2] * K)
+    integer = "{key} must be an integer, got {value!r}"
+    K = _parsed(pairs, "K", 2, int, integer)
+    users = _parsed(pairs, "users_per_cell", [2] * K,
+                    lambda v: [int(x) for x in v.split(",")],
+                    "{key} must be a comma-separated integer list")
     if len(users) == 1:
         users = users * K
-    cir = _int_matrix(pairs, "cir_len")
+    cir = _parsed(pairs, "cir_len", None,
+                  lambda v: [[int(x) for x in row.split(",")] for row in v.split(";")],
+                  "{key} must be ';'-separated rows of integers")
     if cir is None:
         cir = [[4 if k == i else 2 for i in range(K)] for k in range(K)]
     symbol_model = pairs["symbol_model"][1] if "symbol_model" in pairs else "gaussian"
@@ -94,9 +72,8 @@ def load_system_config(text) -> SystemConfig:
         K=K,
         users_per_cell=users,
         cir_len=cir,
-        snr_db=_float(pairs, "snr_db", 10.0),
-        subblocks=_int(pairs, "subblocks", 1),
-        seed=_int(pairs, "seed", 0),
+        snr_db=_parsed(pairs, "snr_db", 10.0, float, "{key} must be a number, got {value!r}"),
+        subblocks=_parsed(pairs, "subblocks", 1, int, integer),
+        seed=_parsed(pairs, "seed", 0, int, integer),
         symbol_model=symbol_model,
     )
-

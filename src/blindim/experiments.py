@@ -74,7 +74,7 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, B=10):
     into_0 = [(0, i) for i in range(cfg.K)]
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(d_user_grid), 2))
-    for small in model.fading_trial_blocks(cfg, seed, trials, into_0):
+    for small in model.trial_blocks(cfg, seed, trials, into_0, user_major=True):
         step = max(1, model.TRIAL_BLOCK // len(small.taps[(0, 0)]))
         for j in range(0, len(d_user_grid), step):
             near = slice(j, j + step)

@@ -7,11 +7,12 @@ Conventions used throughout the package:
     to base station k (desired link when i == k, interfering link otherwise).
   - All CIR taps h[0..L-1] are complex baseband coefficients.
 
-IID draws have one builder, _iid_taps: a single draw (sample_channel_iid)
-and a block of trials (iid_trial_blocks) share its layout, so a block equals
-its stacked single draws bit for bit.  Both trial-block samplers
-(iid_trial_blocks and fading_trial_blocks) take their normals from one
-filler, _trial_normals, one row per trial stream.
+Small-scale taps have one builder, _taps, for both channel models: a single
+IID draw (sample_channel_iid) and a block of trials (trial_blocks) share it,
+so a block equals its stacked single draws bit for bit.  The two models keep
+the normal layouts their seeds fix: the IID model is link-major, fig5's
+geometric model user-major (user_major=True), and the geometric taps are
+large_scale_gain times those.
 """
 
 from __future__ import annotations
@@ -173,10 +174,6 @@ class ChannelRealization:
     def h(self, k, i, u) -> np.ndarray:
         return self.taps[(k, i)][..., u, :]
 
-    def scaled(self, gain) -> "ChannelRealization":
-        """Every link's taps times gain[(k, i)], broadcast against them."""
-        return ChannelRealization({key: gain[key] * taps for key, taps in self.taps.items()})
-
 
 def trial_rng(seed, trial) -> np.random.Generator:
     """Independent, reproducible stream for (seed, trial)."""
@@ -191,33 +188,41 @@ def _normal_count(cfg: SystemConfig, links=None) -> int:
                    for k in range(cfg.K) for i in range(cfg.K) if (k, i) <= last)
 
 
-def _iid_taps(cfg: SystemConfig, normals) -> ChannelRealization:
-    """CN(0, 1) taps of every link from (..., _normal_count(cfg)) standard normals.
+def _taps(cfg: SystemConfig, normals, links=None, user_major=False) -> ChannelRealization:
+    """CN(0, 1) taps from (..., _normal_count(cfg, links)) standard normals.
 
     Link (k, i) takes the next 2 U_i L_{k,i} normals, in (k, i) order: its
-    U_i x L_{k,i} real parts, then as many imaginary parts.  Leading axes
-    stack draws.  Every link is a contiguous (..., U_i, L_{k,i}) view into one
-    complex buffer: one real and one imaginary write per link serve the whole
-    stack, and one in-place division scales the buffer, which gives the same
-    bits as (re + 1j * im) / sqrt(2) without its temporaries.
+    U_i x L_{k,i} real parts, then as many imaginary parts; with user_major,
+    L_{k,i} real then L_{k,i} imaginary parts per user instead.  Leading axes
+    stack draws.  links (default: every link) picks the links to build; the
+    others' normals are stepped over, so each picked link keeps its place in
+    the draw.  Every link built is a contiguous (..., U_i, L_{k,i}) view into
+    one complex buffer: one real and one imaginary write per link serve the
+    whole stack, and one in-place division scales the buffer, which gives the
+    same bits as (re + 1j * im) / sqrt(2) without its temporaries.
     """
     batch = normals.shape[:-1]
     draws = math.prod(batch)
-    re = (slice(None),) * len(batch) + (0,)
-    im = re[:-1] + (1,)
-    out = np.empty(draws * (normals.shape[-1] // 2), dtype=complex)
+    sizes = {(k, i): cfg.users_per_cell[i] * cfg.cir_len[k][i]
+             for k in range(cfg.K) for i in range(cfg.K)}
+    picked = sizes.keys() if links is None else set(links)
+    # the real/imaginary axis: per user (U, 2, L) or per link (2, U, L)
+    re = (Ellipsis, 0) + (slice(None),) * (1 if user_major else 2)
+    im = re[:1] + (1,) + re[2:]
+    out = np.empty(draws * sum(sizes[key] for key in picked), dtype=complex)
     taps = {}
-    start = 0
-    for k in range(cfg.K):
-        for i in range(cfg.K):
+    start = filled = 0
+    for (k, i), n in sizes.items():
+        if (k, i) in picked:
             U, L = cfg.users_per_cell[i], cfg.cir_len[k][i]
-            stop = start + U * L
-            x = normals[..., 2 * start : 2 * stop].reshape(batch + (2, U, L))
-            h = out[draws * start : draws * stop].reshape(batch + (U, L))
+            x = normals[..., 2 * start : 2 * (start + n)]
+            x = x.reshape(batch + ((U, 2, L) if user_major else (2, U, L)))
+            h = out[draws * filled : draws * (filled + n)].reshape(batch + (U, L))
             h.real = x[re]
             h.imag = x[im]
             taps[(k, i)] = h
-            start = stop
+            filled += n
+        start += n
     out /= np.sqrt(2.0)
     return ChannelRealization(taps=taps)
 
@@ -225,40 +230,36 @@ def _iid_taps(cfg: SystemConfig, normals) -> ChannelRealization:
 def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
     """Draw every tap IID circularly-symmetric complex Gaussian CN(0, 1).
 
-    One standard_normal call feeds every link, in the layout of _iid_taps.
+    One standard_normal call feeds every link, in _taps' link-major layout.
     The Generator fills values in sequence, so taps and generator state equal
     those of a real and an imaginary draw per link.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return _iid_taps(cfg, rng.standard_normal(_normal_count(cfg)))
+    return _taps(cfg, rng.standard_normal(_normal_count(cfg)))
 
 
-# Trials stacked at once by the trial-block samplers: bounds their memory
-# whatever the trial count
+# Trials stacked at once by trial_blocks: bounds its memory whatever the
+# trial count
 TRIAL_BLOCK = 256
 
 
-def _trial_normals(seed, trials, n):
-    """(T_b, n) blocks of the first n standard normals of trials 0 .. trials - 1,
-    T_b <= TRIAL_BLOCK: row t is filled in place by trial_rng(seed, t)."""
+def trial_blocks(cfg: SystemConfig, seed, trials, links=None, user_major=False):
+    """Trials 0 .. trials - 1 of _taps(cfg, normals, links, user_major) with
+    trial_rng(seed, t)'s normals, yielded in order as realizations stacked
+    (T_b, U_i, L_{k,i}) per link, with T_b <= TRIAL_BLOCK.
+
+    Row t of a block's normals is filled in place by trial_rng(seed, t), only
+    through the last link picked: those are the first normals of the full
+    draw (the Generator fills values in sequence).  Link-major blocks of every
+    link equal the stacked sample_channel_iid(cfg, trial_rng(seed, t)).
+    """
+    n = _normal_count(cfg, links)
     for start in range(0, trials, TRIAL_BLOCK):
         normals = np.empty((min(TRIAL_BLOCK, trials - start), n))
         for t, row in enumerate(normals, start):
             trial_rng(seed, t).standard_normal(out=row)
-        yield normals
-
-
-def iid_trial_blocks(cfg: SystemConfig, seed, trials):
-    """Trials 0 .. trials - 1 of sample_channel_iid(cfg, trial_rng(seed, t)),
-    yielded in order as realizations stacked (T_b, U_i, L_{k,i}) per link, with
-    T_b <= TRIAL_BLOCK.
-
-    _iid_taps builds every link once for the whole block of normals, as
-    (T_b, U_i, L_{k,i}) slices of one buffer.
-    """
-    for normals in _trial_normals(seed, trials, _normal_count(cfg)):
-        yield _iid_taps(cfg, normals)
+        yield _taps(cfg, normals, links, user_major)
 
 
 # ---------------------------------------------------------------------------
@@ -347,43 +348,6 @@ def hex_deployment(D_site, D_user, users_per_cell) -> Positions:
     return Positions(bs_xy=bs, user_xy=user, dist=dist)
 
 
-def fading_normals(cfg: SystemConfig) -> int:
-    """Standard normals one small-scale draw consumes: two per tap of every link."""
-    return _normal_count(cfg)
-
-
-def small_scale_fading(cfg: SystemConfig, normals, links=None) -> ChannelRealization:
-    """CN(0, 1) taps from (..., fading_normals(cfg)) standard normals.
-
-    The normals are consumed link by link in (k, i) order, then user by user:
-    L_{k,i} real parts, then L_{k,i} imaginary parts.  Leading axes stack
-    independent draws.  links (default: every link) picks the links to
-    build; each keeps its place in that order, so the normals need only reach
-    the last link picked.
-    """
-    normals = np.asarray(normals)
-    batch = normals.shape[:-1]
-    taps = {}
-    start = 0
-    for k in range(cfg.K):
-        for i in range(cfg.K):
-            U, L = cfg.users_per_cell[i], cfg.cir_len[k][i]
-            if links is None or (k, i) in links:
-                block = normals[..., start : start + 2 * U * L].reshape(batch + (U, 2, L))
-                taps[(k, i)] = (block[..., 0, :] + 1j * block[..., 1, :]) / np.sqrt(2.0)
-            start += 2 * U * L
-    return ChannelRealization(taps=taps)
-
-
-def fading_trial_blocks(cfg: SystemConfig, seed, trials, links):
-    """Trials 0 .. trials - 1 of small_scale_fading(cfg, normals, links) with
-    trial_rng(seed, t)'s normals, stacked as in iid_trial_blocks.  Each trial
-    draws its normals only through the last link picked, which are those of
-    the full draw (the Generator fills values in sequence)."""
-    for normals in _trial_normals(seed, trials, _normal_count(cfg, links)):
-        yield small_scale_fading(cfg, normals, links)
-
-
 def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -> dict:
     """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
     over the leading axes of positions.dist.
@@ -416,12 +380,3 @@ def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -
             gain[(k, i)] = amp[..., k, i, : cfg.users_per_cell[i], None] * profiles[key]
     return gain
 
-
-def sample_channel_geometric(cfg: SystemConfig, dep: Deployment, positions: Positions,
-                             rng) -> ChannelRealization:
-    """Draw taps h = sqrt(P_0) * d^(-alpha/2) * h_small with h_small ~ CN(0, gamma):
-    large_scale_gain times small_scale_fading."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    gain = large_scale_gain(cfg, dep, positions)
-    return small_scale_fading(cfg, rng.standard_normal(fading_normals(cfg))).scaled(gain)

@@ -249,9 +249,9 @@ def decode_by_triangular_solve(plan, H, y_tilde, genie_symbols=None):
 
 # ---------------------------------------------------------------------------
 # fig5 one trial, one user and one tap at a time: the scalar power-delay
-# profile, the per-user geometric sampler, the per-trial delayed-ICI and
-# OFDMA rates, the trial-by-trial distance sweep, and the sweep with one pair
-# of rate calls per distance
+# profile, the per-user fading and geometric samplers, the per-trial
+# delayed-ICI and OFDMA rates, the trial-by-trial distance sweep, and the
+# sweep with one pair of rate calls per distance
 # ---------------------------------------------------------------------------
 
 def pdp_variance(dep, k, i, ell, L_D, L_I):
@@ -277,27 +277,41 @@ def pdp_variance(dep, k, i, ell, L_D, L_I):
     return 0.0
 
 
-def sample_channel_by_user(cfg, dep, positions, rng):
-    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma): per
-    link, per user, a real then an imaginary draw of L normals."""
+def small_scale_by_user(cfg, rng):
+    """CN(0, 1) taps per link in (k, i) order, per user: a real then an
+    imaginary draw of L normals."""
     from blindim import model
 
-    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
-    L_D, L_I = model.link_lengths(cfg)
     taps = {}
     for k in range(cfg.K):
         for i in range(cfg.K):
             L = cfg.cir_len[k][i]
-            U = cfg.users_per_cell[i]
-            gamma = np.array([pdp_variance(dep, k, i, ell, L_D, L_I) for ell in range(L)])
-            out = np.zeros((U, L), dtype=complex)
-            for u in range(U):
-                d = positions.dist[k, i, u]
-                if not d > 0:
-                    raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)" % (k, i, u))
-                small = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
-                out[u] = np.sqrt(p0) * d ** (-dep.pathloss_exponent / 2.0) * np.sqrt(gamma) * small
-            taps[(k, i)] = out
+            taps[(k, i)] = np.array([
+                (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
+                for _ in range(cfg.users_per_cell[i])
+            ])
+    return model.ChannelRealization(taps=taps)
+
+
+def sample_channel_by_user(cfg, dep, positions, rng):
+    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma): one
+    small_scale_by_user draw, scaled user by user and tap by tap."""
+    from blindim import model
+
+    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
+    L_D, L_I = model.link_lengths(cfg)
+    small = small_scale_by_user(cfg, rng)
+    taps = {}
+    for (k, i), h in small.taps.items():
+        L = cfg.cir_len[k][i]
+        gamma = np.array([pdp_variance(dep, k, i, ell, L_D, L_I) for ell in range(L)])
+        out = np.zeros(h.shape, dtype=complex)
+        for u in range(cfg.users_per_cell[i]):
+            d = positions.dist[k, i, u]
+            if not d > 0:
+                raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)" % (k, i, u))
+            out[u] = np.sqrt(p0) * d ** (-dep.pathloss_exponent / 2.0) * np.sqrt(gamma) * h[u]
+        taps[(k, i)] = out
     return model.ChannelRealization(taps=taps)
 
 
@@ -398,9 +412,9 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
 
 def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, B=10):
     """experiments.run_distance_comparison one distance at a time: per block
-    of model.TRIAL_BLOCK trials, each trial draws the normals of all K * K
-    links, and every distance scales every link and makes its own pair of
-    rate calls, summed over the block's trials."""
+    of model.TRIAL_BLOCK trials, each trial draws all K * K links with
+    small_scale_by_user, and every distance scales every link and makes its
+    own pair of rate calls, summed over the block's trials."""
     from blindim import analysis, experiments, extensions, model
 
     if d_user_grid is None:
@@ -410,18 +424,17 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, B=10):
     dplan = extensions.make_delayed_plan(cfg, dp)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
-    n = model.fading_normals(cfg)
     gains = model.large_scale_gain(
         cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
     )
     acc = np.zeros((len(d_user_grid), 2))
     for start in range(0, trials, model.TRIAL_BLOCK):
         block = range(start, min(start + model.TRIAL_BLOCK, trials))
-        small = model.small_scale_fading(
-            cfg, np.stack([model.trial_rng(seed, t).standard_normal(n) for t in block])
-        )
+        draws = [small_scale_by_user(cfg, model.trial_rng(seed, t)) for t in block]
+        small = {key: np.stack([ch.taps[key] for ch in draws]) for key in gains}
         for j in range(len(d_user_grid)):
-            ch = small.scaled({key: gain[j] for key, gain in gains.items()})
+            ch = model.ChannelRealization(
+                {key: gain[j] * small[key] for key, gain in gains.items()})
             prop = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])
             ofdma = analysis.ofdma_rate_with_ici(
                 cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]

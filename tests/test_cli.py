@@ -172,6 +172,17 @@ class TestVerify:
         assert len(rows) == 4
         assert all(",pass," in row for row in rows)
 
+    def test_config_seed_is_used(self, tmp_path):
+        # the config is verify's default network, so only the seed can differ
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 3\nusers_per_cell = 3\ncir_len = 8,2,2; 2,8,2; 2,2,8\nseed = 5\n")
+        from_file = run(tmp_path, "verify", "--config", str(cfgfile), "--trials", "10",
+                        name="a.csv")
+        from_flag = run(tmp_path, "verify", "--seed", "5", "--trials", "10", name="b.csv")
+        seed_0 = run(tmp_path, "verify", "--trials", "10", name="c.csv")
+        assert from_file[0] == 0
+        assert from_file == from_flag != seed_0
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):
@@ -226,7 +237,7 @@ class TestErrors:
         code, text = run(tmp_path, "sweep", "--sweep", axis)
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == (
-            "error: unknown sweep key %r: a DoF row changes only with L_D or K\n"
+            "error: unknown sweep key %r: supported sweep keys are L_D and K\n"
             % axis.partition("=")[0])
 
     def test_deployment_key_in_config(self, tmp_path, capsys):
@@ -241,6 +252,38 @@ class TestErrors:
         code, text = run(tmp_path, "rate", "--snr", snr, "--trials", "2")
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.startswith("error: --snr must be")
+
+
+# The options each command reads
+READS = {
+    "dof": {"--config", "--out"},
+    "sweep": {"--config", "--out", "--sweep"},
+    "rate": {"--config", "--out", "--seed", "--trials", "--snr"},
+    "simulate": {"--config", "--out", "--seed", "--trials"},
+    "verify": {"--config", "--out", "--seed", "--trials"},
+    "fig3": {"--out", "--seed", "--trials", "--snr"},
+    "fig5": {"--out", "--seed", "--trials"},
+}
+OPTIONS = ["--config", "--out", "--seed", "--trials", "--snr", "--sweep"]
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, reads in READS.items() for flag in OPTIONS
+        if flag not in reads
+    ])
+    def test_unread_option_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s 1" % flag in capsys.readouterr().err
+
+    def test_benchmark_command_lines_parse(self, tmp_path):
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\n")
+        for argv in (["fig3"], ["verify"], ["fig5"], ["simulate", "--config", str(cfgfile)]):
+            code, text = run(tmp_path, *argv, "--trials", "1", "--seed", "3")
+            assert code == 0 and text
 
 
 class TestParserReuse:

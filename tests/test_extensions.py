@@ -16,6 +16,7 @@ from oracles import (
     residual_ici_rate_by_trial,
     sample_channel_by_user,
 )
+from test_model import geometric_draws
 
 
 def delayed_case():
@@ -315,7 +316,8 @@ class TestResidualIciRate:
         dplan = extensions.make_delayed_plan(cfg, dp)
         dep = model.Deployment(ici_delay_taps=dp.L_I_d)
         pos = model.hex_deployment(dep.site_spacing_m, 100.0, [3] * 7)
-        ch = model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(seed, 0))
+        draw = geometric_draws(cfg, dep, pos, seed, 1)
+        ch = model.ChannelRealization({key: taps[0] for key, taps in draw.taps.items()})
         return cfg, dp, dplan, ch
 
     def test_deterministic(self):
@@ -443,15 +445,14 @@ class TestBatchedFig5Path:
         rng = np.random.default_rng(seed)
         dist = rng.uniform(0.5, 3.0, (cfg.K, cfg.K, max(cfg.users_per_cell)))
         pos = model.Positions(np.zeros((cfg.K, 2)), np.zeros((cfg.K, dist.shape[2], 2)), dist)
-        draws = [model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(seed, t))
+        stacked = geometric_draws(cfg, dep, pos, seed, trials)
+        draws = [model.ChannelRealization({key: taps[t] for key, taps in stacked.taps.items()})
                  for t in range(trials)]
         for t, ch in enumerate(draws):
             want = sample_channel_by_user(cfg, dep, pos, model.trial_rng(seed, t))
+            assert list(ch.taps) == list(want.taps)
             for key in want.taps:
                 np.testing.assert_array_equal(ch.taps[key], want.taps[key])
-
-        stacked = model.ChannelRealization(
-            {key: np.stack([ch.taps[key] for ch in draws]) for key in draws[0].taps})
         dplan = extensions.make_delayed_plan(cfg, dp)
         n_sc = int(rng.integers(1, 10))
         for cells in (None, [0]):

@@ -4,11 +4,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindim import model
-from oracles import pdp_variance, sample_channel_by_link
+from oracles import pdp_variance, sample_channel_by_link, small_scale_by_user
 
 
 def symmetric(K=2, L_D=4, L_I=2, U=2, **kw):
     return model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U, **kw)
+
+
+def geometric_draws(cfg, dep, positions, seed, trials):
+    """Trials 0 .. trials - 1 of fig5's route, stacked (T, U_i, L_{k,i}) per
+    link: large_scale_gain times trial_blocks' user-major taps."""
+    gain = model.large_scale_gain(cfg, dep, positions)
+    blocks = list(model.trial_blocks(cfg, seed, trials, user_major=True))
+    return model.ChannelRealization(
+        {key: gain[key] * np.concatenate([b.taps[key] for b in blocks]) for key in gain})
 
 
 class TestValidateConfig:
@@ -135,29 +144,35 @@ class TestOneDrawSampler:
 
 
 class TestTrialBlocks:
-    """iid_trial_blocks against one sample_channel_iid draw per trial, stacked
-    per block, with blocks small enough that most runs cross a boundary."""
+    """trial_blocks against one oracle draw per trial (per link for the IID
+    layout, per user for fig5's), stacked per block, with blocks small enough
+    that most runs cross a boundary, and any subset of the links."""
 
     @pytest.mark.parametrize("block", [3, 7])
     @settings(max_examples=40, deadline=None)
-    @given(case=iid_configs(), trials=st.integers(1, 20))
+    @given(case=iid_configs(), trials=st.integers(1, 20), user_major=st.booleans(),
+           data=st.data())
     @example(   # cell 1 idle (L_11 <= L_I), unequal cells and links
         case=(model.SystemConfig(K=2, users_per_cell=[2, 5], cir_len=[[5, 2], [3, 2]]), 11, 0),
-        trials=8,
+        trials=8, user_major=False, data=None,
     )
-    def test_matches_stacked_single_draws(self, block, case, trials):
+    def test_matches_stacked_single_draws(self, block, case, trials, user_major, data):
         cfg, seed, _ = case
+        every = [(k, i) for k in range(cfg.K) for i in range(cfg.K)]
+        links = None if data is None else data.draw(
+            st.none() | st.lists(st.sampled_from(every), min_size=1, unique=True))
+        oracle = small_scale_by_user if user_major else sample_channel_by_link
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "TRIAL_BLOCK", block)
-            blocks = list(model.iid_trial_blocks(cfg, seed, trials))
+            blocks = list(model.trial_blocks(cfg, seed, trials, links, user_major))
         starts = range(0, trials, block)
         assert len(blocks) == len(starts)
+        picked = [key for key in every if links is None or key in links]
         for start, ch in zip(starts, blocks):
-            draws = [model.sample_channel_iid(cfg, model.trial_rng(seed, t))
+            draws = [oracle(cfg, model.trial_rng(seed, t))
                      for t in range(start, min(start + block, trials))]
-            assert list(ch.taps) == list(draws[0].taps)
+            assert list(ch.taps) == picked
             for key, taps in ch.taps.items():
-                assert all(d.taps[key].flags.c_contiguous for d in draws)
                 want = np.stack([d.taps[key] for d in draws])
                 assert taps.shape == want.shape and taps.dtype == want.dtype
                 assert taps.strides == want.strides
@@ -165,8 +180,8 @@ class TestTrialBlocks:
 
 
 class TestFadingTrialBlocks:
-    """fading_trial_blocks against one full small-scale draw per trial, with
-    blocks of 3 trials."""
+    """fig5's user-major trial_blocks against one full per-user draw per
+    trial, with blocks of 3 trials."""
 
     CFG = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
                              cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]])
@@ -176,17 +191,15 @@ class TestFadingTrialBlocks:
     def test_matches_full_draws(self, monkeypatch, links, trials):
         cfg = self.CFG
         monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
-        blocks = list(model.fading_trial_blocks(cfg, 4, trials, links))
-        n = model.fading_normals(cfg)
-        full = model.small_scale_fading(
-            cfg, np.stack([model.trial_rng(4, t).standard_normal(n) for t in range(trials)]))
+        blocks = list(model.trial_blocks(cfg, 4, trials, links, user_major=True))
+        full = [small_scale_by_user(cfg, model.trial_rng(4, t)) for t in range(trials)]
         for ch in blocks:
             assert list(ch.taps) == links
         assert [len(ch.taps[links[0]]) for ch in blocks] == [
             min(3, trials - start) for start in range(0, trials, 3)]
         for key in links:
             got = np.concatenate([ch.taps[key] for ch in blocks])
-            assert got.tobytes() == full.taps[key].tobytes()
+            assert got.tobytes() == np.stack([d.taps[key] for d in full]).tobytes()
 
     def test_draws_only_up_to_the_last_link_picked(self):
         # the links into base station 0 come first in a draw
@@ -194,7 +207,8 @@ class TestFadingTrialBlocks:
         assert model._normal_count(self.CFG, into_0) == 2 * (2 * 4 + 1 * 2 + 3 * 3)
         assert model._normal_count(self.CFG, [(2, 0)]) == 2 * (2 * 4 + 1 * 2 + 3 * 3
                                                                 + 2 * 2 + 1 * 5 + 3 * 2 + 2 * 3)
-        assert model._normal_count(self.CFG) == model.fading_normals(self.CFG)
+        assert model._normal_count(self.CFG) == 2 * (2 * 4 + 1 * 2 + 3 * 3 + 2 * 2 + 1 * 5
+                                                     + 3 * 2 + 2 * 3 + 1 * 1 + 3 * 4)
 
 
 class TestPdpVariance:
@@ -272,22 +286,15 @@ class TestGeometricSampler:
                 user_xy=np.zeros((1, 1, 2)),
                 dist=np.full((1, 1, 1), d),
             )
-            p = 0.0
-            for t in range(4000):
-                ch = model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(0, t))
-                p += np.sum(np.abs(ch.h(0, 0, 0)) ** 2)
-            powers[d] = p / 4000
+            ch = geometric_draws(cfg, dep, pos, 0, 4000)
+            powers[d] = np.sum(np.abs(ch.h(0, 0, 0)) ** 2) / 4000
         assert powers[50.0] / powers[100.0] == pytest.approx(4.0, rel=0.05)
 
     def test_tap_power_matches_profile(self):
         cfg = self._single_link_cfg()
         dep = model.Deployment(pathloss_exponent=3.5, pdp_decay=0.5, ref_loss_db=-80.0)
         pos = model.Positions(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.full((1, 1, 1), 60.0))
-        acc = np.zeros(4)
-        for t in range(20000):
-            ch = model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(3, t))
-            acc += np.abs(ch.h(0, 0, 0)) ** 2
-        acc /= 20000
+        acc = np.mean(np.abs(geometric_draws(cfg, dep, pos, 3, 20000).h(0, 0, 0)) ** 2, axis=0)
         p0 = 10 ** (dep.ref_loss_db / 10)
         for ell in range(4):
             expect = p0 * 60.0 ** -3.5 * pdp_variance(dep, 0, 0, ell, 4, 1)
@@ -299,16 +306,16 @@ class TestGeometricSampler:
         pos = model.Positions(
             np.zeros((2, 2)), np.zeros((2, 2, 2)), np.full((2, 2, 2), 100.0)
         )
-        ch = model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(0, 0))
-        np.testing.assert_array_equal(ch.taps[(0, 1)][:, :3], 0.0)
-        assert np.all(np.abs(ch.taps[(0, 1)][:, 3:]) > 0)
+        ch = geometric_draws(cfg, dep, pos, 0, 1)
+        np.testing.assert_array_equal(ch.taps[(0, 1)][..., :3], 0.0)
+        assert np.all(np.abs(ch.taps[(0, 1)][..., 3:]) > 0)
 
     def test_rejects_bad_distance(self):
         cfg = self._single_link_cfg()
         dep = model.Deployment()
         pos = model.Positions(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
-            model.sample_channel_geometric(cfg, dep, pos, model.trial_rng(0, 0))
+            model.large_scale_gain(cfg, dep, pos)
 
     def test_bad_distance_on_a_grid_names_its_link(self):
         # a cell's unused user slots hold NaN and pass; a real user's zero
@@ -329,12 +336,12 @@ class TestGeometricSampler:
         # build the same taps for them as the whole draw
         cfg = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
                                  cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]])
-        normals = np.random.default_rng(0).standard_normal((2, model.fading_normals(cfg)))
-        full = model.small_scale_fading(cfg, normals)
+        normals = np.random.default_rng(0).standard_normal((2, model._normal_count(cfg)))
+        full = model._taps(cfg, normals, user_major=True)
         into_0 = [(0, 0), (0, 1), (0, 2)]
-        cut = model.small_scale_fading(cfg, normals[:, : 2 * (2 * 4 + 1 * 2 + 3 * 3)], into_0)
+        cut = model._taps(cfg, normals[:, : 2 * (2 * 4 + 1 * 2 + 3 * 3)], into_0, user_major=True)
         assert list(cut.taps) == into_0
         for key in into_0:
             np.testing.assert_array_equal(cut.taps[key], full.taps[key])
-        later = model.small_scale_fading(cfg, normals, [(2, 1)])
+        later = model._taps(cfg, normals, [(2, 1)], user_major=True)
         np.testing.assert_array_equal(later.taps[(2, 1)], full.taps[(2, 1)])

@@ -121,7 +121,7 @@ class TestDecomposition:
     def test_stack_reports_worst_draw(self):
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
-        ok, report = decomposition(cfg, plan, next(model.iid_trial_blocks(cfg, 0, 5)))
+        ok, report = decomposition(cfg, plan, next(model.trial_blocks(cfg, 0, 5)))
         draws = [model.sample_channel_iid(cfg, model.trial_rng(0, t)) for t in range(5)]
         singles = [decomposition(cfg, plan, ch)[1] for ch in draws]
         assert ok
@@ -130,7 +130,7 @@ class TestDecomposition:
     def test_one_bad_draw_fails_the_stack(self):
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
-        ch = next(model.iid_trial_blocks(cfg, 0, 3))
+        ch = next(model.trial_blocks(cfg, 0, 3))
         H = spectral.build_structured(cfg, plan, ch)
         H[1][2, :, 0] += 0.1   # trial 2, cell 1, user 0, precoder 1
         ok, report = verify.check_decomposition(cfg, plan, ch, H)
