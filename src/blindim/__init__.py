@@ -31,11 +31,6 @@ from .analysis import (
     ergodic_rate,
     sum_rate_qr,
 )
-from .extensions import (
-    DelayProfile,
-    decode_delayed_ici,
-    make_delayed_plan,
-    rate_with_residual_ici,
-)
+from .extensions import make_delayed_plan, rate_with_residual_ici
 
 __version__ = "0.1.0"

@@ -8,38 +8,39 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, model
-from .extensions import DelayProfile, make_delayed_plan, rate_with_residual_ici
+from .extensions import make_delayed_plan, rate_with_residual_ici
 
 FIG3_SNR_GRID = tuple(range(0, 45, 5))
 FIG3_K_LIST = (1, 2, 3)
 
 
-def run_snr_comparison(k_list=FIG3_K_LIST, snr_db=FIG3_SNR_GRID, trials=200, seed=0,
-                       L_D=8, L_I=2, U=3, B=10):
+def run_snr_comparison(snr_db=FIG3_SNR_GRID, trials=200, seed=0):
     """Ergodic sum spectral efficiency of the proposed scheme and the
-    TDMA-OFDMA baseline for symmetric K-cell networks.
+    TDMA-OFDMA baseline for the fig3 scenario: symmetric K-cell networks,
+    K in FIG3_K_LIST, with L_D = 8, L_I = 2, U = 3 and B = 10.
 
     Returns rows (snr_db, K, proposed, baseline).
     """
     rows = []
-    for K in k_list:
-        cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U, subblocks=B, seed=seed)
+    for K in FIG3_K_LIST:
+        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, subblocks=10)
         proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials, seed=seed)
         for j, s in enumerate(snr_db):
             rows.append((float(s), K, float(proposed[j]), float(baseline[j])))
     return rows
 
 
-def fig5_config(B=10, seed=0):
-    """7-cell geometric scenario: short desired channels, long delayed ICI."""
+def fig5_config():
+    """7-cell geometric scenario: short desired channels (5 taps), long ICI
+    (7 taps) whose first L_I_d = 3 taps are zero, cancelled up to
+    L_I_prime = 5 taps, over B = 10 subblocks.  Returns (cfg, dplan)."""
     K = 7
     cir = [[5 if k == i else 7 for i in range(K)] for k in range(K)]
-    cfg = model.SystemConfig(K=K, users_per_cell=[3] * K, cir_len=cir, subblocks=B, seed=seed)
-    dp = DelayProfile(L_I_d=3, L_I_prime=5, L_I=7)
-    return cfg, dp
+    cfg = model.SystemConfig(K=K, users_per_cell=[3] * K, cir_len=cir, subblocks=10)
+    return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 
-def run_distance_comparison(d_user_grid=None, trials=200, seed=0, B=10):
+def run_distance_comparison(d_user_grid=None, trials=200, seed=0):
     """Center-cell ergodic spectral efficiency of the proposed two-stage
     scheme and all-cells-active OFDMA versus user-to-BS distance.
 
@@ -61,11 +62,10 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, B=10):
         raise ValueError("trials must be >= 1, got %d" % trials)
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
-    cfg, dp = fig5_config(B=B, seed=seed)
+    cfg, dplan = fig5_config()
     # narrowband: puts the cell-edge regime interference-limited, which is the
     # regime this comparison is about
-    dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
-    dplan = make_delayed_plan(cfg, dp)
+    dep = model.Deployment(ici_delay_taps=dplan.L_I_d, bandwidth_hz=100.0)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
     gains = model.large_scale_gain(
@@ -81,7 +81,7 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0, B=10):
             ch = model.ChannelRealization(
                 {key: gains[key][near, None] * small.taps[key] for key in into_0}
             )
-            prop = rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])
+            prop = rate_with_residual_ici(cfg, dplan, ch, P, sigma2, cells=[0])
             ofdma = analysis.ofdma_rate_with_ici(
                 cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
             )

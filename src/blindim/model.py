@@ -105,12 +105,15 @@ class TransmissionPlan:
     B: int
     U_active: tuple   # U'_k: active users per cell
     M: tuple          # M_k: symbols per active user per subblock
-    M_D: int          # max_k M_k
     L_D: int          # max_k L_{k,k}
     L_I: int          # max_k max_{i != k} L_{k,i}
     N: int            # subblock core length, at least L_I
     T: int            # total block length B*N_bar + max(L_D, L_I) - 1
     L_I_d: int = 0    # leading frame samples the combiner folds onto the core
+
+    @property
+    def M_D(self) -> int:      # max_k M_k
+        return max(self.M)
 
     @property
     def cp_len(self) -> int:   # L_I - 1 cyclic-prefix samples
@@ -149,11 +152,10 @@ def make_plan(cfg: SystemConfig) -> TransmissionPlan:
             U_active.append(spare)
             M.append(1)
 
-    M_D = max(M)
-    N = max(L_D - L_I + M_D, L_I)
+    N = max(L_D - L_I + max(M), L_I)
     T = cfg.subblocks * (N + L_I - 1) + max(L_D, L_I) - 1
     return TransmissionPlan(
-        K=cfg.K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M), M_D=M_D,
+        K=cfg.K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M),
         L_D=L_D, L_I=L_I, N=N, T=T,
     )
 

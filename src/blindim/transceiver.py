@@ -25,13 +25,12 @@ def symbol_scale(plan, k, snr_linear) -> float:
     return float(np.sqrt(plan.N * snr_linear / plan.M[k]))
 
 
-def draw_symbols(cfg, plan, rng, snr_linear=None) -> dict:
-    """Random unit-variance payload symbols, scaled to the power budget.
+def draw_symbols(cfg, plan, rng) -> dict:
+    """Random unit-variance payload symbols, scaled to the power budget of
+    the config's SNR.
 
     Returns a dict k -> array of shape (B, U'_k, M_k).
     """
-    if snr_linear is None:
-        snr_linear = cfg.snr_linear
     out = {}
     for k in range(cfg.K):
         shape = (plan.B, plan.U_active[k], plan.M[k])
@@ -39,7 +38,7 @@ def draw_symbols(cfg, plan, rng, snr_linear=None) -> dict:
             s = rng.choice(QPSK, size=shape)
         else:
             s = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        out[k] = s * symbol_scale(plan, k, snr_linear) if plan.M[k] > 0 else s
+        out[k] = s * symbol_scale(plan, k, cfg.snr_linear) if plan.M[k] > 0 else s
     return out
 
 
@@ -164,8 +163,12 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0) -> Deco
     """Full transmit/receive/decode round trip for one channel realization.
 
     symbols is a dict k -> (B, U'_k, M_k) of (already power-scaled) payload
-    symbols; the returned estimates are on the same scale.
+    symbols; the returned estimates are on the same scale.  A delayed plan
+    (L_I_d > 0) must have B = 1: the subblock cancellation does not model
+    the fold, so every later subblock would decode wrongly.
     """
+    if plan.L_I_d and plan.B != 1:
+        raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     H = build_structured(cfg, plan, ch)
     tx = {k: precode_and_frame(plan, k, symbols[k]) for k in range(cfg.K)}
     y = simulate_reception(cfg, plan, ch, tx, rng=noise_rng, noise_var=noise_var)

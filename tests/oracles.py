@@ -324,11 +324,12 @@ def _f1_columns_by_link(W21, dplan, blocks):
     return W21 @ np.hstack(frames)
 
 
-def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=None):
+def residual_ici_rate_by_trial(cfg, dplan, ch, tx_power, noise_var, cells=None):
     """(K,) rates of one realization: per cell, the desired columns and the
-    residual columns of every user whose taps ell >= L_I_prime are not all
-    zero, then the generalized eigenvalues lambda of (signal, covariance) and
-    sum log1p(lambda), which does not cancel when the rate is small."""
+    residual columns of every user whose taps ell >= L_I_prime (the plan's
+    L_I) are not all zero, then the generalized eigenvalues lambda of
+    (signal, covariance) and sum log1p(lambda), which does not cancel when the
+    rate is small."""
     if cells is None:
         cells = range(cfg.K)
     W21 = _dft_columns(dplan.N)[:, dplan.M_D :].conj().T @ fold_matrix(dplan)
@@ -342,7 +343,7 @@ def residual_ici_rate_by_trial(cfg, dplan, dp, ch, tx_power, noise_var, cells=No
             if i == k:
                 continue
             h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
-            h[:, : dp.L_I_prime] = 0.0
+            h[:, : dplan.L_I] = 0.0
             residual.append(h[np.any(h, axis=1)])
         H_int = _f1_columns_by_link(W21, dplan, residual)
         cov = noise_cov
@@ -383,15 +384,14 @@ def ofdma_rate_by_subset(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None)
     return out
 
 
-def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
+def distance_comparison_by_trial(d_user_grid, trials, seed=0):
     """Rows (d_user_m, proposed, ofdma) of the fig5 sweep: per distance, per
     trial, one sample_channel_by_user draw from trial_rng(seed, t) and both
     per-trial rates for cell 0, accumulated in order."""
-    from blindim import experiments, extensions, model
+    from blindim import experiments, model
 
-    cfg, dp = experiments.fig5_config(B=B, seed=seed)
-    dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
-    dplan = extensions.make_delayed_plan(cfg, dp)
+    cfg, dplan = experiments.fig5_config()
+    dep = model.Deployment(ici_delay_taps=dplan.L_I_d, bandwidth_hz=100.0)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
     rows = []
@@ -402,7 +402,7 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
         for t in range(trials):
             rng = model.trial_rng(seed, t)
             ch = sample_channel_by_user(cfg, dep, positions, rng)
-            acc_prop += residual_ici_rate_by_trial(cfg, dplan, dp, ch, P, sigma2, cells=[0])[0]
+            acc_prop += residual_ici_rate_by_trial(cfg, dplan, ch, P, sigma2, cells=[0])[0]
             acc_ofdma += ofdma_rate_by_subset(
                 cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
             )[0]
@@ -410,7 +410,7 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0, B=10):
     return rows
 
 
-def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, B=10):
+def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
     """experiments.run_distance_comparison one distance at a time: per block
     of model.TRIAL_BLOCK trials, each trial draws all K * K links with
     small_scale_by_user, and every distance scales every link and makes its
@@ -419,9 +419,8 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, B=10):
 
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
-    cfg, dp = experiments.fig5_config(B=B, seed=seed)
-    dep = model.Deployment(ici_delay_taps=dp.L_I_d, bandwidth_hz=100.0)
-    dplan = extensions.make_delayed_plan(cfg, dp)
+    cfg, dplan = experiments.fig5_config()
+    dep = model.Deployment(ici_delay_taps=dplan.L_I_d, bandwidth_hz=100.0)
     P = dep.tx_power_w
     sigma2 = dep.noise_power_w
     gains = model.large_scale_gain(
@@ -435,7 +434,7 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0, B=10):
         for j in range(len(d_user_grid)):
             ch = model.ChannelRealization(
                 {key: gain[j] * small[key] for key, gain in gains.items()})
-            prop = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, P, sigma2, cells=[0])
+            prop = extensions.rate_with_residual_ici(cfg, dplan, ch, P, sigma2, cells=[0])
             ofdma = analysis.ofdma_rate_with_ici(
                 cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
             )

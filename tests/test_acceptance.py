@@ -156,10 +156,11 @@ def test_criterion_08_delayed_ici_example():
     cfg = model.SystemConfig(
         K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]], subblocks=1
     )
-    dp = extensions.DelayProfile(L_I_d=2, L_I_prime=4, L_I=4)
-    dplan = extensions.make_delayed_plan(cfg, dp)
-    # 3 symbols per cell per 7-sample subblock
+    dplan = extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
+    # 3 symbols per cell per 7-sample subblock in a block of
+    # T = N_bar + max(L_D, L_I) - 1 samples
     assert dplan.U_active[0] * dplan.M[0] == 3 and dplan.N_bar == 7
+    assert dplan.T == 11
 
     # printed first-stage fold matrices W1, bit-exact: the combiner is the
     # projection W2 = F[:, M_D:]^H times each
@@ -171,7 +172,7 @@ def test_criterion_08_delayed_ici_example():
     expect[1, 0] = 1.0
     expect[2, 1] = 1.0
     assert (spectral.combiner(dplan) == projector(dplan) @ expect).all()
-    fig5_plan = extensions.make_delayed_plan(*experiments.fig5_config())
+    _, fig5_plan = experiments.fig5_config()
     assert (fig5_plan.N, fig5_plan.N_bar) == (5, 9)
     expect = np.zeros((5, 9))
     expect[np.arange(5), 4 + np.arange(5)] = 1.0
@@ -185,12 +186,12 @@ def test_criterion_08_delayed_ici_example():
         for k in range(2):
             for i in range(2):
                 if i != k:
-                    ch.taps[(k, i)][:, : dp.L_I_d] = 0.0
+                    ch.taps[(k, i)][:, : dplan.L_I_d] = 0.0
         return ch
 
     # enlarged effective channel full rank in 1000/1000 trials
     for t in range(1000):
-        _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, delayed_channel(t))
+        _, H, _ = extensions.delayed_effective_channels(cfg, dplan, delayed_channel(t))
         for k in range(2):
             assert verify.numerical_rank(H[k]) == 3
 
@@ -200,7 +201,8 @@ def test_criterion_08_delayed_ici_example():
         rng = model.trial_rng(88, t)
         ch = delayed_channel(t)
         symbols = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)}
-        result = extensions.decode_delayed_ici(cfg, dplan, ch, symbols)
+        result = transceiver.simulate_link(
+            cfg, dplan, ch, {k: symbols[k].reshape(1, 3, 1) for k in range(2)})
         for k in range(2):
             worst = max(worst, float(np.max(np.abs(result.s_hat[k][0] - symbols[k]))))
     assert worst <= 1e-9

@@ -357,6 +357,23 @@ class TestImports:
         assert len((tmp_path / "sim.csv").read_text().splitlines()) > 1
 
 
+class TestReadme:
+    def test_quick_start_runs(self, tmp_path):
+        # the README's python quick-start block, run as a reader would from a
+        # source checkout: it prints the plan, the sum DoF, the noiseless
+        # decoding error and the ergodic rates
+        text = (REPO_ROOT / "README.md").read_text()
+        start = text.index("```python\n", text.index("## Library quick start")) + 10
+        script = text[start : text.index("```", start)]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "2.0"
+        assert float(lines[2]) <= 1e-9
+
+
 def _blindim_installed():
     try:
         md.distribution("blindim")

@@ -24,28 +24,39 @@ def delayed_case():
     cfg = model.SystemConfig(
         K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]], subblocks=1
     )
-    dp = extensions.DelayProfile(L_I_d=2, L_I_prime=4, L_I=4)
-    return cfg, dp
+    return cfg, extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
 
 
-def zero_delay_taps(ch, cfg, dp):
+def zero_delay_taps(ch, cfg, dplan):
     for k in range(cfg.K):
         for i in range(cfg.K):
             if i != k:
-                ch.taps[(k, i)][:, : dp.L_I_d] = 0.0
+                ch.taps[(k, i)][:, : dplan.L_I_d] = 0.0
     return ch
 
 
+def single_symbols(dplan, symbols):
+    """simulate_link's (1, U'_k, 1) symbols of one length-U'_k vector per cell."""
+    return {k: np.reshape(s, (1, dplan.U_active[k], 1)) for k, s in symbols.items()}
+
+
 class TestDelayProfile:
+    """The delay profile (L_I_d, L_I_prime, L_I) make_delayed_plan accepts,
+    with L_I the config's longest cross link."""
+
     def test_valid(self):
-        dp = extensions.DelayProfile(L_I_d=3, L_I_prime=5, L_I=7)
-        assert (dp.L_I_d, dp.L_I_prime, dp.L_I) == (3, 5, 7)
+        cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=3)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
+        assert (dplan.L_I_d, dplan.L_I) == (3, 5)
+        assert dplan.T == cfg.subblocks * dplan.N_bar + 7 - 1
 
     # (2, 2, 3) and (0, 0, 2): the harvested samples must lie in the prefix
     @pytest.mark.parametrize("args", [(-1, 2, 3), (3, 2, 3), (1, 5, 4), (2, 2, 3), (0, 0, 2)])
     def test_invalid_orderings(self, args):
-        with pytest.raises(ValueError):
-            extensions.DelayProfile(*args)
+        L_I_d, L_I_prime, L_I = args
+        cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=L_I, U=3)
+        with pytest.raises(model.ConfigError, match="L_I_d < L_I_prime"):
+            extensions.make_delayed_plan(cfg, L_I_d, L_I_prime)
 
 
 def _projector(plan):
@@ -58,8 +69,7 @@ class TestTwoStageCombiner:
     matrices W1 followed by the projection W2."""
 
     def test_fold_matrix_4x7(self):
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         expect = np.zeros((4, 7))
         expect[np.arange(4), 3 + np.arange(4)] = 1.0
         expect[1, 0] = 1.0
@@ -68,8 +78,7 @@ class TestTwoStageCombiner:
         np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
 
     def test_fold_matrix_5x9(self):
-        cfg, dp = experiments.fig5_config()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = experiments.fig5_config()
         expect = np.zeros((5, 9))
         expect[np.arange(5), 4 + np.arange(5)] = 1.0
         expect[1, 0] = 1.0
@@ -82,7 +91,7 @@ class TestTwoStageCombiner:
         # N = 6, cp = 2: no fold, and the base plan of the same config has
         # the same combiner
         cfg = model.SystemConfig(K=2, users_per_cell=[5, 5], cir_len=[[8, 3], [3, 8]])
-        dplan = extensions.make_delayed_plan(cfg, extensions.DelayProfile(0, 3, 3))
+        dplan = extensions.make_delayed_plan(cfg, 0, 3)
         expect = np.zeros((6, 8))
         expect[np.arange(6), 2 + np.arange(6)] = 1.0
         np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
@@ -90,8 +99,7 @@ class TestTwoStageCombiner:
                                       spectral.combiner(model.make_plan(cfg)))
 
     def test_projector_dimensions(self):
-        cfg, dp = experiments.fig5_config()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = experiments.fig5_config()
         W = spectral.combiner(dplan)
         assert W.shape == (4, 9)
         F = spectral.idft_basis(5)
@@ -99,15 +107,16 @@ class TestTwoStageCombiner:
 
     def test_no_valid_fold_when_delay_exceeds_prefix(self):
         # L_I_d = 2 harvested samples do not fit a prefix of L_I_prime - 1 = 1
-        with pytest.raises(ValueError, match="L_I_d < L_I_prime"):
-            extensions.DelayProfile(L_I_d=2, L_I_prime=2, L_I=3)
+        cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=3, U=3)
+        with pytest.raises(model.ConfigError, match="L_I_d < L_I_prime"):
+            extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=2)
 
     def test_core_holds_every_harvested_sample(self):
         # a prefix longer than L_D - L_I_prime + 1 lengthens the core to
         # L_I_prime, so each harvested sample j lands on core sample N + j
         cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[4, 5], [5, 4]])
         for L_I_d in range(5):
-            dplan = extensions.make_delayed_plan(cfg, extensions.DelayProfile(L_I_d, 5, 5))
+            dplan = extensions.make_delayed_plan(cfg, L_I_d, 5)
             assert (dplan.N, dplan.cp_len, dplan.L_I_d) == (5, 4, L_I_d)
             W = spectral.combiner(dplan)
             np.testing.assert_array_equal(W, _projector(dplan) @ fold_matrix(dplan))
@@ -115,8 +124,7 @@ class TestTwoStageCombiner:
 
 class TestDelayedPlan:
     def test_reference_plan(self):
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         assert dplan.N == 4
         assert dplan.cp_len == 3
         assert dplan.N_bar == 7
@@ -125,34 +133,27 @@ class TestDelayedPlan:
 
     def test_harvest_budget(self):
         # L_kk = L_I_prime: all activity comes from the harvested samples
-        cfg, dp = experiments.fig5_config()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = experiments.fig5_config()
         assert dplan.N == 5
         assert dplan.cp_len == 4
         assert dplan.U_active == (3,) * 7
-
-    def test_rejects_cross_link_longer_than_profile(self):
-        # L_I = 1 would make the block too short for the 20-tap cross links
-        cfg = model.SystemConfig(K=2, users_per_cell=[1, 1], cir_len=[[3, 20], [20, 3]])
-        dp = extensions.DelayProfile(L_I_d=0, L_I_prime=1, L_I=1)
-        with pytest.raises(model.ConfigError, match=r"\(k=0, i=1\) has L=20 taps") as exc:
-            extensions.make_delayed_plan(cfg, dp)
-        assert len(exc.value.violations) == 2
+        # T = B * N_bar + L_I - 1 flushes the config's 7-tap cross links
+        assert (dplan.N_bar, dplan.T, dplan.B) == (9, 96, 10)
+        assert (dplan.L_I, dplan.L_I_d) == (5, 3)
 
     def test_caps_users_at_observed_rows(self):
         # L_I_d = 3 harvested samples would admit 4 users per cell, but the
         # combiner observes only N - M_D = 3 rows
         cfg = model.SystemConfig(K=2, users_per_cell=[4, 4], cir_len=[[5, 4], [4, 5]])
-        dp = extensions.DelayProfile(L_I_d=3, L_I_prime=4, L_I=4)
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=3, L_I_prime=4)
         assert dplan.N - dplan.M_D == 3
         assert dplan.U_active == (3, 3)
         worst = 0.0
         for t in range(200):
             rng = model.trial_rng(4, t)
-            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dplan)
             symbols = {k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)}
-            result = extensions.decode_delayed_ici(cfg, dplan, ch, symbols)
+            result = transceiver.simulate_link(cfg, dplan, ch, single_symbols(dplan, symbols))
             for k in range(2):
                 worst = max(worst, np.abs(result.s_hat[k][0] - symbols[k]).max())
         assert worst <= 1e-9
@@ -163,15 +164,14 @@ class TestCompositeChannel:
         # a delayed interfering link becomes circulant after the fold: the
         # folded running tap sum (its response to f_1) is a multiple of f_1
         # and the combiner removes it entirely
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         W = spectral.combiner(dplan)
         f1 = spectral.idft_basis(dplan.N)[:, 0]
         w = dplan.cp_len + dplan.N
         rng = np.random.default_rng(0)
         for _ in range(20):
             h = np.zeros(4, dtype=complex)
-            h[dp.L_I_d :] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            h[dplan.L_I_d :] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             frame = np.cumsum(np.pad(h, (0, w - h.size))) / np.sqrt(dplan.N)
             np.testing.assert_allclose(
                 frame, np.convolve(h, np.full(w, 1 / np.sqrt(dplan.N)))[:w], atol=1e-12
@@ -207,11 +207,10 @@ class TestCompositeChannel:
         # each column of H is the fold and the DFT rows applied to the received
         # frame of one unit symbol sent through the base scheme's framing and
         # convolution
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         for t in range(10):
-            ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(3, t)), cfg, dp)
-            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(3, t)), cfg, dplan)
+            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(cfg.K):
                 for u in range(dplan.U_active[k]):
                     tx = {}
@@ -228,15 +227,14 @@ class TestCompositeChannel:
 
 class TestDelayedDecoding:
     def test_noiseless_recovery(self):
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         for t in range(50):
             rng = model.trial_rng(0, t)
-            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dplan)
             symbols = {
                 k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)
             }
-            result = extensions.decode_delayed_ici(cfg, dplan, ch, symbols)
+            result = transceiver.simulate_link(cfg, dplan, ch, single_symbols(dplan, symbols))
             for k in range(2):
                 np.testing.assert_allclose(result.s_hat[k][0], symbols[k], atol=1e-9)
 
@@ -244,21 +242,20 @@ class TestDelayedDecoding:
         # the SVD projection against least squares on the same folded and
         # combined observations: both are backward stable, so they may differ
         # by a few cond(H_k) * eps relative
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         for t in range(100):
             rng = model.trial_rng(2, t)
-            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dp)
+            ch = zero_delay_taps(model.sample_channel_iid(cfg, rng), cfg, dplan)
             symbols = {
                 k: rng.standard_normal(3) + 1j * rng.standard_normal(3) for k in range(2)
             }
-            got = extensions.decode_delayed_ici(cfg, dplan, ch, symbols,
-                                                noise_rng=model.trial_rng(3, t), noise_var=0.5)
+            got = transceiver.simulate_link(cfg, dplan, ch, single_symbols(dplan, symbols),
+                                            noise_rng=model.trial_rng(3, t), noise_var=0.5)
             tx = {i: transceiver.precode_and_frame(dplan, i, symbols[i].reshape(1, 3, 1))
                   for i in range(2)}
             y = transceiver.simulate_reception(cfg, dplan, ch, tx, rng=model.trial_rng(3, t),
                                                noise_var=0.5)
-            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(2):
                 obs = combine_by_subblock(dplan, y[k])[0]
                 want = np.linalg.lstsq(H[k], obs, rcond=None)[0]
@@ -268,12 +265,12 @@ class TestDelayedDecoding:
 
     def test_rejects_rank_deficient_channel(self):
         # two users of cell 1 with identical taps cannot be separated
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
-        ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dp)
+        cfg, dplan = delayed_case()
+        ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dplan)
         ch.taps[(1, 1)][1] = ch.taps[(1, 1)][0]
         with pytest.raises(transceiver.RankDeficientError, match="cell 1"):
-            extensions.decode_delayed_ici(cfg, dplan, ch, {0: np.ones(3), 1: np.ones(3)})
+            transceiver.simulate_link(cfg, dplan, ch,
+                                      single_symbols(dplan, {0: np.ones(3), 1: np.ones(3)}))
 
     def test_rejects_more_users_than_observations(self):
         # more users than observed rows: make_delayed_plan caps U'_k at
@@ -283,53 +280,50 @@ class TestDelayedDecoding:
             transceiver.zf_projection(H, "cell 0: effective channel")
 
     def test_three_symbols_per_seven_samples(self):
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         assert dplan.U_active[0] * dplan.M[0] == 3
         assert dplan.N_bar == 7
 
     def test_effective_rank_is_three(self):
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         for t in range(100):
             ch = zero_delay_taps(
-                model.sample_channel_iid(cfg, model.trial_rng(1, t)), cfg, dp
+                model.sample_channel_iid(cfg, model.trial_rng(1, t)), cfg, dplan
             )
-            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(2):
                 assert np.linalg.matrix_rank(H[k], tol=1e-8) == 3
 
     def test_multi_subblock_rejected(self):
-        cfg, dp = delayed_case()
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, subblocks=2)
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        # the subblock cancellation does not model the fold: at B = 2 the
+        # symbols would come back with relative errors near 7
+        cfg = model.SystemConfig(K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]],
+                                 subblocks=2)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        with pytest.raises(ValueError):
-            extensions.decode_delayed_ici(cfg, dplan, ch, {0: np.ones(3), 1: np.ones(3)})
+        with pytest.raises(ValueError, match="single-subblock"):
+            transceiver.simulate_link(cfg, dplan, ch, {k: np.ones((2, 3, 1)) for k in range(2)})
 
 
 class TestResidualIciRate:
     def _setup(self, seed=0):
-        cfg, dp = experiments.fig5_config()
-        dplan = extensions.make_delayed_plan(cfg, dp)
-        dep = model.Deployment(ici_delay_taps=dp.L_I_d)
+        cfg, dplan = experiments.fig5_config()
+        dep = model.Deployment(ici_delay_taps=dplan.L_I_d)
         pos = model.hex_deployment(dep.site_spacing_m, 100.0, [3] * 7)
         draw = geometric_draws(cfg, dep, pos, seed, 1)
         ch = model.ChannelRealization({key: taps[0] for key, taps in draw.taps.items()})
-        return cfg, dp, dplan, ch
+        return cfg, dplan, ch
 
     def test_deterministic(self):
-        cfg, dp, dplan, ch = self._setup()
-        a = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12, cells=[0])
-        b = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12, cells=[0])
+        cfg, dplan, ch = self._setup()
+        a = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
+        b = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
         np.testing.assert_array_equal(a, b)
 
     def test_monotone_in_power(self):
-        cfg, dp, dplan, ch = self._setup()
+        cfg, dplan, ch = self._setup()
         rates = [
-            extensions.rate_with_residual_ici(cfg, dplan, dp, ch, p, 1e-12, cells=[0])[0]
+            extensions.rate_with_residual_ici(cfg, dplan, ch, p, 1e-12, cells=[0])[0]
             for p in (0.01, 0.1, 1.0)
         ]
         assert rates[0] < rates[1] < rates[2]
@@ -337,40 +331,39 @@ class TestResidualIciRate:
     def test_residual_ici_reduces_high_power_slope(self):
         # taps in [L_I_prime, L_I) survive the projection; the interference
         # subspace they span eats into the three-stream slope at high power
-        cfg, dp, dplan, ch = self._setup()
-        _, _, H_int = extensions.delayed_effective_channels(cfg, dplan, dp, ch)
+        cfg, dplan, ch = self._setup()
+        _, _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch)
         free = dplan.N - dplan.M_D - np.linalg.matrix_rank(H_int[0], tol=None)
         assert free < 3
-        r12 = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 1e12, 1e-12, cells=[0])[0]
-        r15 = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 1e15, 1e-12, cells=[0])[0]
+        r12 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e12, 1e-12, cells=[0])[0]
+        r15 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e15, 1e-12, cells=[0])[0]
         slope = (r15 - r12) / np.log2(1e3)
         assert slope == pytest.approx(free * dplan.B / dplan.T, rel=0.05)
 
     def test_unbounded_without_residual_taps(self):
         # cross links no longer than L_I_prime leave no residual interference
-        cfg, dp = delayed_case()
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        cfg, dplan = delayed_case()
         ch = zero_delay_taps(
-            model.sample_channel_iid(cfg, model.trial_rng(2, 0)), cfg, dp
+            model.sample_channel_iid(cfg, model.trial_rng(2, 0)), cfg, dplan
         )
-        r6 = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 1e6, 1.0, cells=[0])[0]
-        r9 = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 1e9, 1.0, cells=[0])[0]
+        r6 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e6, 1.0, cells=[0])[0]
+        r9 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e9, 1.0, cells=[0])[0]
         # three streams, prefactor B / T: the rate keeps its full slope
         expect = 3 * np.log2(1e3) * dplan.B / dplan.T
         assert r9 - r6 == pytest.approx(expect, rel=0.01)
 
     def test_requested_cells_only(self):
-        cfg, dp, dplan, ch = self._setup()
-        rates = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12, cells=[0])
+        cfg, dplan, ch = self._setup()
+        rates = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
         assert rates[0] > 0
         np.testing.assert_array_equal(rates[1:], 0.0)
-        _, H, H_int = extensions.delayed_effective_channels(cfg, dplan, dp, ch, cells=[0])
+        _, H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, cells=[0])
         assert list(H) == list(H_int) == [0]
 
     def test_requested_cell_rate_matches_all_cells(self):
-        cfg, dp, dplan, ch = self._setup(seed=3)
-        alone = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12, cells=[0])
-        every = extensions.rate_with_residual_ici(cfg, dplan, dp, ch, 0.2, 1e-12)
+        cfg, dplan, ch = self._setup(seed=3)
+        alone = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
+        every = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12)
         assert alone[0] == every[0]
         assert np.all(every[1:] > 0)
 
@@ -396,8 +389,9 @@ class TestOfdmaComparator:
 
 @st.composite
 def geometric_cases(draw):
-    """A random valid config, deployment and delay profile for the fig5 path:
-    K in 1..4, asymmetric users and link lengths, a scalar or K x K decay."""
+    """A random valid config, delay (L_I_d, L_I_prime) and deployment for the
+    fig5 path: K in 1..4, asymmetric users and link lengths, a scalar or K x K
+    decay."""
     K = draw(st.integers(1, 4))
     users = draw(st.lists(st.integers(1, 4), min_size=K, max_size=K))
     cir = draw(st.lists(st.lists(st.integers(1, 9), min_size=K, max_size=K),
@@ -409,10 +403,9 @@ def geometric_cases(draw):
     _, L_I = model.link_lengths(cfg)
     L_I_prime = draw(st.integers(1, L_I))
     L_I_d = draw(st.integers(0, max(L_I_prime - 1, 0)))
-    dp = extensions.DelayProfile(L_I_d=L_I_d, L_I_prime=L_I_prime, L_I=L_I)
     dep = model.Deployment(pdp_decay=beta, ici_delay_taps=draw(st.integers(0, 4)),
                            ref_loss_db=0.0, pathloss_exponent=draw(st.floats(2.0, 4.0)))
-    return cfg, dp, dep, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 4))
+    return cfg, (L_I_d, L_I_prime), dep, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 4))
 
 
 def _max_rel(got, want):
@@ -428,12 +421,12 @@ class TestBatchedFig5Path:
     # by 2e-12 relative here
     @example((model.SystemConfig(K=4, users_per_cell=(1, 1, 3, 1),
                                  cir_len=((4, 1, 1, 1), (1, 4, 1, 1), (1, 1, 1, 2), (4, 6, 1, 4))),
-              extensions.DelayProfile(L_I_d=0, L_I_prime=3, L_I=6),
+              (0, 3),
               model.Deployment(pdp_decay=3.0, ici_delay_taps=4, ref_loss_db=0.0,
                                pathloss_exponent=2.0),
               0, 1))
     def test_matches_per_trial_oracles(self, case):
-        cfg, dp, dep, seed, trials = case
+        cfg, delay, dep, seed, trials = case
         L_D, L_I = model.link_lengths(cfg)
         for k in range(cfg.K):
             for i in range(cfg.K):
@@ -453,11 +446,11 @@ class TestBatchedFig5Path:
             assert list(ch.taps) == list(want.taps)
             for key in want.taps:
                 np.testing.assert_array_equal(ch.taps[key], want.taps[key])
-        dplan = extensions.make_delayed_plan(cfg, dp)
+        dplan = extensions.make_delayed_plan(cfg, *delay)
         n_sc = int(rng.integers(1, 10))
         for cells in (None, [0]):
-            got = extensions.rate_with_residual_ici(cfg, dplan, dp, stacked, 1.0, 0.1, cells)
-            want = [residual_ici_rate_by_trial(cfg, dplan, dp, ch, 1.0, 0.1, cells)
+            got = extensions.rate_with_residual_ici(cfg, dplan, stacked, 1.0, 0.1, cells)
+            want = [residual_ici_rate_by_trial(cfg, dplan, ch, 1.0, 0.1, cells)
                     for ch in draws]
             assert got.shape == (trials, cfg.K)
             assert _max_rel(got, np.array(want)) <= 1e-12

@@ -442,14 +442,12 @@ def reception_cases(draw):
 
 def _reception_plan(case):
     """(cfg, plan) of a reception_cases draw: the base plan, or the delayed
-    plan when the case carries a delay profile."""
+    plan when the case carries a delay (L_I_d, L_I_prime)."""
     K, users, cir, delay, B, _, _ = case
     cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir, subblocks=B)
     if delay is None:
         return cfg, model.make_plan(cfg)
-    L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
-    dp = extensions.DelayProfile(L_I_d=delay[0], L_I_prime=delay[1], L_I=L_I)
-    return cfg, extensions.make_delayed_plan(cfg, dp)
+    return cfg, extensions.make_delayed_plan(cfg, *delay)
 
 
 class TestReceptionProperty:
