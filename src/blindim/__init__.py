@@ -6,7 +6,6 @@ cancellation, closed-form DoF/rate analysis, and executable rank checks."""
 from .model import (
     ChannelRealization,
     ConfigError,
-    Deployment,
     SystemConfig,
     TransmissionPlan,
     hex_deployment,

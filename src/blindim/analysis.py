@@ -108,12 +108,13 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     return rate / (n_sc + plan.L_D - 1) / cfg.K
 
 
-def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) -> np.ndarray:
+def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, n_sc, cells=None) -> np.ndarray:
     """Per-cell OFDMA rate with every cell active and ICI treated as noise.
 
     Each cell runs the same interleaved subcarrier partition; user u of cell i
     interferes on exactly its own subcarrier set, with its spectral response
-    taken as the n_sc-point FFT of the cross-link taps.  Cyclic prefix L_D - 1;
+    taken as the n_sc-point FFT of the cross-link taps.  Cyclic prefix L_D - 1,
+    with L_D the config's longest desired link (model.link_lengths);
     every used subcarrier carries power P (no pooling, as in the TDMA baseline).
     A realization needs only the links into the requested cells.  Returns
     (..., K) over the leading axes of the taps; cells not requested read 0.
@@ -125,6 +126,7 @@ def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None) 
     """
     if cells is None:
         cells = range(cfg.K)
+    L_D, _ = model.link_lengths(cfg)
     sc = np.arange(n_sc)
     U = np.array(cfg.users_per_cell)
     offset = np.cumsum(U) - U

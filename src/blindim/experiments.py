@@ -13,6 +13,12 @@ from .extensions import make_delayed_plan, rate_with_residual_ici
 FIG3_SNR_GRID = tuple(range(0, 45, 5))
 FIG3_K_LIST = (1, 2, 3)
 
+# fig5's transmit power (23 dBm) and noise power (-174 dBm/Hz over 100 Hz),
+# in Watts.  The band is narrow: it puts the cell-edge regime
+# interference-limited, which is the regime this comparison is about
+TX_POWER_W = 10.0 ** ((23.0 - 30.0) / 10.0)
+NOISE_POWER_W = 10.0 ** ((-174.0 - 30.0) / 10.0) * 100.0
+
 
 def run_snr_comparison(snr_db=FIG3_SNR_GRID, trials=200, seed=0):
     """Ergodic sum spectral efficiency of the proposed scheme and the
@@ -63,13 +69,8 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0):
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = fig5_config()
-    # narrowband: puts the cell-edge regime interference-limited, which is the
-    # regime this comparison is about
-    dep = model.Deployment(ici_delay_taps=dplan.L_I_d, bandwidth_hz=100.0)
-    P = dep.tx_power_w
-    sigma2 = dep.noise_power_w
     gains = model.large_scale_gain(
-        cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
+        cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
     )
     into_0 = [(0, i) for i in range(cfg.K)]
     # (distance, scheme) sums over the trials
@@ -81,9 +82,9 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0):
             ch = model.ChannelRealization(
                 {key: gains[key][near, None] * small.taps[key] for key in into_0}
             )
-            prop = rate_with_residual_ici(cfg, dplan, ch, P, sigma2, cells=[0])
+            prop = rate_with_residual_ici(cfg, dplan, ch, TX_POWER_W, NOISE_POWER_W, cells=[0])
             ofdma = analysis.ofdma_rate_with_ici(
-                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
+                cfg, ch, TX_POWER_W, NOISE_POWER_W, n_sc=dplan.N, cells=[0]
             )
             acc[near, 0] += prop[..., 0].sum(axis=-1)
             acc[near, 1] += ofdma[..., 0].sum(axis=-1)

@@ -85,6 +85,10 @@ def validate_config(cfg: SystemConfig):
                     )
     if cfg.subblocks < 1:
         violations.append("B >= 1 violated (B=%d)" % cfg.subblocks)
+    if cfg.seed < 0:
+        violations.append("seed >= 0 violated (seed=%d)" % cfg.seed)
+    if not math.isfinite(cfg.snr_db):
+        violations.append("snr_db must be finite (snr_db=%r)" % cfg.snr_db)
     if cfg.symbol_model not in ("gaussian", "qpsk"):
         violations.append("symbol_model must be 'gaussian' or 'qpsk'")
     return violations
@@ -268,99 +272,64 @@ def trial_blocks(cfg: SystemConfig, seed, trials, links=None, user_major=False):
 # Geometric channel model (path loss + exponentially-decaying power-delay profile)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Deployment:
-    """Large-scale propagation parameters for the geometric channel model."""
-
-    site_spacing_m: float = 300.0       # D_site, BS-to-BS spacing
-    pathloss_exponent: float = 3.5      # alpha
-    ref_loss_db: float = -80.0          # P_0, reference path loss at 1 m (dB)
-    pdp_decay: object = 0.5             # beta: scalar, or K x K per-link matrix
-    ici_delay_taps: int = 0             # L_{I,d}: leading ICI taps nulled by delay
-    tx_power_dbm: float = 23.0
-    noise_density_dbm_hz: float = -174.0
-    bandwidth_hz: float = 10e6
-
-    @property
-    def tx_power_w(self) -> float:
-        return float(10.0 ** ((self.tx_power_dbm - 30.0) / 10.0))
-
-    @property
-    def noise_power_w(self) -> float:
-        """sigma^2 = N_0 * bandwidth (Watts)."""
-        return float(10.0 ** ((self.noise_density_dbm_hz - 30.0) / 10.0) * self.bandwidth_hz)
+# fig5's deployment: BS-to-BS spacing D_site, path-loss exponent alpha,
+# reference path loss P_0 at 1 m, and power-delay-profile decay beta
+SITE_SPACING_M = 300.0
+PATHLOSS_EXPONENT = 3.5
+REF_LOSS_DB = -80.0
+PDP_DECAY = 0.5
 
 
-def pdp_profile(dep: Deployment, k, i, L, L_D, L_I) -> np.ndarray:
-    """Normalized per-tap variances gamma_{k,i,ell}, ell < L, of the exponential
-    delay profile of link (k, i).
-
-    Desired links (k == i) spread unit power over taps [0, L_D-1]; interfering
-    links over taps [L_{I,d}, L_I-1]; every other tap is zero.
+def pdp_profile(L, lo, hi) -> np.ndarray:
+    """Normalized per-tap variances gamma_ell, ell < L, of the exponential
+    delay profile that spreads unit power over taps [lo, hi); every other tap
+    is zero.  Desired links take [0, L_D), cross links [L_{I,d}, L_I).
     """
-    beta = dep.pdp_decay
-    if not np.isscalar(beta):
-        beta = beta[k][i]
-    lo, hi = (0, L_D) if k == i else (dep.ici_delay_taps, L_I)
     gamma = np.zeros(L)
     ell = np.arange(lo, min(hi, L))
-    gamma[ell] = np.exp(-beta * ell) / np.sum(np.exp(-beta * np.arange(lo, hi)))
+    gamma[ell] = np.exp(-PDP_DECAY * ell) / np.sum(np.exp(-PDP_DECAY * np.arange(lo, hi)))
     return gamma
 
 
-@dataclass(frozen=True)
-class Positions:
-    """Node geometry: BS coordinates plus user-to-BS distances.
-
-    dist[..., k, i, u] is the distance (m) from user (i, u) to base station k;
-    leading axes of user_xy and dist stack layouts (such as a grid of D_user).
-    """
-
-    bs_xy: np.ndarray     # (K, 2)
-    user_xy: np.ndarray   # (..., K, U_max, 2)
-    dist: np.ndarray      # (..., K, K, U_max)
-
-
-def hex_deployment(D_site, D_user, users_per_cell) -> Positions:
-    """7-cell hexagonal layout: center cell plus 6 neighbors at spacing D_site.
+def hex_deployment(D_user, users_per_cell) -> np.ndarray:
+    """(..., K, K, U_max) distances (m) from user (i, u) to base station k in
+    the 7-cell hexagonal layout: center cell plus 6 neighbors at spacing
+    SITE_SPACING_M, with users_per_cell[i] users in cell i.
 
     Users sit at distance D_user from their own BS, at evenly-spread angles
-    starting from 0 degrees.  An array of D_user gives one layout per entry,
-    stacked along the leading axes.
+    starting from 0 degrees; slots past a cell's last user hold NaN.  An array
+    of D_user gives one layout per entry, stacked along the leading axes.
     """
     D_user = np.asarray(D_user, dtype=float)
-    if not np.all((0 <= D_user) & (D_user < D_site)):
+    if not np.all((0 <= D_user) & (D_user < SITE_SPACING_M)):
         raise ValueError("require 0 <= D_user < D_site")
-    users_per_cell = list(users_per_cell)
     K = 7
-    if len(users_per_cell) == 1:
-        users_per_cell = users_per_cell * K
     if len(users_per_cell) != K:
-        raise ValueError("users_per_cell must have 1 or 7 entries")
+        raise ValueError("users_per_cell must have 7 entries")
     ring = np.pi / 3.0 * np.arange(6)
     bs = np.zeros((K, 2))
-    bs[1:] = D_site * np.stack([np.cos(ring), np.sin(ring)], axis=-1)
+    bs[1:] = SITE_SPACING_M * np.stack([np.cos(ring), np.sin(ring)], axis=-1)
     U = np.array(users_per_cell)[:, None]
     u = np.arange(U.max())
     ang = 2.0 * np.pi * u / U
     user = bs[:, None] + D_user[..., None, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
     user[..., u >= U, :] = np.nan
     offset = user[..., None, :, :, :] - bs[:, None, None]
-    dist = np.hypot(offset[..., 0], offset[..., 1])
-    return Positions(bs_xy=bs, user_xy=user, dist=dist)
+    return np.hypot(offset[..., 0], offset[..., 1])
 
 
-def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -> dict:
+def large_scale_gain(cfg: SystemConfig, L_I_d, dist) -> dict:
     """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
-    over the leading axes of positions.dist.
+    over the leading axes of the (..., K, K, U_max) distances dist.
 
-    The path-loss amplitude is one float_power over the whole (..., K, K, U)
-    distance array, and each distinct delay profile (desired or not, L_{k,i},
-    beta_{k,i}) is computed once and shared by every link that has it.
+    Desired links spread their power over [0, L_D), cross links over
+    [L_I_d, L_I), with (L_D, L_I) = link_lengths(cfg).  The path-loss
+    amplitude is one float_power over the whole distance array, and each
+    distinct delay profile (desired or not, L_{k,i}) is computed once and
+    shared by every link that has it.
     """
-    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
+    p0 = 10.0 ** (REF_LOSS_DB / 10.0)
     L_D, L_I = link_lengths(cfg)
-    dist = positions.dist
     # slots past a cell's last user hold NaN distances and are never read
     users = np.arange(dist.shape[-1]) < np.array(cfg.users_per_cell)[:, None]
     bad = (users & ~(dist > 0)).reshape((-1,) + dist.shape[-3:]).any(axis=0)
@@ -369,16 +338,15 @@ def large_scale_gain(cfg: SystemConfig, dep: Deployment, positions: Positions) -
                          % tuple(np.argwhere(bad)[0]))
     # float_power matches scalar d ** x bit for bit, so existing seeds keep
     # their draws; numpy's SIMD power loop may differ in the last bit
-    amp = np.sqrt(p0) * np.float_power(dist, -dep.pathloss_exponent / 2.0)
-    beta = np.broadcast_to(dep.pdp_decay, (cfg.K, cfg.K))
+    amp = np.sqrt(p0) * np.float_power(dist, -PATHLOSS_EXPONENT / 2.0)
     profiles = {}
     gain = {}
     for k in range(cfg.K):
         for i in range(cfg.K):
             L = cfg.cir_len[k][i]
-            key = (k == i, L, float(beta[k, i]))
+            key = (k == i, L)
             if key not in profiles:
-                profiles[key] = np.sqrt(pdp_profile(dep, k, i, L, L_D, L_I))
+                lo, hi = (0, L_D) if k == i else (L_I_d, L_I)
+                profiles[key] = np.sqrt(pdp_profile(L, lo, hi))
             gain[(k, i)] = amp[..., k, i, : cfg.users_per_cell[i], None] * profiles[key]
     return gain
-

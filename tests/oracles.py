@@ -254,25 +254,25 @@ def decode_by_triangular_solve(plan, H, y_tilde, genie_symbols=None):
 # sweep with one pair of rate calls per distance
 # ---------------------------------------------------------------------------
 
-def pdp_variance(dep, k, i, ell, L_D, L_I):
-    """Normalized per-tap variance gamma_{k,i,ell} of the exponential delay profile.
+def pdp_variance(k, i, ell, L_D, L_I, L_I_d):
+    """Normalized per-tap variance gamma_{k,i,ell} of the exponential delay
+    profile with decay model.PDP_DECAY.
 
     Desired links (k == i) spread unit power over taps [0, L_D-1]; interfering
-    links over taps [L_{I,d}, L_I-1]; everything else is zero.
+    links over taps [L_I_d, L_I-1]; everything else is zero.
     """
-    beta = dep.pdp_decay
-    if not np.isscalar(beta):
-        beta = beta[k][i]
+    from blindim import model
+
+    beta = model.PDP_DECAY
     if k == i:
         if 0 <= ell <= L_D - 1:
             num = np.exp(-beta * ell)
             den = np.sum(np.exp(-beta * np.arange(L_D)))
             return float(num / den)
         return 0.0
-    lo = dep.ici_delay_taps
-    if lo <= ell <= L_I - 1:
+    if L_I_d <= ell <= L_I - 1:
         num = np.exp(-beta * ell)
-        den = np.sum(np.exp(-beta * np.arange(lo, L_I)))
+        den = np.sum(np.exp(-beta * np.arange(L_I_d, L_I)))
         return float(num / den)
     return 0.0
 
@@ -293,24 +293,26 @@ def small_scale_by_user(cfg, rng):
     return model.ChannelRealization(taps=taps)
 
 
-def sample_channel_by_user(cfg, dep, positions, rng):
-    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma): one
-    small_scale_by_user draw, scaled user by user and tap by tap."""
+def sample_channel_by_user(cfg, L_I_d, dist, rng):
+    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma), with
+    model's deployment constants and cross-link power over [L_I_d, L_I): one
+    small_scale_by_user draw, scaled user by user and tap by tap.
+    dist[k, i, u] is the distance from user (i, u) to base station k."""
     from blindim import model
 
-    p0 = 10.0 ** (dep.ref_loss_db / 10.0)
+    p0 = 10.0 ** (model.REF_LOSS_DB / 10.0)
     L_D, L_I = model.link_lengths(cfg)
     small = small_scale_by_user(cfg, rng)
     taps = {}
     for (k, i), h in small.taps.items():
         L = cfg.cir_len[k][i]
-        gamma = np.array([pdp_variance(dep, k, i, ell, L_D, L_I) for ell in range(L)])
+        gamma = np.array([pdp_variance(k, i, ell, L_D, L_I, L_I_d) for ell in range(L)])
         out = np.zeros(h.shape, dtype=complex)
         for u in range(cfg.users_per_cell[i]):
-            d = positions.dist[k, i, u]
+            d = dist[k, i, u]
             if not d > 0:
                 raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)" % (k, i, u))
-            out[u] = np.sqrt(p0) * d ** (-dep.pathloss_exponent / 2.0) * np.sqrt(gamma) * h[u]
+            out[u] = np.sqrt(p0) * d ** (-model.PATHLOSS_EXPONENT / 2.0) * np.sqrt(gamma) * h[u]
         taps[(k, i)] = out
     return model.ChannelRealization(taps=taps)
 
@@ -391,17 +393,16 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
     from blindim import experiments, model
 
     cfg, dplan = experiments.fig5_config()
-    dep = model.Deployment(ici_delay_taps=dplan.L_I_d, bandwidth_hz=100.0)
-    P = dep.tx_power_w
-    sigma2 = dep.noise_power_w
+    P = experiments.TX_POWER_W
+    sigma2 = experiments.NOISE_POWER_W
     rows = []
     for d_user in d_user_grid:
-        positions = model.hex_deployment(dep.site_spacing_m, float(d_user), [3] * 7)
+        dist = model.hex_deployment(float(d_user), cfg.users_per_cell)
         acc_prop = 0.0
         acc_ofdma = 0.0
         for t in range(trials):
             rng = model.trial_rng(seed, t)
-            ch = sample_channel_by_user(cfg, dep, positions, rng)
+            ch = sample_channel_by_user(cfg, dplan.L_I_d, dist, rng)
             acc_prop += residual_ici_rate_by_trial(cfg, dplan, ch, P, sigma2, cells=[0])[0]
             acc_ofdma += ofdma_rate_by_subset(
                 cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
@@ -420,11 +421,10 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = experiments.fig5_config()
-    dep = model.Deployment(ici_delay_taps=dplan.L_I_d, bandwidth_hz=100.0)
-    P = dep.tx_power_w
-    sigma2 = dep.noise_power_w
+    P = experiments.TX_POWER_W
+    sigma2 = experiments.NOISE_POWER_W
     gains = model.large_scale_gain(
-        cfg, dep, model.hex_deployment(dep.site_spacing_m, d_user_grid, [3] * 7)
+        cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
     )
     acc = np.zeros((len(d_user_grid), 2))
     for start in range(0, trials, model.TRIAL_BLOCK):
@@ -435,9 +435,7 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
             ch = model.ChannelRealization(
                 {key: gain[j] * small[key] for key, gain in gains.items()})
             prop = extensions.rate_with_residual_ici(cfg, dplan, ch, P, sigma2, cells=[0])
-            ofdma = analysis.ofdma_rate_with_ici(
-                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
-            )
+            ofdma = analysis.ofdma_rate_with_ici(cfg, ch, P, sigma2, n_sc=dplan.N, cells=[0])
             acc[j] += prop[:, 0].sum(), ofdma[:, 0].sum()
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
             for d_user, sums in zip(d_user_grid, acc)]

@@ -1,5 +1,8 @@
+import importlib
 import importlib.metadata as md
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -223,6 +226,29 @@ class TestErrors:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("command", ["rate", "simulate", "verify"])
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed >= 0 violated (seed=-1)"),
+        ("snr_db = nan", "snr_db must be finite (snr_db=nan)"),
+        ("snr_db = inf", "snr_db must be finite (snr_db=inf)"),
+    ])
+    def test_config_invariant_violated(self, tmp_path, capsys, command, line, message):
+        # a config file's negative seed or non-finite SNR is a configuration
+        # error: no traceback, and no rows of nan or inf
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\n%s\n" % line)
+        code, text = run(tmp_path, command, "--config", str(cfgfile), "--trials", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+    def test_seed_option_overrides_config_seed_before_validation(self, tmp_path):
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nseed = -1\n")
+        code, text = run(tmp_path, "rate", "--config", str(cfgfile), "--seed", "3",
+                         "--trials", "2")
+        assert code == 0
+        assert text == run(tmp_path, "rate", "--seed", "3", "--trials", "2", name="b.csv")[1]
+
     @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "L_D=4,1.5", "K=x"])
     def test_non_numeric_sweep_values(self, tmp_path, capsys, axis):
         code, text = run(tmp_path, "sweep", "--sweep", axis)
@@ -372,6 +398,20 @@ class TestReadme:
         lines = proc.stdout.splitlines()
         assert lines[1] == "2.0"
         assert float(lines[2]) <= 1e-9
+
+    def test_named_functions_exist(self):
+        # every `module.name` the README names, for a blindim submodule, exists
+        import blindim
+
+        submodules = {m.name for m in pkgutil.iter_modules(blindim.__path__)}
+        text = (REPO_ROOT / "README.md").read_text()
+        spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+        named = {m.groups() for m in map(re.compile(r"(\w+)\.(\w+)").match, spans)
+                 if m and m[1] in submodules}
+        assert named
+        missing = ["%s.%s" % (mod, name) for mod, name in sorted(named)
+                   if not hasattr(importlib.import_module("blindim." + mod), name)]
+        assert missing == []
 
 
 def _blindim_installed():

@@ -11,10 +11,10 @@ def symmetric(K=2, L_D=4, L_I=2, U=2, **kw):
     return model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U, **kw)
 
 
-def geometric_draws(cfg, dep, positions, seed, trials):
+def geometric_draws(cfg, L_I_d, dist, seed, trials):
     """Trials 0 .. trials - 1 of fig5's route, stacked (T, U_i, L_{k,i}) per
     link: large_scale_gain times trial_blocks' user-major taps."""
-    gain = model.large_scale_gain(cfg, dep, positions)
+    gain = model.large_scale_gain(cfg, L_I_d, dist)
     blocks = list(model.trial_blocks(cfg, seed, trials, user_major=True))
     return model.ChannelRealization(
         {key: gain[key] * np.concatenate([b.taps[key] for b in blocks]) for key in gain})
@@ -37,6 +37,14 @@ class TestValidateConfig:
         with pytest.raises(model.ConfigError) as exc:
             model.require_valid(cfg)
         assert len(exc.value.violations) == 2
+
+    def test_negative_seed_rejected(self):
+        assert model.validate_config(symmetric(seed=-1)) == ["seed >= 0 violated (seed=-1)"]
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_snr_rejected(self, snr_db):
+        assert model.validate_config(symmetric(snr_db=snr_db)) == [
+            "snr_db must be finite (snr_db=%r)" % snr_db]
 
 
 class TestMakePlan:
@@ -212,64 +220,50 @@ class TestFadingTrialBlocks:
 
 
 class TestPdpVariance:
-    def test_uniform_limit(self):
-        dep = model.Deployment(pdp_decay=0.0)
-        np.testing.assert_allclose(model.pdp_profile(dep, 0, 0, 5, L_D=5, L_I=7), 1 / 5,
-                                   rtol=1e-15)
-
     def test_delayed_ici_support(self):
-        dep = model.Deployment(pdp_decay=0.5, ici_delay_taps=3)
-        gamma = model.pdp_profile(dep, 0, 1, 8, L_D=5, L_I=7)
+        gamma = model.pdp_profile(8, 3, 7)
         np.testing.assert_array_equal(gamma[:3], 0.0)
         assert gamma[3] > 0.0
         assert gamma[7] == 0.0
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.3])
-    def test_normalization(self, beta):
-        dep = model.Deployment(pdp_decay=beta, ici_delay_taps=2)
-        own = model.pdp_profile(dep, 0, 0, 10, 6, 7).sum()
-        cross = model.pdp_profile(dep, 0, 1, 10, 6, 7).sum()
+    def test_normalization(self):
+        own = model.pdp_profile(10, 0, 6).sum()
+        cross = model.pdp_profile(10, 2, 7).sum()
         assert own == pytest.approx(1.0, abs=1e-12)
         assert cross == pytest.approx(1.0, abs=1e-12)
 
-    def test_matrix_valued_decay(self):
-        beta = [[0.1, 0.9], [0.9, 0.1]]
-        dep = model.Deployment(pdp_decay=beta)
-        v = model.pdp_profile(dep, 0, 1, 3, L_D=4, L_I=3)
-        dep_scalar = model.Deployment(pdp_decay=0.9)
-        np.testing.assert_array_equal(v, model.pdp_profile(dep_scalar, 0, 1, 3, L_D=4, L_I=3))
-
     def test_empty_support_is_zero(self):
         # every cross tap precedes the delay offset: no power, and no 0 / 0
-        dep = model.Deployment(ici_delay_taps=5)
         with np.errstate(all="raise"):
-            np.testing.assert_array_equal(model.pdp_profile(dep, 0, 1, 4, L_D=6, L_I=4), 0.0)
+            np.testing.assert_array_equal(model.pdp_profile(4, 5, 4), 0.0)
 
 
 class TestHexDeployment:
     def test_own_bs_distance(self):
-        pos = model.hex_deployment(300.0, 80.0, [3])
+        dist = model.hex_deployment(80.0, [3] * 7)
         for i in range(7):
             for u in range(3):
-                assert pos.dist[i, i, u] == pytest.approx(80.0)
+                assert dist[i, i, u] == pytest.approx(80.0)
 
     def test_bs_spacing(self):
-        pos = model.hex_deployment(300.0, 80.0, [3])
+        # a user at distance 0 sits on its own site: dist[k, i, 0] is the
+        # distance between sites i and k
+        dist = model.hex_deployment(0.0, [1] * 7)
         for c in range(1, 7):
-            assert np.hypot(*pos.bs_xy[c]) == pytest.approx(300.0)
+            assert dist[0, c, 0] == pytest.approx(300.0)
         # adjacent ring sites are also D_site apart
-        assert np.hypot(*(pos.bs_xy[1] - pos.bs_xy[2])) == pytest.approx(300.0)
+        assert dist[1, 2, 0] == pytest.approx(300.0)
 
     def test_sixty_degree_symmetry(self):
-        pos = model.hex_deployment(300.0, 80.0, [1])
+        dist = model.hex_deployment(80.0, [1] * 7)
         # distances from the center BS to each ring cell's user repeat under rotation
-        d = sorted(pos.dist[0, 1:, 0])
-        rot = sorted(np.roll(pos.dist[0, 1:, 0], 1))
+        d = sorted(dist[0, 1:, 0])
+        rot = sorted(np.roll(dist[0, 1:, 0], 1))
         np.testing.assert_allclose(d, rot, rtol=1e-12)
 
     def test_rejects_user_outside_cell(self):
         with pytest.raises(ValueError):
-            model.hex_deployment(300.0, 300.0, [3])
+            model.hex_deployment(300.0, [3] * 7)
 
 
 class TestGeometricSampler:
@@ -278,44 +272,31 @@ class TestGeometricSampler:
 
     def test_pathloss_scaling(self):
         cfg = self._single_link_cfg()
-        dep = model.Deployment(pathloss_exponent=2.0, pdp_decay=0.0)
         powers = {}
         for d in (50.0, 100.0):
-            pos = model.Positions(
-                bs_xy=np.zeros((1, 2)),
-                user_xy=np.zeros((1, 1, 2)),
-                dist=np.full((1, 1, 1), d),
-            )
-            ch = geometric_draws(cfg, dep, pos, 0, 4000)
+            ch = geometric_draws(cfg, 0, np.full((1, 1, 1), d), 0, 4000)
             powers[d] = np.sum(np.abs(ch.h(0, 0, 0)) ** 2) / 4000
-        assert powers[50.0] / powers[100.0] == pytest.approx(4.0, rel=0.05)
+        assert powers[50.0] / powers[100.0] == pytest.approx(2 ** 3.5, rel=0.05)
 
     def test_tap_power_matches_profile(self):
         cfg = self._single_link_cfg()
-        dep = model.Deployment(pathloss_exponent=3.5, pdp_decay=0.5, ref_loss_db=-80.0)
-        pos = model.Positions(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.full((1, 1, 1), 60.0))
-        acc = np.mean(np.abs(geometric_draws(cfg, dep, pos, 3, 20000).h(0, 0, 0)) ** 2, axis=0)
-        p0 = 10 ** (dep.ref_loss_db / 10)
+        dist = np.full((1, 1, 1), 60.0)
+        acc = np.mean(np.abs(geometric_draws(cfg, 0, dist, 3, 20000).h(0, 0, 0)) ** 2, axis=0)
+        p0 = 10 ** (model.REF_LOSS_DB / 10)
         for ell in range(4):
-            expect = p0 * 60.0 ** -3.5 * pdp_variance(dep, 0, 0, ell, 4, 1)
+            expect = p0 * 60.0 ** -3.5 * pdp_variance(0, 0, ell, 4, 1, 0)
             assert acc[ell] == pytest.approx(expect, rel=0.05)
 
     def test_delayed_ici_taps_exactly_zero(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=2)
-        dep = model.Deployment(ici_delay_taps=3)
-        pos = model.Positions(
-            np.zeros((2, 2)), np.zeros((2, 2, 2)), np.full((2, 2, 2), 100.0)
-        )
-        ch = geometric_draws(cfg, dep, pos, 0, 1)
+        ch = geometric_draws(cfg, 3, np.full((2, 2, 2), 100.0), 0, 1)
         np.testing.assert_array_equal(ch.taps[(0, 1)][..., :3], 0.0)
         assert np.all(np.abs(ch.taps[(0, 1)][..., 3:]) > 0)
 
     def test_rejects_bad_distance(self):
         cfg = self._single_link_cfg()
-        dep = model.Deployment()
-        pos = model.Positions(np.zeros((1, 2)), np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
-            model.large_scale_gain(cfg, dep, pos)
+            model.large_scale_gain(cfg, 0, np.zeros((1, 1, 1)))
 
     def test_bad_distance_on_a_grid_names_its_link(self):
         # a cell's unused user slots hold NaN and pass; a real user's zero
@@ -323,13 +304,12 @@ class TestGeometricSampler:
         cfg = model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[3, 2], [2, 3]])
         dist = np.full((3, 2, 2, 2), 50.0)
         dist[..., 0, 1] = np.nan
-        pos = model.Positions(np.zeros((2, 2)), np.zeros((3, 2, 2, 2)), dist)
         with np.errstate(all="raise"):
-            gains = model.large_scale_gain(cfg, model.Deployment(), pos)
+            gains = model.large_scale_gain(cfg, 0, dist)
             assert all(np.isfinite(g).all() for g in gains.values())
             dist[2, 1, 1, 1] = 0.0
             with pytest.raises(ValueError, match=r"link \(k=1, i=1, u=1\)"):
-                model.large_scale_gain(cfg, model.Deployment(), pos)
+                model.large_scale_gain(cfg, 0, dist)
 
     def test_picked_links_keep_their_place_in_the_draw(self):
         # the links into base station 0 come first: normals cut after them
