@@ -18,7 +18,6 @@ from .spectral import build_structured, combiner, idft_basis
 from .transceiver import (
     combine,
     decode_block,
-    precode_and_frame,
     simulate_link,
     simulate_reception,
 )

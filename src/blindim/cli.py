@@ -64,11 +64,12 @@ def _snr_list(args, default):
         return list(default)
     try:
         snrs = [float(s) for s in args.snr.split(",")]
-        if all(map(math.isfinite, snrs)):
+        if all(math.isfinite(s) and s <= model.MAX_SNR_DB for s in snrs):
             return snrs
     except ValueError:
         pass
-    raise UsageError("--snr must be a comma-separated list of numbers, got %r" % args.snr)
+    raise UsageError("--snr must be a comma-separated list of numbers <= %.6g dB, got %r"
+                     % (model.MAX_SNR_DB, args.snr))
 
 
 def _dof_row(cfg):

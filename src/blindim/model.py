@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_SNR_DB = 5.0 * math.log10(np.finfo(float).max)   # 10^(snr_db / 5) stays finite
+
 
 class ConfigError(ValueError):
     """Raised when a configuration violates its invariants."""
@@ -89,6 +91,8 @@ def validate_config(cfg: SystemConfig):
         violations.append("seed >= 0 violated (seed=%d)" % cfg.seed)
     if not math.isfinite(cfg.snr_db):
         violations.append("snr_db must be finite (snr_db=%r)" % cfg.snr_db)
+    elif cfg.snr_db > MAX_SNR_DB:
+        violations.append("snr_db <= %.6g violated (snr_db=%r)" % (MAX_SNR_DB, cfg.snr_db))
     if cfg.symbol_model not in ("gaussian", "qpsk"):
         violations.append("symbol_model must be 'gaussian' or 'qpsk'")
     return violations

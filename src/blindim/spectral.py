@@ -14,8 +14,8 @@ DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
 first column f_1 is the constant vector and F is unitary.  With this choice a
 circulant matrix C with first column c satisfies C = F diag(fft(c)) F^H.
-framed_precoders adds the cyclic prefix to these columns, for the
-transmitter and frame_columns alike.
+framed_precoders adds the cyclic prefix to these columns, for the decoder's
+frame_columns and the receiver alike; frame_response continues its tones.
 """
 
 from __future__ import annotations
@@ -88,6 +88,34 @@ def frame_columns(taps, N, cp, M) -> np.ndarray:
     sums = np.cumsum(h[..., None] * twiddle, axis=-2)
     cols = np.swapaxes(framed_precoders(N, cp, M) * sums, -3, -2)
     return cols.reshape(cols.shape[:-2] + (-1,))
+
+
+def frame_response(taps, N, cp, M) -> tuple:
+    """(gains, leak): the response of (..., U, L) taps to one frame of unit
+    symbols on f_1 .. f_M, in O(U M L) whatever the frame length.  It is
+    framed_precoders times gains (..., U, M), the sums of h_l w^(-l m), less
+    leak on samples 0 .. L - 2, plus leak times leakage_phase from sample
+    N + cp on.  Row u * M + m of leak (..., U * M, L - 1) is the tone f_{m+1}
+    continued to sample j times the sums over the taps l > j."""
+    taps = np.asarray(taps)
+    L = taps.shape[-1]
+    twiddle, tones = _response_tables(N, cp, M, L)
+    sums = taps[..., None, :] * twiddle
+    sums.cumsum(axis=-1, out=sums)
+    gains, leak = sums[..., -1], sums[..., :-1]
+    np.subtract(gains[..., None], leak, out=leak)
+    leak *= tones
+    return gains, leak.reshape(leak.shape[:-3] + (taps.shape[-2] * M, L - 1))
+
+
+@functools.lru_cache(maxsize=32)   # bounded and read-only, like _idft_basis
+def _response_tables(N, cp, M, L):
+    """(M, L) w^(-l m) and (M, L - 1) tone samples f_{m+1}[j - cp] of frame_response."""
+    F = idft_basis(N)
+    tables = (np.sqrt(N) * F[-np.arange(L) % N, :M].T, F[(np.arange(L - 1) - cp) % N, :M].T)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def leakage_phase(N, cp, M) -> np.ndarray:

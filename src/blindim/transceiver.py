@@ -1,8 +1,9 @@
 # blindim/transceiver.py
-"""End-to-end chain: precode, frame with cyclic prefix, receive by convolution,
-combine every frame with spectral.combiner's W (which drops or folds the
-cyclic prefix and projects out inter-cell interference), and decode with
-successive inter-subblock interference cancellation.
+"""End-to-end chain: receive the symbols frame by frame, combine every frame
+with spectral.combiner's W (which drops or folds the cyclic prefix and
+projects out inter-cell interference), and decode with successive
+inter-subblock interference cancellation.  No transmitted sample stream is
+formed: each link's spectral.frame_response meets the symbols.
 
 Power convention: sigma^2 = 1 and P = rho (the linear SNR), so every
 transmitted sample satisfies E|x[n]|^2 = P when symbols carry variance
@@ -11,23 +12,19 @@ N*P/M_k.  The effective per-stream SNR after combining is then N*rho/M_k.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import build_structured, combiner, framed_precoders, leakage_phase
+from .spectral import build_structured, combiner, frame_response, framed_precoders, leakage_phase
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-def symbol_scale(plan, k, snr_linear) -> float:
-    """Std-dev of one data symbol so per-sample transmit power equals P."""
-    return float(np.sqrt(plan.N * snr_linear / plan.M[k]))
-
-
 def draw_symbols(cfg, plan, rng) -> dict:
-    """Random unit-variance payload symbols, scaled to the power budget of
-    the config's SNR.
+    """Random unit-variance payload symbols, scaled by sqrt(N rho / M_k) so
+    each transmitted sample has power P = rho, the config's linear SNR.
 
     Returns a dict k -> array of shape (B, U'_k, M_k).
     """
@@ -38,54 +35,48 @@ def draw_symbols(cfg, plan, rng) -> dict:
             s = rng.choice(QPSK, size=shape)
         else:
             s = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        out[k] = s * symbol_scale(plan, k, cfg.snr_linear) if plan.M[k] > 0 else s
+        out[k] = s * np.sqrt(plan.N * cfg.snr_linear / plan.M[k]) if plan.M[k] > 0 else s
     return out
 
 
-def precode_and_frame(plan, k, symbols) -> np.ndarray:
-    """Frame one cell's symbols into per-user length-T blocks.
-
-    symbols has shape (B, U'_k, M_k).  Each subblock frame is the
-    cyclic-prefixed precoders spectral.framed_precoders times the symbols:
-    the core x_bar = F_k s (the first M_k IDFT columns) after a prefix of its
-    last L_I - 1 samples.  max(L_D, L_I) - 1 trailing zeros flush the channel
-    memory.
-    """
-    symbols = np.asarray(symbols)
-    if symbols.shape != (plan.B, plan.U_active[k], plan.M[k]):
-        raise ValueError(
-            "expected symbols of shape %r, got %r"
-            % ((plan.B, plan.U_active[k], plan.M[k]), symbols.shape)
-        )
-    U = plan.U_active[k]
-    out = np.zeros((U, plan.T), dtype=complex)
-    # (U, B, N_bar) view of the frames: each subblock written in place
-    frames = out[:, : plan.B * plan.N_bar].reshape(U, plan.B, plan.N_bar)
-    precoders = framed_precoders(plan.N, plan.cp_len, plan.M[k])
-    np.matmul(symbols.transpose(1, 0, 2), precoders.T, out=frames)
-    return out
-
-
-def simulate_reception(cfg, plan, ch, tx, rng=None, noise_var=0.0) -> np.ndarray:
-    """Per-BS received streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n].
-
-    tx is a dict i -> (U'_i, T) array of transmitted blocks; cells with no
-    active user send nothing and may be left out.  Returns (K, T).  Each link
-    (k, i) is one product h^T x of its (U'_i, L_{k,i}) taps and cell i's
-    blocks, whose row l is added to y_k l samples late: cell i costs
-    sum_k L_{k,i} U'_i T multiply-adds.
-    """
-    T = plan.T
-    y = np.zeros((cfg.K, T), dtype=complex)
-    for (k, i), taps in ch.taps.items():
-        U = plan.U_active[i]
-        if U == 0:
-            continue
-        lagged = taps[:U].T @ tx[i][:U]
-        for l, row in enumerate(lagged):
-            y[k, l:] += row[: T - l]
+def simulate_reception(cfg, plan, ch, symbols, rng=None, noise_var=0.0) -> np.ndarray:
+    """(K, T) per-BS streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n] of
+    simulate_link's symbols, a dict i -> (B, U'_i, M_i) that may leave idle
+    cells out, built frame by frame from spectral.frame_response of blocks
+    of c base stations times c cells, zero-padded to common users, tones and
+    taps: c^2 <= T / M keeps a block's tap sums within one link's (L, T)
+    time-domain product, and a block costs O((B + 1) c^2 U M L)."""
+    K, B, N, cp, N_bar = cfg.K, plan.B, plan.N, plan.cp_len, plan.N_bar
+    if any(np.shape(symbols.get(i, np.empty((B, 0, 0)))) != (B, plan.U_active[i], plan.M[i])
+           for i in range(K)):
+        raise ValueError("each active cell's symbols must have shape (B, U'_k, M_k)")
+    U, M = max(plan.U_active), max(plan.M)
+    s = np.zeros((B + 1, K, U, M), dtype=complex)   # frame B sends nothing
+    taps = np.zeros((K, K, U, max(h.shape[-1] for h in ch.taps.values())), dtype=complex)
+    for i in range(K):
+        s[:B, i, : plan.U_active[i], : plan.M[i]] = symbols.get(i, 0.0)
+    for (k, i), h in ch.taps.items():
+        taps[k, i, : plan.U_active[i], : h.shape[-1]] = h[: plan.U_active[i]]
+    lagged = -s   # frame b - 1's leak, rotated, less frame b's own
+    lagged[1:] += s[:B] * leakage_phase(N, cp, M)
+    tones = np.zeros((K, B, M), dtype=complex)
+    frames = np.zeros((K, -(-plan.T // N_bar), N_bar), dtype=complex)   # links end by T
+    c = max(1, int(np.sqrt(plan.T // max(M, 1))))
+    for k0, i0 in itertools.product(range(0, K, c), range(0, K, c)):
+        L = max(ch.taps[(k, i)].shape[-1]
+                for k in range(k0, min(k0 + c, K)) for i in range(i0, min(i0 + c, K)))
+        block = taps[k0 : k0 + c, i0 : i0 + c, :, :L]   # its cells' users as one cell's
+        gains, leak = frame_response(block.reshape(len(block), -1, L), N, cp, M)
+        sent = s[:B, i0 : i0 + c].reshape((B,) + gains.shape[1:])
+        tones[k0 : k0 + c] += (sent.transpose(2, 0, 1) @ gains.T).T
+        resp = lagged[:, i0 : i0 + c].reshape(B + 1, -1) @ leak
+        for span, start in enumerate(range(0, resp.shape[-1], N_bar)):
+            part = resp[..., start : start + N_bar]
+            frames[k0 : k0 + c, span : span + B + 1, : part.shape[-1]] += part
+    frames[:, :B] += tones @ framed_precoders(N, cp, M).T
+    y = frames.reshape(cfg.K, -1)[:, : plan.T]
     if noise_var > 0:
-        z = rng.standard_normal((cfg.K, 2, T)) * np.sqrt(noise_var / 2.0)
+        z = rng.standard_normal((cfg.K, 2, plan.T)) * np.sqrt(noise_var / 2.0)
         y.real += z[:, 0]
         y.imag += z[:, 1]
     return y
@@ -170,6 +161,5 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0) -> Deco
     if plan.L_I_d and plan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     H = build_structured(cfg, plan, ch)
-    tx = {k: precode_and_frame(plan, k, symbols[k]) for k in range(cfg.K)}
-    y = simulate_reception(cfg, plan, ch, tx, rng=noise_rng, noise_var=noise_var)
+    y = simulate_reception(cfg, plan, ch, symbols, rng=noise_rng, noise_var=noise_var)
     return decode_block(cfg, plan, H, combine(plan, y))

@@ -65,8 +65,7 @@ def test_criterion_02_perfect_ici_cancellation(params):
         ch = model.sample_channel_iid(cfg, rng)
         symbols = transceiver.draw_symbols(cfg, plan, rng)
         symbols[0] = np.zeros_like(symbols[0])   # cell-0 desired users silent
-        tx = {i: transceiver.precode_and_frame(plan, i, symbols[i]) for i in range(cfg.K)}
-        y = transceiver.simulate_reception(cfg, plan, ch, tx)
+        y = transceiver.simulate_reception(cfg, plan, ch, symbols)
         pre = post = 0.0
         for frame in y[0, : plan.B * plan.N_bar].reshape(plan.B, plan.N_bar):
             pre += float(np.sum(np.abs(frame[cp:]) ** 2))

@@ -231,10 +231,12 @@ class TestErrors:
         ("seed = -1", "seed >= 0 violated (seed=-1)"),
         ("snr_db = nan", "snr_db must be finite (snr_db=nan)"),
         ("snr_db = inf", "snr_db must be finite (snr_db=inf)"),
+        ("snr_db = 4000", "snr_db <= 1541.27 violated (snr_db=4000.0)"),
     ])
     def test_config_invariant_violated(self, tmp_path, capsys, command, line, message):
-        # a config file's negative seed or non-finite SNR is a configuration
-        # error: no traceback, and no rows of nan or inf
+        # a config file's negative seed, or an SNR that is not finite or
+        # whose linear value squared overflows, is a configuration error: no
+        # traceback, and no rows of nan or inf
         cfgfile = tmp_path / "sys.cfg"
         cfgfile.write_text("K = 2\n%s\n" % line)
         code, text = run(tmp_path, command, "--config", str(cfgfile), "--trials", "2")
@@ -278,6 +280,24 @@ class TestErrors:
         code, text = run(tmp_path, "rate", "--snr", snr, "--trials", "2")
         assert (code, text) == (2, "")
         assert capsys.readouterr().err.startswith("error: --snr must be")
+
+    @pytest.mark.parametrize("command", ["rate", "fig3"])
+    def test_snr_that_overflows(self, tmp_path, capsys, command):
+        code, text = run(tmp_path, command, "--snr", "10,4000", "--trials", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --snr must be a comma-separated list of numbers <= 1541.27 dB, "
+            "got '10,4000'\n")
+
+    @pytest.mark.parametrize("command", ["rate", "simulate"])
+    def test_largest_snr_gives_finite_rows(self, tmp_path, command):
+        # at the bound, powers times channel gains stay finite end to end
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nsnr_db = %r\n" % model.MAX_SNR_DB)
+        code, text = run(tmp_path, command, "--config", str(cfgfile), "--trials", "3")
+        assert code == 0
+        values = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+        assert values.size and np.isfinite(values).all()
 
 
 # The options each command reads

@@ -214,13 +214,10 @@ class TestCompositeChannel:
             _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(cfg.K):
                 for u in range(dplan.U_active[k]):
-                    tx = {}
-                    for i in range(cfg.K):
-                        s = np.zeros((1, dplan.U_active[i], dplan.M[i]), dtype=complex)
-                        if i == k:
-                            s[0, u, 0] = 1.0
-                        tx[i] = transceiver.precode_and_frame(dplan, i, s)
-                    y = transceiver.simulate_reception(cfg, dplan, ch, tx)
+                    unit = {i: np.zeros((1, dplan.U_active[i], dplan.M[i]), dtype=complex)
+                            for i in range(cfg.K)}
+                    unit[k][0, u, 0] = 1.0
+                    y = transceiver.simulate_reception(cfg, dplan, ch, unit)
                     want = combine_by_subblock(dplan, y[k])[0]
                     err = np.linalg.norm(H[k][:, u] - want)
                     assert err <= 1e-12 * np.linalg.norm(want)
@@ -252,10 +249,8 @@ class TestDelayedDecoding:
             }
             got = transceiver.simulate_link(cfg, dplan, ch, single_symbols(dplan, symbols),
                                             noise_rng=model.trial_rng(3, t), noise_var=0.5)
-            tx = {i: transceiver.precode_and_frame(dplan, i, symbols[i].reshape(1, 3, 1))
-                  for i in range(2)}
-            y = transceiver.simulate_reception(cfg, dplan, ch, tx, rng=model.trial_rng(3, t),
-                                               noise_var=0.5)
+            y = transceiver.simulate_reception(cfg, dplan, ch, single_symbols(dplan, symbols),
+                                               rng=model.trial_rng(3, t), noise_var=0.5)
             _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(2):
                 obs = combine_by_subblock(dplan, y[k])[0]

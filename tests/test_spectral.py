@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,94 @@ class TestFramedPrecoders:
         F = np.exp(2j * np.pi * np.outer(m, m) / N) / np.sqrt(N)
         want = np.vstack([F[N - cp :, :M], F[:, :M]])
         np.testing.assert_allclose(spectral.framed_precoders(N, cp, M), want, rtol=0, atol=1e-15)
+
+
+def _full_response(taps, N, cp, M):
+    """frame_response's (gains, leak) laid out as the (..., N + cp + L - 1, U * M)
+    received samples its docstring describes."""
+    gains, leak = spectral.frame_response(taps, N, cp, M)
+    *lead, U, L = np.shape(taps)
+    out = np.zeros(tuple(lead) + (N + cp + L - 1, U * M), dtype=complex)
+    steady = spectral.framed_precoders(N, cp, M)[:, None, :] * gains[..., None, :, :]
+    out[..., : N + cp, :] = steady.reshape(tuple(lead) + (N + cp, U * M))
+    leak = np.swapaxes(leak, -1, -2)
+    out[..., : L - 1, :] -= leak
+    out[..., N + cp :, :] += leak * np.tile(spectral.leakage_phase(N, cp, M), U)
+    return out
+
+
+class TestFrameResponse:
+    @pytest.mark.parametrize("N, cp, M", [(1, 0, 1), (4, 0, 2), (3, 1, 3), (5, 4, 1), (8, 3, 5)])
+    def test_unit_tap_reproduces_framed_precoders(self, N, cp, M):
+        # h = delta, alone or followed by zero taps: unit gains and no leak,
+        # so the response is the frame itself, cyclic prefix included, then
+        # silence over the channel memory
+        P = spectral.framed_precoders(N, cp, M)
+        gains, leak = spectral.frame_response(np.ones((1, 1)), N, cp, M)
+        assert leak.shape == (M, 0)
+        np.testing.assert_allclose(gains, np.ones((1, M)), rtol=0, atol=1e-15)
+        delta = np.zeros((1, 4), dtype=complex)
+        delta[0, 0] = 1.0
+        gains, leak = spectral.frame_response(delta, N, cp, M)
+        np.testing.assert_array_equal(leak, np.zeros((M, 3)))
+        got = _full_response(delta, N, cp, M)
+        np.testing.assert_allclose(got, np.vstack([P, np.zeros((3, M))]), rtol=0, atol=1e-15)
+
+    def test_gains_are_the_dft_of_the_taps(self):
+        rng = np.random.default_rng(47)
+        for N, cp, M, L in [(8, 3, 5, 6), (4, 0, 4, 4), (5, 2, 3, 1), (16, 7, 9, 16)]:
+            taps = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+            gains, _ = spectral.frame_response(taps, N, cp, M)
+            want = np.fft.fft(taps, N)[:, :M]
+            assert np.abs(gains - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_columns_are_full_convolutions(self):
+        # column u * M + m is np.convolve of user u's taps with the framed
+        # f_{m+1}, also for links longer than the frame
+        rng = np.random.default_rng(45)
+        for trial in range(60):
+            N = int(rng.integers(1, 10))
+            cp, M = int(rng.integers(0, N)), int(rng.integers(1, N + 1))
+            U, L = int(rng.integers(1, 4)), int(rng.integers(1, 2 * (N + cp) + 2))
+            taps = rng.standard_normal((U, L)) + 1j * rng.standard_normal((U, L))
+            P = spectral.framed_precoders(N, cp, M)
+            want = np.stack([np.convolve(h, P[:, m]) for h in taps for m in range(M)], axis=-1)
+            got = _full_response(taps, N, cp, M)
+            assert got.shape == (N + cp + L - 1, U * M)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_head_is_frame_columns_of_every_desired_link(self):
+        # the received stream and the decoder's channel model share one frame
+        # convention: the first N_bar samples of the response are frame_columns,
+        # for one draw and for a stack of draws alike
+        rng = np.random.default_rng(46)
+        for case in range(100):
+            cfg = random_config(rng, case % 5)
+            plan = model.make_plan(cfg)
+            for k in range(cfg.K):
+                taps = model.sample_channel_iid(cfg, rng).taps[(k, k)][: plan.U_active[k]]
+                stack = np.stack([taps, 2j * taps])
+                for h in (taps, stack):
+                    want = spectral.frame_columns(h, plan.N, plan.cp_len, plan.M[k])
+                    got = _full_response(h, plan.N, plan.cp_len, plan.M[k])
+                    assert got.shape[-2] == plan.N_bar + cfg.cir_len[k][k] - 1
+                    if want.size:
+                        head = got[..., : plan.N_bar, :]
+                        assert np.abs(head - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_memory_does_not_grow_with_the_frame(self):
+        # one (U, M, L) array of tap sums and two cached (M, L) tables,
+        # whatever N + cp: a response kept sample by sample would need
+        # (N + cp + L - 1) U M values, seven arrays' worth at N + cp = 1535
+        U, M, L = 1, 200, 256
+        taps = np.ones((U, L), dtype=complex)
+        for N, cp in [(M, 1), (1024, 511)]:
+            spectral.idft_basis(N)
+            tracemalloc.start()
+            spectral.frame_response(taps, N, cp, M)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 4 * U * M * L * 16
 
 
 class TestLeakagePhase:

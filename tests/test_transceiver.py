@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +26,25 @@ def setup_case(K=2, L_D=4, L_I=2, U=2, B=1, seed=0, **kw):
     return cfg, plan, ch
 
 
+def _delta_channel(cfg, ch):
+    """ch with every tap zero but tap 0 of each desired link's first user,
+    which is 1: base station k then hears user (k, 0)'s frames unchanged."""
+    for taps in ch.taps.values():
+        taps[:] = 0.0
+    for k in range(cfg.K):
+        ch.taps[(k, k)][0, 0] = 1.0
+    return ch
+
+
 class TestPrecodeAndFrame:
+    """The transmit framing, which simulate_reception applies frame by frame:
+    pinned through a unit-tap channel and through the oracle framing."""
+
     def test_cyclic_prefix_copies_core_tail(self):
-        cfg, plan, _ = setup_case()
+        cfg, plan, ch = setup_case()
         rng = model.trial_rng(1, 0)
         syms = transceiver.draw_symbols(cfg, plan, rng)
-        x = transceiver.precode_and_frame(plan, 0, syms[0])
+        x = transceiver.simulate_reception(cfg, plan, _delta_channel(cfg, ch), syms)
         core = spectral.idft_basis(plan.N)[:, :1] @ syms[0][0, 0]
         # frame = [core[-1], core[0], core[1], core[2], flush zeros]
         np.testing.assert_allclose(x[0, 0], core[-1])
@@ -38,26 +52,34 @@ class TestPrecodeAndFrame:
         np.testing.assert_array_equal(x[0, 4:], 0.0)
 
     def test_zero_symbols_zero_frame(self):
-        cfg, plan, _ = setup_case(B=3)
-        z = np.zeros((plan.B, plan.U_active[0], plan.M[0]), dtype=complex)
-        np.testing.assert_array_equal(transceiver.precode_and_frame(plan, 0, z), 0.0)
+        cfg, plan, ch = setup_case(B=3)
+        z = {k: np.zeros((plan.B, plan.U_active[k], plan.M[k]), dtype=complex)
+             for k in range(cfg.K)}
+        np.testing.assert_array_equal(transceiver.simulate_reception(cfg, plan, ch, z), 0.0)
 
     def test_subblock_concatenation(self):
-        cfg, plan, _ = setup_case(B=2)
+        # subblock 1 is received as subblock 0 one frame later, and the
+        # subblocks' receptions add, channel memory included
+        cfg, plan, ch = setup_case(B=2)
         rng = model.trial_rng(2, 0)
         syms = transceiver.draw_symbols(cfg, plan, rng)
-        x = transceiver.precode_and_frame(plan, 0, syms[0])
-        solo = transceiver.precode_and_frame(
-            model.make_plan(model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2, subblocks=1)),
-            0,
-            syms[0][1:2],
-        )
-        np.testing.assert_allclose(x[:, plan.N_bar : 2 * plan.N_bar], solo[:, : plan.N_bar])
+        solo_plan = model.make_plan(dataclasses.replace(cfg, subblocks=1))
+        solo = [transceiver.simulate_reception(
+            cfg, solo_plan, ch, {i: syms[i][b : b + 1] for i in range(cfg.K)}) for b in range(2)]
+        want = np.zeros((cfg.K, plan.T), dtype=complex)
+        want[:, : solo_plan.T] += solo[0]
+        want[:, plan.N_bar :] += solo[1]
+        y = transceiver.simulate_reception(cfg, plan, ch, syms)
+        np.testing.assert_allclose(y, want, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        cfg, plan, _ = setup_case()
-        with pytest.raises(ValueError):
-            transceiver.precode_and_frame(plan, 0, np.zeros((1, 1, 5)))
+        cfg, plan, ch = setup_case()
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(1, 0))
+        with pytest.raises(ValueError, match="symbols must have shape"):
+            transceiver.simulate_reception(cfg, plan, ch, {**syms, 1: np.zeros((1, 1, 5))})
+        # an active cell left out is a shape error too, not a KeyError
+        with pytest.raises(ValueError, match="symbols must have shape"):
+            transceiver.simulate_reception(cfg, plan, ch, {0: syms[0]})
 
     def test_per_sample_power(self):
         cfg, plan, _ = setup_case(K=2, L_D=8, L_I=2, U=3, B=1, snr_db=13.0)
@@ -65,7 +87,7 @@ class TestPrecodeAndFrame:
         trials = 2000
         for t in range(trials):
             syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(5, t))
-            x = transceiver.precode_and_frame(plan, 0, syms[0])
+            x = frame_by_subblock(plan, 0, syms[0])
             acc += np.mean(np.abs(x[0, : plan.N_bar]) ** 2)
         assert acc / trials == pytest.approx(cfg.snr_linear, rel=0.05)
 
@@ -75,7 +97,7 @@ class TestDrawSymbols:
         cfg, plan, _ = setup_case(K=2, L_D=8, L_I=2, U=3, B=4, snr_db=7.0, symbol_model="qpsk")
         syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(14, 0))
         for k in range(cfg.K):
-            points = transceiver.QPSK * transceiver.symbol_scale(plan, k, cfg.snr_linear)
+            points = transceiver.QPSK * np.sqrt(plan.N * cfg.snr_linear / plan.M[k])
             assert syms[k].shape == (plan.B, plan.U_active[k], plan.M[k])
             dist = np.abs(syms[k].ravel()[:, None] - points[None, :]).min(axis=1)
             assert dist.max() <= 1e-12 * np.abs(points).max()
@@ -85,20 +107,19 @@ class TestDrawSymbols:
 
 class TestSimulateReception:
     def test_identity_channel(self):
-        cfg, plan, ch = setup_case(K=1, L_D=1, L_I=1, U=1)
-        ch.taps[(0, 0)][:] = 1.0
-        tx = {0: np.arange(plan.T, dtype=complex)[None, :]}
-        y = transceiver.simulate_reception(cfg, plan, ch, tx)
-        np.testing.assert_allclose(y[0], tx[0][0])
+        # a unit-tap desired link and silent cross links: each base station
+        # receives its own cell's framed symbols unchanged
+        cfg, plan, ch = setup_case(K=2, L_D=6, L_I=2, U=1, B=3)
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(3, 0))
+        y = transceiver.simulate_reception(cfg, plan, _delta_channel(cfg, ch), syms)
+        for k in range(cfg.K):
+            np.testing.assert_allclose(y[k], frame_by_subblock(plan, k, syms[k])[0])
 
     def test_matches_convolution_oracle(self):
         cfg, plan, ch = setup_case(K=2, L_D=4, L_I=2, U=2, B=2)
-        rng = model.trial_rng(3, 0)
-        tx = {
-            i: rng.standard_normal((2, plan.T)) + 1j * rng.standard_normal((2, plan.T))
-            for i in range(2)
-        }
-        y = transceiver.simulate_reception(cfg, plan, ch, tx)
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(3, 0))
+        tx = {i: frame_by_subblock(plan, i, syms[i]) for i in range(2)}
+        y = transceiver.simulate_reception(cfg, plan, ch, syms)
         for k in range(2):
             expect = np.zeros(plan.T, dtype=complex)
             for i in range(2):
@@ -107,21 +128,28 @@ class TestSimulateReception:
             np.testing.assert_allclose(y[k], expect, atol=1e-12)
 
     def test_idle_cells_may_be_left_out(self):
+        # an idle cell sends nothing: leaving it out of the dict changes
+        # nothing, its links' taps are never read, and the per-link oracle
+        # ignores whatever stream it is given for the cell
         cfg = model.SystemConfig(K=2, users_per_cell=[2, 3], cir_len=[[5, 2], [2, 2]])
         plan = model.make_plan(cfg)
         assert plan.U_active == (2, 0)
         ch = model.sample_channel_iid(cfg, model.trial_rng(6, 0))
-        rng = model.trial_rng(7, 0)
-        tx = {0: rng.standard_normal((2, plan.T)) + 1j * rng.standard_normal((2, plan.T))}
-        got = transceiver.simulate_reception(cfg, plan, ch, tx)
-        want = transceiver.simulate_reception(cfg, plan, ch, {**tx, 1: np.ones((3, plan.T))})
-        np.testing.assert_array_equal(got, want)
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(7, 0))
+        got = transceiver.simulate_reception(cfg, plan, ch, syms)
+        np.testing.assert_array_equal(transceiver.simulate_reception(cfg, plan, ch, {0: syms[0]}),
+                                      got)
+        for k in range(cfg.K):
+            ch.taps[(k, 1)][:] = 1.0
+        np.testing.assert_array_equal(transceiver.simulate_reception(cfg, plan, ch, syms), got)
+        tx = {0: frame_by_subblock(plan, 0, syms[0]), 1: np.ones((3, plan.T))}
+        assert _relative(got, receive_by_link(cfg, plan, ch, tx)) <= 1e-12
 
     def test_noise_variance(self):
         cfg, plan, ch = setup_case(K=1, L_D=4, L_I=2, U=2, B=100)
-        tx = {0: np.zeros((plan.U_active[0], plan.T), dtype=complex)}
+        zero = {0: np.zeros((plan.B, plan.U_active[0], plan.M[0]), dtype=complex)}
         y = transceiver.simulate_reception(
-            cfg, plan, ch, tx, rng=model.trial_rng(4, 0), noise_var=2.5
+            cfg, plan, ch, zero, rng=model.trial_rng(4, 0), noise_var=2.5
         )
         var = np.mean(np.abs(y) ** 2)
         assert var == pytest.approx(2.5, rel=0.03)
@@ -159,8 +187,7 @@ class TestRemoveCpAndStack:
         cfg, plan, ch = setup_case(K=1, L_D=6, L_I=1, U=2, B=1)
         rng = model.trial_rng(6, 0)
         syms = transceiver.draw_symbols(cfg, plan, rng)
-        tx = {0: transceiver.precode_and_frame(plan, 0, syms[0])}
-        y = transceiver.simulate_reception(cfg, plan, ch, tx)
+        y = transceiver.simulate_reception(cfg, plan, ch, syms)
         taps = ch.taps[(0, 0)][: plan.U_active[0]]
         cols = spectral.frame_columns(taps, plan.N, plan.cp_len, plan.M[0])
         expect = cols @ syms[0][0].ravel()
@@ -202,8 +229,7 @@ class TestCombine:
         rng = model.trial_rng(8, 0)
         syms = transceiver.draw_symbols(cfg, plan, rng)
         syms[0][:] = 0.0   # cell 0 silent; BS 0 hears only ICI
-        tx = {i: transceiver.precode_and_frame(plan, i, syms[i]) for i in range(2)}
-        y = transceiver.simulate_reception(cfg, plan, ch, tx)
+        y = transceiver.simulate_reception(cfg, plan, ch, syms)
         y_bar = y[0, plan.cp_len : plan.N_bar]
         ratio = np.linalg.norm(transceiver.combine(plan, y[0])) / np.linalg.norm(y_bar)
         assert ratio <= 1e-9
@@ -273,8 +299,7 @@ class TestDecodeBlock:
         cfg, plan, ch = setup_case(K=2, L_D=8, L_I=2, U=3, B=3, seed=6)
         syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(13, 0))
         H = spectral.build_structured(cfg, plan, ch)
-        tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(2)}
-        y = transceiver.simulate_reception(cfg, plan, ch, tx)
+        y = transceiver.simulate_reception(cfg, plan, ch, syms)
         y_tilde = transceiver.combine(plan, y)
         genie = {k: syms[k].reshape(plan.B, -1) for k in range(2)}
         res = transceiver.decode_block(cfg, plan, H, y_tilde, genie_symbols=genie)
@@ -341,10 +366,8 @@ class TestMatchesSubblockOracles:
 
             ch = model.sample_channel_iid(cfg, model.trial_rng(48, trial))
             syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(49, trial))
-            tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
-            for k in range(cfg.K):
-                assert _relative(tx[k], frame_by_subblock(plan, k, syms[k])) <= 1e-12
-            y = transceiver.simulate_reception(cfg, plan, ch, tx)
+            tx = {k: frame_by_subblock(plan, k, syms[k]) for k in range(cfg.K)}
+            y = transceiver.simulate_reception(cfg, plan, ch, syms)
             assert _relative(y, receive_by_link(cfg, plan, ch, tx)) <= 1e-12
             y_tilde = transceiver.combine(plan, y)
             for k in range(cfg.K):
@@ -375,10 +398,84 @@ class TestMatchesSubblockOracles:
             plan = model.make_plan(cfg)
             ch = model.sample_channel_iid(cfg, model.trial_rng(50, 0))
             tx = {i: np.zeros((plan.U_active[i], plan.T), dtype=complex) for i in range(cfg.K)}
-            got = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(51, 0),
+            zero = {i: np.zeros((plan.B, plan.U_active[i], plan.M[i]), dtype=complex)
+                    for i in range(cfg.K)}
+            got = transceiver.simulate_reception(cfg, plan, ch, zero, rng=model.trial_rng(51, 0),
                                                  noise_var=1.7)
             want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(51, 0), noise_var=1.7)
             np.testing.assert_array_equal(got, want)
+
+
+class TestFrameReception:
+    """simulate_reception's frame-wise products against the per-link
+    convolution of the oracle's framed streams, noise included: both sides
+    draw it from equal-seeded generators."""
+
+    def _check(self, cfg, plan, seed, noise_var):
+        ch = model.sample_channel_iid(cfg, model.trial_rng(seed, 0))
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(seed, 1))
+        tx = {i: frame_by_subblock(plan, i, syms[i]) for i in range(cfg.K)}
+        got = transceiver.simulate_reception(cfg, plan, ch, syms, rng=model.trial_rng(seed, 2),
+                                             noise_var=noise_var)
+        want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(seed, 2),
+                               noise_var=noise_var)
+        assert got.shape == (cfg.K, plan.T)
+        assert _relative(got, want) <= 1e-12
+
+    def test_matches_per_link_convolution_of_framed_symbols(self):
+        rng = np.random.default_rng(55)
+        seen = dict.fromkeys(("cp=0", "idle cell", "U>L_kk-L_I", "L=N_bar", "delayed"), 0)
+        for trial in range(400):
+            cfg = random_config(rng, trial % 5)
+            delayed = trial % 4 == 3
+            B = 1 if delayed else int(rng.integers(1, 5))
+            cfg = dataclasses.replace(cfg, subblocks=B, snr_db=float(rng.uniform(0, 30)))
+            if delayed:
+                L_I = model.link_lengths(cfg)[1]
+                L_I_prime = int(rng.integers(1, L_I + 1))
+                plan = extensions.make_delayed_plan(cfg, int(rng.integers(0, L_I_prime)),
+                                                    L_I_prime)
+            else:
+                plan = model.make_plan(cfg)
+            seen["cp=0"] += plan.cp_len == 0
+            seen["idle cell"] += 0 in plan.U_active
+            seen["U>L_kk-L_I"] += any(u > cfg.cir_len[k][k] - plan.L_I
+                                      for k, u in enumerate(cfg.users_per_cell))
+            seen["L=N_bar"] += any(L == plan.N_bar for row in cfg.cir_len for L in row)
+            seen["delayed"] += delayed
+            self._check(cfg, plan, 56 + trial, float(rng.choice([0.0, 0.5, 2.0])))
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_no_prefix_and_one_symbol_per_user(self, B):
+        # L_I = 1 and M = 1: no cyclic prefix, N_bar = L_D, so each frame's
+        # tail of N_bar - 1 samples fills the next frame but one sample, and
+        # the last frame's tail ends one sample before the buffer does
+        cfg = model.SystemConfig(K=2, users_per_cell=[4, 4], cir_len=[[5, 1], [1, 5]],
+                                 subblocks=B)
+        plan = model.make_plan(cfg)
+        assert (plan.L_I, plan.M, plan.N_bar) == (1, (1, 1), 5)
+        assert (B + 1) * plan.N_bar - plan.T == 1
+        self._check(cfg, plan, 57, 0.0)
+        self._check(cfg, plan, 58, 1.0)
+
+    def test_long_links_and_few_users_stay_within_one_lagged_product(self):
+        # one user per cell and long desired links give M close to L_D, the
+        # shape where any per-link basis of delayed precoders grows as L_D^3:
+        # the reception must stay within twice one (L_D, T) array, the
+        # time-domain route's product of a link's taps and its cell's stream
+        cfg = model.SystemConfig.symmetric(K=2, L_D=256, L_I=2, U=1)
+        plan = model.make_plan(cfg)
+        assert (plan.M, plan.B) == ((254, 254), 1)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(60, 0))
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(61, 0))
+        spectral.idft_basis(plan.N)   # cached before tracing, as in a run
+        tracemalloc.start()
+        transceiver.simulate_reception(cfg, plan, ch, syms, rng=model.trial_rng(62, 0),
+                                       noise_var=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * plan.L_D * plan.T * 16
 
 
 class TestProjectionDecode:
@@ -396,8 +493,7 @@ class TestProjectionDecode:
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, rng)
         syms = transceiver.draw_symbols(cfg, plan, rng)
-        tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
-        y = transceiver.simulate_reception(cfg, plan, ch, tx, rng=rng,
+        y = transceiver.simulate_reception(cfg, plan, ch, syms, rng=rng,
                                            noise_var=1.0 if noisy else 0.0)
         y_tilde = transceiver.combine(plan, y)
         H = spectral.build_structured(cfg, plan, ch)
@@ -467,10 +563,11 @@ class TestReceptionProperty:
         cfg, plan = _reception_plan(case)
         rng = np.random.default_rng(seed)
         ch = model.sample_channel_iid(cfg, rng)
-        tx = {i: rng.standard_normal((plan.U_active[i], plan.T))
-              + 1j * rng.standard_normal((plan.U_active[i], plan.T)) for i in range(K)}
+        syms = {i: rng.standard_normal((B, plan.U_active[i], plan.M[i]))
+                + 1j * rng.standard_normal((B, plan.U_active[i], plan.M[i])) for i in range(K)}
+        tx = {i: frame_by_subblock(plan, i, syms[i]) for i in range(K)}
         noise_var = 1.3 if noisy else 0.0
-        got = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(seed, 1),
+        got = transceiver.simulate_reception(cfg, plan, ch, syms, rng=model.trial_rng(seed, 1),
                                              noise_var=noise_var)
         want = receive_by_link(cfg, plan, ch, tx, rng=model.trial_rng(seed, 1),
                                noise_var=noise_var)
@@ -506,10 +603,9 @@ class TestLargeBlockSic:
         ch = model.sample_channel_iid(cfg, model.trial_rng(52, 0))
         syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(53, 0))
         H = spectral.build_structured(cfg, plan, ch)
-        tx = {k: transceiver.precode_and_frame(plan, k, syms[k]) for k in range(cfg.K)}
         truth = {k: syms[k].reshape(plan.B, -1) for k in range(cfg.K)}
         for noise_var in (0.0, 1.0):
-            y = transceiver.simulate_reception(cfg, plan, ch, tx, rng=model.trial_rng(54, 0),
+            y = transceiver.simulate_reception(cfg, plan, ch, syms, rng=model.trial_rng(54, 0),
                                                noise_var=noise_var)
             y_tilde = transceiver.combine(plan, y)
             for genie in (None, truth):
