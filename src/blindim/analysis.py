@@ -57,21 +57,22 @@ def r_diagonals(H) -> dict:
 
 def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
     """ZF-SIC sum rate of the proposed scheme, (..., S) over the leading axes
-    of the effective channels H and the S linear SNRs snr_linear.
+    of the effective channels H and the S linear SNRs snr_linear; a scalar
+    snr_linear gives the leading axes only.
 
     Stream m of cell k has rate log2(1 + (N/M_k) |r_m|^2 rho), normalized by
     the frame length N_bar = N + L_I - 1 (the cyclic-prefix overhead in the
     long-block limit).
     """
     snr = np.asarray(snr_linear, dtype=float)
-    total = np.zeros(H[0].shape[:-2] + snr.shape)
+    total = np.zeros(H[0].shape[:-2] + (snr.size,))
     for k, r in r_diagonals(H).items():
         if plan.M[k] == 0:
             continue
-        rho_eff = (plan.N * snr / plan.M[k])[:, None]
+        rho_eff = (plan.N * snr.reshape(-1) / plan.M[k])[:, None]
         rates = np.log2(1.0 + rho_eff * r[..., None, :] ** 2) / plan.N_bar
         total += rates.sum(axis=-1)
-    return total
+    return total.reshape(total.shape[:-1] + snr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     the whole link, so subcarrier sc sees sum_l h_l w^(-l sc) over every tap,
     w = exp(2 pi i / n_sc): the taps are folded modulo n_sc before one FFT.
     Returns (..., S) over the leading axes of the taps and the S linear SNRs
-    snr_linear.
+    snr_linear; a scalar snr_linear gives the leading axes only.
     """
     if n_sc is None:
         n_sc = plan.N
@@ -102,10 +103,10 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     sc = np.arange(n_sc)
     owner = sc % U
     snr = np.asarray(snr_linear, dtype=float)
-    snr_eff = snr[:, None] * n_sc / np.bincount(owner, minlength=U)[owner]
+    snr_eff = snr.reshape(-1, 1) * n_sc / np.bincount(owner, minlength=U)[owner]
     gain = np.abs(lam[..., owner, sc])[..., None, :] ** 2
-    rate = np.log2(1.0 + snr_eff * gain).sum(axis=-1)
-    return rate / (n_sc + plan.L_D - 1) / cfg.K
+    rate = np.log2(1.0 + snr_eff * gain).sum(axis=-1) / (n_sc + plan.L_D - 1) / cfg.K
+    return rate.reshape(rate.shape[:-1] + snr.shape)
 
 
 def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, n_sc, cells=None) -> np.ndarray:

@@ -115,6 +115,9 @@ def cmd_sweep(args):
         raise UsageError("--sweep %s values must be integers, got %r" % (key, args.sweep))
     cfg = _load_cfg(args)
     L_I = cfg.cir_len[0][1] if cfg.K > 1 else 2
+    if key == "L_D" and min(numbers) <= L_I:
+        raise UsageError("--sweep L_D values must exceed L_I = %d, since each cell has "
+                         "U = L_D - L_I users, got %r" % (L_I, args.sweep))
     rows = []
     for v, x in zip(values, numbers):
         if key == "L_D":

@@ -10,9 +10,9 @@ positions one period later, which restores a cyclic structure on every
 in the base scheme.
 
 Every active user sends one symbol on the constant precoder f_1, so each
-column is the combiner applied to the link's spectral.frame_columns for f_1:
-the running sum of its taps over the cp + N frame samples; no per-link channel
-matrix is built.  Transmission, reception and detection are the base
+column is spectral.projected_response for f_1: the combiner applied to the
+link's spectral.frame_response, as for the base scheme's H_k; no per-link
+channel matrix is built.  Transmission, reception and detection are the base
 scheme's simulate_link.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ConfigError, TransmissionPlan, link_lengths, require_valid
-from .spectral import build_structured, combiner, frame_columns
+from .spectral import build_structured, combiner, projected_response
 
 
 def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
@@ -69,7 +69,8 @@ def delayed_effective_channels(cfg, dplan, ch, cells=None):
     H_int = {}
     for k in cells:
         links = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
-        width = max((ch.taps[(k, i)].shape[-1] for i in links), default=0)
+        # a cell with no residual link gets one zero tap: a (..., rows, 0) block
+        width = max((ch.taps[(k, i)].shape[-1] for i in links), default=1)
         h = np.zeros(H[k].shape[:-2] + (sum(dplan.U_active[i] for i in links), width),
                      dtype=complex)
         row = 0
@@ -79,7 +80,7 @@ def delayed_effective_channels(cfg, dplan, ch, cells=None):
             # considered taps (ell < L_I_prime) stay exactly zero
             h[..., row : row + U, dplan.L_I : dplan.L_I + taps.shape[-1]] = taps
             row += U
-        H_int[k] = W @ frame_columns(h, dplan.N, dplan.cp_len, 1)
+        H_int[k] = projected_response(dplan, W, h, 1)
     return W, H, H_int
 
 

@@ -3,19 +3,19 @@
 
 The combiner W (combiner) is the one receive projection of both schemes: it
 maps a cyclic-prefixed frame to the DFT rows M_D: of its core, after folding
-the plan's L_I_d leading interference-free samples onto the core.  Every
-subblock channel comes from one closed form, frame_columns: DFT precoding
-with a cyclic prefix turns a link's response to f_m into a tone times the
-running sum of its phase-rotated taps.  The effective channel is W times
-those frame columns, and the leakage from the previous subblock is the same
-column times -leakage_phase, so no channel matrix is built.
+the plan's L_I_d leading interference-free samples onto the core.  One closed
+form, frame_response, gives a link's response to a frame: each tone times the
+link's per-tone gain, plus a leak where the prefix is too short.  The receiver
+meets the symbols with it; W nulls the tones, so the decoder's H_k is -W times
+the leak (projected_response), the previous subblock leaks as -leakage_phase
+times H_k, and no channel matrix is built.
 
 DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
 first column f_1 is the constant vector and F is unitary.  With this choice a
 circulant matrix C with first column c satisfies C = F diag(fft(c)) F^H.
-framed_precoders adds the cyclic prefix to these columns, for the decoder's
-frame_columns and the receiver alike; frame_response continues its tones.
+framed_precoders adds the cyclic prefix to these columns; frame_response
+continues its tones.
 """
 
 from __future__ import annotations
@@ -70,26 +70,6 @@ def combiner(plan) -> np.ndarray:
 # Projected subblock channels in closed form
 # ---------------------------------------------------------------------------
 
-def frame_columns(taps, N, cp, M) -> np.ndarray:
-    """(..., N + cp, U * M) received frame samples of unit symbols on f_1 .. f_M.
-
-    taps is a (..., U, L) array, one user per row, with any leading axes
-    stacking realizations; column u * M + m is user u's response to a unit
-    symbol on f_{m+1}.  The cyclic-prefixed frame of f_{m+1} is the pure tone
-    f_{m+1}[(j - cp) mod N], so frame sample j is that tone times the running
-    sum of h_l w^(-l m) over l <= j, with w = exp(2 pi i / N).  Taps beyond
-    the frame (l >= N + cp) never reach it and are ignored.
-    """
-    width = N + cp
-    taps = np.asarray(taps)[..., :width]
-    h = np.zeros(taps.shape[:-1] + (width,), dtype=complex)
-    h[..., : taps.shape[-1]] = taps
-    twiddle = np.exp(-2j * np.pi * np.outer(np.arange(width), np.arange(M)) / N)
-    sums = np.cumsum(h[..., None] * twiddle, axis=-2)
-    cols = np.swapaxes(framed_precoders(N, cp, M) * sums, -3, -2)
-    return cols.reshape(cols.shape[:-2] + (-1,))
-
-
 def frame_response(taps, N, cp, M) -> tuple:
     """(gains, leak): the response of (..., U, L) taps to one frame of unit
     symbols on f_1 .. f_M, in O(U M L) whatever the frame length.  It is
@@ -132,12 +112,28 @@ def leakage_phase(N, cp, M) -> np.ndarray:
     return np.exp(2j * np.pi * exponent / N)
 
 
+def projected_response(plan, W, taps, M) -> np.ndarray:
+    """(..., N - M_D, U * M): the combiner W times the frame_response of
+    (..., U, L) taps to unit symbols on f_1 .. f_M, column u * M + m for user
+    u and tone f_{m+1}.  W nulls the tones on the core (F[:, M_D:]^H F[:, :M]
+    = 0 for M <= M_D), so the frame's first N + cp samples leave -W times the
+    leak, plus the plan's L_I_d folded prefix samples times the gains."""
+    N, cp, L_I_d = plan.N, plan.cp_len, plan.L_I_d
+    gains, leak = frame_response(taps, N, cp, M)
+    n = min(leak.shape[-1], N + cp)   # taps beyond the frame never reach it
+    H = -W[:, :n] @ np.swapaxes(leak[..., :n], -1, -2)
+    if L_I_d:
+        fold = W[:, :L_I_d] @ framed_precoders(N, cp, M)[:L_I_d]
+        H += (fold[:, None, :] * gains[..., None, :, :]).reshape(H.shape)
+    return H
+
+
 def build_structured(cfg, plan, ch, cells=None) -> dict:
     """Effective channel H_k of every requested cell (all when cells is None).
 
     Returns k -> (..., N - M_D, U'_k M_k) over the leading axes of the taps,
-    one column per (active user, precoder) in user-major order: the combiner
-    W times the frame_columns of cell k's own links.  Interfering links are
+    one column per (active user, precoder) in user-major order: the
+    projected_response of cell k's own links.  Interfering links are
     circulant thanks to the cyclic prefix (and the fold) and are nulled
     exactly, so they are never built, and a realization needs only the
     desired links of the requested cells.
@@ -145,8 +141,5 @@ def build_structured(cfg, plan, ch, cells=None) -> dict:
     W = combiner(plan)
     if cells is None:
         cells = range(cfg.K)
-    H = {}
-    for k in cells:
-        taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
-        H[k] = W @ frame_columns(taps, plan.N, plan.cp_len, plan.M[k])
-    return H
+    return {k: projected_response(plan, W, ch.taps[(k, k)][..., : plan.U_active[k], :], plan.M[k])
+            for k in cells}

@@ -89,7 +89,7 @@ def h_eff(cfg, plan, ch, k, u) -> np.ndarray:
 
 def check_decomposition(cfg, plan, ch, H, tol=1e-10):
     """Assert the production effective-channel column of (k, u, m) equals
-    G_{m,k} h_eff_{k,u} for every (k, u, m): the running-sum closed form of
+    G_{m,k} h_eff_{k,u} for every (k, u, m): the frame_response closed form of
     H = spectral.build_structured(cfg, plan, ch) against the
     geometry-times-taps factorization.
 

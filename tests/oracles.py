@@ -317,13 +317,25 @@ def sample_channel_by_user(cfg, L_I_d, dist, rng):
     return model.ChannelRealization(taps=taps)
 
 
-def _f1_columns_by_link(W21, dplan, blocks):
-    """W2 W1 times the f_1 frame columns of each (users, taps) block, side by side."""
-    from blindim.spectral import frame_columns
+def framed_convolution(plan, taps, M):
+    """(..., N_bar, U M) received frames of unit symbols: np.convolve of each
+    user's taps of (..., U, L) with each of f_1 .. f_M behind its cyclic
+    prefix, as frame_by_subblock frames it, cut to the N_bar samples of one
+    frame.  Column u * M + m is user u on f_{m+1}."""
+    frames = _dft_columns(plan.N)[(np.arange(plan.N_bar) - plan.cp_len) % plan.N, :M]
+    taps = np.asarray(taps)
+    out = np.zeros(taps.shape[:-1] + (M, plan.N_bar), dtype=complex)
+    for idx in np.ndindex(taps.shape[:-1]):
+        for m in range(M):
+            out[idx + (m,)] = np.convolve(taps[idx], frames[:, m])[: plan.N_bar]
+    return np.swapaxes(out.reshape(taps.shape[:-2] + (-1, plan.N_bar)), -1, -2)
 
-    frames = [np.zeros((dplan.cp_len + dplan.N, 0))]
-    frames += [frame_columns(taps, dplan.N, dplan.cp_len, 1) for taps in blocks]
-    return W21 @ np.hstack(frames)
+
+def _f1_columns_by_link(W21, dplan, blocks):
+    """W2 W1 times the f_1 framed_convolution of each (users, taps) block, side by side."""
+    columns = [np.zeros((dplan.N_bar, 0))]
+    columns += [framed_convolution(dplan, taps, 1) for taps in blocks]
+    return W21 @ np.hstack(columns)
 
 
 def residual_ici_rate_by_trial(cfg, dplan, ch, tx_power, noise_var, cells=None):

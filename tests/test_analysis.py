@@ -140,6 +140,25 @@ class TestSumRateQr:
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
+class TestScalarSnr:
+    def test_scalar_gives_the_leading_axes(self):
+        # a 0-d SNR drops the SNR axis: the entry of the one-element list
+        cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
+        plan = model.make_plan(cfg)
+        one = model.sample_channel_iid(cfg, model.trial_rng(4, 0))
+        stack = model.ChannelRealization({key: np.stack([h, 2 * h, 1j * h])
+                                          for key, h in one.taps.items()})
+        for ch in (one, stack):
+            H = spectral.build_structured(cfg, plan, ch)
+            for rate in (lambda snr: analysis.sum_rate_qr(plan, H, snr),
+                         lambda snr: analysis.baseline_tdma_ofdma(cfg, plan, ch, snr)):
+                got = rate(cfg.snr_linear)
+                want = rate([cfg.snr_linear])
+                assert got.shape == want.shape[:-1] == H[0].shape[:-2]
+                np.testing.assert_array_equal(got, want[..., 0])
+                assert rate(np.array([[1.0, 10.0]])).shape == H[0].shape[:-2] + (1, 2)
+
+
 class TestBaseline:
     def test_flat_channel_closed_form(self):
         cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[1]])

@@ -83,6 +83,24 @@ class TestSweep:
         code, _ = run(tmp_path, "sweep", "--sweep", "bogus=1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("config, axis, L_I", [
+        (None, "L_D=2,3", 2),
+        (None, "L_D=4,1", 2),
+        ("K = 2\nusers_per_cell = 5\ncir_len = 8,3; 3,8\n", "L_D=6,3", 3),
+    ])
+    def test_ld_not_above_interfering_length(self, tmp_path, capsys, config, axis, L_I):
+        # the error names the swept L_D and the config's L_I, not the derived
+        # U = L_D - L_I the user never set
+        argv = ["sweep", "--sweep", axis]
+        if config:
+            cfgfile = tmp_path / "sys.cfg"
+            cfgfile.write_text(config)
+            argv += ["--config", str(cfgfile)]
+        assert run(tmp_path, *argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --sweep L_D values must exceed L_I = %d, since each cell has "
+            "U = L_D - L_I users, got %r\n" % (L_I, axis))
+
 
 class TestRate:
     def test_output_shape_and_monotonicity(self, tmp_path):

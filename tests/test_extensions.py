@@ -18,6 +18,7 @@ from oracles import (
     sample_channel_by_user,
 )
 from test_model import geometric_draws
+from test_spectral import _full_response
 
 
 def delayed_case():
@@ -181,8 +182,7 @@ class TestCompositeChannel:
             np.testing.assert_allclose(folded, (f1.conj() @ folded) * f1, atol=1e-12)
             np.testing.assert_allclose(W @ frame, 0.0, atol=1e-12)
             np.testing.assert_allclose(
-                W @ spectral.frame_columns(h[None, :], dplan.N, dplan.cp_len, 1), 0.0,
-                atol=1e-12)
+                spectral.projected_response(dplan, W, h[None, :], 1), 0.0, atol=1e-12)
 
     def test_conv_window_matches_numpy(self):
         # with no prefix, the current core's response is the first N samples
@@ -192,14 +192,14 @@ class TestCompositeChannel:
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         s = spectral.idft_basis(6).conj().T @ x   # x = F s
         np.testing.assert_allclose(
-            spectral.frame_columns(h[None], 6, 0, 6) @ s, np.convolve(h, x)[:6], atol=1e-12
+            _full_response(h[None], 6, 0, 6)[:6] @ s, np.convolve(h, x)[:6], atol=1e-12
         )
 
     def test_cp_expand(self):
         # a unit tap passes the framed core through unchanged: prefix, then
         # core; with the core complete in the kept samples nothing leaks
         F = spectral.idft_basis(4)
-        cols = spectral.frame_columns(np.ones((1, 1)), 4, 3, 4)
+        cols = _full_response(np.ones((1, 1)), 4, 3, 4)
         x = np.arange(4.0)
         np.testing.assert_allclose(cols @ (F.conj().T @ x), [1, 2, 3, 0, 1, 2, 3], atol=1e-12)
         np.testing.assert_allclose(cols[3:], F, atol=1e-15)

@@ -1,14 +1,16 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from blindim import model, spectral
+from blindim import extensions, model, spectral
 from oracles import (
     circulant,
     diagonalize_circulant,
     direct_channel_matrix,
     direct_isbi_matrix,
+    framed_convolution,
     random_config,
     tap_sums,
 )
@@ -69,6 +71,11 @@ def _full_response(taps, N, cp, M):
     return out
 
 
+def _frame(h, N, cp, M):
+    """(N + cp, M): the samples of one link's _full_response within its frame."""
+    return _full_response(np.asarray(h)[None], N, cp, M)[: N + cp]
+
+
 class TestFrameResponse:
     @pytest.mark.parametrize("N, cp, M", [(1, 0, 1), (4, 0, 2), (3, 1, 3), (5, 4, 1), (8, 3, 5)])
     def test_unit_tap_reproduces_framed_precoders(self, N, cp, M):
@@ -108,25 +115,6 @@ class TestFrameResponse:
             got = _full_response(taps, N, cp, M)
             assert got.shape == (N + cp + L - 1, U * M)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_head_is_frame_columns_of_every_desired_link(self):
-        # the received stream and the decoder's channel model share one frame
-        # convention: the first N_bar samples of the response are frame_columns,
-        # for one draw and for a stack of draws alike
-        rng = np.random.default_rng(46)
-        for case in range(100):
-            cfg = random_config(rng, case % 5)
-            plan = model.make_plan(cfg)
-            for k in range(cfg.K):
-                taps = model.sample_channel_iid(cfg, rng).taps[(k, k)][: plan.U_active[k]]
-                stack = np.stack([taps, 2j * taps])
-                for h in (taps, stack):
-                    want = spectral.frame_columns(h, plan.N, plan.cp_len, plan.M[k])
-                    got = _full_response(h, plan.N, plan.cp_len, plan.M[k])
-                    assert got.shape[-2] == plan.N_bar + cfg.cir_len[k][k] - 1
-                    if want.size:
-                        head = got[..., : plan.N_bar, :]
-                        assert np.abs(head - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_memory_does_not_grow_with_the_frame(self):
         # one (U, M, L) array of tap sums and two cached (M, L) tables,
@@ -272,7 +260,7 @@ class TestBuildStructured:
         plan, ch, H = _structured(cfg)
         assert plan.N >= 8
         h, cp, M = ch.h(0, 0, 0), plan.cp_len, plan.M[0]
-        cols = spectral.frame_columns(h[None], plan.N, cp, M)[cp:]
+        cols = direct_channel_matrix(h, plan.N, plan.L_I) @ spectral.idft_basis(plan.N)[:, :M]
         # no tap wraps past the core: the response departs from the circulant
         # one, f_m times the tap sum, only on the first L_kk - L_I core samples
         dev = cols - spectral.idft_basis(plan.N)[:, :M] * tap_sums(h, plan.N)[:M]
@@ -308,7 +296,7 @@ class TestBuildStructured:
         F = spectral.idft_basis(N)
         for _ in range(5):
             h = rng.standard_normal(L_kk) + 1j * rng.standard_normal(L_kk)
-            built = spectral.frame_columns(h[None], N, L_I - 1, N)[L_I - 1 :]
+            built = _frame(h, N, L_I - 1, N)[L_I - 1 :]
             np.testing.assert_allclose(built, direct_channel_matrix(h, N, L_I) @ F, atol=1e-12)
 
     @pytest.mark.parametrize("params", [(3, 2, 4), (8, 2, 8), (8, 2, 5), (8, 2, 6),
@@ -322,7 +310,7 @@ class TestBuildStructured:
         F = spectral.idft_basis(N)
         for _ in range(5):
             h = rng.standard_normal(L_kk) + 1j * rng.standard_normal(L_kk)
-            cols = spectral.frame_columns(h[None], N, cp, N)[cp:]
+            cols = _frame(h, N, cp, N)[cp:]
             leak = (F * tap_sums(h, N) - cols) * spectral.leakage_phase(N, cp, N)
             np.testing.assert_allclose(leak, direct_isbi_matrix(h, N, L_I) @ F, atol=1e-12)
 
@@ -341,7 +329,7 @@ class TestBuildStructured:
                 L = int(rng.integers(1, N + cp + 1))
             h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             F = spectral.idft_basis(N)
-            cols = spectral.frame_columns(h[None], N, cp, N)
+            cols = _frame(h, N, cp, N)
             assert cols.shape == (N + cp, N)
             leak = (F * tap_sums(h, N) - cols[cp:]) * spectral.leakage_phase(N, cp, N)
             tol = 1e-12 * np.abs(h).max()
@@ -387,10 +375,64 @@ class TestBuildStructured:
             L = int(rng.integers(1, cp + 2))
             h = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             F = spectral.idft_basis(N)
-            cols = spectral.frame_columns(h[None], N, cp, N)[cp:]
+            cols = _frame(h, N, cp, N)[cp:]
             lam = diagonalize_circulant(cols @ F.conj().T)
             np.testing.assert_allclose(cols, F * lam, atol=1e-12)
             np.testing.assert_allclose(F * tap_sums(h, N) - cols, 0.0, atol=1e-12)
+
+    def test_matches_the_combined_convolution(self):
+        # the decoder reads frame_response as the receiver does: H_k of base
+        # and delayed plans, and a delayed plan's residual columns H_int, are W
+        # times np.convolve of each active user's taps with the framed
+        # precoders, cut to N_bar samples, for one draw and for a stack of
+        # draws alike; cross links may outlast the frame
+        rng = np.random.default_rng(46)
+        seen = dict.fromkeys(("delayed", "H_int", "L > N_bar + 1"), 0)
+        for case in range(150):
+            if case % 3 == 2:
+                L_D = int(rng.integers(2, 5))
+                cir = [[L_D, int(rng.integers(2, 13))], [int(rng.integers(2, 13)), L_D]]
+                cfg = model.SystemConfig(K=2, users_per_cell=[2, 3], cir_len=cir)
+            else:
+                cfg = random_config(rng, case % 5)
+            plans = [model.make_plan(cfg)]
+            L_I = model.link_lengths(cfg)[1]
+            if L_I >= 2:
+                L_I_prime = int(rng.integers(2, L_I + 1))
+                L_I_d = int(rng.integers(1, L_I_prime))
+                plans.append(extensions.make_delayed_plan(cfg, L_I_d, L_I_prime))
+            draws = [model.sample_channel_iid(cfg, rng) for _ in range(2)]
+            stack = model.ChannelRealization({key: np.stack([d.taps[key] for d in draws])
+                                              for key in draws[0].taps})
+            for plan, ch in itertools.product(plans, (draws[0], stack)):
+                W = spectral.combiner(plan)
+                H_int = {}
+                if plan.L_I_d:
+                    _, H, H_int = extensions.delayed_effective_channels(cfg, plan, ch)
+                else:
+                    H = spectral.build_structured(cfg, plan, ch)
+                for k in range(cfg.K):
+                    taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
+                    want = W @ framed_convolution(plan, taps, plan.M[k])
+                    assert H[k].shape == want.shape
+                    assert (np.abs(H[k] - want).max(initial=0)
+                            <= 1e-12 * np.abs(want).max(initial=0))
+                for k in H_int:
+                    residual = []
+                    for i in range(cfg.K):
+                        if i != k and cfg.cir_len[k][i] > plan.L_I:
+                            taps = ch.taps[(k, i)][..., : plan.U_active[i], :].copy()
+                            taps[..., : plan.L_I] = 0.0
+                            residual.append(framed_convolution(plan, taps, 1))
+                            seen["L > N_bar + 1"] += cfg.cir_len[k][i] > plan.N_bar + 1
+                    want = W @ np.concatenate(
+                        [np.zeros(H[k].shape[:-2] + (plan.N_bar, 0))] + residual, axis=-1)
+                    assert H_int[k].shape == want.shape
+                    assert (np.abs(H_int[k] - want).max(initial=0)
+                            <= 1e-12 * np.abs(want).max(initial=0))
+                    seen["H_int"] += bool(residual)
+                seen["delayed"] += plan.L_I_d > 0
+        assert min(seen.values()) >= 30, seen
 
     def test_asymmetric_lengths(self):
         cir = [[5, 2, 2], [2, 6, 2], [2, 2, 8]]

@@ -11,6 +11,7 @@ from oracles import (
     combine_by_subblock,
     decode_by_subblock,
     decode_by_triangular_solve,
+    direct_channel_matrix,
     direct_convolve,
     fold_matrix,
     frame_by_subblock,
@@ -181,15 +182,17 @@ class TestRemoveCpAndStack:
             transceiver.combine(plan, np.zeros(2 * plan.N_bar - 1))
 
     def test_matrix_form_identity(self):
-        # noiseless single cell: the frame samples equal the frame columns of
-        # every (user, precoder) weighted by its symbol, and the combined
-        # observation is the DFT rows M_D: of their post-CP core
+        # noiseless single cell without a prefix: the frame samples are the
+        # dense channel matrix's response to every (user, precoder) weighted
+        # by its symbol, and the combined observation is their DFT rows M_D:
         cfg, plan, ch = setup_case(K=1, L_D=6, L_I=1, U=2, B=1)
         rng = model.trial_rng(6, 0)
         syms = transceiver.draw_symbols(cfg, plan, rng)
         y = transceiver.simulate_reception(cfg, plan, ch, syms)
-        taps = ch.taps[(0, 0)][: plan.U_active[0]]
-        cols = spectral.frame_columns(taps, plan.N, plan.cp_len, plan.M[0])
+        assert plan.cp_len == 0
+        F = spectral.idft_basis(plan.N)[:, : plan.M[0]]
+        cols = np.hstack([direct_channel_matrix(ch.h(0, 0, u), plan.N, plan.L_I) @ F
+                          for u in range(plan.U_active[0])])
         expect = cols @ syms[0][0].ravel()
         np.testing.assert_allclose(y[0, : plan.N_bar], expect, atol=1e-10)
         np.testing.assert_allclose(

@@ -9,6 +9,7 @@ from blindim import model, spectral, verify
 from oracles import (
     check_lemma2,
     dft_submatrix_by_pick,
+    direct_channel_matrix,
     lemma3_by_triple,
     lemma3_ranks_by_triple,
     rank_by_matrix,
@@ -164,7 +165,7 @@ class TestEffectiveRank:
 
     def test_projected_channel_rank_chain(self):
         # rank(W Hnc) = rank(Hnc) = L_kk - L_I while rank(Hnc F_k) = M_k, with
-        # Hnc F the frame response to every precoder minus its circulant part
+        # Hnc the post-prefix channel matrix minus its circulant part
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
         N, cp = plan.N, plan.cp_len
@@ -174,8 +175,7 @@ class TestEffectiveRank:
         for t in range(20):
             ch = model.sample_channel_iid(cfg, model.trial_rng(2, t))
             h = ch.h(0, 0, 0)
-            cols = spectral.frame_columns(h[None], N, cp, N)[cp:]
-            Hnc = (cols - F * tap_sums(h, N)) @ F.conj().T
+            Hnc = direct_channel_matrix(h, N, plan.L_I) - F * tap_sums(h, N) @ F.conj().T
             assert verify.numerical_rank(Hnc) == 8 - plan.L_I
             assert verify.numerical_rank(W @ Hnc) == 8 - plan.L_I
             assert verify.numerical_rank(Hnc @ F_k) == plan.M[0]
