@@ -65,7 +65,7 @@ def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
     long-block limit).
     """
     snr = np.asarray(snr_linear, dtype=float)
-    total = np.zeros(H[0].shape[:-2] + (snr.size,))
+    total = np.zeros(next(iter(H.values())).shape[:-2] + (snr.size,))
     for k, r in r_diagonals(H).items():
         if plan.M[k] == 0:
             continue

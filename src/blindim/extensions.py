@@ -10,10 +10,10 @@ positions one period later, which restores a cyclic structure on every
 in the base scheme.
 
 Every active user sends one symbol on the constant precoder f_1, so each
-column is spectral.projected_response for f_1: the combiner applied to the
-link's spectral.frame_response, as for the base scheme's H_k; no per-link
-channel matrix is built.  Transmission, reception and detection are the base
-scheme's simulate_link.
+column is spectral.projected_response for f_1: the link's taps times the
+plan's table of the combiner applied to the spectral.frame_response of unit
+taps, as for the base scheme's H_k; no per-link channel matrix is built.
+Transmission, reception and detection are the base scheme's simulate_link.
 """
 
 from __future__ import annotations
@@ -59,29 +59,22 @@ def delayed_effective_channels(cfg, dplan, ch, cells=None):
     build_structured: one column per active desired user, W times its
     received frame for f_1.  H_int[k] stacks the same construction for every
     active user of each cross link longer than the plan's L_I (the cancelled
-    length L_I_prime), using only its residual taps ell >= L_I_prime.  Leading
+    length L_I_prime), in link order, using only its residual taps
+    ell >= L_I_prime against the table's rows ell >= L_I_prime.  Leading
     axes of the taps carry through: (..., N - M_D, columns).
     """
     if cells is None:
         cells = range(cfg.K)
-    W = combiner(dplan)
     H = build_structured(cfg, dplan, ch, cells)
     H_int = {}
     for k in cells:
-        links = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
-        # a cell with no residual link gets one zero tap: a (..., rows, 0) block
-        width = max((ch.taps[(k, i)].shape[-1] for i in links), default=1)
-        h = np.zeros(H[k].shape[:-2] + (sum(dplan.U_active[i] for i in links), width),
-                     dtype=complex)
-        row = 0
-        for i in links:
-            U = dplan.U_active[i]
-            taps = ch.taps[(k, i)][..., :U, dplan.L_I :]
-            # considered taps (ell < L_I_prime) stay exactly zero
-            h[..., row : row + U, dplan.L_I : dplan.L_I + taps.shape[-1]] = taps
-            row += U
-        H_int[k] = projected_response(dplan, W, h, 1)
-    return W, H, H_int
+        residual = [projected_response(dplan, ch.taps[(k, i)][..., : dplan.U_active[i], :], 1,
+                                       first=dplan.L_I)
+                    for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
+        # a cell with no residual link keeps a (..., rows, 0) block
+        H_int[k] = np.concatenate([np.zeros(H[k].shape[:-1] + (0,), dtype=complex)] + residual,
+                                  axis=-1)
+    return combiner(dplan), H, H_int
 
 
 def _hermitian(A) -> np.ndarray:

@@ -6,9 +6,12 @@ maps a cyclic-prefixed frame to the DFT rows M_D: of its core, after folding
 the plan's L_I_d leading interference-free samples onto the core.  One closed
 form, frame_response, gives a link's response to a frame: each tone times the
 link's per-tone gain, plus a leak where the prefix is too short.  The receiver
-meets the symbols with it; W nulls the tones, so the decoder's H_k is -W times
-the leak (projected_response), the previous subblock leaks as -leakage_phase
-times H_k, and no channel matrix is built.
+meets the symbols with it.  The decoder's channels are linear in the taps, so
+each plan tabulates W times the frame_response of unit taps once per (L, M)
+(_unit_response; W nulls the tones, so that is -W times the unit leak, plus
+the folded prefix on a delayed plan), and an effective channel H_k is one
+product of the taps with that table (projected_response).  The previous
+subblock leaks as -leakage_phase times H_k.
 
 DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
 entries F[m, k] = exp(+j*2*pi*m*k/n) / sqrt(n) for m, k in [0, n-1], so the
@@ -112,20 +115,37 @@ def leakage_phase(N, cp, M) -> np.ndarray:
     return np.exp(2j * np.pi * exponent / N)
 
 
-def projected_response(plan, W, taps, M) -> np.ndarray:
-    """(..., N - M_D, U * M): the combiner W times the frame_response of
+def projected_response(plan, taps, M, first=0) -> np.ndarray:
+    """(..., N - M_D, U * M): the combiner times the frame_response of
     (..., U, L) taps to unit symbols on f_1 .. f_M, column u * M + m for user
-    u and tone f_{m+1}.  W nulls the tones on the core (F[:, M_D:]^H F[:, :M]
-    = 0 for M <= M_D), so the frame's first N + cp samples leave -W times the
-    leak, plus the plan's L_I_d folded prefix samples times the gains."""
+    u and tone f_{m+1}, counting only the taps l >= first.  The response is
+    linear in the taps, so it is one product of taps l >= first, all draws and
+    users at once, with the rows l >= first of the plan's _unit_response."""
+    taps = np.asarray(taps)[..., first:]
+    *lead, U, L = taps.shape
+    table = _unit_response(plan, first + L, M)[first:]
+    rows = table.shape[-1]
+    H = taps.reshape(-1, L) @ table.reshape(L, M * rows)
+    # the transpose of a (..., U * M, rows) product: a view, no copy
+    return H.reshape(tuple(lead) + (U * M, rows)).swapaxes(-1, -2)
+
+
+@functools.lru_cache(maxsize=32)   # bounded and read-only, like _idft_basis
+def _unit_response(plan, L, M):
+    """(L, M, N - M_D) table: [l, m] is the combiner W times the
+    frame_response of the unit tap at l to f_{m+1}.  W nulls the tones on the
+    core (F[:, M_D:]^H F[:, :M] = 0 for M <= M_D), so the frame's first N + cp
+    samples leave -W times the leak, plus the plan's L_I_d folded prefix
+    samples times the gains."""
     N, cp, L_I_d = plan.N, plan.cp_len, plan.L_I_d
-    gains, leak = frame_response(taps, N, cp, M)
-    n = min(leak.shape[-1], N + cp)   # taps beyond the frame never reach it
-    H = -W[:, :n] @ np.swapaxes(leak[..., :n], -1, -2)
+    W = combiner(plan)
+    gains, leak = frame_response(np.eye(L), N, cp, M)
+    n = min(L - 1, N + cp)   # taps beyond the frame never reach it
+    table = (leak[:, :n] @ -W[:, :n].T).reshape(L, M, len(W))
     if L_I_d:
-        fold = W[:, :L_I_d] @ framed_precoders(N, cp, M)[:L_I_d]
-        H += (fold[:, None, :] * gains[..., None, :, :]).reshape(H.shape)
-    return H
+        table += gains[..., None] * (W[:, :L_I_d] @ framed_precoders(N, cp, M)[:L_I_d]).T
+    table.flags.writeable = False
+    return table
 
 
 def build_structured(cfg, plan, ch, cells=None) -> dict:
@@ -133,13 +153,12 @@ def build_structured(cfg, plan, ch, cells=None) -> dict:
 
     Returns k -> (..., N - M_D, U'_k M_k) over the leading axes of the taps,
     one column per (active user, precoder) in user-major order: the
-    projected_response of cell k's own links.  Interfering links are
-    circulant thanks to the cyclic prefix (and the fold) and are nulled
-    exactly, so they are never built, and a realization needs only the
-    desired links of the requested cells.
+    projected_response of cell k's own links, one product with the plan's
+    table.  Interfering links are circulant thanks to the cyclic prefix (and
+    the fold) and are nulled exactly, so they are never built, and a
+    realization needs only the desired links of the requested cells.
     """
-    W = combiner(plan)
     if cells is None:
         cells = range(cfg.K)
-    return {k: projected_response(plan, W, ch.taps[(k, k)][..., : plan.U_active[k], :], plan.M[k])
+    return {k: projected_response(plan, ch.taps[(k, k)][..., : plan.U_active[k], :], plan.M[k])
             for k in cells}

@@ -159,6 +159,26 @@ class TestScalarSnr:
                 assert rate(np.array([[1.0, 10.0]])).shape == H[0].shape[:-2] + (1, 2)
 
 
+class TestCellSubset:
+    def test_one_cell_rates_its_own_streams(self):
+        # build_structured of cell 1 alone: the sum rate is cell 1's own term
+        cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
+        plan = model.make_plan(cfg)
+        one = model.sample_channel_iid(cfg, model.trial_rng(4, 0))
+        stack = model.ChannelRealization({key: np.stack([h, 2 * h, 1j * h])
+                                          for key, h in one.taps.items()})
+        snr = np.array([1.0, 100.0])
+        for ch in (one, stack):
+            H = spectral.build_structured(cfg, plan, ch, cells=[1])
+            assert list(H) == [1]
+            r = np.abs(np.diagonal(np.linalg.qr(H[1], mode="r"), axis1=-2, axis2=-1))
+            rho = plan.N * snr[:, None] / plan.M[1]
+            want = np.log2(1.0 + rho * r[..., None, :] ** 2).sum(axis=-1) / plan.N_bar
+            got = analysis.sum_rate_qr(plan, H, snr)
+            assert got.shape == H[1].shape[:-2] + (2,)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 class TestBaseline:
     def test_flat_channel_closed_form(self):
         cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[1]])

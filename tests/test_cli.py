@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindim import analysis, cli, model
+from blindim import analysis, cli, experiments, model
+from oracles import distance_comparison_by_distance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -396,6 +397,17 @@ class TestExperimentCommands:
         assert lines[0] == "d_user_m,proposed_se,ofdma_se"
         assert len(lines) == 1 + 13
         assert all(float(x) > 0 for line in lines[1:] for x in line.split(",")[1:])
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_fig5_csv_from_the_links_it_rates(self, tmp_path, monkeypatch, seed):
+        # fig5 takes path gains and draws of the links into cell 0 only;
+        # rating each distance alone on every link's gains writes the same bytes
+        code, text = run(tmp_path, "fig5", "--seed", seed)
+        assert code == 0
+        monkeypatch.setattr(experiments, "run_distance_comparison",
+                            lambda trials, seed: distance_comparison_by_distance(trials=trials,
+                                                                                 seed=seed))
+        assert run(tmp_path, "fig5", "--seed", seed, name="every.csv") == (0, text)
 
 
 class TestImports:

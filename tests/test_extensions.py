@@ -182,7 +182,7 @@ class TestCompositeChannel:
             np.testing.assert_allclose(folded, (f1.conj() @ folded) * f1, atol=1e-12)
             np.testing.assert_allclose(W @ frame, 0.0, atol=1e-12)
             np.testing.assert_allclose(
-                spectral.projected_response(dplan, W, h[None, :], 1), 0.0, atol=1e-12)
+                spectral.projected_response(dplan, h[None, :], 1), 0.0, atol=1e-12)
 
     def test_conv_window_matches_numpy(self):
         # with no prefix, the current core's response is the first N samples

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blindim import extensions, model, spectral
+from blindim import extensions, model, spectral, verify
 from oracles import (
     circulant,
     diagonalize_circulant,
@@ -443,3 +445,104 @@ class TestBuildStructured:
             h = ch.h(k, k, 0)
             want = _dense_projection(plan, direct_channel_matrix(h, plan.N, plan.L_I), M)
             np.testing.assert_allclose(H[k][:, :M], want, atol=1e-12)
+
+
+@st.composite
+def table_cases(draw):
+    """A valid config and a plan for it (make_plan's, or a delayed plan's when
+    L_I >= 2, whose cross links past its L_I are residual), with taps for one
+    draw or for a stack of two.  Desired links may be shorter than L_I, so a
+    cell may have no active user."""
+    K = draw(st.integers(1, 3))
+    L_I = 1 if K == 1 else draw(st.integers(1, 6))
+    cir = [[draw(st.integers(1, L_I + 8) if i == k else st.integers(1, L_I))
+            for i in range(K)] for k in range(K)]
+    if K > 1:
+        cir[0][1] = L_I
+    cfg = model.SystemConfig(K=K, users_per_cell=[draw(st.integers(1, 4)) for _ in range(K)],
+                             cir_len=cir)
+    plan = model.make_plan(cfg)
+    if L_I >= 2 and draw(st.booleans()):
+        L_I_prime = draw(st.integers(2, L_I))
+        plan = extensions.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.sampled_from([(), (2,)]))
+    ch = model.ChannelRealization({
+        (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
+        for k in range(K) for i in range(K)})
+    return cfg, plan, ch
+
+
+def _oracle_relative(got, want):
+    assert got.shape == want.shape
+    return np.abs(got - want).max(initial=0) / max(np.abs(want).max(initial=0), 1e-300)
+
+
+class TestUnitResponse:
+    """The per-plan table of the combined frame_response of unit taps, from
+    which every effective channel is built."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(table_cases())
+    def test_channels_match_the_convolution_oracle(self, case):
+        # H_k, and H_int of the cross links past the plan's L_I, equal W times
+        # np.convolve of the taps with the framed precoders
+        cfg, plan, ch = case
+        W = spectral.combiner(plan)
+        _, H, H_int = extensions.delayed_effective_channels(cfg, plan, ch)
+        for k in range(cfg.K):
+            taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
+            assert _oracle_relative(H[k], W @ framed_convolution(plan, taps, plan.M[k])) <= 1e-12
+            residual = []
+            for i in range(cfg.K):
+                if i != k and cfg.cir_len[k][i] > plan.L_I:
+                    taps = ch.taps[(k, i)][..., : plan.U_active[i], :].copy()
+                    taps[..., : plan.L_I] = 0.0
+                    residual.append(W @ framed_convolution(plan, taps, 1))
+            want = np.concatenate([np.zeros(H[k].shape[:-1] + (0,))] + residual, axis=-1)
+            assert _oracle_relative(H_int[k], want) <= 1e-12
+
+    def test_one_table_per_length_and_load(self):
+        # each (L, M) of a plan has its own table, whatever the order of the
+        # requests: [l, m] is W times the framed convolution of the unit tap
+        # at l with f_{m+1}, the fold included on a delayed plan.  W's rows and
+        # the precoders have unit norm, so entries are at most sqrt(N_bar):
+        # the tolerance is absolute, as a link within the prefix is nulled
+        cfg = model.SystemConfig(K=2, users_per_cell=[1, 3], cir_len=[[9, 3], [4, 6]])
+        for plan in (model.make_plan(cfg), extensions.make_delayed_plan(cfg, 2, 3)):
+            W = spectral.combiner(plan)
+            for L, M in [(4, 1), (7, 1), (7, 2), (4, 2), (9, 3), (2, 3), (9, 1)]:
+                if M > plan.M_D:
+                    continue
+                table = spectral._unit_response(plan, L, M)
+                want = np.moveaxis((W @ framed_convolution(plan, np.eye(L), M))
+                                   .reshape(len(W), L, M), 0, -1)
+                assert table.shape == want.shape
+                assert np.abs(table - want).max() <= 1e-12
+
+    def test_cached_and_read_only(self):
+        plan = model.make_plan(model.SystemConfig.symmetric(K=2, L_D=6, L_I=2, U=2))
+        table = spectral._unit_response(plan, 6, 2)
+        assert spectral._unit_response(plan, 6, 2) is table
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table[plan.L_I :][0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("cfg", [
+        model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3),
+        model.SystemConfig.symmetric(K=3, L_D=9, L_I=3, U=6),
+        model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[7, 2], [3, 5]]),
+    ])
+    def test_rows_past_the_prefix_are_the_rank_factors(self, cfg):
+        # on a plan that is not delayed, taps l < L_I never reach the combined
+        # core, and the rows l >= L_I are the paper's G_m of
+        # W Hbar f_m = G_m h[L_I : L_kk]
+        plan = model.make_plan(cfg)
+        for k in range(cfg.K):
+            L = cfg.cir_len[k][k]
+            table = spectral._unit_response(plan, L, plan.M[k])
+            assert not table[: plan.L_I].any()
+            for m in range(1, plan.M[k] + 1):
+                G = verify.build_rank_factors(plan, L, m).G
+                assert _oracle_relative(table[plan.L_I :, m - 1].T, G) <= 1e-12
