@@ -69,10 +69,10 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0):
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = fig5_config()
-    into_0 = [(0, i) for i in range(cfg.K)]
     gains = model.large_scale_gain(
-        cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell), into_0
+        cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
     )
+    into_0 = [(0, i) for i in range(cfg.K)]
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(d_user_grid), 2))
     for small in model.trial_blocks(cfg, seed, trials, into_0, user_major=True):

@@ -10,10 +10,10 @@ positions one period later, which restores a cyclic structure on every
 in the base scheme.
 
 Every active user sends one symbol on the constant precoder f_1, so each
-column is spectral.projected_response for f_1: the link's taps times the
-plan's table of the combiner applied to the spectral.frame_response of unit
-taps, as for the base scheme's H_k; no per-link channel matrix is built.
-Transmission, reception and detection are the base scheme's simulate_link.
+column is spectral.projected_response for f_1: the combiner applied to the
+link's spectral.frame_response, as for the base scheme's H_k; no per-link
+channel matrix is built.  Transmission, reception and detection are the base
+scheme's simulate_link.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def delayed_effective_channels(cfg, dplan, ch, cells=None):
     received frame for f_1.  H_int[k] stacks the same construction for every
     active user of each cross link longer than the plan's L_I (the cancelled
     length L_I_prime), in link order, using only its residual taps
-    ell >= L_I_prime against the table's rows ell >= L_I_prime.  Leading
-    axes of the taps carry through: (..., N - M_D, columns).
+    ell >= L_I_prime.  Leading axes of the taps carry through:
+    (..., N - M_D, columns).
     """
     if cells is None:
         cells = range(cfg.K)

@@ -322,17 +322,15 @@ def hex_deployment(D_user, users_per_cell) -> np.ndarray:
     return np.hypot(offset[..., 0], offset[..., 1])
 
 
-def large_scale_gain(cfg: SystemConfig, L_I_d, dist, links=None) -> dict:
+def large_scale_gain(cfg: SystemConfig, L_I_d, dist) -> dict:
     """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
-    over the leading axes of the (..., K, K, U_max) distances dist, for each
-    link (k, i) of links (default: every link), in (k, i) order.
+    over the leading axes of the (..., K, K, U_max) distances dist.
 
     Desired links spread their power over [0, L_D), cross links over
-    [L_I_d, L_I), with (L_D, L_I) = link_lengths(cfg).  Every user's distance
-    to every base station must be positive, whatever the links picked.  The
-    path-loss amplitude is one float_power over the picked links' distances,
-    and each distinct delay profile (desired or not, L_{k,i}) is computed once
-    and shared by every link that has it.
+    [L_I_d, L_I), with (L_D, L_I) = link_lengths(cfg).  The path-loss
+    amplitude is one float_power over the whole distance array, and each
+    distinct delay profile (desired or not, L_{k,i}) is computed once and
+    shared by every link that has it.
     """
     p0 = 10.0 ** (REF_LOSS_DB / 10.0)
     L_D, L_I = link_lengths(cfg)
@@ -342,19 +340,17 @@ def large_scale_gain(cfg: SystemConfig, L_I_d, dist, links=None) -> dict:
     if bad.any():
         raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
                          % tuple(np.argwhere(bad)[0]))
-    picked = ([(k, i) for k in range(cfg.K) for i in range(cfg.K)] if links is None
-              else sorted(set(links)))
-    rows, cols = np.array(picked).T
     # float_power matches scalar d ** x bit for bit, so existing seeds keep
     # their draws; numpy's SIMD power loop may differ in the last bit
-    amp = np.sqrt(p0) * np.float_power(dist[..., rows, cols, :], -PATHLOSS_EXPONENT / 2.0)
+    amp = np.sqrt(p0) * np.float_power(dist, -PATHLOSS_EXPONENT / 2.0)
     profiles = {}
     gain = {}
-    for j, (k, i) in enumerate(picked):
-        L = cfg.cir_len[k][i]
-        key = (k == i, L)
-        if key not in profiles:
-            lo, hi = (0, L_D) if k == i else (L_I_d, L_I)
-            profiles[key] = np.sqrt(pdp_profile(L, lo, hi))
-        gain[(k, i)] = amp[..., j, : cfg.users_per_cell[i], None] * profiles[key]
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            L = cfg.cir_len[k][i]
+            key = (k == i, L)
+            if key not in profiles:
+                lo, hi = (0, L_D) if k == i else (L_I_d, L_I)
+                profiles[key] = np.sqrt(pdp_profile(L, lo, hi))
+            gain[(k, i)] = amp[..., k, i, : cfg.users_per_cell[i], None] * profiles[key]
     return gain

@@ -6,11 +6,12 @@ maps a cyclic-prefixed frame to the DFT rows M_D: of its core, after folding
 the plan's L_I_d leading interference-free samples onto the core.  One closed
 form, frame_response, gives a link's response to a frame: each tone times the
 link's per-tone gain, plus a leak where the prefix is too short.  The receiver
-meets the symbols with it.  The decoder's channels are linear in the taps, so
-each plan tabulates W times the frame_response of unit taps once per (L, M)
-(_unit_response; W nulls the tones, so that is -W times the unit leak, plus
-the folded prefix on a delayed plan), and an effective channel H_k is one
-product of the taps with that table (projected_response).  The previous
+meets the symbols with it.  W nulls the tones, so the decoder's H_k is -W
+times the leak, plus the folded prefix on a delayed plan (projected_response).
+That is linear in the taps: a link of a few taps per user reads it as one
+product of the taps with a table of the response of unit taps, computed once
+per geometry, (L, M) included (_unit_response); a link of many taps per user,
+whose table would grow as L^3, applies it to its own taps.  The previous
 subblock leaks as -leakage_phase times H_k.
 
 DFT convention (fixed once, used everywhere): the n-point IDFT matrix F has
@@ -61,11 +62,18 @@ def combiner(plan) -> np.ndarray:
     L_I_d leading frame samples is added to the core sample one period N
     later (W[:, j] = W[:, N + j]), which makes a link whose first L_I_d taps
     are zero circulant again; with L_I_d = 0 the cyclic prefix is discarded.
+    The matrix is computed once per geometry and shared, so it is read-only.
     """
-    N, cp, L_I_d = plan.N, plan.cp_len, plan.L_I_d
-    W = np.zeros((N - plan.M_D, plan.N_bar), dtype=complex)
-    W[:, cp:] = idft_basis(N)[:, plan.M_D :].conj().T
+    return _combiner(plan.N, plan.cp_len, plan.L_I_d, plan.M_D)
+
+
+# bounded: a run uses a few geometries, each (N - M_D) x (N + cp) complex values
+@functools.lru_cache(maxsize=32)
+def _combiner(N, cp, L_I_d, M_D):
+    W = np.zeros((N - M_D, N + cp), dtype=complex)
+    W[:, cp:] = idft_basis(N)[:, M_D:].conj().T
     W[:, :L_I_d] = W[:, N : N + L_I_d]
+    W.flags.writeable = False
     return W
 
 
@@ -115,35 +123,62 @@ def leakage_phase(N, cp, M) -> np.ndarray:
     return np.exp(2j * np.pi * exponent / N)
 
 
+# The table holds L / U draws' channels, and one draw reads all of it: up to 16
+# taps per user it costs at most 16 draws' channels and is still faster than
+# a single draw's own frame_response (the two meet near L / U = 20 to 25 on a
+# 2-vCPU Xeon, one BLAS thread); beyond, it grows as L^3 for one user.
+TABLE_TAPS_PER_USER = 16
+
+
 def projected_response(plan, taps, M, first=0) -> np.ndarray:
     """(..., N - M_D, U * M): the combiner times the frame_response of
     (..., U, L) taps to unit symbols on f_1 .. f_M, column u * M + m for user
-    u and tone f_{m+1}, counting only the taps l >= first.  The response is
-    linear in the taps, so it is one product of taps l >= first, all draws and
-    users at once, with the rows l >= first of the plan's _unit_response."""
-    taps = np.asarray(taps)[..., first:]
+    u and tone f_{m+1}, counting only the taps l >= first.
+
+    The response is linear in the taps.  A link of at most TABLE_TAPS_PER_USER
+    taps per user is one product of its taps l >= first, all draws and users
+    at once, with the rows l >= first of the geometry's _unit_response table.
+    A longer link (a few users on long taps) takes the combined
+    frame_response of its own taps, as the table does of unit taps.  The
+    route depends on U and L only, never on the number of draws, so a draw
+    gets the same channel bit for bit whatever it is stacked with."""
+    taps = np.asarray(taps)
     *lead, U, L = taps.shape
-    table = _unit_response(plan, first + L, M)[first:]
-    rows = table.shape[-1]
-    H = taps.reshape(-1, L) @ table.reshape(L, M * rows)
+    geometry = (plan.N, plan.cp_len, plan.L_I_d, plan.M_D)
+    if L > TABLE_TAPS_PER_USER * U:
+        if first:
+            taps = np.where(np.arange(L) < first, 0, taps)
+        H = _combined_response(*geometry, taps, M)
+    else:
+        table = _unit_response(*geometry, L, M)[first:]
+        rows = table.shape[-1]
+        H = taps[..., first:].reshape(-1, L - first) @ table.reshape(L - first, M * rows)
+        H = H.reshape(tuple(lead) + (U * M, rows))
     # the transpose of a (..., U * M, rows) product: a view, no copy
-    return H.reshape(tuple(lead) + (U * M, rows)).swapaxes(-1, -2)
+    return H.swapaxes(-1, -2)
+
+
+def _combined_response(N, cp, L_I_d, M_D, taps, M):
+    """(..., U * M, N - M_D): row u * M + m is the combiner W times the
+    frame_response of user u's taps to f_{m+1}.  W nulls the tones on the
+    core (F[:, M_D:]^H F[:, :M] = 0 for M <= M_D), so the frame's first
+    N + cp samples leave -W times the leak, plus the L_I_d folded prefix
+    samples times the gains."""
+    W = _combiner(N, cp, L_I_d, M_D)
+    gains, leak = frame_response(taps, N, cp, M)
+    n = min(leak.shape[-1], N + cp)   # taps beyond the frame never reach it
+    H = leak[..., :n] @ -W[:, :n].T
+    if L_I_d:
+        fold = (W[:, :L_I_d] @ framed_precoders(N, cp, M)[:L_I_d]).T
+        H += (gains[..., None] * fold).reshape(H.shape)
+    return H
 
 
 @functools.lru_cache(maxsize=32)   # bounded and read-only, like _idft_basis
-def _unit_response(plan, L, M):
+def _unit_response(N, cp, L_I_d, M_D, L, M):
     """(L, M, N - M_D) table: [l, m] is the combiner W times the
-    frame_response of the unit tap at l to f_{m+1}.  W nulls the tones on the
-    core (F[:, M_D:]^H F[:, :M] = 0 for M <= M_D), so the frame's first N + cp
-    samples leave -W times the leak, plus the plan's L_I_d folded prefix
-    samples times the gains."""
-    N, cp, L_I_d = plan.N, plan.cp_len, plan.L_I_d
-    W = combiner(plan)
-    gains, leak = frame_response(np.eye(L), N, cp, M)
-    n = min(L - 1, N + cp)   # taps beyond the frame never reach it
-    table = (leak[:, :n] @ -W[:, :n].T).reshape(L, M, len(W))
-    if L_I_d:
-        table += gains[..., None] * (W[:, :L_I_d] @ framed_precoders(N, cp, M)[:L_I_d]).T
+    frame_response of the unit tap at l to f_{m+1}."""
+    table = _combined_response(N, cp, L_I_d, M_D, np.eye(L), M).reshape(L, M, N - M_D)
     table.flags.writeable = False
     return table
 
@@ -153,10 +188,10 @@ def build_structured(cfg, plan, ch, cells=None) -> dict:
 
     Returns k -> (..., N - M_D, U'_k M_k) over the leading axes of the taps,
     one column per (active user, precoder) in user-major order: the
-    projected_response of cell k's own links, one product with the plan's
-    table.  Interfering links are circulant thanks to the cyclic prefix (and
-    the fold) and are nulled exactly, so they are never built, and a
-    realization needs only the desired links of the requested cells.
+    projected_response of cell k's own links.  Interfering links are
+    circulant thanks to the cyclic prefix (and the fold) and are nulled
+    exactly, so they are never built, and a realization needs only the
+    desired links of the requested cells.
     """
     if cells is None:
         cells = range(cfg.K)

@@ -399,9 +399,10 @@ class TestExperimentCommands:
         assert all(float(x) > 0 for line in lines[1:] for x in line.split(",")[1:])
 
     @pytest.mark.parametrize("seed", ["0", "7"])
-    def test_fig5_csv_from_the_links_it_rates(self, tmp_path, monkeypatch, seed):
-        # fig5 takes path gains and draws of the links into cell 0 only;
-        # rating each distance alone on every link's gains writes the same bytes
+    def test_fig5_csv_matches_one_distance_at_a_time(self, tmp_path, monkeypatch, seed):
+        # fig5 draws the links into cell 0 only and rates several distances
+        # per call; rating each distance alone on every link's draws writes
+        # the same bytes
         code, text = run(tmp_path, "fig5", "--seed", seed)
         assert code == 0
         monkeypatch.setattr(experiments, "run_distance_comparison",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindim import experiments, model
+from blindim import model
 from oracles import pdp_variance, sample_channel_by_link, small_scale_by_user
 
 
@@ -310,37 +310,6 @@ class TestGeometricSampler:
             dist[2, 1, 1, 1] = 0.0
             with pytest.raises(ValueError, match=r"link \(k=1, i=1, u=1\)"):
                 model.large_scale_gain(cfg, 0, dist)
-
-    def test_picked_gains_equal_every_link_gains(self):
-        # a picked link's gains are those of the every-link call, bit for bit,
-        # returned in (k, i) order whatever the order asked
-        cfg = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
-                                 cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]])
-        dist = np.random.default_rng(2).uniform(1.0, 400.0, (4, 3, 3, 3))
-        fcfg, dplan = experiments.fig5_config()
-        fig5 = model.hex_deployment(np.arange(20.0, 150.0, 10.0), fcfg.users_per_cell)
-        for c, L_I_d, d, links in [
-            (cfg, 1, dist, [(0, 0), (0, 1), (0, 2)]),
-            (cfg, 0, dist, [(2, 1), (1, 2), (2, 1)]),
-            (cfg, 1, dist[0], [(1, 1)]),
-            (fcfg, dplan.L_I_d, fig5, [(0, i) for i in range(fcfg.K)]),
-        ]:
-            every = model.large_scale_gain(c, L_I_d, d)
-            got = model.large_scale_gain(c, L_I_d, d, links)
-            assert list(got) == sorted(set(links))
-            for key in got:
-                np.testing.assert_array_equal(got[key], every[key])
-
-    def test_picked_links_still_check_every_user(self):
-        # a zero distance on a link not picked is still refused
-        cfg = model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[3, 2], [2, 3]])
-        dist = np.full((3, 2, 2, 2), 50.0)
-        dist[..., 0, 1] = np.nan
-        into_0 = [(0, 0), (0, 1)]
-        assert list(model.large_scale_gain(cfg, 0, dist, into_0)) == into_0
-        dist[1, 1, 0, 0] = 0.0
-        with pytest.raises(ValueError, match=r"link \(k=1, i=0, u=0\)"):
-            model.large_scale_gain(cfg, 0, dist, into_0)
 
     def test_picked_links_keep_their_place_in_the_draw(self):
         # the links into base station 0 come first: normals cut after them

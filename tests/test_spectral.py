@@ -452,10 +452,12 @@ def table_cases(draw):
     """A valid config and a plan for it (make_plan's, or a delayed plan's when
     L_I >= 2, whose cross links past its L_I are residual), with taps for one
     draw or for a stack of two.  Desired links may be shorter than L_I, so a
-    cell may have no active user."""
+    cell may have no active user, or long enough for more than
+    TABLE_TAPS_PER_USER taps per user, which skip the table."""
     K = draw(st.integers(1, 3))
     L_I = 1 if K == 1 else draw(st.integers(1, 6))
-    cir = [[draw(st.integers(1, L_I + 8) if i == k else st.integers(1, L_I))
+    desired = st.integers(1, L_I + 8) | st.integers(L_I + 17, L_I + 40)
+    cir = [[draw(desired if i == k else st.integers(1, L_I))
             for i in range(K)] for k in range(K)]
     if K > 1:
         cir[0][1] = L_I
@@ -473,9 +475,24 @@ def table_cases(draw):
     return cfg, plan, ch
 
 
-def _oracle_relative(got, want):
+def _oracle_relative(got, want, scale=None):
+    """Largest error of got against want, relative to scale (by default, the
+    largest entry of want)."""
     assert got.shape == want.shape
-    return np.abs(got - want).max(initial=0) / max(np.abs(want).max(initial=0), 1e-300)
+    if scale is None:
+        scale = np.abs(want).max(initial=0)
+    return np.abs(got - want).max(initial=0) / max(scale, 1e-300)
+
+
+def _projected_relative(got, W, frames):
+    """got against W @ frames, relative to the largest frame sample: W nulls
+    the tones, which can leave a channel far smaller than the frames it is
+    projected from, and the oracle's round-off scales with the frames."""
+    return _oracle_relative(got, W @ frames, np.abs(frames).max(initial=0))
+
+
+def _table(plan, L, M):
+    return spectral._unit_response(plan.N, plan.cp_len, plan.L_I_d, plan.M_D, L, M)
 
 
 class TestUnitResponse:
@@ -492,15 +509,16 @@ class TestUnitResponse:
         _, H, H_int = extensions.delayed_effective_channels(cfg, plan, ch)
         for k in range(cfg.K):
             taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
-            assert _oracle_relative(H[k], W @ framed_convolution(plan, taps, plan.M[k])) <= 1e-12
+            assert _projected_relative(H[k], W, framed_convolution(plan, taps, plan.M[k])) <= 1e-12
             residual = []
             for i in range(cfg.K):
                 if i != k and cfg.cir_len[k][i] > plan.L_I:
                     taps = ch.taps[(k, i)][..., : plan.U_active[i], :].copy()
                     taps[..., : plan.L_I] = 0.0
-                    residual.append(W @ framed_convolution(plan, taps, 1))
-            want = np.concatenate([np.zeros(H[k].shape[:-1] + (0,))] + residual, axis=-1)
-            assert _oracle_relative(H_int[k], want) <= 1e-12
+                    residual.append(framed_convolution(plan, taps, 1))
+            frames = np.concatenate([np.zeros(H[k].shape[:-2] + (plan.N_bar, 0))] + residual,
+                                    axis=-1)
+            assert _projected_relative(H_int[k], W, frames) <= 1e-12
 
     def test_one_table_per_length_and_load(self):
         # each (L, M) of a plan has its own table, whatever the order of the
@@ -514,20 +532,64 @@ class TestUnitResponse:
             for L, M in [(4, 1), (7, 1), (7, 2), (4, 2), (9, 3), (2, 3), (9, 1)]:
                 if M > plan.M_D:
                     continue
-                table = spectral._unit_response(plan, L, M)
+                table = _table(plan, L, M)
                 want = np.moveaxis((W @ framed_convolution(plan, np.eye(L), M))
                                    .reshape(len(W), L, M), 0, -1)
                 assert table.shape == want.shape
                 assert np.abs(table - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_both_routes_match_the_oracle_alone_or_stacked(self, delayed):
+        # 34 taps: one or two users take their own frame_response, three or
+        # more read the table; either way the channel equals W times the
+        # framed convolution of the taps l >= first, and a draw gets the same
+        # channel bit for bit alone as in a stack of draws
+        cfg = model.SystemConfig.symmetric(K=2, L_D=34, L_I=4, U=6)
+        plan = extensions.make_delayed_plan(cfg, 1, 3) if delayed else model.make_plan(cfg)
+        W = spectral.combiner(plan)
+        rng = np.random.default_rng(9)
+        M = min(2, plan.M_D)   # a delayed plan sends f_1 only
+        for U in (1, 2, 3, 6):
+            stack = rng.standard_normal((4, U, 34, 2)) @ [1, 1j]
+            assert (34 > spectral.TABLE_TAPS_PER_USER * U) == (U < 3)
+            for first in (0, plan.L_I):
+                spectral._unit_response.cache_clear()
+                got = spectral.projected_response(plan, stack, M, first)
+                assert bool(spectral._unit_response.cache_info().currsize) == (U >= 3)
+                taps = stack.copy()
+                taps[..., :first] = 0.0
+                assert _projected_relative(got, W, framed_convolution(plan, taps, M)) <= 1e-12
+                for d in range(len(stack)):
+                    np.testing.assert_array_equal(
+                        spectral.projected_response(plan, stack[d], M, first), got[d])
+
+    def test_one_user_on_long_links_builds_no_table(self):
+        # one user per cell and 256 taps: a table would hold 254 x 254 x 256
+        # values (264 MB); the build stays within a few of one draw's (M, L)
+        # tap sums, as a per-draw build does
+        cfg = model.SystemConfig.symmetric(K=2, L_D=256, L_I=2, U=1)
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(60, 0))
+        spectral.idft_basis(plan.N)   # cached before tracing, as in a run
+        tracemalloc.start()
+        spectral.build_structured(cfg, plan, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 16 * plan.M_D * plan.L_D * 16
+
     def test_cached_and_read_only(self):
         plan = model.make_plan(model.SystemConfig.symmetric(K=2, L_D=6, L_I=2, U=2))
-        table = spectral._unit_response(plan, 6, 2)
-        assert spectral._unit_response(plan, 6, 2) is table
+        table = _table(plan, 6, 2)
+        assert _table(plan, 6, 2) is table
         with pytest.raises(ValueError):
             table[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             table[plan.L_I :][0, 0, 0] = 1.0
+        # the combiner is shared the same way
+        assert spectral.combiner(plan) is spectral.combiner(model.make_plan(
+            model.SystemConfig.symmetric(K=3, L_D=6, L_I=2, U=2)))
+        with pytest.raises(ValueError):
+            spectral.combiner(plan)[0, 0] = 1.0
 
     @pytest.mark.parametrize("cfg", [
         model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3),
@@ -541,7 +603,7 @@ class TestUnitResponse:
         plan = model.make_plan(cfg)
         for k in range(cfg.K):
             L = cfg.cir_len[k][k]
-            table = spectral._unit_response(plan, L, plan.M[k])
+            table = _table(plan, L, plan.M[k])
             assert not table[: plan.L_I].any()
             for m in range(1, plan.M[k] + 1):
                 G = verify.build_rank_factors(plan, L, m).G
