@@ -79,11 +79,11 @@ def sum_rate_qr(plan, H, snr_linear) -> np.ndarray:
 # TDMA-OFDMA baseline
 # ---------------------------------------------------------------------------
 
-def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
+def baseline_tdma_ofdma(cfg, plan, ch, snr_linear) -> np.ndarray:
     """Interference-free reference: cells take turns (time share 1/K); the
-    active cell runs multicarrier transmission with cyclic prefix L_D - 1 and
-    disjoint near-equal subcarrier sets per user, user u owning the
-    subcarriers sc with sc % U == u.
+    active cell runs multicarrier transmission on n_sc = plan.N subcarriers
+    with cyclic prefix L_D - 1 and disjoint near-equal subcarrier sets per
+    user, user u owning the subcarriers sc with sc % U == u.
 
     Each user spreads power over its own subcarriers so the per-sample
     transmit power constraint E|x[n]|^2 = P holds, giving per-subcarrier SNR
@@ -94,8 +94,7 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     Returns (..., S) over the leading axes of the taps and the S linear SNRs
     snr_linear; a scalar snr_linear gives the leading axes only.
     """
-    if n_sc is None:
-        n_sc = plan.N
+    n_sc = plan.N
     h = ch.taps[(0, 0)]
     U, L = h.shape[-2:]
     folded = np.pad(h, [(0, 0)] * (h.ndim - 1) + [(0, -L % n_sc)])
@@ -109,67 +108,60 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear, n_sc=None) -> np.ndarray:
     return rate.reshape(rate.shape[:-1] + snr.shape)
 
 
-def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, n_sc, cells=None) -> np.ndarray:
-    """Per-cell OFDMA rate with every cell active and ICI treated as noise.
+def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, n_sc, k) -> np.ndarray:
+    """OFDMA rate of cell k with every cell active and ICI treated as noise.
 
     Each cell runs the same interleaved subcarrier partition; user u of cell i
     interferes on exactly its own subcarrier set, with its spectral response
     taken as the n_sc-point FFT of the cross-link taps.  Cyclic prefix L_D - 1,
     with L_D the config's longest desired link (model.link_lengths);
     every used subcarrier carries power P (no pooling, as in the TDMA baseline).
-    A realization needs only the links into the requested cells.  Returns
-    (..., K) over the leading axes of the taps; cells not requested read 0.
+    A realization needs only the links into cell k.  Returns (...) over the
+    leading axes of the taps.
 
     Taps beyond n_sc are dropped, where baseline_tdma_ofdma folds them: fig5's
     7-tap cross links lose taps 5 and 6.  perfbench's geometric_fig5 reference
     CSV pins this output, so folding here waits for a change that regenerates
     that reference.
     """
-    if cells is None:
-        cells = range(cfg.K)
     L_D, _ = model.link_lengths(cfg)
     sc = np.arange(n_sc)
     U = np.array(cfg.users_per_cell)
     offset = np.cumsum(U) - U
     # the row of the user that owns each subcarrier, with links stacked cell by cell
     owner = offset[:, None] + sc % U[:, None]
-    out = np.zeros(ch.taps[(0, 0)].shape[:-2] + (cfg.K,))
-    for k in cells:
-        stacked = np.zeros(out.shape[:-1] + (U.sum(), n_sc), dtype=complex)
-        for i in range(cfg.K):
-            h = ch.taps[(k, i)][..., :n_sc]
-            stacked[..., offset[i] : offset[i] + U[i], : h.shape[-1]] = h
-        # (..., K, n_sc): power received from each cell on every subcarrier
-        power = tx_power * np.abs(np.fft.fft(stacked)[..., owner, sc]) ** 2
-        ici = power[..., np.arange(cfg.K) != k, :].sum(axis=-2)
-        rate = np.log2(1.0 + power[..., k, :] / (noise_var + ici))
-        out[..., k] = rate.sum(axis=-1) / (n_sc + L_D - 1)
-    return out
+    stacked = np.zeros(ch.taps[(k, k)].shape[:-2] + (U.sum(), n_sc), dtype=complex)
+    for i in range(cfg.K):
+        h = ch.taps[(k, i)][..., :n_sc]
+        stacked[..., offset[i] : offset[i] + U[i], : h.shape[-1]] = h
+    # (..., K, n_sc): power received from each cell on every subcarrier
+    power = tx_power * np.abs(np.fft.fft(stacked)[..., owner, sc]) ** 2
+    ici = power[..., np.arange(cfg.K) != k, :].sum(axis=-2)
+    rate = np.log2(1.0 + power[..., k, :] / (noise_var + ici))
+    return rate.sum(axis=-1) / (n_sc + L_D - 1)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo ergodic averaging
 # ---------------------------------------------------------------------------
 
-def ergodic_rate(cfg, snr_db_list, trials, seed=None):
+def ergodic_rate(cfg, snr_db_list, trials):
     """Mean spectral efficiency of the proposed scheme and of the TDMA-OFDMA
     baseline at each SNR, both over the same independent channel draws.
 
-    Trial t uses the reproducible stream (seed, t), built only for the desired
-    links, the only links either rate reads; the trials are stacked in blocks
-    of model.TRIAL_BLOCK, and each block's QR diagonals and baseline spectra
-    serve the whole SNR grid.  Returns (proposed, baseline); raises
+    Trial t uses the reproducible stream (cfg.seed, t), built only for the
+    desired links, the only links either rate reads; the trials are stacked in
+    blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
+    spectra serve the whole SNR grid.  Returns (proposed, baseline); raises
     ValueError unless trials >= 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
-    if seed is None:
-        seed = cfg.seed
     plan = model.make_plan(cfg)
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
     proposed = baseline = 0.0
     desired = [(k, k) for k in range(cfg.K)]
-    for ch in model.trial_blocks(cfg, seed, trials, desired):
+    for ch in model.trial_blocks(cfg, cfg.seed, trials, desired):
         H = spectral.build_structured(cfg, plan, ch)
         proposed = proposed + sum_rate_qr(plan, H, snr_lin).sum(axis=0)
         baseline = baseline + baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)

@@ -5,7 +5,8 @@ Commands: dof, rate, simulate, sweep, verify, fig3, fig5.  Every command
 writes a CSV table (single header row) to --out or stdout, and accepts only
 the options it reads (COMMANDS).  Exit status is 0 on success, 1 on a failed
 check (a verification check, or a channel draw that fails the rank
-criterion), 2 on configuration or usage errors.
+criterion), 2 on configuration or usage errors, a --config or --out path
+that cannot be read or written included.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ def _check_args(args):
 def _load_cfg(args) -> model.SystemConfig:
     if args.config:
         with open(args.config) as fh:
-            cfg = configfile.load_system_config(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise UsageError("--config %s is not text: %s" % (args.config, exc)) from None
+        cfg = configfile.load_system_config(text)
     else:
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
     if getattr(args, "seed", None) is not None:
@@ -114,7 +119,7 @@ def cmd_sweep(args):
     except ValueError:
         raise UsageError("--sweep %s values must be integers, got %r" % (key, args.sweep))
     cfg = _load_cfg(args)
-    L_I = cfg.cir_len[0][1] if cfg.K > 1 else 2
+    _, L_I = model.link_lengths(cfg)
     if key == "L_D" and min(numbers) <= L_I:
         raise UsageError("--sweep L_D values must exceed L_I = %d, since each cell has "
                          "U = L_D - L_I users, got %r" % (L_I, args.sweep))
@@ -137,7 +142,7 @@ def cmd_sweep(args):
 def cmd_rate(args):
     cfg = _load_cfg(args)
     snrs = _snr_list(args, default=[cfg.snr_db])
-    proposed, baseline = analysis.ergodic_rate(cfg, snrs, args.trials, seed=cfg.seed)
+    proposed, baseline = analysis.ergodic_rate(cfg, snrs, args.trials)
     rows = [
         (float(s), float(p), float(b)) for s, p, b in zip(snrs, proposed, baseline)
     ]
@@ -171,9 +176,11 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    cfg = _load_cfg(args) if args.config else None
-    seed = cfg.seed if cfg else args.seed or 0
-    results = verify.run_all(cfg=cfg, seed=seed, trials=args.trials)
+    if args.config:
+        cfg = _load_cfg(args)
+    else:
+        cfg = dataclasses.replace(verify.DEFAULT_CONFIG, seed=args.seed or 0)
+    results = verify.run_all(cfg, args.trials)
     rows = [(name, detail, "pass" if ok else "FAIL", float(res)) for name, detail, ok, res in results]
     _write_csv(args, ["check", "detail", "status", "residual"], rows)
     return 0 if all(ok for _, _, ok, _ in results) else 1
@@ -237,7 +244,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.handler(args)
-    except (configfile.ConfigParseError, model.ConfigError, FileNotFoundError, UsageError) as exc:
+    except (configfile.ConfigParseError, model.ConfigError, OSError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except transceiver.RankDeficientError as exc:

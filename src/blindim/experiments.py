@@ -29,8 +29,8 @@ def run_snr_comparison(snr_db=FIG3_SNR_GRID, trials=200, seed=0):
     """
     rows = []
     for K in FIG3_K_LIST:
-        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, subblocks=10)
-        proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials, seed=seed)
+        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, subblocks=10, seed=seed)
+        proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials)
         for j, s in enumerate(snr_db):
             rows.append((float(s), K, float(proposed[j]), float(baseline[j])))
     return rows
@@ -82,11 +82,9 @@ def run_distance_comparison(d_user_grid=None, trials=200, seed=0):
             ch = model.ChannelRealization(
                 {key: gains[key][near, None] * small.taps[key] for key in into_0}
             )
-            prop = rate_with_residual_ici(cfg, dplan, ch, TX_POWER_W, NOISE_POWER_W, cells=[0])
-            ofdma = analysis.ofdma_rate_with_ici(
-                cfg, ch, TX_POWER_W, NOISE_POWER_W, n_sc=dplan.N, cells=[0]
-            )
-            acc[near, 0] += prop[..., 0].sum(axis=-1)
-            acc[near, 1] += ofdma[..., 0].sum(axis=-1)
+            prop = rate_with_residual_ici(cfg, dplan, ch, TX_POWER_W, NOISE_POWER_W, 0)
+            ofdma = analysis.ofdma_rate_with_ici(cfg, ch, TX_POWER_W, NOISE_POWER_W, dplan.N, 0)
+            acc[near, 0] += prop.sum(axis=-1)
+            acc[near, 1] += ofdma.sum(axis=-1)
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
             for d_user, sums in zip(d_user_grid, acc)]

@@ -12,8 +12,9 @@ in the base scheme.
 Every active user sends one symbol on the constant precoder f_1, so each
 column is spectral.projected_response for f_1: the combiner applied to the
 link's spectral.frame_response, as for the base scheme's H_k; no per-link
-channel matrix is built.  Transmission, reception and detection are the base
-scheme's simulate_link.
+channel matrix is built.  delayed_effective_channels and
+rate_with_residual_ici serve one cell k and read only the links into it.
+Transmission, reception and detection are the base scheme's simulate_link.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ConfigError, TransmissionPlan, link_lengths, require_valid
-from .spectral import build_structured, combiner, projected_response
+from .spectral import combiner, projected_response
 
 
 def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
@@ -51,64 +52,52 @@ def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
     )
 
 
-def delayed_effective_channels(cfg, dplan, ch, cells=None):
-    """Per-cell enlarged effective channel and residual-interference columns.
+def delayed_effective_channels(cfg, dplan, ch, k):
+    """Enlarged effective channel and residual-interference columns of cell k.
 
-    Returns (W, H, H_int) with W = spectral.combiner(dplan) and, for each
-    requested cell k (all cells when cells is None), H[k] from
-    build_structured: one column per active desired user, W times its
-    received frame for f_1.  H_int[k] stacks the same construction for every
-    active user of each cross link longer than the plan's L_I (the cancelled
-    length L_I_prime), in link order, using only its residual taps
-    ell >= L_I_prime.  Leading axes of the taps carry through:
-    (..., N - M_D, columns).
+    Returns (H_k, H_int_k).  H_k is spectral.projected_response of cell k's
+    own links: one column per active desired user, spectral.combiner(dplan)
+    times its received frame for f_1.  H_int_k stacks the same construction
+    for every active user of each link into cell k longer than the plan's
+    L_I (the cancelled length L_I_prime), in link order, using only its
+    residual taps ell >= L_I_prime.  A realization needs only the links into
+    cell k.  Leading axes of the taps carry through: (..., N - M_D, columns).
     """
-    if cells is None:
-        cells = range(cfg.K)
-    H = build_structured(cfg, dplan, ch, cells)
-    H_int = {}
-    for k in cells:
-        residual = [projected_response(dplan, ch.taps[(k, i)][..., : dplan.U_active[i], :], 1,
-                                       first=dplan.L_I)
-                    for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
-        # a cell with no residual link keeps a (..., rows, 0) block
-        H_int[k] = np.concatenate([np.zeros(H[k].shape[:-1] + (0,), dtype=complex)] + residual,
-                                  axis=-1)
-    return combiner(dplan), H, H_int
+    H = projected_response(dplan, ch.taps[(k, k)][..., : dplan.U_active[k], :], dplan.M[k])
+    residual = [projected_response(dplan, ch.taps[(k, i)][..., : dplan.U_active[i], :], 1,
+                                   first=dplan.L_I)
+                for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
+    # a cell with no residual link keeps a (..., rows, 0) block
+    H_int = np.concatenate([np.zeros(H.shape[:-1] + (0,), dtype=complex)] + residual, axis=-1)
+    return H, H_int
 
 
 def _hermitian(A) -> np.ndarray:
     return np.swapaxes(A, -1, -2).conj()
 
 
-def rate_with_residual_ici(cfg, dplan, ch, tx_power, noise_var, cells=None) -> np.ndarray:
-    """Per-cell achievable rate treating uncancelled late ICI taps as noise.
+def rate_with_residual_ici(cfg, dplan, ch, tx_power, noise_var, k) -> np.ndarray:
+    """Achievable rate of cell k treating uncancelled late ICI taps as noise.
 
     Symbols carry variance N * P; the noise term keeps the coloring introduced
     by the folding stage (rows that sum two samples have doubled variance).
-    With cov the noise-plus-residual-ICI covariance and A = chol(cov)^-1 H,
+    With cov the noise-plus-residual-ICI covariance and A = chol(cov)^-1 H_k,
     the rate is sum log1p(lambda) / ln 2 over the eigenvalues lambda of
-    N P A^H A: log det(I + cov^-1 N P H H^H) without taking the difference of
-    two log-determinants, which cancels when the rate is small.  A
-    realization needs only the links into the requested cells.  Returns
-    (..., K) over the leading axes of the taps; cells not requested read 0.
+    N P A^H A: log det(I + cov^-1 N P H_k H_k^H) without taking the difference
+    of two log-determinants, which cancels when the rate is small.  A
+    realization needs only the links into cell k.  Returns (...) over the
+    leading axes of the taps.
 
     The rate is per sample of the whole block, B / T, so it pays for the
     max(L_D, L_I) - 1 flush samples: for fig5's plan B / T = 10 / 96, which
     is 0.9375 times the 1 / N_bar that analysis.sum_rate_qr divides by.  The
     OFDMA comparator pays no flush, which tilts fig5 against this scheme.
     """
-    if cells is None:
-        cells = range(cfg.K)
-    W, H, H_int = delayed_effective_channels(cfg, dplan, ch, cells=cells)
-    noise_cov = noise_var * (W @ W.conj().T)
+    H, H_int = delayed_effective_channels(cfg, dplan, ch, k)
+    W = combiner(dplan)
     p_sym = dplan.N * tx_power
-    prefactor = dplan.B / dplan.T
-    out = np.zeros(ch.taps[(0, 0)].shape[:-2] + (cfg.K,))
-    for k in cells:
-        cov = noise_cov + p_sym * (H_int[k] @ _hermitian(H_int[k]))
-        # raises LinAlgError unless cov is positive definite
-        A = np.linalg.solve(np.linalg.cholesky(cov), H[k])
-        lam = np.linalg.eigvalsh(p_sym * (_hermitian(A) @ A))
-        out[..., k] = prefactor * np.log1p(lam).sum(axis=-1) / np.log(2.0)
-    return out
+    cov = noise_var * (W @ W.conj().T) + p_sym * (H_int @ _hermitian(H_int))
+    # raises LinAlgError unless cov is positive definite
+    A = np.linalg.solve(np.linalg.cholesky(cov), H)
+    lam = np.linalg.eigvalsh(p_sym * (_hermitian(A) @ A))
+    return dplan.B / dplan.T * np.log1p(lam).sum(axis=-1) / np.log(2.0)

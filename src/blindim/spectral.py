@@ -183,17 +183,15 @@ def _unit_response(N, cp, L_I_d, M_D, L, M):
     return table
 
 
-def build_structured(cfg, plan, ch, cells=None) -> dict:
-    """Effective channel H_k of every requested cell (all when cells is None).
+def build_structured(cfg, plan, ch) -> dict:
+    """Effective channel H_k of every cell.
 
     Returns k -> (..., N - M_D, U'_k M_k) over the leading axes of the taps,
     one column per (active user, precoder) in user-major order: the
     projected_response of cell k's own links.  Interfering links are
     circulant thanks to the cyclic prefix (and the fold) and are nulled
     exactly, so they are never built, and a realization needs only the
-    desired links of the requested cells.
+    desired links.
     """
-    if cells is None:
-        cells = range(cfg.K)
     return {k: projected_response(plan, ch.taps[(k, k)][..., : plan.U_active[k], :], plan.M[k])
-            for k in cells}
+            for k in range(cfg.K)}

@@ -22,10 +22,15 @@ from . import model, spectral, transceiver
 
 
 RANK_TOL = transceiver.RANK_TOL
+# largest relative residual check_decomposition accepts between a production
+# column and its factorization
+DECOMPOSITION_TOL = 1e-10
+# the configuration `blindim verify` checks when given no --config
+DEFAULT_CONFIG = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3)
 
 
-def numerical_rank(A, tol=RANK_TOL, scale=None):
-    """Rank via SVD; singular values above tol * scale count, where scale
+def numerical_rank(A, scale=None):
+    """Rank via SVD; singular values above RANK_TOL * scale count, where scale
     defaults to each matrix's largest singular value.
 
     Leading axes stack matrices: the result has one rank per matrix, from one
@@ -33,7 +38,7 @@ def numerical_rank(A, tol=RANK_TOL, scale=None):
     """
     sv = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
     scale = sv[..., :1] if scale is None else np.expand_dims(scale, -1)
-    return (sv > tol * scale).sum(axis=-1)
+    return (sv > RANK_TOL * scale).sum(axis=-1)
 
 
 def _norm(x):
@@ -87,7 +92,7 @@ def h_eff(cfg, plan, ch, k, u) -> np.ndarray:
     return ch.h(k, k, u)[..., plan.L_I : cfg.cir_len[k][k]]
 
 
-def check_decomposition(cfg, plan, ch, H, tol=1e-10):
+def check_decomposition(cfg, plan, ch, H):
     """Assert the production effective-channel column of (k, u, m) equals
     G_{m,k} h_eff_{k,u} for every (k, u, m): the frame_response closed form of
     H = spectral.build_structured(cfg, plan, ch) against the
@@ -97,7 +102,8 @@ def check_decomposition(cfg, plan, ch, H, tol=1e-10):
     one stacked product of its G_m against its users' h_eff, which numpy
     evaluates as the same matrix-vector product per (draw, user, m) that one
     column alone takes.  Returns (ok, report) where report lists
-    (k, u, m, relative residual), the worst over the stack.
+    (k, u, m, relative residual), the worst over the stack; ok holds when
+    every residual is within DECOMPOSITION_TOL.
     """
     G = {}   # (L_kk, m) -> G_m: the factor depends only on the geometry
     report = []
@@ -117,7 +123,7 @@ def check_decomposition(cfg, plan, ch, H, tol=1e-10):
         res = _norm(lhs - rhs) / np.maximum(_norm(lhs), 1e-300)      # (..., U, M)
         worst = res.reshape(-1, U, M).max(axis=0)
         report += [(k, u, m + 1, float(worst[u, m])) for u in range(U) for m in range(M)]
-        ok = ok and not np.any(res > tol)
+        ok = ok and not np.any(res > DECOMPOSITION_TOL)
     return ok, report
 
 
@@ -179,19 +185,19 @@ def check_dft_submatrix_independence(N, removed_rows, picked_cols):
     return numerical_rank(F[rows, picked[..., None, :]]) == picked.shape[-1]
 
 
-def run_all(cfg=None, seed=0, trials=100):
-    """Full verification sweep; returns a list of (name, detail, ok, residual).
+def run_all(cfg, trials):
+    """Full verification sweep of cfg; returns a list of (name, detail, ok,
+    residual).
 
-    The decomposition and effective-rank checks read the same draws, built
-    only for the desired links (the only links they read), with one
-    effective-channel build per trial block.  The rank lemmas are batched and
+    The decomposition and effective-rank checks read the same draws, the
+    trial streams (cfg.seed, t), built only for the desired links (the only
+    links they read), with one effective-channel build per trial block.  The
+    rank lemmas draw their triples from cfg.seed too; they are batched and
     cost the same whatever the trial count.  Raises ValueError unless
     trials >= 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1, got %d" % trials)
-    if cfg is None:
-        cfg = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3, seed=seed)
     plan = model.make_plan(cfg)
     results = []
 
@@ -199,7 +205,7 @@ def run_all(cfg=None, seed=0, trials=100):
     ok_all = True
     passed = 0
     desired = [(k, k) for k in range(cfg.K)]
-    for ch in model.trial_blocks(cfg, seed, trials, desired):
+    for ch in model.trial_blocks(cfg, cfg.seed, trials, desired):
         H = spectral.build_structured(cfg, plan, ch)
         ok, report = check_decomposition(cfg, plan, ch, H)
         worst = max(worst, max((r[-1] for r in report), default=0.0))
@@ -214,7 +220,7 @@ def run_all(cfg=None, seed=0, trials=100):
     # rank is that of the unpadded matrix.  One normal draw per triple fills
     # A, B and C in turn, as one draw each would (the Generator fills values
     # in sequence), and one boolean fill places every draw in row-major order
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     dims, values = [], []
     for _ in range(200):
         d = rng.integers(1, 9, size=4)

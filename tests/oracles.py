@@ -338,64 +338,52 @@ def _f1_columns_by_link(W21, dplan, blocks):
     return W21 @ np.hstack(columns)
 
 
-def residual_ici_rate_by_trial(cfg, dplan, ch, tx_power, noise_var, cells=None):
-    """(K,) rates of one realization: per cell, the desired columns and the
-    residual columns of every user whose taps ell >= L_I_prime (the plan's
-    L_I) are not all zero, then the generalized eigenvalues lambda of
-    (signal, covariance) and sum log1p(lambda), which does not cancel when the
-    rate is small."""
-    if cells is None:
-        cells = range(cfg.K)
+def residual_ici_rate_by_trial(cfg, dplan, ch, tx_power, noise_var, k):
+    """Rate of cell k in one realization: the desired columns and the residual
+    columns of every user whose taps ell >= L_I_prime (the plan's L_I) are not
+    all zero, then the generalized eigenvalues lambda of (signal, covariance)
+    and sum log1p(lambda), which does not cancel when the rate is small."""
     W21 = _dft_columns(dplan.N)[:, dplan.M_D :].conj().T @ fold_matrix(dplan)
-    noise_cov = noise_var * (W21 @ W21.conj().T)
     p_sym = dplan.N * tx_power
-    out = np.zeros(cfg.K)
-    for k in cells:
-        H = _f1_columns_by_link(W21, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
-        residual = []
-        for i in range(cfg.K):
-            if i == k:
-                continue
-            h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
-            h[:, : dplan.L_I] = 0.0
-            residual.append(h[np.any(h, axis=1)])
-        H_int = _f1_columns_by_link(W21, dplan, residual)
-        cov = noise_cov
-        if H_int.shape[1] > 0:
-            cov = cov + p_sym * (H_int @ H_int.conj().T)
-        sig = p_sym * (H @ H.conj().T)
-        lam = scipy.linalg.eigh(sig, cov, eigvals_only=True)
-        out[k] = dplan.B / dplan.T * np.sum(np.log1p(lam)) / np.log(2.0)
-    return out
+    H = _f1_columns_by_link(W21, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
+    residual = []
+    for i in range(cfg.K):
+        if i == k:
+            continue
+        h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
+        h[:, : dplan.L_I] = 0.0
+        residual.append(h[np.any(h, axis=1)])
+    H_int = _f1_columns_by_link(W21, dplan, residual)
+    cov = noise_var * (W21 @ W21.conj().T)
+    if H_int.shape[1] > 0:
+        cov = cov + p_sym * (H_int @ H_int.conj().T)
+    sig = p_sym * (H @ H.conj().T)
+    lam = scipy.linalg.eigh(sig, cov, eigvals_only=True)
+    return dplan.B / dplan.T * np.sum(np.log1p(lam)) / np.log(2.0)
 
 
-def ofdma_rate_by_subset(cfg, ch, tx_power, noise_var, L_D, n_sc=64, cells=None):
-    """(K,) OFDMA rates of one realization: one n_sc-point FFT per link and
-    user, accumulated over each user's interleaved subcarrier set."""
-    if cells is None:
-        cells = range(cfg.K)
-    out = np.zeros(cfg.K)
+def ofdma_rate_by_subset(cfg, ch, tx_power, noise_var, L_D, n_sc, k):
+    """OFDMA rate of cell k in one realization: one n_sc-point FFT per link
+    and user, accumulated over each user's interleaved subcarrier set."""
     sets = {i: [list(range(u, n_sc, cfg.users_per_cell[i]))
                 for u in range(cfg.users_per_cell[i])] for i in range(cfg.K)}
-    for k in cells:
-        ici = np.zeros(n_sc)
-        for i in range(cfg.K):
-            if i == k:
-                continue
-            for v, subset in enumerate(sets[i]):
-                if not subset:
-                    continue
-                lam = np.fft.fft(ch.taps[(k, i)][v], n_sc)
-                ici[subset] += tx_power * np.abs(lam[subset]) ** 2
-        cell = 0.0
-        for u, subset in enumerate(sets[k]):
+    ici = np.zeros(n_sc)
+    for i in range(cfg.K):
+        if i == k:
+            continue
+        for v, subset in enumerate(sets[i]):
             if not subset:
                 continue
-            lam = np.fft.fft(ch.taps[(k, k)][u], n_sc)
-            sig = tx_power * np.abs(lam[subset]) ** 2
-            cell += float(np.sum(np.log2(1.0 + sig / (noise_var + ici[subset]))))
-        out[k] = cell / (n_sc + L_D - 1)
-    return out
+            lam = np.fft.fft(ch.taps[(k, i)][v], n_sc)
+            ici[subset] += tx_power * np.abs(lam[subset]) ** 2
+    cell = 0.0
+    for u, subset in enumerate(sets[k]):
+        if not subset:
+            continue
+        lam = np.fft.fft(ch.taps[(k, k)][u], n_sc)
+        sig = tx_power * np.abs(lam[subset]) ** 2
+        cell += float(np.sum(np.log2(1.0 + sig / (noise_var + ici[subset]))))
+    return cell / (n_sc + L_D - 1)
 
 
 def distance_comparison_by_trial(d_user_grid, trials, seed=0):
@@ -415,10 +403,8 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
         for t in range(trials):
             rng = model.trial_rng(seed, t)
             ch = sample_channel_by_user(cfg, dplan.L_I_d, dist, rng)
-            acc_prop += residual_ici_rate_by_trial(cfg, dplan, ch, P, sigma2, cells=[0])[0]
-            acc_ofdma += ofdma_rate_by_subset(
-                cfg, ch, P, sigma2, L_D=dplan.L_D, n_sc=dplan.N, cells=[0]
-            )[0]
+            acc_prop += residual_ici_rate_by_trial(cfg, dplan, ch, P, sigma2, 0)
+            acc_ofdma += ofdma_rate_by_subset(cfg, ch, P, sigma2, dplan.L_D, dplan.N, 0)
         rows.append((float(d_user), acc_prop / trials, acc_ofdma / trials))
     return rows
 
@@ -446,9 +432,9 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
         for j in range(len(d_user_grid)):
             ch = model.ChannelRealization(
                 {key: gain[j] * small[key] for key, gain in gains.items()})
-            prop = extensions.rate_with_residual_ici(cfg, dplan, ch, P, sigma2, cells=[0])
-            ofdma = analysis.ofdma_rate_with_ici(cfg, ch, P, sigma2, n_sc=dplan.N, cells=[0])
-            acc[j] += prop[:, 0].sum(), ofdma[:, 0].sum()
+            prop = extensions.rate_with_residual_ici(cfg, dplan, ch, P, sigma2, 0)
+            ofdma = analysis.ofdma_rate_with_ici(cfg, ch, P, sigma2, dplan.N, 0)
+            acc[j] += prop.sum(), ofdma.sum()
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
             for d_user, sums in zip(d_user_grid, acc)]
 
@@ -471,12 +457,11 @@ def zf_sic_rate_by_cell(plan, H, snr_linear):
     return total
 
 
-def baseline_by_user(cfg, plan, ch, snr_linear, n_sc=None):
-    """TDMA-OFDMA rate of one realization: per user u of cell 0, subcarriers
-    u, u + U, ... with SNR rho n_sc / |S_u|, each seeing the DTFT of all the
-    user's taps at that subcarrier."""
-    if n_sc is None:
-        n_sc = plan.N
+def baseline_by_user(cfg, plan, ch, snr_linear):
+    """TDMA-OFDMA rate of one realization on n_sc = N subcarriers: per user u
+    of cell 0, subcarriers u, u + U, ... with SNR rho n_sc / |S_u|, each seeing
+    the DTFT of all the user's taps at that subcarrier."""
+    n_sc = plan.N
     U = cfg.users_per_cell[0]
     acc = 0.0
     for u in range(U):
@@ -512,11 +497,9 @@ def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
     return float((rate_2 - rate_1) / (np.log2(rho_2) - np.log2(rho_1)))
 
 
-def baseline_slope(cfg, plan, n_sc=None) -> float:
-    """High-SNR pre-log of the TDMA-OFDMA baseline: n_sc / (K (n_sc + L_D - 1))."""
-    if n_sc is None:
-        n_sc = plan.N
-    return n_sc / (cfg.K * (n_sc + plan.L_D - 1))
+def baseline_slope(cfg, plan) -> float:
+    """High-SNR pre-log of the TDMA-OFDMA baseline: N / (K (N + L_D - 1))."""
+    return plan.N / (cfg.K * (plan.N + plan.L_D - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -161,7 +162,7 @@ class TestScalarSnr:
 
 class TestCellSubset:
     def test_one_cell_rates_its_own_streams(self):
-        # build_structured of cell 1 alone: the sum rate is cell 1's own term
+        # cell 1's channel alone: the sum rate is cell 1's own term
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan = model.make_plan(cfg)
         one = model.sample_channel_iid(cfg, model.trial_rng(4, 0))
@@ -169,8 +170,7 @@ class TestCellSubset:
                                           for key, h in one.taps.items()})
         snr = np.array([1.0, 100.0])
         for ch in (one, stack):
-            H = spectral.build_structured(cfg, plan, ch, cells=[1])
-            assert list(H) == [1]
+            H = {1: spectral.build_structured(cfg, plan, ch)[1]}
             r = np.abs(np.diagonal(np.linalg.qr(H[1], mode="r"), axis1=-2, axis2=-1))
             rho = plan.N * snr[:, None] / plan.M[1]
             want = np.log2(1.0 + rho * r[..., None, :] ** 2).sum(axis=-1) / plan.N_bar
@@ -181,26 +181,31 @@ class TestCellSubset:
 
 class TestBaseline:
     def test_flat_channel_closed_form(self):
-        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[1]])
+        # one user on a one-tap channel: every one of the N = 6 subcarriers
+        # sees gain 1 at SNR rho
+        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[4]])
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        ch.taps[(0, 0)][0, 0] = 1.0
-        n_sc = 8
+        ch.taps[(0, 0)][0] = [1.0, 0.0, 0.0, 0.0]
+        n_sc = plan.N
+        assert n_sc == 6
         rho = 10.0
-        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho], n_sc=n_sc)[0]
+        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho])[0]
         assert rate == pytest.approx(n_sc / (n_sc + plan.L_D - 1) * np.log2(1 + rho))
 
     def test_taps_beyond_subcarriers_fold(self):
         # the cyclic prefix L_D - 1 covers all 3 taps, so subcarrier sc sees
-        # the periodic extension: h0 + h1 + h2 and h0 - h1 + h2 on 2 subcarriers
-        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[3]])
+        # the periodic extension: h0 + h1 + h2 and h0 - h1 + h2 on the plan's
+        # N = 2 subcarriers, in cell 0's half of the time
+        cfg = model.SystemConfig(K=2, users_per_cell=[1, 1], cir_len=[[3, 2], [2, 3]])
         plan = model.make_plan(cfg)
+        assert plan.N == 2
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         h0, h1, h2 = ch.h(0, 0, 0)
         rho = 10.0
-        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho], n_sc=2)[0]
+        rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho])[0]
         want = sum(np.log2(1 + rho * abs(lam) ** 2) for lam in (h0 + h1 + h2, h0 - h1 + h2))
-        assert rate == pytest.approx(want / (2 + plan.L_D - 1), rel=1e-12)
+        assert rate == pytest.approx(want / (2 + plan.L_D - 1) / cfg.K, rel=1e-12)
 
     def test_independent_of_other_cells(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
@@ -232,8 +237,8 @@ class TestSlope:
 
     def test_matches_dof_three_configs(self):
         for (K, L_D, L_I, U) in [(3, 8, 2, 3), (2, 4, 2, 2), (4, 12, 3, 9)]:
-            cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U)
-            r, _ = analysis.ergodic_rate(cfg, [50.0, 60.0], 30, seed=4)
+            cfg = model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U, seed=4)
+            r, _ = analysis.ergodic_rate(cfg, [50.0, 60.0], 30)
             slope = highsnr_slope(r[0], r[1], 1e5, 1e6)
             dof = analysis.dof_theorem1(cfg)
             assert abs(slope - dof) / dof <= 0.03
@@ -248,9 +253,9 @@ class TestErgodicRate:
         assert erg[0] == pytest.approx(single, rel=1e-12)
 
     def test_snr_points_independent(self):
-        cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
-        fwd = np.array(analysis.ergodic_rate(cfg, [0.0, 10.0, 20.0], 10, seed=5))
-        rev = np.array(analysis.ergodic_rate(cfg, [20.0, 10.0, 0.0], 10, seed=5))
+        cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3, seed=5)
+        fwd = np.array(analysis.ergodic_rate(cfg, [0.0, 10.0, 20.0], 10))
+        rev = np.array(analysis.ergodic_rate(cfg, [20.0, 10.0, 0.0], 10))
         np.testing.assert_allclose(fwd, rev[:, ::-1], rtol=1e-12)
 
     @pytest.mark.parametrize("trials", [0, -1])
@@ -260,12 +265,12 @@ class TestErgodicRate:
             analysis.ergodic_rate(cfg, [10.0], trials)
 
     def test_standard_error_shrinks(self):
-        cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
         def spread(trials, blocks):
             means = []
             for b in range(blocks):
                 vals = [
-                    analysis.ergodic_rate(cfg, [10.0], 1, seed=100 + b * trials + t)[0][0]
+                    analysis.ergodic_rate(model.SystemConfig.symmetric(
+                        K=2, L_D=4, L_I=2, U=2, seed=100 + b * trials + t), [10.0], 1)[0][0]
                     for t in range(trials)
                 ]
                 means.append(np.mean(vals))
@@ -296,7 +301,7 @@ class TestStackedErgodicRate:
     def test_matches_per_trial_oracle(self, case):
         cfg, snr_db, seed, trials, block = case
         with mock.patch.object(model, "TRIAL_BLOCK", block):
-            got = analysis.ergodic_rate(cfg, snr_db, trials, seed=seed)
+            got = analysis.ergodic_rate(dataclasses.replace(cfg, seed=seed), snr_db, trials)
         want = ergodic_rate_by_trial(cfg, snr_db, trials, seed)
         for g, w in zip(got, want):
             assert g.shape == (len(snr_db),)

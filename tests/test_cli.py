@@ -76,6 +76,22 @@ class TestSweep:
             x = int(r[0])
             assert float(r[6]) == pytest.approx(analysis.dof_symmetric(2, x, 3, x - 3))
 
+    @pytest.mark.parametrize("config, L_I", [
+        # one cell has no cross link
+        ("K = 1\nusers_per_cell = 3\ncir_len = 5\n", 1),
+        # the longest cross link is not cir_len[0][1]
+        ("K = 3\nusers_per_cell = 5\ncir_len = 9,2,2; 2,9,4; 2,2,9\n", 4),
+    ])
+    def test_ld_sweep_takes_the_l_i_that_dof_reports(self, tmp_path, config, L_I):
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text(config)
+        dof = run(tmp_path, "dof", "--config", str(cfgfile), name="dof.csv")[1]
+        assert dof.splitlines()[1].split(",")[2] == str(L_I)
+        code, text = run(tmp_path, "sweep", "--sweep", "L_D=8,9", "--config", str(cfgfile))
+        assert code == 0
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [(r[0], r[2], r[3]) for r in rows] == [("8", "8", str(L_I)), ("9", "9", str(L_I))]
+
     def test_missing_axis_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "sweep")
         assert code == 2
@@ -210,6 +226,24 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path):
         code, _ = run(tmp_path, "dof", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["out is a directory", "config is a directory",
+                                      "config is not text"])
+    def test_unusable_path(self, tmp_path, capsys, case):
+        # a file that cannot be written or read is a usage error: one error
+        # line that names the path, no traceback and no CSV
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xffK = 2\n")
+        out = tmp_path / "out.csv"
+        path, argv = {"out is a directory": (tmp_path, ["dof", "--out", str(tmp_path)]),
+                      "config is a directory": (tmp_path, ["dof", "--config", str(tmp_path)]),
+                      "config is not text": (bad, ["dof", "--config", str(bad)])}[case]
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
     def test_invalid_config_values(self, tmp_path):
         cfgfile = tmp_path / "sys.cfg"

@@ -211,15 +211,15 @@ class TestCompositeChannel:
         cfg, dplan = delayed_case()
         for t in range(10):
             ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(3, t)), cfg, dplan)
-            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(cfg.K):
+                H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
                 for u in range(dplan.U_active[k]):
                     unit = {i: np.zeros((1, dplan.U_active[i], dplan.M[i]), dtype=complex)
                             for i in range(cfg.K)}
                     unit[k][0, u, 0] = 1.0
                     y = transceiver.simulate_reception(cfg, dplan, ch, unit)
                     want = combine_by_subblock(dplan, y[k])[0]
-                    err = np.linalg.norm(H[k][:, u] - want)
+                    err = np.linalg.norm(H_k[:, u] - want)
                     assert err <= 1e-12 * np.linalg.norm(want)
 
 
@@ -251,13 +251,13 @@ class TestDelayedDecoding:
                                             noise_rng=model.trial_rng(3, t), noise_var=0.5)
             y = transceiver.simulate_reception(cfg, dplan, ch, single_symbols(dplan, symbols),
                                                rng=model.trial_rng(3, t), noise_var=0.5)
-            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(2):
+                H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
                 obs = combine_by_subblock(dplan, y[k])[0]
-                want = np.linalg.lstsq(H[k], obs, rcond=None)[0]
+                want = np.linalg.lstsq(H_k, obs, rcond=None)[0]
                 assert got.s_hat[k].shape == (1, 3)
                 err = np.abs(got.s_hat[k][0] - want).max() / np.abs(want).max()
-                assert err <= 16 * np.linalg.cond(H[k]) * np.finfo(float).eps
+                assert err <= 16 * np.linalg.cond(H_k) * np.finfo(float).eps
 
     def test_rejects_rank_deficient_channel(self):
         # two users of cell 1 with identical taps cannot be separated
@@ -286,9 +286,9 @@ class TestDelayedDecoding:
             ch = zero_delay_taps(
                 model.sample_channel_iid(cfg, model.trial_rng(1, t)), cfg, dplan
             )
-            _, H, _ = extensions.delayed_effective_channels(cfg, dplan, ch)
             for k in range(2):
-                assert np.linalg.matrix_rank(H[k], tol=1e-8) == 3
+                H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+                assert np.linalg.matrix_rank(H_k, tol=1e-8) == 3
 
     def test_multi_subblock_rejected(self):
         # the subblock cancellation does not model the fold: at B = 2 the
@@ -311,14 +311,14 @@ class TestResidualIciRate:
 
     def test_deterministic(self):
         cfg, dplan, ch = self._setup()
-        a = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
-        b = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
+        a = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, 0)
+        b = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, 0)
         np.testing.assert_array_equal(a, b)
 
     def test_monotone_in_power(self):
         cfg, dplan, ch = self._setup()
         rates = [
-            extensions.rate_with_residual_ici(cfg, dplan, ch, p, 1e-12, cells=[0])[0]
+            extensions.rate_with_residual_ici(cfg, dplan, ch, p, 1e-12, 0)
             for p in (0.01, 0.1, 1.0)
         ]
         assert rates[0] < rates[1] < rates[2]
@@ -327,11 +327,11 @@ class TestResidualIciRate:
         # taps in [L_I_prime, L_I) survive the projection; the interference
         # subspace they span eats into the three-stream slope at high power
         cfg, dplan, ch = self._setup()
-        _, _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch)
-        free = dplan.N - dplan.M_D - np.linalg.matrix_rank(H_int[0], tol=None)
+        _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
+        free = dplan.N - dplan.M_D - np.linalg.matrix_rank(H_int, tol=None)
         assert free < 3
-        r12 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e12, 1e-12, cells=[0])[0]
-        r15 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e15, 1e-12, cells=[0])[0]
+        r12 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e12, 1e-12, 0)
+        r15 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e15, 1e-12, 0)
         slope = (r15 - r12) / np.log2(1e3)
         assert slope == pytest.approx(free * dplan.B / dplan.T, rel=0.05)
 
@@ -341,26 +341,22 @@ class TestResidualIciRate:
         ch = zero_delay_taps(
             model.sample_channel_iid(cfg, model.trial_rng(2, 0)), cfg, dplan
         )
-        r6 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e6, 1.0, cells=[0])[0]
-        r9 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e9, 1.0, cells=[0])[0]
+        r6 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e6, 1.0, 0)
+        r9 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e9, 1.0, 0)
         # three streams, prefactor B / T: the rate keeps its full slope
         expect = 3 * np.log2(1e3) * dplan.B / dplan.T
         assert r9 - r6 == pytest.approx(expect, rel=0.01)
 
-    def test_requested_cells_only(self):
-        cfg, dplan, ch = self._setup()
-        rates = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
-        assert rates[0] > 0
-        np.testing.assert_array_equal(rates[1:], 0.0)
-        _, H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, cells=[0])
-        assert list(H) == list(H_int) == [0]
-
-    def test_requested_cell_rate_matches_all_cells(self):
+    def test_reads_only_the_links_into_its_cell(self):
+        # each cell's rate from a realization of the links into it alone: the
+        # same bits as from every link, and no link out of the cell is read
         cfg, dplan, ch = self._setup(seed=3)
-        alone = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, cells=[0])
-        every = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12)
-        assert alone[0] == every[0]
-        assert np.all(every[1:] > 0)
+        for k in range(cfg.K):
+            into_k = model.ChannelRealization(
+                {(k, i): ch.taps[(k, i)] for i in range(cfg.K)})
+            every = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, k)
+            assert every > 0
+            assert extensions.rate_with_residual_ici(cfg, dplan, into_k, 0.2, 1e-12, k) == every
 
 
 class TestOfdmaComparator:
@@ -370,15 +366,15 @@ class TestOfdmaComparator:
         n_sc, L_D, P, s2 = 8, 3, 2.0, 0.5
         lam = np.fft.fft(ch.h(0, 0, 0), n_sc)
         expect = np.sum(np.log2(1 + P * np.abs(lam) ** 2 / s2)) / (n_sc + L_D - 1)
-        got = analysis.ofdma_rate_with_ici(cfg, ch, P, s2, n_sc=n_sc)[0]
+        got = analysis.ofdma_rate_with_ici(cfg, ch, P, s2, n_sc, 0)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_interference_reduces_rate(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=3, U=2)
         ch = model.sample_channel_iid(cfg, model.trial_rng(1, 0))
-        with_ici = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, n_sc=16)[0]
+        with_ici = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, 16, 0)
         ch.taps[(0, 1)][:] = 0.0
-        without = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, n_sc=16)[0]
+        without = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, 16, 0)
         assert with_ici < without
 
 
@@ -437,16 +433,15 @@ class TestBatchedFig5Path:
         n_sc = int(rng.integers(1, 10))
         # P = 1 leaves tiny rates at the -80 dB reference loss; a power that
         # offsets the loss gives rates that are not
-        for P, cells in itertools.product((1.0, 10.0 ** (-model.REF_LOSS_DB / 10.0)),
-                                          (None, [0])):
-            got = extensions.rate_with_residual_ici(cfg, dplan, stacked, P, 0.1, cells)
-            want = [residual_ici_rate_by_trial(cfg, dplan, ch, P, 0.1, cells)
-                    for ch in draws]
-            assert got.shape == (trials, cfg.K)
+        for P, k in itertools.product((1.0, 10.0 ** (-model.REF_LOSS_DB / 10.0)),
+                                      range(cfg.K)):
+            got = extensions.rate_with_residual_ici(cfg, dplan, stacked, P, 0.1, k)
+            want = [residual_ici_rate_by_trial(cfg, dplan, ch, P, 0.1, k) for ch in draws]
+            assert got.shape == (trials,)
             assert _max_rel(got, np.array(want)) <= 1e-12
-            got = analysis.ofdma_rate_with_ici(cfg, stacked, P, 0.1, n_sc, cells)
-            want = [ofdma_rate_by_subset(cfg, ch, P, 0.1, L_D, n_sc, cells) for ch in draws]
-            assert got.shape == (trials, cfg.K)
+            got = analysis.ofdma_rate_with_ici(cfg, stacked, P, 0.1, n_sc, k)
+            want = [ofdma_rate_by_subset(cfg, ch, P, 0.1, L_D, n_sc, k) for ch in draws]
+            assert got.shape == (trials,)
             assert _max_rel(got, np.array(want)) <= 1e-12
 
     @pytest.mark.parametrize("trials", [0, -1])

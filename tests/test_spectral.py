@@ -222,6 +222,13 @@ def _relative(a, b):
     return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
 
 
+def _delayed_channels(cfg, plan, ch):
+    """(H, H_int): extensions.delayed_effective_channels of every cell k, as
+    dicts over k."""
+    pairs = [extensions.delayed_effective_channels(cfg, plan, ch, k) for k in range(cfg.K)]
+    return dict(enumerate(H for H, _ in pairs)), dict(enumerate(H_int for _, H_int in pairs))
+
+
 class TestBuildStructured:
     def test_reference_noncirculant_shape(self):
         # N=3, L_D=4, L_I=2: Hnc = [[0, -h2, 0], [0, 0, 0], [0, 0, h3]], and the
@@ -410,7 +417,7 @@ class TestBuildStructured:
                 W = spectral.combiner(plan)
                 H_int = {}
                 if plan.L_I_d:
-                    _, H, H_int = extensions.delayed_effective_channels(cfg, plan, ch)
+                    H, H_int = _delayed_channels(cfg, plan, ch)
                 else:
                     H = spectral.build_structured(cfg, plan, ch)
                 for k in range(cfg.K):
@@ -506,7 +513,7 @@ class TestUnitResponse:
         # np.convolve of the taps with the framed precoders
         cfg, plan, ch = case
         W = spectral.combiner(plan)
-        _, H, H_int = extensions.delayed_effective_channels(cfg, plan, ch)
+        H, H_int = _delayed_channels(cfg, plan, ch)
         for k in range(cfg.K):
             taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
             assert _projected_relative(H[k], W, framed_convolution(plan, taps, plan.M[k])) <= 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -33,9 +34,9 @@ class TestNumericalRank:
         assert verify.numerical_rank(np.ones((3, 3))) == 1
 
     def test_near_singular(self):
-        A = np.diag([1.0, 1e-12])
-        assert verify.numerical_rank(A) == 1
-        assert verify.numerical_rank(A, tol=1e-14) == 2
+        # RANK_TOL (1e-8) of the largest singular value separates the two
+        assert verify.numerical_rank(np.diag([1.0, 1e-12])) == 1
+        assert verify.numerical_rank(np.diag([1.0, 1e-7])) == 2
 
 
 class TestRankFactors:
@@ -269,7 +270,7 @@ class TestBatchedRankLemma:
             return original(A, B, C)
 
         monkeypatch.setattr(verify, "check_lemma3", capture)
-        results = verify.run_all(seed=seed, trials=2)
+        results = verify.run_all(dataclasses.replace(verify.DEFAULT_CONFIG, seed=seed), trials=2)
         triples, verdicts = lemma3_by_triple(seed)
         assert len(seen) == 1
         for got, want in zip(seen[0], zip(*triples)):
@@ -330,7 +331,7 @@ class TestFixedCost:
 
         monkeypatch.setattr(spectral, "build_structured", counting)
         monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
-        assert all(ok for _, _, ok, _ in verify.run_all(trials=7))
+        assert all(ok for _, _, ok, _ in verify.run_all(verify.DEFAULT_CONFIG, trials=7))
         assert [next(iter(ch.taps.values())).shape[0] for ch in calls] == [3, 3, 1]
 
     def test_rank_calls_do_not_grow_with_trials(self, monkeypatch):
@@ -344,10 +345,10 @@ class TestFixedCost:
                 return original(A, *args, **kwargs)
 
             monkeypatch.setattr(verify, "numerical_rank", counting)
-            assert all(ok for _, _, ok, _ in verify.run_all(trials=trials))
+            assert all(ok for _, _, ok, _ in verify.run_all(verify.DEFAULT_CONFIG, trials))
             return len(calls)
 
-        K = 3   # run_all's default configuration
+        K = verify.DEFAULT_CONFIG.K
         few, many = rank_calls(7), rank_calls(70)
         # one block: one batched SVD per cell, then 4 for the rank inequality
         # and 1 for the DFT check
@@ -358,10 +359,24 @@ class TestRunAll:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_no_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            verify.run_all(trials=trials)
+            verify.run_all(verify.DEFAULT_CONFIG, trials)
+
+    def test_draws_from_the_config_seed(self, monkeypatch):
+        # the channel draws come from cfg.seed; test_run_all_draws_the_same_triples
+        # checks the lemma triples
+        seeds = []
+        original = model.trial_rng
+
+        def recording(seed, trial):
+            seeds.append((seed, trial))
+            return original(seed, trial)
+
+        monkeypatch.setattr(model, "trial_rng", recording)
+        verify.run_all(dataclasses.replace(verify.DEFAULT_CONFIG, seed=5), trials=3)
+        assert seeds == [(5, 0), (5, 1), (5, 2)]
 
     def test_default_sweep_passes(self):
-        results = verify.run_all(trials=50)
+        results = verify.run_all(verify.DEFAULT_CONFIG, trials=50)
         assert {name for name, *_ in results} == {
             "decomposition", "effective_rank", "rank_inequality", "dft_submatrix"
         }
