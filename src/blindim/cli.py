@@ -12,10 +12,11 @@ that cannot be read or written included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
-import math
+import os
 import sys
 
 import numpy as np
@@ -37,7 +38,8 @@ def _check_args(args):
         raise UsageError("--seed must be >= 0, got %d" % seed)
 
 
-def _load_cfg(args) -> model.SystemConfig:
+def _load_cfg(args, default=None) -> model.SystemConfig:
+    """The --config file's system, else default or an empty file's."""
     if args.config:
         with open(args.config) as fh:
             try:
@@ -46,22 +48,18 @@ def _load_cfg(args) -> model.SystemConfig:
                 raise UsageError("--config %s is not text: %s" % (args.config, exc)) from None
         cfg = configfile.load_system_config(text)
     else:
-        cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
+        cfg = default or configfile.load_system_config("")
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return model.require_valid(cfg)
 
 
 def _write_csv(args, header, rows):
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
-    finally:
-        if args.out:
-            out.close()
 
 
 def _snr_list(args, default):
@@ -69,30 +67,34 @@ def _snr_list(args, default):
         return list(default)
     try:
         snrs = [float(s) for s in args.snr.split(",")]
-        if all(math.isfinite(s) and s <= model.MAX_SNR_DB for s in snrs):
+        if all(abs(s) <= model.MAX_SNR_DB for s in snrs):
             return snrs
     except ValueError:
         pass
-    raise UsageError("--snr must be a comma-separated list of numbers <= %.6g dB, got %r"
-                     % (model.MAX_SNR_DB, args.snr))
+    raise UsageError("--snr must be a comma-separated list of numbers from -%.6g to %.6g dB, "
+                     "got %r" % (model.MAX_SNR_DB, model.MAX_SNR_DB, args.snr))
+
+
+def _or_blank(formula, *args):
+    """formula(*args), or an empty cell outside its domain (a ValueError)."""
+    try:
+        return formula(*args)
+    except ValueError:
+        return ""
 
 
 def _dof_row(cfg):
     plan = model.make_plan(cfg)
     d1 = analysis.dof_theorem1(cfg)
-    sym = ""
+    sym = dic = ""
     ldd = {cfg.cir_len[k][k] for k in range(cfg.K)}
     lii = {cfg.cir_len[k][i] for k in range(cfg.K) for i in range(cfg.K) if i != k}
     uu = set(cfg.users_per_cell)
     if len(ldd) == 1 and len(lii) <= 1 and len(uu) == 1:
         L_D = ldd.pop()
         L_I = lii.pop() if lii else 1
-        U = uu.pop()
-        if U >= L_D - L_I and L_D >= 2 * L_I:
-            sym = analysis.dof_symmetric(cfg.K, L_D, L_I, U)
-        dic = analysis.dof_interference_channel(cfg.K, L_D, L_I) if L_D > L_I else ""
-    else:
-        dic = ""
+        sym = _or_blank(analysis.dof_symmetric, cfg.K, L_D, L_I, uu.pop())
+        dic = _or_blank(analysis.dof_interference_channel, cfg.K, L_D, L_I)
     return [cfg.K, plan.L_D, plan.L_I, plan.N, d1, sym, dic]
 
 
@@ -159,9 +161,7 @@ def cmd_simulate(args):
         ch = model.sample_channel_iid(cfg, rng)
         symbols = transceiver.draw_symbols(cfg, plan, rng)
         try:
-            result = transceiver.simulate_link(
-                cfg, plan, ch, symbols, noise_rng=rng, noise_var=1.0
-            )
+            result = transceiver.simulate_link(cfg, plan, ch, symbols, noise_rng=rng)
         except transceiver.RankDeficientError as exc:
             raise transceiver.RankDeficientError("trial %d, %s" % (t, exc)) from None
         for k in range(cfg.K):
@@ -169,17 +169,13 @@ def cmd_simulate(args):
                 continue   # an idle cell sends nothing, so it has no error to report
             truth = symbols[k].reshape(plan.B, -1)
             err = result.s_hat[k] - truth
-            denom = max(float(np.mean(np.abs(truth) ** 2)), 1e-300)
-            rows.append((t, k, float(np.mean(np.abs(err) ** 2) / denom)))
+            rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
     _write_csv(args, ["trial", "cell", "normalized_mse"], rows)
     return 0
 
 
 def cmd_verify(args):
-    if args.config:
-        cfg = _load_cfg(args)
-    else:
-        cfg = dataclasses.replace(verify.DEFAULT_CONFIG, seed=args.seed or 0)
+    cfg = _load_cfg(args, default=verify.DEFAULT_CONFIG)
     results = verify.run_all(cfg, args.trials)
     rows = [(name, detail, "pass" if ok else "FAIL", float(res)) for name, detail, ok, res in results]
     _write_csv(args, ["check", "detail", "status", "residual"], rows)
@@ -188,9 +184,7 @@ def cmd_verify(args):
 
 def cmd_fig3(args):
     snrs = _snr_list(args, default=experiments.FIG3_SNR_GRID)
-    rows = experiments.run_snr_comparison(
-        snr_db=snrs, trials=args.trials, seed=args.seed or 0
-    )
+    rows = experiments.run_snr_comparison(snrs, args.trials, args.seed or 0)
     _write_csv(args, ["snr_db", "K", "proposed_sum_se", "baseline_sum_se"], rows)
     return 0
 
@@ -243,7 +237,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.handler(args)
+        # open --out before the run, so a bad path fails at once; a failed
+        # run removes the file it created and leaves an existing one as it was
+        created = args.out and not os.path.exists(args.out)
+        if args.out:
+            open(args.out, "a").close()
+        try:
+            return args.handler(args)
+        except BaseException:
+            if created:
+                os.remove(args.out)
+            raise
     except (configfile.ConfigParseError, model.ConfigError, OSError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

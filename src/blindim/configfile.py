@@ -67,13 +67,11 @@ def load_system_config(text) -> SystemConfig:
                   "{key} must be ';'-separated rows of integers")
     if cir is None:
         cir = [[4 if k == i else 2 for i in range(K)] for k in range(K)]
-    symbol_model = pairs["symbol_model"][1] if "symbol_model" in pairs else "gaussian"
-    return SystemConfig(
-        K=K,
-        users_per_cell=users,
-        cir_len=cir,
-        snr_db=_parsed(pairs, "snr_db", 10.0, float, "{key} must be a number, got {value!r}"),
-        subblocks=_parsed(pairs, "subblocks", 1, int, integer),
-        seed=_parsed(pairs, "seed", 0, int, integer),
-        symbol_model=symbol_model,
-    )
+    # the other keys only where the file sets them: SystemConfig owns their defaults
+    fields = dict(K=K, users_per_cell=users, cir_len=cir)
+    for key, parse, message in (("snr_db", float, "{key} must be a number, got {value!r}"),
+                                ("subblocks", int, integer), ("seed", int, integer),
+                                ("symbol_model", str, "")):
+        if key in pairs:
+            fields[key] = _parsed(pairs, key, None, parse, message)
+    return SystemConfig(**fields)

@@ -20,7 +20,7 @@ TX_POWER_W = 10.0 ** ((23.0 - 30.0) / 10.0)
 NOISE_POWER_W = 10.0 ** ((-174.0 - 30.0) / 10.0) * 100.0
 
 
-def run_snr_comparison(snr_db=FIG3_SNR_GRID, trials=200, seed=0):
+def run_snr_comparison(snr_db, trials, seed):
     """Ergodic sum spectral efficiency of the proposed scheme and the
     TDMA-OFDMA baseline for the fig3 scenario: symmetric K-cell networks,
     K in FIG3_K_LIST, with L_D = 8, L_I = 2, U = 3 and B = 10.
@@ -46,7 +46,7 @@ def fig5_config():
     return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 
-def run_distance_comparison(d_user_grid=None, trials=200, seed=0):
+def run_distance_comparison(d_user_grid=None, *, trials, seed):
     """Center-cell ergodic spectral efficiency of the proposed two-stage
     scheme and all-cells-active OFDMA versus user-to-BS distance.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_SNR_DB = 5.0 * math.log10(np.finfo(float).max)   # 10^(snr_db / 5) stays finite
+MAX_SNR_DB = 5.0 * math.log10(np.finfo(float).max)   # 10^(+-snr_db / 5) finite and > 0
 
 
 class ConfigError(ValueError):
@@ -93,6 +93,8 @@ def validate_config(cfg: SystemConfig):
         violations.append("snr_db must be finite (snr_db=%r)" % cfg.snr_db)
     elif cfg.snr_db > MAX_SNR_DB:
         violations.append("snr_db <= %.6g violated (snr_db=%r)" % (MAX_SNR_DB, cfg.snr_db))
+    elif cfg.snr_db < -MAX_SNR_DB:
+        violations.append("snr_db >= %.6g violated (snr_db=%r)" % (-MAX_SNR_DB, cfg.snr_db))
     if cfg.symbol_model not in ("gaussian", "qpsk"):
         violations.append("symbol_model must be 'gaussian' or 'qpsk'")
     return violations
@@ -237,15 +239,13 @@ def _taps(cfg: SystemConfig, normals, links=None, user_major=False) -> ChannelRe
     return ChannelRealization(taps=taps)
 
 
-def sample_channel_iid(cfg: SystemConfig, rng) -> ChannelRealization:
+def sample_channel_iid(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw every tap IID circularly-symmetric complex Gaussian CN(0, 1).
 
     One standard_normal call feeds every link, in _taps' link-major layout.
     The Generator fills values in sequence, so taps and generator state equal
     those of a real and an imaginary draw per link.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     return _taps(cfg, rng.standard_normal(_normal_count(cfg)))
 
 

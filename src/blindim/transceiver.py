@@ -8,6 +8,7 @@ formed: each link's spectral.frame_response meets the symbols.
 Power convention: sigma^2 = 1 and P = rho (the linear SNR), so every
 transmitted sample satisfies E|x[n]|^2 = P when symbols carry variance
 N*P/M_k.  The effective per-stream SNR after combining is then N*rho/M_k.
+cfg.snr_db is the one SNR knob: a noise generator adds sigma^2 = 1 noise.
 """
 
 from __future__ import annotations
@@ -39,22 +40,23 @@ def draw_symbols(cfg, plan, rng) -> dict:
     return out
 
 
-def simulate_reception(cfg, plan, ch, symbols, rng=None, noise_var=0.0) -> np.ndarray:
+def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     """(K, T) per-BS streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n] of
-    simulate_link's symbols, a dict i -> (B, U'_i, M_i) that may leave idle
-    cells out, built frame by frame from spectral.frame_response of blocks
-    of c base stations times c cells, zero-padded to common users, tones and
-    taps: c^2 <= T / M keeps a block's tap sums within one link's (L, T)
-    time-domain product, and a block costs O((B + 1) c^2 U M L)."""
+    draw_symbols' dict i -> (B, U'_i, M_i) of every cell, idle ones (B, 0, 0),
+    with CN(0, 1) noise z from rng (none without rng), built frame by frame
+    from spectral.frame_response of blocks of c base stations times c cells,
+    zero-padded to common users, tones and taps: c^2 <= T / M keeps a
+    block's tap sums within one link's (L, T) time-domain product, and a
+    block costs O((B + 1) c^2 U M L)."""
     K, B, N, cp, N_bar = cfg.K, plan.B, plan.N, plan.cp_len, plan.N_bar
-    if any(np.shape(symbols.get(i, np.empty((B, 0, 0)))) != (B, plan.U_active[i], plan.M[i])
+    if any(i not in symbols or np.shape(symbols[i]) != (B, plan.U_active[i], plan.M[i])
            for i in range(K)):
-        raise ValueError("each active cell's symbols must have shape (B, U'_k, M_k)")
+        raise ValueError("each cell's symbols must have shape (B, U'_k, M_k)")
     U, M = max(plan.U_active), max(plan.M)
     s = np.zeros((B + 1, K, U, M), dtype=complex)   # frame B sends nothing
     taps = np.zeros((K, K, U, max(h.shape[-1] for h in ch.taps.values())), dtype=complex)
     for i in range(K):
-        s[:B, i, : plan.U_active[i], : plan.M[i]] = symbols.get(i, 0.0)
+        s[:B, i, : plan.U_active[i], : plan.M[i]] = symbols[i]
     for (k, i), h in ch.taps.items():
         taps[k, i, : plan.U_active[i], : h.shape[-1]] = h[: plan.U_active[i]]
     lagged = -s   # frame b - 1's leak, rotated, less frame b's own
@@ -75,8 +77,8 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None, noise_var=0.0) -> np.nd
             frames[k0 : k0 + c, span : span + B + 1, : part.shape[-1]] += part
     frames[:, :B] += tones @ framed_precoders(N, cp, M).T
     y = frames.reshape(cfg.K, -1)[:, : plan.T]
-    if noise_var > 0:
-        z = rng.standard_normal((cfg.K, 2, plan.T)) * np.sqrt(noise_var / 2.0)
+    if rng is not None:
+        z = rng.standard_normal((cfg.K, 2, plan.T)) * np.sqrt(0.5)
         y.real += z[:, 0]
         y.imag += z[:, 1]
     return y
@@ -121,14 +123,13 @@ class DecodeResult:
     s_hat: dict   # k -> (B, U'_k * M_k) detected symbols
 
 
-def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
+def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     """Detect all B subblocks with successive inter-subblock cancellation.
 
     H is build_structured's dict k -> effective channel and y_tilde[k] the
     (B, N - M_D) combined observations of cell k.  Every later subblock first
-    cancels the previous subblock's leakage, which is -H_k times its symbols
-    rotated by leakage_phase phi (the true symbols when genie_symbols is
-    supplied, to isolate error propagation).  Since H_k^+ H_k = I, the
+    cancels the previous subblock's leakage, which is -H_k times its
+    estimated symbols rotated by leakage_phase phi.  Since H_k^+ H_k = I, the
     cancelled ZF estimate is s_b = z_b + phi * s_{b-1} with z_b = H_k^+ y_b,
     so each H_k is checked and inverted once by one thin SVD (zf_projection),
     and all z_b come from one matmul with its projection H_k^+.
@@ -139,27 +140,23 @@ def decode_block(cfg, plan, H, y_tilde, genie_symbols=None) -> DecodeResult:
     s_hat = {}
     for k in range(cfg.K):
         z = y_tilde[k] @ zf_projection(H[k], "cell %d: effective channel" % k).T
-        if genie_symbols is not None:
-            phase = np.tile(leakage_phase(plan.N, plan.cp_len, plan.M[k]), plan.U_active[k])
-            z[1:] += phase * genie_symbols[k][:-1]
-        else:
-            powers = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M[k])
-            powers = np.tile(powers, plan.U_active[k])
-            z = powers * np.cumsum(powers.conj() * z, axis=0)
-        s_hat[k] = z
+        powers = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M[k])
+        powers = np.tile(powers, plan.U_active[k])
+        s_hat[k] = powers * np.cumsum(powers.conj() * z, axis=0)
     return DecodeResult(s_hat=s_hat)
 
 
-def simulate_link(cfg, plan, ch, symbols, noise_rng=None, noise_var=0.0) -> DecodeResult:
+def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
     """Full transmit/receive/decode round trip for one channel realization.
 
-    symbols is a dict k -> (B, U'_k, M_k) of (already power-scaled) payload
-    symbols; the returned estimates are on the same scale.  A delayed plan
+    symbols is draw_symbols' dict k -> (B, U'_k, M_k) of (already
+    power-scaled) payload symbols; the returned estimates are on the same
+    scale.  Without noise_rng the link is noiseless.  A delayed plan
     (L_I_d > 0) must have B = 1: the subblock cancellation does not model
     the fold, so every later subblock would decode wrongly.
     """
     if plan.L_I_d and plan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     H = build_structured(cfg, plan, ch)
-    y = simulate_reception(cfg, plan, ch, symbols, rng=noise_rng, noise_var=noise_var)
+    y = simulate_reception(cfg, plan, ch, symbols, rng=noise_rng)
     return decode_block(cfg, plan, H, combine(plan, y))

@@ -205,7 +205,7 @@ def combine_by_subblock(plan, y_stream):
     return np.array(rows)
 
 
-def decode_by_subblock(plan, H, y_tilde, genie_symbols=None):
+def decode_by_subblock(plan, H, y_tilde):
     """k -> (B, U'_k M_k): per subblock, add back the previous subblock's
     leakage H_k (w^(m cp) * prev) and solve least squares."""
     s_hat = {}
@@ -217,33 +217,25 @@ def decode_by_subblock(plan, H, y_tilde, genie_symbols=None):
         for b in range(plan.B):
             obs = np.array(y_tilde[k][b])
             if b > 0:
-                prev = genie_symbols[k][b - 1] if genie_symbols is not None else out[b - 1]
-                obs = obs + Hk @ (phase * prev)
+                obs = obs + Hk @ (phase * out[b - 1])
             if Hk.shape[1]:
                 out[b], *_ = np.linalg.lstsq(Hk, obs, rcond=None)
         s_hat[k] = out
     return s_hat
 
 
-def decode_by_triangular_solve(plan, H, y_tilde, genie_symbols=None):
+def decode_by_triangular_solve(plan, H, y_tilde):
     """k -> (B, U'_k M_k): z = R^-1 (Q^H y_b) for every subblock by one
     back substitution on a thin QR of H_k, then the closed-form cancellation
-    s_b = phi^b cumsum_{j<=b}(phi^-j z_j), or z_b + phi s_{b-1} with the
-    genie symbols.  The phases of R's diagonal cancel in R^-1 Q^H, so a plain
-    QR serves."""
+    s_b = phi^b cumsum_{j<=b}(phi^-j z_j).  The phases of R's diagonal
+    cancel in R^-1 Q^H, so a plain QR serves."""
     s_hat = {}
     for k, Hk in H.items():
         Q, R = np.linalg.qr(Hk)
         z = scipy.linalg.solve_triangular(R, Q.conj().T @ np.transpose(y_tilde[k])).T
-        m_cp = np.arange(plan.M[k]) * plan.cp_len
-        if genie_symbols is not None:
-            phase = np.tile(np.exp(2j * np.pi * m_cp / plan.N), plan.U_active[k])
-            z[1:] += phase * genie_symbols[k][:-1]
-        else:
-            exponent = np.outer(np.arange(plan.B), m_cp) % plan.N
-            powers = np.tile(np.exp(2j * np.pi * exponent / plan.N), plan.U_active[k])
-            z = powers * np.cumsum(powers.conj() * z, axis=0)
-        s_hat[k] = z
+        exponent = np.outer(np.arange(plan.B), np.arange(plan.M[k]) * plan.cp_len) % plan.N
+        powers = np.tile(np.exp(2j * np.pi * exponent / plan.N), plan.U_active[k])
+        s_hat[k] = powers * np.cumsum(powers.conj() * z, axis=0)
     return s_hat
 
 

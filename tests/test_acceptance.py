@@ -140,7 +140,7 @@ def test_criterion_06_high_snr_slope_matches_dof():
 
 
 def test_criterion_07_snr_comparison_ordering_and_scaling():
-    rows = experiments.run_snr_comparison(trials=200, seed=0)
+    rows = experiments.run_snr_comparison(experiments.FIG3_SNR_GRID, trials=200, seed=0)
     by_k = {}
     for snr, K, prop, base in rows:
         by_k.setdefault(K, {})[snr] = (prop, base)

@@ -245,6 +245,26 @@ class TestErrors:
         assert stdout == "" and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
 
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # --out is opened before the command's work starts
+        monkeypatch.setattr(experiments, "run_snr_comparison",
+                            lambda *a, **k: pytest.fail("fig3 ran before --out was opened"))
+        assert cli.main(["fig3", "--trials", "20000", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path):
+        # a failed command leaves an existing --out file's bytes as they
+        # were; a run that succeeds replaces them
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 0\n")
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old bytes that outlast the new table" * 10)
+        assert cli.main(["dof", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert out.read_bytes() == b"old bytes that outlast the new table" * 10
+        assert cli.main(["dof", "--out", str(out)]) == 0
+        assert out.read_text() == run(tmp_path, "dof", name="fresh.csv")[1]
+
     def test_invalid_config_values(self, tmp_path):
         cfgfile = tmp_path / "sys.cfg"
         cfgfile.write_text("K = 2\nusers_per_cell = 1,2,3\n")
@@ -285,15 +305,17 @@ class TestErrors:
         ("snr_db = nan", "snr_db must be finite (snr_db=nan)"),
         ("snr_db = inf", "snr_db must be finite (snr_db=inf)"),
         ("snr_db = 4000", "snr_db <= 1541.27 violated (snr_db=4000.0)"),
+        ("snr_db = -4000", "snr_db >= -1541.27 violated (snr_db=-4000.0)"),
     ])
     def test_config_invariant_violated(self, tmp_path, capsys, command, line, message):
         # a config file's negative seed, or an SNR that is not finite or
-        # whose linear value squared overflows, is a configuration error: no
-        # traceback, and no rows of nan or inf
+        # whose linear value squared overflows or underflows to 0, is a
+        # configuration error: no traceback, and no CSV of nan or inf rows
         cfgfile = tmp_path / "sys.cfg"
         cfgfile.write_text("K = 2\n%s\n" % line)
         code, text = run(tmp_path, command, "--config", str(cfgfile), "--trials", "2")
         assert (code, text) == (2, "")
+        assert not (tmp_path / "out.csv").exists()
         assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_seed_option_overrides_config_seed_before_validation(self, tmp_path):
@@ -339,14 +361,33 @@ class TestErrors:
         code, text = run(tmp_path, command, "--snr", "10,4000", "--trials", "2")
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == (
-            "error: --snr must be a comma-separated list of numbers <= 1541.27 dB, "
-            "got '10,4000'\n")
+            "error: --snr must be a comma-separated list of numbers from -1541.27 to "
+            "1541.27 dB, got '10,4000'\n")
+
+    @pytest.mark.parametrize("command", ["rate", "fig3"])
+    def test_snr_that_underflows(self, tmp_path, capsys, command):
+        # the linear SNR of -4000 dB underflows to 0
+        code, text = run(tmp_path, command, "--snr=-4000", "--trials", "2")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --snr must be a comma-separated list of numbers from -1541.27 to "
+            "1541.27 dB, got '-4000'\n")
 
     @pytest.mark.parametrize("command", ["rate", "simulate"])
     def test_largest_snr_gives_finite_rows(self, tmp_path, command):
         # at the bound, powers times channel gains stay finite end to end
+        self._check_finite_rows(tmp_path, command, model.MAX_SNR_DB)
+
+    @pytest.mark.parametrize("command", ["rate", "simulate"])
+    def test_smallest_snr_gives_finite_rows(self, tmp_path, command):
+        # at the lower bound the symbol power stays above zero, so simulate's
+        # error over it stays finite
+        self._check_finite_rows(tmp_path, command, -model.MAX_SNR_DB)
+
+    @staticmethod
+    def _check_finite_rows(tmp_path, command, snr_db):
         cfgfile = tmp_path / "sys.cfg"
-        cfgfile.write_text("K = 2\nsnr_db = %r\n" % model.MAX_SNR_DB)
+        cfgfile.write_text("K = 2\nsnr_db = %r\n" % snr_db)
         code, text = run(tmp_path, command, "--config", str(cfgfile), "--trials", "3")
         assert code == 0
         values = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
