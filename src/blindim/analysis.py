@@ -38,9 +38,9 @@ def dof_symmetric(K, L_D, L_I, U) -> float:
 
 
 def dof_interference_channel(K, L_D, L_I) -> float:
-    """Sum-DoF of the corresponding K-user interference channel (one user per cell)."""
-    if L_D <= L_I:
-        raise ValueError("requires L_D > L_I")
+    """Sum-DoF of the K-user interference channel (one user per cell), K >= 2."""
+    if K < 2 or L_D <= L_I:
+        raise ValueError("requires K >= 2 and L_D > L_I")
     return float(Fraction(K * (L_D - L_I), max(2 * L_D - L_I - 1, 2 * L_I - 1)))
 
 
@@ -108,23 +108,23 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear) -> np.ndarray:
     return rate.reshape(rate.shape[:-1] + snr.shape)
 
 
-def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, n_sc, k) -> np.ndarray:
+def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
     """OFDMA rate of cell k with every cell active and ICI treated as noise.
 
-    Each cell runs the same interleaved subcarrier partition; user u of cell i
-    interferes on exactly its own subcarrier set, with its spectral response
-    taken as the n_sc-point FFT of the cross-link taps.  Cyclic prefix L_D - 1,
-    with L_D the config's longest desired link (model.link_lengths);
-    every used subcarrier carries power P (no pooling, as in the TDMA baseline).
-    A realization needs only the links into cell k.  Returns (...) over the
-    leading axes of the taps.
+    Each cell runs the same interleaved subcarrier partition on the plan's
+    n_sc = dplan.N subcarriers; user u of cell i interferes on exactly its own
+    subcarrier set, with its spectral response taken as the n_sc-point FFT of
+    the cross-link taps.  Cyclic prefix dplan.L_D - 1.  Every used subcarrier
+    carries power P = rho = cfg.snr_linear against sigma^2 = 1 (no pooling,
+    as in the TDMA baseline).  A realization needs only the links into cell
+    k.  Returns (...) over the leading axes of the taps.
 
     Taps beyond n_sc are dropped, where baseline_tdma_ofdma folds them: fig5's
     7-tap cross links lose taps 5 and 6.  perfbench's geometric_fig5 reference
     CSV pins this output, so folding here waits for a change that regenerates
     that reference.
     """
-    L_D, _ = model.link_lengths(cfg)
+    n_sc = dplan.N
     sc = np.arange(n_sc)
     U = np.array(cfg.users_per_cell)
     offset = np.cumsum(U) - U
@@ -135,10 +135,10 @@ def ofdma_rate_with_ici(cfg, ch, tx_power, noise_var, n_sc, k) -> np.ndarray:
         h = ch.taps[(k, i)][..., :n_sc]
         stacked[..., offset[i] : offset[i] + U[i], : h.shape[-1]] = h
     # (..., K, n_sc): power received from each cell on every subcarrier
-    power = tx_power * np.abs(np.fft.fft(stacked)[..., owner, sc]) ** 2
+    power = cfg.snr_linear * np.abs(np.fft.fft(stacked)[..., owner, sc]) ** 2
     ici = power[..., np.arange(cfg.K) != k, :].sum(axis=-2)
-    rate = np.log2(1.0 + power[..., k, :] / (noise_var + ici))
-    return rate.sum(axis=-1) / (n_sc + L_D - 1)
+    rate = np.log2(1.0 + power[..., k, :] / (1.0 + ici))
+    return rate.sum(axis=-1) / (n_sc + dplan.L_D - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def ergodic_rate(cfg, snr_db_list, trials):
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
     proposed = baseline = 0.0
     desired = [(k, k) for k in range(cfg.K)]
-    for ch in model.trial_blocks(cfg, cfg.seed, trials, desired):
+    for ch in model.trial_blocks(cfg, trials, desired):
         H = spectral.build_structured(cfg, plan, ch)
         proposed = proposed + sum_rate_qr(plan, H, snr_lin).sum(axis=0)
         baseline = baseline + baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)

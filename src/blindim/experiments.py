@@ -5,6 +5,9 @@ comparison against OFDMA versus user-to-BS distance."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 
 from . import analysis, model
@@ -12,12 +15,6 @@ from .extensions import make_delayed_plan, rate_with_residual_ici
 
 FIG3_SNR_GRID = tuple(range(0, 45, 5))
 FIG3_K_LIST = (1, 2, 3)
-
-# fig5's transmit power (23 dBm) and noise power (-174 dBm/Hz over 100 Hz),
-# in Watts.  The band is narrow: it puts the cell-edge regime
-# interference-limited, which is the regime this comparison is about
-TX_POWER_W = 10.0 ** ((23.0 - 30.0) / 10.0)
-NOISE_POWER_W = 10.0 ** ((-174.0 - 30.0) / 10.0) * 100.0
 
 
 def run_snr_comparison(snr_db, trials, seed):
@@ -39,10 +36,14 @@ def run_snr_comparison(snr_db, trials, seed):
 def fig5_config():
     """7-cell geometric scenario: short desired channels (5 taps), long ICI
     (7 taps) whose first L_I_d = 3 taps are zero, cancelled up to
-    L_I_prime = 5 taps, over B = 10 subblocks.  Returns (cfg, dplan)."""
+    L_I_prime = 5 taps, over B = 10 subblocks.  Returns (cfg, dplan).
+    snr_db = 177 is 23 dBm against -174 dBm/Hz over 100 Hz: the narrow band
+    puts the cell edge interference-limited, the regime compared here."""
     K = 7
     cir = [[5 if k == i else 7 for i in range(K)] for k in range(K)]
-    cfg = model.SystemConfig(K=K, users_per_cell=[3] * K, cir_len=cir, subblocks=10)
+    snr_db = 23.0 - (-174.0 + 10.0 * math.log10(100.0))
+    cfg = model.SystemConfig(K=K, users_per_cell=[3] * K, cir_len=cir, snr_db=snr_db,
+                             subblocks=10)
     return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 
@@ -69,21 +70,22 @@ def run_distance_comparison(d_user_grid=None, *, trials, seed):
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = fig5_config()
+    cfg = dataclasses.replace(cfg, seed=seed)
     gains = model.large_scale_gain(
         cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
     )
     into_0 = [(0, i) for i in range(cfg.K)]
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(d_user_grid), 2))
-    for small in model.trial_blocks(cfg, seed, trials, into_0, user_major=True):
+    for small in model.trial_blocks(cfg, trials, into_0, user_major=True):
         step = max(1, model.TRIAL_BLOCK // len(small.taps[(0, 0)]))
         for j in range(0, len(d_user_grid), step):
             near = slice(j, j + step)
             ch = model.ChannelRealization(
                 {key: gains[key][near, None] * small.taps[key] for key in into_0}
             )
-            prop = rate_with_residual_ici(cfg, dplan, ch, TX_POWER_W, NOISE_POWER_W, 0)
-            ofdma = analysis.ofdma_rate_with_ici(cfg, ch, TX_POWER_W, NOISE_POWER_W, dplan.N, 0)
+            prop = rate_with_residual_ici(cfg, dplan, ch, 0)
+            ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[near, 0] += prop.sum(axis=-1)
             acc[near, 1] += ofdma.sum(axis=-1)
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))

@@ -76,14 +76,15 @@ def _hermitian(A) -> np.ndarray:
     return np.swapaxes(A, -1, -2).conj()
 
 
-def rate_with_residual_ici(cfg, dplan, ch, tx_power, noise_var, k) -> np.ndarray:
+def rate_with_residual_ici(cfg, dplan, ch, k) -> np.ndarray:
     """Achievable rate of cell k treating uncancelled late ICI taps as noise.
 
-    Symbols carry variance N * P; the noise term keeps the coloring introduced
-    by the folding stage (rows that sum two samples have doubled variance).
+    As in the transceiver, sigma^2 = 1 and symbols carry variance N * rho,
+    rho = cfg.snr_linear; the noise term keeps the coloring introduced by the
+    folding stage (rows that sum two samples have doubled variance).
     With cov the noise-plus-residual-ICI covariance and A = chol(cov)^-1 H_k,
     the rate is sum log1p(lambda) / ln 2 over the eigenvalues lambda of
-    N P A^H A: log det(I + cov^-1 N P H_k H_k^H) without taking the difference
+    N rho A^H A: log det(I + cov^-1 N rho H_k H_k^H) without taking the difference
     of two log-determinants, which cancels when the rate is small.  A
     realization needs only the links into cell k.  Returns (...) over the
     leading axes of the taps.
@@ -95,8 +96,8 @@ def rate_with_residual_ici(cfg, dplan, ch, tx_power, noise_var, k) -> np.ndarray
     """
     H, H_int = delayed_effective_channels(cfg, dplan, ch, k)
     W = combiner(dplan)
-    p_sym = dplan.N * tx_power
-    cov = noise_var * (W @ W.conj().T) + p_sym * (H_int @ _hermitian(H_int))
+    p_sym = dplan.N * cfg.snr_linear
+    cov = W @ W.conj().T + p_sym * (H_int @ _hermitian(H_int))
     # raises LinAlgError unless cov is positive definite
     A = np.linalg.solve(np.linalg.cholesky(cov), H)
     lam = np.linalg.eigvalsh(p_sym * (_hermitian(A) @ A))

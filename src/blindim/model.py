@@ -177,8 +177,9 @@ class ChannelRealization:
     taps[(k, i)] is a complex array of shape (..., U_i, L_{k,i}); row u holds
     the impulse response from user (i, u) to base station k.  Any leading axes
     index independent realizations (the Monte Carlo loops stack their trials
-    as (T, U_i, L)), and every consumer of a realization carries them through;
-    a single draw has none.
+    as (T, U_i, L)), and the rate and channel builders carry them through; a
+    single draw has none.  The link simulator (transceiver.draw_symbols,
+    simulate_reception, simulate_link) takes one draw.
     """
 
     taps: dict
@@ -254,21 +255,21 @@ def sample_channel_iid(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRe
 TRIAL_BLOCK = 256
 
 
-def trial_blocks(cfg: SystemConfig, seed, trials, links=None, user_major=False):
+def trial_blocks(cfg: SystemConfig, trials, links=None, user_major=False):
     """Trials 0 .. trials - 1 of _taps(cfg, normals, links, user_major) with
-    trial_rng(seed, t)'s normals, yielded in order as realizations stacked
-    (T_b, U_i, L_{k,i}) per link, with T_b <= TRIAL_BLOCK.
+    trial_rng(cfg.seed, t)'s normals, yielded in order as realizations
+    stacked (T_b, U_i, L_{k,i}) per link, with T_b <= TRIAL_BLOCK.
 
-    Row t of a block's normals is filled in place by trial_rng(seed, t), only
-    through the last link picked: those are the first normals of the full
-    draw (the Generator fills values in sequence).  Link-major blocks of every
-    link equal the stacked sample_channel_iid(cfg, trial_rng(seed, t)).
+    Row t of a block's normals is filled in place by trial_rng(cfg.seed, t),
+    only through the last link picked: those are the first normals of the
+    full draw (the Generator fills values in sequence).  Link-major blocks of
+    every link equal the stacked sample_channel_iid(cfg, trial_rng(cfg.seed, t)).
     """
     n = _normal_count(cfg, links)
     for start in range(0, trials, TRIAL_BLOCK):
         normals = np.empty((min(TRIAL_BLOCK, trials - start), n))
         for t, row in enumerate(normals, start):
-            trial_rng(seed, t).standard_normal(out=row)
+            trial_rng(cfg.seed, t).standard_normal(out=row)
         yield _taps(cfg, normals, links, user_major)
 
 

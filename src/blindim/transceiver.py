@@ -9,6 +9,7 @@ Power convention: sigma^2 = 1 and P = rho (the linear SNR), so every
 transmitted sample satisfies E|x[n]|^2 = P when symbols carry variance
 N*P/M_k.  The effective per-stream SNR after combining is then N*rho/M_k.
 cfg.snr_db is the one SNR knob: a noise generator adds sigma^2 = 1 noise.
+fig5's two rates take the same convention.  The chain takes one channel draw.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def draw_symbols(cfg, plan, rng) -> dict:
 
 def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     """(K, T) per-BS streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n] of
-    draw_symbols' dict i -> (B, U'_i, M_i) of every cell, idle ones (B, 0, 0),
-    with CN(0, 1) noise z from rng (none without rng), built frame by frame
+    one draw (links (U_i, L_{k,i})) and draw_symbols' dict i -> (B, U'_i, M_i)
+    of every cell, idle ones (B, 0, 0), with CN(0, 1) noise z from rng (none
+    without rng), built frame by frame
     from spectral.frame_response of blocks of c base stations times c cells,
     zero-padded to common users, tones and taps: c^2 <= T / M keeps a
     block's tap sums within one link's (L, T) time-domain product, and a
@@ -52,6 +54,8 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     if any(i not in symbols or np.shape(symbols[i]) != (B, plan.U_active[i], plan.M[i])
            for i in range(K)):
         raise ValueError("each cell's symbols must have shape (B, U'_k, M_k)")
+    if any(h.ndim != 2 for h in ch.taps.values()):
+        raise ValueError("each link's taps must have shape (U_i, L_{k,i}): one draw")
     U, M = max(plan.U_active), max(plan.M)
     s = np.zeros((B + 1, K, U, M), dtype=complex)   # frame B sends nothing
     taps = np.zeros((K, K, U, max(h.shape[-1] for h in ch.taps.values())), dtype=complex)
@@ -147,7 +151,7 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
 
 
 def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
-    """Full transmit/receive/decode round trip for one channel realization.
+    """Full transmit/receive/decode round trip for one channel draw.
 
     symbols is draw_symbols' dict k -> (B, U'_k, M_k) of (already
     power-scaled) payload symbols; the returned estimates are on the same

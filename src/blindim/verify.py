@@ -14,7 +14,6 @@ pick) take a fixed number of batched SVDs whatever the trial count."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,24 +47,16 @@ def _norm(x):
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-@dataclass
-class RankFactors:
-    """Factors of the projected desired channel: W Hbar f_m = G @ h_eff.
+def build_rank_factors(plan, L_kk, m) -> np.ndarray:
+    """G_m of W Hbar f_m = G_m @ h_eff, h_eff = h[L_I : L_kk], for precoder
+    index m (1-based) and a desired link of length L_kk: (N - M_D) x (L_kk - L_I).
 
-    G = (1/sqrt(N)) * W * diag(d1) * E * diag(d2) depends only on the plan
-    geometry (never on the channel), while h_eff = h[L_I : L_kk] carries all
-    the randomness — which is what reduces the rank analysis of the effective
-    channel to a generic matrix with independent entries.
+    G = (1/sqrt(N)) * W * diag(d1) * E * diag(d2): d1 the N powers of w_m, d2
+    a length L_kk - L_I diagonal, E an N x (L_kk - L_I) matrix of {0, +1, -1}.
+    G depends only on the plan geometry, so h_eff carries all the randomness:
+    the rank analysis of the effective channel reduces to a generic matrix
+    with independent entries.
     """
-
-    d1: np.ndarray    # length N diagonal, powers of w_m
-    d2: np.ndarray    # length L_kk - L_I diagonal
-    E: np.ndarray     # N x (L_kk - L_I), entries in {0, +1, -1}
-    G: np.ndarray     # (N - M_D) x (L_kk - L_I)
-
-
-def build_rank_factors(plan, L_kk, m) -> RankFactors:
-    """Factors for precoder index m (1-based) and a desired link of length L_kk."""
     N, L_I = plan.N, plan.L_I
     if not 1 <= m <= plan.M_D:
         raise ValueError("precoder index m out of range")
@@ -82,8 +73,7 @@ def build_rank_factors(plan, L_kk, m) -> RankFactors:
             jp = j - (N - L_I)
             E[N - L_I + 1 + jp :, j] = 1.0
     W = spectral.combiner(plan)[:, plan.cp_len :]
-    G = (W * d1) @ E @ np.diag(d2) / np.sqrt(N)
-    return RankFactors(d1=d1, d2=d2, E=E, G=G)
+    return (W * d1) @ E @ np.diag(d2) / np.sqrt(N)
 
 
 def h_eff(cfg, plan, ch, k, u) -> np.ndarray:
@@ -115,7 +105,7 @@ def check_decomposition(cfg, plan, ch, H):
         U, M = plan.U_active[k], plan.M[k]
         for m in range(1, M + 1):
             if (L_kk, m) not in G:
-                G[L_kk, m] = build_rank_factors(plan, L_kk, m).G
+                G[L_kk, m] = build_rank_factors(plan, L_kk, m)
         Gk = np.stack([G[L_kk, m] for m in range(1, M + 1)])
         he = h_eff(cfg, plan, ch, k, slice(U))
         rhs = (Gk @ he[..., None, :, None])[..., 0]                   # (..., U, M, rows)
@@ -205,7 +195,7 @@ def run_all(cfg, trials):
     ok_all = True
     passed = 0
     desired = [(k, k) for k in range(cfg.K)]
-    for ch in model.trial_blocks(cfg, cfg.seed, trials, desired):
+    for ch in model.trial_blocks(cfg, trials, desired):
         H = spectral.build_structured(cfg, plan, ch)
         ok, report = check_decomposition(cfg, plan, ch, H)
         worst = max(worst, max((r[-1] for r in report), default=0.0))

@@ -385,8 +385,7 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
     from blindim import experiments, model
 
     cfg, dplan = experiments.fig5_config()
-    P = experiments.TX_POWER_W
-    sigma2 = experiments.NOISE_POWER_W
+    P, sigma2 = cfg.snr_linear, 1.0
     rows = []
     for d_user in d_user_grid:
         dist = model.hex_deployment(float(d_user), cfg.users_per_cell)
@@ -411,8 +410,6 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = experiments.fig5_config()
-    P = experiments.TX_POWER_W
-    sigma2 = experiments.NOISE_POWER_W
     gains = model.large_scale_gain(
         cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
     )
@@ -424,8 +421,8 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
         for j in range(len(d_user_grid)):
             ch = model.ChannelRealization(
                 {key: gain[j] * small[key] for key, gain in gains.items()})
-            prop = extensions.rate_with_residual_ici(cfg, dplan, ch, P, sigma2, 0)
-            ofdma = analysis.ofdma_rate_with_ici(cfg, ch, P, sigma2, dplan.N, 0)
+            prop = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
+            ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[j] += prop.sum(), ofdma.sum()
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
             for d_user, sums in zip(d_user_grid, acc)]

@@ -85,6 +85,9 @@ class TestDofFormulas:
     def test_interference_channel_precondition(self):
         with pytest.raises(ValueError):
             analysis.dof_interference_channel(2, 2, 2)
+        # one cell has no interference channel
+        with pytest.raises(ValueError, match="K >= 2"):
+            analysis.dof_interference_channel(1, 4, 1)
 
     def test_dof_never_below_one(self):
         for L_D in (1, 2, 3):

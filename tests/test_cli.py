@@ -53,8 +53,20 @@ class TestDof:
         assert row[5] == "" and row[6] == ""
         assert float(row[4]) > 1.0
 
+    def test_one_cell_has_no_interference_channel(self, tmp_path):
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 1\nusers_per_cell = 2\ncir_len = 5\n")
+        code, text = run(tmp_path, "dof", "--config", str(cfgfile))
+        assert code == 0
+        assert text.splitlines()[1] == "1,5,1,6,1,,"
+
 
 class TestSweep:
+    def test_k_sweep_leaves_one_cell_interference_channel_blank(self, tmp_path):
+        code, text = run(tmp_path, "sweep", "--sweep", "K=1,2")
+        assert code == 0
+        assert text.splitlines()[1:] == ["1,1,4,1,4,1,,", "2,2,4,2,3,1,1,0.8"]
+
     def test_ld_sweep(self, tmp_path):
         code, text = run(tmp_path, "sweep", "--sweep", "L_D=4,8,16")
         lines = text.splitlines()

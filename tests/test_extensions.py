@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -35,6 +36,11 @@ def zero_delay_taps(ch, cfg, dplan):
             if i != k:
                 ch.taps[(k, i)][:, : dplan.L_I_d] = 0.0
     return ch
+
+
+def at_snr(cfg, P, noise_var):
+    """cfg at the SNR rho = P / noise_var, set as snr_db."""
+    return dataclasses.replace(cfg, snr_db=10.0 * math.log10(P / noise_var))
 
 
 def single_symbols(dplan, symbols):
@@ -311,14 +317,15 @@ class TestResidualIciRate:
 
     def test_deterministic(self):
         cfg, dplan, ch = self._setup()
-        a = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, 0)
-        b = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, 0)
+        cfg = at_snr(cfg, 0.2, 1e-12)
+        a = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
+        b = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
         np.testing.assert_array_equal(a, b)
 
     def test_monotone_in_power(self):
         cfg, dplan, ch = self._setup()
         rates = [
-            extensions.rate_with_residual_ici(cfg, dplan, ch, p, 1e-12, 0)
+            extensions.rate_with_residual_ici(at_snr(cfg, p, 1e-12), dplan, ch, 0)
             for p in (0.01, 0.1, 1.0)
         ]
         assert rates[0] < rates[1] < rates[2]
@@ -330,8 +337,8 @@ class TestResidualIciRate:
         _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
         free = dplan.N - dplan.M_D - np.linalg.matrix_rank(H_int, tol=None)
         assert free < 3
-        r12 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e12, 1e-12, 0)
-        r15 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e15, 1e-12, 0)
+        r12 = extensions.rate_with_residual_ici(at_snr(cfg, 1e12, 1e-12), dplan, ch, 0)
+        r15 = extensions.rate_with_residual_ici(at_snr(cfg, 1e15, 1e-12), dplan, ch, 0)
         slope = (r15 - r12) / np.log2(1e3)
         assert slope == pytest.approx(free * dplan.B / dplan.T, rel=0.05)
 
@@ -341,40 +348,71 @@ class TestResidualIciRate:
         ch = zero_delay_taps(
             model.sample_channel_iid(cfg, model.trial_rng(2, 0)), cfg, dplan
         )
-        r6 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e6, 1.0, 0)
-        r9 = extensions.rate_with_residual_ici(cfg, dplan, ch, 1e9, 1.0, 0)
+        r6 = extensions.rate_with_residual_ici(at_snr(cfg, 1e6, 1.0), dplan, ch, 0)
+        r9 = extensions.rate_with_residual_ici(at_snr(cfg, 1e9, 1.0), dplan, ch, 0)
         # three streams, prefactor B / T: the rate keeps its full slope
         expect = 3 * np.log2(1e3) * dplan.B / dplan.T
         assert r9 - r6 == pytest.approx(expect, rel=0.01)
+
+    def test_fig5_snr_is_the_link_budget(self):
+        # 23 dBm against -174 dBm/Hz over 100 Hz, both in watts
+        cfg, _ = experiments.fig5_config()
+        P = 10.0 ** ((23.0 - 30.0) / 10.0)
+        sigma2 = 10.0 ** ((-174.0 - 30.0) / 10.0) * 100.0
+        assert cfg.snr_linear == pytest.approx(P / sigma2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e6])
+    def test_only_the_ratio_of_power_to_noise_matters(self, c):
+        # the oracles' (P, sigma^2) and (c P, c sigma^2) give the same rates,
+        # and so does the production rate at rho = P / sigma^2 alone
+        cfg, dplan, ch = self._setup(seed=1)
+        rho = cfg.snr_linear
+        for k in (0, 3):
+            prop = residual_ici_rate_by_trial(cfg, dplan, ch, rho, 1.0, k)
+            ofdma = ofdma_rate_by_subset(cfg, ch, rho, 1.0, dplan.L_D, dplan.N, k)
+            assert prop > 0 and ofdma > 0
+            scaled = residual_ici_rate_by_trial(cfg, dplan, ch, c * rho, c, k)
+            assert scaled == pytest.approx(prop, rel=1e-12, abs=0)
+            scaled = ofdma_rate_by_subset(cfg, ch, c * rho, c, dplan.L_D, dplan.N, k)
+            assert scaled == pytest.approx(ofdma, rel=1e-12, abs=0)
+            got = extensions.rate_with_residual_ici(cfg, dplan, ch, k)
+            assert got == pytest.approx(prop, rel=1e-12, abs=0)
+            got = analysis.ofdma_rate_with_ici(cfg, dplan, ch, k)
+            assert got == pytest.approx(ofdma, rel=1e-12, abs=0)
 
     def test_reads_only_the_links_into_its_cell(self):
         # each cell's rate from a realization of the links into it alone: the
         # same bits as from every link, and no link out of the cell is read
         cfg, dplan, ch = self._setup(seed=3)
+        cfg = at_snr(cfg, 0.2, 1e-12)
         for k in range(cfg.K):
             into_k = model.ChannelRealization(
                 {(k, i): ch.taps[(k, i)] for i in range(cfg.K)})
-            every = extensions.rate_with_residual_ici(cfg, dplan, ch, 0.2, 1e-12, k)
+            every = extensions.rate_with_residual_ici(cfg, dplan, ch, k)
             assert every > 0
-            assert extensions.rate_with_residual_ici(cfg, dplan, into_k, 0.2, 1e-12, k) == every
+            assert extensions.rate_with_residual_ici(cfg, dplan, into_k, k) == every
 
 
 class TestOfdmaComparator:
     def test_no_interference_single_cell(self):
-        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[3]])
+        P, s2 = 2.0, 0.5
+        cfg = at_snr(model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[8]]), P, s2)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=1)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        n_sc, L_D, P, s2 = 8, 3, 2.0, 0.5
+        n_sc, L_D = 8, 8
+        assert (dplan.N, dplan.L_D) == (n_sc, L_D)
         lam = np.fft.fft(ch.h(0, 0, 0), n_sc)
         expect = np.sum(np.log2(1 + P * np.abs(lam) ** 2 / s2)) / (n_sc + L_D - 1)
-        got = analysis.ofdma_rate_with_ici(cfg, ch, P, s2, n_sc, 0)
+        got = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_interference_reduces_rate(self):
-        cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=3, U=2)
+        cfg = at_snr(model.SystemConfig.symmetric(K=2, L_D=4, L_I=3, U=2), 1.0, 1e-6)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
         ch = model.sample_channel_iid(cfg, model.trial_rng(1, 0))
-        with_ici = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, 16, 0)
+        with_ici = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
         ch.taps[(0, 1)][:] = 0.0
-        without = analysis.ofdma_rate_with_ici(cfg, ch, 1.0, 1e-6, 16, 0)
+        without = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
         assert with_ici < without
 
 
@@ -402,7 +440,7 @@ class TestBatchedFig5Path:
 
     @settings(max_examples=60, deadline=None)
     @given(geometric_cases())
-    # rates of 1e-11 to 1e-9 bit/s/Hz at P = 1: a difference of two
+    # rates of 1e-11 to 1e-9 bit/s/Hz at 10 dB: a difference of two
     # log-determinants is off by up to 1.3e-6 relative here
     @example((model.SystemConfig(K=4, users_per_cell=(1, 1, 3, 1),
                                  cir_len=((4, 1, 1, 1), (1, 4, 1, 1), (1, 1, 1, 2), (4, 6, 1, 4))),
@@ -430,17 +468,18 @@ class TestBatchedFig5Path:
             for key in want.taps:
                 np.testing.assert_array_equal(ch.taps[key], want.taps[key])
         dplan = extensions.make_delayed_plan(cfg, *delay)
-        n_sc = int(rng.integers(1, 10))
-        # P = 1 leaves tiny rates at the -80 dB reference loss; a power that
+        # 10 dB leaves tiny rates at the -80 dB reference loss; an SNR that
         # offsets the loss gives rates that are not
-        for P, k in itertools.product((1.0, 10.0 ** (-model.REF_LOSS_DB / 10.0)),
-                                      range(cfg.K)):
-            got = extensions.rate_with_residual_ici(cfg, dplan, stacked, P, 0.1, k)
-            want = [residual_ici_rate_by_trial(cfg, dplan, ch, P, 0.1, k) for ch in draws]
+        for snr_db, k in itertools.product((10.0, 10.0 - model.REF_LOSS_DB), range(cfg.K)):
+            cfg = dataclasses.replace(cfg, snr_db=snr_db)
+            rho = cfg.snr_linear
+            got = extensions.rate_with_residual_ici(cfg, dplan, stacked, k)
+            want = [residual_ici_rate_by_trial(cfg, dplan, ch, rho, 1.0, k) for ch in draws]
             assert got.shape == (trials,)
             assert _max_rel(got, np.array(want)) <= 1e-12
-            got = analysis.ofdma_rate_with_ici(cfg, stacked, P, 0.1, n_sc, k)
-            want = [ofdma_rate_by_subset(cfg, ch, P, 0.1, L_D, n_sc, k) for ch in draws]
+            got = analysis.ofdma_rate_with_ici(cfg, dplan, stacked, k)
+            want = [ofdma_rate_by_subset(cfg, ch, rho, 1.0, dplan.L_D, dplan.N, k)
+                    for ch in draws]
             assert got.shape == (trials,)
             assert _max_rel(got, np.array(want)) <= 1e-12
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,8 @@ def geometric_draws(cfg, L_I_d, dist, seed, trials):
     """Trials 0 .. trials - 1 of fig5's route, stacked (T, U_i, L_{k,i}) per
     link: large_scale_gain times trial_blocks' user-major taps."""
     gain = model.large_scale_gain(cfg, L_I_d, dist)
-    blocks = list(model.trial_blocks(cfg, seed, trials, user_major=True))
+    blocks = list(model.trial_blocks(dataclasses.replace(cfg, seed=seed), trials,
+                                     user_major=True))
     return model.ChannelRealization(
         {key: gain[key] * np.concatenate([b.taps[key] for b in blocks]) for key in gain})
 
@@ -172,7 +175,8 @@ class TestTrialBlocks:
         oracle = small_scale_by_user if user_major else sample_channel_by_link
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "TRIAL_BLOCK", block)
-            blocks = list(model.trial_blocks(cfg, seed, trials, links, user_major))
+            blocks = list(model.trial_blocks(dataclasses.replace(cfg, seed=seed), trials,
+                                             links, user_major))
         starts = range(0, trials, block)
         assert len(blocks) == len(starts)
         picked = [key for key in every if links is None or key in links]
@@ -192,15 +196,15 @@ class TestFadingTrialBlocks:
     trial, with blocks of 3 trials."""
 
     CFG = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
-                             cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]])
+                             cir_len=[[4, 2, 3], [2, 5, 2], [3, 1, 4]], seed=4)
 
     @pytest.mark.parametrize("links", [[(0, 0), (0, 1), (0, 2)], [(1, 0), (2, 2)]])
     @pytest.mark.parametrize("trials", [1, 6, 8])
     def test_matches_full_draws(self, monkeypatch, links, trials):
         cfg = self.CFG
         monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
-        blocks = list(model.trial_blocks(cfg, 4, trials, links, user_major=True))
-        full = [small_scale_by_user(cfg, model.trial_rng(4, t)) for t in range(trials)]
+        blocks = list(model.trial_blocks(cfg, trials, links, user_major=True))
+        full = [small_scale_by_user(cfg, model.trial_rng(cfg.seed, t)) for t in range(trials)]
         for ch in blocks:
             assert list(ch.taps) == links
         assert [len(ch.taps[links[0]]) for ch in blocks] == [

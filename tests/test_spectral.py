@@ -613,5 +613,5 @@ class TestUnitResponse:
             table = _table(plan, L, plan.M[k])
             assert not table[: plan.L_I].any()
             for m in range(1, plan.M[k] + 1):
-                G = verify.build_rank_factors(plan, L, m).G
+                G = verify.build_rank_factors(plan, L, m)
                 assert _oracle_relative(table[plan.L_I :, m - 1].T, G) <= 1e-12

@@ -128,6 +128,18 @@ class TestSimulateReception:
                     expect += direct_convolve(ch.h(k, i, u), tx[i][u])
             np.testing.assert_allclose(y[k], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_stacked_draws_rejected(self, trials):
+        # the link simulator takes one draw: a trial_blocks stack, even of
+        # one trial, is a ValueError naming the shape it takes
+        cfg, plan, _ = setup_case(K=2, L_D=4, L_I=2, U=2, B=2)
+        stack = next(model.trial_blocks(cfg, trials))
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(3, 0))
+        with pytest.raises(ValueError, match=r"must have shape \(U_i, L_\{k,i\}\)"):
+            transceiver.simulate_reception(cfg, plan, stack, syms)
+        with pytest.raises(ValueError, match=r"must have shape \(U_i, L_\{k,i\}\)"):
+            transceiver.simulate_link(cfg, plan, stack, syms)
+
     def test_idle_cell_must_be_given(self):
         # an idle cell sends nothing, but its (B, 0, 0) entry must be given:
         # left out, it is a ValueError, not a KeyError and not zero symbols.
