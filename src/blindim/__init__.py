@@ -12,7 +12,6 @@ from .model import (
     make_plan,
     sample_channel_iid,
     trial_rng,
-    validate_config,
 )
 from .spectral import build_structured, combiner, idft_basis
 from .transceiver import (

@@ -153,10 +153,8 @@ def ergodic_rate(cfg, snr_db_list, trials):
     desired links, the only links either rate reads; the trials are stacked in
     blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
     spectra serve the whole SNR grid.  Returns (proposed, baseline); raises
-    ValueError unless trials >= 1.
+    ValueError, from trial_blocks, unless trials >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %d" % trials)
     plan = model.make_plan(cfg)
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
     proposed = baseline = 0.0

@@ -15,6 +15,7 @@ from .extensions import make_delayed_plan, rate_with_residual_ici
 
 FIG3_SNR_GRID = tuple(range(0, 45, 5))
 FIG3_K_LIST = (1, 2, 3)
+FIG5_DISTANCES_M = np.arange(20.0, 150.0, 10.0)   # user-to-BS distances (m)
 
 
 def run_snr_comparison(snr_db, trials, seed):
@@ -47,9 +48,10 @@ def fig5_config():
     return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 
-def run_distance_comparison(d_user_grid=None, *, trials, seed):
+def run_distance_comparison(*, trials, seed):
     """Center-cell ergodic spectral efficiency of the proposed two-stage
-    scheme and all-cells-active OFDMA versus user-to-BS distance.
+    scheme and all-cells-active OFDMA at each user-to-BS distance of
+    FIG5_DISTANCES_M.
 
     Trial t draws its small-scale fading from trial_rng(seed, t) once and
     keeps it at every distance (common random numbers): only the path loss
@@ -62,24 +64,20 @@ def run_distance_comparison(d_user_grid=None, *, trials, seed):
     in one call.  Each distance sums its block over the trial axis, as it
     would alone.
 
-    Returns rows (d_user_m, proposed, ofdma); raises ValueError unless
-    trials >= 1.
+    Returns rows (d_user_m, proposed, ofdma); raises ValueError, from
+    trial_blocks, unless trials >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %d" % trials)
-    if d_user_grid is None:
-        d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = fig5_config()
     cfg = dataclasses.replace(cfg, seed=seed)
     gains = model.large_scale_gain(
-        cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
+        cfg, dplan.L_I_d, model.hex_deployment(FIG5_DISTANCES_M, cfg.users_per_cell)
     )
     into_0 = [(0, i) for i in range(cfg.K)]
     # (distance, scheme) sums over the trials
-    acc = np.zeros((len(d_user_grid), 2))
+    acc = np.zeros((len(FIG5_DISTANCES_M), 2))
     for small in model.trial_blocks(cfg, trials, into_0, user_major=True):
         step = max(1, model.TRIAL_BLOCK // len(small.taps[(0, 0)]))
-        for j in range(0, len(d_user_grid), step):
+        for j in range(0, len(FIG5_DISTANCES_M), step):
             near = slice(j, j + step)
             ch = model.ChannelRealization(
                 {key: gains[key][near, None] * small.taps[key] for key in into_0}
@@ -89,4 +87,4 @@ def run_distance_comparison(d_user_grid=None, *, trials, seed):
             acc[near, 0] += prop.sum(axis=-1)
             acc[near, 1] += ofdma.sum(axis=-1)
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
-            for d_user, sums in zip(d_user_grid, acc)]
+            for d_user, sums in zip(FIG5_DISTANCES_M, acc)]

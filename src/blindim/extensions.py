@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ConfigError, TransmissionPlan, link_lengths, require_valid
+from .model import ConfigError, TransmissionPlan, link_lengths
 from .spectral import combiner, projected_response
 
 
@@ -37,7 +37,6 @@ def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
     but never more than the N - M_D = N - 1 rows the combiner observes.
     Raises ConfigError unless 0 <= L_I_d < L_I_prime <= L_I.
     """
-    require_valid(cfg)
     L_D, L_I = link_lengths(cfg)
     if not 0 <= L_I_d < L_I_prime <= L_I:
         raise ConfigError(["require 0 <= L_I_d < L_I_prime <= L_I (got %d, %d, %d)"

@@ -35,7 +35,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Static system parameters for a K-cell uplink with frequency-selective links."""
+    """Static system parameters for a K-cell uplink with frequency-selective links.
+
+    Valid by construction: building one by any route (the constructor,
+    symmetric, dataclasses.replace, configfile.load_system_config) raises
+    ConfigError listing every violated invariant.
+    """
 
     K: int                          # number of cells / base stations
     users_per_cell: tuple           # U_k, one entry per cell
@@ -51,6 +56,9 @@ class SystemConfig:
         object.__setattr__(
             self, "cir_len", tuple(tuple(int(x) for x in row) for row in self.cir_len)
         )
+        violations = _violations(self)
+        if violations:
+            raise ConfigError(violations)
 
     @classmethod
     def symmetric(cls, K, L_D, L_I, U, **kwargs):
@@ -63,8 +71,8 @@ class SystemConfig:
         return float(10.0 ** (self.snr_db / 10.0))
 
 
-def validate_config(cfg: SystemConfig):
-    """Return the list of invariant violations (empty when cfg is valid)."""
+def _violations(cfg: SystemConfig):
+    """The invariants cfg's fields violate, as messages (empty when valid)."""
     violations = []
     if cfg.K < 1:
         violations.append("K >= 1 violated (K=%d)" % cfg.K)
@@ -98,13 +106,6 @@ def validate_config(cfg: SystemConfig):
     if cfg.symbol_model not in ("gaussian", "qpsk"):
         violations.append("symbol_model must be 'gaussian' or 'qpsk'")
     return violations
-
-
-def require_valid(cfg: SystemConfig) -> SystemConfig:
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError(violations)
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,6 @@ def link_lengths(cfg: SystemConfig) -> tuple:
 
 def make_plan(cfg: SystemConfig) -> TransmissionPlan:
     """Compute active-user counts, per-user symbol loads, and frame geometry."""
-    require_valid(cfg)
     L_D, L_I = link_lengths(cfg)
 
     U_active = []
@@ -264,7 +264,10 @@ def trial_blocks(cfg: SystemConfig, trials, links=None, user_major=False):
     only through the last link picked: those are the first normals of the
     full draw (the Generator fills values in sequence).  Link-major blocks of
     every link equal the stacked sample_channel_iid(cfg, trial_rng(cfg.seed, t)).
+    Raises ValueError, on the first next(), unless trials >= 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
     n = _normal_count(cfg, links)
     for start in range(0, trials, TRIAL_BLOCK):
         normals = np.empty((min(TRIAL_BLOCK, trials - start), n))

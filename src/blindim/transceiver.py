@@ -140,7 +140,12 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     The recursion closes as
     s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = leakage_phase of a
     prefix b cp long, so that |phi^b| = 1 to round-off for any B.
+
+    A delayed plan (L_I_d > 0) must have B = 1: the cancellation does not
+    model the fold, so every later subblock would decode wrongly.
     """
+    if plan.L_I_d and plan.B != 1:
+        raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     s_hat = {}
     for k in range(cfg.K):
         z = y_tilde[k] @ zf_projection(H[k], "cell %d: effective channel" % k).T
@@ -155,12 +160,9 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
 
     symbols is draw_symbols' dict k -> (B, U'_k, M_k) of (already
     power-scaled) payload symbols; the returned estimates are on the same
-    scale.  Without noise_rng the link is noiseless.  A delayed plan
-    (L_I_d > 0) must have B = 1: the subblock cancellation does not model
-    the fold, so every later subblock would decode wrongly.
+    scale.  Without noise_rng the link is noiseless.  decode_block raises
+    ValueError for a delayed plan (L_I_d > 0) with B > 1.
     """
-    if plan.L_I_d and plan.B != 1:
-        raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     H = build_structured(cfg, plan, ch)
     y = simulate_reception(cfg, plan, ch, symbols, rng=noise_rng)
     return decode_block(cfg, plan, H, combine(plan, y))

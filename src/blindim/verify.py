@@ -183,11 +183,9 @@ def run_all(cfg, trials):
     trial streams (cfg.seed, t), built only for the desired links (the only
     links they read), with one effective-channel build per trial block.  The
     rank lemmas draw their triples from cfg.seed too; they are batched and
-    cost the same whatever the trial count.  Raises ValueError unless
-    trials >= 1.
+    cost the same whatever the trial count.  Raises ValueError, from
+    trial_blocks, unless trials >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %d" % trials)
     plan = model.make_plan(cfg)
     results = []
 

@@ -211,8 +211,8 @@ def test_criterion_08_delayed_ici_example():
 
 
 def test_criterion_09_distance_comparison_ordering():
-    rows = experiments.run_distance_comparison(d_user_grid=[20.0, 140.0], trials=200, seed=0)
-    near, far = rows[0], rows[1]
+    rows = {row[0]: row for row in experiments.run_distance_comparison(trials=200, seed=0)}
+    near, far = rows[20.0], rows[140.0]
     assert near[2] > near[1], "cell center: OFDMA should win (%g vs %g)" % (near[2], near[1])
     assert far[1] > far[2], "cell edge: proposed should win (%g vs %g)" % (far[1], far[2])
     print(

@@ -306,10 +306,13 @@ class TestErrors:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
 
-    def test_negative_seed(self, tmp_path, capsys):
-        code, text = run(tmp_path, "rate", "--seed", "-1", "--trials", "2")
+    @pytest.mark.parametrize("command", ["rate", "simulate", "verify", "fig3", "fig5"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        # the config the seed enters rejects it
+        code, text = run(tmp_path, command, "--seed", "-1", "--trials", "2")
         assert (code, text) == (2, "")
-        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out.csv").exists()
+        assert capsys.readouterr().err == "error: seed >= 0 violated (seed=-1)\n"
 
     @pytest.mark.parametrize("command", ["rate", "simulate", "verify"])
     @pytest.mark.parametrize("line, message", [
@@ -330,13 +333,14 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
         assert capsys.readouterr().err == "error: %s\n" % message
 
-    def test_seed_option_overrides_config_seed_before_validation(self, tmp_path):
+    def test_seed_option_does_not_rescue_a_config_seed(self, tmp_path, capsys):
+        # the file's config is checked when it is read, before --seed replaces its seed
         cfgfile = tmp_path / "sys.cfg"
         cfgfile.write_text("K = 2\nseed = -1\n")
         code, text = run(tmp_path, "rate", "--config", str(cfgfile), "--seed", "3",
                          "--trials", "2")
-        assert code == 0
-        assert text == run(tmp_path, "rate", "--seed", "3", "--trials", "2", name="b.csv")[1]
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: seed >= 0 violated (seed=-1)\n"
 
     @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "L_D=4,1.5", "K=x"])
     def test_non_numeric_sweep_values(self, tmp_path, capsys, axis):

@@ -1,6 +1,6 @@
 import pytest
 
-from blindim import configfile, model
+from blindim import configfile
 
 
 GOOD = """
@@ -23,7 +23,6 @@ class TestParse:
         assert cfg.snr_db == 20.0
         assert cfg.subblocks == 10
         assert cfg.seed == 7
-        assert model.validate_config(cfg) == []
 
     def test_defaults(self):
         cfg = configfile.load_system_config("")

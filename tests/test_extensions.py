@@ -306,6 +306,19 @@ class TestDelayedDecoding:
         with pytest.raises(ValueError, match="single-subblock"):
             transceiver.simulate_link(cfg, dplan, ch, {k: np.ones((2, 3, 1)) for k in range(2)})
 
+    def test_multi_subblock_rejected_by_the_decoder(self):
+        # the guard sits where the misdecoding would happen, not only in
+        # simulate_link: a direct decode_block call raises too
+        cfg = model.SystemConfig(K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]],
+                                 subblocks=2)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
+        ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dplan)
+        H = spectral.build_structured(cfg, dplan, ch)
+        symbols = {k: np.ones((2, 3, 1)) for k in range(2)}
+        y = transceiver.simulate_reception(cfg, dplan, ch, symbols)
+        with pytest.raises(ValueError, match="single-subblock"):
+            transceiver.decode_block(cfg, dplan, H, transceiver.combine(dplan, y))
+
 
 class TestResidualIciRate:
     def _setup(self, seed=0):
@@ -486,18 +499,19 @@ class TestBatchedFig5Path:
     @pytest.mark.parametrize("trials", [0, -1])
     def test_distance_sweep_rejects_no_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            experiments.run_distance_comparison(d_user_grid=[20.0], trials=trials, seed=0)
+            experiments.run_distance_comparison(trials=trials, seed=0)
 
     def test_distance_sweep_matches_trial_loop(self, monkeypatch):
-        grid = [20.0, 80.0, 140.0]
+        grid = FIG5_GRID
         want = np.array(distance_comparison_by_trial(grid, trials=12, seed=5))
         for block in (model.TRIAL_BLOCK, 5):   # one block, then three
             monkeypatch.setattr(model, "TRIAL_BLOCK", block)
-            got = np.array(experiments.run_distance_comparison(d_user_grid=grid, trials=12, seed=5))
+            got = np.array(experiments.run_distance_comparison(trials=12, seed=5))
             np.testing.assert_array_equal(got[:, 0], grid)
             np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0)
 
 
+# fig5's distances (m), stated apart from experiments.FIG5_DISTANCES_M
 FIG5_GRID = tuple(np.arange(20.0, 150.0, 10.0))
 
 
@@ -506,15 +520,14 @@ class TestDistanceGrouping:
     calls per distance: the same sums bit for bit, and no call over
     model.TRIAL_BLOCK realizations."""
 
-    @pytest.mark.parametrize("block, trials, grid, calls", [
-        (6, 12, FIG5_GRID, 2 * 13),   # step 1: one distance per call
-        (20, 4, FIG5_GRID, 3),        # step 5 leaves 3 distances for the last call
-        (256, 2, FIG5_GRID, 1),       # the whole grid in one call
-        (256, 3, (60.0,), 1),         # a single distance
+    @pytest.mark.parametrize("block, trials, calls", [
+        (6, 12, 2 * 13),   # step 1: one distance per call
+        (20, 4, 3),        # step 5 leaves 3 distances for the last call
+        (256, 2, 1),       # the whole grid in one call
     ])
-    def test_matches_one_call_per_distance(self, monkeypatch, block, trials, grid, calls):
+    def test_matches_one_call_per_distance(self, monkeypatch, block, trials, calls):
         monkeypatch.setattr(model, "TRIAL_BLOCK", block)
-        want = distance_comparison_by_distance(list(grid), trials=trials, seed=3)
+        want = distance_comparison_by_distance(list(FIG5_GRID), trials=trials, seed=3)
         sizes = {}
 
         def counting(module, name):
@@ -530,7 +543,7 @@ class TestDistanceGrouping:
 
         counting(experiments, "rate_with_residual_ici")
         counting(analysis, "ofdma_rate_with_ici")
-        got = experiments.run_distance_comparison(list(grid), trials=trials, seed=3)
+        got = experiments.run_distance_comparison(trials=trials, seed=3)
         np.testing.assert_array_equal(np.array(got), np.array(want))
         for name in ("rate_with_residual_ici", "ofdma_rate_with_ici"):
             # seven links into cell 0 per call

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindim import model
+from blindim import configfile, model
 from oracles import pdp_variance, sample_channel_by_link, small_scale_by_user
 
 
@@ -23,31 +23,110 @@ def geometric_draws(cfg, L_I_d, dist, seed, trials):
         {key: gain[key] * np.concatenate([b.taps[key] for b in blocks]) for key in gain})
 
 
-class TestValidateConfig:
+class TestConfigInvariants:
     def test_valid_reference_config(self):
-        assert model.validate_config(symmetric()) == []
+        cfg = symmetric()
+        assert cfg.users_per_cell == (2, 2)
+        assert cfg.cir_len == ((4, 2), (2, 4))
 
     def test_zero_cells_rejected(self):
-        cfg = model.SystemConfig(K=0, users_per_cell=[], cir_len=[])
-        assert any("K >= 1" in v for v in model.validate_config(cfg))
+        with pytest.raises(model.ConfigError) as exc:
+            model.SystemConfig(K=0, users_per_cell=[], cir_len=[])
+        assert exc.value.violations == ["K >= 1 violated (K=0)"]
 
     def test_zero_tap_count_rejected(self):
-        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[0]])
-        assert any("L >= 1" in v for v in model.validate_config(cfg))
-
-    def test_require_valid_raises_with_violations(self):
-        cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[0]], subblocks=0)
         with pytest.raises(model.ConfigError) as exc:
-            model.require_valid(cfg)
-        assert len(exc.value.violations) == 2
+            model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[0]])
+        assert exc.value.violations == ["L >= 1 violated at (k=0, i=0): L=0"]
+
+    def test_construction_lists_every_violation(self):
+        with pytest.raises(model.ConfigError) as exc:
+            model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[0]], subblocks=0)
+        assert exc.value.violations == ["L >= 1 violated at (k=0, i=0): L=0",
+                                        "B >= 1 violated (B=0)"]
+        assert str(exc.value) == "L >= 1 violated at (k=0, i=0): L=0; B >= 1 violated (B=0)"
 
     def test_negative_seed_rejected(self):
-        assert model.validate_config(symmetric(seed=-1)) == ["seed >= 0 violated (seed=-1)"]
+        with pytest.raises(model.ConfigError) as exc:
+            symmetric(seed=-1)
+        assert exc.value.violations == ["seed >= 0 violated (seed=-1)"]
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snr_rejected(self, snr_db):
-        assert model.validate_config(symmetric(snr_db=snr_db)) == [
-            "snr_db must be finite (snr_db=%r)" % snr_db]
+        with pytest.raises(model.ConfigError) as exc:
+            symmetric(snr_db=snr_db)
+        assert exc.value.violations == ["snr_db must be finite (snr_db=%r)" % snr_db]
+
+
+# symmetric()'s network as SystemConfig fields
+BASE = dict(K=2, users_per_cell=(2, 2), cir_len=((4, 2), (2, 4)))
+# name: (fields that differ from BASE, the same change as arguments of
+# symmetric() or None where it cannot express it, the violations)
+INVALID = {
+    "no_cells": (dict(K=0, users_per_cell=(), cir_len=()), dict(K=0),
+                 ["K >= 1 violated (K=0)"]),
+    "idle_cell": (dict(users_per_cell=(2, 0)), None,
+                  ["U_k >= 1 violated at cell 1 (U=0)"]),
+    "no_users": (dict(users_per_cell=(0, 0)), dict(U=0),
+                 ["U_k >= 1 violated at cell 0 (U=0)", "U_k >= 1 violated at cell 1 (U=0)"]),
+    "user_count": (dict(users_per_cell=(2, 2, 2)), None,
+                   ["users_per_cell must have K entries (got 3, K=2)"]),
+    "no_cross_taps": (dict(cir_len=((4, 0), (0, 4))), dict(L_I=0),
+                      ["L >= 1 violated at (k=0, i=1): L=0",
+                       "L >= 1 violated at (k=1, i=0): L=0"]),
+    "cir_shape": (dict(cir_len=((4, 2),)), None,
+                  ["cir_len must be a K x K matrix"]),
+    "no_subblocks": (dict(subblocks=0), dict(subblocks=0),
+                     ["B >= 1 violated (B=0)"]),
+    "seed": (dict(seed=-1), dict(seed=-1),
+             ["seed >= 0 violated (seed=-1)"]),
+    "snr_nan": (dict(snr_db=float("nan")), dict(snr_db=float("nan")),
+                ["snr_db must be finite (snr_db=nan)"]),
+    "snr_high": (dict(snr_db=4000.0), dict(snr_db=4000.0),
+                 ["snr_db <= 1541.27 violated (snr_db=4000.0)"]),
+    "snr_low": (dict(snr_db=-4000.0), dict(snr_db=-4000.0),
+                ["snr_db >= -1541.27 violated (snr_db=-4000.0)"]),
+    "two_fields": (dict(symbol_model="bpsk", seed=-2), dict(symbol_model="bpsk", seed=-2),
+                   ["seed >= 0 violated (seed=-2)", "symbol_model must be 'gaussian' or 'qpsk'"]),
+}
+
+def _config_text(fields):
+    """A config file that sets fields: lists comma-separated, matrix rows
+    ';'-separated; an empty list is left to the file's default."""
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, tuple) and value and isinstance(value[0], tuple):
+            value = "; ".join(",".join(map(str, row)) for row in value)
+        elif isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        if value != "":
+            lines.append("%s = %s" % (key, value))
+    return "\n".join(lines) + "\n"
+
+
+ROUTES = {
+    "direct": lambda changes, args: model.SystemConfig(**dict(BASE, **changes)),
+    "symmetric": lambda changes, args: symmetric(**args),
+    "replace": lambda changes, args: dataclasses.replace(model.SystemConfig(**BASE), **changes),
+    "file": lambda changes, args: configfile.load_system_config(
+        _config_text(dict(BASE, **changes))),
+}
+
+
+@pytest.mark.parametrize("route, changes, args, violations", [
+    pytest.param(route, changes, args, violations, id="%s-%s" % (route, name))
+    for route in ROUTES for name, (changes, args, violations) in INVALID.items()
+    if route != "symmetric" or args is not None
+])
+def test_every_route_rejects_an_invalid_config(route, changes, args, violations):
+    with pytest.raises(model.ConfigError) as exc:
+        ROUTES[route](changes, args)
+    assert exc.value.violations == violations
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_builds_the_valid_config(route):
+    assert ROUTES[route]({}, {}) == symmetric()
 
 
 class TestMakePlan:
@@ -212,6 +291,12 @@ class TestFadingTrialBlocks:
         for key in links:
             got = np.concatenate([ch.taps[key] for ch in blocks])
             assert got.tobytes() == np.stack([d.taps[key] for d in full]).tobytes()
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        blocks = model.trial_blocks(self.CFG, trials)
+        with pytest.raises(ValueError, match="trials must be >= 1, got %d" % trials):
+            next(blocks)
 
     def test_draws_only_up_to_the_last_link_picked(self):
         # the links into base station 0 come first in a draw
