@@ -18,6 +18,8 @@ large_scale_gain times those.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +53,13 @@ class SystemConfig:
     symbol_model: str = "gaussian"  # "gaussian" or "qpsk"
 
     def __post_init__(self):
-        # normalize to tuples so configs are hashable/immutable
-        object.__setattr__(self, "users_per_cell", tuple(int(u) for u in self.users_per_cell))
+        # normalize to tuples so configs are hashable/immutable, and integral
+        # counts to int; _violations reports the entries left unconverted
+        for name in ("K", "subblocks", "seed"):
+            object.__setattr__(self, name, _integral(getattr(self, name)))
+        object.__setattr__(self, "users_per_cell", tuple(map(_integral, self.users_per_cell)))
         object.__setattr__(
-            self, "cir_len", tuple(tuple(int(x) for x in row) for row in self.cir_len)
+            self, "cir_len", tuple(tuple(map(_integral, row)) for row in self.cir_len)
         )
         violations = _violations(self)
         if violations:
@@ -71,31 +76,52 @@ class SystemConfig:
         return float(10.0 ** (self.snr_db / 10.0))
 
 
+def _integral(x):
+    """x as an int when it is an integer (numpy's too) or an integral real,
+    else x unchanged."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        integral = isinstance(x, numbers.Real) and float(x).is_integer()
+        return int(x) if integral else x
+
+
 def _violations(cfg: SystemConfig):
-    """The invariants cfg's fields violate, as messages (empty when valid)."""
+    """The invariants cfg's fields violate, as messages (empty when valid).
+    A count that is not an int, as left by _integral, is reported as such
+    and not range-checked; a K that is not an int checks no lengths."""
     violations = []
-    if cfg.K < 1:
+    sized = isinstance(cfg.K, int)
+    if not sized:
+        violations.append("K must be an integer (K=%r)" % (cfg.K,))
+    elif cfg.K < 1:
         violations.append("K >= 1 violated (K=%d)" % cfg.K)
-    if len(cfg.users_per_cell) != cfg.K:
+    if sized and len(cfg.users_per_cell) != cfg.K:
         violations.append(
             "users_per_cell must have K entries (got %d, K=%d)"
             % (len(cfg.users_per_cell), cfg.K)
         )
     for k, u in enumerate(cfg.users_per_cell):
-        if u < 1:
+        if not isinstance(u, int):
+            violations.append("U_k must be an integer at cell %d (U=%r)" % (k, u))
+        elif u < 1:
             violations.append("U_k >= 1 violated at cell %d (U=%d)" % (k, u))
-    if len(cfg.cir_len) != cfg.K or any(len(row) != cfg.K for row in cfg.cir_len):
+    if sized and (len(cfg.cir_len) != cfg.K or any(len(row) != cfg.K for row in cfg.cir_len)):
         violations.append("cir_len must be a K x K matrix")
     else:
-        for k in range(cfg.K):
-            for i in range(cfg.K):
-                if cfg.cir_len[k][i] < 1:
-                    violations.append(
-                        "L >= 1 violated at (k=%d, i=%d): L=%d" % (k, i, cfg.cir_len[k][i])
-                    )
-    if cfg.subblocks < 1:
+        for k, row in enumerate(cfg.cir_len):
+            for i, L in enumerate(row):
+                if not isinstance(L, int):
+                    violations.append("L must be an integer at (k=%d, i=%d): L=%r" % (k, i, L))
+                elif L < 1:
+                    violations.append("L >= 1 violated at (k=%d, i=%d): L=%d" % (k, i, L))
+    if not isinstance(cfg.subblocks, int):
+        violations.append("B must be an integer (B=%r)" % (cfg.subblocks,))
+    elif cfg.subblocks < 1:
         violations.append("B >= 1 violated (B=%d)" % cfg.subblocks)
-    if cfg.seed < 0:
+    if not isinstance(cfg.seed, int):
+        violations.append("seed must be an integer (seed=%r)" % (cfg.seed,))
+    elif cfg.seed < 0:
         violations.append("seed >= 0 violated (seed=%d)" % cfg.seed)
     if not math.isfinite(cfg.snr_db):
         violations.append("snr_db must be finite (snr_db=%r)" % cfg.snr_db)

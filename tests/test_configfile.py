@@ -66,6 +66,11 @@ class TestErrors:
     def test_bad_integer(self):
         self.assert_error_at("K = two\n", 1, "integer")
 
+    @pytest.mark.parametrize("line", ["K = 2.5", "users_per_cell = 2.9, 2",
+                                      "cir_len = 4.7, 2; 2, 4", "subblocks = 2.5", "seed = 1.5"])
+    def test_fractional_count(self, line):
+        self.assert_error_at("snr_db = 10\n%s\n" % line, 2, "integer")
+
     def test_bad_matrix(self):
         self.assert_error_at("K = 2\ncir_len = 4,x; 2,4\n", 2, "cir_len")
 

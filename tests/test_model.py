@@ -88,7 +88,18 @@ INVALID = {
                 ["snr_db >= -1541.27 violated (snr_db=-4000.0)"]),
     "two_fields": (dict(symbol_model="bpsk", seed=-2), dict(symbol_model="bpsk", seed=-2),
                    ["seed >= 0 violated (seed=-2)", "symbol_model must be 'gaussian' or 'qpsk'"]),
+    "fractional_K": (dict(K=2.5), None, ["K must be an integer (K=2.5)"]),
+    "fractional_entries": (dict(users_per_cell=(2.9, 2), cir_len=((4.7, 2), (2, 4))), None,
+                           ["U_k must be an integer at cell 0 (U=2.9)",
+                            "L must be an integer at (k=0, i=0): L=4.7"]),
+    "fractional_subblocks": (dict(subblocks=2.5), dict(subblocks=2.5),
+                             ["B must be an integer (B=2.5)"]),
+    "fractional_seed": (dict(seed=1.5), dict(seed=1.5), ["seed must be an integer (seed=1.5)"]),
 }
+# a config file parses these counts as integers, so it rejects the fractions
+# on their line (test_configfile.py::TestErrors::test_fractional_count)
+PARSED_AS_INTEGERS = {"fractional_K", "fractional_entries", "fractional_subblocks",
+                      "fractional_seed"}
 
 def _config_text(fields):
     """A config file that sets fields: lists comma-separated, matrix rows
@@ -116,7 +127,8 @@ ROUTES = {
 @pytest.mark.parametrize("route, changes, args, violations", [
     pytest.param(route, changes, args, violations, id="%s-%s" % (route, name))
     for route in ROUTES for name, (changes, args, violations) in INVALID.items()
-    if route != "symmetric" or args is not None
+    if (route != "symmetric" or args is not None)
+    and (route != "file" or name not in PARSED_AS_INTEGERS)
 ])
 def test_every_route_rejects_an_invalid_config(route, changes, args, violations):
     with pytest.raises(model.ConfigError) as exc:
@@ -127,6 +139,16 @@ def test_every_route_rejects_an_invalid_config(route, changes, args, violations)
 @pytest.mark.parametrize("route", ROUTES)
 def test_every_route_builds_the_valid_config(route):
     assert ROUTES[route]({}, {}) == symmetric()
+
+
+def test_integral_counts_are_normalised_to_int():
+    cfg = model.SystemConfig(K=2.0, users_per_cell=[np.int64(2), 2.0],
+                             cir_len=[[np.int32(4), 2], [2, np.float32(4)]],
+                             subblocks=np.int64(3), seed=7.0)
+    assert cfg == symmetric(subblocks=3, seed=7)
+    counts = (cfg.K, cfg.subblocks, cfg.seed, *cfg.users_per_cell, *sum(cfg.cir_len, ()))
+    assert {type(x) for x in counts} == {int}
+    assert model.make_plan(cfg) == model.make_plan(symmetric(subblocks=3, seed=7))
 
 
 class TestMakePlan:

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -480,6 +481,20 @@ class TestFrameReception:
         tracemalloc.stop()
         assert peak <= 2 * plan.L_D * plan.T * 16
 
+    def test_cut_links_stay_below_the_padded_peak(self):
+        # link_large's reception: padding the 42 four-tap cross links to 32
+        # taps peaked at 7.8 (K, T) streams (3.07 MB); cut at S = 4, at 4.7
+        cfg = model.SystemConfig.symmetric(K=7, L_D=32, L_I=4, U=6, subblocks=100)
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(60, 0))
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(61, 0))
+        transceiver.simulate_reception(cfg, plan, ch, syms)   # tables cached, as in a run
+        tracemalloc.start()
+        transceiver.simulate_reception(cfg, plan, ch, syms, rng=model.trial_rng(62, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 6 * cfg.K * plan.T * 16
+
 
 class TestProjectionDecode:
     @settings(max_examples=100, deadline=None)
@@ -512,21 +527,26 @@ class TestProjectionDecode:
 
 
 @st.composite
-def reception_cases(draw):
+def reception_cases(draw, short_cross=False):
     """K in 1..4 with an independent length per link (all equal or drawn
     from two values in some kinds) and, in half the cases, the delayed-ICI
     plan, whose active cells may hear cross links longer than their own and
-    longer than N + cp."""
-    K = draw(st.integers(1, 4))
+    longer than N + cp.  With short_cross, K >= 2 and the cross links (1 to
+    4 taps) are mostly outlasted by the desired links (1 to 40 taps)."""
+    K = draw(st.integers(2 if short_cross else 1, 4))
     users = draw(st.lists(st.integers(1, 4), min_size=K, max_size=K))
-    kind = draw(st.sampled_from(["independent", "ties", "all_equal"]))
-    if kind == "all_equal":
-        values = [draw(st.integers(1, 12))]
-    elif kind == "ties":
-        values = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2))
+    if short_cross:
+        cir = [[draw(st.integers(1, 40) if i == k else st.integers(1, 4)) for i in range(K)]
+               for k in range(K)]
     else:
-        values = list(range(1, 13))
-    cir = [[draw(st.sampled_from(values)) for _ in range(K)] for _ in range(K)]
+        kind = draw(st.sampled_from(["independent", "ties", "all_equal"]))
+        if kind == "all_equal":
+            values = [draw(st.integers(1, 12))]
+        elif kind == "ties":
+            values = draw(st.lists(st.integers(1, 12), min_size=2, max_size=2))
+        else:
+            values = list(range(1, 13))
+        cir = [[draw(st.sampled_from(values)) for _ in range(K)] for _ in range(K)]
     delay = None
     if draw(st.booleans()):
         L_I = max([cir[k][i] for k in range(K) for i in range(K) if i != k], default=1)
@@ -546,6 +566,25 @@ def _reception_plan(case):
     return cfg, extensions.make_delayed_plan(cfg, *delay)
 
 
+# reception_cases on the cut side of simulate_reception's rule (S below the
+# longest link): desired links longer than S add their taps from S on as tails
+CUT_CASES = {
+    # K = 5 > c = 2: three blocks a side, and tails of 42 to 57 taps in
+    # chunks of c^2 = 4 cells and 1; cells 1 and 3 have two users each
+    "chunks": (5, [1, 2, 1, 2, 1], [[60, 2, 3, 2, 2], [2, 50, 2, 2, 3], [3, 2, 60, 2, 2],
+                                    [2, 2, 2, 45, 2], [2, 3, 2, 2, 60]], None, 2, True, 11),
+    # cell 1's desired link (2 taps) is shorter than S = 3, so it is idle and
+    # has no tail; it shares a block with cell 0, whose tail is 37 taps long
+    "short_cell": (4, [2, 3, 2, 1], [[40, 3, 2, 2], [2, 2, 3, 2], [1, 2, 12, 3],
+                                     [2, 2, 3, 36]], None, 2, False, 12),
+    # delayed plan: cell 1 is active on a 4-tap link, below S = 6 > L_I' = 4
+    "delayed": (3, [6, 3, 6], [[140, 6, 3], [5, 4, 6], [2, 6, 130]], (1, 4), 2, True, 13),
+    # link_large's geometry at B = 2: c = 5, so two blocks a side
+    "link_large": (7, [6] * 7, [[32 if k == i else 4 for i in range(7)] for k in range(7)],
+                   None, 2, False, 14),
+}
+
+
 class TestReceptionProperty:
     @settings(max_examples=80, deadline=None)
     @given(reception_cases())
@@ -558,7 +597,47 @@ class TestReceptionProperty:
               (0, 2), 3, False, 3))
     # cell 1 idle (L_11 = L_I) and cell 0 with U' < U in the base plan
     @example((3, [5, 3, 1], [[6, 2, 2], [2, 2, 2], [2, 2, 7]], None, 2, True, 4))
+    @example(CUT_CASES["chunks"])
+    @example(CUT_CASES["short_cell"])
+    @example(CUT_CASES["delayed"])
+    @example(CUT_CASES["link_large"])
     def test_matches_per_link_convolution(self, case):
+        self._check(case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(reception_cases(short_cross=True))
+    def test_cut_at_every_padded_block_matches_per_link_convolution(self, case):
+        # with no threshold, any block whose desired link outlasts S is cut
+        with mock.patch.object(transceiver, "SPLIT_PADDED_TAPS", 0):
+            self._check(case)
+
+    @pytest.mark.parametrize("name", CUT_CASES)
+    def test_cut_cases_take_the_cut(self, name):
+        K, _, cir = CUT_CASES[name][:3]
+        lengths = {(k, i): cir[k][i] for k in range(K) for i in range(K)}
+        c, S = transceiver._blocking(_reception_plan(CUT_CASES[name])[1], lengths)
+        assert S == max(L for (k, i), L in lengths.items() if k != i) < max(lengths.values())
+        assert {"chunks": c * c < K, "short_cell": cir[1][1] < S, "delayed": cir[1][1] < S,
+                "link_large": c < K}[name]
+
+    @pytest.mark.parametrize("geometry, cut", [
+        (dict(K=2, L_D=4, L_I=2, U=2), False),                  # the default simulate config
+        (dict(K=3, L_D=8, L_I=2, U=3, subblocks=10), False),
+        (dict(K=7, L_D=8, L_I=4, U=2, subblocks=100), False),
+        (dict(K=7, L_D=12, L_I=4, U=6, subblocks=100), False),  # 2016 padded taps
+        (dict(K=6, L_D=16, L_I=4, U=3, subblocks=10), False),   # 4320
+        (dict(K=3, L_D=32, L_I=4, U=4, subblocks=3), True),     # 4704
+        (dict(K=7, L_D=16, L_I=4, U=6, subblocks=100), True),
+        (dict(K=7, L_D=32, L_I=4, U=6, subblocks=100), True),   # link_large
+        (dict(K=2, L_D=256, L_I=2, U=1), False),                # c = 1: no block is padded
+    ])
+    def test_side_of_the_cut(self, geometry, cut):
+        cfg = model.SystemConfig.symmetric(**geometry)
+        lengths = {(k, i): cfg.cir_len[k][i] for k in range(cfg.K) for i in range(cfg.K)}
+        S = transceiver._blocking(model.make_plan(cfg), lengths)[1]
+        assert S == (geometry["L_I"] if cut else geometry["L_D"])
+
+    def _check(self, case):
         K, users, cir, delay, B, noisy, seed = case
         cfg, plan = _reception_plan(case)
         rng = np.random.default_rng(seed)
