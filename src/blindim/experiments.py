@@ -21,13 +21,13 @@ FIG5_DISTANCES_M = np.arange(20.0, 150.0, 10.0)   # user-to-BS distances (m)
 def run_snr_comparison(snr_db, trials, seed):
     """Ergodic sum spectral efficiency of the proposed scheme and the
     TDMA-OFDMA baseline for the fig3 scenario: symmetric K-cell networks,
-    K in FIG3_K_LIST, with L_D = 8, L_I = 2, U = 3 and B = 10.
+    K in FIG3_K_LIST, with L_D = 8, L_I = 2 and U = 3.
 
     Returns rows (snr_db, K, proposed, baseline).
     """
     rows = []
     for K in FIG3_K_LIST:
-        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, subblocks=10, seed=seed)
+        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, seed=seed)
         proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials)
         for j, s in enumerate(snr_db):
             rows.append((float(s), K, float(proposed[j]), float(baseline[j])))

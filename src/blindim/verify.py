@@ -4,12 +4,14 @@ desired channel, full-rank checks of the effective channel, and the supporting
 rank inequalities.  All checks are numerical (SVD-based) at random points, in
 line with the almost-sure nature of the underlying claims.
 
-Every check is batched: stacked matrices share one SVD call.  run_all builds
+Every check is batched: stacked matrices share one SVD call, and every rank
+counts singular values against the matrix's own largest.  run_all builds
 each trial block's effective channels once for the decomposition and rank
 checks; the decomposition takes one stacked product per cell.  Its two rank
-lemmas (the Frobenius inequality on zero-padded triples, placed by one
-boolean fill; DFT-submatrix independence over every removed run and column
-pick) take a fixed number of batched SVDs whatever the trial count."""
+lemmas read nothing of the network and cost one batched SVD each, whatever
+the trial count: the Frobenius inequality on 200 zero-padded Gaussian
+triples from one normal draw, and DFT-submatrix independence over every
+removed run and column pick."""
 
 from __future__ import annotations
 
@@ -28,16 +30,14 @@ DECOMPOSITION_TOL = 1e-10
 DEFAULT_CONFIG = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3)
 
 
-def numerical_rank(A, scale=None):
-    """Rank via SVD; singular values above RANK_TOL * scale count, where scale
-    defaults to each matrix's largest singular value.
+def numerical_rank(A):
+    """Rank via SVD: singular values above RANK_TOL times the matrix's largest.
 
     Leading axes stack matrices: the result has one rank per matrix, from one
-    batched SVD.  A given scale broadcasts against those axes.
+    batched SVD.
     """
     sv = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
-    scale = sv[..., :1] if scale is None else np.expand_dims(scale, -1)
-    return (sv > RANK_TOL * scale).sum(axis=-1)
+    return (sv > RANK_TOL * sv[..., :1]).sum(axis=-1)
 
 
 def _norm(x):
@@ -124,57 +124,6 @@ def _full_rank_draws(plan, H) -> int:
     return int(np.count_nonzero(np.all(ranks, axis=0)))
 
 
-def lemma3_ranks(A, B, C):
-    """(..., 4) ranks of AB, BC, B and ABC, as check_lemma3 counts them.
-
-    B's singular values count against its largest one, and each product's
-    against the product of its factors' largest ones, which bounds the
-    product's own largest.  So a product that is zero up to round-off has
-    rank 0, whatever the zero padding or the BLAS summation order.
-    """
-    a, c = (np.linalg.svd(M, compute_uv=False)[..., 0] for M in (A, C))
-    sv_b = np.linalg.svd(B, compute_uv=False)
-    b = sv_b[..., 0]
-    AB = A @ B
-    return np.stack([numerical_rank(AB, scale=a * b), numerical_rank(B @ C, scale=b * c),
-                     np.count_nonzero(sv_b > RANK_TOL * sv_b[..., :1], axis=-1),
-                     numerical_rank(AB @ C, scale=a * b * c)], axis=-1)
-
-
-def check_lemma3(A, B, C):
-    """rank(AB) + rank(BC) <= rank(B) + rank(ABC) (Frobenius rank inequality).
-
-    A (..., a, b), B (..., b, c) and C (..., c, d) may carry leading axes that
-    stack triples: the result has one verdict per triple, from batched SVDs
-    of the factors and products (ranks as lemma3_ranks counts them).
-    """
-    ab, bc, b, abc = np.moveaxis(lemma3_ranks(A, B, C), -1, 0)
-    return ab + bc <= b + abc
-
-
-def check_dft_submatrix_independence(N, removed_rows, picked_cols):
-    """Columns of a DFT matrix stay independent after deleting consecutive rows.
-
-    removed_rows is a consecutive run of r rows, or an (R, r) array of R runs;
-    picked_cols is a pick of at most N - r columns, or a (P, c) array of P
-    picks.  The result has one verdict per run and pick, shape (R, P) when
-    both are stacked, from one fancy index into the DFT matrix and one
-    batched SVD.
-    """
-    removed = np.sort(np.asarray(removed_rows, dtype=int), axis=-1)
-    if np.any(np.diff(removed, axis=-1) != 1):
-        raise ValueError("removed rows must be consecutive")
-    picked = np.asarray(picked_cols, dtype=int)
-    if picked.shape[-1] > N - removed.shape[-1]:
-        raise ValueError("cannot pick more columns than remaining rows")
-    F = spectral.idft_basis(N).conj().T   # DFT matrix; row deletion symmetric either way
-    # the rows each run leaves, in order, on their own axis ahead of the picks'
-    kept = ~np.any(np.arange(N) == removed[..., None], axis=-2)
-    rows = np.broadcast_to(np.arange(N), kept.shape)[kept]
-    rows = rows.reshape(kept.shape[:-1] + (1,) * (picked.ndim - 1) + (-1, 1))
-    return numerical_rank(F[rows, picked[..., None, :]]) == picked.shape[-1]
-
-
 def run_all(cfg, trials):
     """Full verification sweep of cfg; returns a list of (name, detail, ok,
     residual).
@@ -182,11 +131,15 @@ def run_all(cfg, trials):
     The decomposition and effective-rank checks read the same draws, the
     trial streams (cfg.seed, t), built only for the desired links (the only
     links they read), with one effective-channel build per trial block.  The
-    rank lemmas draw their triples from cfg.seed too; they are batched and
-    cost the same whatever the trial count.  Raises ValueError, from
+    rank lemmas read nothing of the network; each costs one batched SVD
+    whatever the trial count.  Raises ConfigError when no cell has
+    L_kk > L_I, which leaves no column to check, and ValueError, from
     trial_blocks, unless trials >= 1.
     """
     plan = model.make_plan(cfg)
+    if not any(plan.U_active):
+        raise model.ConfigError(["verify needs a cell with L_kk > L_I; every L_kk <= L_I = %d"
+                                 % plan.L_I])
     results = []
 
     worst = 0.0
@@ -204,28 +157,27 @@ def run_all(cfg, trials):
     frac = passed / trials
     results.append(("effective_rank", "%d trials" % trials, frac == 1.0, 1.0 - frac))
 
-    # zero padding to 8 x 8 only adds exact zero singular values, so every
-    # rank is that of the unpadded matrix.  One normal draw per triple fills
-    # A, B and C in turn, as one draw each would (the Generator fills values
-    # in sequence), and one boolean fill places every draw in row-major order
+    # Frobenius: rank(AB) + rank(BC) <= rank(B) + rank(ABC), on 200 Gaussian
+    # triples of sizes d0 x d1, d1 x d2 and d2 x d3 in 1..8, zero-padded to
+    # 8 x 8: the padding adds only exact zero singular values.  No Gaussian
+    # product is zero up to round-off, so each matrix's own largest singular
+    # value is a safe scale for its rank
     rng = np.random.default_rng(cfg.seed)
-    dims, values = [], []
-    for _ in range(200):
-        d = rng.integers(1, 9, size=4)
-        dims.append(d)
-        values.append(rng.standard_normal(d[0] * d[1] + d[1] * d[2] + d[2] * d[3]))
-    d = np.array(dims)[:, :, None, None]
+    d = rng.integers(1, 9, size=(200, 4)).T[..., None, None]            # (4, 200, 1, 1)
     i8 = np.arange(8)
-    fill = (i8[:, None] < d[:, :3]) & (i8 < d[:, 1:])      # (200, 3, 8, 8)
-    triples = np.zeros(fill.shape)
-    triples[fill] = np.concatenate(values)
-    triples = triples.transpose(1, 0, 2, 3)
-    ok_l3 = bool(np.all(check_lemma3(*triples)))
+    A, B, C = rng.standard_normal((3, 200, 8, 8)) * ((i8[:, None] < d[:3]) & (i8 < d[1:]))
+    AB = A @ B
+    ab, bc, b, abc = numerical_rank(np.stack([AB, B @ C, B, AB @ C]))
+    ok_l3 = bool(np.all(ab + bc <= b + abc))
     results.append(("rank_inequality", "200 random triples", ok_l3, 0.0))
 
+    # every 3 columns of the 8-point DFT stay independent once any run of 3
+    # consecutive rows is deleted: run s keeps rows 0..s-1 and s+3..7, in order
     N = 8
-    runs = np.arange(N - 2)[:, None] + np.arange(3)
-    picks = list(itertools.combinations(range(N), 3))
-    ok_dft = bool(np.all(check_dft_submatrix_independence(N, runs, picks)))
+    r = np.arange(N - 3)
+    kept = r + 3 * (r >= np.arange(N - 2)[:, None])                      # (6, 5)
+    picks = np.array(list(itertools.combinations(range(N), 3)))        # (56, 3)
+    F = spectral.idft_basis(N).conj().T
+    ok_dft = bool(np.all(numerical_rank(F[kept[:, None, :, None], picks[:, None, :]]) == 3))
     results.append(("dft_submatrix", "N=8, 3 consecutive rows removed", ok_dft, 0.0))
     return results

@@ -546,26 +546,92 @@ def check_lemma2(cfg, trials, seed=0):
 def lemma3_by_triple(seed, count=200):
     """verify's rank-inequality sweep one unpadded triple at a time.
 
-    Per triple, four sizes in 1..8 and then A, B and C are drawn from
-    default_rng(seed).  Returns the list of (A, B, C) and, per triple, whether
-    rank(AB) + rank(BC) <= rank(B) + rank(ABC).
+    From default_rng(seed): the (count, 4) sizes in 1..8, then
+    (3, count, 8, 8) normals; triple t crops A, B and C out of the top-left
+    corners of normals[:, t].  Returns the list of (A, B, C) and, per triple,
+    [rank AB, rank BC, rank B, rank ABC], each matrix counted against its own
+    largest singular value.
     """
     rng = np.random.default_rng(seed)
-    triples, verdicts = [], []
-    for _ in range(count):
-        dims = rng.integers(1, 9, size=4)
-        A = rng.standard_normal((dims[0], dims[1]))
-        B = rng.standard_normal((dims[1], dims[2]))
-        C = rng.standard_normal((dims[2], dims[3]))
+    dims = rng.integers(1, 9, size=(count, 4))
+    normals = rng.standard_normal((3, count, 8, 8))
+    triples, ranks = [], []
+    for t, d in enumerate(dims):
+        A, B, C = (normals[j, t, : d[j], : d[j + 1]] for j in range(3))
         triples.append((A, B, C))
-        ab, bc, b, abc = lemma3_ranks_by_triple(A, B, C)
-        verdicts.append(ab + bc <= b + abc)
-    return triples, verdicts
+        ranks.append([rank_by_matrix(M) for M in (A @ B, B @ C, B, A @ B @ C)])
+    return triples, ranks
+
+
+def dft_submatrix(N, removed_rows, cols):
+    """Columns cols of the N-point DFT matrix with removed_rows deleted."""
+    F = _dft_columns(N).conj().T
+    keep = [r for r in range(N) if r not in set(removed_rows)]
+    return F[np.ix_(keep, list(cols))]
 
 
 def dft_submatrix_by_pick(N, removed_rows, picks):
     """Per pick of columns, whether those columns of the N-point DFT matrix
     with removed_rows deleted are independent: one np.ix_ submatrix each."""
-    F = _dft_columns(N).conj().T
-    keep = [r for r in range(N) if r not in set(removed_rows)]
-    return [rank_by_matrix(F[np.ix_(keep, list(cols))]) == len(cols) for cols in picks]
+    return [rank_by_matrix(dft_submatrix(N, removed_rows, cols)) == len(cols) for cols in picks]
+
+
+# ---------------------------------------------------------------------------
+# The rank lemmas as general batched checks, on stacked matrices
+# ---------------------------------------------------------------------------
+
+def stacked_rank(A, scale=None):
+    """One rank per matrix stacked on A's leading axes: singular values above
+    1e-8 times scale, which broadcasts against those axes and defaults to each
+    matrix's largest singular value."""
+    sv = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
+    scale = sv[..., :1] if scale is None else np.expand_dims(scale, -1)
+    return (sv > 1e-8 * scale).sum(axis=-1)
+
+
+def lemma3_ranks(A, B, C):
+    """(..., 4) ranks of AB, BC, B and ABC, as check_lemma3 counts them.
+
+    B's singular values count against its largest one, and each product's
+    against the product of its factors' largest ones, which bounds the
+    product's own largest.  So a product that is zero up to round-off has
+    rank 0, whatever the zero padding or the BLAS summation order.
+    """
+    a, b, c = (np.linalg.svd(M, compute_uv=False)[..., 0] for M in (A, B, C))
+    AB = A @ B
+    return np.stack([stacked_rank(AB, a * b), stacked_rank(B @ C, b * c), stacked_rank(B),
+                     stacked_rank(AB @ C, a * b * c)], axis=-1)
+
+
+def check_lemma3(A, B, C):
+    """rank(AB) + rank(BC) <= rank(B) + rank(ABC) (Frobenius rank inequality).
+
+    A (..., a, b), B (..., b, c) and C (..., c, d) may carry leading axes that
+    stack triples: the result has one verdict per triple (ranks as
+    lemma3_ranks counts them).
+    """
+    ab, bc, b, abc = np.moveaxis(lemma3_ranks(A, B, C), -1, 0)
+    return ab + bc <= b + abc
+
+
+def check_dft_submatrix_independence(N, removed_rows, picked_cols):
+    """Columns of a DFT matrix stay independent after deleting consecutive rows.
+
+    removed_rows is a consecutive run of r rows, or an (R, r) array of R runs;
+    picked_cols is a pick of at most N - r columns, or a (P, c) array of P
+    picks.  The result has one verdict per run and pick, shape (R, P) when
+    both are stacked, from one fancy index into the DFT matrix and one
+    batched SVD.
+    """
+    removed = np.sort(np.asarray(removed_rows, dtype=int), axis=-1)
+    if np.any(np.diff(removed, axis=-1) != 1):
+        raise ValueError("removed rows must be consecutive")
+    picked = np.asarray(picked_cols, dtype=int)
+    if picked.shape[-1] > N - removed.shape[-1]:
+        raise ValueError("cannot pick more columns than remaining rows")
+    F = _dft_columns(N).conj().T   # DFT matrix; row deletion symmetric either way
+    # the rows each run leaves, in order, on their own axis ahead of the picks'
+    kept = ~np.any(np.arange(N) == removed[..., None], axis=-2)
+    rows = np.broadcast_to(np.arange(N), kept.shape)[kept]
+    rows = rows.reshape(kept.shape[:-1] + (1,) * (picked.ndim - 1) + (-1, 1))
+    return stacked_rank(F[rows, picked[..., None, :]]) == picked.shape[-1]

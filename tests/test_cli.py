@@ -233,6 +233,23 @@ class TestVerify:
         assert from_file[0] == 0
         assert from_file == from_flag != seed_0
 
+    def test_no_active_cell_is_an_error(self, tmp_path, capsys):
+        # every L_kk <= L_I leaves no column to check: no CSV of passes
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 2\ncir_len = 2,2; 2,2\n")
+        assert run(tmp_path, "verify", "--config", str(cfgfile), "--trials", "5") == (2, "")
+        assert not (tmp_path / "out.csv").exists()
+        assert capsys.readouterr().err == (
+            "error: verify needs a cell with L_kk > L_I; every L_kk <= L_I = 2\n")
+
+    def test_one_active_cell_passes(self, tmp_path):
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 2\ncir_len = 5,2; 2,2\n")
+        code, text = run(tmp_path, "verify", "--config", str(cfgfile), "--trials", "5")
+        rows = text.splitlines()[1:]
+        assert code == 0
+        assert len(rows) == 4 and all(",pass," in row for row in rows)
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):

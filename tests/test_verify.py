@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from blindim import model, spectral, verify
 from oracles import (
+    check_dft_submatrix_independence,
     check_lemma2,
+    check_lemma3,
+    dft_submatrix,
     dft_submatrix_by_pick,
     direct_channel_matrix,
     lemma3_by_triple,
+    lemma3_ranks,
     lemma3_ranks_by_triple,
     rank_by_matrix,
     tap_sums,
@@ -25,6 +29,24 @@ def fig_cfg():
 def decomposition(cfg, plan, ch):
     """check_decomposition on the production effective channels of ch."""
     return verify.check_decomposition(cfg, plan, ch, spectral.build_structured(cfg, plan, ch))
+
+
+def record_rank_calls(monkeypatch):
+    """Record every verify.numerical_rank call as (matrices, ranks)."""
+    calls = []
+    original = verify.numerical_rank
+
+    def recording(A):
+        ranks = original(A)
+        calls.append((A, ranks))
+        return ranks
+
+    monkeypatch.setattr(verify, "numerical_rank", recording)
+    return calls
+
+
+def row_verdicts(results):
+    return {name: ok for name, _, ok, _ in results}
 
 
 class TestNumericalRank:
@@ -179,11 +201,11 @@ class TestRankInequality:
             A = rng.standard_normal((dims[0], dims[1]))
             B = rng.standard_normal((dims[1], dims[2]))
             C = rng.standard_normal((dims[2], dims[3]))
-            assert verify.check_lemma3(A, B, C)
+            assert check_lemma3(A, B, C)
 
     def test_tight_for_identity(self):
         Id = np.eye(3)
-        assert verify.check_lemma3(Id, Id, Id)
+        assert check_lemma3(Id, Id, Id)
 
 
 def pad(matrices, size=8):
@@ -226,9 +248,9 @@ class TestBatchedRankLemma:
                              (A @ B @ C, [a @ b @ c for a, b, c in stack])]:
             assert verify.numerical_rank(padded).tolist() == [rank_by_matrix(m) for m in each]
         ranks = [lemma3_ranks_by_triple(*triple) for triple in stack]
-        assert verify.lemma3_ranks(A, B, C).tolist() == ranks
+        assert lemma3_ranks(A, B, C).tolist() == ranks
         want = [ab + bc <= b + abc for ab, bc, b, abc in ranks]
-        assert verify.check_lemma3(A, B, C).tolist() == want
+        assert check_lemma3(A, B, C).tolist() == want
 
     def test_null_product_has_rank_zero_padded_or_not(self):
         # A's row orthogonal to B's repeated column: AB and ABC are zero up
@@ -241,29 +263,29 @@ class TestBatchedRankLemma:
         Q, _ = np.linalg.qr(np.column_stack([v, rng.standard_normal((8, 7))]))
         A = rng.standard_normal((1, 7)) @ Q[:, 1:].T
         C = rng.standard_normal((8, 1))
-        unpadded = verify.lemma3_ranks(A, B, C).tolist()
-        padded = verify.lemma3_ranks(*pad([A, B, C])).tolist()
+        unpadded = lemma3_ranks(A, B, C).tolist()
+        padded = lemma3_ranks(*pad([A, B, C])).tolist()
         assert unpadded == padded == [0, 1, 1, 0]
-        assert verify.check_lemma3(A, B, C)
-        assert verify.check_lemma3(*pad([A, B, C]))
+        assert check_lemma3(A, B, C)
+        assert check_lemma3(*pad([A, B, C]))
 
     @pytest.mark.parametrize("seed", [0, 5, 123])
     def test_run_all_draws_the_same_triples(self, monkeypatch, seed):
-        # run_all pads the triples the per-triple loop draws, seed for seed
-        seen = []
-        original = verify.check_lemma3
-
-        def capture(A, B, C):
-            seen.append((A, B, C))
-            return original(A, B, C)
-
-        monkeypatch.setattr(verify, "check_lemma3", capture)
+        # run_all's rank call on the stacked AB, BC, B and ABC holds the
+        # padded products of the triples the per-triple oracle crops, seed
+        # for seed, and counts the oracle's ranks
+        calls = record_rank_calls(monkeypatch)
         results = verify.run_all(dataclasses.replace(verify.DEFAULT_CONFIG, seed=seed), trials=2)
-        triples, verdicts = lemma3_by_triple(seed)
-        assert len(seen) == 1
-        for got, want in zip(seen[0], zip(*triples)):
-            np.testing.assert_array_equal(got, pad(want))
-        assert dict((name, ok) for name, _, ok, _ in results)["rank_inequality"] == all(verdicts)
+        stack, got = calls[-2]
+        triples, ranks = lemma3_by_triple(seed)
+        want = np.stack([pad(m) for m in zip(*[(A @ B, B @ C, B, A @ B @ C)
+                                               for A, B, C in triples])])
+        assert stack.shape == want.shape == (4, 200, 8, 8)
+        np.testing.assert_array_equal(stack[2], want[2])   # B itself, as drawn
+        np.testing.assert_allclose(stack, want, rtol=0, atol=1e-12)
+        assert got.T.tolist() == ranks
+        verdict = all(ab + bc <= b + abc for ab, bc, b, abc in ranks)
+        assert row_verdicts(results)["rank_inequality"] == verdict
 
 
 @st.composite
@@ -284,26 +306,42 @@ class TestDftSubmatrix:
         # every consecutive removal of r rows, all stacked into one call
         N, r, picks = case
         runs = np.arange(N - r + 1)[:, None] + np.arange(r)
-        got = verify.check_dft_submatrix_independence(N, runs, picks)
+        got = check_dft_submatrix_independence(N, runs, picks)
         assert got.shape == (len(runs), len(picks))
         for run, row in zip(runs, got):
             assert row.tolist() == dft_submatrix_by_pick(N, run.tolist(), picks)
-            assert verify.check_dft_submatrix_independence(N, run, picks[0]) == row[0]
+            assert check_dft_submatrix_independence(N, run, picks[0]) == row[0]
 
     def test_exhaustive_n8(self):
         N = 8
         for start in range(N - 2):
             removed = list(range(start, start + 3))
             for cols in itertools.combinations(range(N), 3):
-                assert verify.check_dft_submatrix_independence(N, removed, cols)
+                assert check_dft_submatrix_independence(N, removed, cols)
+
+    def test_run_all_row_matches_per_pick(self, monkeypatch):
+        # run_all's one rank call holds every 3-column pick of the 8-point
+        # DFT with each run of 3 consecutive rows deleted, in order
+        calls = record_rank_calls(monkeypatch)
+        results = verify.run_all(verify.DEFAULT_CONFIG, trials=1)
+        stack, got = calls[-1]
+        N = 8
+        runs = [range(s, s + 3) for s in range(N - 2)]
+        picks = list(itertools.combinations(range(N), 3))
+        want = np.array([[dft_submatrix(N, run, cols) for cols in picks] for run in runs])
+        assert stack.shape == want.shape == (6, 56, 5, 3)
+        np.testing.assert_allclose(stack, want, rtol=0, atol=1e-15)
+        verdicts = [dft_submatrix_by_pick(N, run, picks) for run in runs]
+        assert (got == 3).tolist() == verdicts
+        assert row_verdicts(results)["dft_submatrix"] == all(map(all, verdicts))
 
     def test_rejects_nonconsecutive_rows(self):
         with pytest.raises(ValueError):
-            verify.check_dft_submatrix_independence(8, [0, 2], [0, 1])
+            check_dft_submatrix_independence(8, [0, 2], [0, 1])
 
     def test_rejects_too_many_columns(self):
         with pytest.raises(ValueError):
-            verify.check_dft_submatrix_independence(4, [0, 1], [0, 1, 2])
+            check_dft_submatrix_independence(4, [0, 1], [0, 1, 2])
 
 
 class TestFixedCost:
@@ -323,24 +361,14 @@ class TestFixedCost:
         assert [next(iter(ch.taps.values())).shape[0] for ch in calls] == [3, 3, 1]
 
     def test_rank_calls_do_not_grow_with_trials(self, monkeypatch):
-        original = verify.numerical_rank
-
         def rank_calls(trials):
-            calls = []
-
-            def counting(A, *args, **kwargs):
-                calls.append(np.shape(A))
-                return original(A, *args, **kwargs)
-
-            monkeypatch.setattr(verify, "numerical_rank", counting)
+            calls = record_rank_calls(monkeypatch)
             assert all(ok for _, _, ok, _ in verify.run_all(verify.DEFAULT_CONFIG, trials))
             return len(calls)
 
         K = verify.DEFAULT_CONFIG.K
-        few, many = rank_calls(7), rank_calls(70)
-        # one block: one batched SVD per cell, then 4 for the rank inequality
-        # and 1 for the DFT check
-        assert few == many <= (3 + K) + 5
+        # one block: one batched SVD per cell, then one for each rank lemma
+        assert rank_calls(7) == rank_calls(70) == K + 2
 
 
 class TestRunAll:
@@ -362,6 +390,20 @@ class TestRunAll:
         monkeypatch.setattr(model, "trial_rng", recording)
         verify.run_all(dataclasses.replace(verify.DEFAULT_CONFIG, seed=5), trials=3)
         assert seeds == [(5, 0), (5, 1), (5, 2)]
+
+    def test_rejects_a_network_with_no_active_cell(self):
+        # every L_kk <= L_I: no cell carries a stream, so no column is checked
+        cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[2, 2], [2, 2]])
+        with pytest.raises(model.ConfigError,
+                           match=r"^verify needs a cell with L_kk > L_I; every L_kk <= L_I = 2$"):
+            verify.run_all(cfg, trials=5)
+
+    def test_one_active_cell_is_checked(self):
+        # cell 1 is idle; cell 0's columns are checked and every row passes
+        cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[5, 2], [2, 2]])
+        results = verify.run_all(cfg, trials=5)
+        assert all(ok for _, _, ok, _ in results)
+        assert 0.0 < results[0][-1] <= verify.DECOMPOSITION_TOL
 
     def test_default_sweep_passes(self):
         results = verify.run_all(verify.DEFAULT_CONFIG, trials=50)
