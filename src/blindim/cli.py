@@ -12,11 +12,11 @@ that cannot be read or written included.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
 import os
+import stat
 import sys
 
 import numpy as np
@@ -53,12 +53,24 @@ def _load_cfg(args, default=None) -> model.SystemConfig:
     return cfg
 
 
-def _write_csv(args, header, rows):
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
+def _write_csv(out, header, rows):
+    """Write header and rows to the text stream out, floats as %.12g: the
+    --out file that main opened, or stdout.  Called once, with every row,
+    when the command's work is done."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
+
+
+def _open_out(path):
+    """(text stream, created): path opened for writing from offset 0 without
+    truncating it, and whether this call created the file."""
+    try:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT), False
+    return open(fd, "w", newline=""), created
 
 
 def _snr_list(args, default):
@@ -100,13 +112,13 @@ def _dof_row(cfg):
 DOF_HEADER = ["K", "L_D", "L_I", "N", "dof_theorem1", "dof_symmetric", "dof_ic"]
 
 
-def cmd_dof(args):
+def cmd_dof(args, out):
     cfg = _load_cfg(args)
-    _write_csv(args, DOF_HEADER, [_dof_row(cfg)])
+    _write_csv(out, DOF_HEADER, [_dof_row(cfg)])
     return 0
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, out):
     if not args.sweep:
         raise UsageError("sweep requires --sweep key=v1,v2,...")
     key, _, values = args.sweep.partition("=")
@@ -132,24 +144,27 @@ def cmd_sweep(args):
         if key == "L_D":
             swept["U"] = x - L_I
         rows.append([v] + _dof_row(model.SystemConfig.symmetric(**swept)))
-    _write_csv(args, ["sweep_" + key] + DOF_HEADER, rows)
+    _write_csv(out, ["sweep_" + key] + DOF_HEADER, rows)
     return 0
 
 
-def cmd_rate(args):
+def cmd_rate(args, out):
     cfg = _load_cfg(args)
     snrs = _snr_list(args, default=[cfg.snr_db])
     proposed, baseline = analysis.ergodic_rate(cfg, snrs, args.trials)
     rows = [
         (float(s), float(p), float(b)) for s, p, b in zip(snrs, proposed, baseline)
     ]
-    _write_csv(args, ["snr_db", "proposed_sum_se", "baseline_sum_se"], rows)
+    _write_csv(out, ["snr_db", "proposed_sum_se", "baseline_sum_se"], rows)
     return 0
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, out):
     cfg = _load_cfg(args)
     plan = model.make_plan(cfg)
+    if not any(plan.U_active):
+        raise model.ConfigError(["simulate needs a cell with L_kk > L_I; every L_kk <= L_I = %d"
+                                 % plan.L_I])
     rows = []
     for t in range(args.trials):
         rng = model.trial_rng(cfg.seed, t)
@@ -165,28 +180,28 @@ def cmd_simulate(args):
             truth = symbols[k].reshape(plan.B, -1)
             err = result.s_hat[k] - truth
             rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
-    _write_csv(args, ["trial", "cell", "normalized_mse"], rows)
+    _write_csv(out, ["trial", "cell", "normalized_mse"], rows)
     return 0
 
 
-def cmd_verify(args):
+def cmd_verify(args, out):
     cfg = _load_cfg(args, default=verify.DEFAULT_CONFIG)
     results = verify.run_all(cfg, args.trials)
     rows = [(name, detail, "pass" if ok else "FAIL", float(res)) for name, detail, ok, res in results]
-    _write_csv(args, ["check", "detail", "status", "residual"], rows)
+    _write_csv(out, ["check", "detail", "status", "residual"], rows)
     return 0 if all(ok for _, _, ok, _ in results) else 1
 
 
-def cmd_fig3(args):
+def cmd_fig3(args, out):
     snrs = _snr_list(args, default=experiments.FIG3_SNR_GRID)
     rows = experiments.run_snr_comparison(snrs, args.trials, args.seed or 0)
-    _write_csv(args, ["snr_db", "K", "proposed_sum_se", "baseline_sum_se"], rows)
+    _write_csv(out, ["snr_db", "K", "proposed_sum_se", "baseline_sum_se"], rows)
     return 0
 
 
-def cmd_fig5(args):
+def cmd_fig5(args, out):
     rows = experiments.run_distance_comparison(trials=args.trials, seed=args.seed or 0)
-    _write_csv(args, ["d_user_m", "proposed_se", "ofdma_se"], rows)
+    _write_csv(out, ["d_user_m", "proposed_se", "ofdma_se"], rows)
     return 0
 
 
@@ -229,20 +244,32 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit status.
+
+    --out is opened once, before the run, so a path that cannot be written
+    exits 2 at once.  It is not truncated: the command writes its CSV through
+    that handle from offset 0, and a regular file is then cut at the end of
+    the new bytes.  A failed run writes nothing, so an existing file keeps its
+    bytes, and a file the run created is removed.  Without --out the CSV goes
+    to stdout.
+    """
     args = _parser().parse_args(argv)
     try:
         _check_args(args)
-        # open --out before the run, so a bad path fails at once; a failed
-        # run removes the file it created and leaves an existing one as it was
-        created = args.out and not os.path.exists(args.out)
-        if args.out:
-            open(args.out, "a").close()
-        try:
-            return args.handler(args)
-        except BaseException:
-            if created:
-                os.remove(args.out)
-            raise
+        if not args.out:
+            return args.handler(args, sys.stdout)
+        out, created = _open_out(args.out)
+        with out:
+            try:
+                status = args.handler(args, out)
+                # flushes, then cuts; a device cannot be cut
+                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()
+            except BaseException:
+                if created:
+                    os.remove(args.out)
+                raise
+        return status
     except (configfile.ConfigParseError, model.ConfigError, OSError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

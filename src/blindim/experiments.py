@@ -5,7 +5,6 @@ comparison against OFDMA versus user-to-BS distance."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,17 +33,18 @@ def run_snr_comparison(snr_db, trials, seed):
     return rows
 
 
-def fig5_config():
+def fig5_config(seed=0):
     """7-cell geometric scenario: short desired channels (5 taps), long ICI
     (7 taps) whose first L_I_d = 3 taps are zero, cancelled up to
-    L_I_prime = 5 taps, over B = 10 subblocks.  Returns (cfg, dplan).
+    L_I_prime = 5 taps, over B = 10 subblocks, drawn from seed.  Returns
+    (cfg, dplan); the config is built, and so checked, once.
     snr_db = 177 is 23 dBm against -174 dBm/Hz over 100 Hz: the narrow band
     puts the cell edge interference-limited, the regime compared here."""
     K = 7
     cir = [[5 if k == i else 7 for i in range(K)] for k in range(K)]
     snr_db = 23.0 - (-174.0 + 10.0 * math.log10(100.0))
     cfg = model.SystemConfig(K=K, users_per_cell=[3] * K, cir_len=cir, snr_db=snr_db,
-                             subblocks=10)
+                             subblocks=10, seed=seed)
     return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 
@@ -55,24 +55,23 @@ def run_distance_comparison(*, trials, seed):
 
     Trial t draws its small-scale fading from trial_rng(seed, t) once and
     keeps it at every distance (common random numbers): only the path loss
-    changes along the grid, and it is computed for the whole grid at once.
-    The trials are drawn in blocks of model.TRIAL_BLOCK, each only as far as
-    the links into cell 0, the only links its rates read.  For a block of T_b
-    trials, each rate call takes max(1, TRIAL_BLOCK // T_b) distances at once
-    as a (distances, T_b, U, L) realization of those links; so no call rates
-    more than TRIAL_BLOCK realizations, and a short run rates its whole grid
-    in one call.  Each distance sums its block over the trial axis, as it
+    changes along the grid, and it is computed for the whole grid at once,
+    for the links into cell 0 only, the only links its rates read.  The
+    trials are drawn in blocks of model.TRIAL_BLOCK, each only as far as
+    those links.  For a block of T_b trials, each rate call takes
+    max(1, TRIAL_BLOCK // T_b) distances at once as a (distances, T_b, U, L)
+    realization of those links; so no call rates more than TRIAL_BLOCK
+    realizations, and a short run rates its whole grid in one call.  Each distance sums its block over the trial axis, as it
     would alone.
 
     Returns rows (d_user_m, proposed, ofdma); raises ValueError, from
     trial_blocks, unless trials >= 1.
     """
-    cfg, dplan = fig5_config()
-    cfg = dataclasses.replace(cfg, seed=seed)
-    gains = model.large_scale_gain(
-        cfg, dplan.L_I_d, model.hex_deployment(FIG5_DISTANCES_M, cfg.users_per_cell)
-    )
+    cfg, dplan = fig5_config(seed)
     into_0 = [(0, i) for i in range(cfg.K)]
+    gains = model.large_scale_gain(
+        cfg, dplan.L_I_d, model.hex_deployment(FIG5_DISTANCES_M, cfg.users_per_cell), into_0
+    )
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(FIG5_DISTANCES_M), 2))
     for small in model.trial_blocks(cfg, trials, into_0, user_major=True):

@@ -59,15 +59,30 @@ def delayed_effective_channels(cfg, dplan, ch, k):
     times its received frame for f_1.  H_int_k stacks the same construction
     for every active user of each link into cell k longer than the plan's
     L_I (the cancelled length L_I_prime), in link order, using only its
-    residual taps ell >= L_I_prime.  A realization needs only the links into
+    residual taps ell >= L_I_prime.  The users of all residual links of one
+    length L_{k,i} are joined along the user axis into one projected_response
+    call, whose columns are then put back in link order.  Each column is its
+    own user's response, as with one call per link: bit for bit where the
+    call takes the same route and a product of more than one row either way,
+    else to round-off (a joined group of long links may take the table route
+    where each alone would not).  A realization needs only the links into
     cell k.  Leading axes of the taps carry through: (..., N - M_D, columns).
     """
     H = projected_response(dplan, ch.taps[(k, k)][..., : dplan.U_active[k], :], dplan.M[k])
-    residual = [projected_response(dplan, ch.taps[(k, i)][..., : dplan.U_active[i], :], 1,
-                                   first=dplan.L_I)
-                for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
+    cross = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
+    columns = {}
+    for L in {cfg.cir_len[k][i] for i in cross}:
+        group = [i for i in cross if cfg.cir_len[k][i] == L]
+        taps = np.concatenate([ch.taps[(k, i)][..., : dplan.U_active[i], :] for i in group],
+                              axis=-2)
+        joined = projected_response(dplan, taps, 1, first=dplan.L_I)
+        start = 0
+        for i in group:
+            columns[i] = joined[..., start : start + dplan.U_active[i]]
+            start += dplan.U_active[i]
     # a cell with no residual link keeps a (..., rows, 0) block
-    H_int = np.concatenate([np.zeros(H.shape[:-1] + (0,), dtype=complex)] + residual, axis=-1)
+    H_int = np.concatenate([np.zeros(H.shape[:-1] + (0,), dtype=complex)]
+                           + [columns[i] for i in cross], axis=-1)
     return H, H_int
 
 

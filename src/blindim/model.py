@@ -352,15 +352,18 @@ def hex_deployment(D_user, users_per_cell) -> np.ndarray:
     return np.hypot(offset[..., 0], offset[..., 1])
 
 
-def large_scale_gain(cfg: SystemConfig, L_I_d, dist) -> dict:
+def large_scale_gain(cfg: SystemConfig, L_I_d, dist, links=None) -> dict:
     """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
-    over the leading axes of the (..., K, K, U_max) distances dist.
+    over the leading axes of the (..., K, K, U_max) distances dist, for each
+    link of links in its order (default: every link, in (k, i) order).
 
     Desired links spread their power over [0, L_D), cross links over
-    [L_I_d, L_I), with (L_D, L_I) = link_lengths(cfg).  The path-loss
-    amplitude is one float_power over the whole distance array, and each
-    distinct delay profile (desired or not, L_{k,i}) is computed once and
-    shared by every link that has it.
+    [L_I_d, L_I), with (L_D, L_I) = link_lengths(cfg).  Every user's
+    distance is checked, picked link or not.  The path-loss amplitude is one
+    float_power per receiving base station of a picked link, over all its
+    distances, and each distinct delay profile (desired or not, L_{k,i}) is
+    computed once and shared by every picked link that has it; so a link's
+    gains do not depend on the others picked, bit for bit.
     """
     p0 = 10.0 ** (REF_LOSS_DB / 10.0)
     L_D, L_I = link_lengths(cfg)
@@ -370,17 +373,20 @@ def large_scale_gain(cfg: SystemConfig, L_I_d, dist) -> dict:
     if bad.any():
         raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
                          % tuple(np.argwhere(bad)[0]))
-    # float_power matches scalar d ** x bit for bit, so existing seeds keep
-    # their draws; numpy's SIMD power loop may differ in the last bit
-    amp = np.sqrt(p0) * np.float_power(dist, -PATHLOSS_EXPONENT / 2.0)
+    if links is None:
+        links = [(k, i) for k in range(cfg.K) for i in range(cfg.K)]
+    amps = {}
     profiles = {}
     gain = {}
-    for k in range(cfg.K):
-        for i in range(cfg.K):
-            L = cfg.cir_len[k][i]
-            key = (k == i, L)
-            if key not in profiles:
-                lo, hi = (0, L_D) if k == i else (L_I_d, L_I)
-                profiles[key] = np.sqrt(pdp_profile(L, lo, hi))
-            gain[(k, i)] = amp[..., k, i, : cfg.users_per_cell[i], None] * profiles[key]
+    for k, i in links:
+        if k not in amps:
+            # float_power matches scalar d ** x bit for bit, so existing seeds
+            # keep their draws; numpy's SIMD power loop may differ in the last bit
+            amps[k] = np.sqrt(p0) * np.float_power(dist[..., k, :, :], -PATHLOSS_EXPONENT / 2.0)
+        L = cfg.cir_len[k][i]
+        key = (k == i, L)
+        if key not in profiles:
+            lo, hi = (0, L_D) if k == i else (L_I_d, L_I)
+            profiles[key] = np.sqrt(pdp_profile(L, lo, hi))
+        gain[(k, i)] = amps[k][..., i, : cfg.users_per_cell[i], None] * profiles[key]
     return gain

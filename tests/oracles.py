@@ -241,9 +241,10 @@ def decode_by_triangular_solve(plan, H, y_tilde):
 
 # ---------------------------------------------------------------------------
 # fig5 one trial, one user and one tap at a time: the scalar power-delay
-# profile, the per-user fading and geometric samplers, the per-trial
-# delayed-ICI and OFDMA rates, the trial-by-trial distance sweep, and the
-# sweep with one pair of rate calls per distance
+# profile, the per-user fading and geometric samplers, the residual columns
+# one link at a time, the per-trial delayed-ICI and OFDMA rates, the
+# trial-by-trial distance sweep, and the sweep with one pair of rate calls
+# per distance
 # ---------------------------------------------------------------------------
 
 def pdp_variance(k, i, ell, L_D, L_I, L_I_d):
@@ -321,6 +322,22 @@ def framed_convolution(plan, taps, M):
         for m in range(M):
             out[idx + (m,)] = np.convolve(taps[idx], frames[:, m])[: plan.N_bar]
     return np.swapaxes(out.reshape(taps.shape[:-2] + (-1, plan.N_bar)), -1, -2)
+
+
+def residual_columns_by_link(cfg, dplan, ch, k):
+    """H_int of extensions.delayed_effective_channels one link at a time: a
+    spectral.projected_response call of f_1 on the taps l >= L_I_prime (the
+    plan's L_I) of the active users of each link into cell k longer than
+    L_I_prime, side by side in link order."""
+    from blindim import spectral
+
+    lead = ch.taps[(k, k)].shape[:-2]
+    columns = [np.zeros(lead + (dplan.N - dplan.M_D, 0), dtype=complex)]
+    for i in range(cfg.K):
+        if i != k and cfg.cir_len[k][i] > dplan.L_I:
+            taps = ch.taps[(k, i)][..., : dplan.U_active[i], :]
+            columns.append(spectral.projected_response(dplan, taps, 1, first=dplan.L_I))
+    return np.concatenate(columns, axis=-1)
 
 
 def _f1_columns_by_link(W21, dplan, blocks):

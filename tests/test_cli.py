@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindim import analysis, cli, experiments, model
+from blindim import analysis, cli, experiments, model, transceiver
 from oracles import distance_comparison_by_distance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -196,6 +196,22 @@ class TestSimulate:
         assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("1", "0"), ("2", "0")]
         assert "nan" not in text
         assert all(np.isfinite(float(r[2])) for r in rows)
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_no_active_cell_is_an_error(self, tmp_path, capsys, monkeypatch, to_file):
+        # every L_kk <= L_I leaves no cell to decode: no header-only CSV and
+        # exit 0, but one error line before any draw (one active cell keeps
+        # its rows: test_idle_cell_rows_omitted)
+        cfgfile = tmp_path / "sys.cfg"
+        cfgfile.write_text("K = 2\nusers_per_cell = 2\ncir_len = 2,2; 2,2\n")
+        monkeypatch.setattr(model, "trial_rng",
+                            lambda *a: pytest.fail("simulate drew a trial"))
+        argv = ["simulate", "--config", str(cfgfile), "--trials", "3"]
+        code = run(tmp_path, *argv)[0] if to_file else cli.main(argv)
+        assert code == 2
+        assert not (tmp_path / "out.csv").exists()
+        assert capsys.readouterr() == (
+            "", "error: simulate needs a cell with L_kk > L_I; every L_kk <= L_I = 2\n")
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_rank_deficient_draw_is_one_error_line(self, tmp_path, capsys, to_file):
@@ -457,6 +473,96 @@ class TestOptionsPerCommand:
         for argv in (["fig3"], ["verify"], ["fig5"], ["simulate", "--config", str(cfgfile)]):
             code, text = run(tmp_path, *argv, "--trials", "1", "--seed", "3")
             assert code == 0 and text
+
+
+# a command line of each kind the --out tests run: a DoF row, a Monte Carlo
+# rate and fig5
+REWRITTEN = {
+    "dof": ["dof"],
+    "rate": ["rate", "--trials", "2"],
+    "fig5": ["fig5", "--trials", "1"],
+}
+
+
+class TestOutRewrite:
+    """--out is opened once before the run and not truncated: the CSV is
+    written over it from offset 0 and the file cut at the end of the new
+    bytes."""
+
+    @pytest.fixture
+    def failing(self, tmp_path, monkeypatch):
+        """command -> (argv, status) of a run that fails after --out is
+        opened: a config error, a bad --snr, a rank failure in fig5's rates
+        and simulate's trial 83 (test_rank_deficient_draw_is_one_error_line)."""
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("K = 0\n")
+        rank = tmp_path / "rank.cfg"
+        rank.write_text("K = 2\nusers_per_cell = 4,1\ncir_len = 2,1; 1,7\n")
+
+        def rank_failure(**kwargs):
+            raise transceiver.RankDeficientError("cell 0: effective channel is rank deficient")
+
+        monkeypatch.setattr(experiments, "run_distance_comparison", rank_failure)
+        return {
+            "dof": (["dof", "--config", str(bad)], 2),
+            "rate": (["rate", "--trials", "2", "--snr", "x"], 2),
+            "fig5": (["fig5", "--trials", "1"], 1),
+            "simulate": (["simulate", "--config", str(rank), "--seed", "48", "--trials", "242"], 1),
+        }
+
+    @pytest.mark.parametrize("command", REWRITTEN)
+    def test_longer_file_holds_exactly_the_new_bytes(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        assert cli.main(REWRITTEN[command]) == 0
+        want = capsys.readouterr().out.encode()
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"an older, longer table\n" * len(want))
+        inode = out.stat().st_ino
+        flags = []
+        real_open = os.open
+
+        def recording(path, flag, *args):
+            if str(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *args)
+
+        monkeypatch.setattr(os, "open", recording)
+        assert cli.main(REWRITTEN[command] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        # the same file, rewritten in place: never truncated to 0
+        assert out.stat().st_ino == inode
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+    @pytest.mark.parametrize("command", REWRITTEN)
+    def test_stdout_is_the_file_bytes(self, tmp_path, capsys, command):
+        code, text = run(tmp_path, *REWRITTEN[command])
+        assert cli.main(REWRITTEN[command]) == code == 0
+        assert capsys.readouterr().out == text
+        rows = {"dof": 1, "rate": 1, "fig5": 13}[command]
+        assert len(text.splitlines()) == 1 + rows and text.endswith("\n")
+
+    @pytest.mark.parametrize("command", list(REWRITTEN) + ["simulate"])
+    def test_failed_run_keeps_an_existing_file(self, tmp_path, capsys, failing, command):
+        argv, status = failing[command]
+        out = tmp_path / "out.csv"
+        old = b"old bytes that a failed run leaves\n" * 3
+        out.write_bytes(old)
+        assert cli.main(argv + ["--out", str(out)]) == status
+        assert out.read_bytes() == old
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(REWRITTEN) + ["simulate"])
+    def test_failed_run_removes_the_file_it_created(self, tmp_path, failing, command):
+        argv, status = failing[command]
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == status
+        assert not out.exists()
+
+    def test_a_device_is_written_but_not_cut(self):
+        # a character device cannot be truncated: the CSV goes through and
+        # the command exits 0
+        assert cli.main(["dof", "--out", os.devnull]) == 0
 
 
 class TestParserReuse:

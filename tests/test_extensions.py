@@ -15,6 +15,7 @@ from oracles import (
     fold_matrix,
     ofdma_rate_by_subset,
     pdp_variance,
+    residual_columns_by_link,
     residual_ici_rate_by_trial,
     sample_channel_by_user,
 )
@@ -227,6 +228,117 @@ class TestCompositeChannel:
                     want = combine_by_subblock(dplan, y[k])[0]
                     err = np.linalg.norm(H_k[:, u] - want)
                     assert err <= 1e-12 * np.linalg.norm(want)
+
+
+@st.composite
+def residual_cases(draw):
+    """A delayed plan with residual cross links of mixed lengths and user
+    counts, and taps for one draw or a stack: cross links are cancelled (at
+    most L_I_prime taps), a few taps past it, or 34 taps, which one or two
+    active users take by the per-draw route of projected_response and three
+    or more by its table."""
+    K = draw(st.integers(2, 4))
+    L_I_prime = draw(st.integers(2, 4))
+    cross = st.sampled_from([1, L_I_prime, L_I_prime + 1, L_I_prime + 3, 34])
+    cir = [[draw(st.integers(1, 12)) if i == k else draw(cross) for i in range(K)]
+           for k in range(K)]
+    cir[1][0] = max(cir[1][0], L_I_prime)
+    cfg = model.SystemConfig(K=K, users_per_cell=[draw(st.integers(1, 4)) for _ in range(K)],
+                             cir_len=cir)
+    dplan = extensions.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.sampled_from([(), (2,), (3, 2)]))
+    ch = model.ChannelRealization({
+        (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
+        for k in range(K) for i in range(K)})
+    return cfg, dplan, ch
+
+
+def _check_residual_columns(cfg, dplan, ch):
+    """Each cell's H_int against the per-link oracle, link by link: bit for bit
+    where joining the link's length group keeps its projected_response route
+    and its product a matrix product, within 1e-12 of the block's largest
+    entry otherwise.  The per-draw route multiplies each draw's U x n leak by
+    the combiner, the table route all draws' taps at once; numpy takes a
+    product of one row as a vector product, whose last bit may differ.
+    Returns the number of links whose route moved."""
+    table = spectral.TABLE_TAPS_PER_USER
+    draws = math.prod(ch.taps[(0, 0)].shape[:-2])
+    moved = 0
+    for k in range(cfg.K):
+        _, got = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+        want = residual_columns_by_link(cfg, dplan, ch, k)
+        assert got.shape == want.shape
+        start = 0
+        for i in range(cfg.K):
+            L = cfg.cir_len[k][i]
+            if i == k or L <= dplan.L_I:
+                continue
+            U = dplan.U_active[i]
+            joined = sum(dplan.U_active[j] for j in range(cfg.K)
+                         if j != k and cfg.cir_len[k][j] == L)
+            block = np.s_[..., start : start + U]
+            alone = L > table * U
+            if alone == (L > table * joined) and (U if alone else draws * U) > 1:
+                np.testing.assert_array_equal(got[block], want[block])
+            else:
+                moved += alone != (L > table * joined)
+                scale = np.abs(want[block]).max(initial=0)
+                assert np.abs(got[block] - want[block]).max(initial=0) <= 1e-12 * scale
+            start += U
+        assert start == got.shape[-1]
+    return moved
+
+
+class TestResidualColumnsByLength:
+    """delayed_effective_channels joins the users of the residual cross links
+    of each length into one projected_response call; its columns stay those
+    of one call per link, in link order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(residual_cases())
+    def test_matches_one_call_per_link(self, case):
+        _check_residual_columns(*case)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_interleaved_lengths_and_a_moved_route(self, lead):
+        # into cell 0: lengths 34, 6, 34, 3 (cancelled), 6 in link order, so
+        # the two length groups interleave; cells 1 and 3 have one and two
+        # active users, whose 34-tap links each take the per-draw route alone
+        # and the table route together (34 <= 16 * 3)
+        cir = [[6, 34, 6, 34, 3, 6],
+               [4, 6, 4, 4, 4, 4],
+               [4, 4, 6, 4, 4, 4],
+               [4, 4, 4, 6, 4, 4],
+               [4, 4, 4, 4, 6, 4],
+               [4, 4, 4, 4, 4, 6]]
+        cfg = model.SystemConfig(K=6, users_per_cell=[2, 1, 2, 2, 2, 2], cir_len=cir)
+        dplan = extensions.make_delayed_plan(cfg, L_I_d=1, L_I_prime=4)
+        assert dplan.U_active == (2, 1, 2, 2, 2, 2)
+        rng = np.random.default_rng(4)
+        ch = model.ChannelRealization({
+            (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
+            for k in range(6) for i in range(6)})
+        assert _check_residual_columns(cfg, dplan, ch) == 2
+        _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
+        assert H_int.shape == lead + (dplan.N - dplan.M_D, 1 + 2 + 2 + 2)
+
+    def test_fig5_is_one_group_on_the_table(self):
+        # fig5's six 7-tap cross links into cell 0 are one group of 18 users
+        cfg, dplan = experiments.fig5_config()
+        calls = []
+        original = extensions.projected_response
+
+        def counting(plan, taps, M, first=0):
+            calls.append((taps.shape[-2], first))
+            return original(plan, taps, M, first)
+
+        ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extensions, "projected_response", counting)
+            _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
+        assert calls == [(3, 0), (18, dplan.L_I)]
+        np.testing.assert_array_equal(H_int, residual_columns_by_link(cfg, dplan, ch, 0))
 
 
 class TestDelayedDecoding:
@@ -495,6 +607,27 @@ class TestBatchedFig5Path:
                     for ch in draws]
             assert got.shape == (trials,)
             assert _max_rel(got, np.array(want)) <= 1e-12
+
+    def test_config_is_built_and_checked_once(self, monkeypatch):
+        # fig5_config takes the seed, so a run checks one SystemConfig
+        checked = []
+        original = model._violations
+        monkeypatch.setattr(model, "_violations", lambda cfg: checked.append(cfg) or original(cfg))
+        experiments.run_distance_comparison(trials=1, seed=3)
+        assert [cfg.seed for cfg in checked] == [3]
+
+    def test_gains_only_for_the_links_into_cell_0(self, monkeypatch):
+        built = []
+        original = model.large_scale_gain
+
+        def recording(*args, **kwargs):
+            gains = original(*args, **kwargs)
+            built.append(list(gains))
+            return gains
+
+        monkeypatch.setattr(model, "large_scale_gain", recording)
+        experiments.run_distance_comparison(trials=1, seed=0)
+        assert built == [[(0, i) for i in range(7)]]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_distance_sweep_rejects_no_trials(self, trials):

@@ -422,6 +422,33 @@ class TestGeometricSampler:
             with pytest.raises(ValueError, match=r"link \(k=1, i=1, u=1\)"):
                 model.large_scale_gain(cfg, 0, dist)
 
+    @pytest.mark.parametrize("links", [
+        [(0, i) for i in range(3)],    # fig5's pick: the links into cell 0
+        [(2, 1), (0, 0), (1, 2)],      # out of (k, i) order
+        [(1, 1)],
+        [],
+    ])
+    def test_gains_of_picked_links(self, links):
+        # exactly the picked links, in their order, each bit for bit the
+        # full call's entry
+        cfg = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
+                                 cir_len=[[4, 6, 7], [6, 5, 7], [7, 6, 4]])
+        dist = np.random.default_rng(1).uniform(20.0, 400.0, (5, 3, 3, 3))
+        full = model.large_scale_gain(cfg, 2, dist)
+        assert list(full) == [(k, i) for k in range(3) for i in range(3)]
+        picked = model.large_scale_gain(cfg, 2, dist, links)
+        assert list(picked) == links
+        for key in links:
+            np.testing.assert_array_equal(picked[key], full[key])
+
+    def test_unpicked_links_are_still_checked(self):
+        # a bad distance on a link that is not picked still raises
+        cfg = model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[3, 2], [2, 3]])
+        dist = np.full((3, 2, 2, 2), 50.0)
+        dist[1, 1, 0, 0] = -1.0
+        with pytest.raises(ValueError, match=r"link \(k=1, i=0, u=0\)"):
+            model.large_scale_gain(cfg, 0, dist, [(0, 0), (0, 1)])
+
     def test_picked_links_keep_their_place_in_the_draw(self):
         # the links into base station 0 come first: normals cut after them
         # build the same taps for them as the whole draw
