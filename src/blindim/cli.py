@@ -29,9 +29,10 @@ class UsageError(ValueError):
 
 
 def _check_args(args):
-    """Range check of --trials: simulate's loop does not go through
-    model.trial_blocks, which checks the other commands'.  A --seed is
-    checked by the config it enters."""
+    """Range check of --trials for every command that takes it: main turns
+    a UsageError into exit 2, not model.trial_blocks' ValueError, and
+    simulate's loop does not call trial_blocks.  A --seed is checked by the
+    config it enters."""
     trials = getattr(args, "trials", 1)
     if trials < 1:
         raise UsageError("--trials must be >= 1, got %d" % trials)

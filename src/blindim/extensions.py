@@ -64,9 +64,11 @@ def delayed_effective_channels(cfg, dplan, ch, k):
     call, whose columns are then put back in link order.  Each column is its
     own user's response, as with one call per link: bit for bit where the
     call takes the same route and a product of more than one row either way,
-    else to round-off (a joined group of long links may take the table route
-    where each alone would not).  A realization needs only the links into
-    cell k.  Leading axes of the taps carry through: (..., N - M_D, columns).
+    else to round-off.  A joined group of long links may take the table route
+    where each alone would not, and projected_response takes a one-row
+    product as a vector product, whose last bit may differ.  A realization
+    needs only the links into cell k.  Leading axes of the taps carry
+    through: (..., N - M_D, columns).
     """
     H = projected_response(dplan, ch.taps[(k, k)][..., : dplan.U_active[k], :], dplan.M[k])
     cross = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]

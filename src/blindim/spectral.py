@@ -141,7 +141,10 @@ def projected_response(plan, taps, M, first=0) -> np.ndarray:
     A longer link (a few users on long taps) takes the combined
     frame_response of its own taps, as the table does of unit taps.  The
     route depends on U and L only, never on the number of draws, so a draw
-    gets the same channel bit for bit whatever it is stacked with."""
+    gets the same channel whatever it is stacked with: bit for bit where its
+    own product has more than one row, else to round-off.  numpy takes a
+    one-row product (one draw of one user on the table route) as a vector
+    product, whose last bit may differ from the matrix product's."""
     taps = np.asarray(taps)
     *lead, U, L = taps.shape
     geometry = (plan.N, plan.cp_len, plan.L_I_d, plan.M_D)

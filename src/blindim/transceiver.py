@@ -14,8 +14,6 @@ fig5's two rates take the same convention.  The chain takes one channel draw.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,35 +41,17 @@ def draw_symbols(cfg, plan, rng) -> dict:
 
 
 # simulate_reception cuts the links at the longest cross link S only when the
-# cross links that share a block with a longer desired link would be padded
-# by more than this many taps times users times tones.  Below it, the cut's
-# few numpy calls and its tails' batched leak product cost about as much as
-# the padding.  Interleaved timings against the padded route on a 2-vCPU
-# Xeon (one BLAS thread): 2016 padded taps (K = 7, L_D = 12, L_I = 4, U = 6)
-# lose 1-17% at B = 10 to 400.  From 3000 to 4500 taps the cut ran from 6%
-# slower to 10% faster, by B and by run (K = 5, L_D = 16, L_I = 3, U = 3;
-# K = 6, L_D = 16, L_I = 4, U = 3).  From 4704 (K = 3, L_D = 32, L_I = 4,
-# U = 4) on, it won at every B tried.  The default simulate config pads 8
-# taps; link_large pads 28224, and there the cut saves 35-37%.
+# cross links would be padded to the longest link by more than this many taps
+# times users times tones.  Below it, the cut's few numpy calls and its tails'
+# leak products cost about as much as the padding.  Interleaved timings
+# against the padded route on a 2-vCPU Xeon (one BLAS thread): 2016 padded
+# taps (K = 7, L_D = 12, L_I = 4, U = 6) lose 1-17% at B = 10 to 400.  From
+# 3000 to 4500 taps the cut ran from 6% slower to 10% faster, by B and by run
+# (K = 5, L_D = 16, L_I = 3, U = 3; K = 6, L_D = 16, L_I = 4, U = 3).  From
+# 4704 (K = 3, L_D = 32, L_I = 4, U = 4) on, it won at every B tried.  The
+# default simulate config pads 8 taps; link_large pads 28224, and there the
+# cut saves 35-37%.
 SPLIT_PADDED_TAPS = 4500
-
-
-def _blocking(plan, lengths):
-    """(c, S) of simulate_reception for links of lengths {(k, i): L_{k,i}}:
-    blocks of c base stations times c cells, c^2 <= T / M, cut at S taps.
-    S is the longest cross link when the cross links that share a block
-    with a desired link, padded from S to the longest link, would pad more
-    than SPLIT_PADDED_TAPS taps times users times tones; otherwise it is the
-    longest link, which cuts nothing."""
-    K, U, M = plan.K, max(plan.U_active), max(plan.M)
-    c = max(1, math.isqrt(plan.T // max(M, 1)))
-    longest = max(lengths.values())
-    r = K % c   # the last block's cells
-    padded = ((K // c) * c * (c - 1) + r * (r - 1)) * U * M   # per tap past S
-    if padded * longest <= SPLIT_PADDED_TAPS:   # no cut can pay
-        return c, longest
-    S = max(L for (k, i), L in lengths.items() if k != i)
-    return c, S if padded * (longest - S) > SPLIT_PADDED_TAPS else longest
 
 
 def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
@@ -80,17 +60,14 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     of every cell, idle ones (B, 0, 0), with CN(0, 1) noise z from rng (none
     without rng), built frame by frame from spectral.frame_response.
 
-    The links go in blocks of c base stations times c cells, zero-padded to
-    common users and tones, and to the block's longest tap count, but no
-    further than S: c^2 <= T / M keeps a block's tap sums within one link's
-    (L, T) time-domain product.  frame_response is linear in the taps, so a
-    desired link longer than S adds its taps from S on as a tail: one more
-    frame_response per chunk of at most c^2 base stations, whose gains join
-    its block's.  S is the longest cross link when the cross links in the
-    desired links' blocks would otherwise be padded by more than
-    SPLIT_PADDED_TAPS taps times users times tones, else the longest link,
-    and then no link has a tail (_blocking).  A block costs
-    O((B + 1) c^2 U M S), plus O((B + 1) K U M L_D) for the tails."""
+    Every link's first S taps go through one frame_response and one leak
+    product, zero-padded to common users, tones and S taps.  frame_response
+    is linear in the taps, so a desired link longer than S adds its taps from
+    S on as a tail, one cell at a time, whose gains join its link's.  S is
+    the longest cross link when the K (K - 1) cross links would otherwise be
+    padded by more than SPLIT_PADDED_TAPS taps times users times tones, else
+    the longest link, and then no link has a tail.  The links cost
+    O((B + 1) K^2 U M S), plus O((B + 1) K U M L_D) for the tails."""
     K, B, N, cp, N_bar = cfg.K, plan.B, plan.N, plan.cp_len, plan.N_bar
     if any(i not in symbols or np.shape(symbols[i]) != (B, plan.U_active[i], plan.M[i])
            for i in range(K)):
@@ -98,16 +75,18 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     if any(h.ndim != 2 for h in ch.taps.values()):
         raise ValueError("each link's taps must have shape (U_i, L_{k,i}): one draw")
     U, M = max(plan.U_active), max(plan.M)
-    lengths = {link: h.shape[-1] for link, h in ch.taps.items()}
+    longest = max(h.shape[-1] for h in ch.taps.values())
+    S = max((h.shape[-1] for (k, i), h in ch.taps.items() if k != i), default=longest)
+    if K * (K - 1) * U * M * (longest - S) <= SPLIT_PADDED_TAPS:
+        S = longest
     s = np.zeros((B + 1, K, U, M), dtype=complex)   # frame B sends nothing
-    taps = np.zeros((K, K, U, max(lengths.values())), dtype=complex)
+    taps = np.zeros((K, K, U, longest), dtype=complex)
     for i in range(K):
         s[:B, i, : plan.U_active[i], : plan.M[i]] = symbols[i]
     for (k, i), h in ch.taps.items():
         taps[k, i, : plan.U_active[i], : h.shape[-1]] = h[: plan.U_active[i]]
     lagged = -s   # frame b - 1's leak, rotated, less frame b's own
     lagged[1:] += s[:B] * leakage_phase(N, cp, M)
-    tones = np.zeros((K, B, M), dtype=complex)
     frames = np.zeros((K, -(-plan.T // N_bar), N_bar), dtype=complex)   # links end by T
 
     def add_leak(rows, resp):   # (rows, B + 1, L - 1) leaks, frame b's from frame b on
@@ -115,35 +94,17 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
             part = resp[..., start : start + N_bar]
             frames[rows, span : span + B + 1, : part.shape[-1]] += part
 
-    # resp and tail_resp are names, not temporaries, so the last of each lives
-    # until the call returns: freed at once, small plans ran ~10% slower
-    # (K = 7, L_D = 8, L_I = 4, U = 2, B = 100)
-    c, S = _blocking(plan, lengths)
-    cut = S < taps.shape[-1]
-    if cut:   # the desired links' taps from S on, in chunks of c^2 base stations
-        tail_gains = np.zeros((K, U, M), dtype=complex)
-        for t0 in range(0, K, c * c):
-            cells = range(t0, min(t0 + c * c, K))
-            tail = taps[cells, cells, :, : max(lengths[(k, k)] for k in cells)]
-            tail[..., :S] = 0.0
-            tail_gains[t0 : t0 + c * c], leak = frame_response(tail, N, cp, M)
-            lag = lagged[:, t0 : t0 + c * c].reshape(B + 1, len(cells), -1).swapaxes(0, 1)
-            tail_resp = lag @ leak   # each base station's from its own cell
-            add_leak(slice(t0, t0 + c * c), tail_resp)
-    for k0, i0 in itertools.product(range(0, K, c), range(0, K, c)):
-        L = min(S, max(lengths[(k, i)]
-                       for k in range(k0, min(k0 + c, K)) for i in range(i0, min(i0 + c, K))))
-        block = taps[k0 : k0 + c, i0 : i0 + c, :, :L]   # its cells' users as one cell's
-        gains, leak = frame_response(block.reshape(len(block), -1, L), N, cp, M)
-        if cut and k0 == i0:
-            n = len(block)
-            gains = gains.reshape(n, n, U, M)
-            gains[range(n), range(n)] += tail_gains[k0 : k0 + n]
-            gains = gains.reshape(n, n * U, M)
-        sent = s[:B, i0 : i0 + c].reshape((B,) + gains.shape[1:])
-        tones[k0 : k0 + c] += (sent.transpose(2, 0, 1) @ gains.T).T
-        resp = lagged[:, i0 : i0 + c].reshape(B + 1, -1) @ leak
-        add_leak(slice(k0, k0 + c), resp)
+    gains, leak = frame_response(taps[..., :S].reshape(K, K * U, S), N, cp, M)
+    add_leak(slice(None), lagged.reshape(B + 1, -1) @ leak)
+    for k in range(K):
+        L = ch.taps[(k, k)].shape[-1]
+        if L > S:   # the desired link's taps from S on
+            tail = taps[k, k, :, :L]
+            tail[:, :S] = 0.0
+            tail_gains, leak = frame_response(tail, N, cp, M)
+            gains[k, k * U : (k + 1) * U] += tail_gains
+            add_leak(k, lagged[:, k].reshape(B + 1, -1) @ leak)
+    tones = (s[:B].reshape(B, K * U, M).transpose(2, 0, 1) @ gains.T).T
     frames[:, :B] += tones @ framed_precoders(N, cp, M).T
     y = frames.reshape(cfg.K, -1)[:, : plan.T]
     if rng is not None:

@@ -333,7 +333,7 @@ class TestErrors:
         assert run(tmp_path, "sweep") == (2, "")
         assert capsys.readouterr().err == "error: sweep requires --sweep key=v1,v2,...\n"
 
-    @pytest.mark.parametrize("command", ["rate", "fig5", "verify"])
+    @pytest.mark.parametrize("command", ["rate", "fig5", "verify", "simulate", "fig3"])
     def test_trials_below_one(self, tmp_path, capsys, command):
         code, text = run(tmp_path, command, "--trials", "0")
         assert (code, text) == (2, "")

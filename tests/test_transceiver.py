@@ -483,7 +483,7 @@ class TestFrameReception:
 
     def test_cut_links_stay_below_the_padded_peak(self):
         # link_large's reception: padding the 42 four-tap cross links to 32
-        # taps peaked at 7.8 (K, T) streams (3.07 MB); cut at S = 4, at 4.7
+        # taps peaked at 7.8 (K, T) streams (3.07 MB); cut at S = 4, at 4.1
         cfg = model.SystemConfig.symmetric(K=7, L_D=32, L_I=4, U=6, subblocks=100)
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(60, 0))
@@ -569,20 +569,25 @@ def _reception_plan(case):
 # reception_cases on the cut side of simulate_reception's rule (S below the
 # longest link): desired links longer than S add their taps from S on as tails
 CUT_CASES = {
-    # K = 5 > c = 2: three blocks a side, and tails of 42 to 57 taps in
-    # chunks of c^2 = 4 cells and 1; cells 1 and 3 have two users each
-    "chunks": (5, [1, 2, 1, 2, 1], [[60, 2, 3, 2, 2], [2, 50, 2, 2, 3], [3, 2, 60, 2, 2],
-                                    [2, 2, 2, 45, 2], [2, 3, 2, 2, 60]], None, 2, True, 11),
+    # five tails of 42 to 57 taps; cells 1 and 3 have two users each
+    "tails": (5, [1, 2, 1, 2, 1], [[60, 2, 3, 2, 2], [2, 50, 2, 2, 3], [3, 2, 60, 2, 2],
+                                   [2, 2, 2, 45, 2], [2, 3, 2, 2, 60]], None, 2, True, 11),
     # cell 1's desired link (2 taps) is shorter than S = 3, so it is idle and
-    # has no tail; it shares a block with cell 0, whose tail is 37 taps long
+    # has no tail; cell 0's tail is 37 taps long
     "short_cell": (4, [2, 3, 2, 1], [[40, 3, 2, 2], [2, 2, 3, 2], [1, 2, 12, 3],
                                      [2, 2, 3, 36]], None, 2, False, 12),
     # delayed plan: cell 1 is active on a 4-tap link, below S = 6 > L_I' = 4
     "delayed": (3, [6, 3, 6], [[140, 6, 3], [5, 4, 6], [2, 6, 130]], (1, 4), 2, True, 13),
-    # link_large's geometry at B = 2: c = 5, so two blocks a side
+    # link_large's geometry at B = 2: seven tails of 28 taps
     "link_large": (7, [6] * 7, [[32 if k == i else 4 for i in range(7)] for k in range(7)],
                    None, 2, False, 14),
 }
+
+
+def _symmetric_case(K, L_D, L_I, U, B, seed):
+    """The reception_cases draw of SystemConfig.symmetric(K, L_D, L_I, U)."""
+    cir = [[L_D if k == i else L_I for i in range(K)] for k in range(K)]
+    return K, [U] * K, cir, None, B, False, seed
 
 
 class TestReceptionProperty:
@@ -597,45 +602,59 @@ class TestReceptionProperty:
               (0, 2), 3, False, 3))
     # cell 1 idle (L_11 = L_I) and cell 0 with U' < U in the base plan
     @example((3, [5, 3, 1], [[6, 2, 2], [2, 2, 2], [2, 2, 7]], None, 2, True, 4))
-    @example(CUT_CASES["chunks"])
+    @example(CUT_CASES["tails"])
     @example(CUT_CASES["short_cell"])
     @example(CUT_CASES["delayed"])
     @example(CUT_CASES["link_large"])
+    # one user and 64-tap desired links: cut at S = 2, seven tails
+    @example(_symmetric_case(K=7, L_D=64, L_I=2, U=1, B=1, seed=15))
+    # 3120 padded taps: below SPLIT_PADDED_TAPS, so no link is cut
+    @example(_symmetric_case(K=5, L_D=16, L_I=3, U=3, B=1, seed=16))
     def test_matches_per_link_convolution(self, case):
         self._check(case)
 
     @settings(max_examples=40, deadline=None)
     @given(reception_cases(short_cross=True))
     def test_cut_at_every_padded_block_matches_per_link_convolution(self, case):
-        # with no threshold, any block whose desired link outlasts S is cut
+        # with no threshold, every desired link that outlasts S is cut
         with mock.patch.object(transceiver, "SPLIT_PADDED_TAPS", 0):
             self._check(case)
 
-    @pytest.mark.parametrize("name", CUT_CASES)
-    def test_cut_cases_take_the_cut(self, name):
-        K, _, cir = CUT_CASES[name][:3]
-        lengths = {(k, i): cir[k][i] for k in range(K) for i in range(K)}
-        c, S = transceiver._blocking(_reception_plan(CUT_CASES[name])[1], lengths)
-        assert S == max(L for (k, i), L in lengths.items() if k != i) < max(lengths.values())
-        assert {"chunks": c * c < K, "short_cell": cir[1][1] < S, "delayed": cir[1][1] < S,
-                "link_large": c < K}[name]
-
-    @pytest.mark.parametrize("geometry, cut", [
-        (dict(K=2, L_D=4, L_I=2, U=2), False),                  # the default simulate config
-        (dict(K=3, L_D=8, L_I=2, U=3, subblocks=10), False),
-        (dict(K=7, L_D=8, L_I=4, U=2, subblocks=100), False),
-        (dict(K=7, L_D=12, L_I=4, U=6, subblocks=100), False),  # 2016 padded taps
-        (dict(K=6, L_D=16, L_I=4, U=3, subblocks=10), False),   # 4320
-        (dict(K=3, L_D=32, L_I=4, U=4, subblocks=3), True),     # 4704
-        (dict(K=7, L_D=16, L_I=4, U=6, subblocks=100), True),
-        (dict(K=7, L_D=32, L_I=4, U=6, subblocks=100), True),   # link_large
-        (dict(K=2, L_D=256, L_I=2, U=1), False),                # c = 1: no block is padded
+    @pytest.mark.parametrize("geometry, S", [
+        (dict(K=2, L_D=4, L_I=2, U=2), 4),                      # 8 padded taps: simulate's default
+        (dict(K=3, L_D=8, L_I=2, U=3, subblocks=10), 8),        # 216
+        (dict(K=7, L_D=8, L_I=4, U=2, subblocks=100), 8),       # 672
+        (dict(K=7, L_D=12, L_I=4, U=6, subblocks=100), 12),     # 2016
+        (dict(K=6, L_D=16, L_I=4, U=3, subblocks=10), 16),      # 4320
+        (dict(K=3, L_D=32, L_I=4, U=4, subblocks=3), 4),        # 4704
+        (dict(K=7, L_D=16, L_I=4, U=6, subblocks=100), 4),      # 6048
+        (dict(K=7, L_D=32, L_I=4, U=6, subblocks=100), 4),      # link_large: 28224
+        (dict(K=2, L_D=256, L_I=2, U=1), 2),                    # 129032
+        (dict(K=7, L_D=64, L_I=2, U=1), 2),                     # 161448
+        (dict(K=5, L_D=16, L_I=3, U=3, subblocks=1), 16),       # 3120
+        ("tails", 3),                                           # 129960
+        ("short_cell", 3),                                      # 29304
+        ("delayed", 6),                                         # 4824
+        ("link_large", 4),                                      # 28224
     ])
-    def test_side_of_the_cut(self, geometry, cut):
-        cfg = model.SystemConfig.symmetric(**geometry)
-        lengths = {(k, i): cfg.cir_len[k][i] for k in range(cfg.K) for i in range(cfg.K)}
-        S = transceiver._blocking(model.make_plan(cfg), lengths)[1]
-        assert S == (geometry["L_I"] if cut else geometry["L_D"])
+    def test_cut_length(self, geometry, S):
+        # K (K - 1) cross links padded by U M (longest - S) taps each: the
+        # first frame_response takes every link's first S taps, and each
+        # desired link longer than S adds one tail of its own length
+        if isinstance(geometry, str):
+            cfg, plan = _reception_plan(CUT_CASES[geometry])
+        else:
+            cfg = model.SystemConfig.symmetric(**geometry)
+            plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(63, 0))
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(64, 0))
+        with mock.patch.object(transceiver, "frame_response",
+                               wraps=spectral.frame_response) as spy:
+            transceiver.simulate_reception(cfg, plan, ch, syms)
+        shapes = [call.args[0].shape for call in spy.call_args_list]
+        K, U = cfg.K, max(plan.U_active)
+        assert shapes[0] == (K, K * U, S)
+        assert shapes[1:] == [(U, cfg.cir_len[k][k]) for k in range(K) if cfg.cir_len[k][k] > S]
 
     def _check(self, case):
         K, users, cir, delay, B, noisy, seed = case
