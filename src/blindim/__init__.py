@@ -8,7 +8,6 @@ from .model import (
     ConfigError,
     SystemConfig,
     TransmissionPlan,
-    hex_deployment,
     make_plan,
     sample_channel_iid,
     trial_rng,

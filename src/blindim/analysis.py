@@ -115,14 +115,17 @@ def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
     n_sc = dplan.N subcarriers; user u of cell i interferes on exactly its own
     subcarrier set, with its spectral response taken as the n_sc-point FFT of
     the cross-link taps.  Cyclic prefix dplan.L_D - 1.  Every used subcarrier
-    carries power P = rho = cfg.snr_linear against sigma^2 = 1 (no pooling,
-    as in the TDMA baseline).  A realization needs only the links into cell
-    k.  Returns (...) over the leading axes of the taps.
+    carries power P = rho = cfg.snr_linear against sigma^2 = 1: no pooling,
+    unlike the TDMA baseline, which gives each of user u's subcarriers
+    rho * n_sc / |S_u|.  Under the per-sample convention E|x[n]|^2 = P, a
+    user so spends |S_u| / n_sc of its budget: 2/5 or 1/5 for fig5's 3 users
+    on 5 subcarriers.  A realization needs only the links into cell k.
+    Returns (...) over the leading axes of the taps.
 
     Taps beyond n_sc are dropped, where baseline_tdma_ofdma folds them: fig5's
     7-tap cross links lose taps 5 and 6.  perfbench's geometric_fig5 reference
-    CSV pins this output, so folding here waits for a change that regenerates
-    that reference.
+    CSV pins this output, so pooling and folding here wait for a change that
+    regenerates that reference.
     """
     n_sc = dplan.N
     sc = np.arange(n_sc)

@@ -61,17 +61,15 @@ def run_distance_comparison(*, trials, seed):
     those links.  For a block of T_b trials, each rate call takes
     max(1, TRIAL_BLOCK // T_b) distances at once as a (distances, T_b, U, L)
     realization of those links; so no call rates more than TRIAL_BLOCK
-    realizations, and a short run rates its whole grid in one call.  Each distance sums its block over the trial axis, as it
-    would alone.
+    realizations, and a short run rates its whole grid in one call.  Each
+    distance sums its block over the trial axis, as it would alone.
 
     Returns rows (d_user_m, proposed, ofdma); raises ValueError, from
     trial_blocks, unless trials >= 1.
     """
     cfg, dplan = fig5_config(seed)
-    into_0 = [(0, i) for i in range(cfg.K)]
-    gains = model.large_scale_gain(
-        cfg, dplan.L_I_d, model.hex_deployment(FIG5_DISTANCES_M, cfg.users_per_cell), into_0
-    )
+    gains = model.large_scale_gain(cfg, dplan.L_I_d, FIG5_DISTANCES_M, 0)
+    into_0 = list(gains)
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(FIG5_DISTANCES_M), 2))
     for small in model.trial_blocks(cfg, trials, into_0, user_major=True):

@@ -325,68 +325,41 @@ def pdp_profile(L, lo, hi) -> np.ndarray:
     return gamma
 
 
-def hex_deployment(D_user, users_per_cell) -> np.ndarray:
-    """(..., K, K, U_max) distances (m) from user (i, u) to base station k in
-    the 7-cell hexagonal layout: center cell plus 6 neighbors at spacing
-    SITE_SPACING_M, with users_per_cell[i] users in cell i.
+def large_scale_gain(cfg: SystemConfig, L_I_d, D_user, k) -> dict:
+    """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma)
+    of every link into base station k of fig5's 7-cell hexagonal layout: the
+    center cell and 6 neighbors at spacing SITE_SPACING_M.
 
-    Users sit at distance D_user from their own BS, at evenly-spread angles
-    starting from 0 degrees; slots past a cell's last user hold NaN.  An array
-    of D_user gives one layout per entry, stacked along the leading axes.
+    Cell i's users sit D_user from their own site, at evenly-spread angles
+    from 0 degrees; d is the length of the site's offset from k plus the
+    user's displacement, so cell k's users are exactly D_user away.  An array
+    of D_user stacks one layout per entry along the leading axes.  Desired
+    links spread their power over [0, L_D), cross links over [L_I_d, L_I),
+    with (L_D, L_I) = link_lengths(cfg).  Raises ValueError unless cfg.K == 7,
+    0 <= k < 7 and 0 < D_user < SITE_SPACING_M, which keeps every d > 0.
     """
     D_user = np.asarray(D_user, dtype=float)
-    if not np.all((0 <= D_user) & (D_user < SITE_SPACING_M)):
-        raise ValueError("require 0 <= D_user < D_site")
-    K = 7
-    if len(users_per_cell) != K:
-        raise ValueError("users_per_cell must have 7 entries")
+    if cfg.K != 7 or k not in range(7) or not np.all((0 < D_user) & (D_user < SITE_SPACING_M)):
+        raise ValueError("need K == 7, 0 <= k < 7, 0 < D_user < D_site (K=%d, k=%r)" % (cfg.K, k))
     ring = np.pi / 3.0 * np.arange(6)
-    bs = np.zeros((K, 2))
-    bs[1:] = SITE_SPACING_M * np.stack([np.cos(ring), np.sin(ring)], axis=-1)
-    U = np.array(users_per_cell)[:, None]
-    u = np.arange(U.max())
-    ang = 2.0 * np.pi * u / U
-    user = bs[:, None] + D_user[..., None, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
-    user[..., u >= U, :] = np.nan
-    offset = user[..., None, :, :, :] - bs[:, None, None]
-    return np.hypot(offset[..., 0], offset[..., 1])
-
-
-def large_scale_gain(cfg: SystemConfig, L_I_d, dist, links=None) -> dict:
-    """(k, i) -> (..., U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) * sqrt(gamma),
-    over the leading axes of the (..., K, K, U_max) distances dist, for each
-    link of links in its order (default: every link, in (k, i) order).
-
-    Desired links spread their power over [0, L_D), cross links over
-    [L_I_d, L_I), with (L_D, L_I) = link_lengths(cfg).  Every user's
-    distance is checked, picked link or not.  The path-loss amplitude is one
-    float_power per receiving base station of a picked link, over all its
-    distances, and each distinct delay profile (desired or not, L_{k,i}) is
-    computed once and shared by every picked link that has it; so a link's
-    gains do not depend on the others picked, bit for bit.
-    """
-    p0 = 10.0 ** (REF_LOSS_DB / 10.0)
+    site = np.zeros((7, 2))
+    site[1:] = SITE_SPACING_M * np.stack([np.cos(ring), np.sin(ring)], axis=-1)
+    U = np.array(cfg.users_per_cell)
+    cell = np.repeat(np.arange(7), U)
+    ang = 2.0 * np.pi * np.concatenate([np.arange(n) for n in U]) / U[cell]
+    step = D_user[..., None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    offset = (site[cell] - site[k]) + step
+    # float_power matches scalar d ** x bit for bit, so existing seeds keep
+    # their draws; numpy's SIMD power loop may differ in the last bit
+    amp = np.sqrt(10.0 ** (REF_LOSS_DB / 10.0)) * np.float_power(
+        np.hypot(offset[..., 0], offset[..., 1]), -PATHLOSS_EXPONENT / 2.0)
     L_D, L_I = link_lengths(cfg)
-    # slots past a cell's last user hold NaN distances and are never read
-    users = np.arange(dist.shape[-1]) < np.array(cfg.users_per_cell)[:, None]
-    bad = (users & ~(dist > 0)).reshape((-1,) + dist.shape[-3:]).any(axis=0)
-    if bad.any():
-        raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
-                         % tuple(np.argwhere(bad)[0]))
-    if links is None:
-        links = [(k, i) for k in range(cfg.K) for i in range(cfg.K)]
-    amps = {}
     profiles = {}
     gain = {}
-    for k, i in links:
-        if k not in amps:
-            # float_power matches scalar d ** x bit for bit, so existing seeds
-            # keep their draws; numpy's SIMD power loop may differ in the last bit
-            amps[k] = np.sqrt(p0) * np.float_power(dist[..., k, :, :], -PATHLOSS_EXPONENT / 2.0)
+    for i, amp_i in enumerate(np.split(amp, np.cumsum(U)[:-1], axis=-1)):
         L = cfg.cir_len[k][i]
-        key = (k == i, L)
-        if key not in profiles:
-            lo, hi = (0, L_D) if k == i else (L_I_d, L_I)
-            profiles[key] = np.sqrt(pdp_profile(L, lo, hi))
-        gain[(k, i)] = amps[k][..., i, : cfg.users_per_cell[i], None] * profiles[key]
+        if (i == k, L) not in profiles:
+            lo, hi = (0, L_D) if i == k else (L_I_d, L_I)
+            profiles[i == k, L] = np.sqrt(pdp_profile(L, lo, hi))
+        gain[(k, i)] = amp_i[..., None] * profiles[i == k, L]
     return gain

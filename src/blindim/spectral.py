@@ -33,9 +33,11 @@ def idft_basis(n: int) -> np.ndarray:
     """Unitary n-point IDFT matrix; column k-1 is the precoding vector f_k.
 
     The matrix is computed once per n and shared, so it is read-only.
+    Raises ValueError unless n is an integer (numpy's too) or an integral
+    real, and n >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not float(n).is_integer() or n < 1:
+        raise ValueError("n must be an integer >= 1 (n=%r)" % (n,))
     return _idft_basis(int(n))
 
 

@@ -241,10 +241,10 @@ def decode_by_triangular_solve(plan, H, y_tilde):
 
 # ---------------------------------------------------------------------------
 # fig5 one trial, one user and one tap at a time: the scalar power-delay
-# profile, the per-user fading and geometric samplers, the residual columns
-# one link at a time, the per-trial delayed-ICI and OFDMA rates, the
-# trial-by-trial distance sweep, and the sweep with one pair of rate calls
-# per distance
+# profile, the full hexagonal deployment, the per-user gains, fading and
+# geometric samplers, the residual columns one link at a time, the per-trial
+# delayed-ICI and OFDMA rates, the trial-by-trial distance sweep, and the
+# sweep with one pair of rate calls per distance
 # ---------------------------------------------------------------------------
 
 def pdp_variance(k, i, ell, L_D, L_I, L_I_d):
@@ -286,28 +286,70 @@ def small_scale_by_user(cfg, rng):
     return model.ChannelRealization(taps=taps)
 
 
-def sample_channel_by_user(cfg, L_I_d, dist, rng):
-    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma), with
-    model's deployment constants and cross-link power over [L_I_d, L_I): one
-    small_scale_by_user draw, scaled user by user and tap by tap.
-    dist[k, i, u] is the distance from user (i, u) to base station k."""
+def hex_deployment(D_user, users_per_cell):
+    """(..., 7, 7, U_max) distances (m) from user (i, u) to base station k in
+    fig5's 7-cell hexagonal layout: the center cell plus 6 neighbors at
+    spacing model.SITE_SPACING_M, with users_per_cell[i] users in cell i.
+
+    Users sit at distance D_user from their own BS, at evenly-spread angles
+    starting from 0 degrees; slots past a cell's last user hold NaN.  Each
+    distance is the length of site i's offset from site k plus the user's
+    displacement from site i.  An array of D_user gives one layout per entry,
+    stacked along the leading axes.
+    """
+    from blindim import model
+
+    D_user = np.asarray(D_user, dtype=float)
+    if not np.all((0 <= D_user) & (D_user < model.SITE_SPACING_M)):
+        raise ValueError("require 0 <= D_user < D_site")
+    if len(users_per_cell) != 7:
+        raise ValueError("users_per_cell must have 7 entries")
+    ring = np.pi / 3.0 * np.arange(6)
+    bs = np.zeros((7, 2))
+    bs[1:] = model.SITE_SPACING_M * np.stack([np.cos(ring), np.sin(ring)], axis=-1)
+    U = np.array(users_per_cell)[:, None]
+    u = np.arange(U.max())
+    ang = 2.0 * np.pi * u / U
+    step = D_user[..., None, None, None] * np.stack([np.cos(ang), np.sin(ang)], -1)
+    step[..., u >= U, :] = np.nan
+    offset = (bs[None, :, None] - bs[:, None, None]) + step[..., None, :, :, :]
+    return np.hypot(offset[..., 0], offset[..., 1])
+
+
+def gain_by_user(cfg, L_I_d, dist):
+    """(k, i) -> (U_i, L_{k,i}) tap amplitudes sqrt(P_0) * d^(-alpha/2) *
+    sqrt(gamma) of every link, one scalar d ** x per user and one
+    pdp_variance per tap, with model's deployment constants and cross-link
+    power over [L_I_d, L_I).  dist[k, i, u] is the distance from user (i, u)
+    to base station k; a nonpositive one raises ValueError."""
     from blindim import model
 
     p0 = 10.0 ** (model.REF_LOSS_DB / 10.0)
     L_D, L_I = model.link_lengths(cfg)
+    gains = {}
+    for k in range(cfg.K):
+        for i in range(cfg.K):
+            L = cfg.cir_len[k][i]
+            gamma = np.array([pdp_variance(k, i, ell, L_D, L_I, L_I_d) for ell in range(L)])
+            out = np.zeros((cfg.users_per_cell[i], L))
+            for u in range(cfg.users_per_cell[i]):
+                d = dist[k, i, u]
+                if not d > 0:
+                    raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)"
+                                     % (k, i, u))
+                out[u] = np.sqrt(p0) * d ** (-model.PATHLOSS_EXPONENT / 2.0) * np.sqrt(gamma)
+            gains[(k, i)] = out
+    return gains
+
+
+def sample_channel_by_user(cfg, L_I_d, dist, rng):
+    """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma):
+    one small_scale_by_user draw times gain_by_user(cfg, L_I_d, dist)."""
+    from blindim import model
+
+    gains = gain_by_user(cfg, L_I_d, dist)
     small = small_scale_by_user(cfg, rng)
-    taps = {}
-    for (k, i), h in small.taps.items():
-        L = cfg.cir_len[k][i]
-        gamma = np.array([pdp_variance(k, i, ell, L_D, L_I, L_I_d) for ell in range(L)])
-        out = np.zeros(h.shape, dtype=complex)
-        for u in range(cfg.users_per_cell[i]):
-            d = dist[k, i, u]
-            if not d > 0:
-                raise ValueError("nonpositive distance for link (k=%d, i=%d, u=%d)" % (k, i, u))
-            out[u] = np.sqrt(p0) * d ** (-model.PATHLOSS_EXPONENT / 2.0) * np.sqrt(gamma) * h[u]
-        taps[(k, i)] = out
-    return model.ChannelRealization(taps=taps)
+    return model.ChannelRealization({key: gains[key] * h for key, h in small.taps.items()})
 
 
 def framed_convolution(plan, taps, M):
@@ -405,7 +447,7 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
     P, sigma2 = cfg.snr_linear, 1.0
     rows = []
     for d_user in d_user_grid:
-        dist = model.hex_deployment(float(d_user), cfg.users_per_cell)
+        dist = hex_deployment(float(d_user), cfg.users_per_cell)
         acc_prop = 0.0
         acc_ofdma = 0.0
         for t in range(trials):
@@ -420,24 +462,24 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
 def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
     """experiments.run_distance_comparison one distance at a time: per block
     of model.TRIAL_BLOCK trials, each trial draws all K * K links with
-    small_scale_by_user, and every distance scales every link and makes its
-    own pair of rate calls, summed over the block's trials."""
+    small_scale_by_user, and every distance scales every link by its
+    gain_by_user on the full hex_deployment and makes its own pair of rate
+    calls, summed over the block's trials."""
     from blindim import analysis, experiments, extensions, model
 
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
     cfg, dplan = experiments.fig5_config()
-    gains = model.large_scale_gain(
-        cfg, dplan.L_I_d, model.hex_deployment(d_user_grid, cfg.users_per_cell)
-    )
+    gains = [gain_by_user(cfg, dplan.L_I_d, hex_deployment(d, cfg.users_per_cell))
+             for d in d_user_grid]
     acc = np.zeros((len(d_user_grid), 2))
     for start in range(0, trials, model.TRIAL_BLOCK):
         block = range(start, min(start + model.TRIAL_BLOCK, trials))
         draws = [small_scale_by_user(cfg, model.trial_rng(seed, t)) for t in block]
-        small = {key: np.stack([ch.taps[key] for ch in draws]) for key in gains}
+        small = {key: np.stack([ch.taps[key] for ch in draws]) for key in draws[0].taps}
         for j in range(len(d_user_grid)):
             ch = model.ChannelRealization(
-                {key: gain[j] * small[key] for key, gain in gains.items()})
+                {key: gain * small[key] for key, gain in gains[j].items()})
             prop = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
             ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[j] += prop.sum(), ofdma.sum()

@@ -13,13 +13,14 @@ from oracles import (
     distance_comparison_by_distance,
     distance_comparison_by_trial,
     fold_matrix,
+    gain_by_user,
     ofdma_rate_by_subset,
     pdp_variance,
     residual_columns_by_link,
     residual_ici_rate_by_trial,
     sample_channel_by_user,
 )
-from test_model import geometric_draws
+from test_model import geometric_draws, hex_gains
 from test_spectral import _full_response
 
 
@@ -435,8 +436,7 @@ class TestDelayedDecoding:
 class TestResidualIciRate:
     def _setup(self, seed=0):
         cfg, dplan = experiments.fig5_config()
-        dist = model.hex_deployment(100.0, cfg.users_per_cell)
-        draw = geometric_draws(cfg, dplan.L_I_d, dist, seed, 1)
+        draw = geometric_draws(cfg, hex_gains(cfg, dplan.L_I_d, 100.0), seed, 1)
         ch = model.ChannelRealization({key: taps[0] for key, taps in draw.taps.items()})
         return cfg, dplan, ch
 
@@ -584,7 +584,7 @@ class TestBatchedFig5Path:
 
         rng = np.random.default_rng(seed)
         dist = rng.uniform(0.5, 3.0, (cfg.K, cfg.K, max(cfg.users_per_cell)))
-        stacked = geometric_draws(cfg, L_I_d, dist, seed, trials)
+        stacked = geometric_draws(cfg, gain_by_user(cfg, L_I_d, dist), seed, trials)
         draws = [model.ChannelRealization({key: taps[t] for key, taps in stacked.taps.items()})
                  for t in range(trials)]
         for t, ch in enumerate(draws):
@@ -617,17 +617,18 @@ class TestBatchedFig5Path:
         assert [cfg.seed for cfg in checked] == [3]
 
     def test_gains_only_for_the_links_into_cell_0(self, monkeypatch):
+        # one call, for base station 0 over the whole distance grid
         built = []
         original = model.large_scale_gain
 
-        def recording(*args, **kwargs):
-            gains = original(*args, **kwargs)
-            built.append(list(gains))
+        def recording(cfg, L_I_d, D_user, k):
+            gains = original(cfg, L_I_d, D_user, k)
+            built.append((k, list(gains), {g.shape[0] for g in gains.values()}))
             return gains
 
         monkeypatch.setattr(model, "large_scale_gain", recording)
         experiments.run_distance_comparison(trials=1, seed=0)
-        assert built == [[(0, i) for i in range(7)]]
+        assert built == [(0, [(0, i) for i in range(7)], {len(FIG5_GRID)})]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_distance_sweep_rejects_no_trials(self, trials):

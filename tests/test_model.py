@@ -6,17 +6,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindim import configfile, model
-from oracles import pdp_variance, sample_channel_by_link, small_scale_by_user
+from oracles import (
+    gain_by_user,
+    hex_deployment,
+    pdp_variance,
+    sample_channel_by_link,
+    small_scale_by_user,
+)
 
 
 def symmetric(K=2, L_D=4, L_I=2, U=2, **kw):
     return model.SystemConfig.symmetric(K=K, L_D=L_D, L_I=L_I, U=U, **kw)
 
 
-def geometric_draws(cfg, L_I_d, dist, seed, trials):
+def hex_gains(cfg, L_I_d, D_user):
+    """large_scale_gain into every base station of a 7-cell cfg."""
+    gain = {}
+    for k in range(cfg.K):
+        gain.update(model.large_scale_gain(cfg, L_I_d, D_user, k))
+    return gain
+
+
+def geometric_draws(cfg, gain, seed, trials):
     """Trials 0 .. trials - 1 of fig5's route, stacked (T, U_i, L_{k,i}) per
-    link: large_scale_gain times trial_blocks' user-major taps."""
-    gain = model.large_scale_gain(cfg, L_I_d, dist)
+    link of gain: those gains times trial_blocks' user-major taps."""
     blocks = list(model.trial_blocks(dataclasses.replace(cfg, seed=seed), trials,
                                      user_major=True))
     return model.ChannelRealization(
@@ -350,8 +363,10 @@ class TestPdpVariance:
 
 
 class TestHexDeployment:
+    """The oracle deployment that large_scale_gain is checked against."""
+
     def test_own_bs_distance(self):
-        dist = model.hex_deployment(80.0, [3] * 7)
+        dist = hex_deployment(80.0, [3] * 7)
         for i in range(7):
             for u in range(3):
                 assert dist[i, i, u] == pytest.approx(80.0)
@@ -359,14 +374,14 @@ class TestHexDeployment:
     def test_bs_spacing(self):
         # a user at distance 0 sits on its own site: dist[k, i, 0] is the
         # distance between sites i and k
-        dist = model.hex_deployment(0.0, [1] * 7)
+        dist = hex_deployment(0.0, [1] * 7)
         for c in range(1, 7):
             assert dist[0, c, 0] == pytest.approx(300.0)
         # adjacent ring sites are also D_site apart
         assert dist[1, 2, 0] == pytest.approx(300.0)
 
     def test_sixty_degree_symmetry(self):
-        dist = model.hex_deployment(80.0, [1] * 7)
+        dist = hex_deployment(80.0, [1] * 7)
         # distances from the center BS to each ring cell's user repeat under rotation
         d = sorted(dist[0, 1:, 0])
         rot = sorted(np.roll(dist[0, 1:, 0], 1))
@@ -374,80 +389,67 @@ class TestHexDeployment:
 
     def test_rejects_user_outside_cell(self):
         with pytest.raises(ValueError):
-            model.hex_deployment(300.0, [3] * 7)
+            hex_deployment(300.0, [3] * 7)
 
 
 class TestGeometricSampler:
-    def _single_link_cfg(self):
-        return model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[4]])
-
     def test_pathloss_scaling(self):
-        cfg = self._single_link_cfg()
+        cfg = symmetric(K=7, L_D=4, L_I=1, U=1)
         powers = {}
         for d in (50.0, 100.0):
-            ch = geometric_draws(cfg, 0, np.full((1, 1, 1), d), 0, 4000)
+            ch = geometric_draws(cfg, hex_gains(cfg, 0, d), 0, 4000)
             powers[d] = np.sum(np.abs(ch.h(0, 0, 0)) ** 2) / 4000
         assert powers[50.0] / powers[100.0] == pytest.approx(2 ** 3.5, rel=0.05)
 
     def test_tap_power_matches_profile(self):
-        cfg = self._single_link_cfg()
-        dist = np.full((1, 1, 1), 60.0)
-        acc = np.mean(np.abs(geometric_draws(cfg, 0, dist, 3, 20000).h(0, 0, 0)) ** 2, axis=0)
+        cfg = symmetric(K=7, L_D=4, L_I=1, U=1)
+        acc = np.mean(np.abs(geometric_draws(cfg, hex_gains(cfg, 0, 60.0), 3, 20000).h(0, 0, 0)) ** 2, axis=0)
         p0 = 10 ** (model.REF_LOSS_DB / 10)
         for ell in range(4):
             expect = p0 * 60.0 ** -3.5 * pdp_variance(0, 0, ell, 4, 1, 0)
             assert acc[ell] == pytest.approx(expect, rel=0.05)
 
     def test_delayed_ici_taps_exactly_zero(self):
-        cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=2)
-        ch = geometric_draws(cfg, 3, np.full((2, 2, 2), 100.0), 0, 1)
-        np.testing.assert_array_equal(ch.taps[(0, 1)][..., :3], 0.0)
-        assert np.all(np.abs(ch.taps[(0, 1)][..., 3:]) > 0)
+        cfg = symmetric(K=7, L_D=5, L_I=7, U=2)
+        ch = geometric_draws(cfg, hex_gains(cfg, 3, 100.0), 0, 1)
+        for (k, i), taps in ch.taps.items():
+            if k != i:
+                np.testing.assert_array_equal(taps[..., :3], 0.0)
+                assert np.all(np.abs(taps[..., 3:]) > 0)
 
     def test_rejects_bad_distance(self):
-        cfg = self._single_link_cfg()
-        with pytest.raises(ValueError):
-            model.large_scale_gain(cfg, 0, np.zeros((1, 1, 1)))
+        # seven cells, and every user strictly inside its own cell, anywhere
+        # on a grid
+        cfg = symmetric(K=7, L_D=4, L_I=1, U=1)
+        with pytest.raises(ValueError, match="K == 7"):
+            model.large_scale_gain(model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[4]]),
+                                   0, 50.0, 0)
+        for D_user in (0.0, 300.0, [50.0, 0.0, 80.0], [50.0, 300.0], -1.0, np.nan):
+            with pytest.raises(ValueError, match="D_user"):
+                model.large_scale_gain(cfg, 0, D_user, 0)
+        # a base station outside the layout, negative ones too
+        for k in (-1, 7):
+            with pytest.raises(ValueError, match="k=%d" % k):
+                model.large_scale_gain(cfg, 0, 50.0, k)
 
-    def test_bad_distance_on_a_grid_names_its_link(self):
-        # a cell's unused user slots hold NaN and pass; a real user's zero
-        # distance anywhere on the grid is named before any power is taken
-        cfg = model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[3, 2], [2, 3]])
-        dist = np.full((3, 2, 2, 2), 50.0)
-        dist[..., 0, 1] = np.nan
-        with np.errstate(all="raise"):
-            gains = model.large_scale_gain(cfg, 0, dist)
-            assert all(np.isfinite(g).all() for g in gains.values())
-            dist[2, 1, 1, 1] = 0.0
-            with pytest.raises(ValueError, match=r"link \(k=1, i=1, u=1\)"):
-                model.large_scale_gain(cfg, 0, dist)
-
-    @pytest.mark.parametrize("links", [
-        [(0, i) for i in range(3)],    # fig5's pick: the links into cell 0
-        [(2, 1), (0, 0), (1, 2)],      # out of (k, i) order
-        [(1, 1)],
-        [],
-    ])
-    def test_gains_of_picked_links(self, links):
-        # exactly the picked links, in their order, each bit for bit the
-        # full call's entry
-        cfg = model.SystemConfig(K=3, users_per_cell=[2, 1, 3],
-                                 cir_len=[[4, 6, 7], [6, 5, 7], [7, 6, 4]])
-        dist = np.random.default_rng(1).uniform(20.0, 400.0, (5, 3, 3, 3))
-        full = model.large_scale_gain(cfg, 2, dist)
-        assert list(full) == [(k, i) for k in range(3) for i in range(3)]
-        picked = model.large_scale_gain(cfg, 2, dist, links)
-        assert list(picked) == links
-        for key in links:
-            np.testing.assert_array_equal(picked[key], full[key])
-
-    def test_unpicked_links_are_still_checked(self):
-        # a bad distance on a link that is not picked still raises
-        cfg = model.SystemConfig(K=2, users_per_cell=[1, 2], cir_len=[[3, 2], [2, 3]])
-        dist = np.full((3, 2, 2, 2), 50.0)
-        dist[1, 1, 0, 0] = -1.0
-        with pytest.raises(ValueError, match=r"link \(k=1, i=0, u=0\)"):
-            model.large_scale_gain(cfg, 0, dist, [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("users", [[3] * 7, list(range(1, 8))])
+    def test_gains_match_the_oracle_deployment(self, users):
+        # every link into every base station, with an asymmetric cir_len,
+        # bit for bit the oracle's scalar gains on its full (7, 7, U_max)
+        # deployment; users of cell k at 1e-14 m are still that far from
+        # base station k, so every gain is finite
+        grid = np.concatenate([[1e-14, 1e-10], np.linspace(0.001, 299.999, 43)])
+        cir = np.random.default_rng(2).integers(1, 9, (7, 7))
+        cfg = model.SystemConfig(K=7, users_per_cell=users, cir_len=cir)
+        want = [gain_by_user(cfg, 2, hex_deployment(d, users)) for d in grid]
+        for k in range(7):
+            with np.errstate(all="raise"):
+                gains = model.large_scale_gain(cfg, 2, grid, k)
+            assert list(gains) == [(k, i) for i in range(7)]
+            for (_, i), gain in gains.items():
+                assert gain.shape == (len(grid), users[i], cir[k][i])
+                for j in range(len(grid)):
+                    np.testing.assert_array_equal(gain[j], want[j][(k, i)])
 
     def test_picked_links_keep_their_place_in_the_draw(self):
         # the links into base station 0 come first: normals cut after them

@@ -41,6 +41,16 @@ class TestIdftBasis:
         with pytest.raises(ValueError):
             spectral.idft_basis(0)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(6.5), np.nan, np.inf])
+    def test_rejects_a_size_that_is_not_integral(self, n):
+        # 2.5 once returned the 2-point basis
+        with pytest.raises(ValueError, match="integer"):
+            spectral.idft_basis(n)
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), 5.0])
+    def test_integral_sizes_are_the_int_size(self, n):
+        assert spectral.idft_basis(n) is spectral.idft_basis(5)
+
     def test_shared_and_read_only(self):
         # computed once per n, so no caller may write into it
         F = spectral.idft_basis(6)
