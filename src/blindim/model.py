@@ -336,11 +336,18 @@ def large_scale_gain(cfg: SystemConfig, L_I_d, D_user, k) -> dict:
     of D_user stacks one layout per entry along the leading axes.  Desired
     links spread their power over [0, L_D), cross links over [L_I_d, L_I),
     with (L_D, L_I) = link_lengths(cfg).  Raises ValueError unless cfg.K == 7,
-    0 <= k < 7 and 0 < D_user < SITE_SPACING_M, which keeps every d > 0.
+    0 <= k < 7 and 0 < D_user < SITE_SPACING_M, which keeps every d > 0; a bad
+    D_user is named by its index in the grid.
     """
     D_user = np.asarray(D_user, dtype=float)
-    if cfg.K != 7 or k not in range(7) or not np.all((0 < D_user) & (D_user < SITE_SPACING_M)):
-        raise ValueError("need K == 7, 0 <= k < 7, 0 < D_user < D_site (K=%d, k=%r)" % (cfg.K, k))
+    if cfg.K != 7 or k not in range(7):
+        raise ValueError("need K == 7 and 0 <= k < 7 (K=%d, k=%r)" % (cfg.K, k))
+    bad = np.argwhere(~((0 < D_user) & (D_user < SITE_SPACING_M)))
+    if len(bad):
+        at = tuple(int(j) for j in bad[0])
+        where = "[%s]" % ", ".join(map(str, at)) if at else ""
+        raise ValueError("links into k=%d need 0 < D_user < D_site; D_user%s = %r"
+                         % (k, where, float(D_user[at])))
     ring = np.pi / 3.0 * np.arange(6)
     site = np.zeros((7, 2))
     site[1:] = SITE_SPACING_M * np.stack([np.cos(ring), np.sin(ring)], axis=-1)

@@ -432,6 +432,42 @@ class TestGeometricSampler:
             with pytest.raises(ValueError, match="k=%d" % k):
                 model.large_scale_gain(cfg, 0, 50.0, k)
 
+    def test_bad_distance_on_a_grid_names_its_link(self):
+        # a good grid takes no invalid power; one bad D_user on it is named by
+        # its grid index, with the links it was asked for
+        cfg = model.SystemConfig(K=7, users_per_cell=[1, 2, 1, 3, 1, 2, 1],
+                                 cir_len=[[3] * 7] * 7)
+        D_user = np.full((3, 2), 50.0)
+        with np.errstate(all="raise"):
+            gains = model.large_scale_gain(cfg, 0, D_user, 1)
+            assert all(np.isfinite(g).all() for g in gains.values())
+            D_user[2, 1] = 0.0
+            with pytest.raises(ValueError, match=r"links into k=1 .* D_user\[2, 1\] = 0\.0"):
+                model.large_scale_gain(cfg, 0, D_user, 1)
+        with pytest.raises(ValueError, match=r"D_user = nan"):
+            model.large_scale_gain(cfg, 0, np.nan, 1)
+
+    @pytest.mark.parametrize("links", [
+        [(0, i) for i in range(7)],    # fig5's pick: the links into cell 0
+        [(2, 1), (0, 0), (1, 2)],      # out of (k, i) order
+        [(6, 6)],
+        [],
+    ])
+    def test_gains_of_picked_links(self, links):
+        # the picked links, in their order, each bit for bit the oracle's
+        # gain on its full deployment
+        users = [2, 1, 3, 1, 2, 1, 3]
+        cir = np.random.default_rng(1).integers(1, 9, (7, 7))
+        cfg = model.SystemConfig(K=7, users_per_cell=users, cir_len=cir)
+        grid = np.random.default_rng(1).uniform(1.0, 299.0, (5,))
+        want = [gain_by_user(cfg, 2, hex_deployment(d, users)) for d in grid]
+        into = {k: model.large_scale_gain(cfg, 2, grid, k) for k in {k for k, _ in links}}
+        picked = {key: into[key[0]][key] for key in links}
+        assert list(picked) == links
+        for key, gain in picked.items():
+            for j in range(len(grid)):
+                np.testing.assert_array_equal(gain[j], want[j][key])
+
     @pytest.mark.parametrize("users", [[3] * 7, list(range(1, 8))])
     def test_gains_match_the_oracle_deployment(self, users):
         # every link into every base station, with an asymmetric cir_len,
