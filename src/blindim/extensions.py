@@ -7,21 +7,18 @@ Both scenarios use the base scheme's receiver on a plan whose L_I_d is set:
 spectral.combiner folds the leading interference-free samples onto their
 positions one period later, which restores a cyclic structure on every
 (considered) interfering link, and projects out the interference exactly as
-in the base scheme.
-
-Every active user sends one symbol on the constant precoder f_1, so each
-column is spectral.projected_response for f_1: the combiner applied to the
-link's spectral.frame_response, as for the base scheme's H_k; no per-link
-channel matrix is built.  delayed_effective_channels and
-rate_with_residual_ici serve one cell k and read only the links into it.
-Transmission, reception and detection are the base scheme's simulate_link.
+in the base scheme.  Every active user sends one symbol on the constant
+precoder f_1.  delayed_effective_channels and rate_with_residual_ici serve
+one cell k and read only the links into it.  Transmission, reception and
+detection are the base scheme's simulate_link, which decodes a plan with
+L_I_d > 0 only at B = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import ConfigError, TransmissionPlan, link_lengths
+from .model import ConfigError, TransmissionPlan, _integral, link_lengths
 from .spectral import combiner, projected_response
 
 
@@ -35,11 +32,14 @@ def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
     L_I_prime - 1 samples, which holds the L_I_d harvested samples that the
     combiner folds: (L_kk - L_I_prime)^+ + L_I_d users per cell are active,
     but never more than the N - M_D = N - 1 rows the combiner observes.
-    Raises ConfigError unless 0 <= L_I_d < L_I_prime <= L_I.
+    Raises ConfigError unless L_I_d and L_I_prime are integers (numpy's too)
+    or integral reals, and 0 <= L_I_d < L_I_prime <= L_I.
     """
     L_D, L_I = link_lengths(cfg)
-    if not 0 <= L_I_d < L_I_prime <= L_I:
-        raise ConfigError(["require 0 <= L_I_d < L_I_prime <= L_I (got %d, %d, %d)"
+    L_I_d, L_I_prime = _integral(L_I_d), _integral(L_I_prime)
+    integers = isinstance(L_I_d, int) and isinstance(L_I_prime, int)
+    if not (integers and 0 <= L_I_d < L_I_prime <= L_I):
+        raise ConfigError(["require integers 0 <= L_I_d < L_I_prime <= L_I (got %r, %r, %d)"
                            % (L_I_d, L_I_prime, L_I)])
     N = max(L_D - L_I_prime + 1, L_I_prime)
     U_active = tuple(min(U, max(cfg.cir_len[k][k] - L_I_prime, 0) + L_I_d, N - 1)
@@ -54,38 +54,29 @@ def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
 def delayed_effective_channels(cfg, dplan, ch, k):
     """Enlarged effective channel and residual-interference columns of cell k.
 
-    Returns (H_k, H_int_k).  H_k is spectral.projected_response of cell k's
-    own links: one column per active desired user, spectral.combiner(dplan)
-    times its received frame for f_1.  H_int_k stacks the same construction
-    for every active user of each link into cell k longer than the plan's
-    L_I (the cancelled length L_I_prime), in link order, using only its
-    residual taps ell >= L_I_prime.  The users of all residual links of one
-    length L_{k,i} are joined along the user axis into one projected_response
-    call, whose columns are then put back in link order.  Each column is its
-    own user's response, as with one call per link: bit for bit where the
-    call takes the same route and a product of more than one row either way,
-    else to round-off.  A joined group of long links may take the table route
-    where each alone would not, and projected_response takes a one-row
-    product as a vector product, whose last bit may differ.  A realization
-    needs only the links into cell k.  Leading axes of the taps carry
-    through: (..., N - M_D, columns).
+    Returns (H_k, H_int_k), (..., N - M_D, columns) over the leading axes of
+    the taps: spectral.combiner(dplan) times the received frame of each
+    active desired user on each precoder, then of each active user of each
+    link into cell k longer than the plan's L_I (the cancelled length
+    L_I_prime), in link order, on its residual taps ell >= L_I_prime alone.
+    The map is linear in the taps: one spectral.projected_response call takes
+    them all as the rows of one zero-padded stack.  Residual links exist only
+    on a delayed plan, where M_k <= 1, so the call sends f_1 even when no
+    desired user is active.
     """
-    H = projected_response(dplan, ch.taps[(k, k)][..., : dplan.U_active[k], :], dplan.M[k])
-    cross = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
-    columns = {}
-    for L in {cfg.cir_len[k][i] for i in cross}:
-        group = [i for i in cross if cfg.cir_len[k][i] == L]
-        taps = np.concatenate([ch.taps[(k, i)][..., : dplan.U_active[i], :] for i in group],
-                              axis=-2)
-        joined = projected_response(dplan, taps, 1, first=dplan.L_I)
-        start = 0
-        for i in group:
-            columns[i] = joined[..., start : start + dplan.U_active[i]]
-            start += dplan.U_active[i]
-    # a cell with no residual link keeps a (..., rows, 0) block
-    H_int = np.concatenate([np.zeros(H.shape[:-1] + (0,), dtype=complex)]
-                           + [columns[i] for i in cross], axis=-1)
-    return H, H_int
+    U = dplan.U_active
+    links = [(k, 0)] + [(i, dplan.L_I) for i in range(cfg.K)
+                        if i != k and cfg.cir_len[k][i] > dplan.L_I]
+    stack = np.zeros(ch.taps[(k, k)].shape[:-2] + (sum(U[i] for i, _ in links),
+                     max(cfg.cir_len[k][i] for i, _ in links)), dtype=complex)
+    row = 0
+    for i, first in links:
+        taps = ch.taps[(k, i)][..., : U[i], first:]
+        stack[..., row : row + U[i], first : first + taps.shape[-1]] = taps
+        row += U[i]
+    M = max(dplan.M[k], 1)
+    H = projected_response(dplan, stack, M)
+    return H[..., : U[k] * M], H[..., U[k] * M :]
 
 
 def _hermitian(A) -> np.ndarray:
@@ -109,6 +100,9 @@ def rate_with_residual_ici(cfg, dplan, ch, k) -> np.ndarray:
     max(L_D, L_I) - 1 flush samples: for fig5's plan B / T = 10 / 96, which
     is 0.9375 times the 1 / N_bar that analysis.sum_rate_qr divides by.  The
     OFDMA comparator pays no flush, which tilts fig5 against this scheme.
+    No receiver in the package decodes a delayed plan (L_I_d > 0) with
+    B > 1: transceiver.decode_block refuses one.  So at fig5's B = 10 this is
+    a formula, not the rate of a link that is simulated.
     """
     H, H_int = delayed_effective_channels(cfg, dplan, ch, k)
     W = combiner(dplan)

@@ -132,32 +132,26 @@ def leakage_phase(N, cp, M) -> np.ndarray:
 TABLE_TAPS_PER_USER = 16
 
 
-def projected_response(plan, taps, M, first=0) -> np.ndarray:
+def projected_response(plan, taps, M) -> np.ndarray:
     """(..., N - M_D, U * M): the combiner times the frame_response of
     (..., U, L) taps to unit symbols on f_1 .. f_M, column u * M + m for user
-    u and tone f_{m+1}, counting only the taps l >= first.
+    u and tone f_{m+1}.
 
-    The response is linear in the taps.  A link of at most TABLE_TAPS_PER_USER
-    taps per user is one product of its taps l >= first, all draws and users
-    at once, with the rows l >= first of the geometry's _unit_response table.
-    A longer link (a few users on long taps) takes the combined
-    frame_response of its own taps, as the table does of unit taps.  The
-    route depends on U and L only, never on the number of draws, so a draw
-    gets the same channel whatever it is stacked with: bit for bit where its
-    own product has more than one row, else to round-off.  numpy takes a
-    one-row product (one draw of one user on the table route) as a vector
-    product, whose last bit may differ from the matrix product's."""
+    The response is linear in the taps.  Up to TABLE_TAPS_PER_USER taps per
+    user it is one product of the taps, all draws and users at once, with the
+    geometry's _unit_response table; a longer link (a few users on long taps)
+    takes the combined frame_response of its own taps.  The route depends on
+    U and L only, so a draw gets the same channel whatever it is stacked
+    with: bit for bit where its own product has more than one row, else to
+    round-off (numpy takes a one-row product as a vector product)."""
     taps = np.asarray(taps)
     *lead, U, L = taps.shape
     geometry = (plan.N, plan.cp_len, plan.L_I_d, plan.M_D)
     if L > TABLE_TAPS_PER_USER * U:
-        if first:
-            taps = np.where(np.arange(L) < first, 0, taps)
         H = _combined_response(*geometry, taps, M)
     else:
-        table = _unit_response(*geometry, L, M)[first:]
-        rows = table.shape[-1]
-        H = taps[..., first:].reshape(-1, L - first) @ table.reshape(L - first, M * rows)
+        rows = plan.N - plan.M_D
+        H = taps.reshape(-1, L) @ _unit_response(*geometry, L, M).reshape(L, M * rows)
         H = H.reshape(tuple(lead) + (U * M, rows))
     # the transpose of a (..., U * M, rows) product: a view, no copy
     return H.swapaxes(-1, -2)

@@ -367,19 +367,20 @@ def framed_convolution(plan, taps, M):
 
 
 def residual_columns_by_link(cfg, dplan, ch, k):
-    """H_int of extensions.delayed_effective_channels one link at a time: a
-    spectral.projected_response call of f_1 on the taps l >= L_I_prime (the
-    plan's L_I) of the active users of each link into cell k longer than
-    L_I_prime, side by side in link order."""
+    """H_int of extensions.delayed_effective_channels one link at a time: the
+    combiner times the f_1 framed_convolution of the taps l >= L_I_prime (the
+    plan's L_I; the taps before it zeroed) of the active users of each link
+    into cell k longer than L_I_prime, side by side in link order."""
     from blindim import spectral
 
     lead = ch.taps[(k, k)].shape[:-2]
-    columns = [np.zeros(lead + (dplan.N - dplan.M_D, 0), dtype=complex)]
+    columns = [np.zeros(lead + (dplan.N_bar, 0), dtype=complex)]
     for i in range(cfg.K):
         if i != k and cfg.cir_len[k][i] > dplan.L_I:
-            taps = ch.taps[(k, i)][..., : dplan.U_active[i], :]
-            columns.append(spectral.projected_response(dplan, taps, 1, first=dplan.L_I))
-    return np.concatenate(columns, axis=-1)
+            taps = ch.taps[(k, i)][..., : dplan.U_active[i], :].copy()
+            taps[..., : dplan.L_I] = 0.0
+            columns.append(framed_convolution(dplan, taps, 1))
+    return spectral.combiner(dplan) @ np.concatenate(columns, axis=-1)
 
 
 def _f1_columns_by_link(W21, dplan, blocks):

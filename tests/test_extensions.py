@@ -13,6 +13,7 @@ from oracles import (
     distance_comparison_by_distance,
     distance_comparison_by_trial,
     fold_matrix,
+    framed_convolution,
     gain_by_user,
     ofdma_rate_by_subset,
     pdp_variance,
@@ -67,6 +68,22 @@ class TestDelayProfile:
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=L_I, U=3)
         with pytest.raises(model.ConfigError, match="L_I_d < L_I_prime"):
             extensions.make_delayed_plan(cfg, L_I_d, L_I_prime)
+
+    # each size within 0 <= L_I_d < L_I_prime <= L_I = 7 but for its fraction
+    @pytest.mark.parametrize("sizes", [(1.5, 3), (1, 3.5), (np.float64(0.5), 5),
+                                       (math.nan, 3), (1, math.inf), ("1", 3)])
+    def test_rejects_a_size_that_is_not_integral(self, sizes):
+        cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=3)
+        with pytest.raises(model.ConfigError, match="require integers"):
+            extensions.make_delayed_plan(cfg, *sizes)
+
+    @pytest.mark.parametrize("sizes", [(np.int64(3), np.int32(5)), (3.0, np.float64(5.0))])
+    def test_integral_sizes_are_the_int_sizes(self, sizes):
+        cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=3)
+        dplan = extensions.make_delayed_plan(cfg, *sizes)
+        assert dplan == extensions.make_delayed_plan(cfg, 3, 5)
+        assert type(dplan.L_I_d) is int and type(dplan.L_I) is int
+        assert (type(dplan.N), type(dplan.T)) == (int, int)
 
 
 def _projector(plan):
@@ -235,9 +252,9 @@ class TestCompositeChannel:
 def residual_cases(draw):
     """A delayed plan with residual cross links of mixed lengths and user
     counts, and taps for one draw or a stack: cross links are cancelled (at
-    most L_I_prime taps), a few taps past it, or 34 taps, which one or two
-    active users take by the per-draw route of projected_response and three
-    or more by its table."""
+    most L_I_prime taps), a few taps past it, or 34 taps, which a cell's
+    stack of a few active users takes by the per-draw route of
+    projected_response and of more users by its table."""
     K = draw(st.integers(2, 4))
     L_I_prime = draw(st.integers(2, 4))
     cross = st.sampled_from([1, L_I_prime, L_I_prime + 1, L_I_prime + 3, 34])
@@ -249,97 +266,97 @@ def residual_cases(draw):
     dplan = extensions.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lead = draw(st.sampled_from([(), (2,), (3, 2)]))
-    ch = model.ChannelRealization({
-        (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
-        for k in range(K) for i in range(K)})
-    return cfg, dplan, ch
+    return cfg, dplan, _draw_taps(cfg, rng, lead)
 
 
-def _check_residual_columns(cfg, dplan, ch):
-    """Each cell's H_int against the per-link oracle, link by link: bit for bit
-    where joining the link's length group keeps its projected_response route
-    and its product a matrix product, within 1e-12 of the block's largest
-    entry otherwise.  The per-draw route multiplies each draw's U x n leak by
-    the combiner, the table route all draws' taps at once; numpy takes a
-    product of one row as a vector product, whose last bit may differ.
-    Returns the number of links whose route moved."""
-    table = spectral.TABLE_TAPS_PER_USER
-    draws = math.prod(ch.taps[(0, 0)].shape[:-2])
-    moved = 0
-    for k in range(cfg.K):
-        _, got = extensions.delayed_effective_channels(cfg, dplan, ch, k)
-        want = residual_columns_by_link(cfg, dplan, ch, k)
-        assert got.shape == want.shape
-        start = 0
-        for i in range(cfg.K):
-            L = cfg.cir_len[k][i]
-            if i == k or L <= dplan.L_I:
-                continue
-            U = dplan.U_active[i]
-            joined = sum(dplan.U_active[j] for j in range(cfg.K)
-                         if j != k and cfg.cir_len[k][j] == L)
-            block = np.s_[..., start : start + U]
-            alone = L > table * U
-            if alone == (L > table * joined) and (U if alone else draws * U) > 1:
-                np.testing.assert_array_equal(got[block], want[block])
-            else:
-                moved += alone != (L > table * joined)
-                scale = np.abs(want[block]).max(initial=0)
-                assert np.abs(got[block] - want[block]).max(initial=0) <= 1e-12 * scale
-            start += U
-        assert start == got.shape[-1]
-    return moved
+def _draw_taps(cfg, rng, lead):
+    return model.ChannelRealization({
+        (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cfg.cir_len[k][i], 2))
+        @ [1, 1j] for k in range(cfg.K) for i in range(cfg.K)})
 
 
-class TestResidualColumnsByLength:
-    """delayed_effective_channels joins the users of the residual cross links
-    of each length into one projected_response call; its columns stay those
-    of one call per link, in link order."""
+def _interleaved_case(lead):
+    """Into cell 0: lengths 34, 6, 34, 3 (cancelled), 6 in link order, so the
+    residual lengths interleave; cells 1 and 3 have one and two active users
+    on the 34-tap links."""
+    cir = [[6, 34, 6, 34, 3, 6],
+           [4, 6, 4, 4, 4, 4],
+           [4, 4, 6, 4, 4, 4],
+           [4, 4, 4, 6, 4, 4],
+           [4, 4, 4, 4, 6, 4],
+           [4, 4, 4, 4, 4, 6]]
+    cfg = model.SystemConfig(K=6, users_per_cell=[2, 1, 2, 2, 2, 2], cir_len=cir)
+    dplan = extensions.make_delayed_plan(cfg, L_I_d=1, L_I_prime=4)
+    assert dplan.U_active == (2, 1, 2, 2, 2, 2)
+    return cfg, dplan, _draw_taps(cfg, np.random.default_rng(4), lead)
+
+
+def _idle_desired_case():
+    """Cell 0's 2 desired taps are within L_I_prime = 3 and none is harvested
+    (L_I_d = 0), so it has no active user, yet cell 1's 6-tap link into it
+    leaves one residual column."""
+    cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[2, 6], [3, 4]])
+    dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
+    assert dplan.U_active == (0, 1) and dplan.M == (0, 1)
+    return cfg, dplan, _draw_taps(cfg, np.random.default_rng(5), (2,))
+
+
+def _assert_block_close(got, want):
+    """got within 1e-12 of want's largest entry."""
+    assert got.shape == want.shape
+    scale = np.abs(want).max(initial=0)
+    assert np.abs(got - want).max(initial=0) <= 1e-12 * scale
+
+
+class TestOneProjection:
+    """delayed_effective_channels projects the links into a cell in one
+    projected_response call: its desired users on all their taps, then the
+    active users of each residual cross link on their taps past L_I_prime."""
 
     @settings(max_examples=80, deadline=None)
     @given(residual_cases())
-    def test_matches_one_call_per_link(self, case):
-        _check_residual_columns(*case)
+    @example(_interleaved_case(()))
+    @example(_interleaved_case((3,)))
+    @example(_idle_desired_case())
+    def test_matches_the_oracles_link_by_link(self, case):
+        # the desired columns against the combined framed convolution of the
+        # desired taps, each residual link's against residual_columns_by_link
+        cfg, dplan, ch = case
+        W = spectral.combiner(dplan)
+        for k in range(cfg.K):
+            H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+            desired = ch.taps[(k, k)][..., : dplan.U_active[k], :]
+            _assert_block_close(H, W @ framed_convolution(dplan, desired, dplan.M[k]))
+            want = residual_columns_by_link(cfg, dplan, ch, k)
+            assert H_int.shape == want.shape
+            start = 0
+            for i in range(cfg.K):
+                if i != k and cfg.cir_len[k][i] > dplan.L_I:
+                    block = np.s_[..., start : start + dplan.U_active[i]]
+                    _assert_block_close(H_int[block], want[block])
+                    start += dplan.U_active[i]
+            assert start == H_int.shape[-1]
 
-    @pytest.mark.parametrize("lead", [(), (3,)])
-    def test_interleaved_lengths_and_a_moved_route(self, lead):
-        # into cell 0: lengths 34, 6, 34, 3 (cancelled), 6 in link order, so
-        # the two length groups interleave; cells 1 and 3 have one and two
-        # active users, whose 34-tap links each take the per-draw route alone
-        # and the table route together (34 <= 16 * 3)
-        cir = [[6, 34, 6, 34, 3, 6],
-               [4, 6, 4, 4, 4, 4],
-               [4, 4, 6, 4, 4, 4],
-               [4, 4, 4, 6, 4, 4],
-               [4, 4, 4, 4, 6, 4],
-               [4, 4, 4, 4, 4, 6]]
-        cfg = model.SystemConfig(K=6, users_per_cell=[2, 1, 2, 2, 2, 2], cir_len=cir)
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=1, L_I_prime=4)
-        assert dplan.U_active == (2, 1, 2, 2, 2, 2)
-        rng = np.random.default_rng(4)
-        ch = model.ChannelRealization({
-            (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
-            for k in range(6) for i in range(6)})
-        assert _check_residual_columns(cfg, dplan, ch) == 2
-        _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
-        assert H_int.shape == lead + (dplan.N - dplan.M_D, 1 + 2 + 2 + 2)
-
-    def test_fig5_is_one_group_on_the_table(self):
-        # fig5's six 7-tap cross links into cell 0 are one group of 18 users
+    def test_fig5_is_one_call_per_cell_on_the_table(self):
+        # each cell's 3 desired users and the 18 users of its six 7-tap cross
+        # links are one call of 21 users on 7 taps, which reads the table
         cfg, dplan = experiments.fig5_config()
         calls = []
         original = extensions.projected_response
 
-        def counting(plan, taps, M, first=0):
-            calls.append((taps.shape[-2], first))
-            return original(plan, taps, M, first)
+        def counting(plan, taps, M):
+            calls.append((taps.shape, M))
+            return original(plan, taps, M)
 
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extensions, "projected_response", counting)
-            _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
-        assert calls == [(3, 0), (18, dplan.L_I)]
-        np.testing.assert_array_equal(H_int, residual_columns_by_link(cfg, dplan, ch, 0))
+            pairs = [extensions.delayed_effective_channels(cfg, dplan, ch, k)
+                     for k in range(cfg.K)]
+        assert calls == [((21, 7), 1)] * cfg.K
+        assert 7 <= spectral.TABLE_TAPS_PER_USER * 21
+        for H, H_int in pairs:
+            assert H.shape == (dplan.N - 1, 3) and H_int.shape == (dplan.N - 1, 18)
 
 
 class TestDelayedDecoding:

@@ -559,10 +559,10 @@ class TestUnitResponse:
     def test_both_routes_match_the_oracle_alone_or_stacked(self, delayed):
         # 34 taps: one or two users take their own frame_response, three or
         # more read the table, and so does one user on 6 taps; either way the
-        # channel equals W times the framed convolution of the taps l >= first,
-        # and a draw gets the same channel alone as in a stack of draws: bit
-        # for bit where its own product has more than one row, else to
-        # round-off (numpy takes a one-row product as a vector product)
+        # channel equals W times the framed convolution of the taps, and a
+        # draw gets the same channel alone as in a stack of draws: bit for bit
+        # where its own product has more than one row, else to round-off
+        # (numpy takes a one-row product as a vector product)
         cfg = model.SystemConfig.symmetric(K=2, L_D=34, L_I=4, U=6)
         plan = extensions.make_delayed_plan(cfg, 1, 3) if delayed else model.make_plan(cfg)
         W = spectral.combiner(plan)
@@ -572,19 +572,16 @@ class TestUnitResponse:
             stack = rng.standard_normal((4, U, L, 2)) @ [1, 1j]
             table = L <= spectral.TABLE_TAPS_PER_USER * U
             assert table == (U >= 3 or L == 6)
-            for first in (0, plan.L_I):
-                spectral._unit_response.cache_clear()
-                got = spectral.projected_response(plan, stack, M, first)
-                assert bool(spectral._unit_response.cache_info().currsize) == table
-                taps = stack.copy()
-                taps[..., :first] = 0.0
-                assert _projected_relative(got, W, framed_convolution(plan, taps, M)) <= 1e-12
-                for d in range(len(stack)):
-                    alone = spectral.projected_response(plan, stack[d], M, first)
-                    if (U if table else U * M) > 1:
-                        np.testing.assert_array_equal(alone, got[d])
-                    else:
-                        assert np.abs(alone - got[d]).max() <= 1e-14 * np.abs(got[d]).max()
+            spectral._unit_response.cache_clear()
+            got = spectral.projected_response(plan, stack, M)
+            assert bool(spectral._unit_response.cache_info().currsize) == table
+            assert _projected_relative(got, W, framed_convolution(plan, stack, M)) <= 1e-12
+            for d in range(len(stack)):
+                alone = spectral.projected_response(plan, stack[d], M)
+                if (U if table else U * M) > 1:
+                    np.testing.assert_array_equal(alone, got[d])
+                else:
+                    assert np.abs(alone - got[d]).max() <= 1e-14 * np.abs(got[d]).max()
 
     def test_one_user_on_long_links_builds_no_table(self):
         # one user per cell and 256 taps: a table would hold 254 x 254 x 256
