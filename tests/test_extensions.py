@@ -359,6 +359,57 @@ class TestOneProjection:
             assert H.shape == (dplan.N - 1, 3) and H_int.shape == (dplan.N - 1, 18)
 
 
+def _check_one_call_per_link(cfg, dplan, ch):
+    """Each cell's (H_k, H_int) against one projected_response call per link
+    into it, block by block within 1e-12 of the block's largest entry: the
+    joined stack may take another projected_response route than a link
+    alone.  Returns the number of links into cell 0 whose route moved."""
+    table = spectral.TABLE_TAPS_PER_USER
+    U = dplan.U_active
+    moved = 0
+    for k in range(cfg.K):
+        H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+        M = max(dplan.M[k], 1)
+        desired = ch.taps[(k, k)][..., : U[k], :]
+        _assert_block_close(H, extensions.projected_response(dplan, desired, M))
+        links = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
+        joined_users = U[k] + sum(U[i] for i in links)
+        joined_taps = max([cfg.cir_len[k][k]] + [cfg.cir_len[k][i] for i in links])
+        joined_route = joined_taps > table * joined_users
+        start = 0
+        for i in links:
+            taps = ch.taps[(k, i)][..., : U[i], :].copy()
+            taps[..., : dplan.L_I] = 0.0
+            block = np.s_[..., start : start + U[i] * M]
+            _assert_block_close(H_int[block], extensions.projected_response(dplan, taps, M))
+            if k == 0:
+                moved += (cfg.cir_len[k][i] > table * U[i]) != joined_route
+            start += U[i] * M
+        assert start == H_int.shape[-1]
+    return moved
+
+
+class TestResidualColumnsByLength:
+    """delayed_effective_channels joins the links into a cell, residual links
+    of every length among them, into one projected_response call; its columns
+    stay those of one call per link, in link order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(residual_cases())
+    def test_matches_one_call_per_link(self, case):
+        _check_one_call_per_link(*case)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_interleaved_lengths_and_a_moved_route(self, lead):
+        # the 34-tap links of cells 1 and 3 (one and two active users) take
+        # the per-draw route alone and the table route in cell 0's stack of
+        # 9 users (34 <= 16 * 9)
+        cfg, dplan, ch = _interleaved_case(lead)
+        assert _check_one_call_per_link(cfg, dplan, ch) == 2
+        _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
+        assert H_int.shape == lead + (dplan.N - dplan.M_D, 1 + 2 + 2 + 2)
+
+
 class TestDelayedDecoding:
     def test_noiseless_recovery(self):
         cfg, dplan = delayed_case()
