@@ -19,9 +19,11 @@ def dof_theorem1(cfg) -> float:
     """Achievable sum-DoF of the K-cell MAC with the blind scheme:
     max{ sum_k U'_k M_k / N_bar, 1 } over the plan's streams per frame.
 
-    This is Theorem 1's max{ sum_k min(U_k M_k, (L_kk - L_I)^+) /
-    (max(L_D - L_I + M_D, L_I) + L_I - 1), 1 }: make_plan activates
-    U'_k <= U_k users with U'_k M_k = min(U_k M_k, (L_kk - L_I)^+).
+    This is Theorem 1's max{ sum_k U'_k M_k /
+    (max(L_D - L_I + M_D, L_I) + L_I - 1), 1 }: cell k keeps
+    n_k = (L_kk - L_I)^+ dimensions past the cyclic prefix, and make_plan
+    activates U'_k = min(U_k, n_k) users with M_k = floor(n_k / U'_k)
+    symbols each (none when n_k = 0), so U'_k M_k <= n_k.
     """
     plan = model.make_plan(cfg)
     streams = sum(u * m for u, m in zip(plan.U_active, plan.M))

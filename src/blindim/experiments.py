@@ -40,11 +40,9 @@ def fig5_config(seed=0):
     (cfg, dplan); the config is built, and so checked, once.
     snr_db = 177 is 23 dBm against -174 dBm/Hz over 100 Hz: the narrow band
     puts the cell edge interference-limited, the regime compared here."""
-    K = 7
-    cir = [[5 if k == i else 7 for i in range(K)] for k in range(K)]
     snr_db = 23.0 - (-174.0 + 10.0 * math.log10(100.0))
-    cfg = model.SystemConfig(K=K, users_per_cell=[3] * K, cir_len=cir, snr_db=snr_db,
-                             subblocks=10, seed=seed)
+    cfg = model.SystemConfig.symmetric(K=7, L_D=5, L_I=7, U=3, snr_db=snr_db,
+                                       subblocks=10, seed=seed)
     return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 

@@ -57,10 +57,8 @@ class SystemConfig:
         # counts to int; _violations reports the entries left unconverted
         for name in ("K", "subblocks", "seed"):
             object.__setattr__(self, name, _integral(getattr(self, name)))
-        object.__setattr__(self, "users_per_cell", tuple(map(_integral, self.users_per_cell)))
-        object.__setattr__(
-            self, "cir_len", tuple(tuple(map(_integral, row)) for row in self.cir_len)
-        )
+        object.__setattr__(self, "users_per_cell", _entries(self.users_per_cell))
+        object.__setattr__(self, "cir_len", _entries(self.cir_len, _entries))
         violations = _violations(self)
         if violations:
             raise ConfigError(violations)
@@ -86,27 +84,35 @@ def _integral(x):
         return int(x) if integral else x
 
 
+def _entries(seq, convert=_integral):
+    """tuple(map(convert, seq)), or seq unchanged when it is not iterable."""
+    return tuple(map(convert, seq)) if np.iterable(seq) else seq
+
+
 def _violations(cfg: SystemConfig):
     """The invariants cfg's fields violate, as messages (empty when valid).
-    A count that is not an int, as left by _integral, is reported as such
-    and not range-checked; a K that is not an int checks no lengths."""
+    A field of the wrong type, as left by _integral or _entries, is reported
+    as such and not range-checked; a K that is not an int checks no lengths."""
     violations = []
     sized = isinstance(cfg.K, int)
     if not sized:
         violations.append("K must be an integer (K=%r)" % (cfg.K,))
     elif cfg.K < 1:
         violations.append("K >= 1 violated (K=%d)" % cfg.K)
-    if sized and len(cfg.users_per_cell) != cfg.K:
-        violations.append(
-            "users_per_cell must have K entries (got %d, K=%d)"
-            % (len(cfg.users_per_cell), cfg.K)
-        )
-    for k, u in enumerate(cfg.users_per_cell):
+    users = cfg.users_per_cell
+    if not isinstance(users, tuple):
+        violations.append("users_per_cell must be a sequence (users_per_cell=%r)" % (users,))
+        users = ()
+    elif sized and len(users) != cfg.K:
+        violations.append("users_per_cell must have K entries (got %d, K=%d)" % (len(users), cfg.K))
+    for k, u in enumerate(users):
         if not isinstance(u, int):
             violations.append("U_k must be an integer at cell %d (U=%r)" % (k, u))
         elif u < 1:
             violations.append("U_k >= 1 violated at cell %d (U=%d)" % (k, u))
-    if sized and (len(cfg.cir_len) != cfg.K or any(len(row) != cfg.K for row in cfg.cir_len)):
+    matrix = isinstance(cfg.cir_len, tuple) and all(isinstance(row, tuple) for row in cfg.cir_len)
+    if not matrix or sized and (len(cfg.cir_len) != cfg.K
+                                or any(len(row) != cfg.K for row in cfg.cir_len)):
         violations.append("cir_len must be a K x K matrix")
     else:
         for k, row in enumerate(cfg.cir_len):
@@ -123,7 +129,9 @@ def _violations(cfg: SystemConfig):
         violations.append("seed must be an integer (seed=%r)" % (cfg.seed,))
     elif cfg.seed < 0:
         violations.append("seed >= 0 violated (seed=%d)" % cfg.seed)
-    if not math.isfinite(cfg.snr_db):
+    if not isinstance(cfg.snr_db, numbers.Real):
+        violations.append("snr_db must be a real number (snr_db=%r)" % (cfg.snr_db,))
+    elif not math.isfinite(cfg.snr_db):
         violations.append("snr_db must be finite (snr_db=%r)" % cfg.snr_db)
     elif cfg.snr_db > MAX_SNR_DB:
         violations.append("snr_db <= %.6g violated (snr_db=%r)" % (MAX_SNR_DB, cfg.snr_db))
@@ -170,30 +178,16 @@ def link_lengths(cfg: SystemConfig) -> tuple:
 
 
 def make_plan(cfg: SystemConfig) -> TransmissionPlan:
-    """Compute active-user counts, per-user symbol loads, and frame geometry."""
+    """Theorem 1's plan: cell k keeps n_k = (L_kk - L_I)^+ dimensions past the
+    cyclic prefix, and U'_k = min(U_k, n_k) users each send floor(n_k / U'_k) streams."""
     L_D, L_I = link_lengths(cfg)
-
-    U_active = []
-    M = []
-    for k in range(cfg.K):
-        U_k = cfg.users_per_cell[k]
-        spare = cfg.cir_len[k][k] - L_I   # (L_kk - L_I): symbol budget of cell k
-        if spare <= 0:
-            U_active.append(0)
-            M.append(0)
-        elif U_k <= spare:
-            U_active.append(U_k)
-            M.append(spare // U_k)
-        else:
-            U_active.append(spare)
-            M.append(1)
-
+    spare = [max(cfg.cir_len[k][k] - L_I, 0) for k in range(cfg.K)]
+    U_active = tuple(min(U, n) for U, n in zip(cfg.users_per_cell, spare))
+    M = tuple(n // U if U else 0 for U, n in zip(U_active, spare))
     N = max(L_D - L_I + max(M), L_I)
     T = cfg.subblocks * (N + L_I - 1) + max(L_D, L_I) - 1
-    return TransmissionPlan(
-        K=cfg.K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M),
-        L_D=L_D, L_I=L_I, N=N, T=T,
-    )
+    return TransmissionPlan(K=cfg.K, B=cfg.subblocks, U_active=U_active, M=M,
+                            L_D=L_D, L_I=L_I, N=N, T=T)
 
 
 @dataclass
@@ -336,10 +330,11 @@ def large_scale_gain(cfg: SystemConfig, L_I_d, D_user, k) -> dict:
     of D_user stacks one layout per entry along the leading axes.  Desired
     links spread their power over [0, L_D), cross links over [L_I_d, L_I),
     with (L_D, L_I) = link_lengths(cfg).  Raises ValueError unless cfg.K == 7,
-    0 <= k < 7 and 0 < D_user < SITE_SPACING_M, which keeps every d > 0; a bad
-    D_user is named by its index in the grid.
+    0 <= k < 7 (integral reals as their int) and 0 < D_user < SITE_SPACING_M,
+    which keeps every d > 0; a bad D_user is named by its index in the grid.
     """
     D_user = np.asarray(D_user, dtype=float)
+    k = _integral(k)
     if cfg.K != 7 or k not in range(7):
         raise ValueError("need K == 7 and 0 <= k < 7 (K=%d, k=%r)" % (cfg.K, k))
     bad = np.argwhere(~((0 < D_user) & (D_user < SITE_SPACING_M)))

@@ -52,10 +52,11 @@ def build_rank_factors(plan, L_kk, m) -> np.ndarray:
     index m (1-based) and a desired link of length L_kk: (N - M_D) x (L_kk - L_I).
 
     G = (1/sqrt(N)) * W * diag(d1) * E * diag(d2): d1 the N powers of w_m, d2
-    a length L_kk - L_I diagonal, E an N x (L_kk - L_I) matrix of {0, +1, -1}.
-    G depends only on the plan geometry, so h_eff carries all the randomness:
-    the rank analysis of the effective channel reduces to a generic matrix
-    with independent entries.
+    a length L_kk - L_I diagonal, E an N x (L_kk - L_I) staircase of
+    {0, +1, -1}: column j < N - L_I is -1 on rows 0..j, a later column +1 on
+    rows j+1..N-1.  G depends only on the plan geometry, so h_eff carries all
+    the randomness: the rank analysis of the effective channel reduces to a
+    generic matrix with independent entries.
     """
     N, L_I = plan.N, plan.L_I
     if not 1 <= m <= plan.M_D:
@@ -65,13 +66,8 @@ def build_rank_factors(plan, L_kk, m) -> np.ndarray:
     w = np.exp(2j * np.pi * (m - 1) / N)
     d1 = w ** np.arange(N)
     d2 = w ** (N - L_I) * w ** (-np.arange(L_kk - L_I, dtype=float))
-    E = np.zeros((N, L_kk - L_I))
-    for j in range(L_kk - L_I):
-        if j < N - L_I:
-            E[: j + 1, j] = -1.0
-        else:
-            jp = j - (N - L_I)
-            E[N - L_I + 1 + jp :, j] = 1.0
+    r, j = np.arange(N)[:, None], np.arange(L_kk - L_I)
+    E = np.where(j < N - L_I, -1 * (r <= j), 1 * (r > j))
     W = spectral.combiner(plan)[:, plan.cp_len :]
     return (W * d1) @ E @ np.diag(d2) / np.sqrt(N)
 
@@ -99,10 +95,9 @@ def check_decomposition(cfg, plan, ch, H):
     report = []
     ok = True
     for k in range(cfg.K):
-        L_kk = cfg.cir_len[k][k]
-        if L_kk <= plan.L_I:
+        L_kk, U, M = cfg.cir_len[k][k], plan.U_active[k], plan.M[k]
+        if not U:   # L_kk <= L_I: no column to check
             continue
-        U, M = plan.U_active[k], plan.M[k]
         for m in range(1, M + 1):
             if (L_kk, m) not in G:
                 G[L_kk, m] = build_rank_factors(plan, L_kk, m)
@@ -115,13 +110,6 @@ def check_decomposition(cfg, plan, ch, H):
         report += [(k, u, m + 1, float(worst[u, m])) for u in range(U) for m in range(M)]
         ok = ok and not np.any(res > DECOMPOSITION_TOL)
     return ok, report
-
-
-def _full_rank_draws(plan, H) -> int:
-    """How many realizations stacked in the effective channels H give every
-    cell a full-rank H_k: one batched SVD per cell."""
-    ranks = [numerical_rank(H[k]) == plan.U_active[k] * plan.M[k] for k in range(plan.K)]
-    return int(np.count_nonzero(np.all(ranks, axis=0)))
 
 
 def run_all(cfg, trials):
@@ -151,7 +139,9 @@ def run_all(cfg, trials):
         ok, report = check_decomposition(cfg, plan, ch, H)
         worst = max(worst, max((r[-1] for r in report), default=0.0))
         ok_all = ok_all and ok
-        passed += _full_rank_draws(plan, H)
+        # draws in which every cell's H_k has full rank: one batched SVD per cell
+        full = [numerical_rank(H[k]) == plan.U_active[k] * plan.M[k] for k in range(cfg.K)]
+        passed += int(np.count_nonzero(np.all(full, axis=0)))
     results.append(("decomposition", "%d random channels" % trials, ok_all, worst))
 
     frac = passed / trials

@@ -111,6 +111,36 @@ def dof_theorem1_literal(cfg) -> float:
     return float(max(Fraction(num, den), Fraction(1)))
 
 
+def plan_by_cases(cfg):
+    """make_plan's TransmissionPlan, cell by cell through Theorem 1's three
+    cases: no user is active when L_kk <= L_I; U_k <= L_kk - L_I users each
+    send floor((L_kk - L_I) / U_k) symbols; more users than L_kk - L_I
+    activate L_kk - L_I of them with one symbol each."""
+    from blindim import model
+
+    K = cfg.K
+    L_D = max(cfg.cir_len[k][k] for k in range(K))
+    L_I = max([cfg.cir_len[k][i] for k in range(K) for i in range(K) if i != k], default=1)
+    U_active = []
+    M = []
+    for k in range(K):
+        U_k = cfg.users_per_cell[k]
+        spare = cfg.cir_len[k][k] - L_I
+        if spare <= 0:
+            U_active.append(0)
+            M.append(0)
+        elif U_k <= spare:
+            U_active.append(U_k)
+            M.append(spare // U_k)
+        else:
+            U_active.append(spare)
+            M.append(1)
+    N = max(L_D - L_I + max(M), L_I)
+    T = cfg.subblocks * (N + L_I - 1) + max(L_D, L_I) - 1
+    return model.TransmissionPlan(K=K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M),
+                                  L_D=L_D, L_I=L_I, N=N, T=T)
+
+
 def random_config(rng, case):
     """A valid SystemConfig; case cycles through K = 1, cp = 0, asymmetric
     users, a cell with no active user and desired links longer than N."""
@@ -587,6 +617,27 @@ def lemma3_ranks_by_triple(A, B, C):
     a, b, c = (np.linalg.svd(M, compute_uv=False)[0] for M in (A, B, C))
     return [rank_by_matrix(A @ B, scale=a * b), rank_by_matrix(B @ C, scale=b * c),
             rank_by_matrix(B), rank_by_matrix(A @ B @ C, scale=a * b * c)]
+
+
+def rank_factors_by_column(plan, L_kk, m):
+    """verify.build_rank_factors' G_m with its sign matrix E filled column by
+    column: column j < N - L_I is -1 on rows 0..j; column j >= N - L_I is +1
+    from row N - L_I + 1 + (j - (N - L_I)) down."""
+    from blindim import spectral
+
+    N, L_I = plan.N, plan.L_I
+    w = np.exp(2j * np.pi * (m - 1) / N)
+    d1 = w ** np.arange(N)
+    d2 = w ** (N - L_I) * w ** (-np.arange(L_kk - L_I, dtype=float))
+    E = np.zeros((N, L_kk - L_I))
+    for j in range(L_kk - L_I):
+        if j < N - L_I:
+            E[: j + 1, j] = -1.0
+        else:
+            jp = j - (N - L_I)
+            E[N - L_I + 1 + jp :, j] = 1.0
+    W = spectral.combiner(plan)[:, plan.cp_len :]
+    return (W * d1) @ E @ np.diag(d2) / np.sqrt(N)
 
 
 def check_lemma2(cfg, trials, seed=0):

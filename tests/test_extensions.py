@@ -168,6 +168,15 @@ class TestDelayedPlan:
         assert (dplan.N_bar, dplan.T, dplan.B) == (9, 96, 10)
         assert (dplan.L_I, dplan.L_I_d) == (5, 3)
 
+    def test_fig5_config_is_the_explicit_network(self):
+        # seven cells of 3 users, 5-tap desired and 7-tap cross links
+        cir = [[5 if k == i else 7 for i in range(7)] for k in range(7)]
+        snr_db = 23.0 - (-174.0 + 10.0 * math.log10(100.0))
+        for seed in (0, 7):
+            cfg, _ = experiments.fig5_config(seed)
+            assert cfg == model.SystemConfig(K=7, users_per_cell=[3] * 7, cir_len=cir,
+                                             snr_db=snr_db, subblocks=10, seed=seed)
+
     def test_caps_users_at_observed_rows(self):
         # L_I_d = 3 harvested samples would admit 4 users per cell, but the
         # combiner observes only N - M_D = 3 rows

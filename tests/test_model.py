@@ -10,6 +10,7 @@ from oracles import (
     gain_by_user,
     hex_deployment,
     pdp_variance,
+    plan_by_cases,
     sample_channel_by_link,
     small_scale_by_user,
 )
@@ -108,11 +109,21 @@ INVALID = {
     "fractional_subblocks": (dict(subblocks=2.5), dict(subblocks=2.5),
                              ["B must be an integer (B=2.5)"]),
     "fractional_seed": (dict(seed=1.5), dict(seed=1.5), ["seed must be an integer (seed=1.5)"]),
+    "scalar_users": (dict(users_per_cell=2), None,
+                     ["users_per_cell must be a sequence (users_per_cell=2)"]),
+    "scalar_cir_rows": (dict(cir_len=(4, 2)), None, ["cir_len must be a K x K matrix"]),
+    "snr_text": (dict(snr_db="10"), dict(snr_db="10"),
+                 ["snr_db must be a real number (snr_db='10')"]),
+    "snr_none": (dict(snr_db=None), dict(snr_db=None),
+                 ["snr_db must be a real number (snr_db=None)"]),
 }
 # a config file parses these counts as integers, so it rejects the fractions
 # on their line (test_configfile.py::TestErrors::test_fractional_count)
 PARSED_AS_INTEGERS = {"fractional_K", "fractional_entries", "fractional_subblocks",
                       "fractional_seed"}
+# a config file cannot write these: it parses a one-entry users_per_cell as
+# every cell's count, every cir_len row as a list, and snr_db as a number
+NOT_IN_A_FILE = {"scalar_users", "scalar_cir_rows", "snr_text", "snr_none"}
 
 def _config_text(fields):
     """A config file that sets fields: lists comma-separated, matrix rows
@@ -141,7 +152,7 @@ ROUTES = {
     pytest.param(route, changes, args, violations, id="%s-%s" % (route, name))
     for route in ROUTES for name, (changes, args, violations) in INVALID.items()
     if (route != "symmetric" or args is not None)
-    and (route != "file" or name not in PARSED_AS_INTEGERS)
+    and (route != "file" or name not in PARSED_AS_INTEGERS | NOT_IN_A_FILE)
 ])
 def test_every_route_rejects_an_invalid_config(route, changes, args, violations):
     with pytest.raises(model.ConfigError) as exc:
@@ -212,6 +223,17 @@ class TestMakePlan:
         cfg = symmetric(K=2, L_D=8, L_I=2, U=3, subblocks=5)
         plan = model.make_plan(cfg)
         assert plan.T == 5 * plan.N_bar + plan.L_D - 1
+
+    def test_matches_the_case_oracle(self):
+        # the closed form against Theorem 1's three cases, cell by cell, on
+        # 20000 random networks: K 1-4, U 1-11, every tap count 1-19
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            K = int(rng.integers(1, 5))
+            cfg = model.SystemConfig(K=K, users_per_cell=rng.integers(1, 12, K),
+                                     cir_len=rng.integers(1, 20, (K, K)),
+                                     subblocks=int(rng.integers(1, 4)))
+            assert model.make_plan(cfg) == plan_by_cases(cfg)
 
 
 class TestIidSampler:
@@ -446,6 +468,22 @@ class TestGeometricSampler:
                 model.large_scale_gain(cfg, 0, D_user, 1)
         with pytest.raises(ValueError, match=r"D_user = nan"):
             model.large_scale_gain(cfg, 0, np.nan, 1)
+
+    def test_integral_base_station_is_its_int(self):
+        # k = 3.0 (numpy's too) gives k = 3's gains bit for bit; a k that is
+        # not integral is outside the layout
+        cfg = symmetric(K=7, L_D=5, L_I=7, U=3)
+        grid = np.array([40.0, 120.0])
+        want = model.large_scale_gain(cfg, 3, grid, 3)
+        for k in (3.0, np.float64(3.0), np.int64(3)):
+            gains = model.large_scale_gain(cfg, 3, grid, k)
+            assert list(gains) == list(want)
+            assert {type(key[0]) for key in gains} == {int}
+            for key in want:
+                np.testing.assert_array_equal(gains[key], want[key])
+        for k in (3.5, "3", None):
+            with pytest.raises(ValueError, match="need K == 7 and 0 <= k < 7"):
+                model.large_scale_gain(cfg, 3, grid, k)
 
     @pytest.mark.parametrize("links", [
         [(0, i) for i in range(7)],    # fig5's pick: the links into cell 0

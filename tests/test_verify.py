@@ -18,6 +18,7 @@ from oracles import (
     lemma3_ranks,
     lemma3_ranks_by_triple,
     rank_by_matrix,
+    rank_factors_by_column,
     tap_sums,
 )
 
@@ -77,6 +78,22 @@ class TestRankFactors:
             verify.build_rank_factors(plan, L_kk=8, m=plan.M_D + 1)
         with pytest.raises(ValueError):
             verify.build_rank_factors(plan, L_kk=plan.L_I, m=1)
+
+    def test_matches_the_column_oracle_on_the_grid(self):
+        # the staircase E against E filled column by column, G bit for bit:
+        # two symmetric cells, L_D 3-32, every L_I < L_D, U in
+        # {1, 2, 3, L_D - L_I}, every precoder index (10201 factors)
+        built = 0
+        for L_D in range(3, 33):
+            for L_I in range(1, L_D):
+                for U in {1, 2, 3, L_D - L_I}:
+                    plan = model.make_plan(
+                        model.SystemConfig.symmetric(K=2, L_D=L_D, L_I=L_I, U=U))
+                    for m in range(1, plan.M_D + 1):
+                        G = verify.build_rank_factors(plan, L_D, m)
+                        assert G.tobytes() == rank_factors_by_column(plan, L_D, m).tobytes()
+                        built += 1
+        assert built == 10201
 
 
 class TestDecomposition:
