@@ -150,6 +150,16 @@ def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
 # Monte Carlo ergodic averaging
 # ---------------------------------------------------------------------------
 
+def add_block_rates(sums, cfg, plan, ch, snr_linear):
+    """sums plus the (2, S) rates of ch's block of trials summed over its
+    trial axis: the proposed scheme's sum_rate_qr, then baseline_tdma_ofdma,
+    at the S linear SNRs snr_linear.  A run starts from sums = 0.0 and adds
+    its blocks in order, so every Monte Carlo rate sums its trials alike."""
+    H = spectral.build_structured(cfg, plan, ch)
+    return sums + np.stack([sum_rate_qr(plan, H, snr_linear).sum(axis=0),
+                            baseline_tdma_ofdma(cfg, plan, ch, snr_linear).sum(axis=0)])
+
+
 def ergodic_rate(cfg, snr_db_list, trials):
     """Mean spectral efficiency of the proposed scheme and of the TDMA-OFDMA
     baseline at each SNR, both over the same independent channel draws.
@@ -157,15 +167,14 @@ def ergodic_rate(cfg, snr_db_list, trials):
     Trial t uses the reproducible stream (cfg.seed, t), built only for the
     desired links, the only links either rate reads; the trials are stacked in
     blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
-    spectra serve the whole SNR grid.  Returns (proposed, baseline); raises
-    ValueError, from trial_blocks, unless trials >= 1.
+    spectra serve the whole SNR grid (add_block_rates).  Returns (proposed,
+    baseline); raises ValueError, from trial_blocks, unless trials is an
+    integer >= 1.
     """
     plan = model.make_plan(cfg)
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
-    proposed = baseline = 0.0
+    sums = 0.0
     desired = [(k, k) for k in range(cfg.K)]
     for ch in model.trial_blocks(cfg, trials, desired):
-        H = spectral.build_structured(cfg, plan, ch)
-        proposed = proposed + sum_rate_qr(plan, H, snr_lin).sum(axis=0)
-        baseline = baseline + baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)
-    return proposed / trials, baseline / trials
+        sums = add_block_rates(sums, cfg, plan, ch, snr_lin)
+    return tuple(sums / trials)

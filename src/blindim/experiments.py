@@ -22,14 +22,33 @@ def run_snr_comparison(snr_db, trials, seed):
     TDMA-OFDMA baseline for the fig3 scenario: symmetric K-cell networks,
     K in FIG3_K_LIST, with L_D = 8, L_I = 2 and U = 3.
 
-    Returns rows (snr_db, K, proposed, baseline).
+    Each trial is drawn once, from trial_rng(seed, t), for all the networks:
+    one trial_normals pass at the largest normal count of their desired
+    links, of which each network builds its links from the first normals, the
+    ones it would draw alone.  So cell 0's desired taps are one draw in every
+    network, and each network's rows equal its analysis.ergodic_rate bit for
+    bit: both sum their trial blocks through analysis.add_block_rates.
+
+    Returns rows (snr_db, K, proposed, baseline); raises ValueError, from
+    trial_normals, unless trials is an integer >= 1.
     """
-    rows = []
+    snr_lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+    nets = []
     for K in FIG3_K_LIST:
         cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, seed=seed)
-        proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials)
+        desired = [(k, k) for k in range(K)]
+        nets.append((cfg, model.make_plan(cfg), desired, model._normal_count(cfg, desired)))
+    sums = [0.0] * len(nets)
+    widest = max(n for *_, n in nets)
+    for normals in model.trial_normals(seed, trials, widest):
+        for j, (cfg, plan, desired, n) in enumerate(nets):
+            ch = model._taps(cfg, normals[:, :n], desired)
+            sums[j] = analysis.add_block_rates(sums[j], cfg, plan, ch, snr_lin)
+    rows = []
+    for (cfg, *_), net_sums in zip(nets, sums):
+        proposed, baseline = net_sums / trials
         for j, s in enumerate(snr_db):
-            rows.append((float(s), K, float(proposed[j]), float(baseline[j])))
+            rows.append((float(s), cfg.K, float(proposed[j]), float(baseline[j])))
     return rows
 
 
@@ -63,7 +82,7 @@ def run_distance_comparison(*, trials, seed):
     distance sums its block over the trial axis, as it would alone.
 
     Returns rows (d_user_m, proposed, ofdma); raises ValueError, from
-    trial_blocks, unless trials >= 1.
+    trial_blocks, unless trials is an integer >= 1.
     """
     cfg, dplan = fig5_config(seed)
     gains = model.large_scale_gain(cfg, dplan.L_I_d, FIG5_DISTANCES_M, 0)

@@ -9,10 +9,11 @@ Conventions used throughout the package:
 
 Small-scale taps have one builder, _taps, for both channel models: a single
 IID draw (sample_channel_iid) and a block of trials (trial_blocks) share it,
-so a block equals its stacked single draws bit for bit.  The two models keep
-the normal layouts their seeds fix: the IID model is link-major, fig5's
-geometric model user-major (user_major=True), and the geometric taps are
-large_scale_gain times those.
+so a block equals its stacked single draws bit for bit.  Blocks of trials
+read their normals from trial_normals, the one per-trial draw loop.  The two
+models keep the normal layouts their seeds fix: the IID model is link-major,
+fig5's geometric model user-major (user_major=True), and the geometric taps
+are large_scale_gain times those.
 """
 
 from __future__ import annotations
@@ -275,24 +276,41 @@ def sample_channel_iid(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRe
 TRIAL_BLOCK = 256
 
 
-def trial_blocks(cfg: SystemConfig, trials, links=None, user_major=False):
-    """Trials 0 .. trials - 1 of _taps(cfg, normals, links, user_major) with
-    trial_rng(cfg.seed, t)'s normals, yielded in order as realizations
-    stacked (T_b, U_i, L_{k,i}) per link, with T_b <= TRIAL_BLOCK.
+def trial_normals(seed, trials, n):
+    """Standard normals of trials 0 .. trials - 1, yielded in order as
+    (T_b, n) blocks with T_b <= TRIAL_BLOCK: row t holds trial_rng(seed, t)'s
+    first n normals.
 
-    Row t of a block's normals is filled in place by trial_rng(cfg.seed, t),
-    only through the last link picked: those are the first normals of the
-    full draw (the Generator fills values in sequence).  Link-major blocks of
-    every link equal the stacked sample_channel_iid(cfg, trial_rng(cfg.seed, t)).
-    Raises ValueError, on the first next(), unless trials >= 1.
+    The Generator fills values in sequence, so the first m columns of a block
+    for n >= m are the block for m, bit for bit: draws of different lengths
+    from one stream share their first normals.  trials is a count: an
+    integral real runs as its int.  Raises ValueError, on the first next(),
+    unless trials is an integer >= 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1, got %d" % trials)
-    n = _normal_count(cfg, links)
-    for start in range(0, trials, TRIAL_BLOCK):
-        normals = np.empty((min(TRIAL_BLOCK, trials - start), n))
+    count = _integral(trials)
+    if not isinstance(count, int):
+        raise ValueError("trials must be an integer, got %r" % (trials,))
+    if count < 1:
+        raise ValueError("trials must be >= 1, got %d" % count)
+    for start in range(0, count, TRIAL_BLOCK):
+        normals = np.empty((min(TRIAL_BLOCK, count - start), n))
         for t, row in enumerate(normals, start):
-            trial_rng(cfg.seed, t).standard_normal(out=row)
+            trial_rng(seed, t).standard_normal(out=row)
+        yield normals
+
+
+def trial_blocks(cfg: SystemConfig, trials, links=None, user_major=False):
+    """Trials 0 .. trials - 1 of _taps(cfg, normals, links, user_major) over
+    trial_normals(cfg.seed, trials, _normal_count(cfg, links)), yielded in
+    order as realizations stacked (T_b, U_i, L_{k,i}) per link, with
+    T_b <= TRIAL_BLOCK.
+
+    Each trial draws only through the last link picked: those are the first
+    normals of the full draw.  Link-major blocks of every link equal the
+    stacked sample_channel_iid(cfg, trial_rng(cfg.seed, t)).  Raises
+    ValueError, on the first next(), unless trials is an integer >= 1.
+    """
+    for normals in trial_normals(cfg.seed, trials, _normal_count(cfg, links)):
         yield _taps(cfg, normals, links, user_major)
 
 
@@ -330,13 +348,18 @@ def large_scale_gain(cfg: SystemConfig, L_I_d, D_user, k) -> dict:
     of D_user stacks one layout per entry along the leading axes.  Desired
     links spread their power over [0, L_D), cross links over [L_I_d, L_I),
     with (L_D, L_I) = link_lengths(cfg).  Raises ValueError unless cfg.K == 7,
-    0 <= k < 7 (integral reals as their int) and 0 < D_user < SITE_SPACING_M,
-    which keeps every d > 0; a bad D_user is named by its index in the grid.
+    0 <= k < 7, 0 <= L_I_d < L_I (integral reals as their int for both) and
+    0 < D_user < SITE_SPACING_M, which keeps every d > 0; a bad D_user is
+    named by its index in the grid.
     """
     D_user = np.asarray(D_user, dtype=float)
     k = _integral(k)
     if cfg.K != 7 or k not in range(7):
         raise ValueError("need K == 7 and 0 <= k < 7 (K=%d, k=%r)" % (cfg.K, k))
+    L_D, L_I = link_lengths(cfg)
+    L_I_d = _integral(L_I_d)
+    if L_I_d not in range(L_I):
+        raise ValueError("need 0 <= L_I_d < L_I = %d (L_I_d=%r)" % (L_I, L_I_d))
     bad = np.argwhere(~((0 < D_user) & (D_user < SITE_SPACING_M)))
     if len(bad):
         at = tuple(int(j) for j in bad[0])
@@ -355,7 +378,6 @@ def large_scale_gain(cfg: SystemConfig, L_I_d, D_user, k) -> dict:
     # their draws; numpy's SIMD power loop may differ in the last bit
     amp = np.sqrt(10.0 ** (REF_LOSS_DB / 10.0)) * np.float_power(
         np.hypot(offset[..., 0], offset[..., 1]), -PATHLOSS_EXPONENT / 2.0)
-    L_D, L_I = link_lengths(cfg)
     profiles = {}
     gain = {}
     for i, amp_i in enumerate(np.split(amp, np.cumsum(U)[:-1], axis=-1)):

@@ -122,7 +122,7 @@ def run_all(cfg, trials):
     rank lemmas read nothing of the network; each costs one batched SVD
     whatever the trial count.  Raises ConfigError when no cell has
     L_kk > L_I, which leaves no column to check, and ValueError, from
-    trial_blocks, unless trials >= 1.
+    trial_blocks, unless trials is an integer >= 1.
     """
     plan = model.make_plan(cfg)
     if not any(plan.U_active):

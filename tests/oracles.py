@@ -571,6 +571,21 @@ def ergodic_rate_by_trial(cfg, snr_db_list, trials, seed):
     return proposed / trials, baseline / trials
 
 
+def snr_comparison_by_network(snr_db, trials, seed):
+    """fig3's rows (snr_db, K, proposed, baseline) with one
+    analysis.ergodic_rate per network of experiments.FIG3_K_LIST: each network
+    draws every trial's stream itself, only as far as its own desired links."""
+    from blindim import analysis, experiments, model
+
+    rows = []
+    for K in experiments.FIG3_K_LIST:
+        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, seed=seed)
+        proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials)
+        for j, s in enumerate(snr_db):
+            rows.append((float(s), K, float(proposed[j]), float(baseline[j])))
+    return rows
+
+
 def highsnr_slope(rate_1, rate_2, rho_1, rho_2) -> float:
     """Empirical pre-log factor between two (high) SNR points."""
     return float((rate_2 - rate_1) / (np.log2(rho_2) - np.log2(rho_1)))

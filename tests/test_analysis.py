@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindim import analysis, model, spectral
-from oracles import baseline_slope, dof_theorem1_literal, ergodic_rate_by_trial, highsnr_slope
+from blindim import analysis, experiments, model, spectral, verify
+from oracles import (
+    baseline_slope,
+    dof_theorem1_literal,
+    ergodic_rate_by_trial,
+    highsnr_slope,
+    snr_comparison_by_network,
+)
 
 
 def eff_for(cfg, seed=0, trial=0):
@@ -309,3 +315,50 @@ class TestStackedErgodicRate:
         for g, w in zip(got, want):
             assert g.shape == (len(snr_db),)
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+class TestSnrComparison:
+    """fig3's one draw per trial, read by every network, against one
+    ergodic_rate per network, each drawing its own trials."""
+
+    GRIDS = [list(experiments.FIG3_SNR_GRID), list(experiments.FIG3_SNR_GRID)[::-1], [25.0]]
+
+    @pytest.mark.parametrize("trials", [1, 2, 25, 256, 257, 600])
+    @pytest.mark.parametrize("seed", [0, 7, 7919])
+    def test_matches_one_run_per_network(self, seed, trials):
+        for snr_db in self.GRIDS:
+            got = experiments.run_snr_comparison(snr_db, trials, seed)
+            assert got == snr_comparison_by_network(snr_db, trials, seed)
+
+
+# every library entry point that takes a trial count, as a call of it whose
+# result compares with ==
+TRIAL_RUNS = {
+    "ergodic_rate": lambda trials: np.concatenate(analysis.ergodic_rate(
+        model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2, seed=3), [0.0, 20.0],
+        trials)).tobytes(),
+    "run_snr_comparison": lambda trials: experiments.run_snr_comparison([10.0], trials, 3),
+    "run_distance_comparison": lambda trials: experiments.run_distance_comparison(
+        trials=trials, seed=3),
+    "run_all": lambda trials: verify.run_all(verify.DEFAULT_CONFIG, trials),
+}
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("run", TRIAL_RUNS.values(), ids=TRIAL_RUNS.keys())
+    def test_integral_count_runs_as_its_int(self, run):
+        want = run(2)
+        for trials in (2.0, np.float64(2.0), np.int64(2)):
+            assert run(trials) == want
+
+    @pytest.mark.parametrize("trials", [2.5, "2", None])
+    @pytest.mark.parametrize("run", TRIAL_RUNS.values(), ids=TRIAL_RUNS.keys())
+    def test_count_that_is_not_integral_is_a_value_error(self, run, trials):
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got "):
+            run(trials)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("run", TRIAL_RUNS.values(), ids=TRIAL_RUNS.keys())
+    def test_count_below_one_keeps_its_message(self, run, trials):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1, got %d$" % trials):
+            run(trials)

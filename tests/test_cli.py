@@ -153,10 +153,9 @@ class TestRate:
 
 
 class TestDrawCount:
-    @pytest.mark.parametrize("command", ["rate", "verify"])
-    def test_each_trial_drawn_once(self, tmp_path, monkeypatch, command):
-        # both rate columns, and both verify checks, read the same draws:
-        # each trial's stream is opened once
+    @staticmethod
+    def opened(tmp_path, monkeypatch, *argv):
+        """The trials whose streams a successful run of argv opens, in order."""
         calls = []
         original = model.trial_rng
 
@@ -165,9 +164,20 @@ class TestDrawCount:
             return original(seed, trial)
 
         monkeypatch.setattr(model, "trial_rng", counting)
-        code, _ = run(tmp_path, command, "--trials", "7")
+        code, _ = run(tmp_path, *argv)
         assert code == 0
-        assert calls == list(range(7))
+        return calls
+
+    @pytest.mark.parametrize("command", ["rate", "verify", "fig3", "fig5"])
+    def test_each_trial_drawn_once(self, tmp_path, monkeypatch, command):
+        # both rate columns, both verify checks, fig3's three networks and
+        # fig5's distances read the same draws: each trial's stream is opened once
+        assert self.opened(tmp_path, monkeypatch, command, "--trials", "7") == list(range(7))
+
+    def test_fig3_draws_each_trial_once_across_blocks(self, tmp_path, monkeypatch):
+        trials = model.TRIAL_BLOCK + 1
+        calls = self.opened(tmp_path, monkeypatch, "fig3", "--trials", str(trials))
+        assert calls == list(range(trials))
 
 
 class TestSimulate:

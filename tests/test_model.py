@@ -327,6 +327,43 @@ class TestTrialBlocks:
                 assert taps.tobytes() == want.tobytes()
 
 
+class TestTrialNormals:
+    @pytest.mark.parametrize("block", [3, model.TRIAL_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_shorter_draws_are_prefixes(self, monkeypatch, block, seed):
+        # across a block boundary, m normals per trial are the first m of n:
+        # fig3's networks read one draw at the widest count
+        monkeypatch.setattr(model, "TRIAL_BLOCK", block)
+        trials = block + 2
+        wide = list(model.trial_normals(seed, trials, 216))
+        assert [len(b) for b in wide] == [block, 2]
+        for m in (1, 48, 120, 215, 216):
+            narrow = list(model.trial_normals(seed, trials, m))
+            assert len(narrow) == len(wide)
+            for got, full in zip(narrow, wide):
+                assert got.shape == (len(full), m)
+                assert got.tobytes() == np.ascontiguousarray(full[:, :m]).tobytes()
+
+    def test_row_t_is_trial_t(self, monkeypatch):
+        # each block's rows continue the trial count: no block restarts at 0
+        monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
+        got = np.concatenate(list(model.trial_normals(5, 7, 4)))
+        want = np.stack([model.trial_rng(5, t).standard_normal(4) for t in range(7)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trials", [2.0, np.float64(2.0), np.int64(2)])
+    def test_integral_count_is_its_int(self, trials):
+        got = list(model.trial_normals(3, trials, 5))
+        want = list(model.trial_normals(3, 2, 5))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("trials", [2.5, "2", None, float("nan"), float("inf")])
+    def test_count_that_is_not_integral_is_rejected(self, trials):
+        blocks = model.trial_normals(3, trials, 5)
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got "):
+            next(blocks)
+
+
 class TestFadingTrialBlocks:
     """fig5's user-major trial_blocks against one full per-user draw per
     trial, with blocks of 3 trials."""
@@ -484,6 +521,24 @@ class TestGeometricSampler:
         for k in (3.5, "3", None):
             with pytest.raises(ValueError, match="need K == 7 and 0 <= k < 7"):
                 model.large_scale_gain(cfg, 3, grid, k)
+
+    def test_integral_delay_is_its_int(self):
+        # L_I_d = 3.0 (numpy's too) gives 3's gains bit for bit
+        cfg = symmetric(K=7, L_D=5, L_I=7, U=3)
+        grid = np.array([40.0, 120.0])
+        want = model.large_scale_gain(cfg, 3, grid, 0)
+        for L_I_d in (3.0, np.float64(3.0), np.int64(3)):
+            gains = model.large_scale_gain(cfg, L_I_d, grid, 0)
+            assert list(gains) == list(want)
+            for key in want:
+                assert gains[key].tobytes() == want[key].tobytes()
+
+    @pytest.mark.parametrize("L_I_d", ["3", 3.5, None, float("nan"), -1, 7, 8])
+    def test_delay_outside_the_cross_links_is_rejected(self, L_I_d):
+        # -1 once read tap -1, and 7 or more (L_I = 7) zeroed every cross link
+        cfg = symmetric(K=7, L_D=5, L_I=7, U=3)
+        with pytest.raises(ValueError, match=r"need 0 <= L_I_d < L_I = 7 \(L_I_d="):
+            model.large_scale_gain(cfg, L_I_d, 50.0, 0)
 
     @pytest.mark.parametrize("links", [
         [(0, i) for i in range(7)],    # fig5's pick: the links into cell 0

@@ -23,3 +23,19 @@ def test_quick_start_runs_and_prints_what_it_documents():
     # documented value, which leaves room for another BLAS's round-off
     documented = float(re.search(r"print\(err\) +# about (\S+)", first_python_block()).group(1))
     assert documented / 10 < float(lines[2]) < documented * 10
+
+
+def test_options_table_matches_the_parser():
+    # README's command/options table: one row per command or group of
+    # commands that take the same options, in cli.COMMANDS' option order
+    from blindim import cli
+
+    table = re.search(r"^\| command \| options \|\n\| --- \| --- \|\n((?:\|.*\n)+)",
+                      README.read_text(), re.M).group(1)
+    documented = {}
+    for line in table.splitlines():
+        names, options = line.strip("|").split("|")
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in documented, name
+            documented[name] = re.findall(r"`([^`]+)`", options)
+    assert documented == {name: flags for name, (_, flags) in cli.COMMANDS.items()}
