@@ -19,8 +19,6 @@ import os
 import stat
 import sys
 
-import numpy as np
-
 from . import analysis, configfile, experiments, model, transceiver, verify
 
 
@@ -31,8 +29,8 @@ class UsageError(ValueError):
 def _check_args(args):
     """Range check of --trials for every command that takes it: main turns
     a UsageError into exit 2, not model.trial_blocks' ValueError, and
-    simulate's loop does not call trial_blocks.  A --seed is checked by the
-    config it enters."""
+    simulate's experiments.run_link_trials does not call trial_blocks.  A
+    --seed is checked by the config it enters."""
     trials = getattr(args, "trials", 1)
     if trials < 1:
         raise UsageError("--trials must be >= 1, got %d" % trials)
@@ -166,21 +164,7 @@ def cmd_simulate(args, out):
     if not any(plan.U_active):
         raise model.ConfigError(["simulate needs a cell with L_kk > L_I; every L_kk <= L_I = %d"
                                  % plan.L_I])
-    rows = []
-    for t in range(args.trials):
-        rng = model.trial_rng(cfg.seed, t)
-        ch = model.sample_channel_iid(cfg, rng)
-        symbols = transceiver.draw_symbols(cfg, plan, rng)
-        try:
-            result = transceiver.simulate_link(cfg, plan, ch, symbols, noise_rng=rng)
-        except transceiver.RankDeficientError as exc:
-            raise transceiver.RankDeficientError("trial %d, %s" % (t, exc)) from None
-        for k in range(cfg.K):
-            if plan.U_active[k] * plan.M[k] == 0:
-                continue   # an idle cell sends nothing, so it has no error to report
-            truth = symbols[k].reshape(plan.B, -1)
-            err = result.s_hat[k] - truth
-            rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
+    rows = experiments.run_link_trials(cfg, plan, args.trials)
     _write_csv(out, ["trial", "cell", "normalized_mse"], rows)
     return 0
 

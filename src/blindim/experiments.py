@@ -1,15 +1,18 @@
 # blindim/experiments.py
 """Canned experiment scenarios used by the CLI: the ergodic sum-rate
-comparison against TDMA-OFDMA over an SNR grid, and the 7-cell geometric
-comparison against OFDMA versus user-to-BS distance."""
+comparison against TDMA-OFDMA over an SNR grid, the 7-cell geometric
+comparison against OFDMA versus user-to-BS distance, and the link
+simulator's independent trials."""
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
-from . import analysis, model
+from . import analysis, model, transceiver
 from .extensions import make_delayed_plan, rate_with_residual_ici
 
 FIG3_SNR_GRID = tuple(range(0, 45, 5))
@@ -102,3 +105,117 @@ def run_distance_comparison(*, trials, seed):
             acc[near, 1] += ofdma.sum(axis=-1)
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))
             for d_user, sums in zip(FIG5_DISTANCES_M, acc)]
+
+
+# run_link_trials spreads its trials over threads only when one trial's decode
+# work, sum_k (N - M_D) (U'_k M_k)^2, reaches this.  numpy's LAPACK, BLAS and
+# generator loops release the interpreter lock, but a small trial spends most
+# of its time in Python.  Timed in-process on a 2-vCPU Xeon with BLAS pinned
+# to one thread, two threads against one over 20 trials: 1.60x on
+# link_large's config (work 112896); 0.79-0.94x at works 648, 2016 and 8232,
+# and on the default config (16, 200 trials).  At work 448 with B = 100
+# (K = 7, L_D = 8, L_I = 4, U = 2), where reception outweighs the decode,
+# they ran 1.03-1.07x, but 0.91-0.93x over 2 trials.
+THREAD_DECODE_WORK = 10**4
+
+# The variables numpy's BLAS reads its thread count from, by the library
+# numpy.show_config names; the first positive one is the count
+BLAS_THREAD_VARS = {
+    "scipy-openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _blas_threads(cpus):
+    """Threads each BLAS call of numpy may use: what its library reads from
+    BLAS_THREAD_VARS, or cpus for an unknown library or when none is set."""
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    for var in BLAS_THREAD_VARS.get(name, ()):
+        value = os.environ.get(var, "")
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _trial_workers(plan, trials):
+    """Threads run_link_trials uses: one unless a trial's decode work reaches
+    THREAD_DECODE_WORK and a single-threaded BLAS leaves cores idle, else
+    min(trials, cpus // BLAS threads).  A BLAS free to use every core would
+    contend with the extra threads, and lose."""
+    work = sum((plan.N - plan.M_D) * (u * m) ** 2 for u, m in zip(plan.U_active, plan.M))
+    if trials < 2 or work < THREAD_DECODE_WORK:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))   # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(trials, cpus // _blas_threads(cpus)))
+
+
+def _link_trial(cfg, plan, t):
+    """Rows (t, k, normalized MSE) of trial t's simulate_link, one per active
+    cell; raises RankDeficientError, naming the trial, for a draw that fails
+    the rank criterion."""
+    rng = model.trial_rng(cfg.seed, t)
+    ch = model.sample_channel_iid(cfg, rng)
+    symbols = transceiver.draw_symbols(cfg, plan, rng)
+    try:
+        result = transceiver.simulate_link(cfg, plan, ch, symbols, noise_rng=rng)
+    except transceiver.RankDeficientError as exc:
+        raise transceiver.RankDeficientError("trial %d, %s" % (t, exc)) from None
+    rows = []
+    for k in range(cfg.K):
+        if plan.U_active[k] * plan.M[k] == 0:
+            continue   # an idle cell sends nothing, so it has no error to report
+        truth = symbols[k].reshape(plan.B, -1)
+        err = result.s_hat[k] - truth
+        rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
+    return rows
+
+
+def _link_chunk(cfg, plan, chunk, failed, lock):
+    """Rows of the trials in chunk, in order, up to the first trial that
+    raises.  failed[0] is the first trial any chunk saw raise (initially
+    trials): a chunk stops at a trial not before it, and lowers it when one
+    of its own raises, so the chunks after a failure end at their next trial."""
+    rows = []
+    for t in chunk:
+        if t >= failed[0]:
+            break
+        try:
+            rows += _link_trial(cfg, plan, t)
+        except BaseException:
+            with lock:
+                failed[0] = min(failed[0], t)
+            raise
+    return rows
+
+
+def run_link_trials(cfg, plan, trials):
+    """Rows (trial, cell, normalized_mse) of simulate_link on trials 0 ..
+    trials - 1 of cfg, trial t drawn from trial_rng(cfg.seed, t), in trial
+    order; idle cells have no row.
+
+    The trials are independent, so with _trial_workers' W > 1 threads they
+    run as W contiguous chunks: the calling thread takes the first, a pool
+    made for this call the rest, and the rows join in trial order.  A draw
+    that fails the rank criterion raises the RankDeficientError of the first
+    failing trial, as one thread in trial order would: chunks before it run
+    on, chunks after it stop at their next trial, and every thread has ended
+    when this returns or raises.
+    """
+    workers = _trial_workers(plan, trials)
+    failed, lock = [trials], threading.Lock()
+    if workers == 1:
+        return _link_chunk(cfg, plan, range(trials), failed, lock)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [trials * j // workers for j in range(workers + 1)]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        later = [pool.submit(_link_chunk, cfg, plan, c, failed, lock) for c in chunks[1:]]
+        rows = _link_chunk(cfg, plan, chunks[0], failed, lock)
+        for future in later:
+            rows += future.result()
+    return rows

@@ -27,7 +27,10 @@ def draw_symbols(cfg, plan, rng) -> dict:
     """Random unit-variance payload symbols, scaled by sqrt(N rho / M_k) so
     each transmitted sample has power P = rho, the config's linear SNR.
 
-    Returns a dict k -> array of shape (B, U'_k, M_k).
+    Returns a dict k -> array of shape (B, U'_k, M_k).  A Gaussian cell is one
+    standard_normal draw of its real then its imaginary parts, written into
+    one complex buffer and scaled in place: the same bits and generator state
+    as (re + 1j * im) / sqrt(2) from two draws, without their temporaries.
     """
     out = {}
     for k in range(cfg.K):
@@ -35,8 +38,14 @@ def draw_symbols(cfg, plan, rng) -> dict:
         if cfg.symbol_model == "qpsk":
             s = rng.choice(QPSK, size=shape)
         else:
-            s = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        out[k] = s * np.sqrt(plan.N * cfg.snr_linear / plan.M[k]) if plan.M[k] > 0 else s
+            x = rng.standard_normal((2,) + shape)
+            s = np.empty(shape, dtype=complex)
+            s.real = x[0]
+            s.imag = x[1]
+            s /= np.sqrt(2.0)
+        if plan.M[k] > 0:
+            s *= np.sqrt(plan.N * cfg.snr_linear / plan.M[k])
+        out[k] = s
     return out
 
 
@@ -108,6 +117,9 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     frames[:, :B] += tones @ framed_precoders(N, cp, M).T
     y = frames.reshape(cfg.K, -1)[:, : plan.T]
     if rng is not None:
+        # scaled out of place: z *= sqrt(0.5) gives the same bits, but took
+        # simulate --trials 20 on link_large's config from 65.8 to 70.0 ms
+        # (2-vCPU Xeon, BLAS unpinned, 3 of 3 rounds), for a cause not found
         z = rng.standard_normal((cfg.K, 2, plan.T)) * np.sqrt(0.5)
         y.real += z[:, 0]
         y.imag += z[:, 1]

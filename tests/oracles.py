@@ -761,3 +761,50 @@ def check_dft_submatrix_independence(N, removed_rows, picked_cols):
     rows = np.broadcast_to(np.arange(N), kept.shape)[kept]
     rows = rows.reshape(kept.shape[:-1] + (1,) * (picked.ndim - 1) + (-1, 1))
     return stacked_rank(F[rows, picked[..., None, :]]) == picked.shape[-1]
+
+
+# ---------------------------------------------------------------------------
+# The link simulator's payload and simulate's trials as first written: two
+# draws per Gaussian cell, and one trial after another on one thread
+# ---------------------------------------------------------------------------
+
+def symbols_by_two_draws(cfg, plan, rng):
+    """draw_symbols' dict k -> (B, U'_k, M_k): per Gaussian cell a draw of
+    real and a draw of imaginary parts, (re + 1j * im) / sqrt(2), then scaled
+    by sqrt(N rho / M_k)."""
+    from blindim import transceiver
+
+    out = {}
+    for k in range(cfg.K):
+        shape = (plan.B, plan.U_active[k], plan.M[k])
+        if cfg.symbol_model == "qpsk":
+            s = rng.choice(transceiver.QPSK, size=shape)
+        else:
+            s = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        out[k] = s * np.sqrt(plan.N * cfg.snr_linear / plan.M[k]) if plan.M[k] > 0 else s
+    return out
+
+
+def link_trials_in_order(cfg, plan, trials):
+    """simulate's rows (trial, cell, normalized_mse) for trials 0 .. trials - 1,
+    one trial after another on the calling thread; a draw that fails the rank
+    criterion raises RankDeficientError naming its trial, so the first one
+    stops the run."""
+    from blindim import model, transceiver
+
+    rows = []
+    for t in range(trials):
+        rng = model.trial_rng(cfg.seed, t)
+        ch = model.sample_channel_iid(cfg, rng)
+        symbols = symbols_by_two_draws(cfg, plan, rng)
+        try:
+            result = transceiver.simulate_link(cfg, plan, ch, symbols, noise_rng=rng)
+        except transceiver.RankDeficientError as exc:
+            raise transceiver.RankDeficientError("trial %d, %s" % (t, exc)) from None
+        for k in range(cfg.K):
+            if plan.U_active[k] * plan.M[k] == 0:
+                continue
+            truth = symbols[k].reshape(plan.B, -1)
+            err = result.s_hat[k] - truth
+            rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
+    return rows

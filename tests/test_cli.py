@@ -657,6 +657,33 @@ class TestImports:
         assert proc.stdout.splitlines() == ["[]", "0 []"]
         assert len((tmp_path / "sim.csv").read_text().splitlines()) > 1
 
+    def test_thread_pool_only_when_trials_run_on_threads(self, tmp_path):
+        # importing the CLI loads no concurrent.futures, and nor does a
+        # simulate on one thread (the default config's decode work is 16); a
+        # large link with BLAS pinned to one thread loads it exactly when
+        # its trials go to threads, which needs a second CPU
+        script = (
+            "import sys\n"
+            "def pool():\n"
+            "    return 'concurrent.futures' in sys.modules\n"
+            "import blindim.cli\n"
+            "from blindim import experiments, model\n"
+            "print(pool())\n"
+            "blindim.cli.main(['simulate', '--trials', '2', '--out', sys.argv[1]])\n"
+            "print(pool())\n"
+            "cfg = model.SystemConfig.symmetric(K=7, L_D=32, L_I=4, U=6, subblocks=3)\n"
+            "plan = model.make_plan(cfg)\n"
+            "experiments.run_link_trials(cfg, plan, 2)\n"
+            "print(pool() == (experiments._trial_workers(plan, 2) > 1))\n"
+        )
+        path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim.csv")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "False", "True"]
+
 
 class TestReadme:
     def test_quick_start_runs(self, tmp_path):

@@ -18,6 +18,7 @@ from oracles import (
     frame_by_subblock,
     random_config,
     receive_by_link,
+    symbols_by_two_draws,
 )
 
 
@@ -105,6 +106,24 @@ class TestDrawSymbols:
             assert dist.max() <= 1e-12 * np.abs(points).max()
             # all four points occur among the 4 * 3 * 2 draws of each cell
             assert len(np.unique(np.round(syms[k] / points[0], 9))) == 4
+
+    @pytest.mark.parametrize("symbol_model", ["gaussian", "qpsk"])
+    @pytest.mark.parametrize("seed", [0, 7, 7919])
+    def test_matches_two_draws_per_cell(self, seed, symbol_model):
+        # one draw per cell written into the complex buffer gives the bits and
+        # the generator state of a real and an imaginary draw; cell 2 is idle
+        cfg = model.SystemConfig(K=3, users_per_cell=[6, 4, 2],
+                                 cir_len=[[32, 4, 3], [4, 24, 4], [2, 4, 4]],
+                                 snr_db=17.0, subblocks=5, symbol_model=symbol_model)
+        plan = model.make_plan(cfg)
+        assert plan.M[2] == 0
+        rng, two_draws = model.trial_rng(seed, 3), model.trial_rng(seed, 3)
+        syms = transceiver.draw_symbols(cfg, plan, rng)
+        want = symbols_by_two_draws(cfg, plan, two_draws)
+        for k in range(cfg.K):
+            assert syms[k].shape == want[k].shape and syms[k].dtype == want[k].dtype
+            assert np.array_equal(syms[k], want[k])
+        assert rng.bit_generator.state == two_draws.bit_generator.state
 
 
 class TestSimulateReception:
