@@ -4,7 +4,6 @@ links, channel-independent ICI-nulling projection, successive inter-subblock
 cancellation, closed-form DoF/rate analysis, and executable rank checks."""
 
 from .model import (
-    ChannelRealization,
     ConfigError,
     SystemConfig,
     TransmissionPlan,

@@ -97,7 +97,7 @@ def baseline_tdma_ofdma(cfg, plan, ch, snr_linear) -> np.ndarray:
     snr_linear; a scalar snr_linear gives the leading axes only.
     """
     n_sc = plan.N
-    h = ch.taps[(0, 0)]
+    h = ch[(0, 0)]
     U, L = h.shape[-2:]
     folded = np.pad(h, [(0, 0)] * (h.ndim - 1) + [(0, -L % n_sc)])
     lam = np.fft.fft(folded.reshape(h.shape[:-1] + (-1, n_sc)).sum(axis=-2))
@@ -135,9 +135,9 @@ def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
     offset = np.cumsum(U) - U
     # the row of the user that owns each subcarrier, with links stacked cell by cell
     owner = offset[:, None] + sc % U[:, None]
-    stacked = np.zeros(ch.taps[(k, k)].shape[:-2] + (U.sum(), n_sc), dtype=complex)
+    stacked = np.zeros(ch[(k, k)].shape[:-2] + (U.sum(), n_sc), dtype=complex)
     for i in range(cfg.K):
-        h = ch.taps[(k, i)][..., :n_sc]
+        h = ch[(k, i)][..., :n_sc]
         stacked[..., offset[i] : offset[i] + U[i], : h.shape[-1]] = h
     # (..., K, n_sc): power received from each cell on every subcarrier
     power = cfg.snr_linear * np.abs(np.fft.fft(stacked)[..., owner, sc]) ** 2
@@ -150,31 +150,37 @@ def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
 # Monte Carlo ergodic averaging
 # ---------------------------------------------------------------------------
 
-def add_block_rates(sums, cfg, plan, ch, snr_linear):
-    """sums plus the (2, S) rates of ch's block of trials summed over its
-    trial axis: the proposed scheme's sum_rate_qr, then baseline_tdma_ofdma,
-    at the S linear SNRs snr_linear.  A run starts from sums = 0.0 and adds
-    its blocks in order, so every Monte Carlo rate sums its trials alike."""
-    H = spectral.build_structured(cfg, plan, ch)
-    return sums + np.stack([sum_rate_qr(plan, H, snr_linear).sum(axis=0),
-                            baseline_tdma_ofdma(cfg, plan, ch, snr_linear).sum(axis=0)])
+def ergodic_rates(cfgs, snr_db_list, trials) -> list:
+    """(proposed, baseline) of each network in cfgs: the mean spectral
+    efficiency of the proposed scheme and of the TDMA-OFDMA baseline at each
+    SNR, over the same draws.
+
+    Trial t is drawn once for all the networks, from trial_rng(seed, t), as
+    far as the widest network's desired links, the only links either rate
+    reads.  Each network builds its links from the first normals, the ones it
+    would draw alone, so its pair does not depend on the others.  Each block
+    of model.TRIAL_BLOCK trials is rated once for the whole SNR grid.  Raises
+    ValueError unless the networks share one seed and trials is an integer
+    >= 1.
+    """
+    seeds = {cfg.seed for cfg in cfgs}
+    if len(seeds) != 1:
+        raise ValueError("the networks must share one seed, got %s" % sorted(seeds))
+    snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
+    plans = [model.make_plan(cfg) for cfg in cfgs]
+    desired = [[(k, k) for k in range(cfg.K)] for cfg in cfgs]
+    widths = [model._normal_count(cfg, links) for cfg, links in zip(cfgs, desired)]
+    sums = [0.0] * len(cfgs)
+    for normals in model.trial_normals(seeds.pop(), trials, max(widths)):
+        for j, (cfg, plan) in enumerate(zip(cfgs, plans)):
+            ch = model._taps(cfg, normals[:, : widths[j]], desired[j])
+            H = spectral.build_structured(cfg, plan, ch)
+            sums[j] += np.stack([sum_rate_qr(plan, H, snr_lin).sum(axis=0),
+                                 baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)])
+    return [tuple(net_sums / trials) for net_sums in sums]
 
 
 def ergodic_rate(cfg, snr_db_list, trials):
-    """Mean spectral efficiency of the proposed scheme and of the TDMA-OFDMA
-    baseline at each SNR, both over the same independent channel draws.
-
-    Trial t uses the reproducible stream (cfg.seed, t), built only for the
-    desired links, the only links either rate reads; the trials are stacked in
-    blocks of model.TRIAL_BLOCK, and each block's QR diagonals and baseline
-    spectra serve the whole SNR grid (add_block_rates).  Returns (proposed,
-    baseline); raises ValueError, from trial_blocks, unless trials is an
-    integer >= 1.
-    """
-    plan = model.make_plan(cfg)
-    snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
-    sums = 0.0
-    desired = [(k, k) for k in range(cfg.K)]
-    for ch in model.trial_blocks(cfg, trials, desired):
-        sums = add_block_rates(sums, cfg, plan, ch, snr_lin)
-    return tuple(sums / trials)
+    """(proposed, baseline) of one network: ergodic_rates([cfg], snr_db_list,
+    trials)[0], whose trial t is drawn from trial_rng(cfg.seed, t)."""
+    return ergodic_rates([cfg], snr_db_list, trials)[0]

@@ -28,9 +28,9 @@ class UsageError(ValueError):
 
 def _check_args(args):
     """Range check of --trials for every command that takes it: main turns
-    a UsageError into exit 2, not model.trial_blocks' ValueError, and
-    simulate's experiments.run_link_trials does not call trial_blocks.  A
-    --seed is checked by the config it enters."""
+    a UsageError into exit 2, where the ValueError of model.trial_count,
+    which every trial loop calls, would escape it.  A --seed is checked by
+    the config it enters."""
     trials = getattr(args, "trials", 1)
     if trials < 1:
         raise UsageError("--trials must be >= 1, got %d" % trials)

@@ -25,31 +25,17 @@ def run_snr_comparison(snr_db, trials, seed):
     TDMA-OFDMA baseline for the fig3 scenario: symmetric K-cell networks,
     K in FIG3_K_LIST, with L_D = 8, L_I = 2 and U = 3.
 
-    Each trial is drawn once, from trial_rng(seed, t), for all the networks:
-    one trial_normals pass at the largest normal count of their desired
-    links, of which each network builds its links from the first normals, the
-    ones it would draw alone.  So cell 0's desired taps are one draw in every
-    network, and each network's rows equal its analysis.ergodic_rate bit for
-    bit: both sum their trial blocks through analysis.add_block_rates.
+    The networks share each trial's draw (analysis.ergodic_rates), so cell
+    0's desired taps are one draw in every network, and each network's rows
+    equal its analysis.ergodic_rate bit for bit.
 
-    Returns rows (snr_db, K, proposed, baseline); raises ValueError, from
-    trial_normals, unless trials is an integer >= 1.
+    Returns rows (snr_db, K, proposed, baseline); raises ValueError unless
+    trials is an integer >= 1.
     """
-    snr_lin = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-    nets = []
-    for K in FIG3_K_LIST:
-        cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, seed=seed)
-        desired = [(k, k) for k in range(K)]
-        nets.append((cfg, model.make_plan(cfg), desired, model._normal_count(cfg, desired)))
-    sums = [0.0] * len(nets)
-    widest = max(n for *_, n in nets)
-    for normals in model.trial_normals(seed, trials, widest):
-        for j, (cfg, plan, desired, n) in enumerate(nets):
-            ch = model._taps(cfg, normals[:, :n], desired)
-            sums[j] = analysis.add_block_rates(sums[j], cfg, plan, ch, snr_lin)
+    cfgs = [model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, seed=seed)
+            for K in FIG3_K_LIST]
     rows = []
-    for (cfg, *_), net_sums in zip(nets, sums):
-        proposed, baseline = net_sums / trials
+    for cfg, (proposed, baseline) in zip(cfgs, analysis.ergodic_rates(cfgs, snr_db, trials)):
         for j, s in enumerate(snr_db):
             rows.append((float(s), cfg.K, float(proposed[j]), float(baseline[j])))
     return rows
@@ -93,12 +79,10 @@ def run_distance_comparison(*, trials, seed):
     # (distance, scheme) sums over the trials
     acc = np.zeros((len(FIG5_DISTANCES_M), 2))
     for small in model.trial_blocks(cfg, trials, into_0, user_major=True):
-        step = max(1, model.TRIAL_BLOCK // len(small.taps[(0, 0)]))
+        step = max(1, model.TRIAL_BLOCK // len(small[(0, 0)]))
         for j in range(0, len(FIG5_DISTANCES_M), step):
             near = slice(j, j + step)
-            ch = model.ChannelRealization(
-                {key: gains[key][near, None] * small.taps[key] for key in into_0}
-            )
+            ch = {key: gains[key][near, None] * small[key] for key in into_0}
             prop = rate_with_residual_ici(cfg, dplan, ch, 0)
             ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[near, 0] += prop.sum(axis=-1)
@@ -203,8 +187,11 @@ def run_link_trials(cfg, plan, trials):
     that fails the rank criterion raises the RankDeficientError of the first
     failing trial, as one thread in trial order would: chunks before it run
     on, chunks after it stop at their next trial, and every thread has ended
-    when this returns or raises.
+    when this returns or raises.  Raises ValueError, from
+    model.trial_count and before any thread starts, unless trials is an
+    integer >= 1; an integral real runs as its int.
     """
+    trials = model.trial_count(trials)
     workers = _trial_workers(plan, trials)
     failed, lock = [trials], threading.Lock()
     if workers == 1:

@@ -67,11 +67,11 @@ def delayed_effective_channels(cfg, dplan, ch, k):
     U = dplan.U_active
     links = [(k, 0)] + [(i, dplan.L_I) for i in range(cfg.K)
                         if i != k and cfg.cir_len[k][i] > dplan.L_I]
-    stack = np.zeros(ch.taps[(k, k)].shape[:-2] + (sum(U[i] for i, _ in links),
+    stack = np.zeros(ch[(k, k)].shape[:-2] + (sum(U[i] for i, _ in links),
                      max(cfg.cir_len[k][i] for i, _ in links)), dtype=complex)
     row = 0
     for i, first in links:
-        taps = ch.taps[(k, i)][..., : U[i], first:]
+        taps = ch[(k, i)][..., : U[i], first:]
         stack[..., row : row + U[i], first : first + taps.shape[-1]] = taps
         row += U[i]
     M = max(dplan.M[k], 1)

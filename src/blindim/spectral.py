@@ -192,5 +192,5 @@ def build_structured(cfg, plan, ch) -> dict:
     exactly, so they are never built, and a realization needs only the
     desired links.
     """
-    return {k: projected_response(plan, ch.taps[(k, k)][..., : plan.U_active[k], :], plan.M[k])
+    return {k: projected_response(plan, ch[(k, k)][..., : plan.U_active[k], :], plan.M[k])
             for k in range(cfg.K)}

@@ -81,18 +81,18 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     if any(i not in symbols or np.shape(symbols[i]) != (B, plan.U_active[i], plan.M[i])
            for i in range(K)):
         raise ValueError("each cell's symbols must have shape (B, U'_k, M_k)")
-    if any(h.ndim != 2 for h in ch.taps.values()):
+    if any(h.ndim != 2 for h in ch.values()):
         raise ValueError("each link's taps must have shape (U_i, L_{k,i}): one draw")
     U, M = max(plan.U_active), max(plan.M)
-    longest = max(h.shape[-1] for h in ch.taps.values())
-    S = max((h.shape[-1] for (k, i), h in ch.taps.items() if k != i), default=longest)
+    longest = max(h.shape[-1] for h in ch.values())
+    S = max((h.shape[-1] for (k, i), h in ch.items() if k != i), default=longest)
     if K * (K - 1) * U * M * (longest - S) <= SPLIT_PADDED_TAPS:
         S = longest
     s = np.zeros((B + 1, K, U, M), dtype=complex)   # frame B sends nothing
     taps = np.zeros((K, K, U, longest), dtype=complex)
     for i in range(K):
         s[:B, i, : plan.U_active[i], : plan.M[i]] = symbols[i]
-    for (k, i), h in ch.taps.items():
+    for (k, i), h in ch.items():
         taps[k, i, : plan.U_active[i], : h.shape[-1]] = h[: plan.U_active[i]]
     lagged = -s   # frame b - 1's leak, rotated, less frame b's own
     lagged[1:] += s[:B] * leakage_phase(N, cp, M)
@@ -106,7 +106,7 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     gains, leak = frame_response(taps[..., :S].reshape(K, K * U, S), N, cp, M)
     add_leak(slice(None), lagged.reshape(B + 1, -1) @ leak)
     for k in range(K):
-        L = ch.taps[(k, k)].shape[-1]
+        L = ch[(k, k)].shape[-1]
         if L > S:   # the desired link's taps from S on
             tail = taps[k, k, :, :L]
             tail[:, :S] = 0.0

@@ -75,7 +75,7 @@ def build_rank_factors(plan, L_kk, m) -> np.ndarray:
 def h_eff(cfg, plan, ch, k, u) -> np.ndarray:
     """The taps beyond the cyclic-prefix reach: h[L_I .. L_kk - 1] of user u
     of cell k, or (..., users, L_kk - L_I) when u is a slice of users."""
-    return ch.h(k, k, u)[..., plan.L_I : cfg.cir_len[k][k]]
+    return ch[(k, k)][..., u, plan.L_I : cfg.cir_len[k][k]]
 
 
 def check_decomposition(cfg, plan, ch, H):

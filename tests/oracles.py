@@ -199,7 +199,7 @@ def receive_by_link(cfg, plan, ch, tx, rng=None, noise_var=0.0):
     for k in range(cfg.K):
         for i in range(cfg.K):
             for u in range(plan.U_active[i]):
-                y[k] += np.convolve(ch.h(k, i, u), tx[i][u])[: plan.T]
+                y[k] += np.convolve(ch[(k, i)][..., u, :], tx[i][u])[: plan.T]
         if noise_var > 0:
             z = (rng.standard_normal(plan.T) + 1j * rng.standard_normal(plan.T)) * np.sqrt(
                 noise_var / 2.0
@@ -303,8 +303,6 @@ def pdp_variance(k, i, ell, L_D, L_I, L_I_d):
 def small_scale_by_user(cfg, rng):
     """CN(0, 1) taps per link in (k, i) order, per user: a real then an
     imaginary draw of L normals."""
-    from blindim import model
-
     taps = {}
     for k in range(cfg.K):
         for i in range(cfg.K):
@@ -313,7 +311,7 @@ def small_scale_by_user(cfg, rng):
                 (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2.0)
                 for _ in range(cfg.users_per_cell[i])
             ])
-    return model.ChannelRealization(taps=taps)
+    return taps
 
 
 def hex_deployment(D_user, users_per_cell):
@@ -375,11 +373,9 @@ def gain_by_user(cfg, L_I_d, dist):
 def sample_channel_by_user(cfg, L_I_d, dist, rng):
     """Taps h = sqrt(P_0) * d^(-alpha/2) * h_small, h_small ~ CN(0, gamma):
     one small_scale_by_user draw times gain_by_user(cfg, L_I_d, dist)."""
-    from blindim import model
-
     gains = gain_by_user(cfg, L_I_d, dist)
     small = small_scale_by_user(cfg, rng)
-    return model.ChannelRealization({key: gains[key] * h for key, h in small.taps.items()})
+    return {key: gains[key] * h for key, h in small.items()}
 
 
 def framed_convolution(plan, taps, M):
@@ -403,11 +399,11 @@ def residual_columns_by_link(cfg, dplan, ch, k):
     into cell k longer than L_I_prime, side by side in link order."""
     from blindim import spectral
 
-    lead = ch.taps[(k, k)].shape[:-2]
+    lead = ch[(k, k)].shape[:-2]
     columns = [np.zeros(lead + (dplan.N_bar, 0), dtype=complex)]
     for i in range(cfg.K):
         if i != k and cfg.cir_len[k][i] > dplan.L_I:
-            taps = ch.taps[(k, i)][..., : dplan.U_active[i], :].copy()
+            taps = ch[(k, i)][..., : dplan.U_active[i], :].copy()
             taps[..., : dplan.L_I] = 0.0
             columns.append(framed_convolution(dplan, taps, 1))
     return spectral.combiner(dplan) @ np.concatenate(columns, axis=-1)
@@ -427,12 +423,12 @@ def residual_ici_rate_by_trial(cfg, dplan, ch, tx_power, noise_var, k):
     and sum log1p(lambda), which does not cancel when the rate is small."""
     W21 = _dft_columns(dplan.N)[:, dplan.M_D :].conj().T @ fold_matrix(dplan)
     p_sym = dplan.N * tx_power
-    H = _f1_columns_by_link(W21, dplan, [ch.taps[(k, k)][: dplan.U_active[k]]])
+    H = _f1_columns_by_link(W21, dplan, [ch[(k, k)][: dplan.U_active[k]]])
     residual = []
     for i in range(cfg.K):
         if i == k:
             continue
-        h = ch.taps[(k, i)][: dplan.U_active[i]].copy()
+        h = ch[(k, i)][: dplan.U_active[i]].copy()
         h[:, : dplan.L_I] = 0.0
         residual.append(h[np.any(h, axis=1)])
     H_int = _f1_columns_by_link(W21, dplan, residual)
@@ -456,13 +452,13 @@ def ofdma_rate_by_subset(cfg, ch, tx_power, noise_var, L_D, n_sc, k):
         for v, subset in enumerate(sets[i]):
             if not subset:
                 continue
-            lam = np.fft.fft(ch.taps[(k, i)][v], n_sc)
+            lam = np.fft.fft(ch[(k, i)][v], n_sc)
             ici[subset] += tx_power * np.abs(lam[subset]) ** 2
     cell = 0.0
     for u, subset in enumerate(sets[k]):
         if not subset:
             continue
-        lam = np.fft.fft(ch.taps[(k, k)][u], n_sc)
+        lam = np.fft.fft(ch[(k, k)][u], n_sc)
         sig = tx_power * np.abs(lam[subset]) ** 2
         cell += float(np.sum(np.log2(1.0 + sig / (noise_var + ici[subset]))))
     return cell / (n_sc + L_D - 1)
@@ -507,10 +503,9 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
     for start in range(0, trials, model.TRIAL_BLOCK):
         block = range(start, min(start + model.TRIAL_BLOCK, trials))
         draws = [small_scale_by_user(cfg, model.trial_rng(seed, t)) for t in block]
-        small = {key: np.stack([ch.taps[key] for ch in draws]) for key in draws[0].taps}
+        small = {key: np.stack([ch[key] for ch in draws]) for key in draws[0]}
         for j in range(len(d_user_grid)):
-            ch = model.ChannelRealization(
-                {key: gain * small[key] for key, gain in gains[j].items()})
+            ch = {key: gain * small[key] for key, gain in gains[j].items()}
             prop = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
             ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[j] += prop.sum(), ofdma.sum()
@@ -547,7 +542,7 @@ def baseline_by_user(cfg, plan, ch, snr_linear):
         subset = list(range(u, n_sc, U))
         if not subset:
             continue
-        lam = tap_sums(ch.h(0, 0, u), n_sc)[subset]
+        lam = tap_sums(ch[(0, 0)][..., u, :], n_sc)[subset]
         snr_eff = snr_linear * n_sc / len(subset)
         acc += float(np.sum(np.log2(1.0 + snr_eff * np.abs(lam) ** 2)))
     return acc / (n_sc + plan.L_D - 1) / cfg.K
@@ -604,8 +599,6 @@ def baseline_slope(cfg, plan) -> float:
 def sample_channel_by_link(cfg, rng):
     """IID CN(0, 1) taps, link by link in (k, i) order: a (U_i, L_{k,i}) draw
     of real parts, then one of imaginary parts."""
-    from blindim import model
-
     taps = {}
     for k in range(cfg.K):
         for i in range(cfg.K):
@@ -613,7 +606,7 @@ def sample_channel_by_link(cfg, rng):
             taps[(k, i)] = (
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             ) / np.sqrt(2.0)
-    return model.ChannelRealization(taps=taps)
+    return taps
 
 
 def rank_by_matrix(A, tol=1e-8, scale=None):

@@ -189,7 +189,7 @@ def test_criterion_08_delayed_ici_example():
         for k in range(2):
             for i in range(2):
                 if i != k:
-                    ch.taps[(k, i)][:, : dplan.L_I_d] = 0.0
+                    ch[(k, i)][:, : dplan.L_I_d] = 0.0
         return ch
 
     # enlarged effective channel full rank in 1000/1000 trials

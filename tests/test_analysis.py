@@ -156,8 +156,7 @@ class TestScalarSnr:
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan = model.make_plan(cfg)
         one = model.sample_channel_iid(cfg, model.trial_rng(4, 0))
-        stack = model.ChannelRealization({key: np.stack([h, 2 * h, 1j * h])
-                                          for key, h in one.taps.items()})
+        stack = {key: np.stack([h, 2 * h, 1j * h]) for key, h in one.items()}
         for ch in (one, stack):
             H = spectral.build_structured(cfg, plan, ch)
             for rate in (lambda snr: analysis.sum_rate_qr(plan, H, snr),
@@ -175,8 +174,7 @@ class TestCellSubset:
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=2, U=3)
         plan = model.make_plan(cfg)
         one = model.sample_channel_iid(cfg, model.trial_rng(4, 0))
-        stack = model.ChannelRealization({key: np.stack([h, 2 * h, 1j * h])
-                                          for key, h in one.taps.items()})
+        stack = {key: np.stack([h, 2 * h, 1j * h]) for key, h in one.items()}
         snr = np.array([1.0, 100.0])
         for ch in (one, stack):
             H = {1: spectral.build_structured(cfg, plan, ch)[1]}
@@ -195,7 +193,7 @@ class TestBaseline:
         cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[4]])
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        ch.taps[(0, 0)][0] = [1.0, 0.0, 0.0, 0.0]
+        ch[(0, 0)][0] = [1.0, 0.0, 0.0, 0.0]
         n_sc = plan.N
         assert n_sc == 6
         rho = 10.0
@@ -210,7 +208,7 @@ class TestBaseline:
         plan = model.make_plan(cfg)
         assert plan.N == 2
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        h0, h1, h2 = ch.h(0, 0, 0)
+        h0, h1, h2 = ch[(0, 0)][..., 0, :]
         rho = 10.0
         rate = analysis.baseline_tdma_ofdma(cfg, plan, ch, [rho])[0]
         want = sum(np.log2(1 + rho * abs(lam) ** 2) for lam in (h0 + h1 + h2, h0 - h1 + h2))
@@ -221,8 +219,8 @@ class TestBaseline:
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(2, 0))
         before = analysis.baseline_tdma_ofdma(cfg, plan, ch, [10.0])
-        ch.taps[(1, 1)] *= 3.0
-        ch.taps[(0, 1)] *= 5.0
+        ch[(1, 1)] *= 3.0
+        ch[(0, 1)] *= 5.0
         assert analysis.baseline_tdma_ofdma(cfg, plan, ch, [10.0]) == before
 
     def test_slope_asymptote(self):
@@ -331,16 +329,46 @@ class TestSnrComparison:
             assert got == snr_comparison_by_network(snr_db, trials, seed)
 
 
+class TestErgodicRates:
+    """Networks of different widths on shared draws: each network's pair is
+    its own ergodic_rate, whichever network is the wider."""
+
+    NARROW = model.SystemConfig(K=2, users_per_cell=[2, 3], cir_len=[[6, 2], [3, 5]])
+    WIDE = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3)
+    SNR_DB = [0.0, 10.0, 20.0, 30.0]
+
+    @pytest.mark.parametrize("trials", [1, 256, 257])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_each_pair_is_its_ergodic_rate(self, seed, trials):
+        cfgs = [dataclasses.replace(cfg, seed=seed) for cfg in (self.NARROW, self.WIDE)]
+        want = [analysis.ergodic_rate(cfg, self.SNR_DB, trials) for cfg in cfgs]
+        for order in ([0, 1], [1, 0]):
+            got = analysis.ergodic_rates([cfgs[j] for j in order], self.SNR_DB, trials)
+            for j, pair in zip(order, got, strict=True):
+                assert len(pair) == 2
+                assert all((g == w).all() for g, w in zip(pair, want[j], strict=True))
+
+    def test_networks_of_different_seeds_raise(self):
+        cfgs = [self.NARROW, dataclasses.replace(self.WIDE, seed=7)]
+        with pytest.raises(ValueError, match=r"^the networks must share one seed, got \[0, 7\]$"):
+            analysis.ergodic_rates(cfgs, self.SNR_DB, 2)
+
+
 # every library entry point that takes a trial count, as a call of it whose
 # result compares with ==
 TRIAL_RUNS = {
     "ergodic_rate": lambda trials: np.concatenate(analysis.ergodic_rate(
         model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2, seed=3), [0.0, 20.0],
         trials)).tobytes(),
+    "ergodic_rates": lambda trials: np.concatenate(sum(analysis.ergodic_rates(
+        [model.SystemConfig.symmetric(K=K, L_D=4, L_I=2, U=2, seed=3) for K in (1, 2)],
+        [0.0, 20.0], trials), ())).tobytes(),
     "run_snr_comparison": lambda trials: experiments.run_snr_comparison([10.0], trials, 3),
     "run_distance_comparison": lambda trials: experiments.run_distance_comparison(
         trials=trials, seed=3),
     "run_all": lambda trials: verify.run_all(verify.DEFAULT_CONFIG, trials),
+    "run_link_trials": lambda trials: experiments.run_link_trials(
+        verify.DEFAULT_CONFIG, model.make_plan(verify.DEFAULT_CONFIG), trials),
 }
 
 

@@ -229,6 +229,34 @@ class TestSerialSide:
         assert len(out.read_text().splitlines()) == 1 + 2 * 200
 
 
+@pinnable
+class TestTrialCount:
+    """The trial-count rule of every trial loop, on the path that would run
+    LARGE's trials on threads."""
+
+    def test_integral_real_runs_as_its_int(self, monkeypatch, pools):
+        _cpus(monkeypatch, 2)
+        _blas(monkeypatch, 1)
+        plan = model.make_plan(LARGE)
+        before = set(threading.enumerate())
+        assert experiments.run_link_trials(LARGE, plan, 2.0) == link_trials_in_order(LARGE, plan, 2)
+        assert set(threading.enumerate()) == before
+        assert pools == [1]
+
+    @pytest.mark.parametrize("trials, message", [
+        (2.5, "an integer, got 2.5"), ("2", "an integer, got '2'"),
+        (None, "an integer, got None"), (0, ">= 1, got 0"), (-1, ">= 1, got -1")])
+    def test_bad_count_raises_before_any_thread(self, monkeypatch, pools, trials, message):
+        _cpus(monkeypatch, 2)
+        _blas(monkeypatch, 1)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError) as exc:
+            experiments.run_link_trials(LARGE, model.make_plan(LARGE), trials)
+        assert str(exc.value) == "trials must be " + message
+        assert pools == []
+        assert set(threading.enumerate()) == before
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("name, env, threads", [
         ("scipy-openblas", {}, 4),

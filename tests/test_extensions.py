@@ -37,7 +37,7 @@ def zero_delay_taps(ch, cfg, dplan):
     for k in range(cfg.K):
         for i in range(cfg.K):
             if i != k:
-                ch.taps[(k, i)][:, : dplan.L_I_d] = 0.0
+                ch[(k, i)][:, : dplan.L_I_d] = 0.0
     return ch
 
 
@@ -279,9 +279,8 @@ def residual_cases(draw):
 
 
 def _draw_taps(cfg, rng, lead):
-    return model.ChannelRealization({
-        (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cfg.cir_len[k][i], 2))
-        @ [1, 1j] for k in range(cfg.K) for i in range(cfg.K)})
+    return {(k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cfg.cir_len[k][i], 2))
+            @ [1, 1j] for k in range(cfg.K) for i in range(cfg.K)}
 
 
 def _interleaved_case(lead):
@@ -334,7 +333,7 @@ class TestOneProjection:
         W = spectral.combiner(dplan)
         for k in range(cfg.K):
             H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, k)
-            desired = ch.taps[(k, k)][..., : dplan.U_active[k], :]
+            desired = ch[(k, k)][..., : dplan.U_active[k], :]
             _assert_block_close(H, W @ framed_convolution(dplan, desired, dplan.M[k]))
             want = residual_columns_by_link(cfg, dplan, ch, k)
             assert H_int.shape == want.shape
@@ -379,7 +378,7 @@ def _check_one_call_per_link(cfg, dplan, ch):
     for k in range(cfg.K):
         H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, k)
         M = max(dplan.M[k], 1)
-        desired = ch.taps[(k, k)][..., : U[k], :]
+        desired = ch[(k, k)][..., : U[k], :]
         _assert_block_close(H, extensions.projected_response(dplan, desired, M))
         links = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
         joined_users = U[k] + sum(U[i] for i in links)
@@ -387,7 +386,7 @@ def _check_one_call_per_link(cfg, dplan, ch):
         joined_route = joined_taps > table * joined_users
         start = 0
         for i in links:
-            taps = ch.taps[(k, i)][..., : U[i], :].copy()
+            taps = ch[(k, i)][..., : U[i], :].copy()
             taps[..., : dplan.L_I] = 0.0
             block = np.s_[..., start : start + U[i] * M]
             _assert_block_close(H_int[block], extensions.projected_response(dplan, taps, M))
@@ -459,7 +458,7 @@ class TestDelayedDecoding:
         # two users of cell 1 with identical taps cannot be separated
         cfg, dplan = delayed_case()
         ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dplan)
-        ch.taps[(1, 1)][1] = ch.taps[(1, 1)][0]
+        ch[(1, 1)][1] = ch[(1, 1)][0]
         with pytest.raises(transceiver.RankDeficientError, match="cell 1"):
             transceiver.simulate_link(cfg, dplan, ch,
                                       single_symbols(dplan, {0: np.ones(3), 1: np.ones(3)}))
@@ -514,7 +513,7 @@ class TestResidualIciRate:
     def _setup(self, seed=0):
         cfg, dplan = experiments.fig5_config()
         draw = geometric_draws(cfg, hex_gains(cfg, dplan.L_I_d, 100.0), seed, 1)
-        ch = model.ChannelRealization({key: taps[0] for key, taps in draw.taps.items()})
+        ch = {key: taps[0] for key, taps in draw.items()}
         return cfg, dplan, ch
 
     def test_deterministic(self):
@@ -588,8 +587,7 @@ class TestResidualIciRate:
         cfg, dplan, ch = self._setup(seed=3)
         cfg = at_snr(cfg, 0.2, 1e-12)
         for k in range(cfg.K):
-            into_k = model.ChannelRealization(
-                {(k, i): ch.taps[(k, i)] for i in range(cfg.K)})
+            into_k = {(k, i): ch[(k, i)] for i in range(cfg.K)}
             every = extensions.rate_with_residual_ici(cfg, dplan, ch, k)
             assert every > 0
             assert extensions.rate_with_residual_ici(cfg, dplan, into_k, k) == every
@@ -603,7 +601,7 @@ class TestOfdmaComparator:
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         n_sc, L_D = 8, 8
         assert (dplan.N, dplan.L_D) == (n_sc, L_D)
-        lam = np.fft.fft(ch.h(0, 0, 0), n_sc)
+        lam = np.fft.fft(ch[(0, 0)][..., 0, :], n_sc)
         expect = np.sum(np.log2(1 + P * np.abs(lam) ** 2 / s2)) / (n_sc + L_D - 1)
         got = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
         assert got == pytest.approx(expect, rel=1e-12)
@@ -613,7 +611,7 @@ class TestOfdmaComparator:
         dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
         ch = model.sample_channel_iid(cfg, model.trial_rng(1, 0))
         with_ici = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
-        ch.taps[(0, 1)][:] = 0.0
+        ch[(0, 1)][:] = 0.0
         without = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
         assert with_ici < without
 
@@ -662,13 +660,12 @@ class TestBatchedFig5Path:
         rng = np.random.default_rng(seed)
         dist = rng.uniform(0.5, 3.0, (cfg.K, cfg.K, max(cfg.users_per_cell)))
         stacked = geometric_draws(cfg, gain_by_user(cfg, L_I_d, dist), seed, trials)
-        draws = [model.ChannelRealization({key: taps[t] for key, taps in stacked.taps.items()})
-                 for t in range(trials)]
+        draws = [{key: taps[t] for key, taps in stacked.items()} for t in range(trials)]
         for t, ch in enumerate(draws):
             want = sample_channel_by_user(cfg, L_I_d, dist, model.trial_rng(seed, t))
-            assert list(ch.taps) == list(want.taps)
-            for key in want.taps:
-                np.testing.assert_array_equal(ch.taps[key], want.taps[key])
+            assert list(ch) == list(want)
+            for key in want:
+                np.testing.assert_array_equal(ch[key], want[key])
         dplan = extensions.make_delayed_plan(cfg, *delay)
         # 10 dB leaves tiny rates at the -80 dB reference loss; an SNR that
         # offsets the loss gives rates that are not
@@ -745,9 +742,9 @@ class TestDistanceGrouping:
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                ch = next(a for a in args if isinstance(a, model.ChannelRealization))
+                ch = next(a for a in args if isinstance(a, dict))
                 sizes.setdefault(name, []).extend(
-                    math.prod(taps.shape[:-2]) for taps in ch.taps.values())
+                    math.prod(taps.shape[:-2]) for taps in ch.values())
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)

@@ -33,8 +33,7 @@ def geometric_draws(cfg, gain, seed, trials):
     link of gain: those gains times trial_blocks' user-major taps."""
     blocks = list(model.trial_blocks(dataclasses.replace(cfg, seed=seed), trials,
                                      user_major=True))
-    return model.ChannelRealization(
-        {key: gain[key] * np.concatenate([b.taps[key] for b in blocks]) for key in gain})
+    return {key: gain[key] * np.concatenate([b[key] for b in blocks]) for key in gain}
 
 
 class TestConfigInvariants:
@@ -241,19 +240,19 @@ class TestIidSampler:
         cfg = symmetric()
         a = model.sample_channel_iid(cfg, model.trial_rng(7, 3))
         b = model.sample_channel_iid(cfg, model.trial_rng(7, 3))
-        for key in a.taps:
-            np.testing.assert_array_equal(a.taps[key], b.taps[key])
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key])
 
     def test_trials_are_independent_streams(self):
         cfg = symmetric()
         a = model.sample_channel_iid(cfg, model.trial_rng(7, 0))
         b = model.sample_channel_iid(cfg, model.trial_rng(7, 1))
-        assert np.abs(a.taps[(0, 0)] - b.taps[(0, 0)]).max() > 1e-6
+        assert np.abs(a[(0, 0)] - b[(0, 0)]).max() > 1e-6
 
     def test_moments(self):
         cfg = model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[1]])
         draws = np.array(
-            [model.sample_channel_iid(cfg, model.trial_rng(0, t)).h(0, 0, 0)[0]
+            [model.sample_channel_iid(cfg, model.trial_rng(0, t))[(0, 0)][0, 0]
              for t in range(10 ** 5)]
         )
         assert 0.98 <= np.mean(np.abs(draws) ** 2) <= 1.02
@@ -282,10 +281,10 @@ class TestOneDrawSampler:
         rng, ref_rng = model.trial_rng(seed, trial), model.trial_rng(seed, trial)
         got = model.sample_channel_iid(cfg, rng)
         want = sample_channel_by_link(cfg, ref_rng)
-        assert list(got.taps) == list(want.taps)
-        for key, taps in want.taps.items():
-            assert got.taps[key].shape == taps.shape and got.taps[key].dtype == taps.dtype
-            assert got.taps[key].tobytes() == taps.tobytes()
+        assert list(got) == list(want)
+        for key, taps in want.items():
+            assert got[key].shape == taps.shape and got[key].dtype == taps.dtype
+            assert got[key].tobytes() == taps.tobytes()
         # what is drawn next (simulate's symbols and noise) is unchanged too
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -319,9 +318,9 @@ class TestTrialBlocks:
         for start, ch in zip(starts, blocks):
             draws = [oracle(cfg, model.trial_rng(seed, t))
                      for t in range(start, min(start + block, trials))]
-            assert list(ch.taps) == picked
-            for key, taps in ch.taps.items():
-                want = np.stack([d.taps[key] for d in draws])
+            assert list(ch) == picked
+            for key, taps in ch.items():
+                want = np.stack([d[key] for d in draws])
                 assert taps.shape == want.shape and taps.dtype == want.dtype
                 assert taps.strides == want.strides
                 assert taps.tobytes() == want.tobytes()
@@ -379,12 +378,12 @@ class TestFadingTrialBlocks:
         blocks = list(model.trial_blocks(cfg, trials, links, user_major=True))
         full = [small_scale_by_user(cfg, model.trial_rng(cfg.seed, t)) for t in range(trials)]
         for ch in blocks:
-            assert list(ch.taps) == links
-        assert [len(ch.taps[links[0]]) for ch in blocks] == [
+            assert list(ch) == links
+        assert [len(ch[links[0]]) for ch in blocks] == [
             min(3, trials - start) for start in range(0, trials, 3)]
         for key in links:
-            got = np.concatenate([ch.taps[key] for ch in blocks])
-            assert got.tobytes() == np.stack([d.taps[key] for d in full]).tobytes()
+            got = np.concatenate([ch[key] for ch in blocks])
+            assert got.tobytes() == np.stack([d[key] for d in full]).tobytes()
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
@@ -457,12 +456,12 @@ class TestGeometricSampler:
         powers = {}
         for d in (50.0, 100.0):
             ch = geometric_draws(cfg, hex_gains(cfg, 0, d), 0, 4000)
-            powers[d] = np.sum(np.abs(ch.h(0, 0, 0)) ** 2) / 4000
+            powers[d] = np.sum(np.abs(ch[(0, 0)][..., 0, :]) ** 2) / 4000
         assert powers[50.0] / powers[100.0] == pytest.approx(2 ** 3.5, rel=0.05)
 
     def test_tap_power_matches_profile(self):
         cfg = symmetric(K=7, L_D=4, L_I=1, U=1)
-        acc = np.mean(np.abs(geometric_draws(cfg, hex_gains(cfg, 0, 60.0), 3, 20000).h(0, 0, 0)) ** 2, axis=0)
+        acc = np.mean(np.abs(geometric_draws(cfg, hex_gains(cfg, 0, 60.0), 3, 20000)[(0, 0)][..., 0, :]) ** 2, axis=0)
         p0 = 10 ** (model.REF_LOSS_DB / 10)
         for ell in range(4):
             expect = p0 * 60.0 ** -3.5 * pdp_variance(0, 0, ell, 4, 1, 0)
@@ -471,7 +470,7 @@ class TestGeometricSampler:
     def test_delayed_ici_taps_exactly_zero(self):
         cfg = symmetric(K=7, L_D=5, L_I=7, U=2)
         ch = geometric_draws(cfg, hex_gains(cfg, 3, 100.0), 0, 1)
-        for (k, i), taps in ch.taps.items():
+        for (k, i), taps in ch.items():
             if k != i:
                 np.testing.assert_array_equal(taps[..., :3], 0.0)
                 assert np.all(np.abs(taps[..., 3:]) > 0)
@@ -589,8 +588,8 @@ class TestGeometricSampler:
         full = model._taps(cfg, normals, user_major=True)
         into_0 = [(0, 0), (0, 1), (0, 2)]
         cut = model._taps(cfg, normals[:, : 2 * (2 * 4 + 1 * 2 + 3 * 3)], into_0, user_major=True)
-        assert list(cut.taps) == into_0
+        assert list(cut) == into_0
         for key in into_0:
-            np.testing.assert_array_equal(cut.taps[key], full.taps[key])
+            np.testing.assert_array_equal(cut[key], full[key])
         later = model._taps(cfg, normals, [(2, 1)], user_major=True)
-        np.testing.assert_array_equal(later.taps[(2, 1)], full.taps[(2, 1)])
+        np.testing.assert_array_equal(later[(2, 1)], full[(2, 1)])

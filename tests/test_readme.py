@@ -1,5 +1,9 @@
 import contextlib
+import dataclasses
+import importlib
+import inspect
 import io
+import pkgutil
 import re
 from pathlib import Path
 
@@ -39,3 +43,44 @@ def test_options_table_matches_the_parser():
             assert name not in documented, name
             documented[name] = re.findall(r"`([^`]+)`", options)
     assert documented == {name: flags for name, (_, flags) in cli.COMMANDS.items()}
+
+
+def _resolves(obj, attrs):
+    """Whether obj.attrs[0].attrs[1]... exists, the last name as an attribute
+    or a dataclass field."""
+    for j, attr in enumerate(attrs):
+        if not hasattr(obj, attr):
+            return (j == len(attrs) - 1 and dataclasses.is_dataclass(obj)
+                    and attr in {f.name for f in dataclasses.fields(obj)})
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_dotted_names_resolve():
+    # every backticked dotted name of a blindim module (`blindim.mod.name` or
+    # `mod.name`, with any further attributes), and every `Name.attr` of a
+    # capitalized name, which must be a class the package exports, resolves
+    import blindim
+
+    submodules = {m.name for m in pkgutil.iter_modules(blindim.__path__)}
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    checked, missing = [], []
+    for name in sorted(set(re.findall(r"`(\w+(?:\.\w+)+)", text))):
+        parts = name.split(".")
+        if parts[0] == "blindim":
+            parts = parts[1:]
+        if parts[0] in submodules:
+            obj, attrs = importlib.import_module("blindim." + parts[0]), parts[1:]
+        elif parts[0][0].isupper():
+            obj = getattr(blindim, parts[0], None)
+            if not inspect.isclass(obj):
+                missing.append(name)
+                continue
+            attrs = parts[1:]
+        else:
+            continue
+        checked.append(name)
+        if not _resolves(obj, attrs):
+            missing.append(name)
+    assert len(checked) >= 40
+    assert missing == []

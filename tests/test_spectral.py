@@ -245,7 +245,7 @@ class TestBuildStructured:
         # projected first column is W Hnc f_1
         cfg = model.SystemConfig.symmetric(K=2, L_D=4, L_I=2, U=2)
         plan, ch, H = _structured(cfg)
-        h = ch.h(0, 0, 0)
+        h = ch[(0, 0)][..., 0, :]
         expect = np.zeros((3, 3), dtype=complex)
         expect[0, 1] = -h[2]
         expect[2, 2] = h[3]
@@ -264,7 +264,7 @@ class TestBuildStructured:
             plan, ch, H = _structured(cfg)
             M = plan.M[0]
             for u in range(plan.U_active[0]):
-                h = ch.h(0, 0, u)
+                h = ch[(0, 0)][..., u, :]
                 col = np.zeros(plan.N, dtype=complex)
                 n_prime = min(L_D, plan.N)
                 col[:n_prime] = h[:n_prime]
@@ -278,7 +278,7 @@ class TestBuildStructured:
         cfg = model.SystemConfig.symmetric(K=2, L_D=8, L_I=3, U=1)
         plan, ch, H = _structured(cfg)
         assert plan.N >= 8
-        h, cp, M = ch.h(0, 0, 0), plan.cp_len, plan.M[0]
+        h, cp, M = ch[(0, 0)][..., 0, :], plan.cp_len, plan.M[0]
         cols = direct_channel_matrix(h, plan.N, plan.L_I) @ spectral.idft_basis(plan.N)[:, :M]
         # no tap wraps past the core: the response departs from the circulant
         # one, f_m times the tap sum, only on the first L_kk - L_I core samples
@@ -297,7 +297,7 @@ class TestBuildStructured:
         assert 9 > plan.N
         M = plan.M[0]
         for u in range(plan.U_active[0]):
-            h = ch.h(0, 0, u)
+            h = ch[(0, 0)][..., u, :]
             Hnc = direct_channel_matrix(h, plan.N, plan.L_I) - circulant(h[: plan.N])
             P = plan.N - plan.L_I + 1
             np.testing.assert_allclose(Hnc[:P, P:], 0.0, atol=1e-15)
@@ -375,7 +375,7 @@ class TestBuildStructured:
                 assert H[k].shape == (plan.N - plan.M_D, U * M)
                 phase = spectral.leakage_phase(plan.N, plan.cp_len, M)
                 for u in range(U):
-                    h = ch.h(k, k, u)
+                    h = ch[(k, k)][..., u, :]
                     got = H[k][:, u * M : (u + 1) * M]
                     want = _dense_projection(plan, direct_channel_matrix(h, plan.N, plan.L_I), M)
                     leak = _dense_projection(plan, direct_isbi_matrix(h, plan.N, plan.L_I), M)
@@ -421,8 +421,7 @@ class TestBuildStructured:
                 L_I_d = int(rng.integers(1, L_I_prime))
                 plans.append(extensions.make_delayed_plan(cfg, L_I_d, L_I_prime))
             draws = [model.sample_channel_iid(cfg, rng) for _ in range(2)]
-            stack = model.ChannelRealization({key: np.stack([d.taps[key] for d in draws])
-                                              for key in draws[0].taps})
+            stack = {key: np.stack([d[key] for d in draws]) for key in draws[0]}
             for plan, ch in itertools.product(plans, (draws[0], stack)):
                 W = spectral.combiner(plan)
                 H_int = {}
@@ -431,7 +430,7 @@ class TestBuildStructured:
                 else:
                     H = spectral.build_structured(cfg, plan, ch)
                 for k in range(cfg.K):
-                    taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
+                    taps = ch[(k, k)][..., : plan.U_active[k], :]
                     want = W @ framed_convolution(plan, taps, plan.M[k])
                     assert H[k].shape == want.shape
                     assert (np.abs(H[k] - want).max(initial=0)
@@ -440,7 +439,7 @@ class TestBuildStructured:
                     residual = []
                     for i in range(cfg.K):
                         if i != k and cfg.cir_len[k][i] > plan.L_I:
-                            taps = ch.taps[(k, i)][..., : plan.U_active[i], :].copy()
+                            taps = ch[(k, i)][..., : plan.U_active[i], :].copy()
                             taps[..., : plan.L_I] = 0.0
                             residual.append(framed_convolution(plan, taps, 1))
                             seen["L > N_bar + 1"] += cfg.cir_len[k][i] > plan.N_bar + 1
@@ -459,7 +458,7 @@ class TestBuildStructured:
         plan, ch, H = _structured(cfg)
         for k in range(3):
             M = plan.M[k]
-            h = ch.h(k, k, 0)
+            h = ch[(k, k)][..., 0, :]
             want = _dense_projection(plan, direct_channel_matrix(h, plan.N, plan.L_I), M)
             np.testing.assert_allclose(H[k][:, :M], want, atol=1e-12)
 
@@ -486,9 +485,8 @@ def table_cases(draw):
         plan = extensions.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lead = draw(st.sampled_from([(), (2,)]))
-    ch = model.ChannelRealization({
-        (k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
-        for k in range(K) for i in range(K)})
+    ch = {(k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
+          for k in range(K) for i in range(K)}
     return cfg, plan, ch
 
 
@@ -525,12 +523,12 @@ class TestUnitResponse:
         W = spectral.combiner(plan)
         H, H_int = _delayed_channels(cfg, plan, ch)
         for k in range(cfg.K):
-            taps = ch.taps[(k, k)][..., : plan.U_active[k], :]
+            taps = ch[(k, k)][..., : plan.U_active[k], :]
             assert _projected_relative(H[k], W, framed_convolution(plan, taps, plan.M[k])) <= 1e-12
             residual = []
             for i in range(cfg.K):
                 if i != k and cfg.cir_len[k][i] > plan.L_I:
-                    taps = ch.taps[(k, i)][..., : plan.U_active[i], :].copy()
+                    taps = ch[(k, i)][..., : plan.U_active[i], :].copy()
                     taps[..., : plan.L_I] = 0.0
                     residual.append(framed_convolution(plan, taps, 1))
             frames = np.concatenate([np.zeros(H[k].shape[:-2] + (plan.N_bar, 0))] + residual,

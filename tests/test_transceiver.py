@@ -32,10 +32,10 @@ def setup_case(K=2, L_D=4, L_I=2, U=2, B=1, seed=0, **kw):
 def _delta_channel(cfg, ch):
     """ch with every tap zero but tap 0 of each desired link's first user,
     which is 1: base station k then hears user (k, 0)'s frames unchanged."""
-    for taps in ch.taps.values():
+    for taps in ch.values():
         taps[:] = 0.0
     for k in range(cfg.K):
-        ch.taps[(k, k)][0, 0] = 1.0
+        ch[(k, k)][0, 0] = 1.0
     return ch
 
 
@@ -145,7 +145,7 @@ class TestSimulateReception:
             expect = np.zeros(plan.T, dtype=complex)
             for i in range(2):
                 for u in range(2):
-                    expect += direct_convolve(ch.h(k, i, u), tx[i][u])
+                    expect += direct_convolve(ch[(k, i)][..., u, :], tx[i][u])
             np.testing.assert_allclose(y[k], expect, atol=1e-12)
 
     @pytest.mark.parametrize("trials", [1, 3])
@@ -175,7 +175,7 @@ class TestSimulateReception:
             transceiver.simulate_reception(cfg, plan, ch, {0: syms[0]})
         got = transceiver.simulate_reception(cfg, plan, ch, syms)
         for k in range(cfg.K):
-            ch.taps[(k, 1)][:] = 1.0
+            ch[(k, 1)][:] = 1.0
         np.testing.assert_array_equal(transceiver.simulate_reception(cfg, plan, ch, syms), got)
         tx = {0: frame_by_subblock(plan, 0, syms[0]), 1: np.ones((3, plan.T))}
         assert _relative(got, receive_by_link(cfg, plan, ch, tx)) <= 1e-12
@@ -224,7 +224,7 @@ class TestRemoveCpAndStack:
         y = transceiver.simulate_reception(cfg, plan, ch, syms)
         assert plan.cp_len == 0
         F = spectral.idft_basis(plan.N)[:, : plan.M[0]]
-        cols = np.hstack([direct_channel_matrix(ch.h(0, 0, u), plan.N, plan.L_I) @ F
+        cols = np.hstack([direct_channel_matrix(ch[(0, 0)][..., u, :], plan.N, plan.L_I) @ F
                           for u in range(plan.U_active[0])])
         expect = cols @ syms[0][0].ravel()
         np.testing.assert_allclose(y[0, : plan.N_bar], expect, atol=1e-10)
@@ -291,14 +291,14 @@ class TestEffectiveChannels:
         A = -(1 / 3) * np.array(
             [[1, 0.5 - np.sqrt(3) / 2 * 1j], [1, 0.5 + np.sqrt(3) / 2 * 1j]]
         )
-        h1, h2 = ch.h(0, 0, 0), ch.h(0, 0, 1)
+        h1, h2 = ch[(0, 0)][..., 0, :], ch[(0, 0)][..., 1, :]
         expect = A @ np.array([[h1[2], h2[2]], [h1[3], h2[3]]])
         np.testing.assert_allclose(H[0], expect, atol=1e-12)
 
     def test_zero_when_no_excess_taps(self):
         cfg, plan, ch = setup_case(K=2, L_D=4, L_I=2, U=2)
         for u in range(2):
-            ch.taps[(0, 0)][u, 2:] = 0.0
+            ch[(0, 0)][u, 2:] = 0.0
         H = spectral.build_structured(cfg, plan, ch)
         np.testing.assert_allclose(H[0], 0.0, atol=1e-15)
 

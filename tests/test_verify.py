@@ -170,9 +170,9 @@ class TestDecomposition:
         cfg = fig_cfg()
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        ch.taps[(0, 0)][0, 3] += 0.1   # perturb after structured matrices agree
+        ch[(0, 0)][0, 3] += 0.1   # perturb after structured matrices agree
         H = spectral.build_structured(cfg, plan, ch)
-        ch.taps[(0, 0)][0, 3] -= 0.1
+        ch[(0, 0)][0, 3] -= 0.1
         lhs = H[0][:, 0]
         rhs = verify.build_rank_factors(plan, 8, 1) @ verify.h_eff(cfg, plan, ch, 0, 0)
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) > 1e-6
@@ -187,7 +187,7 @@ class TestEffectiveRank:
         cfg = model.SystemConfig.symmetric(K=1, L_D=8, L_I=2, U=3)
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
-        ch.taps[(0, 0)][1] = ch.taps[(0, 0)][0]
+        ch[(0, 0)][1] = ch[(0, 0)][0]
         H = spectral.build_structured(cfg, plan, ch)
         assert verify.numerical_rank(H[0]) < plan.U_active[0] * plan.M[0]
 
@@ -202,7 +202,7 @@ class TestEffectiveRank:
         F_k = F[:, : plan.M[0]]
         for t in range(20):
             ch = model.sample_channel_iid(cfg, model.trial_rng(2, t))
-            h = ch.h(0, 0, 0)
+            h = ch[(0, 0)][..., 0, :]
             Hnc = direct_channel_matrix(h, N, plan.L_I) - F * tap_sums(h, N) @ F.conj().T
             assert verify.numerical_rank(Hnc) == 8 - plan.L_I
             assert verify.numerical_rank(W @ Hnc) == 8 - plan.L_I
@@ -375,7 +375,7 @@ class TestFixedCost:
         monkeypatch.setattr(spectral, "build_structured", counting)
         monkeypatch.setattr(model, "TRIAL_BLOCK", 3)
         assert all(ok for _, _, ok, _ in verify.run_all(verify.DEFAULT_CONFIG, trials=7))
-        assert [next(iter(ch.taps.values())).shape[0] for ch in calls] == [3, 3, 1]
+        assert [next(iter(ch.values())).shape[0] for ch in calls] == [3, 3, 1]
 
     def test_rank_calls_do_not_grow_with_trials(self, monkeypatch):
         def rank_calls(trials):
