@@ -27,13 +27,14 @@ class UsageError(ValueError):
 
 
 def _check_args(args):
-    """Range check of --trials for every command that takes it: main turns
-    a UsageError into exit 2, where the ValueError of model.trial_count,
-    which every trial loop calls, would escape it.  A --seed is checked by
-    the config it enters."""
-    trials = getattr(args, "trials", 1)
-    if trials < 1:
-        raise UsageError("--trials must be >= 1, got %d" % trials)
+    """--trials through model.trial_count, which every trial loop calls, for
+    every command that takes it: main turns the UsageError into exit 2, where
+    trial_count's ValueError would escape it.  A --seed is checked by the
+    config it enters."""
+    try:
+        model.trial_count(getattr(args, "trials", 1))
+    except ValueError as exc:
+        raise UsageError("--%s" % exc) from None
 
 
 def _load_cfg(args, default=None) -> model.SystemConfig:
@@ -160,11 +161,7 @@ def cmd_rate(args, out):
 
 def cmd_simulate(args, out):
     cfg = _load_cfg(args)
-    plan = model.make_plan(cfg)
-    if not any(plan.U_active):
-        raise model.ConfigError(["simulate needs a cell with L_kk > L_I; every L_kk <= L_I = %d"
-                                 % plan.L_I])
-    rows = experiments.run_link_trials(cfg, plan, args.trials)
+    rows = experiments.run_link_trials(cfg, model.make_plan(cfg), args.trials)
     _write_csv(out, ["trial", "cell", "normalized_mse"], rows)
     return 0
 

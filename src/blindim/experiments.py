@@ -158,51 +158,46 @@ def _link_trial(cfg, plan, t):
     return rows
 
 
-def _link_chunk(cfg, plan, chunk, failed, lock):
-    """Rows of the trials in chunk, in order, up to the first trial that
-    raises.  failed[0] is the first trial any chunk saw raise (initially
-    trials): a chunk stops at a trial not before it, and lowers it when one
-    of its own raises, so the chunks after a failure end at their next trial."""
-    rows = []
-    for t in chunk:
-        if t >= failed[0]:
-            break
-        try:
-            rows += _link_trial(cfg, plan, t)
-        except BaseException:
-            with lock:
-                failed[0] = min(failed[0], t)
-            raise
-    return rows
-
-
 def run_link_trials(cfg, plan, trials):
     """Rows (trial, cell, normalized_mse) of simulate_link on trials 0 ..
     trials - 1 of cfg, trial t drawn from trial_rng(cfg.seed, t), in trial
     order; idle cells have no row.
 
     The trials are independent, so with _trial_workers' W > 1 threads they
-    run as W contiguous chunks: the calling thread takes the first, a pool
-    made for this call the rest, and the rows join in trial order.  A draw
-    that fails the rank criterion raises the RankDeficientError of the first
-    failing trial, as one thread in trial order would: chunks before it run
-    on, chunks after it stop at their next trial, and every thread has ended
-    when this returns or raises.  Raises ValueError, from
-    model.trial_count and before any thread starts, unless trials is an
-    integer >= 1; an integral real runs as its int.
+    run as W contiguous chunks, the first on the calling thread and the rest
+    mapped in order on a pool made for this call.  A draw that fails the
+    rank criterion raises the RankDeficientError of the first failing trial,
+    as one thread in trial order would: chunks before it run on, chunks
+    after it stop at their next trial, and every thread has ended when this
+    returns or raises.  Raises, before any thread starts, model.trial_count's
+    ValueError unless trials is an integer >= 1 (an integral real runs as
+    its int), and model.require_active_cell's ConfigError if no cell sends.
     """
     trials = model.trial_count(trials)
+    model.require_active_cell(plan, "simulate")
     workers = _trial_workers(plan, trials)
-    failed, lock = [trials], threading.Lock()
+    failed, lock = [trials], threading.Lock()   # failed[0]: first trial seen to raise
+
+    def chunk_rows(chunk):
+        rows = []
+        for t in chunk:
+            if t >= failed[0]:
+                break
+            try:
+                rows += _link_trial(cfg, plan, t)
+            except BaseException:
+                with lock:
+                    failed[0] = min(failed[0], t)
+                raise
+        return rows
+
+    chunks = [range(trials * j // workers, trials * (j + 1) // workers) for j in range(workers)]
     if workers == 1:
-        return _link_chunk(cfg, plan, range(trials), failed, lock)
+        return chunk_rows(chunks[0])
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [trials * j // workers for j in range(workers + 1)]
-    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    # the caller keeps a chunk: with it idle and a pool of W, link_large's
+    # 2-trial passes ran 15% slower on a fresh thread's cold malloc arena
     with ThreadPoolExecutor(workers - 1) as pool:
-        later = [pool.submit(_link_chunk, cfg, plan, c, failed, lock) for c in chunks[1:]]
-        rows = _link_chunk(cfg, plan, chunks[0], failed, lock)
-        for future in later:
-            rows += future.result()
-    return rows
+        later = pool.map(chunk_rows, chunks[1:])
+        return chunk_rows(chunks[0]) + [row for rows in later for row in rows]

@@ -46,7 +46,7 @@ def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
                      for k, U in enumerate(cfg.users_per_cell))
     T = cfg.subblocks * (N + L_I_prime - 1) + max(L_D, L_I) - 1
     return TransmissionPlan(
-        K=cfg.K, B=cfg.subblocks, U_active=U_active, M=tuple(int(U > 0) for U in U_active),
+        B=cfg.subblocks, U_active=U_active, M=tuple(int(U > 0) for U in U_active),
         L_D=L_D, L_I=L_I_prime, N=N, T=T, L_I_d=L_I_d,
     )
 

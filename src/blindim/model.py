@@ -152,7 +152,6 @@ def _violations(cfg: SystemConfig):
 class TransmissionPlan:
     """Derived scheme parameters, a pure function of SystemConfig."""
 
-    K: int
     B: int
     U_active: tuple   # U'_k: active users per cell
     M: tuple          # M_k: symbols per active user per subblock
@@ -192,8 +191,15 @@ def make_plan(cfg: SystemConfig) -> TransmissionPlan:
     M = tuple(n // U if U else 0 for U, n in zip(U_active, spare))
     N = max(L_D - L_I + max(M), L_I)
     T = cfg.subblocks * (N + L_I - 1) + max(L_D, L_I) - 1
-    return TransmissionPlan(K=cfg.K, B=cfg.subblocks, U_active=U_active, M=M,
-                            L_D=L_D, L_I=L_I, N=N, T=T)
+    return TransmissionPlan(B=cfg.subblocks, U_active=U_active, M=M, L_D=L_D, L_I=L_I, N=N, T=T)
+
+
+def require_active_cell(plan: TransmissionPlan, command) -> None:
+    """Raise ConfigError, naming command, when no cell of plan sends: a cell
+    with L_kk <= L_I has no dimension past the cyclic prefix."""
+    if not any(plan.U_active):
+        raise ConfigError(["%s needs a cell with L_kk > L_I; every L_kk <= L_I = %d"
+                           % (command, plan.L_I)])
 
 
 def trial_rng(seed, trial) -> np.random.Generator:

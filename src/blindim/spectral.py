@@ -28,6 +28,8 @@ import functools
 
 import numpy as np
 
+from .model import _integral
+
 
 def idft_basis(n: int) -> np.ndarray:
     """Unitary n-point IDFT matrix; column k-1 is the precoding vector f_k.
@@ -36,9 +38,10 @@ def idft_basis(n: int) -> np.ndarray:
     Raises ValueError unless n is an integer (numpy's too) or an integral
     real, and n >= 1.
     """
-    if not float(n).is_integer() or n < 1:
+    count = _integral(n)
+    if not isinstance(count, int) or count < 1:
         raise ValueError("n must be an integer >= 1 (n=%r)" % (n,))
-    return _idft_basis(int(n))
+    return _idft_basis(count)
 
 
 # bounded: a run uses a few sizes, and each matrix holds n^2 complex values

@@ -125,9 +125,7 @@ def run_all(cfg, trials):
     trial_blocks, unless trials is an integer >= 1.
     """
     plan = model.make_plan(cfg)
-    if not any(plan.U_active):
-        raise model.ConfigError(["verify needs a cell with L_kk > L_I; every L_kk <= L_I = %d"
-                                 % plan.L_I])
+    model.require_active_cell(plan, "verify")
     results = []
 
     worst = 0.0

@@ -137,7 +137,7 @@ def plan_by_cases(cfg):
             M.append(1)
     N = max(L_D - L_I + max(M), L_I)
     T = cfg.subblocks * (N + L_I - 1) + max(L_D, L_I) - 1
-    return model.TransmissionPlan(K=K, B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M),
+    return model.TransmissionPlan(B=cfg.subblocks, U_active=tuple(U_active), M=tuple(M),
                                   L_D=L_D, L_I=L_I, N=N, T=T)
 
 

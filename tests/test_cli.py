@@ -1,5 +1,6 @@
 import importlib
 import importlib.metadata as md
+import json
 import os
 import pkgutil
 import re
@@ -638,24 +639,29 @@ class TestExperimentCommands:
 class TestImports:
     def test_no_scipy_at_run_time(self, tmp_path):
         # numpy is the only runtime dependency: neither importing the CLI nor
-        # running simulate, the command that decodes, may load scipy, also
-        # lazily; a fresh interpreter starts without the test suite's imports
+        # running any command may load scipy, also lazily.  The test extra
+        # installs scipy, so only a fresh interpreter, which starts without
+        # the test suite's imports, sees a stray import
+        commands = [["dof"], ["rate"], ["verify"], ["fig3", "--trials", "2"],
+                    ["fig5", "--trials", "2"], ["simulate", "--trials", "2"]]
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
             "import blindim.cli\n"
             "print(scipy_modules())\n"
-            "code = blindim.cli.main(['simulate', '--trials', '2', '--out', sys.argv[1]])\n"
-            "print(code, scipy_modules())\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    out = '%s/%d.csv' % (sys.argv[2], i)\n"
+            "    print(argv[0], blindim.cli.main(argv + ['--out', out]), scipy_modules())\n"
         )
         path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim.csv")],
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "0 []"]
-        assert len((tmp_path / "sim.csv").read_text().splitlines()) > 1
+        assert proc.stdout.splitlines() == ["[]"] + ["%s 0 []" % argv[0] for argv in commands]
+        for i in range(len(commands)):
+            assert len((tmp_path / ("%d.csv" % i)).read_text().splitlines()) > 1
 
     def test_thread_pool_only_when_trials_run_on_threads(self, tmp_path):
         # importing the CLI loads no concurrent.futures, and nor does a

@@ -256,6 +256,18 @@ class TestTrialCount:
         assert pools == []
         assert set(threading.enumerate()) == before
 
+    def test_no_active_cell_raises_before_any_thread(self, monkeypatch, pools):
+        # every L_kk <= L_I: no cell sends, so there is no row to compute
+        _cpus(monkeypatch, 2)
+        _blas(monkeypatch, 1)
+        cfg = model.SystemConfig.symmetric(K=2, L_D=2, L_I=2, U=2)
+        before = set(threading.enumerate())
+        with pytest.raises(model.ConfigError) as exc:
+            experiments.run_link_trials(cfg, model.make_plan(cfg), 3)
+        assert str(exc.value) == "simulate needs a cell with L_kk > L_I; every L_kk <= L_I = 2"
+        assert pools == []
+        assert set(threading.enumerate()) == before
+
 
 class TestBlasThreads:
     @pytest.mark.parametrize("name, env, threads", [

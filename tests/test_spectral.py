@@ -37,14 +37,15 @@ class TestIdftBasis:
         F = spectral.idft_basis(n)
         np.testing.assert_allclose(F.conj().T @ F, np.eye(n), atol=1e-12)
 
-    def test_rejects_zero(self):
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_zero(self, n):
         with pytest.raises(ValueError):
-            spectral.idft_basis(0)
+            spectral.idft_basis(n)
 
-    @pytest.mark.parametrize("n", [2.5, np.float64(6.5), np.nan, np.inf])
+    @pytest.mark.parametrize("n", [2.5, np.float64(6.5), np.nan, np.inf, "8", None])
     def test_rejects_a_size_that_is_not_integral(self, n):
-        # 2.5 once returned the 2-point basis
-        with pytest.raises(ValueError, match="integer"):
+        # 2.5 once returned the 2-point basis; "8" and None raised TypeError
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1 \(n="):
             spectral.idft_basis(n)
 
     @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), 5.0])
