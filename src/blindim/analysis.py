@@ -125,9 +125,10 @@ def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
     Returns (...) over the leading axes of the taps.
 
     Taps beyond n_sc are dropped, where baseline_tdma_ofdma folds them: fig5's
-    7-tap cross links lose taps 5 and 6.  perfbench's geometric_fig5 reference
-    CSV pins this output, so pooling and folding here wait for a change that
-    regenerates that reference.
+    7-tap cross links lose taps 5 and 6.  Three reference CSVs pin this
+    output: perfbench's geometric_fig5 reference and tests/reference's
+    fig5_seed0.csv and fig5_seed7.csv.  So pooling and folding here wait for a
+    change that regenerates all three.
     """
     n_sc = dplan.N
     sc = np.arange(n_sc)

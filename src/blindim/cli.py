@@ -12,9 +12,11 @@ that cannot be read or written included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
+import io
 import os
 import stat
 import sys
@@ -54,23 +56,33 @@ def _load_cfg(args, default=None) -> model.SystemConfig:
 
 
 def _write_csv(out, header, rows):
-    """Write header and rows to the text stream out, floats as %.12g: the
-    --out file that main opened, or stdout.  Called once, with every row,
-    when the command's work is done."""
+    """Write header and rows to the text stream out, floats as %.12g.  main
+    calls it once per run, on the table its command returned."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
 
 
+@contextlib.contextmanager
 def _open_out(path):
-    """(text stream, created): path opened for writing from offset 0 without
-    truncating it, and whether this call created the file."""
+    """The --out stream: path opened for writing from offset 0 without
+    truncating it.  On leaving, a regular file is cut at the end of the new
+    bytes.  A failure inside removes a file this call created."""
     try:
         fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
     except FileExistsError:
         fd, created = os.open(path, os.O_WRONLY | os.O_CREAT), False
-    return open(fd, "w", newline=""), created
+    try:
+        with open(fd, "w", newline="") as out:
+            yield out
+            # flushes, then cuts; a device cannot be cut
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _snr_list(args, default):
@@ -112,13 +124,11 @@ def _dof_row(cfg):
 DOF_HEADER = ["K", "L_D", "L_I", "N", "dof_theorem1", "dof_symmetric", "dof_ic"]
 
 
-def cmd_dof(args, out):
-    cfg = _load_cfg(args)
-    _write_csv(out, DOF_HEADER, [_dof_row(cfg)])
-    return 0
+def cmd_dof(args):
+    return DOF_HEADER, [_dof_row(_load_cfg(args))], True
 
 
-def cmd_sweep(args, out):
+def cmd_sweep(args):
     if not args.sweep:
         raise UsageError("sweep requires --sweep key=v1,v2,...")
     key, _, values = args.sweep.partition("=")
@@ -144,47 +154,41 @@ def cmd_sweep(args, out):
         if key == "L_D":
             swept["U"] = x - L_I
         rows.append([v] + _dof_row(model.SystemConfig.symmetric(**swept)))
-    _write_csv(out, ["sweep_" + key] + DOF_HEADER, rows)
-    return 0
+    return ["sweep_" + key] + DOF_HEADER, rows, True
 
 
-def cmd_rate(args, out):
+def cmd_rate(args):
     cfg = _load_cfg(args)
     snrs = _snr_list(args, default=[cfg.snr_db])
     proposed, baseline = analysis.ergodic_rate(cfg, snrs, args.trials)
     rows = [
         (float(s), float(p), float(b)) for s, p, b in zip(snrs, proposed, baseline)
     ]
-    _write_csv(out, ["snr_db", "proposed_sum_se", "baseline_sum_se"], rows)
-    return 0
+    return ["snr_db", "proposed_sum_se", "baseline_sum_se"], rows, True
 
 
-def cmd_simulate(args, out):
+def cmd_simulate(args):
     cfg = _load_cfg(args)
     rows = experiments.run_link_trials(cfg, model.make_plan(cfg), args.trials)
-    _write_csv(out, ["trial", "cell", "normalized_mse"], rows)
-    return 0
+    return ["trial", "cell", "normalized_mse"], rows, True
 
 
-def cmd_verify(args, out):
+def cmd_verify(args):
     cfg = _load_cfg(args, default=verify.DEFAULT_CONFIG)
     results = verify.run_all(cfg, args.trials)
     rows = [(name, detail, "pass" if ok else "FAIL", float(res)) for name, detail, ok, res in results]
-    _write_csv(out, ["check", "detail", "status", "residual"], rows)
-    return 0 if all(ok for _, _, ok, _ in results) else 1
+    return ["check", "detail", "status", "residual"], rows, all(ok for _, _, ok, _ in results)
 
 
-def cmd_fig3(args, out):
+def cmd_fig3(args):
     snrs = _snr_list(args, default=experiments.FIG3_SNR_GRID)
     rows = experiments.run_snr_comparison(snrs, args.trials, args.seed or 0)
-    _write_csv(out, ["snr_db", "K", "proposed_sum_se", "baseline_sum_se"], rows)
-    return 0
+    return ["snr_db", "K", "proposed_sum_se", "baseline_sum_se"], rows, True
 
 
-def cmd_fig5(args, out):
+def cmd_fig5(args):
     rows = experiments.run_distance_comparison(trials=args.trials, seed=args.seed or 0)
-    _write_csv(out, ["d_user_m", "proposed_se", "ofdma_se"], rows)
-    return 0
+    return ["d_user_m", "proposed_se", "ofdma_se"], rows, True
 
 
 # Every option, and the options each command reads: argparse rejects the rest
@@ -228,36 +232,28 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; returns its exit status.
 
-    --out is opened once, before the run, so a path that cannot be written
-    exits 2 at once.  It is not truncated: the command writes its CSV through
-    that handle from offset 0, and a regular file is then cut at the end of
-    the new bytes.  A failed run writes nothing, so an existing file keeps its
-    bytes, and a file the run created is removed.  Without --out the CSV goes
-    to stdout.
+    Every command returns (header, rows, ok) and writes nothing itself; ok is
+    False only when a verify check fails, which exits 1.  --out is opened
+    once, before the run, so a path that cannot be written exits 2 at once.
+    It is not truncated: main formats the whole table, then writes it through
+    that handle from offset 0 in one call, and a regular file is cut at the
+    end of the new bytes.  A failed run or formatting writes nothing, so an
+    existing file keeps its bytes, and a file the run created is removed.
+    Without --out the table goes to stdout by the same write.
     """
     args = _parser().parse_args(argv)
     try:
         _check_args(args)
-        if not args.out:
-            return args.handler(args, sys.stdout)
-        out, created = _open_out(args.out)
-        with out:
-            try:
-                status = args.handler(args, out)
-                # flushes, then cuts; a device cannot be cut
-                if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                    out.truncate()
-            except BaseException:
-                if created:
-                    os.remove(args.out)
-                raise
-        return status
-    except (configfile.ConfigParseError, model.ConfigError, OSError, UsageError) as exc:
+        with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+            header, rows, ok = args.handler(args)
+            table = io.StringIO()
+            _write_csv(table, header, rows)
+            out.write(table.getvalue())
+        return 0 if ok else 1
+    except (configfile.ConfigParseError, model.ConfigError, OSError, UsageError,
+            transceiver.RankDeficientError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except transceiver.RankDeficientError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, transceiver.RankDeficientError) else 2
 
 
 if __name__ == "__main__":

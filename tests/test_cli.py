@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindim import analysis, cli, experiments, model, transceiver
+from blindim import analysis, cli, experiments, model, transceiver, verify
 from oracles import distance_comparison_by_distance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -277,6 +277,27 @@ class TestVerify:
         assert code == 0
         assert len(rows) == 4 and all(",pass," in row for row in rows)
 
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_failed_check_exits_1_with_its_table(self, tmp_path, capsys, monkeypatch,
+                                                 to_file):
+        # no residual is within a negative tolerance: the decomposition check
+        # fails, and the table still reports every check
+        monkeypatch.setattr(verify, "DECOMPOSITION_TOL", -1.0)
+        argv = ["verify", "--trials", "2"]
+        if to_file:
+            code, text = run(tmp_path, *argv)
+            stdout, err = capsys.readouterr()
+        else:
+            code = cli.main(argv)
+            text, err = capsys.readouterr()
+            stdout = ""
+        assert (code, stdout, err) == (1, "", "")
+        rows = text.splitlines()
+        assert rows[0] == "check,detail,status,residual"
+        assert len(rows) == 5
+        assert rows[1].startswith("decomposition,2 random channels,FAIL,")
+        assert all(",pass," in row for row in rows[2:])
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):
@@ -484,6 +505,54 @@ class TestOptionsPerCommand:
         for argv in (["fig3"], ["verify"], ["fig5"], ["simulate", "--config", str(cfgfile)]):
             code, text = run(tmp_path, *argv, "--trials", "1", "--seed", "3")
             assert code == 0 and text
+
+
+# arguments each handler runs on: every command, on few trials
+SMALL = {
+    "dof": ["dof"],
+    "sweep": ["sweep", "--sweep", "L_D=4,8"],
+    "rate": ["rate", "--trials", "2", "--snr", "0,20"],
+    "simulate": ["simulate", "--trials", "2"],
+    "verify": ["verify", "--trials", "2"],
+    "fig3": ["fig3", "--trials", "1", "--snr", "10"],
+    "fig5": ["fig5", "--trials", "1"],
+}
+
+
+class TestHandlers:
+    """A command computes its table and main alone writes it."""
+
+    def test_every_command_is_covered(self):
+        assert set(SMALL) == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", SMALL)
+    def test_handler_returns_its_table_and_prints_nothing(self, capsys, command):
+        args = cli.build_parser().parse_args(SMALL[command])
+        header, rows, ok = cli.COMMANDS[command][0](args)
+        assert capsys.readouterr() == ("", "")
+        assert ok is True
+        assert header and rows
+        assert all(len(row) == len(header) for row in rows)
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_failed_write_exits_2(self, tmp_path, capsys, monkeypatch, exists):
+        # a write that fails part way through the table: a file the run
+        # created is removed, an existing one keeps its bytes
+        real_write_csv = cli._write_csv
+
+        def failing_write(out, header, rows):
+            real_write_csv(out, header, rows[:1])
+            out.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_csv", failing_write)
+        out = tmp_path / "out.csv"
+        old = b"old bytes that a failed write leaves\n" * 3
+        if exists:
+            out.write_bytes(old)
+        assert cli.main(["fig5", "--trials", "1", "--out", str(out)]) == 2
+        assert (out.read_bytes() == old) if exists else not out.exists()
+        assert capsys.readouterr() == ("", "error: disk full\n")
 
 
 # a command line of each kind the --out tests run: a DoF row, a Monte Carlo
