@@ -7,6 +7,7 @@ from .model import (
     ConfigError,
     SystemConfig,
     TransmissionPlan,
+    make_delayed_plan,
     make_plan,
     sample_channel_iid,
     trial_rng,
@@ -24,8 +25,8 @@ from .analysis import (
     dof_symmetric,
     dof_theorem1,
     ergodic_rate,
+    rate_with_residual_ici,
     sum_rate_qr,
 )
-from .extensions import make_delayed_plan, rate_with_residual_ici
 
 __version__ = "0.1.0"

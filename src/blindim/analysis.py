@@ -1,6 +1,6 @@
 # blindim/analysis.py
-"""Closed-form DoF expressions, QR-based achievable rates, baselines, and
-Monte Carlo ergodic averaging."""
+"""Closed-form DoF expressions, achievable rates (QR-based, and with
+residual ICI as noise), baselines, and Monte Carlo ergodic averaging."""
 
 from __future__ import annotations
 
@@ -145,6 +145,37 @@ def ofdma_rate_with_ici(cfg, dplan, ch, k) -> np.ndarray:
     ici = power[..., np.arange(cfg.K) != k, :].sum(axis=-2)
     rate = np.log2(1.0 + power[..., k, :] / (1.0 + ici))
     return rate.sum(axis=-1) / (n_sc + dplan.L_D - 1)
+
+
+def rate_with_residual_ici(cfg, dplan, ch, k) -> np.ndarray:
+    """Achievable rate of cell k treating uncancelled late ICI taps as noise.
+
+    As in the transceiver, sigma^2 = 1 and symbols carry variance N * rho,
+    rho = cfg.snr_linear; the noise term keeps the coloring introduced by the
+    folding stage (rows that sum two samples have doubled variance).
+    With cov the noise-plus-residual-ICI covariance and A = chol(cov)^-1 H_k,
+    the rate is sum log1p(lambda) / ln 2 over the eigenvalues lambda of
+    N rho A^H A: log det(I + cov^-1 N rho H_k H_k^H) without taking the difference
+    of two log-determinants, which cancels when the rate is small.  A
+    realization needs only the links into cell k.  Returns (...) over the
+    leading axes of the taps.
+
+    The rate is per sample of the whole block, B / T, so it pays for the
+    max(L_D, L_I) - 1 flush samples: for fig5's plan B / T = 10 / 96, which
+    is 0.9375 times the 1 / N_bar that sum_rate_qr divides by.  The OFDMA
+    comparator, ofdma_rate_with_ici above, pays no flush, which tilts fig5
+    against this scheme.  No receiver in the package decodes a delayed plan
+    (L_I_d > 0) with B > 1: transceiver.decode_block refuses one.  So at
+    fig5's B = 10 this is a formula, not the rate of a link that is simulated.
+    """
+    H, H_int = spectral.delayed_effective_channels(cfg, dplan, ch, k)
+    W = spectral.combiner(dplan)
+    p_sym = dplan.N * cfg.snr_linear
+    cov = W @ W.conj().T + p_sym * (H_int @ H_int.mT.conj())
+    # raises LinAlgError unless cov is positive definite
+    A = np.linalg.solve(np.linalg.cholesky(cov), H)
+    lam = np.linalg.eigvalsh(p_sym * (A.mT.conj() @ A))
+    return dplan.B / dplan.T * np.log1p(lam).sum(axis=-1) / np.log(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,9 @@ def cmd_sweep(args):
     if not args.sweep:
         raise UsageError("sweep requires --sweep key=v1,v2,...")
     key, _, values = args.sweep.partition("=")
-    values = [v for v in values.split(",") if v]
     if not values:
         raise UsageError("empty sweep list for %r" % key)
+    values = values.split(",")
     if key not in ("L_D", "K"):
         raise UsageError("unknown sweep key %r: supported sweep keys are L_D and K" % key)
     try:

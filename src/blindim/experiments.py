@@ -13,7 +13,6 @@ import threading
 import numpy as np
 
 from . import analysis, model, transceiver
-from .extensions import make_delayed_plan, rate_with_residual_ici
 
 FIG3_SNR_GRID = tuple(range(0, 45, 5))
 FIG3_K_LIST = (1, 2, 3)
@@ -51,7 +50,7 @@ def fig5_config(seed=0):
     snr_db = 23.0 - (-174.0 + 10.0 * math.log10(100.0))
     cfg = model.SystemConfig.symmetric(K=7, L_D=5, L_I=7, U=3, snr_db=snr_db,
                                        subblocks=10, seed=seed)
-    return cfg, make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
+    return cfg, model.make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
 
 
 def run_distance_comparison(*, trials, seed):
@@ -83,7 +82,7 @@ def run_distance_comparison(*, trials, seed):
         for j in range(0, len(FIG5_DISTANCES_M), step):
             near = slice(j, j + step)
             ch = {key: gains[key][near, None] * small[key] for key in into_0}
-            prop = rate_with_residual_ici(cfg, dplan, ch, 0)
+            prop = analysis.rate_with_residual_ici(cfg, dplan, ch, 0)
             ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[near, 0] += prop.sum(axis=-1)
             acc[near, 1] += ofdma.sum(axis=-1)

@@ -194,6 +194,39 @@ def make_plan(cfg: SystemConfig) -> TransmissionPlan:
     return TransmissionPlan(B=cfg.subblocks, U_active=U_active, M=M, L_D=L_D, L_I=L_I, N=N, T=T)
 
 
+def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
+    """Transmission plan for the two-stage receiver: ICI-free samples that
+    propagation delay creates are harvested, and late ICI taps are noise.
+
+    The L_I_d leading taps of every cross link are zero (propagation delay),
+    the combiner cancels taps up to L_I_prime, the plan's L_I, and the taps
+    in [L_I_prime, L_I) of the config's longest cross link are residual
+    noise.  Every active user sends one symbol on f_1 behind a prefix of
+    L_I_prime - 1 samples, which holds the L_I_d harvested samples that the
+    combiner folds: (L_kk - L_I_prime)^+ + L_I_d users per cell are active,
+    but never more than the N - M_D = N - 1 rows the combiner observes.
+    The fold restores the cyclic structure of every cancelled link, so the
+    base scheme's receiver serves this plan, but its decoder takes L_I_d > 0
+    only at B = 1 (transceiver.decode_block).
+    Raises ConfigError unless L_I_d and L_I_prime are integers (numpy's too)
+    or integral reals, and 0 <= L_I_d < L_I_prime <= L_I.
+    """
+    L_D, L_I = link_lengths(cfg)
+    L_I_d, L_I_prime = _integral(L_I_d), _integral(L_I_prime)
+    integers = isinstance(L_I_d, int) and isinstance(L_I_prime, int)
+    if not (integers and 0 <= L_I_d < L_I_prime <= L_I):
+        raise ConfigError(["require integers 0 <= L_I_d < L_I_prime <= L_I (got %r, %r, %d)"
+                           % (L_I_d, L_I_prime, L_I)])
+    N = max(L_D - L_I_prime + 1, L_I_prime)
+    U_active = tuple(min(U, max(cfg.cir_len[k][k] - L_I_prime, 0) + L_I_d, N - 1)
+                     for k, U in enumerate(cfg.users_per_cell))
+    T = cfg.subblocks * (N + L_I_prime - 1) + max(L_D, L_I) - 1
+    return TransmissionPlan(
+        B=cfg.subblocks, U_active=U_active, M=tuple(int(U > 0) for U in U_active),
+        L_D=L_D, L_I=L_I_prime, N=N, T=T, L_I_d=L_I_d,
+    )
+
+
 def require_active_cell(plan: TransmissionPlan, command) -> None:
     """Raise ConfigError, naming command, when no cell of plan sends: a cell
     with L_kk <= L_I has no dimension past the cyclic prefix."""

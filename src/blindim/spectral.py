@@ -197,3 +197,31 @@ def build_structured(cfg, plan, ch) -> dict:
     """
     return {k: projected_response(plan, ch[(k, k)][..., : plan.U_active[k], :], plan.M[k])
             for k in range(cfg.K)}
+
+
+def delayed_effective_channels(cfg, dplan, ch, k):
+    """Enlarged effective channel and residual-interference columns of cell k.
+
+    Returns (H_k, H_int_k), (..., N - M_D, columns) over the leading axes of
+    the taps: combiner(dplan) times the received frame of each active
+    desired user on each precoder, then of each active user of each link
+    into cell k longer than the plan's L_I (the cancelled length L_I_prime),
+    in link order, on its residual taps ell >= L_I_prime alone.  The map is
+    linear in the taps: one projected_response call takes them all as the
+    rows of one zero-padded stack.  Residual links exist only on a delayed
+    plan, where M_k <= 1, so the call sends f_1 even when no desired user is
+    active.  A realization needs only the links into cell k.
+    """
+    U = dplan.U_active
+    links = [(k, 0)] + [(i, dplan.L_I) for i in range(cfg.K)
+                        if i != k and cfg.cir_len[k][i] > dplan.L_I]
+    stack = np.zeros(ch[(k, k)].shape[:-2] + (sum(U[i] for i, _ in links),
+                     max(cfg.cir_len[k][i] for i, _ in links)), dtype=complex)
+    row = 0
+    for i, first in links:
+        taps = ch[(k, i)][..., : U[i], first:]
+        stack[..., row : row + U[i], first : first + taps.shape[-1]] = taps
+        row += U[i]
+    M = max(dplan.M[k], 1)
+    H = projected_response(dplan, stack, M)
+    return H[..., : U[k] * M], H[..., U[k] * M :]

@@ -393,7 +393,7 @@ def framed_convolution(plan, taps, M):
 
 
 def residual_columns_by_link(cfg, dplan, ch, k):
-    """H_int of extensions.delayed_effective_channels one link at a time: the
+    """H_int of spectral.delayed_effective_channels one link at a time: the
     combiner times the f_1 framed_convolution of the taps l >= L_I_prime (the
     plan's L_I; the taps before it zeroed) of the active users of each link
     into cell k longer than L_I_prime, side by side in link order."""
@@ -492,7 +492,7 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
     small_scale_by_user, and every distance scales every link by its
     gain_by_user on the full hex_deployment and makes its own pair of rate
     calls, summed over the block's trials."""
-    from blindim import analysis, experiments, extensions, model
+    from blindim import analysis, experiments, model
 
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
@@ -506,7 +506,7 @@ def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
         small = {key: np.stack([ch[key] for ch in draws]) for key in draws[0]}
         for j in range(len(d_user_grid)):
             ch = {key: gain * small[key] for key, gain in gains[j].items()}
-            prop = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
+            prop = analysis.rate_with_residual_ici(cfg, dplan, ch, 0)
             ofdma = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
             acc[j] += prop.sum(), ofdma.sum()
     return [(float(d_user), float(sums[0] / trials), float(sums[1] / trials))

@@ -15,7 +15,6 @@ import pytest
 from blindim import (
     analysis,
     experiments,
-    extensions,
     model,
     spectral,
     transceiver,
@@ -159,7 +158,7 @@ def test_criterion_08_delayed_ici_example():
     cfg = model.SystemConfig(
         K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]], subblocks=1
     )
-    dplan = extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
+    dplan = model.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
     # 3 symbols per cell per 7-sample subblock in a block of
     # T = N_bar + max(L_D, L_I) - 1 samples
     assert dplan.U_active[0] * dplan.M[0] == 3 and dplan.N_bar == 7
@@ -196,7 +195,7 @@ def test_criterion_08_delayed_ici_example():
     for t in range(1000):
         ch = delayed_channel(t)
         for k in range(2):
-            H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+            H_k, _ = spectral.delayed_effective_channels(cfg, dplan, ch, k)
             assert verify.numerical_rank(H_k) == 3
 
     # noiseless exact recovery

@@ -407,13 +407,18 @@ class TestErrors:
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == "error: seed >= 0 violated (seed=-1)\n"
 
-    @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "L_D=4,1.5", "K=x"])
+    @pytest.mark.parametrize("axis", ["L_D=x", "K=2,x", "L_D=4,1.5", "K=x", "L_D=4,,8", "K=2,"])
     def test_non_numeric_sweep_values(self, tmp_path, capsys, axis):
         code, text = run(tmp_path, "sweep", "--sweep", axis)
         assert (code, text) == (2, "")
         err = capsys.readouterr().err
         assert err.startswith("error: --sweep %s values must be" % axis.partition("=")[0])
         assert err.count("\n") == 1
+
+    def test_empty_sweep_list(self, tmp_path, capsys):
+        code, text = run(tmp_path, "sweep", "--sweep", "L_D=")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: empty sweep list for 'L_D'\n"
 
     @pytest.mark.parametrize("axis", ["snr_db=0,10", "subblocks=1,2", "seed=0,1"])
     def test_axes_a_dof_row_ignores(self, tmp_path, capsys, axis):

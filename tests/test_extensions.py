@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindim import analysis, experiments, extensions, model, spectral, transceiver
+from blindim import analysis, experiments, model, spectral, transceiver
 from oracles import (
     combine_by_subblock,
     distance_comparison_by_distance,
@@ -30,7 +30,7 @@ def delayed_case():
     cfg = model.SystemConfig(
         K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]], subblocks=1
     )
-    return cfg, extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
+    return cfg, model.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
 
 
 def zero_delay_taps(ch, cfg, dplan):
@@ -57,7 +57,7 @@ class TestDelayProfile:
 
     def test_valid(self):
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=3)
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
+        dplan = model.make_delayed_plan(cfg, L_I_d=3, L_I_prime=5)
         assert (dplan.L_I_d, dplan.L_I) == (3, 5)
         assert dplan.T == cfg.subblocks * dplan.N_bar + 7 - 1
 
@@ -67,7 +67,7 @@ class TestDelayProfile:
         L_I_d, L_I_prime, L_I = args
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=L_I, U=3)
         with pytest.raises(model.ConfigError, match="L_I_d < L_I_prime"):
-            extensions.make_delayed_plan(cfg, L_I_d, L_I_prime)
+            model.make_delayed_plan(cfg, L_I_d, L_I_prime)
 
     # each size within 0 <= L_I_d < L_I_prime <= L_I = 7 but for its fraction
     @pytest.mark.parametrize("sizes", [(1.5, 3), (1, 3.5), (np.float64(0.5), 5),
@@ -75,13 +75,13 @@ class TestDelayProfile:
     def test_rejects_a_size_that_is_not_integral(self, sizes):
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=3)
         with pytest.raises(model.ConfigError, match="require integers"):
-            extensions.make_delayed_plan(cfg, *sizes)
+            model.make_delayed_plan(cfg, *sizes)
 
     @pytest.mark.parametrize("sizes", [(np.int64(3), np.int32(5)), (3.0, np.float64(5.0))])
     def test_integral_sizes_are_the_int_sizes(self, sizes):
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=7, U=3)
-        dplan = extensions.make_delayed_plan(cfg, *sizes)
-        assert dplan == extensions.make_delayed_plan(cfg, 3, 5)
+        dplan = model.make_delayed_plan(cfg, *sizes)
+        assert dplan == model.make_delayed_plan(cfg, 3, 5)
         assert type(dplan.L_I_d) is int and type(dplan.L_I) is int
         assert (type(dplan.N), type(dplan.T)) == (int, int)
 
@@ -118,7 +118,7 @@ class TestTwoStageCombiner:
         # N = 6, cp = 2: no fold, and the base plan of the same config has
         # the same combiner
         cfg = model.SystemConfig(K=2, users_per_cell=[5, 5], cir_len=[[8, 3], [3, 8]])
-        dplan = extensions.make_delayed_plan(cfg, 0, 3)
+        dplan = model.make_delayed_plan(cfg, 0, 3)
         expect = np.zeros((6, 8))
         expect[np.arange(6), 2 + np.arange(6)] = 1.0
         np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
@@ -136,14 +136,14 @@ class TestTwoStageCombiner:
         # L_I_d = 2 harvested samples do not fit a prefix of L_I_prime - 1 = 1
         cfg = model.SystemConfig.symmetric(K=2, L_D=5, L_I=3, U=3)
         with pytest.raises(model.ConfigError, match="L_I_d < L_I_prime"):
-            extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=2)
+            model.make_delayed_plan(cfg, L_I_d=2, L_I_prime=2)
 
     def test_core_holds_every_harvested_sample(self):
         # a prefix longer than L_D - L_I_prime + 1 lengthens the core to
         # L_I_prime, so each harvested sample j lands on core sample N + j
         cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[4, 5], [5, 4]])
         for L_I_d in range(5):
-            dplan = extensions.make_delayed_plan(cfg, L_I_d, 5)
+            dplan = model.make_delayed_plan(cfg, L_I_d, 5)
             assert (dplan.N, dplan.cp_len, dplan.L_I_d) == (5, 4, L_I_d)
             W = spectral.combiner(dplan)
             np.testing.assert_array_equal(W, _projector(dplan) @ fold_matrix(dplan))
@@ -181,7 +181,7 @@ class TestDelayedPlan:
         # L_I_d = 3 harvested samples would admit 4 users per cell, but the
         # combiner observes only N - M_D = 3 rows
         cfg = model.SystemConfig(K=2, users_per_cell=[4, 4], cir_len=[[5, 4], [4, 5]])
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=3, L_I_prime=4)
+        dplan = model.make_delayed_plan(cfg, L_I_d=3, L_I_prime=4)
         assert dplan.N - dplan.M_D == 3
         assert dplan.U_active == (3, 3)
         worst = 0.0
@@ -246,7 +246,7 @@ class TestCompositeChannel:
         for t in range(10):
             ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(3, t)), cfg, dplan)
             for k in range(cfg.K):
-                H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+                H_k, _ = spectral.delayed_effective_channels(cfg, dplan, ch, k)
                 for u in range(dplan.U_active[k]):
                     unit = {i: np.zeros((1, dplan.U_active[i], dplan.M[i]), dtype=complex)
                             for i in range(cfg.K)}
@@ -272,7 +272,7 @@ def residual_cases(draw):
     cir[1][0] = max(cir[1][0], L_I_prime)
     cfg = model.SystemConfig(K=K, users_per_cell=[draw(st.integers(1, 4)) for _ in range(K)],
                              cir_len=cir)
-    dplan = extensions.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
+    dplan = model.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lead = draw(st.sampled_from([(), (2,), (3, 2)]))
     return cfg, dplan, _draw_taps(cfg, rng, lead)
@@ -294,7 +294,7 @@ def _interleaved_case(lead):
            [4, 4, 4, 4, 6, 4],
            [4, 4, 4, 4, 4, 6]]
     cfg = model.SystemConfig(K=6, users_per_cell=[2, 1, 2, 2, 2, 2], cir_len=cir)
-    dplan = extensions.make_delayed_plan(cfg, L_I_d=1, L_I_prime=4)
+    dplan = model.make_delayed_plan(cfg, L_I_d=1, L_I_prime=4)
     assert dplan.U_active == (2, 1, 2, 2, 2, 2)
     return cfg, dplan, _draw_taps(cfg, np.random.default_rng(4), lead)
 
@@ -304,7 +304,7 @@ def _idle_desired_case():
     (L_I_d = 0), so it has no active user, yet cell 1's 6-tap link into it
     leaves one residual column."""
     cfg = model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[2, 6], [3, 4]])
-    dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
+    dplan = model.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
     assert dplan.U_active == (0, 1) and dplan.M == (0, 1)
     return cfg, dplan, _draw_taps(cfg, np.random.default_rng(5), (2,))
 
@@ -332,7 +332,7 @@ class TestOneProjection:
         cfg, dplan, ch = case
         W = spectral.combiner(dplan)
         for k in range(cfg.K):
-            H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+            H, H_int = spectral.delayed_effective_channels(cfg, dplan, ch, k)
             desired = ch[(k, k)][..., : dplan.U_active[k], :]
             _assert_block_close(H, W @ framed_convolution(dplan, desired, dplan.M[k]))
             want = residual_columns_by_link(cfg, dplan, ch, k)
@@ -350,7 +350,7 @@ class TestOneProjection:
         # links are one call of 21 users on 7 taps, which reads the table
         cfg, dplan = experiments.fig5_config()
         calls = []
-        original = extensions.projected_response
+        original = spectral.projected_response
 
         def counting(plan, taps, M):
             calls.append((taps.shape, M))
@@ -358,8 +358,8 @@ class TestOneProjection:
 
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extensions, "projected_response", counting)
-            pairs = [extensions.delayed_effective_channels(cfg, dplan, ch, k)
+            mp.setattr(spectral, "projected_response", counting)
+            pairs = [spectral.delayed_effective_channels(cfg, dplan, ch, k)
                      for k in range(cfg.K)]
         assert calls == [((21, 7), 1)] * cfg.K
         assert 7 <= spectral.TABLE_TAPS_PER_USER * 21
@@ -376,10 +376,10 @@ def _check_one_call_per_link(cfg, dplan, ch):
     U = dplan.U_active
     moved = 0
     for k in range(cfg.K):
-        H, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+        H, H_int = spectral.delayed_effective_channels(cfg, dplan, ch, k)
         M = max(dplan.M[k], 1)
         desired = ch[(k, k)][..., : U[k], :]
-        _assert_block_close(H, extensions.projected_response(dplan, desired, M))
+        _assert_block_close(H, spectral.projected_response(dplan, desired, M))
         links = [i for i in range(cfg.K) if i != k and cfg.cir_len[k][i] > dplan.L_I]
         joined_users = U[k] + sum(U[i] for i in links)
         joined_taps = max([cfg.cir_len[k][k]] + [cfg.cir_len[k][i] for i in links])
@@ -389,7 +389,7 @@ def _check_one_call_per_link(cfg, dplan, ch):
             taps = ch[(k, i)][..., : U[i], :].copy()
             taps[..., : dplan.L_I] = 0.0
             block = np.s_[..., start : start + U[i] * M]
-            _assert_block_close(H_int[block], extensions.projected_response(dplan, taps, M))
+            _assert_block_close(H_int[block], spectral.projected_response(dplan, taps, M))
             if k == 0:
                 moved += (cfg.cir_len[k][i] > table * U[i]) != joined_route
             start += U[i] * M
@@ -414,7 +414,7 @@ class TestResidualColumnsByLength:
         # 9 users (34 <= 16 * 9)
         cfg, dplan, ch = _interleaved_case(lead)
         assert _check_one_call_per_link(cfg, dplan, ch) == 2
-        _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
+        _, H_int = spectral.delayed_effective_channels(cfg, dplan, ch, 0)
         assert H_int.shape == lead + (dplan.N - dplan.M_D, 1 + 2 + 2 + 2)
 
 
@@ -447,7 +447,7 @@ class TestDelayedDecoding:
             y = transceiver.simulate_reception(cfg, dplan, ch, single_symbols(dplan, symbols),
                                                rng=model.trial_rng(3, t))
             for k in range(2):
-                H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+                H_k, _ = spectral.delayed_effective_channels(cfg, dplan, ch, k)
                 obs = combine_by_subblock(dplan, y[k])[0]
                 want = np.linalg.lstsq(H_k, obs, rcond=None)[0]
                 assert got.s_hat[k].shape == (1, 3)
@@ -482,7 +482,7 @@ class TestDelayedDecoding:
                 model.sample_channel_iid(cfg, model.trial_rng(1, t)), cfg, dplan
             )
             for k in range(2):
-                H_k, _ = extensions.delayed_effective_channels(cfg, dplan, ch, k)
+                H_k, _ = spectral.delayed_effective_channels(cfg, dplan, ch, k)
                 assert np.linalg.matrix_rank(H_k, tol=1e-8) == 3
 
     def test_multi_subblock_rejected(self):
@@ -490,7 +490,7 @@ class TestDelayedDecoding:
         # symbols would come back with relative errors near 7
         cfg = model.SystemConfig(K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]],
                                  subblocks=2)
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
+        dplan = model.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         with pytest.raises(ValueError, match="single-subblock"):
             transceiver.simulate_link(cfg, dplan, ch, {k: np.ones((2, 3, 1)) for k in range(2)})
@@ -500,7 +500,7 @@ class TestDelayedDecoding:
         # simulate_link: a direct decode_block call raises too
         cfg = model.SystemConfig(K=2, users_per_cell=[3, 3], cir_len=[[5, 4], [4, 5]],
                                  subblocks=2)
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
+        dplan = model.make_delayed_plan(cfg, L_I_d=2, L_I_prime=4)
         ch = zero_delay_taps(model.sample_channel_iid(cfg, model.trial_rng(0, 0)), cfg, dplan)
         H = spectral.build_structured(cfg, dplan, ch)
         symbols = {k: np.ones((2, 3, 1)) for k in range(2)}
@@ -519,14 +519,14 @@ class TestResidualIciRate:
     def test_deterministic(self):
         cfg, dplan, ch = self._setup()
         cfg = at_snr(cfg, 0.2, 1e-12)
-        a = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
-        b = extensions.rate_with_residual_ici(cfg, dplan, ch, 0)
+        a = analysis.rate_with_residual_ici(cfg, dplan, ch, 0)
+        b = analysis.rate_with_residual_ici(cfg, dplan, ch, 0)
         np.testing.assert_array_equal(a, b)
 
     def test_monotone_in_power(self):
         cfg, dplan, ch = self._setup()
         rates = [
-            extensions.rate_with_residual_ici(at_snr(cfg, p, 1e-12), dplan, ch, 0)
+            analysis.rate_with_residual_ici(at_snr(cfg, p, 1e-12), dplan, ch, 0)
             for p in (0.01, 0.1, 1.0)
         ]
         assert rates[0] < rates[1] < rates[2]
@@ -535,11 +535,11 @@ class TestResidualIciRate:
         # taps in [L_I_prime, L_I) survive the projection; the interference
         # subspace they span eats into the three-stream slope at high power
         cfg, dplan, ch = self._setup()
-        _, H_int = extensions.delayed_effective_channels(cfg, dplan, ch, 0)
+        _, H_int = spectral.delayed_effective_channels(cfg, dplan, ch, 0)
         free = dplan.N - dplan.M_D - np.linalg.matrix_rank(H_int, tol=None)
         assert free < 3
-        r12 = extensions.rate_with_residual_ici(at_snr(cfg, 1e12, 1e-12), dplan, ch, 0)
-        r15 = extensions.rate_with_residual_ici(at_snr(cfg, 1e15, 1e-12), dplan, ch, 0)
+        r12 = analysis.rate_with_residual_ici(at_snr(cfg, 1e12, 1e-12), dplan, ch, 0)
+        r15 = analysis.rate_with_residual_ici(at_snr(cfg, 1e15, 1e-12), dplan, ch, 0)
         slope = (r15 - r12) / np.log2(1e3)
         assert slope == pytest.approx(free * dplan.B / dplan.T, rel=0.05)
 
@@ -549,8 +549,8 @@ class TestResidualIciRate:
         ch = zero_delay_taps(
             model.sample_channel_iid(cfg, model.trial_rng(2, 0)), cfg, dplan
         )
-        r6 = extensions.rate_with_residual_ici(at_snr(cfg, 1e6, 1.0), dplan, ch, 0)
-        r9 = extensions.rate_with_residual_ici(at_snr(cfg, 1e9, 1.0), dplan, ch, 0)
+        r6 = analysis.rate_with_residual_ici(at_snr(cfg, 1e6, 1.0), dplan, ch, 0)
+        r9 = analysis.rate_with_residual_ici(at_snr(cfg, 1e9, 1.0), dplan, ch, 0)
         # three streams, prefactor B / T: the rate keeps its full slope
         expect = 3 * np.log2(1e3) * dplan.B / dplan.T
         assert r9 - r6 == pytest.approx(expect, rel=0.01)
@@ -576,7 +576,7 @@ class TestResidualIciRate:
             assert scaled == pytest.approx(prop, rel=1e-12, abs=0)
             scaled = ofdma_rate_by_subset(cfg, ch, c * rho, c, dplan.L_D, dplan.N, k)
             assert scaled == pytest.approx(ofdma, rel=1e-12, abs=0)
-            got = extensions.rate_with_residual_ici(cfg, dplan, ch, k)
+            got = analysis.rate_with_residual_ici(cfg, dplan, ch, k)
             assert got == pytest.approx(prop, rel=1e-12, abs=0)
             got = analysis.ofdma_rate_with_ici(cfg, dplan, ch, k)
             assert got == pytest.approx(ofdma, rel=1e-12, abs=0)
@@ -588,16 +588,16 @@ class TestResidualIciRate:
         cfg = at_snr(cfg, 0.2, 1e-12)
         for k in range(cfg.K):
             into_k = {(k, i): ch[(k, i)] for i in range(cfg.K)}
-            every = extensions.rate_with_residual_ici(cfg, dplan, ch, k)
+            every = analysis.rate_with_residual_ici(cfg, dplan, ch, k)
             assert every > 0
-            assert extensions.rate_with_residual_ici(cfg, dplan, into_k, k) == every
+            assert analysis.rate_with_residual_ici(cfg, dplan, into_k, k) == every
 
 
 class TestOfdmaComparator:
     def test_no_interference_single_cell(self):
         P, s2 = 2.0, 0.5
         cfg = at_snr(model.SystemConfig(K=1, users_per_cell=[1], cir_len=[[8]]), P, s2)
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=1)
+        dplan = model.make_delayed_plan(cfg, L_I_d=0, L_I_prime=1)
         ch = model.sample_channel_iid(cfg, model.trial_rng(0, 0))
         n_sc, L_D = 8, 8
         assert (dplan.N, dplan.L_D) == (n_sc, L_D)
@@ -608,7 +608,7 @@ class TestOfdmaComparator:
 
     def test_interference_reduces_rate(self):
         cfg = at_snr(model.SystemConfig.symmetric(K=2, L_D=4, L_I=3, U=2), 1.0, 1e-6)
-        dplan = extensions.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
+        dplan = model.make_delayed_plan(cfg, L_I_d=0, L_I_prime=3)
         ch = model.sample_channel_iid(cfg, model.trial_rng(1, 0))
         with_ici = analysis.ofdma_rate_with_ici(cfg, dplan, ch, 0)
         ch[(0, 1)][:] = 0.0
@@ -666,13 +666,13 @@ class TestBatchedFig5Path:
             assert list(ch) == list(want)
             for key in want:
                 np.testing.assert_array_equal(ch[key], want[key])
-        dplan = extensions.make_delayed_plan(cfg, *delay)
+        dplan = model.make_delayed_plan(cfg, *delay)
         # 10 dB leaves tiny rates at the -80 dB reference loss; an SNR that
         # offsets the loss gives rates that are not
         for snr_db, k in itertools.product((10.0, 10.0 - model.REF_LOSS_DB), range(cfg.K)):
             cfg = dataclasses.replace(cfg, snr_db=snr_db)
             rho = cfg.snr_linear
-            got = extensions.rate_with_residual_ici(cfg, dplan, stacked, k)
+            got = analysis.rate_with_residual_ici(cfg, dplan, stacked, k)
             want = [residual_ici_rate_by_trial(cfg, dplan, ch, rho, 1.0, k) for ch in draws]
             assert got.shape == (trials,)
             assert _max_rel(got, np.array(want)) <= 1e-12
@@ -749,7 +749,7 @@ class TestDistanceGrouping:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(experiments, "rate_with_residual_ici")
+        counting(analysis, "rate_with_residual_ici")
         counting(analysis, "ofdma_rate_with_ici")
         got = experiments.run_distance_comparison(trials=trials, seed=3)
         np.testing.assert_array_equal(np.array(got), np.array(want))

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from blindim import configfile, model
@@ -174,6 +174,17 @@ def test_integral_counts_are_normalised_to_int():
     assert model.make_plan(cfg) == model.make_plan(symmetric(subblocks=3, seed=7))
 
 
+@st.composite
+def plan_configs(draw):
+    """A valid SystemConfig: K <= 4, U <= 9, links of 1-11 taps, B <= 3."""
+    K = draw(st.integers(1, 4))
+    counts = st.lists(st.integers(1, 11), min_size=K, max_size=K)
+    return model.SystemConfig(
+        K=K, users_per_cell=draw(st.lists(st.integers(1, 9), min_size=K, max_size=K)),
+        cir_len=draw(st.lists(counts, min_size=K, max_size=K)),
+        subblocks=draw(st.integers(1, 3)))
+
+
 class TestMakePlan:
     def test_reference_parameters(self):
         plan = model.make_plan(symmetric(K=2, L_D=4, L_I=2, U=2))
@@ -233,6 +244,14 @@ class TestMakePlan:
                                      cir_len=rng.integers(1, 20, (K, K)),
                                      subblocks=int(rng.integers(1, 4)))
             assert model.make_plan(cfg) == plan_by_cases(cfg)
+
+    @given(plan_configs())
+    def test_delayed_plan_without_delay_is_the_base_plan(self, cfg):
+        # where the two scenarios meet, one symbol per active user and no
+        # delay, the two builders agree on every field, T included
+        plan = model.make_plan(cfg)
+        assume(plan.M_D == 1)
+        assert model.make_delayed_plan(cfg, 0, plan.L_I) == plan
 
 
 class TestIidSampler:

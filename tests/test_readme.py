@@ -58,19 +58,28 @@ def _resolves(obj, attrs):
 
 def test_dotted_names_resolve():
     # every backticked dotted name of a blindim module (`blindim.mod.name` or
-    # `mod.name`, with any further attributes), and every `Name.attr` of a
-    # capitalized name, which must be a class the package exports, resolves
+    # `mod.name`, with any further attributes), every `blindim.name` of the
+    # package, and every `Name.attr` of a capitalized name, which must be a
+    # class the package exports, resolves
     import blindim
 
     submodules = {m.name for m in pkgutil.iter_modules(blindim.__path__)}
     text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    names = sorted(set(re.findall(r"`(\w+(?:\.\w+)+)", text)))
+    # README names each module as `blindim.<module>`, and no module that is
+    # gone: a head that is neither a module nor a package attribute
+    heads = {name.split(".")[1] for name in names if name.startswith("blindim.")}
+    assert {h for h in heads if h in submodules or not hasattr(blindim, h)} == submodules
     checked, missing = [], []
-    for name in sorted(set(re.findall(r"`(\w+(?:\.\w+)+)", text))):
+    for name in names:
         parts = name.split(".")
-        if parts[0] == "blindim":
+        prefixed = parts[0] == "blindim"
+        if prefixed:
             parts = parts[1:]
         if parts[0] in submodules:
             obj, attrs = importlib.import_module("blindim." + parts[0]), parts[1:]
+        elif prefixed:
+            obj, attrs = blindim, parts
         elif parts[0][0].isupper():
             obj = getattr(blindim, parts[0], None)
             if not inspect.isclass(obj):

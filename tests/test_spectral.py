@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindim import extensions, model, spectral, verify
+from blindim import model, spectral, verify
 from oracles import (
     circulant,
     diagonalize_circulant,
@@ -234,9 +234,9 @@ def _relative(a, b):
 
 
 def _delayed_channels(cfg, plan, ch):
-    """(H, H_int): extensions.delayed_effective_channels of every cell k, as
+    """(H, H_int): spectral.delayed_effective_channels of every cell k, as
     dicts over k."""
-    pairs = [extensions.delayed_effective_channels(cfg, plan, ch, k) for k in range(cfg.K)]
+    pairs = [spectral.delayed_effective_channels(cfg, plan, ch, k) for k in range(cfg.K)]
     return dict(enumerate(H for H, _ in pairs)), dict(enumerate(H_int for _, H_int in pairs))
 
 
@@ -420,7 +420,7 @@ class TestBuildStructured:
             if L_I >= 2:
                 L_I_prime = int(rng.integers(2, L_I + 1))
                 L_I_d = int(rng.integers(1, L_I_prime))
-                plans.append(extensions.make_delayed_plan(cfg, L_I_d, L_I_prime))
+                plans.append(model.make_delayed_plan(cfg, L_I_d, L_I_prime))
             draws = [model.sample_channel_iid(cfg, rng) for _ in range(2)]
             stack = {key: np.stack([d[key] for d in draws]) for key in draws[0]}
             for plan, ch in itertools.product(plans, (draws[0], stack)):
@@ -483,7 +483,7 @@ def table_cases(draw):
     plan = model.make_plan(cfg)
     if L_I >= 2 and draw(st.booleans()):
         L_I_prime = draw(st.integers(2, L_I))
-        plan = extensions.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
+        plan = model.make_delayed_plan(cfg, draw(st.integers(0, L_I_prime - 1)), L_I_prime)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lead = draw(st.sampled_from([(), (2,)]))
     ch = {(k, i): rng.standard_normal(lead + (cfg.users_per_cell[i], cir[k][i], 2)) @ [1, 1j]
@@ -543,7 +543,7 @@ class TestUnitResponse:
         # the precoders have unit norm, so entries are at most sqrt(N_bar):
         # the tolerance is absolute, as a link within the prefix is nulled
         cfg = model.SystemConfig(K=2, users_per_cell=[1, 3], cir_len=[[9, 3], [4, 6]])
-        for plan in (model.make_plan(cfg), extensions.make_delayed_plan(cfg, 2, 3)):
+        for plan in (model.make_plan(cfg), model.make_delayed_plan(cfg, 2, 3)):
             W = spectral.combiner(plan)
             for L, M in [(4, 1), (7, 1), (7, 2), (4, 2), (9, 3), (2, 3), (9, 1)]:
                 if M > plan.M_D:
@@ -563,7 +563,7 @@ class TestUnitResponse:
         # where its own product has more than one row, else to round-off
         # (numpy takes a one-row product as a vector product)
         cfg = model.SystemConfig.symmetric(K=2, L_D=34, L_I=4, U=6)
-        plan = extensions.make_delayed_plan(cfg, 1, 3) if delayed else model.make_plan(cfg)
+        plan = model.make_delayed_plan(cfg, 1, 3) if delayed else model.make_plan(cfg)
         W = spectral.combiner(plan)
         rng = np.random.default_rng(9)
         M = min(2, plan.M_D)   # a delayed plan sends f_1 only

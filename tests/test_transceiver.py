@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindim import extensions, model, spectral, transceiver
+from blindim import model, spectral, transceiver
 from oracles import (
     combine_by_subblock,
     decode_by_subblock,
@@ -456,7 +456,7 @@ class TestFrameReception:
             if delayed:
                 L_I = model.link_lengths(cfg)[1]
                 L_I_prime = int(rng.integers(1, L_I + 1))
-                plan = extensions.make_delayed_plan(cfg, int(rng.integers(0, L_I_prime)),
+                plan = model.make_delayed_plan(cfg, int(rng.integers(0, L_I_prime)),
                                                     L_I_prime)
             else:
                 plan = model.make_plan(cfg)
@@ -582,7 +582,7 @@ def _reception_plan(case):
     cfg = model.SystemConfig(K=K, users_per_cell=users, cir_len=cir, subblocks=B)
     if delay is None:
         return cfg, model.make_plan(cfg)
-    return cfg, extensions.make_delayed_plan(cfg, *delay)
+    return cfg, model.make_delayed_plan(cfg, *delay)
 
 
 # reception_cases on the cut side of simulate_reception's rule (S below the
