@@ -21,7 +21,7 @@ import os
 import stat
 import sys
 
-from . import analysis, configfile, experiments, model, transceiver, verify
+from . import analysis, configfile, model, transceiver, verify
 
 
 class UsageError(ValueError):
@@ -169,7 +169,7 @@ def cmd_rate(args):
 
 def cmd_simulate(args):
     cfg = _load_cfg(args)
-    rows = experiments.run_link_trials(cfg, model.make_plan(cfg), args.trials)
+    rows = transceiver.run_link_trials(cfg, model.make_plan(cfg), args.trials)
     return ["trial", "cell", "normalized_mse"], rows, True
 
 
@@ -181,13 +181,13 @@ def cmd_verify(args):
 
 
 def cmd_fig3(args):
-    snrs = _snr_list(args, default=experiments.FIG3_SNR_GRID)
-    rows = experiments.run_snr_comparison(snrs, args.trials, args.seed or 0)
+    snrs = _snr_list(args, default=analysis.FIG3_SNR_GRID)
+    rows = analysis.run_snr_comparison(snrs, args.trials, args.seed or 0)
     return ["snr_db", "K", "proposed_sum_se", "baseline_sum_se"], rows, True
 
 
 def cmd_fig5(args):
-    rows = experiments.run_distance_comparison(trials=args.trials, seed=args.seed or 0)
+    rows = analysis.run_distance_comparison(trials=args.trials, seed=args.seed or 0)
     return ["d_user_m", "proposed_se", "ofdma_se"], rows, True
 
 

@@ -9,15 +9,19 @@ Power convention: sigma^2 = 1 and P = rho (the linear SNR), so every
 transmitted sample satisfies E|x[n]|^2 = P when symbols carry variance
 N*P/M_k.  The effective per-stream SNR after combining is then N*rho/M_k.
 cfg.snr_db is the one SNR knob: a noise generator adds sigma^2 = 1 noise.
-fig5's two rates take the same convention.  The chain takes one channel draw.
+fig5's two rates take the same convention.  The chain takes one channel draw;
+run_link_trials, simulate's Monte Carlo loop, runs it on independent trials.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .spectral import build_structured, combiner, frame_response, framed_precoders, leakage_phase
 
 QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -204,3 +208,115 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
     H = build_structured(cfg, plan, ch)
     y = simulate_reception(cfg, plan, ch, symbols, rng=noise_rng)
     return decode_block(cfg, plan, H, combine(plan, y))
+
+
+# run_link_trials spreads its trials over threads only when one trial's decode
+# work, sum_k (N - M_D) (U'_k M_k)^2, reaches this.  numpy's LAPACK, BLAS and
+# generator loops release the interpreter lock, but a small trial spends most
+# of its time in Python.  Timed in-process on a 2-vCPU Xeon with BLAS pinned
+# to one thread, two threads against one over 20 trials: 1.60x on
+# link_large's config (work 112896); 0.79-0.94x at works 648, 2016 and 8232,
+# and on the default config (16, 200 trials).  At work 448 with B = 100
+# (K = 7, L_D = 8, L_I = 4, U = 2), where reception outweighs the decode,
+# they ran 1.03-1.07x, but 0.91-0.93x over 2 trials.
+THREAD_DECODE_WORK = 10**4
+
+# The variables numpy's BLAS reads its thread count from, by the library
+# numpy.show_config names; the first positive one is the count
+BLAS_THREAD_VARS = {
+    "scipy-openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "openblas": ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+    "mkl": ("MKL_NUM_THREADS", "OMP_NUM_THREADS"),
+}
+
+
+def _blas_threads(cpus):
+    """Threads each BLAS call of numpy may use: what its library reads from
+    BLAS_THREAD_VARS, or cpus for an unknown library or when none is set."""
+    name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    for var in BLAS_THREAD_VARS.get(name, ()):
+        value = os.environ.get(var, "")
+        if value.isdecimal() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+def _trial_workers(plan, trials):
+    """Threads run_link_trials uses: one unless a trial's decode work reaches
+    THREAD_DECODE_WORK and a single-threaded BLAS leaves cores idle, else
+    min(trials, cpus // BLAS threads).  A BLAS free to use every core would
+    contend with the extra threads, and lose."""
+    work = sum((plan.N - plan.M_D) * (u * m) ** 2 for u, m in zip(plan.U_active, plan.M))
+    if trials < 2 or work < THREAD_DECODE_WORK:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))   # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(trials, cpus // _blas_threads(cpus)))
+
+
+def _link_trial(cfg, plan, t):
+    """Rows (t, k, normalized MSE) of trial t's simulate_link, one per active
+    cell; raises RankDeficientError, naming the trial, for a draw that fails
+    the rank criterion."""
+    rng = model.trial_rng(cfg.seed, t)
+    ch = model.sample_channel_iid(cfg, rng)
+    symbols = draw_symbols(cfg, plan, rng)
+    try:
+        result = simulate_link(cfg, plan, ch, symbols, noise_rng=rng)
+    except RankDeficientError as exc:
+        raise RankDeficientError("trial %d, %s" % (t, exc)) from None
+    rows = []
+    for k in range(cfg.K):
+        if plan.U_active[k] * plan.M[k] == 0:
+            continue   # an idle cell sends nothing, so it has no error to report
+        truth = symbols[k].reshape(plan.B, -1)
+        err = result.s_hat[k] - truth
+        rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
+    return rows
+
+
+def run_link_trials(cfg, plan, trials):
+    """Rows (trial, cell, normalized_mse) of simulate_link on trials 0 ..
+    trials - 1 of cfg, trial t drawn from trial_rng(cfg.seed, t), in trial
+    order; idle cells have no row.
+
+    The trials are independent, so with _trial_workers' W > 1 threads they
+    run as W contiguous chunks, the first on the calling thread and the rest
+    mapped in order on a pool made for this call.  A draw that fails the
+    rank criterion raises the RankDeficientError of the first failing trial,
+    as one thread in trial order would: chunks before it run on, chunks
+    after it stop at their next trial, and every thread has ended when this
+    returns or raises.  Raises, before any thread starts, model.trial_count's
+    ValueError unless trials is an integer >= 1 (an integral real runs as
+    its int), and model.require_active_cell's ConfigError if no cell sends.
+    """
+    trials = model.trial_count(trials)
+    model.require_active_cell(plan, "simulate")
+    workers = _trial_workers(plan, trials)
+    failed, lock = [trials], threading.Lock()   # failed[0]: first trial seen to raise
+
+    def chunk_rows(chunk):
+        rows = []
+        for t in chunk:
+            if t >= failed[0]:
+                break
+            try:
+                rows += _link_trial(cfg, plan, t)
+            except BaseException:
+                with lock:
+                    failed[0] = min(failed[0], t)
+                raise
+        return rows
+
+    chunks = [range(trials * j // workers, trials * (j + 1) // workers) for j in range(workers)]
+    if workers == 1:
+        return chunk_rows(chunks[0])
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the caller keeps a chunk: with it idle and a pool of W, link_large's
+    # 2-trial passes ran 15% slower on a fresh thread's cold malloc arena
+    with ThreadPoolExecutor(workers - 1) as pool:
+        later = pool.map(chunk_rows, chunks[1:])
+        return chunk_rows(chunks[0]) + [row for rows in later for row in rows]

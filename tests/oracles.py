@@ -468,9 +468,9 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
     """Rows (d_user_m, proposed, ofdma) of the fig5 sweep: per distance, per
     trial, one sample_channel_by_user draw from trial_rng(seed, t) and both
     per-trial rates for cell 0, accumulated in order."""
-    from blindim import experiments, model
+    from blindim import analysis, model
 
-    cfg, dplan = experiments.fig5_config()
+    cfg, dplan = analysis.fig5_config()
     P, sigma2 = cfg.snr_linear, 1.0
     rows = []
     for d_user in d_user_grid:
@@ -487,16 +487,16 @@ def distance_comparison_by_trial(d_user_grid, trials, seed=0):
 
 
 def distance_comparison_by_distance(d_user_grid=None, trials=200, seed=0):
-    """experiments.run_distance_comparison one distance at a time: per block
+    """analysis.run_distance_comparison one distance at a time: per block
     of model.TRIAL_BLOCK trials, each trial draws all K * K links with
     small_scale_by_user, and every distance scales every link by its
     gain_by_user on the full hex_deployment and makes its own pair of rate
     calls, summed over the block's trials."""
-    from blindim import analysis, experiments, model
+    from blindim import analysis, model
 
     if d_user_grid is None:
         d_user_grid = np.arange(20.0, 150.0, 10.0)
-    cfg, dplan = experiments.fig5_config()
+    cfg, dplan = analysis.fig5_config()
     gains = [gain_by_user(cfg, dplan.L_I_d, hex_deployment(d, cfg.users_per_cell))
              for d in d_user_grid]
     acc = np.zeros((len(d_user_grid), 2))
@@ -568,12 +568,12 @@ def ergodic_rate_by_trial(cfg, snr_db_list, trials, seed):
 
 def snr_comparison_by_network(snr_db, trials, seed):
     """fig3's rows (snr_db, K, proposed, baseline) with one
-    analysis.ergodic_rate per network of experiments.FIG3_K_LIST: each network
+    analysis.ergodic_rate per network of analysis.FIG3_K_LIST: each network
     draws every trial's stream itself, only as far as its own desired links."""
-    from blindim import analysis, experiments, model
+    from blindim import analysis, model
 
     rows = []
-    for K in experiments.FIG3_K_LIST:
+    for K in analysis.FIG3_K_LIST:
         cfg = model.SystemConfig.symmetric(K=K, L_D=8, L_I=2, U=3, seed=seed)
         proposed, baseline = analysis.ergodic_rate(cfg, snr_db, trials)
         for j, s in enumerate(snr_db):

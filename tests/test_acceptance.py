@@ -14,7 +14,6 @@ import pytest
 
 from blindim import (
     analysis,
-    experiments,
     model,
     spectral,
     transceiver,
@@ -142,7 +141,7 @@ def test_criterion_06_high_snr_slope_matches_dof():
 
 
 def test_criterion_07_snr_comparison_ordering_and_scaling():
-    rows = experiments.run_snr_comparison(experiments.FIG3_SNR_GRID, trials=200, seed=0)
+    rows = analysis.run_snr_comparison(analysis.FIG3_SNR_GRID, trials=200, seed=0)
     by_k = {}
     for snr, K, prop, base in rows:
         by_k.setdefault(K, {})[snr] = (prop, base)
@@ -174,7 +173,7 @@ def test_criterion_08_delayed_ici_example():
     expect[1, 0] = 1.0
     expect[2, 1] = 1.0
     assert (spectral.combiner(dplan) == projector(dplan) @ expect).all()
-    _, fig5_plan = experiments.fig5_config()
+    _, fig5_plan = analysis.fig5_config()
     assert (fig5_plan.N, fig5_plan.N_bar) == (5, 9)
     expect = np.zeros((5, 9))
     expect[np.arange(5), 4 + np.arange(5)] = 1.0
@@ -213,7 +212,7 @@ def test_criterion_08_delayed_ici_example():
 
 
 def test_criterion_09_distance_comparison_ordering():
-    rows = {row[0]: row for row in experiments.run_distance_comparison(trials=200, seed=0)}
+    rows = {row[0]: row for row in analysis.run_distance_comparison(trials=200, seed=0)}
     near, far = rows[20.0], rows[140.0]
     assert near[2] > near[1], "cell center: OFDMA should win (%g vs %g)" % (near[2], near[1])
     assert far[1] > far[2], "cell edge: proposed should win (%g vs %g)" % (far[1], far[2])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindim import analysis, experiments, model, spectral, verify
+from blindim import analysis, model, spectral, transceiver, verify
 from oracles import (
     baseline_slope,
     dof_theorem1_literal,
@@ -319,13 +319,13 @@ class TestSnrComparison:
     """fig3's one draw per trial, read by every network, against one
     ergodic_rate per network, each drawing its own trials."""
 
-    GRIDS = [list(experiments.FIG3_SNR_GRID), list(experiments.FIG3_SNR_GRID)[::-1], [25.0]]
+    GRIDS = [list(analysis.FIG3_SNR_GRID), list(analysis.FIG3_SNR_GRID)[::-1], [25.0]]
 
     @pytest.mark.parametrize("trials", [1, 2, 25, 256, 257, 600])
     @pytest.mark.parametrize("seed", [0, 7, 7919])
     def test_matches_one_run_per_network(self, seed, trials):
         for snr_db in self.GRIDS:
-            got = experiments.run_snr_comparison(snr_db, trials, seed)
+            got = analysis.run_snr_comparison(snr_db, trials, seed)
             assert got == snr_comparison_by_network(snr_db, trials, seed)
 
 
@@ -363,11 +363,11 @@ TRIAL_RUNS = {
     "ergodic_rates": lambda trials: np.concatenate(sum(analysis.ergodic_rates(
         [model.SystemConfig.symmetric(K=K, L_D=4, L_I=2, U=2, seed=3) for K in (1, 2)],
         [0.0, 20.0], trials), ())).tobytes(),
-    "run_snr_comparison": lambda trials: experiments.run_snr_comparison([10.0], trials, 3),
-    "run_distance_comparison": lambda trials: experiments.run_distance_comparison(
+    "run_snr_comparison": lambda trials: analysis.run_snr_comparison([10.0], trials, 3),
+    "run_distance_comparison": lambda trials: analysis.run_distance_comparison(
         trials=trials, seed=3),
     "run_all": lambda trials: verify.run_all(verify.DEFAULT_CONFIG, trials),
-    "run_link_trials": lambda trials: experiments.run_link_trials(
+    "run_link_trials": lambda trials: transceiver.run_link_trials(
         verify.DEFAULT_CONFIG, model.make_plan(verify.DEFAULT_CONFIG), trials),
 }
 

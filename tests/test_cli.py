@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blindim import analysis, cli, experiments, model, transceiver, verify
+from blindim import analysis, cli, model, transceiver, verify
 from oracles import distance_comparison_by_distance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -324,7 +324,7 @@ class TestErrors:
 
     def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
         # --out is opened before the command's work starts
-        monkeypatch.setattr(experiments, "run_snr_comparison",
+        monkeypatch.setattr(analysis, "run_snr_comparison",
                             lambda *a, **k: pytest.fail("fig3 ran before --out was opened"))
         assert cli.main(["fig3", "--trials", "20000", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -587,7 +587,7 @@ class TestOutRewrite:
         def rank_failure(**kwargs):
             raise transceiver.RankDeficientError("cell 0: effective channel is rank deficient")
 
-        monkeypatch.setattr(experiments, "run_distance_comparison", rank_failure)
+        monkeypatch.setattr(analysis, "run_distance_comparison", rank_failure)
         return {
             "dof": (["dof", "--config", str(bad)], 2),
             "rate": (["rate", "--trials", "2", "--snr", "x"], 2),
@@ -704,7 +704,7 @@ class TestExperimentCommands:
         # the same bytes
         code, text = run(tmp_path, "fig5", "--seed", seed)
         assert code == 0
-        monkeypatch.setattr(experiments, "run_distance_comparison",
+        monkeypatch.setattr(analysis, "run_distance_comparison",
                             lambda trials, seed: distance_comparison_by_distance(trials=trials,
                                                                                  seed=seed))
         assert run(tmp_path, "fig5", "--seed", seed, name="every.csv") == (0, text)
@@ -747,14 +747,14 @@ class TestImports:
             "def pool():\n"
             "    return 'concurrent.futures' in sys.modules\n"
             "import blindim.cli\n"
-            "from blindim import experiments, model\n"
+            "from blindim import model, transceiver\n"
             "print(pool())\n"
             "blindim.cli.main(['simulate', '--trials', '2', '--out', sys.argv[1]])\n"
             "print(pool())\n"
             "cfg = model.SystemConfig.symmetric(K=7, L_D=32, L_I=4, U=6, subblocks=3)\n"
             "plan = model.make_plan(cfg)\n"
-            "experiments.run_link_trials(cfg, plan, 2)\n"
-            "print(pool() == (experiments._trial_workers(plan, 2) > 1))\n"
+            "transceiver.run_link_trials(cfg, plan, 2)\n"
+            "print(pool() == (transceiver._trial_workers(plan, 2) > 1))\n"
         )
         path = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path),

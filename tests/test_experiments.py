@@ -1,10 +1,10 @@
-"""experiments.run_link_trials, simulate's trials: whether they run on one
+"""transceiver.run_link_trials, simulate's trials: whether they run on one
 thread or as contiguous chunks on several, the rows and the first error are
 those of one thread running the trials in order (oracles.link_trials_in_order).
 
 The threaded path is forced by pinning BLAS to one thread through its
 variables and by setting the CPU count; with a BLAS that reads none of
-experiments.BLAS_THREAD_VARS the rule keeps one thread, so those tests skip."""
+transceiver.BLAS_THREAD_VARS the rule keeps one thread, so those tests skip."""
 
 import concurrent.futures
 import dataclasses
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from blindim import cli, configfile, experiments, model, transceiver
+from blindim import cli, configfile, model, transceiver
 from oracles import link_trials_in_order
 
 # perfbench's link_large: K=7, L_D=32, L_I=4, U=6, B=100 at 20 dB
@@ -24,14 +24,14 @@ IDLE_CELL = model.SystemConfig(K=3, users_per_cell=[6, 4, 2],
                                cir_len=[[32, 4, 3], [4, 24, 4], [2, 4, 4]], subblocks=30)
 # seed 3 fails the rank criterion first at trial 17, seed 7 at trial 179
 FAILING = "K = 2\nusers_per_cell = 4\ncir_len = 32,4; 4,32\nsubblocks = 100\n"
-BLAS_VARS = {var for names in experiments.BLAS_THREAD_VARS.values() for var in names}
+BLAS_VARS = {var for names in transceiver.BLAS_THREAD_VARS.values() for var in names}
 BLAS_NAME = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-pinnable = pytest.mark.skipif(BLAS_NAME not in experiments.BLAS_THREAD_VARS,
+pinnable = pytest.mark.skipif(BLAS_NAME not in transceiver.BLAS_THREAD_VARS,
                               reason="numpy's BLAS %s has no known thread variable" % BLAS_NAME)
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(n)),
+    monkeypatch.setattr(transceiver.os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
 
@@ -41,7 +41,7 @@ def _blas(monkeypatch, threads=None):
     for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     if threads is not None:
-        for names in experiments.BLAS_THREAD_VARS.values():
+        for names in transceiver.BLAS_THREAD_VARS.values():
             monkeypatch.setenv(names[0], str(threads))
 
 
@@ -71,7 +71,7 @@ def no_pool(monkeypatch):
 def _check_against_oracle(cfg, trials, pools, cpus):
     plan = model.make_plan(cfg)
     before = set(threading.enumerate())
-    rows = experiments.run_link_trials(cfg, plan, trials)
+    rows = transceiver.run_link_trials(cfg, plan, trials)
     assert set(threading.enumerate()) == before
     assert rows == link_trials_in_order(cfg, plan, trials)
     # the calling thread takes the first chunk, the pool the others
@@ -106,8 +106,8 @@ class TestThreadedRows:
 
     def test_cpu_count_without_affinity(self, monkeypatch, pools):
         # where os.sched_getaffinity is missing, os.cpu_count counts the CPUs
-        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(transceiver.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(transceiver.os, "cpu_count", lambda: 3)
         _blas(monkeypatch, 1)
         _check_against_oracle(LARGE, 3, pools, 3)
 
@@ -164,10 +164,10 @@ class TestFirstFailingTrial:
                 raise transceiver.RankDeficientError("trial %d" % t)
             return [(t, 0, 0.0)]
 
-        monkeypatch.setattr(experiments, "_link_trial", trial)
+        monkeypatch.setattr(transceiver, "_link_trial", trial)
         before = set(threading.enumerate())
         with pytest.raises(transceiver.RankDeficientError, match="^trial %d$" % first):
-            experiments.run_link_trials(LARGE, model.make_plan(LARGE), 9)
+            transceiver.run_link_trials(LARGE, model.make_plan(LARGE), 9)
         assert set(threading.enumerate()) == before
         assert pools == [2]
         assert set(range(first + 1)) <= set(ran)
@@ -186,9 +186,9 @@ class TestFirstFailingTrial:
             time.sleep(0.1)
             return [(t, 0, 0.0)]
 
-        monkeypatch.setattr(experiments, "_link_trial", trial)
+        monkeypatch.setattr(transceiver, "_link_trial", trial)
         with pytest.raises(transceiver.RankDeficientError, match="^trial 0$"):
-            experiments.run_link_trials(LARGE, model.make_plan(LARGE), 9)
+            transceiver.run_link_trials(LARGE, model.make_plan(LARGE), 9)
         assert set(ran) <= {0, 3, 6}
 
 
@@ -203,7 +203,7 @@ class TestSerialSide:
         for cfg in (model.SystemConfig(K=2, users_per_cell=[2, 2], cir_len=[[4, 2], [2, 4]]),
                     model.SystemConfig.symmetric(K=7, L_D=12, L_I=4, U=6, seed=5)):
             plan = model.make_plan(cfg)
-            rows = experiments.run_link_trials(cfg, plan, 7)
+            rows = transceiver.run_link_trials(cfg, plan, 7)
             assert rows == link_trials_in_order(cfg, plan, 7)
 
     @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, None), (2, 2), (3, 2)])
@@ -213,13 +213,13 @@ class TestSerialSide:
         _cpus(monkeypatch, cpus)
         _blas(monkeypatch, threads)
         plan = model.make_plan(LARGE)
-        assert experiments.run_link_trials(LARGE, plan, 2) == link_trials_in_order(LARGE, plan, 2)
+        assert transceiver.run_link_trials(LARGE, plan, 2) == link_trials_in_order(LARGE, plan, 2)
 
     def test_one_trial(self, monkeypatch, no_pool):
         _cpus(monkeypatch, 2)
         _blas(monkeypatch, 1)
         plan = model.make_plan(LARGE)
-        assert experiments.run_link_trials(LARGE, plan, 1) == link_trials_in_order(LARGE, plan, 1)
+        assert transceiver.run_link_trials(LARGE, plan, 1) == link_trials_in_order(LARGE, plan, 1)
 
     def test_default_simulate_runs(self, tmp_path, monkeypatch, no_pool):
         _cpus(monkeypatch, 2)
@@ -239,7 +239,7 @@ class TestTrialCount:
         _blas(monkeypatch, 1)
         plan = model.make_plan(LARGE)
         before = set(threading.enumerate())
-        assert experiments.run_link_trials(LARGE, plan, 2.0) == link_trials_in_order(LARGE, plan, 2)
+        assert transceiver.run_link_trials(LARGE, plan, 2.0) == link_trials_in_order(LARGE, plan, 2)
         assert set(threading.enumerate()) == before
         assert pools == [1]
 
@@ -251,7 +251,7 @@ class TestTrialCount:
         _blas(monkeypatch, 1)
         before = set(threading.enumerate())
         with pytest.raises(ValueError) as exc:
-            experiments.run_link_trials(LARGE, model.make_plan(LARGE), trials)
+            transceiver.run_link_trials(LARGE, model.make_plan(LARGE), trials)
         assert str(exc.value) == "trials must be " + message
         assert pools == []
         assert set(threading.enumerate()) == before
@@ -263,7 +263,7 @@ class TestTrialCount:
         cfg = model.SystemConfig.symmetric(K=2, L_D=2, L_I=2, U=2)
         before = set(threading.enumerate())
         with pytest.raises(model.ConfigError) as exc:
-            experiments.run_link_trials(cfg, model.make_plan(cfg), 3)
+            transceiver.run_link_trials(cfg, model.make_plan(cfg), 3)
         assert str(exc.value) == "simulate needs a cell with L_kk > L_I; every L_kk <= L_I = 2"
         assert pools == []
         assert set(threading.enumerate()) == before
@@ -286,8 +286,8 @@ class TestBlasThreads:
         # the first positive count among the variables numpy's BLAS reads, in
         # its order; otherwise every CPU
         config = {"Build Dependencies": {"blas": {"name": name}}}
-        monkeypatch.setattr(experiments.np, "show_config", lambda mode: config)
+        monkeypatch.setattr(transceiver.np, "show_config", lambda mode: config)
         _blas(monkeypatch)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert experiments._blas_threads(4) == threads
+        assert transceiver._blas_threads(4) == threads

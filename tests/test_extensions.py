@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blindim import analysis, experiments, model, spectral, transceiver
+from blindim import analysis, model, spectral, transceiver
 from oracles import (
     combine_by_subblock,
     distance_comparison_by_distance,
@@ -105,7 +105,7 @@ class TestTwoStageCombiner:
         np.testing.assert_array_equal(spectral.combiner(dplan), _projector(dplan) @ expect)
 
     def test_fold_matrix_5x9(self):
-        cfg, dplan = experiments.fig5_config()
+        cfg, dplan = analysis.fig5_config()
         expect = np.zeros((5, 9))
         expect[np.arange(5), 4 + np.arange(5)] = 1.0
         expect[1, 0] = 1.0
@@ -126,7 +126,7 @@ class TestTwoStageCombiner:
                                       spectral.combiner(model.make_plan(cfg)))
 
     def test_projector_dimensions(self):
-        cfg, dplan = experiments.fig5_config()
+        cfg, dplan = analysis.fig5_config()
         W = spectral.combiner(dplan)
         assert W.shape == (4, 9)
         F = spectral.idft_basis(5)
@@ -160,7 +160,7 @@ class TestDelayedPlan:
 
     def test_harvest_budget(self):
         # L_kk = L_I_prime: all activity comes from the harvested samples
-        cfg, dplan = experiments.fig5_config()
+        cfg, dplan = analysis.fig5_config()
         assert dplan.N == 5
         assert dplan.cp_len == 4
         assert dplan.U_active == (3,) * 7
@@ -173,7 +173,7 @@ class TestDelayedPlan:
         cir = [[5 if k == i else 7 for i in range(7)] for k in range(7)]
         snr_db = 23.0 - (-174.0 + 10.0 * math.log10(100.0))
         for seed in (0, 7):
-            cfg, _ = experiments.fig5_config(seed)
+            cfg, _ = analysis.fig5_config(seed)
             assert cfg == model.SystemConfig(K=7, users_per_cell=[3] * 7, cir_len=cir,
                                              snr_db=snr_db, subblocks=10, seed=seed)
 
@@ -348,7 +348,7 @@ class TestOneProjection:
     def test_fig5_is_one_call_per_cell_on_the_table(self):
         # each cell's 3 desired users and the 18 users of its six 7-tap cross
         # links are one call of 21 users on 7 taps, which reads the table
-        cfg, dplan = experiments.fig5_config()
+        cfg, dplan = analysis.fig5_config()
         calls = []
         original = spectral.projected_response
 
@@ -511,7 +511,7 @@ class TestDelayedDecoding:
 
 class TestResidualIciRate:
     def _setup(self, seed=0):
-        cfg, dplan = experiments.fig5_config()
+        cfg, dplan = analysis.fig5_config()
         draw = geometric_draws(cfg, hex_gains(cfg, dplan.L_I_d, 100.0), seed, 1)
         ch = {key: taps[0] for key, taps in draw.items()}
         return cfg, dplan, ch
@@ -557,7 +557,7 @@ class TestResidualIciRate:
 
     def test_fig5_snr_is_the_link_budget(self):
         # 23 dBm against -174 dBm/Hz over 100 Hz, both in watts
-        cfg, _ = experiments.fig5_config()
+        cfg, _ = analysis.fig5_config()
         P = 10.0 ** ((23.0 - 30.0) / 10.0)
         sigma2 = 10.0 ** ((-174.0 - 30.0) / 10.0) * 100.0
         assert cfg.snr_linear == pytest.approx(P / sigma2, rel=1e-12, abs=0)
@@ -687,7 +687,7 @@ class TestBatchedFig5Path:
         checked = []
         original = model._violations
         monkeypatch.setattr(model, "_violations", lambda cfg: checked.append(cfg) or original(cfg))
-        experiments.run_distance_comparison(trials=1, seed=3)
+        analysis.run_distance_comparison(trials=1, seed=3)
         assert [cfg.seed for cfg in checked] == [3]
 
     def test_gains_only_for_the_links_into_cell_0(self, monkeypatch):
@@ -701,25 +701,25 @@ class TestBatchedFig5Path:
             return gains
 
         monkeypatch.setattr(model, "large_scale_gain", recording)
-        experiments.run_distance_comparison(trials=1, seed=0)
+        analysis.run_distance_comparison(trials=1, seed=0)
         assert built == [(0, [(0, i) for i in range(7)], {len(FIG5_GRID)})]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_distance_sweep_rejects_no_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            experiments.run_distance_comparison(trials=trials, seed=0)
+            analysis.run_distance_comparison(trials=trials, seed=0)
 
     def test_distance_sweep_matches_trial_loop(self, monkeypatch):
         grid = FIG5_GRID
         want = np.array(distance_comparison_by_trial(grid, trials=12, seed=5))
         for block in (model.TRIAL_BLOCK, 5):   # one block, then three
             monkeypatch.setattr(model, "TRIAL_BLOCK", block)
-            got = np.array(experiments.run_distance_comparison(trials=12, seed=5))
+            got = np.array(analysis.run_distance_comparison(trials=12, seed=5))
             np.testing.assert_array_equal(got[:, 0], grid)
             np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=1e-12, atol=0)
 
 
-# fig5's distances (m), stated apart from experiments.FIG5_DISTANCES_M
+# fig5's distances (m), stated apart from analysis.FIG5_DISTANCES_M
 FIG5_GRID = tuple(np.arange(20.0, 150.0, 10.0))
 
 
@@ -751,7 +751,7 @@ class TestDistanceGrouping:
 
         counting(analysis, "rate_with_residual_ici")
         counting(analysis, "ofdma_rate_with_ici")
-        got = experiments.run_distance_comparison(trials=trials, seed=3)
+        got = analysis.run_distance_comparison(trials=trials, seed=3)
         np.testing.assert_array_equal(np.array(got), np.array(want))
         for name in ("rate_with_residual_ici", "ofdma_rate_with_ici"):
             # seven links into cell 0 per call
