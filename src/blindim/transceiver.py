@@ -71,7 +71,10 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     """(K, T) per-BS streams y_k[n] = sum_i sum_u (h * x_{i,u})[n] + z_k[n] of
     one draw (links (U_i, L_{k,i})) and draw_symbols' dict i -> (B, U'_i, M_i)
     of every cell, idle ones (B, 0, 0), with CN(0, 1) noise z from rng (none
-    without rng), built frame by frame from spectral.frame_response.
+    without rng), built frame by frame from spectral.frame_response.  The
+    noise is one rng.normal draw of (K, 2, T) real then imaginary parts with
+    scale sqrt(1/2): the bits of standard normals times sqrt(1/2), without
+    a second array.
 
     Every link's first S taps go through one frame_response and one leak
     product, zero-padded to common users, tones and S taps.  frame_response
@@ -80,7 +83,11 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     the longest cross link when the K (K - 1) cross links would otherwise be
     padded by more than SPLIT_PADDED_TAPS taps times users times tones, else
     the longest link, and then no link has a tail.  The links cost
-    O((B + 1) K^2 U M S), plus O((B + 1) K U M L_D) for the tails."""
+    O((B + 1) K^2 U M S), plus O((B + 1) K U M L_D) for the tails.
+
+    Each stream-sized array is held only while it is read: the padded
+    symbols, their lagged copy and the frames meet once, in the leak
+    products, so link_large's reception peaks at 3.1 (K, T) streams."""
     K, B, N, cp, N_bar = cfg.K, plan.B, plan.N, plan.cp_len, plan.N_bar
     if any(i not in symbols or np.shape(symbols[i]) != (B, plan.U_active[i], plan.M[i])
            for i in range(K)):
@@ -93,13 +100,15 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     if K * (K - 1) * U * M * (longest - S) <= SPLIT_PADDED_TAPS:
         S = longest
     s = np.zeros((B + 1, K, U, M), dtype=complex)   # frame B sends nothing
-    taps = np.zeros((K, K, U, longest), dtype=complex)
+    taps = np.zeros((K, K, U, S), dtype=complex)
     for i in range(K):
         s[:B, i, : plan.U_active[i], : plan.M[i]] = symbols[i]
     for (k, i), h in ch.items():
-        taps[k, i, : plan.U_active[i], : h.shape[-1]] = h[: plan.U_active[i]]
-    lagged = -s   # frame b - 1's leak, rotated, less frame b's own
-    lagged[1:] += s[:B] * leakage_phase(N, cp, M)
+        taps[k, i, : plan.U_active[i], : h.shape[-1]] = h[: plan.U_active[i], :S]
+    lagged = np.empty_like(s)   # frame b - 1's leak, rotated, less frame b's own
+    np.negative(s[0], out=lagged[0])
+    np.multiply(s[:B], leakage_phase(N, cp, M), out=lagged[1:])
+    lagged[1:] -= s[1:]
     frames = np.zeros((K, -(-plan.T // N_bar), N_bar), dtype=complex)   # links end by T
 
     def add_leak(rows, resp):   # (rows, B + 1, L - 1) leaks, frame b's from frame b on
@@ -107,24 +116,23 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
             part = resp[..., start : start + N_bar]
             frames[rows, span : span + B + 1, : part.shape[-1]] += part
 
-    gains, leak = frame_response(taps[..., :S].reshape(K, K * U, S), N, cp, M)
+    gains, leak = frame_response(taps.reshape(K, K * U, S), N, cp, M)
     add_leak(slice(None), lagged.reshape(B + 1, -1) @ leak)
     for k in range(K):
-        L = ch[(k, k)].shape[-1]
-        if L > S:   # the desired link's taps from S on
-            tail = taps[k, k, :, :L]
-            tail[:, :S] = 0.0
+        h, u = ch[(k, k)], plan.U_active[k]
+        if h.shape[-1] > S:   # the desired link's taps from S on
+            tail = np.zeros((U, h.shape[-1]), dtype=complex)
+            tail[:u, S:] = h[:u, S:]
             tail_gains, leak = frame_response(tail, N, cp, M)
             gains[k, k * U : (k + 1) * U] += tail_gains
             add_leak(k, lagged[:, k].reshape(B + 1, -1) @ leak)
+    del lagged, taps, leak   # freed before the products: lagged is a stream's worth
     tones = (s[:B].reshape(B, K * U, M).transpose(2, 0, 1) @ gains.T).T
+    del s, gains
     frames[:, :B] += tones @ framed_precoders(N, cp, M).T
     y = frames.reshape(cfg.K, -1)[:, : plan.T]
     if rng is not None:
-        # scaled out of place: z *= sqrt(0.5) gives the same bits, but took
-        # simulate --trials 20 on link_large's config from 65.8 to 70.0 ms
-        # (2-vCPU Xeon, BLAS unpinned, 3 of 3 rounds), for a cause not found
-        z = rng.standard_normal((cfg.K, 2, plan.T)) * np.sqrt(0.5)
+        z = rng.normal(0.0, np.sqrt(0.5), (cfg.K, 2, plan.T))
         y.real += z[:, 0]
         y.imag += z[:, 1]
     return y
@@ -203,11 +211,12 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
     symbols is draw_symbols' dict k -> (B, U'_k, M_k) of (already
     power-scaled) payload symbols; the returned estimates are on the same
     scale.  Without noise_rng the link is noiseless.  decode_block raises
-    ValueError for a delayed plan (L_I_d > 0) with B > 1.
+    ValueError for a delayed plan (L_I_d > 0) with B > 1.  The received
+    streams go straight into combine, so they are freed before decoding.
     """
     H = build_structured(cfg, plan, ch)
-    y = simulate_reception(cfg, plan, ch, symbols, rng=noise_rng)
-    return decode_block(cfg, plan, H, combine(plan, y))
+    y_tilde = combine(plan, simulate_reception(cfg, plan, ch, symbols, rng=noise_rng))
+    return decode_block(cfg, plan, H, y_tilde)
 
 
 # run_link_trials spreads its trials over threads only when one trial's decode

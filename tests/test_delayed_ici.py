@@ -1,3 +1,10 @@
+"""The delayed-ICI scenario, where propagation delay zeroes each cross
+link's first L_I_d taps and the taps past L_I_prime are residual noise:
+model.make_delayed_plan and its delay profile, the two-stage fold-then-DFT
+combiner, spectral.delayed_effective_channels, decoding a delayed plan, and
+fig5's rates (analysis.rate_with_residual_ici, analysis.ofdma_rate_with_ici
+and the distance sweep)."""
+
 import dataclasses
 import itertools
 import math

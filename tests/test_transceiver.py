@@ -502,7 +502,7 @@ class TestFrameReception:
 
     def test_cut_links_stay_below_the_padded_peak(self):
         # link_large's reception: padding the 42 four-tap cross links to 32
-        # taps peaked at 7.8 (K, T) streams (3.07 MB); cut at S = 4, at 4.1
+        # taps peaked at 7.8 (K, T) streams (3.07 MB); cut at S = 4, at 3.1
         cfg = model.SystemConfig.symmetric(K=7, L_D=32, L_I=4, U=6, subblocks=100)
         plan = model.make_plan(cfg)
         ch = model.sample_channel_iid(cfg, model.trial_rng(60, 0))
@@ -512,7 +512,21 @@ class TestFrameReception:
         transceiver.simulate_reception(cfg, plan, ch, syms, rng=model.trial_rng(62, 0))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak <= 6 * cfg.K * plan.T * 16
+        assert peak <= 3.5 * cfg.K * plan.T * 16
+
+    def test_large_trial_frees_each_stream_once_read(self):
+        # one link_large trial holds its symbols while the reception's s,
+        # lagged and frames meet: 4.1 (K, T) streams, and 5.1 while every
+        # stream-sized array lived until the trial ended
+        cfg = model.SystemConfig.symmetric(K=7, L_D=32, L_I=4, U=6, subblocks=100,
+                                           snr_db=20.0)
+        plan = model.make_plan(cfg)
+        transceiver._link_trial(cfg, plan, 0)   # tables cached, as in a run
+        tracemalloc.start()
+        transceiver._link_trial(cfg, plan, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 4.5 * cfg.K * plan.T * 16
 
 
 class TestProjectionDecode:
