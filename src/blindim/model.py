@@ -227,6 +227,18 @@ def make_delayed_plan(cfg, L_I_d, L_I_prime) -> TransmissionPlan:
     )
 
 
+def cell_groups(cfg: SystemConfig, plan: TransmissionPlan) -> list:
+    """The cells as groups of equal shape (U'_k, M_k, L_kk), each a tuple of
+    cells in increasing order, the groups in order of their first cell.  The
+    cells of one group have effective channels of one shape, so the receiver
+    builds, checks and decodes each group as one stack: a symmetric network
+    is one group."""
+    groups = {}
+    for k in range(cfg.K):
+        groups.setdefault((plan.U_active[k], plan.M[k], cfg.cir_len[k][k]), []).append(k)
+    return [tuple(cells) for cells in groups.values()]
+
+
 def require_active_cell(plan: TransmissionPlan, command) -> None:
     """Raise ConfigError, naming command, when no cell of plan sends: a cell
     with L_kk <= L_I has no dimension past the cyclic prefix."""

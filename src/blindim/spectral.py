@@ -28,6 +28,7 @@ import functools
 
 import numpy as np
 
+from . import model
 from .model import _integral
 
 
@@ -92,7 +93,8 @@ def frame_response(taps, N, cp, M) -> tuple:
     framed_precoders times gains (..., U, M), the sums of h_l w^(-l m), less
     leak on samples 0 .. L - 2, plus leak times leakage_phase from sample
     N + cp on.  Row u * M + m of leak (..., U * M, L - 1) is the tone f_{m+1}
-    continued to sample j times the sums over the taps l > j."""
+    continued to sample j times the sums over the taps l > j.  gains is its
+    own array, so the (..., U, M, L) tap sums live no longer than leak."""
     taps = np.asarray(taps)
     L = taps.shape[-1]
     twiddle, tones = _response_tables(N, cp, M, L)
@@ -101,7 +103,8 @@ def frame_response(taps, N, cp, M) -> tuple:
     gains, leak = sums[..., -1], sums[..., :-1]
     np.subtract(gains[..., None], leak, out=leak)
     leak *= tones
-    return gains, leak.reshape(leak.shape[:-3] + (taps.shape[-2] * M, L - 1))
+    leak = leak.reshape(leak.shape[:-3] + (taps.shape[-2] * M, L - 1))
+    return gains.copy(), leak   # copied last, off the subtraction's peak
 
 
 @functools.lru_cache(maxsize=32)   # bounded and read-only, like _idft_basis
@@ -193,10 +196,19 @@ def build_structured(cfg, plan, ch) -> dict:
     projected_response of cell k's own links.  Interfering links are
     circulant thanks to the cyclic prefix (and the fold) and are nulled
     exactly, so they are never built, and a realization needs only the
-    desired links.
+    desired links.  Each group of model.cell_groups takes one
+    projected_response of its cells' stacked taps, and each H_k is a view
+    into its group's result: bit for bit the cell's own call, but to
+    round-off for a cell of one active user on one draw that shares its
+    group (its one-row product becomes a row of a matrix product).
     """
-    return {k: projected_response(plan, ch[(k, k)][..., : plan.U_active[k], :], plan.M[k])
-            for k in range(cfg.K)}
+    H = {}
+    for cells in model.cell_groups(cfg, plan):
+        U = plan.U_active[cells[0]]
+        taps = np.array([ch[(k, k)][..., :U, :] for k in cells])
+        stack = projected_response(plan, taps, plan.M[cells[0]])
+        H.update(zip(cells, stack))
+    return H
 
 
 def delayed_effective_channels(cfg, dplan, ch, k):

@@ -15,6 +15,7 @@ run_link_trials, simulate's Monte Carlo loop, runs it on independent trials.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -31,25 +32,33 @@ def draw_symbols(cfg, plan, rng) -> dict:
     """Random unit-variance payload symbols, scaled by sqrt(N rho / M_k) so
     each transmitted sample has power P = rho, the config's linear SNR.
 
-    Returns a dict k -> array of shape (B, U'_k, M_k).  A Gaussian cell is one
-    standard_normal draw of its real then its imaginary parts, written into
-    one complex buffer and scaled in place: the same bits and generator state
-    as (re + 1j * im) / sqrt(2) from two draws, without their temporaries.
+    Returns a dict k -> array of shape (B, U'_k, M_k).  Gaussian cells come
+    from one standard_normal draw, laid out as model._taps lays out links:
+    cell k's real parts, then its imaginary parts, then cell k + 1's.  Each
+    cell is a view into one complex buffer: the same bits and generator
+    state as (re + 1j * im) / sqrt(2) from two draws per cell, without their
+    temporaries.  A QPSK cell is one rng.choice.  Both scalings are real, so
+    they scale the real and imaginary parts as real numbers: numpy's complex
+    product and quotient by a real give those bits, at a few times the cost.
     """
-    out = {}
-    for k in range(cfg.K):
-        shape = (plan.B, plan.U_active[k], plan.M[k])
-        if cfg.symbol_model == "qpsk":
-            s = rng.choice(QPSK, size=shape)
-        else:
-            x = rng.standard_normal((2,) + shape)
-            s = np.empty(shape, dtype=complex)
-            s.real = x[0]
-            s.imag = x[1]
-            s /= np.sqrt(2.0)
+    shapes = [(plan.B, plan.U_active[k], plan.M[k]) for k in range(cfg.K)]
+    if cfg.symbol_model == "qpsk":
+        out = {k: rng.choice(QPSK, size=shape) for k, shape in enumerate(shapes)}
+    else:
+        sizes = [math.prod(shape) for shape in shapes]
+        x = rng.standard_normal(2 * sum(sizes))
+        x *= 1.0 / np.sqrt(2.0)
+        buf = np.empty(sum(sizes), dtype=complex)
+        out, start = {}, 0
+        for k, (shape, n) in enumerate(zip(shapes, sizes)):
+            s = out[k] = buf[start : start + n].reshape(shape)
+            s.real = x[2 * start : 2 * start + n].reshape(shape)
+            s.imag = x[2 * start + n : 2 * (start + n)].reshape(shape)
+            start += n
+    for k, s in out.items():
         if plan.M[k] > 0:
-            s *= np.sqrt(plan.N * cfg.snr_linear / plan.M[k])
-        out[k] = s
+            parts = s.view(float)   # (B, U'_k, 2 M_k): each symbol's two parts
+            parts *= np.sqrt(plan.N * cfg.snr_linear / plan.M[k])
     return out
 
 
@@ -72,9 +81,9 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     one draw (links (U_i, L_{k,i})) and draw_symbols' dict i -> (B, U'_i, M_i)
     of every cell, idle ones (B, 0, 0), with CN(0, 1) noise z from rng (none
     without rng), built frame by frame from spectral.frame_response.  The
-    noise is one rng.normal draw of (K, 2, T) real then imaginary parts with
-    scale sqrt(1/2): the bits of standard normals times sqrt(1/2), without
-    a second array.
+    noise is one rng.standard_normal draw of (K, 2, T) real then imaginary
+    parts, scaled by sqrt(1/2) in place: the bits of rng.normal with that
+    scale, without a second array.
 
     Every link's first S taps go through one frame_response and one leak
     product, zero-padded to common users, tones and S taps.  frame_response
@@ -132,7 +141,8 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     frames[:, :B] += tones @ framed_precoders(N, cp, M).T
     y = frames.reshape(cfg.K, -1)[:, : plan.T]
     if rng is not None:
-        z = rng.normal(0.0, np.sqrt(0.5), (cfg.K, 2, plan.T))
+        z = rng.standard_normal((cfg.K, 2, plan.T))
+        z *= np.sqrt(0.5)
         y.real += z[:, 0]
         y.imag += z[:, 1]
     return y
@@ -157,17 +167,25 @@ RANK_TOL = 1e-8
 
 
 def zf_projection(H, what) -> np.ndarray:
-    """Zero-forcing projection H^+ = V diag(1/s) U^H from one thin SVD of H.
+    """Zero-forcing projections H^+ = V diag(1/s) U^H of a (..., n, c) stack
+    of channels, each from one thin SVD: (..., c, n).
 
-    Raises RankDeficientError, naming what, unless H passes the RANK_TOL
-    criterion.  A channel with no columns gets an empty (0, n) projection.
+    Raises RankDeficientError unless every matrix passes the RANK_TOL
+    criterion, naming the first that fails (in C order of the leading axes)
+    by what, one name per matrix; a single (n, c) H takes one name.  Channels
+    with no columns get empty (..., 0, n) projections.
     """
-    if H.shape[1] == 0:
-        return np.zeros((0, H.shape[0]), dtype=H.dtype)
+    if H.shape[-1] == 0:
+        return np.zeros(H.shape[:-2] + (0, H.shape[-2]), dtype=H.dtype)
     U, s, Vh = np.linalg.svd(H, full_matrices=False)
-    if s.size < H.shape[1] or s[-1] <= RANK_TOL * s[0]:
-        raise RankDeficientError("%s is numerically rank deficient" % what)
-    return (Vh.conj().T / s) @ U.conj().T
+    if s.shape[-1] < H.shape[-1]:   # fewer rows than columns
+        failing = np.ones(s.shape[:-1], dtype=bool)
+    else:
+        failing = s[..., -1] <= RANK_TOL * s[..., 0]
+    if failing.any():
+        name = np.ravel(np.asarray(what, dtype=object))[np.argmax(failing)]
+        raise RankDeficientError("%s is numerically rank deficient" % name)
+    return (Vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 @dataclass
@@ -191,17 +209,34 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = leakage_phase of a
     prefix b cp long, so that |phi^b| = 1 to round-off for any B.
 
+    Each group of model.cell_groups is decoded as one stack: one
+    zf_projection, one projection product and one cumsum, with the bits of
+    a decode of each cell alone.  A rank failure names the lowest failing
+    cell, whichever group holds it.
+
     A delayed plan (L_I_d > 0) must have B = 1: the cancellation does not
     model the fold, so every later subblock would decode wrongly.
     """
     if plan.L_I_d and plan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
+    groups = model.cell_groups(cfg, plan)
+    name = "cell %d: effective channel"
+    try:
+        projections = [zf_projection(np.array([H[k] for k in cells]), [name % k for k in cells])
+                       for cells in groups]
+    except RankDeficientError:
+        for k in range(cfg.K):   # a later group may hold a lower failing cell
+            zf_projection(H[k], name % k)
+        raise
     s_hat = {}
     phases = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M_D)
-    for k in range(cfg.K):
-        z = y_tilde[k] @ zf_projection(H[k], "cell %d: effective channel" % k).T
-        powers = np.tile(phases[:, : plan.M[k]], plan.U_active[k])
-        s_hat[k] = powers * np.cumsum(powers.conj() * z, axis=0)
+    for cells, projection in zip(groups, projections):
+        z = np.array([y_tilde[k] for k in cells]) @ projection.swapaxes(-1, -2)
+        powers = np.tile(phases[:, : plan.M[cells[0]]], plan.U_active[cells[0]])
+        np.multiply(powers.conj(), z, out=z)   # powers first: z * powers may round differently
+        z.cumsum(axis=1, out=z)
+        np.multiply(powers, z, out=z)
+        s_hat.update(zip(cells, z))
     return DecodeResult(s_hat=s_hat)
 
 
@@ -212,11 +247,12 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
     power-scaled) payload symbols; the returned estimates are on the same
     scale.  Without noise_rng the link is noiseless.  decode_block raises
     ValueError for a delayed plan (L_I_d > 0) with B > 1.  The received
-    streams go straight into combine, so they are freed before decoding.
+    streams go straight into combine, so they are freed before decoding,
+    and the effective channels are built after the reception, whose peak
+    memory they would raise.
     """
-    H = build_structured(cfg, plan, ch)
     y_tilde = combine(plan, simulate_reception(cfg, plan, ch, symbols, rng=noise_rng))
-    return decode_block(cfg, plan, H, y_tilde)
+    return decode_block(cfg, plan, build_structured(cfg, plan, ch), y_tilde)
 
 
 # run_link_trials spreads its trials over threads only when one trial's decode

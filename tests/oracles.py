@@ -757,9 +757,34 @@ def check_dft_submatrix_independence(N, removed_rows, picked_cols):
 
 
 # ---------------------------------------------------------------------------
-# The link simulator's payload and simulate's trials as first written: two
-# draws per Gaussian cell, and one trial after another on one thread
+# The link simulator's payload, receiver and trials as first written: two
+# draws per Gaussian cell, each cell's channel built and decoded on its own,
+# and one trial after another on one thread
 # ---------------------------------------------------------------------------
+
+def build_by_cell(cfg, plan, ch):
+    """build_structured's dict k -> H_k, one projected_response per cell."""
+    from blindim import spectral
+
+    return {k: spectral.projected_response(plan, ch[(k, k)][..., : plan.U_active[k], :],
+                                           plan.M[k])
+            for k in range(cfg.K)}
+
+
+def decode_by_cell(cfg, plan, H, y_tilde):
+    """decode_block's estimates k -> (B, U'_k M_k), one cell after another:
+    per cell one zf_projection, one projection product and one cumsum; a rank
+    failure names the first failing cell."""
+    from blindim import spectral, transceiver
+
+    s_hat = {}
+    phases = spectral.leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M_D)
+    for k in range(cfg.K):
+        z = y_tilde[k] @ transceiver.zf_projection(H[k], "cell %d: effective channel" % k).T
+        powers = np.tile(phases[:, : plan.M[k]], plan.U_active[k])
+        s_hat[k] = powers * np.cumsum(powers.conj() * z, axis=0)
+    return s_hat
+
 
 def symbols_by_two_draws(cfg, plan, rng):
     """draw_symbols' dict k -> (B, U'_k, M_k): per Gaussian cell a draw of

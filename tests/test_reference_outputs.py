@@ -2,9 +2,12 @@
 
 Each case runs one command through cli.main at its defaults (rate with
 --snr 0,10,20,30, sweep with --sweep L_D=4,8,16), the seeded ones at seeds
-0 and 7, and compares the CSV with tests/reference/<case>.csv column by
-column: numbers within |g - w| <= 1e-9 max(|g|, |w|) + 1e-12, the rule of
-perfbench's gate, and text cells exactly.  So a change of BLAS kernels may
+0 and 7, plus simulate on the networks of the config files beside the
+references (tests/reference/simulate_<name>.cfg): link_large's, one of three
+differently shaped cells, and one of QPSK payloads.  It compares the CSV
+with tests/reference/<case>.csv column by column: numbers within
+|g - w| <= 1e-9 max(|g|, |w|) + 1e-12, the rule of perfbench's gate, and
+text cells exactly.  So a change of BLAS kernels may
 move the last bits, and a change of the library's values fails.
 
 A change that means to move a value regenerates only the files of the
@@ -30,6 +33,9 @@ for seed in (0, 7):
     for name, argv in [("rate", ["rate", "--snr", "0,10,20,30"]), ("verify", ["verify"]),
                        ("simulate", ["simulate"]), ("fig3", ["fig3"]), ("fig5", ["fig5"])]:
         CASES["%s_seed%d" % (name, seed)] = argv + ["--seed", str(seed)]
+for name, trials in [("link_large", 2), ("asymmetric", 20), ("qpsk", 20)]:
+    cfg = REFERENCE_DIR / ("simulate_%s.cfg" % name)
+    CASES["simulate_" + name] = ["simulate", "--config", str(cfg), "--trials", str(trials)]
 
 
 def _run(case, path):
