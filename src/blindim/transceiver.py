@@ -83,7 +83,9 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     without rng), built frame by frame from spectral.frame_response.  The
     noise is one rng.standard_normal draw of (K, 2, T) real then imaginary
     parts, scaled by sqrt(1/2) in place: the bits of rng.normal with that
-    scale, without a second array.
+    scale, without a second array.  Raises ValueError unless every cell's
+    symbols and all K^2 links have exactly those shapes: a missing link would
+    be heard as zero, and a one-user desired link broadcast onto all users.
 
     Every link's first S taps go through one frame_response and one leak
     product, zero-padded to common users, tones and S taps.  frame_response
@@ -101,7 +103,8 @@ def simulate_reception(cfg, plan, ch, symbols, rng=None) -> np.ndarray:
     if any(i not in symbols or np.shape(symbols[i]) != (B, plan.U_active[i], plan.M[i])
            for i in range(K)):
         raise ValueError("each cell's symbols must have shape (B, U'_k, M_k)")
-    if any(h.ndim != 2 for h in ch.values()):
+    if any(np.shape(ch.get((k, i))) != (cfg.users_per_cell[i], cfg.cir_len[k][i])
+           for k in range(K) for i in range(K)):
         raise ValueError("each link's taps must have shape (U_i, L_{k,i}): one draw")
     U, M = max(plan.U_active), max(plan.M)
     longest = max(h.shape[-1] for h in ch.values())
@@ -161,31 +164,36 @@ class RankDeficientError(np.linalg.LinAlgError):
     """A channel failed the rank criterion, so its symbols cannot be separated."""
 
 
-# H counts as full column rank when it has at least as many rows as columns and
-# its smallest singular value exceeds RANK_TOL times its largest.
+# A matrix counts as full column rank when its numerical_rank, the number of
+# its singular values above RANK_TOL times its largest, equals its column count.
 RANK_TOL = 1e-8
 
 
-def zf_projection(H, what) -> np.ndarray:
-    """Zero-forcing projections H^+ = V diag(1/s) U^H of a (..., n, c) stack
-    of channels, each from one thin SVD: (..., c, n).
-
-    Raises RankDeficientError unless every matrix passes the RANK_TOL
-    criterion, naming the first that fails (in C order of the leading axes)
-    by what, one name per matrix; a single (n, c) H takes one name.  Channels
-    with no columns get empty (..., 0, n) projections.
+def numerical_rank(A, s=None):
+    """Rank of each matrix of a (..., n, c) stack A: how many of its singular
+    values exceed RANK_TOL times its largest.  One batched SVD takes them,
+    unless a caller that already has them passes them as s.  An empty
+    (..., n, 0) matrix has rank 0, and a wide one (n < c) at most n.
     """
-    if H.shape[-1] == 0:
-        return np.zeros(H.shape[:-2] + (0, H.shape[-2]), dtype=H.dtype)
+    if s is None:
+        s = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
+    return (s > RANK_TOL * s[..., :1]).sum(axis=-1)
+
+
+def zf_projection(H):
+    """Verdicts and zero-forcing projections of a (..., n, c) stack of
+    channels from one thin SVD: (full, project).  full[...] tells whether
+    each matrix's numerical_rank equals c, so an empty matrix passes and a
+    wide one fails; project() forms H^+ = V diag(1/s) U^H, (..., c, n), from
+    the same factors.  Call it only when every matrix passes: a failing one
+    may divide by zero.
+    """
     U, s, Vh = np.linalg.svd(H, full_matrices=False)
-    if s.shape[-1] < H.shape[-1]:   # fewer rows than columns
-        failing = np.ones(s.shape[:-1], dtype=bool)
-    else:
-        failing = s[..., -1] <= RANK_TOL * s[..., 0]
-    if failing.any():
-        name = np.ravel(np.asarray(what, dtype=object))[np.argmax(failing)]
-        raise RankDeficientError("%s is numerically rank deficient" % name)
-    return (Vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ U.conj().swapaxes(-1, -2)
+
+    def project():
+        return (Vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ U.conj().swapaxes(-1, -2)
+
+    return numerical_rank(H, s) == H.shape[-1], project
 
 
 @dataclass
@@ -211,8 +219,9 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
 
     Each group of model.cell_groups is decoded as one stack: one
     zf_projection, one projection product and one cumsum, with the bits of
-    a decode of each cell alone.  A rank failure names the lowest failing
-    cell, whichever group holds it.
+    a decode of each cell alone.  Every group's verdicts come first, so a
+    rank failure names the lowest failing cell, whichever group holds it,
+    from the one SVD each group takes, and no projection is formed.
 
     A delayed plan (L_I_d > 0) must have B = 1: the cancellation does not
     model the fold, so every later subblock would decode wrongly.
@@ -220,14 +229,14 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     if plan.L_I_d and plan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     groups = model.cell_groups(cfg, plan)
-    name = "cell %d: effective channel"
-    try:
-        projections = [zf_projection(np.array([H[k] for k in cells]), [name % k for k in cells])
-                       for cells in groups]
-    except RankDeficientError:
-        for k in range(cfg.K):   # a later group may hold a lower failing cell
-            zf_projection(H[k], name % k)
-        raise
+    verdicts = [zf_projection(np.array([H[k] for k in cells])) for cells in groups]
+    failing = [k for cells, (full, _) in zip(groups, verdicts) for k in np.compress(~full, cells)]
+    if failing:
+        raise RankDeficientError("cell %d: effective channel is numerically rank deficient"
+                                 % min(failing))
+    # the SVD factors go before the products: kept alive, they slow them by 6%
+    projections = [project() for _, project in verdicts]
+    del verdicts
     s_hat = {}
     phases = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M_D)
     for cells, projection in zip(groups, projections):

@@ -19,25 +19,14 @@ import itertools
 
 import numpy as np
 
-from . import model, spectral, transceiver
+from . import model, spectral
+from .transceiver import RANK_TOL, numerical_rank  # the decoder's rank rule, re-exported
 
-
-RANK_TOL = transceiver.RANK_TOL
 # largest relative residual check_decomposition accepts between a production
 # column and its factorization
 DECOMPOSITION_TOL = 1e-10
 # the configuration `blindim verify` checks when given no --config
 DEFAULT_CONFIG = model.SystemConfig.symmetric(K=3, L_D=8, L_I=2, U=3)
-
-
-def numerical_rank(A):
-    """Rank via SVD: singular values above RANK_TOL times the matrix's largest.
-
-    Leading axes stack matrices: the result has one rank per matrix, from one
-    batched SVD.
-    """
-    sv = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
-    return (sv > RANK_TOL * sv[..., :1]).sum(axis=-1)
 
 
 def _norm(x):

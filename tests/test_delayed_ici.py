@@ -474,8 +474,8 @@ class TestDelayedDecoding:
         # more users than observed rows: make_delayed_plan caps U'_k at
         # N - M_D, so a hand-built 3 x 4 channel reaches the detector's check
         H = np.random.default_rng(0).standard_normal((3, 4)) + 0j
-        with pytest.raises(transceiver.RankDeficientError, match="cell 0"):
-            transceiver.zf_projection(H, "cell 0: effective channel")
+        full, _ = transceiver.zf_projection(H)
+        assert not full
 
     def test_three_symbols_per_seven_samples(self):
         cfg, dplan = delayed_case()

@@ -41,7 +41,7 @@ def _delta_channel(cfg, ch):
     return ch
 
 
-class TestPrecodeAndFrame:
+class TestReceptionFraming:
     """The transmit framing, which simulate_reception applies frame by frame:
     pinned through a unit-tap channel and through the oracle framing."""
 
@@ -163,6 +163,24 @@ class TestSimulateReception:
         with pytest.raises(ValueError, match=r"must have shape \(U_i, L_\{k,i\}\)"):
             transceiver.simulate_link(cfg, plan, stack, syms)
 
+    @pytest.mark.parametrize("flaw", ["missing link", "one-user desired link", "long cross link"])
+    def test_misshapen_links_rejected(self, flaw):
+        # every one of the K^2 links must have the config's (U_i, L_{k,i}):
+        # a missing link is not heard as zero, a one-user desired link is not
+        # broadcast onto the cell's second user, and no extra tap is heard
+        cfg, plan, ch = setup_case(K=2, L_D=4, L_I=2, U=2, B=2)
+        if flaw == "missing link":
+            del ch[(1, 0)]
+        elif flaw == "one-user desired link":
+            ch[(0, 0)] = ch[(0, 0)][:1]
+        else:
+            ch[(0, 1)] = np.concatenate([ch[(0, 1)], ch[(0, 1)]], axis=-1)
+        syms = transceiver.draw_symbols(cfg, plan, model.trial_rng(3, 0))
+        with pytest.raises(ValueError, match=r"must have shape \(U_i, L_\{k,i\}\)"):
+            transceiver.simulate_reception(cfg, plan, ch, syms)
+        with pytest.raises(ValueError, match=r"must have shape \(U_i, L_\{k,i\}\)"):
+            transceiver.simulate_link(cfg, plan, ch, syms)
+
     def test_idle_cell_must_be_given(self):
         # an idle cell sends nothing, but its (B, 0, 0) entry must be given:
         # left out, it is a ValueError, not a KeyError and not zero symbols.
@@ -192,7 +210,7 @@ class TestSimulateReception:
         assert var == pytest.approx(1.0, rel=0.03)
 
 
-class TestRemoveCpAndStack:
+class TestCombineFrames:
     """combine's cyclic-prefix removal and subblock stacking."""
 
     def test_reference_slicing(self):
@@ -286,7 +304,7 @@ class TestCombine:
         assert var == pytest.approx(1.5, rel=0.03)
 
 
-class TestEffectiveChannels:
+class TestStructuredChannels:
     def test_reference_closed_form(self):
         # K=2, L_D=4, L_I=2: H_tilde = -(1/3) A [[h_u[2]], [h_u[3]]] columns
         cfg, plan, ch = setup_case()
@@ -352,25 +370,28 @@ class TestZfProjection:
         U, _ = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
         V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         H = (U * np.geomspace(1.0, ratio, n)) @ V.conj().T
-        if deficient:
-            with pytest.raises(transceiver.RankDeficientError, match="cell 3"):
-                transceiver.zf_projection(H, "cell 3")
-        else:
-            P = transceiver.zf_projection(H, "cell 3")
-            np.testing.assert_allclose(P @ H, np.eye(n), atol=1e-6)
+        full, project = transceiver.zf_projection(H)
+        assert full == (not deficient)
+        if not deficient:
+            np.testing.assert_allclose(project() @ H, np.eye(n), atol=1e-6)
 
-    def test_stack_names_its_first_failing_matrix(self):
+    def test_stack_judges_each_matrix_on_its_own(self):
         # each matrix of a stack is checked and inverted on its own
         rng = np.random.default_rng(18)
         H = rng.standard_normal((2, 3, 7, 4)) + 1j * rng.standard_normal((2, 3, 7, 4))
-        names = [["a", "b", "c"], ["d", "e", "f"]]
-        P = transceiver.zf_projection(H, names)
+        full, project = transceiver.zf_projection(H)
+        assert full.all()
+        P = project()
         for j in np.ndindex(2, 3):
-            assert P[j].tobytes() == transceiver.zf_projection(H[j], names[j[0]][j[1]]).tobytes()
+            one_full, one = transceiver.zf_projection(H[j])
+            assert one_full and P[j].tobytes() == one().tobytes()
         H[1, 2, :, 3] = H[1, 2, :, 0]
         H[1, 0, :, 1] = 0.0
-        with pytest.raises(transceiver.RankDeficientError, match="^d is numerically"):
-            transceiver.zf_projection(H, names)
+        full, _ = transceiver.zf_projection(H)
+        assert full.tolist() == [[True, True, True], [False, True, False]]
+        # an idle cell's empty channel passes, with an empty projection
+        full, project = transceiver.zf_projection(np.zeros((2, 7, 0), dtype=complex))
+        assert full.all() and project().shape == (2, 0, 7)
 
 
 class TestCellGroups:
@@ -439,6 +460,26 @@ class TestCellGroups:
         with pytest.raises(transceiver.RankDeficientError, match=message):
             transceiver.decode_block(cfg, plan, H, y_tilde)
 
+    @pytest.mark.parametrize("failing", [(), (1, 2), (2,)], ids=["none", "cells 1 and 2", "cell 2"])
+    def test_one_svd_per_group(self, failing):
+        # the groups (0, 2) and (1,) are each decomposed once, whether the
+        # decode succeeds or fails, and however many cells fail
+        cfg = model.SystemConfig(K=3, users_per_cell=[3, 2, 3], subblocks=2,
+                                 cir_len=[[8, 2, 2], [2, 8, 2], [2, 2, 8]])
+        plan = model.make_plan(cfg)
+        ch = model.sample_channel_iid(cfg, model.trial_rng(75, 0))
+        H = spectral.build_structured(cfg, plan, ch)
+        for k in failing:
+            H[k][:, 1] = H[k][:, 0]
+        y_tilde = np.zeros((cfg.K, plan.B, plan.N - plan.M_D), dtype=complex)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            if failing:
+                with pytest.raises(transceiver.RankDeficientError):
+                    transceiver.decode_block(cfg, plan, H, y_tilde)
+            else:
+                transceiver.decode_block(cfg, plan, H, y_tilde)
+        assert svd.call_count == 2
+
 
 def _relative(a, b, scale=None):
     """max |a - b| over max |b|, or over scale where b is (nearly) nulled."""
@@ -450,7 +491,7 @@ def _relative(a, b, scale=None):
 
 def _deficient(H):
     sv = np.linalg.svd(H, compute_uv=False)
-    return H.shape[1] > 0 and sv[-1] <= 1e-8 * sv[0]
+    return H.shape[1] > 0 and sv[-1] <= transceiver.RANK_TOL * sv[0]
 
 
 class TestMatchesSubblockOracles:
