@@ -180,20 +180,41 @@ def numerical_rank(A, s=None):
     return (s > RANK_TOL * s[..., :1]).sum(axis=-1)
 
 
+# zf_projection passes a matrix on its QR alone when ||R||_F ||R^-1||_F, an
+# upper bound on its condition number s_max / s_min, is below this: tenfold
+# inside numerical_rank's rule, so the bound's rounding cannot move a verdict.
+CERTIFIED_COND = 0.1 / RANK_TOL
+
+
 def zf_projection(H):
     """Verdicts and zero-forcing projections of a (..., n, c) stack of
-    channels from one thin SVD: (full, project).  full[...] tells whether
-    each matrix's numerical_rank equals c, so an empty matrix passes and a
-    wide one fails; project() forms H^+ = V diag(1/s) U^H, (..., c, n), from
-    the same factors.  Call it only when every matrix passes: a failing one
-    may divide by zero.
+    channels from one thin QR, H = Q R: (full, project).  full[...] tells
+    whether each matrix's numerical_rank equals c; project() forms
+    H^+ = R^-1 Q^H, (..., c, n), from the same factors.
+
+    A matrix whose ||R||_F ||R^-1||_F is below CERTIFIED_COND meets the rule
+    with a tenfold margin, so it passes without singular values.  Any other
+    matrix, and every matrix of a stack where np.linalg.inv raises (some R
+    is exactly singular, or the stack is wide, so R is not square), is judged
+    by numerical_rank's SVD, so each verdict is the rule's: an empty
+    (..., n, 0) matrix passes, with a bound of 0, and a wide one fails.
+    Call project() only when every matrix passes; a stack that inv rejects
+    has none (project is None), as Householder QR's backward stability makes
+    a matrix with an exactly singular R fail the rule.
     """
-    U, s, Vh = np.linalg.svd(H, full_matrices=False)
-
-    def project():
-        return (Vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ U.conj().swapaxes(-1, -2)
-
-    return numerical_rank(H, s) == H.shape[-1], project
+    c = H.shape[-1]
+    Q, R = np.linalg.qr(H)
+    try:
+        R_inv = np.linalg.inv(R)
+    except np.linalg.LinAlgError:   # a singular or non-square R: the rule judges the stack
+        return numerical_rank(H) == c, None
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflowing bound is undecided
+        bound = np.linalg.norm(R, axis=(-2, -1)) * np.linalg.norm(R_inv, axis=(-2, -1))
+    full = np.array(bound < CERTIFIED_COND)
+    undecided = ~full
+    if undecided.any():
+        full[undecided] = numerical_rank(H[undecided]) == c
+    return full, lambda: R_inv @ Q.conj().swapaxes(-1, -2)
 
 
 @dataclass
@@ -206,22 +227,23 @@ class DecodeResult:
 def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     """Detect all B subblocks with successive inter-subblock cancellation.
 
-    H is build_structured's dict k -> effective channel and y_tilde[k] the
-    (B, N - M_D) combined observations of cell k.  Every later subblock first
-    cancels the previous subblock's leakage, which is -H_k times its
-    estimated symbols rotated by leakage_phase phi.  Since H_k^+ H_k = I, the
-    cancelled ZF estimate is s_b = z_b + phi * s_{b-1} with z_b = H_k^+ y_b,
-    so each H_k is checked and inverted once by one thin SVD (zf_projection),
-    and all z_b come from one matmul with its projection H_k^+.
-    The recursion closes as
+    H is build_structured's dict k -> effective channel and y_tilde combine's
+    (K, B, N - M_D) combined observations, y_tilde[k] cell k's.  Every later
+    subblock first cancels the previous subblock's leakage, which is -H_k
+    times its estimated symbols rotated by leakage_phase phi.  Since
+    H_k^+ H_k = I, the cancelled ZF estimate is s_b = z_b + phi * s_{b-1}
+    with z_b = H_k^+ y_b, so each H_k is checked and inverted once by one
+    thin QR (zf_projection), and all z_b come from one matmul with its
+    projection H_k^+.  The recursion closes as
     s_b = phi^b * cumsum_{j<=b}(phi^-j * z_j), with phi^b = leakage_phase of a
     prefix b cp long, so that |phi^b| = 1 to round-off for any B.
 
     Each group of model.cell_groups is decoded as one stack: one
     zf_projection, one projection product and one cumsum, with the bits of
-    a decode of each cell alone.  Every group's verdicts come first, so a
-    rank failure names the lowest failing cell, whichever group holds it,
-    from the one SVD each group takes, and no projection is formed.
+    a decode of each cell alone.  Every group's verdicts come first, so a rank
+    failure names the lowest failing cell, whichever group holds it, from
+    the one QR each group takes (and the SVD of the matrices it cannot
+    certify), and no projection is formed.
 
     A delayed plan (L_I_d > 0) must have B = 1: the cancellation does not
     model the fold, so every later subblock would decode wrongly.
@@ -234,13 +256,14 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     if failing:
         raise RankDeficientError("cell %d: effective channel is numerically rank deficient"
                                  % min(failing))
-    # the SVD factors go before the products: kept alive, they slow them by 6%
+    # the QR factors go before the products: kept alive, they took
+    # link_large's decode_block from 0.61 to 0.84 ms (in-process, BLAS pinned)
     projections = [project() for _, project in verdicts]
     del verdicts
     s_hat = {}
     phases = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M_D)
     for cells, projection in zip(groups, projections):
-        z = np.array([y_tilde[k] for k in cells]) @ projection.swapaxes(-1, -2)
+        z = y_tilde[list(cells)] @ projection.swapaxes(-1, -2)
         powers = np.tile(phases[:, : plan.M[cells[0]]], plan.U_active[cells[0]])
         np.multiply(powers.conj(), z, out=z)   # powers first: z * powers may round differently
         z.cumsum(axis=1, out=z)
@@ -268,11 +291,13 @@ def simulate_link(cfg, plan, ch, symbols, noise_rng=None) -> DecodeResult:
 # work, sum_k (N - M_D) (U'_k M_k)^2, reaches this.  numpy's LAPACK, BLAS and
 # generator loops release the interpreter lock, but a small trial spends most
 # of its time in Python.  Timed in-process on a 2-vCPU Xeon with BLAS pinned
-# to one thread, two threads against one over 20 trials: 1.60x on
-# link_large's config (work 112896); 0.79-0.94x at works 648, 2016 and 8232,
-# and on the default config (16, 200 trials).  At work 448 with B = 100
-# (K = 7, L_D = 8, L_I = 4, U = 2), where reception outweighs the decode,
-# they ran 1.03-1.07x, but 0.91-0.93x over 2 trials.
+# to one thread, two threads against one over 20 trials: 1.15-1.49x on
+# link_large's config (work 112896), where two threads of matmuls alone ran
+# 1.7-2.0x (when the host gave the process one vCPU, both read 1.0-1.1x);
+# 0.79-0.94x at works 648, 2016 and 8232, and on the default config (16,
+# 200 trials).  At work 448 with B = 100 (K = 7, L_D = 8, L_I = 4, U = 2),
+# where reception outweighs the decode, they ran 1.03-1.07x, but 0.91-0.93x
+# over 2 trials.
 THREAD_DECODE_WORK = 10**4
 
 # The variables numpy's BLAS reads its thread count from, by the library
@@ -312,8 +337,10 @@ def _trial_workers(plan, trials):
 
 def _link_trial(cfg, plan, t):
     """Rows (t, k, normalized MSE) of trial t's simulate_link, one per active
-    cell; raises RankDeficientError, naming the trial, for a draw that fails
-    the rank criterion."""
+    cell in cell order; raises RankDeficientError, naming the trial, for a
+    draw that fails the rank criterion.  Each group of model.cell_groups
+    takes its errors in one stacked pass, whose rows are the bits of each
+    cell's own."""
     rng = model.trial_rng(cfg.seed, t)
     ch = model.sample_channel_iid(cfg, rng)
     symbols = draw_symbols(cfg, plan, rng)
@@ -322,12 +349,15 @@ def _link_trial(cfg, plan, t):
     except RankDeficientError as exc:
         raise RankDeficientError("trial %d, %s" % (t, exc)) from None
     rows = []
-    for k in range(cfg.K):
-        if plan.U_active[k] * plan.M[k] == 0:
+    for cells in model.cell_groups(cfg, plan):
+        if plan.U_active[cells[0]] * plan.M[cells[0]] == 0:
             continue   # an idle cell sends nothing, so it has no error to report
-        truth = symbols[k].reshape(plan.B, -1)
-        err = result.s_hat[k] - truth
-        rows.append((t, k, float(np.mean(np.abs(err) ** 2) / np.mean(np.abs(truth) ** 2))))
+        truth = np.array([symbols[k] for k in cells]).reshape(len(cells), -1)
+        err = np.array([result.s_hat[k] for k in cells]).reshape(len(cells), -1)
+        err -= truth
+        mse = np.mean(np.abs(err) ** 2, axis=1) / np.mean(np.abs(truth) ** 2, axis=1)
+        rows += [(t, k, float(v)) for k, v in zip(cells, mse)]
+    rows.sort()
     return rows
 
 

@@ -790,6 +790,14 @@ def decode_by_cell(cfg, plan, H, y_tilde):
     return s_hat
 
 
+def zf_projection_by_svd(H):
+    """The zero-forcing projection H^+ = V diag(1/s) U^H, (..., c, n), of a
+    (..., n, c) stack of full-rank channels from one thin SVD, as the decoder
+    first formed it."""
+    U, s, Vh = np.linalg.svd(H, full_matrices=False)
+    return (Vh.conj().swapaxes(-1, -2) / s[..., None, :]) @ U.conj().swapaxes(-1, -2)
+
+
 def symbols_by_two_draws(cfg, plan, rng):
     """draw_symbols' dict k -> (B, U'_k, M_k): per Gaussian cell a draw of
     real and a draw of imaginary parts, (re + 1j * im) / sqrt(2), then scaled

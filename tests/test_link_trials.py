@@ -229,6 +229,25 @@ class TestSerialSide:
         assert len(out.read_text().splitlines()) == 1 + 2 * 200
 
 
+class TestErrorRows:
+    """A trial takes each cell group's errors in one stacked pass; its rows,
+    in cell order, are the bits of the oracle's cell-by-cell ones."""
+
+    @pytest.mark.parametrize("cfg", [
+        model.SystemConfig(K=3, users_per_cell=[3, 2, 3], subblocks=2,
+                           cir_len=[[8, 2, 2], [2, 8, 2], [2, 2, 8]]),
+        model.SystemConfig(K=4, users_per_cell=[2, 2, 2, 3], subblocks=3, symbol_model="qpsk",
+                           cir_len=[[2, 2, 2, 2], [2, 8, 2, 2], [2, 2, 2, 2], [2, 2, 2, 8]]),
+        IDLE_CELL,
+    ], ids=["groups (0, 2) and (1,)", "idle cells 0 and 2, qpsk", "idle cell 2"])
+    def test_match_the_per_cell_rows(self, cfg):
+        plan = model.make_plan(cfg)
+        rows = transceiver.run_link_trials(cfg, plan, 5)
+        assert [k for _, k, _ in rows[: len(rows) // 5]] == [
+            k for k in range(cfg.K) if plan.U_active[k] * plan.M[k]]
+        assert rows == link_trials_in_order(cfg, plan, 5)
+
+
 @pinnable
 class TestTrialCount:
     """The trial-count rule of every trial loop, on the path that would run

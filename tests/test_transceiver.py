@@ -21,6 +21,7 @@ from oracles import (
     random_config,
     receive_by_link,
     symbols_by_two_draws,
+    zf_projection_by_svd,
 )
 
 
@@ -361,19 +362,117 @@ class TestDecodeBlock:
             transceiver.decode_block(cfg, plan, H, y_tilde)
 
 
+def _conditioned(rng, n, s):
+    """An n x len(s) complex matrix U diag(s) V^H with singular values s."""
+    c = len(s)
+    U, _ = np.linalg.qr(rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c)))
+    V, _ = np.linalg.qr(rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))
+    return (U * s) @ V.conj().T
+
+
+CHANNEL_KINDS = ("random", "conditioned", "duplicate column", "zero column", "unit triangular")
+
+
+def _channel(rng, kind, n, c):
+    """An n x c test channel of one of CHANNEL_KINDS, at a random scale; a
+    wide one (n < c) is random."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    if kind == "conditioned" and n >= c:   # s_min / s_max from 1e-6 to 1e-10
+        return scale * _conditioned(rng, n, np.geomspace(1.0, 10.0 ** -rng.uniform(6, 10), c))
+    if kind == "unit triangular" and n >= c:
+        # Q T with T = I - 2 (ones above the diagonal): every |r_ii| is 1,
+        # but cond(T) grows as 3^c, past 1 / RANK_TOL from c = 18 on
+        T = np.eye(c) - 2 * np.triu(np.ones((c, c)), 1)
+        return scale * _conditioned(rng, n, np.ones(c)) @ T
+    H = scale * (rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c)))
+    if kind == "duplicate column" and c > 1:
+        H[:, -1] = H[:, 0]
+    if kind == "zero column" and c > 0:
+        H[:, rng.integers(c)] = 0.0
+    return H
+
+
 class TestZfProjection:
     @pytest.mark.parametrize("ratio, deficient", [(0.5e-8, True), (2e-8, False)])
     def test_rank_boundary(self, ratio, deficient):
         # H = U diag(s) V^H with s_min / s_max = ratio either side of RANK_TOL
         rng = np.random.default_rng(17)
-        m, n = 12, 5
-        U, _ = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        H = (U * np.geomspace(1.0, ratio, n)) @ V.conj().T
+        n = 5
+        H = _conditioned(rng, 12, np.geomspace(1.0, ratio, n))
         full, project = transceiver.zf_projection(H)
         assert full == (not deficient)
         if not deficient:
             np.testing.assert_allclose(project() @ H, np.eye(n), atol=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 24), st.integers(-3, 5),
+           st.lists(st.sampled_from(CHANNEL_KINDS), min_size=1, max_size=3),
+           st.integers(0, 2**32 - 1))
+    @example(20, 4, ["unit triangular", "random"], 0)   # no diagonal-ratio certificate
+    @example(24, 4, ["conditioned"] * 3, 1)
+    @example(5, -2, ["random"], 2)   # wide
+    @example(0, 7, ["random"], 3)   # empty
+    def test_verdict_is_the_rank_rule(self, c, extra, kinds, seed):
+        # whether the QR certifies a matrix or the SVD judges it, a stack of
+        # n x c matrices (n = c + extra) gets numerical_rank's verdicts
+        rng = np.random.default_rng(seed)
+        n = max(c + extra, 0)
+        H = np.array([_channel(rng, kind, n, c) for kind in kinds]).reshape(len(kinds), n, c)
+        full, _ = transceiver.zf_projection(H)
+        assert full.tolist() == (transceiver.numerical_rank(H) == c).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 6), st.floats(0, 7), st.integers(0, 2**32 - 1))
+    def test_projection_matches_the_svd_oracle(self, c, extra, decades, seed):
+        # R^-1 Q^H against V diag(1/s) U^H, for cond(H) up to 1e7, in the
+        # Frobenius norm relative to the oracle's.  Both routes round, so the
+        # gap has a floor: over 30000 random matrices (c = 1 to 24, cond(H)
+        # up to 1e7) it reached 28 cond(H) eps, at cond(H) ~ 1
+        rng = np.random.default_rng(seed)
+        s = np.geomspace(1.0, 10.0 ** -decades, c)
+        H = np.array([_conditioned(rng, c + extra, s) * 10.0 ** rng.uniform(-3, 3)
+                      for _ in range(3)])
+        full, project = transceiver.zf_projection(H)
+        assert full.all()
+        got, want = project(), zf_projection_by_svd(H)
+        for j in range(len(H)):
+            error = np.linalg.norm(got[j] - want[j]) / np.linalg.norm(want[j])
+            assert error <= 64 * np.linalg.cond(H[j]) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("cond, svd_calls", [(3e6, 0), (3e7, 1), (3e8, 1)])
+    def test_only_uncertified_matrices_take_the_svd(self, cond, svd_calls):
+        # here ||R||_F ||R^-1||_F is cond to 0.01%: below CERTIFIED_COND,
+        # tenfold inside the rule, the QR alone passes the matrix; from
+        # there on numerical_rank's SVD judges it, and only it
+        rng = np.random.default_rng(19)
+        H = np.array([_conditioned(rng, 12, np.geomspace(1.0, 1.0 / cond, 5)),
+                      _conditioned(rng, 12, np.ones(5))])
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            full, _ = transceiver.zf_projection(H)
+        assert full.tolist() == [cond * transceiver.RANK_TOL < 1, True]
+        assert svd.call_count == svd_calls
+        if svd_calls:
+            assert svd.call_args.args[0].shape == (1, 12, 5)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_unbounded_certificate_takes_the_svd(self, scale):
+        # ||R||_F^2 or ||R^-1||_F^2 overflows, with no warning, so the rule
+        # judges the matrix, and R^-1 Q^H is still its projection
+        H = _conditioned(np.random.default_rng(20), 9, np.geomspace(1.0, 1e-2, 4)) * scale
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            full, project = transceiver.zf_projection(H)
+        assert full and svd.call_count == 1
+        np.testing.assert_allclose(project() @ H, np.eye(4), atol=1e-12)
+
+    def test_exactly_singular_r_sends_the_stack_to_the_svd(self):
+        # a zero column makes R exactly singular, so np.linalg.inv raises and
+        # the rule judges every matrix of the stack; there is no projection
+        H = np.random.default_rng(21).standard_normal((3, 9, 5)) + 0j
+        H[1, :, 2] = 0.0
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            full, project = transceiver.zf_projection(H)
+        assert full.tolist() == [True, False, True] and project is None
+        assert svd.call_count == 1 and svd.call_args.args[0].shape == (3, 9, 5)
 
     def test_stack_judges_each_matrix_on_its_own(self):
         # each matrix of a stack is checked and inverted on its own
@@ -460,10 +559,12 @@ class TestCellGroups:
         with pytest.raises(transceiver.RankDeficientError, match=message):
             transceiver.decode_block(cfg, plan, H, y_tilde)
 
-    @pytest.mark.parametrize("failing", [(), (1, 2), (2,)], ids=["none", "cells 1 and 2", "cell 2"])
-    def test_one_svd_per_group(self, failing):
-        # the groups (0, 2) and (1,) are each decomposed once, whether the
-        # decode succeeds or fails, and however many cells fail
+    @pytest.mark.parametrize("failing, svd_calls", [((), 0), ((1, 2), 2), ((2,), 1)],
+                             ids=["none", "cells 1 and 2", "cell 2"])
+    def test_one_factorization_per_group(self, failing, svd_calls):
+        # the groups (0, 2) and (1,) are each factored by one QR, whether the
+        # decode succeeds or fails; a successful decode takes no SVD, and a
+        # failing one takes one for each group that holds a failing cell
         cfg = model.SystemConfig(K=3, users_per_cell=[3, 2, 3], subblocks=2,
                                  cir_len=[[8, 2, 2], [2, 8, 2], [2, 2, 8]])
         plan = model.make_plan(cfg)
@@ -472,13 +573,15 @@ class TestCellGroups:
         for k in failing:
             H[k][:, 1] = H[k][:, 0]
         y_tilde = np.zeros((cfg.K, plan.B, plan.N - plan.M_D), dtype=complex)
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr, \
+                mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
             if failing:
                 with pytest.raises(transceiver.RankDeficientError):
                     transceiver.decode_block(cfg, plan, H, y_tilde)
             else:
                 transceiver.decode_block(cfg, plan, H, y_tilde)
-        assert svd.call_count == 2
+        assert qr.call_count == 2
+        assert svd.call_count == svd_calls
 
 
 def _relative(a, b, scale=None):
