@@ -203,11 +203,11 @@ def ergodic_rates(cfgs, snr_db_list, trials) -> list:
     snr_lin = 10.0 ** (np.asarray(snr_db_list, dtype=float) / 10.0)
     plans = [model.make_plan(cfg) for cfg in cfgs]
     desired = [[(k, k) for k in range(cfg.K)] for cfg in cfgs]
-    widths = [model._normal_count(cfg, links) for cfg, links in zip(cfgs, desired)]
+    width = max(model._normal_count(cfg, links) for cfg, links in zip(cfgs, desired))
     sums = [0.0] * len(cfgs)
-    for normals in model.trial_normals(seeds.pop(), trials, max(widths)):
+    for normals in model.trial_normals(seeds.pop(), trials, width):
         for j, (cfg, plan) in enumerate(zip(cfgs, plans)):
-            ch = model._taps(cfg, normals[:, : widths[j]], desired[j])
+            ch = model._taps(cfg, normals, desired[j])
             H = spectral.build_structured(cfg, plan, ch)
             sums[j] += np.stack([sum_rate_qr(plan, H, snr_lin).sum(axis=0),
                                  baseline_tdma_ofdma(cfg, plan, ch, snr_lin).sum(axis=0)])

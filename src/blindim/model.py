@@ -261,7 +261,8 @@ def _normal_count(cfg: SystemConfig, links=None) -> int:
 
 
 def _taps(cfg: SystemConfig, normals, links=None, user_major=False) -> dict:
-    """CN(0, 1) taps from (..., _normal_count(cfg, links)) standard normals.
+    """CN(0, 1) taps from a (..., n) stack of standard normals: each row's
+    first _normal_count(cfg, links) normals, the rest unread.
 
     Link (k, i) takes the next 2 U_i L_{k,i} normals, in (k, i) order: its
     U_i x L_{k,i} real parts, then as many imaginary parts; with user_major,

@@ -169,14 +169,12 @@ class RankDeficientError(np.linalg.LinAlgError):
 RANK_TOL = 1e-8
 
 
-def numerical_rank(A, s=None):
-    """Rank of each matrix of a (..., n, c) stack A: how many of its singular
-    values exceed RANK_TOL times its largest.  One batched SVD takes them,
-    unless a caller that already has them passes them as s.  An empty
+def numerical_rank(A):
+    """Rank of each matrix of a (..., n, c) stack A, from one batched SVD: how
+    many of its singular values exceed RANK_TOL times its largest.  An empty
     (..., n, 0) matrix has rank 0, and a wide one (n < c) at most n.
     """
-    if s is None:
-        s = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
+    s = np.linalg.svd(np.atleast_2d(A), compute_uv=False)
     return (s > RANK_TOL * s[..., :1]).sum(axis=-1)
 
 
@@ -188,19 +186,19 @@ CERTIFIED_COND = 0.1 / RANK_TOL
 
 def zf_projection(H):
     """Verdicts and zero-forcing projections of a (..., n, c) stack of
-    channels from one thin QR, H = Q R: (full, project).  full[...] tells
-    whether each matrix's numerical_rank equals c; project() forms
-    H^+ = R^-1 Q^H, (..., c, n), from the same factors.
+    channels from one thin QR, H = Q R: (full, projection).  full[...] tells
+    whether each matrix's numerical_rank equals c.  projection is
+    H^+ = R^-1 Q^H, (..., c, n), formed only when every matrix passes, and
+    None otherwise.
 
     A matrix whose ||R||_F ||R^-1||_F is below CERTIFIED_COND meets the rule
     with a tenfold margin, so it passes without singular values.  Any other
     matrix, and every matrix of a stack where np.linalg.inv raises (some R
     is exactly singular, or the stack is wide, so R is not square), is judged
     by numerical_rank's SVD, so each verdict is the rule's: an empty
-    (..., n, 0) matrix passes, with a bound of 0, and a wide one fails.
-    Call project() only when every matrix passes; a stack that inv rejects
-    has none (project is None), as Householder QR's backward stability makes
-    a matrix with an exactly singular R fail the rule.
+    (..., n, 0) matrix passes, with a bound of 0, and a wide one fails.  A
+    stack that inv rejects has no projection: Householder QR's backward
+    stability makes a matrix with an exactly singular R fail the rule.
     """
     c = H.shape[-1]
     Q, R = np.linalg.qr(H)
@@ -214,7 +212,7 @@ def zf_projection(H):
     undecided = ~full
     if undecided.any():
         full[undecided] = numerical_rank(H[undecided]) == c
-    return full, lambda: R_inv @ Q.conj().swapaxes(-1, -2)
+    return full, (R_inv @ Q.conj().swapaxes(-1, -2) if full.all() else None)
 
 
 @dataclass
@@ -240,10 +238,9 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
 
     Each group of model.cell_groups is decoded as one stack: one
     zf_projection, one projection product and one cumsum, with the bits of
-    a decode of each cell alone.  Every group's verdicts come first, so a rank
-    failure names the lowest failing cell, whichever group holds it, from
-    the one QR each group takes (and the SVD of the matrices it cannot
-    certify), and no projection is formed.
+    a decode of each cell alone.  Every group is checked before any is
+    decoded, so a rank failure names the lowest failing cell, whichever group
+    holds it; a group with a failing cell has no projection.
 
     A delayed plan (L_I_d > 0) must have B = 1: the cancellation does not
     model the fold, so every later subblock would decode wrongly.
@@ -251,18 +248,14 @@ def decode_block(cfg, plan, H, y_tilde) -> DecodeResult:
     if plan.L_I_d and plan.B != 1:
         raise ValueError("delayed-ICI decoding is implemented for single-subblock frames")
     groups = model.cell_groups(cfg, plan)
-    verdicts = [zf_projection(np.array([H[k] for k in cells])) for cells in groups]
-    failing = [k for cells, (full, _) in zip(groups, verdicts) for k in np.compress(~full, cells)]
+    checked = [zf_projection(np.array([H[k] for k in cells])) for cells in groups]
+    failing = [k for cells, (full, _) in zip(groups, checked) for k in np.compress(~full, cells)]
     if failing:
         raise RankDeficientError("cell %d: effective channel is numerically rank deficient"
                                  % min(failing))
-    # the QR factors go before the products: kept alive, they took
-    # link_large's decode_block from 0.61 to 0.84 ms (in-process, BLAS pinned)
-    projections = [project() for _, project in verdicts]
-    del verdicts
     s_hat = {}
     phases = leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M_D)
-    for cells, projection in zip(groups, projections):
+    for cells, (_, projection) in zip(groups, checked):
         z = y_tilde[list(cells)] @ projection.swapaxes(-1, -2)
         powers = np.tile(phases[:, : plan.M[cells[0]]], plan.U_active[cells[0]])
         np.multiply(powers.conj(), z, out=z)   # powers first: z * powers may round differently

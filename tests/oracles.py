@@ -780,11 +780,11 @@ def decode_by_cell(cfg, plan, H, y_tilde):
     s_hat = {}
     phases = spectral.leakage_phase(plan.N, np.arange(plan.B) * plan.cp_len, plan.M_D)
     for k in range(cfg.K):
-        full, project = transceiver.zf_projection(H[k])
+        full, projection = transceiver.zf_projection(H[k])
         if not full:
             raise transceiver.RankDeficientError(
                 "cell %d: effective channel is numerically rank deficient" % k)
-        z = y_tilde[k] @ project().T
+        z = y_tilde[k] @ projection.T
         powers = np.tile(phases[:, : plan.M[k]], plan.U_active[k])
         s_hat[k] = powers * np.cumsum(powers.conj() * z, axis=0)
     return s_hat

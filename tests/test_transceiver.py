@@ -399,10 +399,10 @@ class TestZfProjection:
         rng = np.random.default_rng(17)
         n = 5
         H = _conditioned(rng, 12, np.geomspace(1.0, ratio, n))
-        full, project = transceiver.zf_projection(H)
+        full, projection = transceiver.zf_projection(H)
         assert full == (not deficient)
         if not deficient:
-            np.testing.assert_allclose(project() @ H, np.eye(n), atol=1e-6)
+            np.testing.assert_allclose(projection @ H, np.eye(n), atol=1e-6)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 24), st.integers(-3, 5),
@@ -432,9 +432,9 @@ class TestZfProjection:
         s = np.geomspace(1.0, 10.0 ** -decades, c)
         H = np.array([_conditioned(rng, c + extra, s) * 10.0 ** rng.uniform(-3, 3)
                       for _ in range(3)])
-        full, project = transceiver.zf_projection(H)
+        full, got = transceiver.zf_projection(H)
         assert full.all()
-        got, want = project(), zf_projection_by_svd(H)
+        want = zf_projection_by_svd(H)
         for j in range(len(H)):
             error = np.linalg.norm(got[j] - want[j]) / np.linalg.norm(want[j])
             assert error <= 64 * np.linalg.cond(H[j]) * np.finfo(float).eps
@@ -460,9 +460,9 @@ class TestZfProjection:
         # judges the matrix, and R^-1 Q^H is still its projection
         H = _conditioned(np.random.default_rng(20), 9, np.geomspace(1.0, 1e-2, 4)) * scale
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            full, project = transceiver.zf_projection(H)
+            full, projection = transceiver.zf_projection(H)
         assert full and svd.call_count == 1
-        np.testing.assert_allclose(project() @ H, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(projection @ H, np.eye(4), atol=1e-12)
 
     def test_exactly_singular_r_sends_the_stack_to_the_svd(self):
         # a zero column makes R exactly singular, so np.linalg.inv raises and
@@ -470,27 +470,42 @@ class TestZfProjection:
         H = np.random.default_rng(21).standard_normal((3, 9, 5)) + 0j
         H[1, :, 2] = 0.0
         with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            full, project = transceiver.zf_projection(H)
-        assert full.tolist() == [True, False, True] and project is None
+            full, projection = transceiver.zf_projection(H)
+        assert full.tolist() == [True, False, True] and projection is None
         assert svd.call_count == 1 and svd.call_args.args[0].shape == (3, 9, 5)
 
     def test_stack_judges_each_matrix_on_its_own(self):
         # each matrix of a stack is checked and inverted on its own
         rng = np.random.default_rng(18)
         H = rng.standard_normal((2, 3, 7, 4)) + 1j * rng.standard_normal((2, 3, 7, 4))
-        full, project = transceiver.zf_projection(H)
+        full, P = transceiver.zf_projection(H)
         assert full.all()
-        P = project()
         for j in np.ndindex(2, 3):
             one_full, one = transceiver.zf_projection(H[j])
-            assert one_full and P[j].tobytes() == one().tobytes()
+            assert one_full and P[j].tobytes() == one.tobytes()
         H[1, 2, :, 3] = H[1, 2, :, 0]
         H[1, 0, :, 1] = 0.0
         full, _ = transceiver.zf_projection(H)
         assert full.tolist() == [[True, True, True], [False, True, False]]
         # an idle cell's empty channel passes, with an empty projection
-        full, project = transceiver.zf_projection(np.zeros((2, 7, 0), dtype=complex))
-        assert full.all() and project().shape == (2, 0, 7)
+        full, projection = transceiver.zf_projection(np.zeros((2, 7, 0), dtype=complex))
+        assert full.all() and projection.shape == (2, 0, 7)
+
+    def test_no_projection_unless_every_matrix_passes(self):
+        # one matrix past CERTIFIED_COND that the rule's SVD then fails
+        # leaves its stack without a projection; a stack that passes gets
+        # each matrix's lone projection, bit for bit
+        rng = np.random.default_rng(22)
+        H = np.array([_conditioned(rng, 12, np.geomspace(1.0, 1.0 / 3e8, 5)),
+                      _conditioned(rng, 12, np.ones(5))])
+        full, projection = transceiver.zf_projection(H)
+        assert full.tolist() == [False, True] and projection is None
+        H[0] = _conditioned(rng, 12, np.geomspace(1.0, 1e-3, 5))
+        full, projection = transceiver.zf_projection(H)
+        assert full.all()
+        for j in range(len(H)):
+            one_full, one = transceiver.zf_projection(H[j])
+            assert one_full and projection[j].tobytes() == one.tobytes()
 
 
 class TestCellGroups:
